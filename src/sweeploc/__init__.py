@@ -17,8 +17,8 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, DetectorConfig,
                        true_bearing, wrap_angle)
 from .transmitter import (PREAMBLE_PATTERNS, SweepSchedule, TdmaPlan,
                           build_sweep_schedule, tdma_plan)
-from .channel import (FieldTrace, Path, PathSet, add_noise, apply_doppler,
-                      array_factor_mag, draw_multipath, phased_sum, propagate)
+from .channel import (FieldTrace, PathSet, add_noise, apply_doppler,
+                      draw_multipath, phased_sum, propagate, sweep_response)
 from .receiver import (AngleEstimate, EnvelopeTrace, LocationFix, LogStore,
                        LookupTable, LowConfidenceFixError, Receiver,
                        SensorRecord, StoreFullError, envelope_detect,

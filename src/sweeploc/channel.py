@@ -17,11 +17,7 @@ import numpy as np
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
                        Position, Trajectory, free_space_loss_db, wrap_angle,
                        SPEED_OF_LIGHT)
-from .transmitter import KIND_PREAMBLE, KIND_SWEEP, SweepSchedule
-
-K_SILENCE = 0
-K_PREAMBLE = 1
-K_SWEEP = 2
+from .transmitter import K_SWEEP, SweepSchedule
 
 
 def phased_sum(x: np.ndarray | float, n: int) -> np.ndarray:
@@ -41,73 +37,90 @@ def phased_sum(x: np.ndarray | float, n: int) -> np.ndarray:
     return np.exp(1j * (n - 1) * half) * ratio
 
 
-def array_factor_mag(x: np.ndarray | float, n: int) -> np.ndarray:
-    """|sum exp(j*i*x)| for i in 0..n-1."""
-    return np.abs(phased_sum(x, n))
-
-
-@dataclass(frozen=True)
-class Path:
-    """One propagation path: relative amplitude, arrival bearing, phase."""
-
-    amplitude: float
-    bearing_rad: float
-    excess_phase_rad: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ConfigError("path amplitude must be finite and >= 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSet:
-    """Paths of one channel draw; index 0 is the line-of-sight path.
+    """Propagation paths of one or more channel draws, as arrays.
 
-    The stored LOS bearing is nominal (the bearing at draw time); during
-    synthesis the LOS bearing follows the actual receiver position, while
-    reflected-path bearings stay fixed.
+    The last axis is paths, index 0 the line-of-sight path; an optional
+    leading axis holds trials. Each path has a relative amplitude, an
+    arrival bearing relative to boresight and an excess phase. The stored
+    LOS bearing is nominal (the bearing at draw time): sweep_response takes
+    the LOS bearing from geometry, while reflected-path bearings stay fixed.
     """
 
-    paths: tuple[Path, ...]
+    amplitudes: np.ndarray
+    bearings_rad: np.ndarray
+    excess_phases_rad: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.paths:
+        for name in ("amplitudes", "bearings_rad", "excess_phases_rad"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        amps = self.amplitudes
+        if not amps.shape == self.bearings_rad.shape == self.excess_phases_rad.shape:
+            raise ConfigError("path arrays must share one shape")
+        if amps.ndim not in (1, 2) or amps.shape[-1] == 0:
             raise ConfigError("a path set needs at least the LOS path")
-        if self.paths[0].amplitude <= 0:
+        if not (np.all(np.isfinite(amps)) and np.all(amps >= 0)):
+            raise ConfigError("path amplitude must be finite and >= 0")
+        if np.any(amps[..., 0] <= 0):
             raise ConfigError("LOS amplitude must be positive")
-
-    @property
-    def los(self) -> Path:
-        return self.paths[0]
-
-    @property
-    def nlos(self) -> tuple[Path, ...]:
-        return self.paths[1:]
-
-    @property
-    def ratio(self) -> float:
-        return sum(p.amplitude for p in self.nlos) / self.los.amplitude
 
 
 def draw_multipath(cfg: ChannelConfig, rng: np.random.Generator,
-                   los_bearing_rad: float = 0.0) -> PathSet:
-    """Draw one PathSet: LOS at unit amplitude plus scaled reflections.
+                   los_bearing_rad: float | np.ndarray = 0.0) -> PathSet:
+    """Draw PathSets: LOS at unit amplitude plus scaled reflections.
 
-    Reflection amplitudes are U(0,1] draws normalized so their sum equals
-    multipath_ratio; bearings are i.i.d. U(-pi/2, pi/2); excess phases
-    U[0, 2*pi). Draw order: amplitudes, bearings, phases.
+    A scalar LOS bearing gives one draw, an (n,) array n draws on a
+    leading trials axis. Reflection amplitudes are U(0,1] draws normalized
+    so their sum equals multipath_ratio; bearings are i.i.d.
+    U(-pi/2, pi/2); excess phases U[0, 2*pi). Each trial draws its
+    amplitudes, then bearings, then phases, so n draws at once equal n
+    draws in turn.
     """
-    los = Path(1.0, float(los_bearing_rad), 0.0)
-    k = cfg.nlos_path_count
-    if k == 0 or cfg.multipath_ratio == 0.0:
-        return PathSet((los,))
-    raw = 1.0 - rng.uniform(size=k)  # U(0, 1], cannot be zero
-    amps = raw / raw.sum() * cfg.multipath_ratio
-    bearings = rng.uniform(-math.pi / 2, math.pi / 2, size=k)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=k)
-    nlos = tuple(Path(float(a), float(b), float(p))
-                 for a, b, p in zip(amps, bearings, phases))
-    return PathSet((los,) + nlos)
+    los = np.asarray(los_bearing_rad, dtype=float)[..., None]
+    k = cfg.nlos_path_count if cfg.multipath_ratio != 0.0 else 0
+    u = rng.random(los.shape[:-1] + (3, k))
+    raw = 1.0 - u[..., 0, :]  # U(0, 1], cannot be zero
+    amps = raw / raw.sum(axis=-1, keepdims=True) * cfg.multipath_ratio
+    lo, hi = -math.pi / 2, math.pi / 2
+    bearings = lo + (hi - lo) * u[..., 1, :]
+    phases = 2.0 * math.pi * u[..., 2, :]
+    return PathSet(np.concatenate([np.ones_like(los), amps], axis=-1),
+                   np.concatenate([los, bearings], axis=-1),
+                   np.concatenate([np.zeros_like(los), phases], axis=-1))
+
+
+def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray | float,
+                   ap: ApConfig, increments: np.ndarray,
+                   link: np.ndarray | float = 1.0,
+                   kinds: np.ndarray | None = None,
+                   bits: np.ndarray | None = None):
+    """Yield each path's complex field under the array drive, LOS first.
+
+    Path k yields w_k * g_k with weight w_k = a_k * link * exp(j*psi_k) and
+    array gain g_k = phased_sum(2*pi*spacing*sin(b_k) - inc, N), the
+    array-manifold sum over antennas i of exp(j*i*(phi_k - inc)) (Van
+    Trees, Optimum Array Processing, ch. 2). The LOS bearing b_0 is
+    los_bearing_rad, taken from geometry, never the stored nominal value.
+
+    The last axis of increments (and of link, kinds, bits and the LOS
+    bearing, where they vary) runs over drive rows: output samples or
+    sweep steps. A trials axis of paths broadcasts against it. Where kinds
+    marks a preamble row, the gain is the row's bit instead: the preamble
+    radiates from antenna 0 alone.
+    """
+    two_pi_s = 2.0 * math.pi * ap.spacing_wavelengths
+    sweeping = None if kinds is None else kinds == K_SWEEP
+    for k in range(paths.amplitudes.shape[-1]):
+        bearing = los_bearing_rad if k == 0 else paths.bearings_rad[..., k, None]
+        weight = (paths.amplitudes[..., k, None] * link
+                  * np.exp(1j * paths.excess_phases_rad[..., k, None]))
+        gain = phased_sum(two_pi_s * np.sin(bearing) - increments,
+                          ap.antenna_count)
+        if sweeping is not None:
+            gain = np.where(sweeping, gain, bits)
+        yield weight * gain
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,7 @@ class FieldTrace:
     """Sampled complex field at the receiver over one transmit slot.
 
     samples[s] is the total field at t0_s + s/sample_rate_hz; kinds[s]
-    labels the active schedule entry (0 silence, 1 preamble, 2 sweep).
+    labels the active schedule row (0 silence, K_PREAMBLE, K_SWEEP).
     path_components holds the per-path fields (paths x samples) whose sum
     is the noiseless total; additive noise only affects samples.
     """
@@ -129,16 +142,8 @@ class FieldTrace:
     paths: PathSet | None = None
     path_components: np.ndarray | None = None
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
     def times(self) -> np.ndarray:
         return self.t0_s + np.arange(len(self.samples)) / self.sample_rate_hz
-
-    def to_rows(self) -> list[tuple[float, float, float, int]]:
-        return [(float(t), float(s.real), float(s.imag), int(k))
-                for t, s, k in zip(self.times(), self.samples, self.kinds)]
 
 
 def _as_trajectory(where: Position | Trajectory) -> Trajectory:
@@ -159,11 +164,9 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
               t0_s: float = 0.0, ap_index: int = 0) -> FieldTrace:
     """Synthesize the received field for one sweep period of one AP.
 
-    The per-antenna geometry phase at bearing b is i * 2*pi*spacing*sin(b),
-    so a sweep entry driving antenna i at phase i*inc contributes
-    phased_sum(phi - inc, N) with phi the path's phase increment. Preamble
-    bits radiate from antenna 0 only: gain 1 for a one bit, silence for a
-    zero bit.
+    Each sample takes the drive of the schedule row active at its time;
+    sweep_response turns that drive into per-path fields, with the LOS
+    bearing following the receiver.
     """
     ap = schedule.ap
     traj = _as_trajectory(where)
@@ -171,22 +174,9 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     t_local = np.arange(n) / sample_rate_hz
     t_abs = t0_s + t_local
 
-    entries = schedule.entries
-    starts = np.array([e.start_s for e in entries])
-    idx = np.searchsorted(starts, t_local + 1e-12, side="right") - 1
-    idx = np.clip(idx, 0, len(entries) - 1)
-
-    kind_codes = np.array([K_PREAMBLE if e.kind == KIND_PREAMBLE else K_SWEEP
-                           for e in entries], dtype=np.int8)
-    # Sweep drive increment per entry; preamble rows carry the bit instead.
-    incs = np.array([e.phases_rad[1] if e.kind == KIND_SWEEP else 0.0
-                     for e in entries])
-    bits = np.array([e.value if e.kind == KIND_PREAMBLE else 1.0
-                     for e in entries])
-    kinds = kind_codes[idx]
-    inc_s = incs[idx]
-    bit_s = bits[idx]
-    is_sweep = kinds == K_SWEEP
+    row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
+    row = np.clip(row, 0, len(schedule.starts_s) - 1)
+    kinds = schedule.kinds[row]
 
     px, py = _positions_at(traj, t_abs)
     dx = px - ap.position.x
@@ -197,18 +187,11 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     amp = 10.0 ** ((ap.tx_power_dbm - free_space_loss_db(dist, ap.carrier_hz)) / 20.0)
     los_bearing = wrap_angle(np.arctan2(dy, dx) - ap.boresight_rad)
 
-    two_pi_s = 2.0 * math.pi * ap.spacing_wavelengths
-    m = len(paths.paths)
-    components = np.zeros((m, n), dtype=complex)
-    for k, path in enumerate(paths.paths):
-        phi = two_pi_s * np.sin(los_bearing if k == 0 else path.bearing_rad)
-        gain = np.where(is_sweep,
-                        phased_sum(phi - inc_s, ap.antenna_count),
-                        bit_s)
-        components[k] = path.amplitude * amp * np.exp(1j * path.excess_phase_rad) * gain
-
+    components = np.array(list(sweep_response(
+        paths, los_bearing, ap, schedule.increments[row], link=amp,
+        kinds=kinds, bits=schedule.bits[row])))
     return FieldTrace(samples=components.sum(axis=0), sample_rate_hz=sample_rate_hz,
-                      t0_s=t0_s, kinds=kinds.astype(np.int8), ap=ap,
+                      t0_s=t0_s, kinds=kinds, ap=ap,
                       ap_index=ap_index, paths=paths, path_components=components)
 
 
@@ -264,11 +247,11 @@ def apply_doppler(trace: FieldTrace, trajectory: Trajectory) -> FieldTrace:
     dpx = px - px[0]
     dpy = py - py[0]
     components = np.empty_like(trace.path_components)
-    for k, path in enumerate(trace.paths.paths):
+    for k, bearing in enumerate(trace.paths.bearings_rad):
         if k == 0:
             delta_len = dist - dist[0]
         else:
-            alpha = ap.boresight_rad + path.bearing_rad  # toward the source
+            alpha = ap.boresight_rad + bearing  # toward the source
             delta_len = -(np.cos(alpha) * dpx + np.sin(alpha) * dpy)
         components[k] = trace.path_components[k] * np.exp(-2j * math.pi * delta_len / lam)
     return replace(trace, samples=components.sum(axis=0),

@@ -143,6 +143,21 @@ def _chunks(total: int, size: int) -> list[tuple[int, int, int]]:
             for idx, lo in enumerate(range(0, total, size))]
 
 
+def _sum_by_key(fn: Callable, tasks: Sequence, workers: int) -> dict:
+    """Run chunk tasks and sum their (key, *values) tuples per key.
+
+    fn returns a list of such tuples. Values are summed element by element
+    in chunk order, so the float sums do not depend on the worker count.
+    """
+    sums: dict = {}
+    for chunk_out in _map_ordered(fn, tasks, workers):
+        for key, *values in chunk_out:
+            acc = sums.setdefault(key, [0] * len(values))
+            for i, value in enumerate(values):
+                acc[i] += value
+    return sums
+
+
 # --- multipath grid ---------------------------------------------------------
 
 GRID_ANTENNA_COUNTS = (2, 3, 4, 5)
@@ -166,19 +181,19 @@ def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
     rng = trial_rng(scn.seed, "multipath_grid", r_key, chunk_idx)
     limit = math.radians(bearing_limit_deg)
     los = rng.uniform(-limit, limit, n)
-    pathsets = [draw_multipath(channel, rng, float(b)) for b in los]
+    paths = draw_multipath(channel, rng, los)
     est = fast_estimate_bearings(ap, scn.sweep_mode,
-                                 scn.detector.sample_rate_hz, pathsets, los)
+                                 scn.detector.sample_rate_hz, paths, los)
     return np.degrees(est - los)
 
 
-def _grid_ratio_chunk(task) -> list[tuple[int, int, float, float, int]]:
+def _grid_ratio_chunk(task) -> list[tuple[tuple[int, int], float, float, int]]:
     scn, r_idx, chunk_idx, lo, hi = task
     out = []
     for n_ant in GRID_ANTENNA_COUNTS:
         err_deg = grid_cell_errors(scn, n_ant, GRID_RATIOS[r_idx], r_idx,
                                    chunk_idx, hi - lo)
-        out.append((n_ant, r_idx, float(np.abs(err_deg).sum()),
+        out.append(((n_ant, r_idx), float(np.abs(err_deg).sum()),
                     float(err_deg.sum()), hi - lo))
     return out
 
@@ -195,14 +210,7 @@ def multipath_grid(spec: ExperimentSpec) -> ResultTable:
     tasks = [(scn, r_idx, chunk_idx, lo, hi)
              for r_idx in range(len(GRID_RATIOS))
              for chunk_idx, lo, hi in _chunks(trials, GRID_CHUNK)]
-    results = _map_ordered(_grid_ratio_chunk, tasks, spec.workers)
-    sums: dict[tuple[int, int], list[float]] = {}
-    for chunk_out in results:
-        for n_ant, r_idx, abs_sum, signed_sum, count in chunk_out:
-            acc = sums.setdefault((n_ant, r_idx), [0.0, 0.0, 0])
-            acc[0] += abs_sum
-            acc[1] += signed_sum
-            acc[2] += count
+    sums = _sum_by_key(_grid_ratio_chunk, tasks, spec.workers)
     rows = []
     for n_ant in GRID_ANTENNA_COUNTS:
         for r_idx, ratio in enumerate(GRID_RATIOS):
@@ -223,7 +231,7 @@ RANGE_DISTANCES_M = tuple(float(d) for d in range(10, 121, 10))
 RANGE_BEARING_LIMIT_DEG = 30.0
 
 
-def _range_chunk(task) -> tuple[int, int, int, float]:
+def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     scn, d_idx, lo, hi = task
     ap = scn.aps[0]
     schedule = build_sweep_schedule(ap, scn.sweep_mode)
@@ -253,7 +261,7 @@ def _range_chunk(task) -> tuple[int, int, int, float]:
         detected += 1
         est = estimate_angle(env, det.start_sample, ap, scn.sweep_mode)
         abs_err_sum += abs(math.degrees(est.raw_rad - bearing))
-    return (d_idx, hi - lo, detected, abs_err_sum)
+    return [(d_idx, hi - lo, detected, abs_err_sum)]
 
 
 def range_sweep(spec: ExperimentSpec) -> ResultTable:
@@ -264,13 +272,7 @@ def range_sweep(spec: ExperimentSpec) -> ResultTable:
     tasks = [(scn, d_idx, lo, hi)
              for d_idx in range(len(RANGE_DISTANCES_M))
              for _, lo, hi in _chunks(trials, GRID_CHUNK)]
-    results = _map_ordered(_range_chunk, tasks, spec.workers)
-    acc: dict[int, list[float]] = {}
-    for d_idx, count, detected, abs_err in results:
-        entry = acc.setdefault(d_idx, [0, 0, 0.0])
-        entry[0] += count
-        entry[1] += detected
-        entry[2] += abs_err
+    acc = _sum_by_key(_range_chunk, tasks, spec.workers)
     rows = []
     for d_idx, distance in enumerate(RANGE_DISTANCES_M):
         count, detected, abs_err = acc[d_idx]
@@ -356,7 +358,7 @@ SPEED_MARGIN_M = 30.0
 SPEED_RATIO = 0.4
 
 
-def _speed_chunk(task) -> tuple[int, int, int, float, float]:
+def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
     scn, s_idx, lo, hi = task
     if scn.field_extent_m is None:
         raise ConfigError("speed experiment needs a field extent")
@@ -403,7 +405,7 @@ def _speed_chunk(task) -> tuple[int, int, int, float, float]:
                 raw_sum += abs(math.degrees(est.raw_rad - truth))
                 smooth_sum += abs(math.degrees(est.smoothed_rad - truth))
                 tracked += 1
-    return (s_idx, hi - lo, tracked, raw_sum, smooth_sum)
+    return [(s_idx, hi - lo, tracked, raw_sum, smooth_sum)]
 
 
 def speed_sweep(spec: ExperimentSpec) -> ResultTable:
@@ -414,14 +416,7 @@ def speed_sweep(spec: ExperimentSpec) -> ResultTable:
     tasks = [(scn, s_idx, lo, hi)
              for s_idx in range(len(SPEED_POINTS_MPS))
              for _, lo, hi in _chunks(trials, GRID_CHUNK)]
-    results = _map_ordered(_speed_chunk, tasks, spec.workers)
-    acc: dict[int, list[float]] = {}
-    for s_idx, count, tracked, raw_sum, smooth_sum in results:
-        entry = acc.setdefault(s_idx, [0, 0, 0.0, 0.0])
-        entry[0] += count
-        entry[1] += tracked
-        entry[2] += raw_sum
-        entry[3] += smooth_sum
+    acc = _sum_by_key(_speed_chunk, tasks, spec.workers)
     rows = []
     for s_idx, speed in enumerate(SPEED_POINTS_MPS):
         count, tracked, raw_sum, smooth_sum = acc[s_idx]
@@ -444,11 +439,11 @@ def speed_sweep(spec: ExperimentSpec) -> ResultTable:
 BER_SNR_POINTS_DB = tuple(float(s) for s in range(-12, 7, 2))
 
 
-def _ber_chunk(task) -> tuple[int, int, int]:
+def _ber_chunk(task) -> list[tuple[int, int, int]]:
     scn, p_idx, chunk_idx, n_bits = task
     rng = trial_rng(scn.seed, "ber_vs_snr", p_idx, chunk_idx)
     _, errors = ber_point(BER_SNR_POINTS_DB[p_idx], n_bits, rng)
-    return (p_idx, n_bits, errors)
+    return [(p_idx, n_bits, errors)]
 
 
 def ber_vs_snr(spec: ExperimentSpec) -> ResultTable:
@@ -458,12 +453,7 @@ def ber_vs_snr(spec: ExperimentSpec) -> ResultTable:
     tasks = [(scn, p_idx, chunk_idx, hi - lo)
              for p_idx in range(len(BER_SNR_POINTS_DB))
              for chunk_idx, lo, hi in _chunks(bits, BER_CHUNK)]
-    results = _map_ordered(_ber_chunk, tasks, spec.workers)
-    acc: dict[int, list[int]] = {}
-    for p_idx, count, errors in results:
-        entry = acc.setdefault(p_idx, [0, 0])
-        entry[0] += count
-        entry[1] += errors
+    acc = _sum_by_key(_ber_chunk, tasks, spec.workers)
     rows = []
     for p_idx, snr in enumerate(BER_SNR_POINTS_DB):
         count, errors = acc[p_idx]

@@ -7,16 +7,14 @@ the buffer's phase relative to the schedule.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .channel import (FieldTrace, PathSet, add_noise, apply_doppler,
-                      concat_traces, draw_multipath, phased_sum, propagate)
+                      concat_traces, draw_multipath, propagate, sweep_response)
 from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, envelope_detect, step_estimate_angles)
 from .scenario import ApConfig, Position, Scenario, Trajectory, true_bearing
-from .transmitter import build_sweep_schedule, step_increments
+from .transmitter import build_sweep_schedule, drive_increments
 
 
 def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
@@ -63,40 +61,23 @@ def draw_pathsets(scn: Scenario, where: Position | Trajectory,
 
 
 def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
-                           pathsets: list[PathSet],
+                           paths: PathSet,
                            los_bearings: np.ndarray) -> np.ndarray:
     """Vectorized bearing estimates for static noiseless trials.
 
-    Evaluates the array response once per sweep step instead of once per
-    output sample, then maps the winning step through the same
-    time-to-angle inversion the sample-domain receiver applies. The drive
-    increments are wrapped exactly as the schedule builder wraps them, so
-    for a static receiver above the detector floor this picks the same
-    step, and therefore the same bearing, as the full synthesis pipeline.
+    paths holds one draw per trial on its leading axis. The field is
+    evaluated once per sweep step instead of once per output sample, with
+    the same kernel and the same wrapped drive increments as propagate,
+    then the winning step is mapped through the time-to-angle inversion
+    the sample-domain receiver applies. For a static receiver above the
+    detector floor this picks the same step, and therefore the same
+    bearing, as the full synthesis pipeline.
     """
-    inc = np.mod(step_increments(ap, mode), 2.0 * math.pi)
-    estimates = step_estimate_angles(ap, mode, sample_rate_hz)
     los = np.asarray(los_bearings, dtype=float)
-    two_pi_s = 2.0 * math.pi * ap.spacing_wavelengths
-    response = phased_sum(two_pi_s * np.sin(los)[:, None] - inc[None, :],
-                          ap.antenna_count).astype(complex)
-    max_nlos = max((len(ps.nlos) for ps in pathsets), default=0)
-    if max_nlos:
-        n = len(pathsets)
-        amps = np.zeros((n, max_nlos))
-        bearings = np.zeros((n, max_nlos))
-        phases = np.zeros((n, max_nlos))
-        for i, ps in enumerate(pathsets):
-            for k, path in enumerate(ps.nlos):
-                amps[i, k] = path.amplitude
-                bearings[i, k] = path.bearing_rad
-                phases[i, k] = path.excess_phase_rad
-        for k in range(max_nlos):
-            phi = two_pi_s * np.sin(bearings[:, k])
-            response += (amps[:, k] * np.exp(1j * phases[:, k]))[:, None] \
-                * phased_sum(phi[:, None] - inc[None, :], ap.antenna_count)
-    winners = np.argmax(np.abs(response), axis=1)
-    return estimates[winners]
+    field = sum(sweep_response(paths, los[:, None], ap,
+                               drive_increments(ap, mode)))
+    winners = np.argmax(np.abs(field), axis=1)
+    return step_estimate_angles(ap, mode, sample_rate_hz)[winners]
 
 
 def localize_once(scn: Scenario, where: Position | Trajectory,

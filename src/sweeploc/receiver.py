@@ -97,7 +97,8 @@ def angle_from_sample(ap: ApConfig, mode: str, sample_index: int,
     The sweep covers its commanded range linearly in time, so the fraction
     of the sweep elapsed at the peak gives the commanded value back. In
     "alg1" mode that value is the bearing itself; in "uniform-theta" mode
-    it is the inter-antenna increment, mapped through arcsin.
+    it is the inter-antenna increment 2*pi*spacing*sin(bearing), mapped
+    back through arcsin.
     """
     t = sample_index / sample_rate_hz
     frac = (t - ap.preamble_duration_s) / (ap.sweep_period_s - ap.preamble_duration_s)
@@ -106,7 +107,8 @@ def angle_from_sample(ap: ApConfig, mode: str, sample_index: int,
         return frac * math.pi - math.pi / 2
     if mode == "uniform-theta":
         increment = frac * 2.0 * math.pi - math.pi
-        return math.asin(min(max(increment / math.pi, -1.0), 1.0))
+        sine = increment / (2.0 * math.pi * ap.spacing_wavelengths)
+        return math.asin(min(max(sine, -1.0), 1.0))
     raise ConfigError(f"unknown sweep mode {mode!r}")
 
 

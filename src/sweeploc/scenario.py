@@ -51,9 +51,6 @@ class Position:
     def distance_to(self, other: "Position") -> float:
         return math.hypot(other.x - self.x, other.y - self.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -346,37 +343,107 @@ def _ap_to_mapping(ap: ApConfig) -> dict[str, Any]:
     }
 
 
+def _finite(value: Any, name: str) -> float:
+    """value as a float; non-numbers, NaN and infinities are errors."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _boolean(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _as(kind):
+    return lambda value, name: kind(value)
+
+
+def _optional(parse):
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+def _pair(value: Any, name: str) -> tuple[float, float]:
+    try:
+        a, b = value
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a pair [a, b]") from exc
+    return _finite(a, name), _finite(b, name)
+
+
+_AP_FIELDS = {
+    "antenna_count": _as(int),
+    "preamble_id": _as(int),
+    **dict.fromkeys(("spacing_wavelengths", "carrier_hz", "tx_power_dbm",
+                     "sweep_period_s", "preamble_duration_s"), _finite),
+}
+# Read by _ap_from_mapping itself; angles also accept a _deg spelling.
+_AP_SPECIAL = ("position", "boresight_rad", "boresight_deg",
+               "sweep_step_rad", "sweep_step_deg")
+_CHANNEL_FIELDS = {
+    "nlos_path_count": _as(int),
+    "multipath_ratio": _finite,
+    "noise_power_dbm": _optional(_finite),
+    "doppler_enabled": _boolean,
+    "nlos_redraw_distance_m": _finite,
+}
+_DETECTOR_FIELDS = {
+    "sensitivity_floor_dbm": _finite,
+    "sample_rate_hz": _finite,
+    "response_model": _as(str),
+    "response_table": _optional(lambda v, name: tuple(_pair(p, name) for p in v)),
+    "output_noise_volts": _optional(_finite),
+}
+_SCENARIO_FIELDS = {
+    "sweep_mode": _as(str),
+    "smoothing": _finite,
+    "seed": _as(int),
+    "field_extent_m": _optional(_pair),
+}
+
+
+def _parse(m: Any, fields: dict, where: str, special: tuple[str, ...] = ()
+           ) -> dict[str, Any]:
+    """Parse the keys of one mapping level; unknown keys are errors."""
+    if m is None:
+        m = {}
+    if not isinstance(m, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = sorted(str(k) for k in m if k not in fields and k not in special)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return {name: parse(m[name], f"{where}.{name}")
+            for name, parse in fields.items() if name in m}
+
+
 def _angle_from_mapping(m: dict[str, Any], stem: str, default: float | None = None) -> float:
     # Accept either <stem>_rad or <stem>_deg on input; output always _rad.
     if f"{stem}_rad" in m and f"{stem}_deg" in m:
         raise ConfigError(f"give {stem}_rad or {stem}_deg, not both")
     if f"{stem}_rad" in m:
-        return float(m[f"{stem}_rad"])
+        return _finite(m[f"{stem}_rad"], f"ap.{stem}_rad")
     if f"{stem}_deg" in m:
-        return math.radians(float(m[f"{stem}_deg"]))
+        return math.radians(_finite(m[f"{stem}_deg"], f"ap.{stem}_deg"))
     if default is None:
         raise ConfigError(f"missing {stem}_rad (or {stem}_deg)")
     return default
 
 
 def _ap_from_mapping(m: dict[str, Any]) -> ApConfig:
-    try:
-        x, y = m["position"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("ap.position must be [x, y]") from exc
-    kwargs: dict[str, Any] = {
-        "position": Position(float(x), float(y)),
-        "boresight_rad": _angle_from_mapping(m, "boresight"),
-        "sweep_step_rad": _angle_from_mapping(m, "sweep_step", math.pi / 128),
-    }
-    for name in ("antenna_count", "preamble_id"):
-        if name in m:
-            kwargs[name] = int(m[name])
-    for name in ("spacing_wavelengths", "carrier_hz", "tx_power_dbm",
-                 "sweep_period_s", "preamble_duration_s"):
-        if name in m:
-            kwargs[name] = float(m[name])
-    return ApConfig(**kwargs)
+    kwargs = _parse(m, _AP_FIELDS, "ap", _AP_SPECIAL)
+    if "position" not in m:
+        raise ConfigError("ap.position must be [x, y]")
+    x, y = _pair(m["position"], "ap.position")
+    return ApConfig(
+        position=Position(x, y),
+        boresight_rad=_angle_from_mapping(m, "boresight"),
+        sweep_step_rad=_angle_from_mapping(m, "sweep_step", math.pi / 128),
+        **kwargs)
 
 
 def scenario_to_mapping(scn: Scenario) -> dict[str, Any]:
@@ -405,39 +472,18 @@ def scenario_to_mapping(scn: Scenario) -> dict[str, Any]:
 
 
 def scenario_from_mapping(m: dict[str, Any]) -> Scenario:
+    """Build a Scenario from its YAML mapping, refusing unknown keys,
+    non-boolean flags and non-finite numbers at every level."""
     if not isinstance(m, dict) or "aps" not in m:
         raise ConfigError("scenario mapping needs an 'aps' list")
-    ch = m.get("channel") or {}
-    det = m.get("detector") or {}
-    channel_kwargs: dict[str, Any] = {}
-    for name, cast in (("nlos_path_count", int), ("multipath_ratio", float),
-                       ("doppler_enabled", bool), ("nlos_redraw_distance_m", float)):
-        if name in ch:
-            channel_kwargs[name] = cast(ch[name])
-    if "noise_power_dbm" in ch:
-        v = ch["noise_power_dbm"]
-        channel_kwargs["noise_power_dbm"] = None if v is None else float(v)
-    detector_kwargs: dict[str, Any] = {}
-    for name, cast in (("sensitivity_floor_dbm", float), ("sample_rate_hz", float),
-                       ("response_model", str)):
-        if name in det:
-            detector_kwargs[name] = cast(det[name])
-    if det.get("response_table") is not None:
-        detector_kwargs["response_table"] = tuple(
-            (float(p), float(v)) for p, v in det["response_table"])
-    if "output_noise_volts" in det:
-        v = det["output_noise_volts"]
-        detector_kwargs["output_noise_volts"] = None if v is None else float(v)
-    extent = m.get("field_extent_m")
+    top = _parse(m, _SCENARIO_FIELDS, "scenario", ("aps", "channel", "detector"))
     return Scenario(
         aps=tuple(_ap_from_mapping(a) for a in m["aps"]),
-        channel=ChannelConfig(**channel_kwargs),
-        detector=DetectorConfig(**detector_kwargs),
-        sweep_mode=str(m.get("sweep_mode", "alg1")),
-        smoothing=float(m.get("smoothing", 0.8)),
-        seed=int(m.get("seed", 0)),
-        field_extent_m=(float(extent[0]), float(extent[1])) if extent else None,
-    )
+        channel=ChannelConfig(**_parse(m.get("channel"), _CHANNEL_FIELDS,
+                                       "channel")),
+        detector=DetectorConfig(**_parse(m.get("detector"), _DETECTOR_FIELDS,
+                                         "detector")),
+        **top)
 
 
 def scenario_to_yaml(scn: Scenario) -> str:

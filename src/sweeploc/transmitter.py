@@ -27,52 +27,32 @@ PREAMBLE_PATTERNS: dict[int, tuple[int, ...]] = {
     2: (1, 1, 0, 0, 1, 1, 0, 0),
 }
 
-KIND_PREAMBLE = "preamble"
-KIND_SWEEP = "sweep"
+# Row kind codes; FieldTrace.kinds uses the same codes, with 0 for silence.
+K_PREAMBLE = 1
+K_SWEEP = 2
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One transmit slot: which antennas radiate and with what phases.
-
-    value is the preamble bit (0/1) for preamble entries, or the commanded
-    sweep value (steering angle for "alg1", phase increment for
-    "uniform-theta") for sweep entries.
-    """
-
-    start_s: float
-    duration_s: float
-    kind: str
-    value: float
-    antennas: tuple[int, ...]
-    phases_rad: tuple[float, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSchedule:
-    """All entries of one AP's sweep period, in time order."""
+    """One AP's sweep period as per-row arrays, in time order.
+
+    Rows are the preamble bits, then the sweep steps. starts_s is each
+    row's start time and kinds its K_PREAMBLE/K_SWEEP code. increments is
+    the inter-antenna drive increment, wrapped into [0, 2*pi), so antenna i
+    radiates at phase i * increment (0 on preamble rows). bits is the
+    preamble bit, sent from antenna 0 alone (1 on sweep rows).
+    """
 
     ap: ApConfig
     mode: str
-    entries: tuple[ScheduleEntry, ...]
+    starts_s: np.ndarray
+    kinds: np.ndarray
+    increments: np.ndarray
+    bits: np.ndarray
 
     @property
     def period_s(self) -> float:
         return self.ap.sweep_period_s
-
-    @property
-    def sweep_entries(self) -> tuple[ScheduleEntry, ...]:
-        return tuple(e for e in self.entries if e.kind == KIND_SWEEP)
-
-    @property
-    def preamble_entries(self) -> tuple[ScheduleEntry, ...]:
-        return tuple(e for e in self.entries if e.kind == KIND_PREAMBLE)
-
-    def step_values(self) -> np.ndarray:
-        return np.array([e.value for e in self.sweep_entries])
-
-    def step_start_times(self) -> np.ndarray:
-        return np.array([e.start_s for e in self.sweep_entries])
 
 
 def steering_values(ap: ApConfig, mode: str) -> np.ndarray:
@@ -94,31 +74,25 @@ def step_increments(ap: ApConfig, mode: str) -> np.ndarray:
     return values
 
 
-def step_phase_offsets(ap: ApConfig, mode: str) -> np.ndarray:
-    """Per-antenna drive phases, shape (step_count, antenna_count)."""
-    idx = np.arange(ap.antenna_count)
-    return np.mod(np.outer(step_increments(ap, mode), idx), 2.0 * math.pi)
+def drive_increments(ap: ApConfig, mode: str) -> np.ndarray:
+    """Per-step increments as the array is driven: wrapped into [0, 2*pi)."""
+    return np.mod(step_increments(ap, mode), 2.0 * math.pi)
 
 
 def build_sweep_schedule(ap: ApConfig, mode: str = "alg1") -> SweepSchedule:
     """Lay out one period: 8 preamble bits then the full sweep."""
-    pattern = PREAMBLE_PATTERNS[ap.preamble_id]
-    bit = ap.preamble_bit_duration_s
-    entries: list[ScheduleEntry] = []
-    for k, b in enumerate(pattern):
-        antennas = (0,) if b else ()
-        phases = (0.0,) if b else ()
-        entries.append(ScheduleEntry(k * bit, bit, KIND_PREAMBLE, float(b),
-                                     antennas, phases))
-    values = steering_values(ap, mode)
-    phases_all = step_phase_offsets(ap, mode)
-    dwell = ap.sweep_dwell_s
-    all_idx = tuple(range(ap.antenna_count))
-    for m, value in enumerate(values):
-        entries.append(ScheduleEntry(ap.preamble_duration_s + m * dwell, dwell,
-                                     KIND_SWEEP, float(value), all_idx,
-                                     tuple(phases_all[m])))
-    return SweepSchedule(ap=ap, mode=mode, entries=tuple(entries))
+    pattern = np.array(PREAMBLE_PATTERNS[ap.preamble_id], dtype=float)
+    n_bits, n_steps = len(pattern), ap.sweep_step_count
+    return SweepSchedule(
+        ap=ap, mode=mode,
+        starts_s=np.concatenate([
+            np.arange(n_bits) * ap.preamble_bit_duration_s,
+            ap.preamble_duration_s + np.arange(n_steps) * ap.sweep_dwell_s]),
+        kinds=np.repeat(np.array([K_PREAMBLE, K_SWEEP], dtype=np.int8),
+                        [n_bits, n_steps]),
+        increments=np.concatenate([np.zeros(n_bits),
+                                   drive_increments(ap, mode)]),
+        bits=np.concatenate([pattern, np.ones(n_steps)]))
 
 
 @dataclass(frozen=True)

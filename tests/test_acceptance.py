@@ -23,7 +23,7 @@ from sweeploc.backscatter import (
     payload_duration_s,
     roundtrip_frame,
 )
-from sweeploc.channel import Path, PathSet, propagate
+from sweeploc.channel import PathSet, propagate
 from sweeploc.experiments import (
     BER_SNR_POINTS_DB,
     ExperimentSpec,
@@ -59,7 +59,7 @@ from sweeploc.scenario import (
     true_bearing,
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
-from sweeploc.transmitter import KIND_SWEEP, build_sweep_schedule, tdma_plan
+from sweeploc.transmitter import K_SWEEP, build_sweep_schedule, tdma_plan
 
 
 def test_criterion_1_multipath_error_and_antenna_monotonicity():
@@ -104,7 +104,7 @@ def test_criterion_2_noiseless_estimates_within_quantization():
             for deg in range(-79, 80):
                 phi = math.radians(deg)
                 pos = Position(10.0 * math.cos(phi), 10.0 * math.sin(phi))
-                trace = propagate(sched, PathSet((Path(1.0, phi, 0.0),)),
+                trace = propagate(sched, PathSet([1.0], [phi], [0.0]),
                                   pos, fs)
                 est = estimate_angle(envelope_detect(trace, det), 0, ap, mode)
                 err = abs(est.raw_rad - phi)
@@ -136,17 +136,15 @@ def test_criterion_3_sweep_magnitude_matches_array_factor():
         phi, d = math.radians(23.0), 12.0
         a_path, excess = 0.8, 0.4
         pos = Position(d * math.cos(phi), d * math.sin(phi))
-        trace = propagate(sched, PathSet((Path(a_path, phi, excess),)),
+        trace = propagate(sched, PathSet([a_path], [phi], [excess]),
                           pos, fs)
 
-        starts = np.array([e.start_s for e in sched.entries])
-        incs = np.array([e.phases_rad[1] if e.kind == KIND_SWEEP else 0.0
-                         for e in sched.entries])
-        is_sweep_entry = np.array([e.kind == KIND_SWEEP
-                                   for e in sched.entries])
+        starts = sched.starts_s
+        incs = sched.increments
+        is_sweep_entry = sched.kinds == K_SWEEP
         t = np.arange(len(trace.samples)) / fs
         entry = np.clip(np.searchsorted(starts, t + 1e-12) - 1, 0,
-                        len(sched.entries) - 1)
+                        len(starts) - 1)
         sweep = is_sweep_entry[entry]
         x = (2.0 * math.pi * ap.spacing_wavelengths * math.sin(phi)
              - incs[entry][sweep])

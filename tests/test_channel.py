@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from sweeploc.channel import (
-    K_PREAMBLE,
-    K_SWEEP,
-    Path,
     PathSet,
     add_noise,
     apply_doppler,
-    array_factor_mag,
     concat_traces,
     draw_multipath,
     phased_sum,
@@ -22,12 +18,13 @@ from sweeploc.channel import (
 from sweeploc.scenario import (
     ApConfig,
     ChannelConfig,
+    ConfigError,
     GeometryError,
     Position,
     Trajectory,
     trial_rng,
 )
-from sweeploc.transmitter import build_sweep_schedule
+from sweeploc.transmitter import K_PREAMBLE, K_SWEEP, build_sweep_schedule
 
 AP = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
 
@@ -56,7 +53,6 @@ def test_phased_sum_peak_and_wraparound():
         assert abs(phased_sum(0.0, n)) == pytest.approx(n)
         assert abs(phased_sum(2 * math.pi, n)) == pytest.approx(n)
         assert abs(phased_sum(1e-14, n)) == pytest.approx(n)
-    assert array_factor_mag(0.0, 4) == pytest.approx(4.0)
 
 
 def test_draw_multipath_invariants():
@@ -64,25 +60,55 @@ def test_draw_multipath_invariants():
     rng = trial_rng(1, "draw")
     for _ in range(200):
         ps = draw_multipath(cfg, rng, los_bearing_rad=0.3)
-        assert ps.los.amplitude == 1.0
-        assert ps.los.bearing_rad == pytest.approx(0.3)
-        assert len(ps.nlos) == 3
-        assert ps.ratio == pytest.approx(0.6)
-        for p in ps.nlos:
-            assert p.amplitude > 0
-            assert -math.pi / 2 <= p.bearing_rad <= math.pi / 2
-            assert 0.0 <= p.excess_phase_rad < 2 * math.pi
+        assert ps.amplitudes[0] == 1.0
+        assert ps.bearings_rad[0] == pytest.approx(0.3)
+        assert ps.amplitudes.shape == (4,)
+        assert ps.amplitudes[1:].sum() / ps.amplitudes[0] == pytest.approx(0.6)
+        assert np.all(ps.amplitudes[1:] > 0)
+        assert np.all(np.abs(ps.bearings_rad[1:]) <= math.pi / 2)
+        assert np.all((ps.excess_phases_rad >= 0.0)
+                      & (ps.excess_phases_rad < 2 * math.pi))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 16])
+def test_draw_multipath_batch_equals_scalar_draws(k):
+    """n draws at once consume the rng exactly as n draws in turn."""
+    cfg = ChannelConfig(nlos_path_count=k, multipath_ratio=0.7)
+    los = trial_rng(5, "los").uniform(-1.0, 1.0, 257)
+    one_by_one, batched = trial_rng(5, "batch", k), trial_rng(5, "batch", k)
+    draws = [draw_multipath(cfg, one_by_one, b) for b in los]
+    batch = draw_multipath(cfg, batched, los)
+    for name in ("amplitudes", "bearings_rad", "excess_phases_rad"):
+        got = getattr(batch, name)
+        assert got.shape == (257, k + 1)
+        assert np.array_equal(got, np.array([getattr(d, name) for d in draws]))
+    assert one_by_one.bit_generator.state == batched.bit_generator.state
 
 
 def test_draw_multipath_los_only():
-    ps = draw_multipath(ChannelConfig(multipath_ratio=0.0), trial_rng(2), 0.1)
-    assert len(ps.paths) == 1
-    assert ps.ratio == 0.0
+    rng = trial_rng(2)
+    before = rng.bit_generator.state
+    ps = draw_multipath(ChannelConfig(multipath_ratio=0.0), rng, 0.1)
+    assert ps.amplitudes.shape == (1,)
+    assert rng.bit_generator.state == before
+
+
+def test_path_set_validation():
+    with pytest.raises(ConfigError):
+        PathSet([], [], [])
+    with pytest.raises(ConfigError):
+        PathSet([0.0, 0.5], [0.0, 0.1], [0.0, 0.2])  # LOS must be positive
+    with pytest.raises(ConfigError):
+        PathSet([1.0, -0.1], [0.0, 0.1], [0.0, 0.2])
+    with pytest.raises(ConfigError):
+        PathSet([[1.0, math.nan]], [[0.0, 0.1]], [[0.0, 0.2]])
+    with pytest.raises(ConfigError):
+        PathSet([1.0, 0.5], [0.0], [0.0, 0.2])
 
 
 def test_propagate_preamble_and_sweep_kinds():
     sched = build_sweep_schedule(AP)
-    trace = propagate(sched, PathSet((Path(1.0, 0.0, 0.0),)),
+    trace = propagate(sched, PathSet([1.0], [0.0], [0.0]),
                       Position(10.0, 0.0), 4000.0)
     assert len(trace.samples) == 200
     assert np.all(trace.kinds[:32] == K_PREAMBLE)
@@ -100,7 +126,7 @@ def test_propagate_sweep_peaks_near_true_bearing():
     sched = build_sweep_schedule(AP)
     phi = math.radians(25.0)
     pos = Position(10.0 * math.cos(phi), 10.0 * math.sin(phi))
-    trace = propagate(sched, PathSet((Path(1.0, phi, 0.0),)), pos, 4000.0)
+    trace = propagate(sched, PathSet([1.0], [phi], [0.0]), pos, 4000.0)
     sweep = np.abs(trace.samples[32:])
     peak_sample = 32 + int(np.argmax(sweep))
     t = peak_sample / 4000.0
@@ -112,14 +138,14 @@ def test_propagate_sweep_peaks_near_true_bearing():
 def test_propagate_rejects_receiver_on_the_ap():
     sched = build_sweep_schedule(AP)
     with pytest.raises(GeometryError):
-        propagate(sched, PathSet((Path(1.0, 0.0, 0.0),)), Position(0.0, 0.0),
+        propagate(sched, PathSet([1.0], [0.0], [0.0]), Position(0.0, 0.0),
                   4000.0)
 
 
 def test_concat_traces_preserves_samples():
     a = silence_trace(0.05, 4000.0)
     sched = build_sweep_schedule(AP)
-    b = propagate(sched, PathSet((Path(1.0, 0.0, 0.0),)), Position(10.0, 0.0),
+    b = propagate(sched, PathSet([1.0], [0.0], [0.0]), Position(10.0, 0.0),
                   4000.0, t0_s=0.05)
     joined = concat_traces([a, b])
     assert len(joined.samples) == 400
@@ -137,7 +163,7 @@ def test_add_noise_power_statistics():
 
 def test_apply_doppler_stationary_is_identity():
     sched = build_sweep_schedule(AP)
-    ps = PathSet((Path(1.0, 0.0, 0.0), Path(0.3, 0.4, 1.0)))
+    ps = PathSet([1.0, 0.3], [0.0, 0.4], [0.0, 1.0])
     trace = propagate(sched, ps, Position(10.0, 0.0), 4000.0)
     still = apply_doppler(trace, Trajectory.stationary(Position(10.0, 0.0)))
     assert np.allclose(still.samples, trace.samples, rtol=0, atol=1e-15)
@@ -145,7 +171,7 @@ def test_apply_doppler_stationary_is_identity():
 
 def test_apply_doppler_radial_motion_rotates_los_phase():
     sched = build_sweep_schedule(AP)
-    ps = PathSet((Path(1.0, 0.0, 0.0),))
+    ps = PathSet([1.0], [0.0], [0.0])
     traj = Trajectory.line(Position(10.0, 0.0), heading_rad=0.0,
                            speed_mps=5.0, duration_s=1.0)
     static = propagate(sched, ps, Position(10.0, 0.0), 4000.0)

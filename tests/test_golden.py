@@ -1,0 +1,72 @@
+"""Golden CSV digests: every experiment's bytes at small trial counts.
+
+The digests pin the exact output of each experiment on its default
+builtin scenario at seed 1, in both sweep modes where the experiment
+uses the sweep. A refactor that must keep behaviour (same arithmetic,
+same rng draw order) keeps every digest; a change that is meant to move
+results updates the table and says why in CHANGES.md.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from sweeploc.cli import DEFAULT_SCENARIO
+from sweeploc.experiments import ExperimentSpec, render_csv, run_experiment
+from sweeploc.scenarios import BUILTIN_SCENARIOS
+
+# Trial counts span two chunks where the experiment chunks its trials
+# (GRID_CHUNK = 1024, BER_CHUNK = 25000), so the reducer sums across chunks.
+TRIALS = {
+    "multipath_grid": 1100,
+    "range_sweep": 4,
+    "farm_cdf": 6,
+    "speed_sweep": 1,
+    "ber_vs_snr": 30000,
+    "mac_session": None,
+    "power_report": None,
+}
+
+GOLDEN = {
+    ("multipath_grid", "alg1"):
+        "ca51fab9440fbbff89f61ec87d6c0a08a82f835422e3aa6bfc909e289a90d80a",
+    ("multipath_grid", "uniform-theta"):
+        "bb3bf943aa47442d8dbd11d6fa3d04427f7af3b1ec111220cb0a9b48f8f3a77b",
+    ("range_sweep", "alg1"):
+        "490a79e78b0a8df1ce7630c86b6130c3981f6618b82bfb788316adb45c704b09",
+    ("range_sweep", "uniform-theta"):
+        "f6a61ba09cca52883b9e7b42ef8861fa5eabd2dfdb8ad5fd858bbd894d2ccd94",
+    ("farm_cdf", "alg1"):
+        "9d4ba5d1cf889491eee2e401efba360a615e00bce208c66b8e56c7c941043dce",
+    ("farm_cdf", "uniform-theta"):
+        "d1f9c61fc458373c5b4ba0fa60afa15408e3f133f127c026aaedf5129cae73f6",
+    ("speed_sweep", "alg1"):
+        "a9cbf7963fe1071348d16d3651dd76dac9f346e888b799342fa02a0d57c5d7bb",
+    ("speed_sweep", "uniform-theta"):
+        "5b78b5d90291c500bb20c0eca795cf7016740fedc3a21ee8a6c669a853dc6605",
+    ("ber_vs_snr", "alg1"):
+        "c11a224e26b71e0adecacfb5dce095d2c92795812f4763e636489ad2cffe6239",
+    ("mac_session", "alg1"):
+        "2fad1dbf54e29139d832726c9686ae864b970893969be7f1ae88ec961daffb57",
+    ("power_report", "alg1"):
+        "0219e3d58e94094acae0069f6774edec482a76f1a40568de9427e3db2c60f800",
+}
+
+
+def csv_digest(experiment: str, mode: str) -> str:
+    scn = BUILTIN_SCENARIOS[DEFAULT_SCENARIO[experiment]](seed=1)
+    spec = ExperimentSpec(experiment, replace(scn, sweep_mode=mode),
+                          trials=TRIALS[experiment])
+    text = render_csv(run_experiment(spec))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("experiment,mode", sorted(GOLDEN))
+def test_csv_bytes_match_golden(experiment, mode):
+    assert csv_digest(experiment, mode) == GOLDEN[(experiment, mode)]
+
+
+def test_golden_covers_every_experiment():
+    from sweeploc.experiments import EXPERIMENTS
+    assert {e for e, _ in GOLDEN} == set(EXPERIMENTS)

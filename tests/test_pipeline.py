@@ -1,11 +1,12 @@
 """End-to-end synthesis helpers and the vectorized estimation shortcut."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sweeploc.channel import draw_multipath
+from sweeploc.channel import PathSet, draw_multipath, propagate
 from sweeploc.pipeline import (
     capture_envelope,
     draw_pathsets,
@@ -16,6 +17,7 @@ from sweeploc.pipeline import (
 from sweeploc.receiver import LookupTable, Receiver, envelope_detect, estimate_angle
 from sweeploc.scenario import Position, Trajectory, trial_rng, true_bearing
 from sweeploc.scenarios import bench_scenario, farm_scenario
+from sweeploc.transmitter import build_sweep_schedule
 
 
 def test_synthesize_rounds_buffer_length():
@@ -57,30 +59,29 @@ def test_localize_once_keeps_receiver_state():
     assert abs(rx.smoothed[0] - b1) < math.radians(2.0)
 
 
+@pytest.mark.parametrize("nlos", [0, 1, 3])
+@pytest.mark.parametrize("n_ant", [2, 3, 4, 5])
 @pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
-def test_fast_estimates_match_sample_domain_receiver(mode):
+def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
     """The per-step argmax shortcut must reproduce the full time-domain
     pipeline exactly for static noiseless captures."""
     scn = bench_scenario(seed=7)
-    ap = scn.aps[0]
+    ap = dataclasses.replace(scn.aps[0], antenna_count=n_ant)
     fs = scn.detector.sample_rate_hz
-    import dataclasses
-    channel = dataclasses.replace(scn.channel, multipath_ratio=0.6)
-    mismatches = 0
-    los, sets = [], []
-    rng = trial_rng(7, "parity", mode)
-    for _ in range(100):
-        bearing = rng.uniform(-math.pi / 3, math.pi / 3)
-        los.append(bearing)
-        sets.append(draw_multipath(channel, rng, bearing))
-    fast = fast_estimate_bearings(ap, mode, fs, sets, np.array(los))
+    channel = dataclasses.replace(scn.channel, multipath_ratio=0.6,
+                                  nlos_path_count=nlos)
+    rng = trial_rng(7, "parity", mode, n_ant, nlos)
+    los = rng.uniform(-math.pi / 3, math.pi / 3, 100)
+    paths = draw_multipath(channel, rng, los)
+    fast = fast_estimate_bearings(ap, mode, fs, paths, los)
 
-    from sweeploc.channel import propagate
-    from sweeploc.transmitter import build_sweep_schedule
     sched = build_sweep_schedule(ap, mode)
-    for k, (bearing, ps) in enumerate(zip(los, sets)):
+    mismatches = 0
+    for k, bearing in enumerate(los):
         pos = Position(ap.position.x + 10.0 * math.cos(bearing),
                        ap.position.y + 10.0 * math.sin(bearing))
+        ps = PathSet(paths.amplitudes[k], paths.bearings_rad[k],
+                     paths.excess_phases_rad[k])
         env = envelope_detect(propagate(sched, ps, pos, fs), scn.detector)
         est = estimate_angle(env, 0, ap, mode)
         if not math.isclose(est.raw_rad, fast[k], rel_tol=0, abs_tol=1e-12):
@@ -89,7 +90,6 @@ def test_fast_estimates_match_sample_domain_receiver(mode):
 
 
 def test_speed_affects_doppler_only_when_enabled():
-    import dataclasses
     scn = farm_scenario(seed=9)
     rng = trial_rng(9, "dop")
     traj = Trajectory.line(Position(40.0, 40.0), heading_rad=0.3,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sweeploc.channel import Path, PathSet, concat_traces, propagate, silence_trace
+from sweeploc.channel import PathSet, concat_traces, propagate, silence_trace
 from sweeploc.receiver import (
     MIN_CROSSING_SINE,
     PREAMBLE_CORRELATION_THRESHOLD,
@@ -50,7 +50,7 @@ def los_trace(ap, phi, dist=10.0, mode="alg1", t0=0.0):
     pos = Position(ap.position.x + dist * math.cos(phi + ap.boresight_rad),
                    ap.position.y + dist * math.sin(phi + ap.boresight_rad))
     sched = build_sweep_schedule(ap, mode)
-    return propagate(sched, PathSet((Path(1.0, phi, 0.0),)), pos, FS, t0_s=t0)
+    return propagate(sched, PathSet([1.0], [phi], [0.0]), pos, FS, t0_s=t0)
 
 
 def test_window_and_period_sample_counts():
@@ -73,7 +73,7 @@ def test_envelope_detect_response_and_clip():
 def test_envelope_detect_decimates_by_block_mean():
     trace = los_trace(AP1, 0.0)
     fast = propagate(build_sweep_schedule(AP1),
-                     PathSet((Path(1.0, 0.0, 0.0),)), Position(10.0, 0.0),
+                     PathSet([1.0], [0.0], [0.0]), Position(10.0, 0.0),
                      2 * FS)
     env = envelope_detect(fast, DET)
     assert len(env.volts) == 200
@@ -112,6 +112,25 @@ def test_estimate_angle_noiseless(mode, deg):
     est = estimate_angle(env, 0, AP1, mode)
     tol = 2.0 if mode == "alg1" else 2.0 / max(math.cos(phi), 0.35)
     assert abs(math.degrees(est.raw_rad) - deg) < tol
+
+
+@pytest.mark.parametrize("deg", [-40, -10, 20, 50])
+def test_uniform_theta_inverts_with_the_array_spacing(deg):
+    """At quarter-wavelength spacing the sweep increment is
+    2*pi*0.25*sin(bearing), so the inversion must divide by that scale,
+    not by pi."""
+    ap = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0,
+                  spacing_wavelengths=0.25)
+    phi = math.radians(deg)
+    env = envelope_detect(los_trace(ap, phi, mode="uniform-theta"), DET)
+    est = estimate_angle(env, 0, ap, "uniform-theta")
+    # half an increment step plus one sample of sweep time, mapped
+    # through arcsin at this spacing
+    span = ap.sweep_period_s - ap.preamble_duration_s
+    q = math.pi / ap.sweep_step_count + 2 * math.pi / FS / span
+    scale = 2 * math.pi * ap.spacing_wavelengths
+    tol = math.asin(min(1.0, (scale * abs(math.sin(phi)) + q) / scale)) - abs(phi)
+    assert abs(est.raw_rad - phi) <= tol
 
 
 def test_smooth_angle_formula():
@@ -277,9 +296,9 @@ def test_receiver_two_slot_buffer_produces_fix():
     target = Position(50.0, 10.0)
     b1 = true_bearing(AP1, target)
     b2 = true_bearing(AP2, target)
-    s1 = propagate(build_sweep_schedule(AP1), PathSet((Path(1.0, b1, 0.0),)),
+    s1 = propagate(build_sweep_schedule(AP1), PathSet([1.0], [b1], [0.0]),
                    target, FS, t0_s=0.0)
-    s2 = propagate(build_sweep_schedule(AP2), PathSet((Path(1.0, b2, 0.0),)),
+    s2 = propagate(build_sweep_schedule(AP2), PathSet([1.0], [b2], [0.0]),
                    target, FS, t0_s=0.05, ap_index=1)
     env = envelope_detect(concat_traces([s1, s2]), DET)
     result = rx.process_buffer(env)

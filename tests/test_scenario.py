@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from sweeploc.scenario import (
@@ -17,6 +18,7 @@ from sweeploc.scenario import (
     free_space_loss_db,
     load_scenario,
     scenario_digest,
+    scenario_from_mapping,
     scenario_to_yaml,
     trial_rng,
     true_bearing,
@@ -151,6 +153,51 @@ def test_yaml_round_trip_is_stable():
     again = scenario_to_yaml(load_scenario(text))
     assert text == again
     assert load_scenario(text) == scn
+
+
+def _bench_mapping():
+    return yaml.safe_load(scenario_to_yaml(bench_scenario(seed=1)))
+
+
+def test_yaml_rejects_quoted_boolean():
+    m = _bench_mapping()
+    m["channel"]["doppler_enabled"] = "false"
+    with pytest.raises(ConfigError, match="doppler_enabled"):
+        scenario_from_mapping(m)
+
+
+@pytest.mark.parametrize("level", ["scenario", "ap", "channel", "detector"])
+def test_yaml_rejects_unknown_keys(level):
+    m = _bench_mapping()
+    target = {"scenario": m, "ap": m["aps"][0], "channel": m["channel"],
+              "detector": m["detector"]}[level]
+    target["multipath_ratoi"] = 0.5
+    with pytest.raises(ConfigError, match="multipath_ratoi"):
+        scenario_from_mapping(m)
+
+
+def test_yaml_rejects_non_finite_numbers():
+    text = scenario_to_yaml(bench_scenario(seed=1))
+    for bad in (".nan", ".inf", "-.inf"):
+        with pytest.raises(ConfigError, match="tx_power_dbm"):
+            load_scenario(text.replace("tx_power_dbm: 28.0",
+                                       f"tx_power_dbm: {bad}", 1))
+    m = _bench_mapping()
+    m["channel"]["noise_power_dbm"] = float("nan")
+    with pytest.raises(ConfigError, match="noise_power_dbm"):
+        scenario_from_mapping(m)
+
+
+def test_yaml_accepts_degree_aliases():
+    m = _bench_mapping()
+    for ap in m["aps"]:
+        ap["boresight_deg"] = math.degrees(ap.pop("boresight_rad"))
+        ap["sweep_step_deg"] = math.degrees(ap.pop("sweep_step_rad"))
+    scn = scenario_from_mapping(m)
+    ref = bench_scenario(seed=1)
+    for got, want in zip(scn.aps, ref.aps):
+        assert got.boresight_rad == pytest.approx(want.boresight_rad)
+        assert got.sweep_step_rad == pytest.approx(want.sweep_step_rad)
 
 
 def test_scenario_digest_tracks_content():

@@ -7,13 +7,13 @@ import pytest
 
 from sweeploc.scenario import ApConfig, ConfigError, Position
 from sweeploc.transmitter import (
-    KIND_PREAMBLE,
-    KIND_SWEEP,
+    K_PREAMBLE,
+    K_SWEEP,
     PREAMBLE_PATTERNS,
     build_sweep_schedule,
+    drive_increments,
     steering_values,
     step_increments,
-    step_phase_offsets,
     tdma_plan,
 )
 
@@ -32,32 +32,24 @@ def test_preamble_patterns_are_distinct_eight_bit():
 
 def test_schedule_tiles_the_period_exactly():
     sched = build_sweep_schedule(AP)
-    entries = sched.entries
-    assert len(entries) == 8 + 128
-    assert entries[0].start_s == 0.0
-    for prev, cur in zip(entries, entries[1:]):
-        assert cur.start_s == pytest.approx(prev.start_s + prev.duration_s,
-                                            abs=1e-12)
-    last = entries[-1]
-    assert last.start_s + last.duration_s == pytest.approx(AP.sweep_period_s,
-                                                           abs=1e-12)
-    assert all(e.kind == KIND_PREAMBLE for e in entries[:8])
-    assert all(e.kind == KIND_SWEEP for e in entries[8:])
-    assert all(e.duration_s == pytest.approx(AP.sweep_dwell_s)
-               for e in entries[8:])
+    for rows in (sched.starts_s, sched.kinds, sched.increments, sched.bits):
+        assert rows.shape == (8 + 128,)
+    assert sched.starts_s[0] == 0.0
+    durations = np.diff(np.append(sched.starts_s, AP.sweep_period_s))
+    assert np.allclose(durations[:8], AP.preamble_bit_duration_s,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(durations[8:], AP.sweep_dwell_s, rtol=0, atol=1e-12)
+    assert np.all(sched.kinds[:8] == K_PREAMBLE)
+    assert np.all(sched.kinds[8:] == K_SWEEP)
 
 
 def test_preamble_entries_drive_single_antenna():
+    # Preamble rows carry their bit and no inter-antenna increment (only
+    # antenna 0 radiates); sweep rows drive the whole array at bit 1.
     sched = build_sweep_schedule(AP)
-    for bit, entry in zip(PREAMBLE_PATTERNS[AP.preamble_id], sched.entries[:8]):
-        assert entry.value == float(bit)
-        if bit:
-            assert entry.antennas == (0,)
-            assert entry.phases_rad == (0.0,)
-        else:
-            assert entry.antennas == ()
-    for entry in sched.entries[8:]:
-        assert entry.antennas == tuple(range(AP.antenna_count))
+    assert np.array_equal(sched.bits[:8], PREAMBLE_PATTERNS[AP.preamble_id])
+    assert np.all(sched.increments[:8] == 0.0)
+    assert np.all(sched.bits[8:] == 1.0)
 
 
 def test_steering_values_per_mode():
@@ -85,20 +77,27 @@ def test_step_increments_per_mode():
 
 
 def test_step_phase_offsets_shape_and_wrap():
-    ph = step_phase_offsets(AP, "alg1")
+    # Antenna i radiates at i * increment; the per-step increments are
+    # stored already wrapped, one per sweep step.
+    inc = drive_increments(AP, "alg1")
+    assert inc.shape == (128,)
+    assert np.all(inc >= 0.0)
+    assert np.all(inc < 2 * math.pi)
+    assert np.allclose(inc, np.mod(step_increments(AP, "alg1"), 2 * math.pi))
+    ph = np.mod(np.outer(inc, np.arange(AP.antenna_count)), 2 * math.pi)
     assert ph.shape == (128, AP.antenna_count)
-    assert np.all(ph >= 0.0)
-    assert np.all(ph < 2 * math.pi)
     assert np.allclose(ph[:, 0], 0.0)
-    inc = step_increments(AP, "alg1")
-    assert np.allclose(ph[:, 1], np.mod(inc, 2 * math.pi))
+    assert np.allclose(ph[:, 1], inc)
 
 
 def test_sweep_entry_phases_match_offsets():
-    sched = build_sweep_schedule(AP, "uniform-theta")
-    ph = step_phase_offsets(AP, "uniform-theta")
-    got = np.array([e.phases_rad for e in sched.sweep_entries])
-    assert np.allclose(got, ph)
+    for mode in ("alg1", "uniform-theta"):
+        sched = build_sweep_schedule(AP, mode)
+        got = sched.increments[sched.kinds == K_SWEEP]
+        assert np.array_equal(got, drive_increments(AP, mode))
+        assert np.all((got >= 0.0) & (got < 2 * math.pi))
+        assert np.allclose(np.exp(1j * got),
+                           np.exp(1j * step_increments(AP, mode)))
 
 
 def test_tdma_plan_two_aps():
