@@ -18,7 +18,7 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, DetectorConfig,
 from .transmitter import (PREAMBLE_PATTERNS, SweepSchedule, TdmaPlan,
                           build_sweep_schedule, tdma_plan)
 from .channel import (FieldTrace, PathSet, add_noise, apply_doppler,
-                      draw_multipath, phased_sum, propagate, sweep_response)
+                      draw_multipath, propagate, sweep_response)
 from .receiver import (AngleEstimate, EnvelopeTrace, LocationFix, LogStore,
                        LookupTable, LowConfidenceFixError, Receiver,
                        SensorRecord, StoreFullError, envelope_detect,

@@ -17,24 +17,15 @@ import numpy as np
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
                        Position, Trajectory, free_space_loss_db, wrap_angle,
                        SPEED_OF_LIGHT)
-from .transmitter import K_SWEEP, SweepSchedule
+from .transmitter import SweepSchedule
 
 
-def phased_sum(x: np.ndarray | float, n: int) -> np.ndarray:
-    """Complex array response sum_{i=0}^{n-1} exp(j*i*x), vectorized.
-
-    Equals exp(j*(n-1)*x/2) * sin(n*x/2) / sin(x/2), with the limit n at
-    multiples of 2*pi.
-    """
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * x
-    den = np.sin(half)
-    near_zero = np.abs(den) < 1e-12
-    safe_den = np.where(near_zero, 1.0, den)
-    ratio = np.where(near_zero,
-                     n * np.cos(n * half) / np.cos(half),
-                     np.sin(n * half) / safe_den)
-    return np.exp(1j * (n - 1) * half) * ratio
+def phased_sum(x: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Array response sum_i x_i * drive[i, r] of steering vectors x (... x N)
+    under an antenna x row drive matrix. A row axis of x, the one before
+    the antennas, pairs each row with its own drive column; at size 1 it
+    broadcasts, which makes the product x @ drive."""
+    return np.einsum("...i,i...->...", x, drive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,36 +82,37 @@ def draw_multipath(cfg: ChannelConfig, rng: np.random.Generator,
                    np.concatenate([np.zeros_like(los), phases], axis=-1))
 
 
-def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray | float,
-                   ap: ApConfig, increments: np.ndarray,
+def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
+                   ap: ApConfig, drive: np.ndarray,
                    link: np.ndarray | float = 1.0,
-                   kinds: np.ndarray | None = None,
-                   bits: np.ndarray | None = None):
-    """Yield each path's complex field under the array drive, LOS first.
+                   sum_paths: bool = False) -> np.ndarray:
+    """Complex field of each path under each drive row: steering @ drive.
 
-    Path k yields w_k * g_k with weight w_k = a_k * link * exp(j*psi_k) and
-    array gain g_k = phased_sum(2*pi*spacing*sin(b_k) - inc, N), the
-    array-manifold sum over antennas i of exp(j*i*(phi_k - inc)) (Van
-    Trees, Optimum Array Processing, ch. 2). The LOS bearing b_0 is
-    los_bearing_rad, taken from geometry, never the stored nominal value.
+    Path k's steering vector over antennas i is w_k * exp(j*i*phi_k), with
+    phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*link*exp(j*psi_k).
+    phased_sum contracts it with the drive matrix (SweepSchedule.drive);
+    on a sweep row, exp(-j*i*inc), that gives the array-manifold sum
+    w_k * sum_i exp(j*i*(phi_k - inc)) (Van Trees, Optimum Array
+    Processing, ch. 2). The LOS bearing b_0 is los_bearing_rad, from
+    geometry, never the stored nominal value.
 
-    The last axis of increments (and of link, kinds, bits and the LOS
-    bearing, where they vary) runs over drive rows: output samples or
-    sweep steps. A trials axis of paths broadcasts against it. Where kinds
-    marks a preamble row, the gain is the row's bit instead: the preamble
-    radiates from antenna 0 alone.
+    The last axis of drive (and of link and the LOS bearing, where they
+    vary) runs over drive rows: output samples or sweep steps. A trials
+    axis of paths broadcasts against it. Paths come out on the axis before
+    the rows, unless sum_paths adds the steering vectors first (the field
+    is linear in the paths).
     """
-    two_pi_s = 2.0 * math.pi * ap.spacing_wavelengths
-    sweeping = None if kinds is None else kinds == K_SWEEP
-    for k in range(paths.amplitudes.shape[-1]):
-        bearing = los_bearing_rad if k == 0 else paths.bearings_rad[..., k, None]
-        weight = (paths.amplitudes[..., k, None] * link
-                  * np.exp(1j * paths.excess_phases_rad[..., k, None]))
-        gain = phased_sum(two_pi_s * np.sin(bearing) - increments,
-                          ap.antenna_count)
-        if sweeping is not None:
-            gain = np.where(sweeping, gain, bits)
-        yield weight * gain
+    los = np.expand_dims(los_bearing_rad, -2)
+    is_los = np.arange(paths.amplitudes.shape[-1])[:, None] == 0
+    bearings = np.where(is_los, los, paths.bearings_rad[..., None])
+    weights = (paths.amplitudes[..., None] * link
+               * np.exp(1j * paths.excess_phases_rad[..., None]))
+    phases = 2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearings)
+    steering = weights[..., None] * np.exp(
+        1j * np.multiply.outer(phases, np.arange(ap.antenna_count)))
+    if sum_paths:
+        steering = steering.sum(axis=-3)
+    return phased_sum(steering, drive)
 
 
 @dataclass(frozen=True)
@@ -176,7 +168,6 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
 
     row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
     row = np.clip(row, 0, len(schedule.starts_s) - 1)
-    kinds = schedule.kinds[row]
 
     px, py = _positions_at(traj, t_abs)
     dx = px - ap.position.x
@@ -187,11 +178,10 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     amp = 10.0 ** ((ap.tx_power_dbm - free_space_loss_db(dist, ap.carrier_hz)) / 20.0)
     los_bearing = wrap_angle(np.arctan2(dy, dx) - ap.boresight_rad)
 
-    components = np.array(list(sweep_response(
-        paths, los_bearing, ap, schedule.increments[row], link=amp,
-        kinds=kinds, bits=schedule.bits[row])))
+    components = sweep_response(paths, los_bearing, ap,
+                                schedule.drive[:, row], link=amp)
     return FieldTrace(samples=components.sum(axis=0), sample_rate_hz=sample_rate_hz,
-                      t0_s=t0_s, kinds=kinds, ap=ap,
+                      t0_s=t0_s, kinds=schedule.kinds[row], ap=ap,
                       ap_index=ap_index, paths=paths, path_components=components)
 
 

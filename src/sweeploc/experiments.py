@@ -31,7 +31,7 @@ from .receiver import (LookupTable, Receiver, envelope_detect, estimate_angle,
                        find_preamble, period_samples)
 from .scenario import (ConfigError, Position, Scenario, Trajectory,
                        scenario_digest, trial_rng, true_bearing)
-from .transmitter import build_sweep_schedule
+from .transmitter import cached_schedule
 
 GRID_CHUNK = 1024
 BER_CHUNK = 25000
@@ -165,37 +165,38 @@ GRID_RATIOS = tuple(round(0.1 * k, 1) for k in range(11))
 GRID_BEARING_LIMIT_DEG = 60.0
 
 
-def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
-                     chunk_idx: int, n: int,
-                     bearing_limit_deg: float = GRID_BEARING_LIMIT_DEG
-                     ) -> np.ndarray:
-    """Signed bearing errors (degrees) for one grid cell chunk.
+def _grid_chunk_errors(scn: Scenario, antenna_counts: Sequence[int],
+                       ratio: float, r_key, chunk_idx: int,
+                       n: int) -> list[np.ndarray]:
+    """Signed bearing errors (degrees) of one chunk, per antenna count.
 
     The rng stream is keyed by the ratio and chunk only, never the antenna
-    count, so different antenna counts face identical channel draws
-    (common random numbers) and the trend across N is not washed out by
-    draw noise.
+    count, so all antenna counts share one channel draw (common random
+    numbers) and the trend across N is not washed out by draw noise.
     """
-    ap = replace(scn.aps[0], antenna_count=n_ant)
     channel = replace(scn.channel, multipath_ratio=ratio)
     rng = trial_rng(scn.seed, "multipath_grid", r_key, chunk_idx)
-    limit = math.radians(bearing_limit_deg)
+    limit = math.radians(GRID_BEARING_LIMIT_DEG)
     los = rng.uniform(-limit, limit, n)
     paths = draw_multipath(channel, rng, los)
-    est = fast_estimate_bearings(ap, scn.sweep_mode,
-                                 scn.detector.sample_rate_hz, paths, los)
-    return np.degrees(est - los)
+    return [np.degrees(fast_estimate_bearings(
+        replace(scn.aps[0], antenna_count=n_ant), scn.sweep_mode,
+        scn.detector.sample_rate_hz, paths, los) - los)
+        for n_ant in antenna_counts]
+
+
+def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
+                     chunk_idx: int, n: int) -> np.ndarray:
+    """Signed bearing errors (degrees) for one grid cell chunk."""
+    return _grid_chunk_errors(scn, (n_ant,), ratio, r_key, chunk_idx, n)[0]
 
 
 def _grid_ratio_chunk(task) -> list[tuple[tuple[int, int], float, float, int]]:
     scn, r_idx, chunk_idx, lo, hi = task
-    out = []
-    for n_ant in GRID_ANTENNA_COUNTS:
-        err_deg = grid_cell_errors(scn, n_ant, GRID_RATIOS[r_idx], r_idx,
-                                   chunk_idx, hi - lo)
-        out.append(((n_ant, r_idx), float(np.abs(err_deg).sum()),
-                    float(err_deg.sum()), hi - lo))
-    return out
+    errors = _grid_chunk_errors(scn, GRID_ANTENNA_COUNTS, GRID_RATIOS[r_idx],
+                                r_idx, chunk_idx, hi - lo)
+    return [((n_ant, r_idx), float(np.abs(err).sum()), float(err.sum()), hi - lo)
+            for n_ant, err in zip(GRID_ANTENNA_COUNTS, errors)]
 
 
 def multipath_grid(spec: ExperimentSpec) -> ResultTable:
@@ -234,7 +235,7 @@ RANGE_BEARING_LIMIT_DEG = 30.0
 def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     scn, d_idx, lo, hi = task
     ap = scn.aps[0]
-    schedule = build_sweep_schedule(ap, scn.sweep_mode)
+    schedule = cached_schedule(ap, scn.sweep_mode)
     fs = scn.detector.sample_rate_hz
     period = ap.sweep_period_s
     distance = RANGE_DISTANCES_M[d_idx]

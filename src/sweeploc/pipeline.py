@@ -14,7 +14,7 @@ from .channel import (FieldTrace, PathSet, add_noise, apply_doppler,
 from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, envelope_detect, step_estimate_angles)
 from .scenario import ApConfig, Position, Scenario, Trajectory, true_bearing
-from .transmitter import build_sweep_schedule, drive_increments
+from .transmitter import cached_schedule
 
 
 def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
@@ -23,7 +23,7 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
                       noise_rng: np.random.Generator | None = None) -> FieldTrace:
     """Received field for whole TDMA rounds: one slot per AP per round."""
     rate = scn.detector.sample_rate_hz * oversample
-    schedules = [build_sweep_schedule(ap, scn.sweep_mode) for ap in scn.aps]
+    schedules = [cached_schedule(ap, scn.sweep_mode) for ap in scn.aps]
     period = scn.aps[0].sweep_period_s
     moving = isinstance(where, Trajectory) and len(where.waypoints) > 1
     traces = []
@@ -67,15 +67,15 @@ def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
 
     paths holds one draw per trial on its leading axis. The field is
     evaluated once per sweep step instead of once per output sample, with
-    the same kernel and the same wrapped drive increments as propagate,
-    then the winning step is mapped through the time-to-angle inversion
-    the sample-domain receiver applies. For a static receiver above the
-    detector floor this picks the same step, and therefore the same
-    bearing, as the full synthesis pipeline.
+    the same kernel and drive matrix as propagate, then the winning step is
+    mapped through the time-to-angle inversion the sample-domain receiver
+    applies. For a static receiver above the detector floor this picks the
+    same step, and therefore the same bearing, as the full synthesis
+    pipeline.
     """
     los = np.asarray(los_bearings, dtype=float)
-    field = sum(sweep_response(paths, los[:, None], ap,
-                               drive_increments(ap, mode)))
+    drive = cached_schedule(ap, mode).drive[:, -ap.sweep_step_count:]
+    field = sweep_response(paths, los[:, None], ap, drive, sum_paths=True)
     winners = np.argmax(np.abs(field), axis=1)
     return step_estimate_angles(ap, mode, sample_rate_hz)[winners]
 

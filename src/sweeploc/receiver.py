@@ -9,6 +9,7 @@ linear sweep map the transmitter used. Two bearings from two APs give a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -112,6 +113,7 @@ def angle_from_sample(ap: ApConfig, mode: str, sample_index: int,
     raise ConfigError(f"unknown sweep mode {mode!r}")
 
 
+@functools.lru_cache(maxsize=64)
 def step_estimate_angles(ap: ApConfig, mode: str,
                          sample_rate_hz: float) -> np.ndarray:
     """Bearing the estimator reports if step m wins the peak search.
@@ -119,13 +121,14 @@ def step_estimate_angles(ap: ApConfig, mode: str,
     The peak search returns the earliest sample of the winning step, so
     this is angle_from_sample at each step's first covering sample. Kept
     in one place so vectorized experiments and the sample-domain receiver
-    agree exactly.
+    agree exactly. Built once per argument set, so the result is read-only.
     """
     dwell = ap.sweep_dwell_s
     out = np.empty(ap.sweep_step_count)
     for m in range(ap.sweep_step_count):
         s = _ceil_tol((ap.preamble_duration_s + m * dwell) * sample_rate_hz)
         out[m] = angle_from_sample(ap, mode, s, sample_rate_hz)
+    out.flags.writeable = False
     return out
 
 
@@ -188,7 +191,9 @@ class PreambleDetection:
 
 def correlate_pattern(volts: np.ndarray, pattern: Iterable[int],
                       samples_per_bit: int) -> np.ndarray:
-    """Normalized (Pearson) correlation of the OOK template at every offset."""
+    """Normalized (Pearson) correlation of the OOK template at every offset.
+    Row sums, not a BLAS product whose rounding varies with a row's
+    position, keep each value a function of its own window alone."""
     template = np.repeat(np.asarray(list(pattern), dtype=float), samples_per_bit)
     length = len(template)
     if len(volts) < length:
@@ -198,12 +203,9 @@ def correlate_pattern(volts: np.ndarray, pattern: Iterable[int],
     windows = np.lib.stride_tricks.sliding_window_view(volts, length)
     wc = windows - windows.mean(axis=1, keepdims=True)
     wnorm = np.sqrt((wc * wc).sum(axis=1))
-    num = wc @ tc
+    num = (wc * tc).sum(axis=1)
     den = wnorm * tnorm
-    out = np.zeros(len(num))
-    nonzero = den > 0
-    out[nonzero] = num[nonzero] / den[nonzero]
-    return out
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
 
 def find_preamble(env: EnvelopeTrace, ap: ApConfig, start: int = 0,
@@ -220,13 +222,13 @@ def find_preamble(env: EnvelopeTrace, ap: ApConfig, start: int = 0,
     if spb < 1 or abs(spb_f - spb) > 1e-6:
         raise ConfigError("preamble bit must span an integer number of samples")
     pattern = PREAMBLE_PATTERNS[ap.preamble_id]
-    corr = correlate_pattern(env.volts, pattern, spb)
-    if len(corr) == 0:
-        return None
-    stop = len(corr) if stop is None else min(stop, len(corr))
+    template_len = len(pattern) * spb
+    offsets = len(env.volts) - template_len + 1
+    stop = offsets if stop is None else min(stop, offsets)
     if start >= stop:
         return None
-    segment = corr[start:stop]
+    segment = correlate_pattern(env.volts[start:stop + template_len - 1],
+                                pattern, spb)
     best = int(np.argmax(segment))
     if segment[best] < threshold:
         return None

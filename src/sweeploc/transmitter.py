@@ -15,6 +15,7 @@ nulls; sweep steps drive the whole array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,9 @@ class SweepSchedule:
     Rows are the preamble bits, then the sweep steps. starts_s is each
     row's start time and kinds its K_PREAMBLE/K_SWEEP code. increments is
     the inter-antenna drive increment, wrapped into [0, 2*pi), so antenna i
-    radiates at phase i * increment (0 on preamble rows). bits is the
-    preamble bit, sent from antenna 0 alone (1 on sweep rows).
+    radiates at phase i * increment (0 on preamble rows). drive is the
+    antenna x row matrix of the array response: exp(-j*i*increment) on
+    sweep rows, the preamble bit on antenna 0 alone on preamble rows.
     """
 
     ap: ApConfig
@@ -48,7 +50,7 @@ class SweepSchedule:
     starts_s: np.ndarray
     kinds: np.ndarray
     increments: np.ndarray
-    bits: np.ndarray
+    drive: np.ndarray
 
     @property
     def period_s(self) -> float:
@@ -83,6 +85,10 @@ def build_sweep_schedule(ap: ApConfig, mode: str = "alg1") -> SweepSchedule:
     """Lay out one period: 8 preamble bits then the full sweep."""
     pattern = np.array(PREAMBLE_PATTERNS[ap.preamble_id], dtype=float)
     n_bits, n_steps = len(pattern), ap.sweep_step_count
+    increments = np.concatenate([np.zeros(n_bits), drive_increments(ap, mode)])
+    antennas = np.arange(ap.antenna_count)
+    drive = np.exp(-1j * np.outer(antennas, increments))
+    drive[:, :n_bits] = np.outer(antennas == 0, pattern)
     return SweepSchedule(
         ap=ap, mode=mode,
         starts_s=np.concatenate([
@@ -90,9 +96,16 @@ def build_sweep_schedule(ap: ApConfig, mode: str = "alg1") -> SweepSchedule:
             ap.preamble_duration_s + np.arange(n_steps) * ap.sweep_dwell_s]),
         kinds=np.repeat(np.array([K_PREAMBLE, K_SWEEP], dtype=np.int8),
                         [n_bits, n_steps]),
-        increments=np.concatenate([np.zeros(n_bits),
-                                   drive_increments(ap, mode)]),
-        bits=np.concatenate([pattern, np.ones(n_steps)]))
+        increments=increments, drive=drive)
+
+
+@functools.lru_cache(maxsize=64)
+def cached_schedule(ap: ApConfig, mode: str) -> SweepSchedule:
+    """build_sweep_schedule, once per (ap, mode); shared, so read-only."""
+    schedule = build_sweep_schedule(ap, mode)
+    for name in ("starts_s", "kinds", "increments", "drive"):
+        getattr(schedule, name).flags.writeable = False
+    return schedule
 
 
 @dataclass(frozen=True)

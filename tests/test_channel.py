@@ -1,6 +1,7 @@
 """Array response, multipath draws, field synthesis, noise, motion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from sweeploc.channel import (
     apply_doppler,
     concat_traces,
     draw_multipath,
-    phased_sum,
     propagate,
     silence_trace,
+    sweep_response,
 )
 from sweeploc.scenario import (
     ApConfig,
@@ -33,9 +34,22 @@ def brute_sum(x, n):
     return sum(np.exp(1j * i * np.asarray(x)) for i in range(n))
 
 
+def drive_for(increments, n):
+    return np.exp(-1j * np.outer(np.arange(n), increments))
+
+
+def kernel_sum(x, n):
+    """sweep_response of one unit LOS path at boresight under the drive
+    rows whose argument 2*pi*spacing*sin(b) - inc equals x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    ap = replace(AP, antenna_count=n)
+    return sweep_response(PathSet([1.0], [0.0], [0.0]), np.zeros(len(x)), ap,
+                          drive_for(-x, n))[0]
+
+
 def test_phased_sum_two_element_closed_form():
     xs = np.linspace(-2 * math.pi, 2 * math.pi, 10001)
-    mags = np.abs(phased_sum(xs, 2))
+    mags = np.abs(kernel_sum(xs, 2))
     expect = np.sqrt(np.maximum(2 + 2 * np.cos(xs), 0.0))
     assert np.max(np.abs(mags - expect)) < 1e-12
 
@@ -44,15 +58,45 @@ def test_phased_sum_matches_brute_force_sum():
     rng = trial_rng(0, "phased-sum")
     xs = rng.uniform(-3 * math.pi, 3 * math.pi, 4096)
     for n in range(2, 9):
-        diff = np.abs(phased_sum(xs, n) - brute_sum(xs, n))
+        diff = np.abs(kernel_sum(xs, n) - brute_sum(xs, n))
         assert np.max(diff) < 1e-9
 
 
 def test_phased_sum_peak_and_wraparound():
-    for n in (2, 3, 4, 5):
-        assert abs(phased_sum(0.0, n)) == pytest.approx(n)
-        assert abs(phased_sum(2 * math.pi, n)) == pytest.approx(n)
-        assert abs(phased_sum(1e-14, n)) == pytest.approx(n)
+    xs = np.array([0.0, 2 * math.pi, 1e-14])
+    for n in range(2, 9):
+        got = kernel_sum(xs, n)
+        assert np.abs(got) == pytest.approx([n, n, n])
+        assert np.max(np.abs(got - brute_sum(xs, n))) < 1e-12
+
+
+@pytest.mark.parametrize("spacing", [0.25, 1.0])
+def test_sweep_response_weights_paths_at_any_spacing(spacing):
+    """Trials x paths at a spacing other than half a wavelength: each
+    path's field is a*link*exp(j*psi) times the array sum at its own
+    2*pi*spacing*sin(b) - inc, the LOS path at the given bearing, and
+    sum_paths gives their sum."""
+    rng = trial_rng(4, "kernel", spacing)
+    n, trials, paths_per_trial = 5, 16, 4
+    ap = replace(AP, antenna_count=n, spacing_wavelengths=spacing)
+    paths = PathSet(rng.uniform(0.1, 1.0, (trials, paths_per_trial)),
+                    rng.uniform(-1.5, 1.5, (trials, paths_per_trial)),
+                    rng.uniform(0.0, 2 * math.pi, (trials, paths_per_trial)))
+    los = rng.uniform(-1.5, 1.5, trials)
+    inc = rng.uniform(0.0, 2 * math.pi, 64)
+    link = 0.3
+    bearings = paths.bearings_rad.copy()
+    bearings[:, 0] = los
+    x = 2 * math.pi * spacing * np.sin(bearings)[..., None] - inc
+    oracle = (paths.amplitudes * link * np.exp(1j * paths.excess_phases_rad)
+              )[..., None] * brute_sum(x, n)
+    per_path = sweep_response(paths, los[:, None], ap, drive_for(inc, n),
+                              link=link)
+    summed = sweep_response(paths, los[:, None], ap, drive_for(inc, n),
+                            link=link, sum_paths=True)
+    assert per_path.shape == (trials, paths_per_trial, len(inc))
+    assert np.max(np.abs(per_path - oracle)) < 1e-12
+    assert np.max(np.abs(summed - oracle.sum(axis=1))) < 1e-12
 
 
 def test_draw_multipath_invariants():

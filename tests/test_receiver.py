@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from sweeploc.channel import PathSet, concat_traces, propagate, silence_trace
 from sweeploc.receiver import (
     MIN_CROSSING_SINE,
+    EnvelopeTrace,
     PREAMBLE_CORRELATION_THRESHOLD,
     LogStore,
     LookupTable,
@@ -37,7 +38,7 @@ from sweeploc.scenario import (
     trial_rng,
     true_bearing,
 )
-from sweeploc.transmitter import build_sweep_schedule
+from sweeploc.transmitter import PREAMBLE_PATTERNS, build_sweep_schedule
 
 AP1 = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0, preamble_id=1)
 AP2 = ApConfig(position=Position(100.0, 0.0), boresight_rad=math.pi,
@@ -102,6 +103,7 @@ def test_step_estimate_angles_monotone():
         assert len(angles) == 128
         assert angles[0] == pytest.approx(-math.pi / 2)
         assert np.all(np.diff(angles) >= 0)
+        assert not angles.flags.writeable  # cached and shared
 
 
 @pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
@@ -177,6 +179,27 @@ def test_find_preamble_rejects_other_ap_pattern():
 def test_find_preamble_below_floor_returns_none():
     env = envelope_detect(silence_trace(0.1, FS), DET)
     assert find_preamble(env, AP1) is None
+
+
+@pytest.mark.parametrize("start,stop", [(0, None), (0, 40), (37, 120),
+                                        (150, 400), (163, 165), (90, 90)])
+def test_find_preamble_equals_whole_buffer_search(start, stop):
+    """Correlating only the searched window gives the same offset and the
+    same correlation, bit for bit, as correlating the whole buffer."""
+    pattern = PREAMBLE_PATTERNS[AP1.preamble_id]
+    rng = trial_rng(11, "preamble-window", start)
+    volts = rng.normal(0.0, 0.05, 200)
+    volts[100:132] += np.repeat(pattern, 4)
+    env = EnvelopeTrace(volts, FS, 0.0, np.zeros(200, dtype=bool))
+    corr = correlate_pattern(volts, pattern, 4)
+    end = len(corr) if stop is None else min(stop, len(corr))
+    got = find_preamble(env, AP1, start, stop, threshold=-1.0)
+    if start >= end:
+        assert got is None
+        return
+    best = start + int(np.argmax(corr[start:end]))
+    assert got.start_sample == best
+    assert got.correlation == corr[best]
 
 
 def test_intersect_bearings_exact_geometry():

@@ -11,6 +11,7 @@ from sweeploc.transmitter import (
     K_SWEEP,
     PREAMBLE_PATTERNS,
     build_sweep_schedule,
+    cached_schedule,
     drive_increments,
     steering_values,
     step_increments,
@@ -32,8 +33,9 @@ def test_preamble_patterns_are_distinct_eight_bit():
 
 def test_schedule_tiles_the_period_exactly():
     sched = build_sweep_schedule(AP)
-    for rows in (sched.starts_s, sched.kinds, sched.increments, sched.bits):
+    for rows in (sched.starts_s, sched.kinds, sched.increments):
         assert rows.shape == (8 + 128,)
+    assert sched.drive.shape == (AP.antenna_count, 8 + 128)
     assert sched.starts_s[0] == 0.0
     durations = np.diff(np.append(sched.starts_s, AP.sweep_period_s))
     assert np.allclose(durations[:8], AP.preamble_bit_duration_s,
@@ -44,12 +46,13 @@ def test_schedule_tiles_the_period_exactly():
 
 
 def test_preamble_entries_drive_single_antenna():
-    # Preamble rows carry their bit and no inter-antenna increment (only
-    # antenna 0 radiates); sweep rows drive the whole array at bit 1.
+    # Preamble rows carry their bit on antenna 0 and no inter-antenna
+    # increment; sweep rows drive the whole array, antenna 0 at unit drive.
     sched = build_sweep_schedule(AP)
-    assert np.array_equal(sched.bits[:8], PREAMBLE_PATTERNS[AP.preamble_id])
+    assert np.array_equal(sched.drive[0, :8], PREAMBLE_PATTERNS[AP.preamble_id])
+    assert np.all(sched.drive[1:, :8] == 0)
     assert np.all(sched.increments[:8] == 0.0)
-    assert np.all(sched.bits[8:] == 1.0)
+    assert np.all(sched.drive[0, 8:] == 1.0)
 
 
 def test_steering_values_per_mode():
@@ -98,6 +101,19 @@ def test_sweep_entry_phases_match_offsets():
         assert np.all((got >= 0.0) & (got < 2 * math.pi))
         assert np.allclose(np.exp(1j * got),
                            np.exp(1j * step_increments(AP, mode)))
+        drive = np.exp(-1j * np.outer(np.arange(AP.antenna_count), got))
+        assert np.array_equal(sched.drive[:, sched.kinds == K_SWEEP], drive)
+
+
+def test_cached_schedule_is_shared_and_read_only():
+    sched = cached_schedule(AP, "alg1")
+    assert cached_schedule(AP, "alg1") is sched
+    assert cached_schedule(AP, "uniform-theta") is not sched
+    fresh = build_sweep_schedule(AP, "alg1")
+    for name in ("starts_s", "kinds", "increments", "drive"):
+        assert np.array_equal(getattr(sched, name), getattr(fresh, name))
+        with pytest.raises(ValueError):
+            getattr(sched, name)[0] = 0
 
 
 def test_tdma_plan_two_aps():
