@@ -82,6 +82,17 @@ def draw_multipath(cfg: ChannelConfig, rng: np.random.Generator,
                    np.concatenate([np.zeros_like(los), phases], axis=-1))
 
 
+def _steering(paths: PathSet, ks: slice, bearing: np.ndarray, ap: ApConfig,
+              link: np.ndarray | float) -> np.ndarray:
+    """Weighted steering vectors of paths[ks], ... x paths x rows x antennas.
+    bearing and link broadcast against ... x paths x rows."""
+    phase = 2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearing)
+    weight = (paths.amplitudes[..., ks, None] * link
+              * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
+    return weight[..., None] * np.exp(
+        1j * np.multiply.outer(phase, np.arange(ap.antenna_count)))
+
+
 def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
                    ap: ApConfig, drive: np.ndarray,
                    link: np.ndarray | float = 1.0,
@@ -97,32 +108,52 @@ def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
     geometry, never the stored nominal value.
 
     The last axis of drive (and of link and the LOS bearing, where they
-    vary) runs over drive rows: output samples or sweep steps. A trials
-    axis of paths broadcasts against it. Paths come out on the axis before
-    the rows, unless sum_paths adds the steering vectors first (the field
-    is linear in the paths).
+    vary) runs over drive rows: output samples or sweep steps. Leading
+    axes of paths (trials, or one AP's slots in successive rounds)
+    broadcast against the leading axes of the LOS bearing and the link.
+    exp(j*i*phi_k) is evaluated per row only for the LOS path, and once
+    per draw for the reflected paths, whose weights carry the per-row link.
+    Paths come out on the axis before the rows, unless sum_paths adds the
+    steering vectors first, in path order (the field is linear in them).
+    Otherwise the reflected paths are contracted one at a time, so no
+    temporary holds every path's steering vectors for every row.
     """
-    los = np.expand_dims(los_bearing_rad, -2)
-    is_los = np.arange(paths.amplitudes.shape[-1])[:, None] == 0
-    bearings = np.where(is_los, los, paths.bearings_rad[..., None])
-    weights = (paths.amplitudes[..., None] * link
-               * np.exp(1j * paths.excess_phases_rad[..., None]))
-    phases = 2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearings)
-    steering = weights[..., None] * np.exp(
-        1j * np.multiply.outer(phases, np.arange(ap.antenna_count)))
+    if np.ndim(link):
+        link = np.expand_dims(link, -2)
+    los = _steering(paths, slice(0, 1), np.expand_dims(los_bearing_rad, -2),
+                    ap, link)[..., 0, :, :]
     if sum_paths:
-        steering = steering.sum(axis=-3)
-    return phased_sum(steering, drive)
+        reflected = _steering(paths, slice(1, None),
+                              paths.bearings_rad[..., 1:, None], ap, link)
+        total = los
+        for k in range(reflected.shape[-3]):
+            total = total + reflected[..., k, :, :]
+        return phased_sum(total, drive)
+    los = phased_sum(los, drive)
+    # The LOS field has the widest shape: its bearing carries the geometry.
+    k_paths = paths.amplitudes.shape[-1]
+    fields = np.empty(los.shape[:-1] + (k_paths, los.shape[-1]), dtype=complex)
+    fields[..., 0, :] = los
+    for k in range(1, k_paths):
+        fields[..., k, :] = phased_sum(_steering(
+            paths, slice(k, k + 1), paths.bearings_rad[..., k, None, None],
+            ap, link)[..., 0, :, :], drive)
+    return fields
 
 
 @dataclass(frozen=True)
 class FieldTrace:
-    """Sampled complex field at the receiver over one transmit slot.
+    """Sampled complex field at the receiver over one or more transmit slots.
 
     samples[s] is the total field at t0_s + s/sample_rate_hz; kinds[s]
     labels the active schedule row (0 silence, K_PREAMBLE, K_SWEEP).
     path_components holds the per-path fields (paths x samples) whose sum
     is the noiseless total; additive noise only affects samples.
+
+    A trace of several slots of one AP (one per TDMA round, see propagate)
+    keeps them back to back in samples although they are apart in time:
+    slot_starts_s holds each slot's start time, and path_components gets a
+    leading slots axis (slots x paths x samples per slot).
     """
 
     samples: np.ndarray
@@ -133,9 +164,14 @@ class FieldTrace:
     ap_index: int = -1
     paths: PathSet | None = None
     path_components: np.ndarray | None = None
+    slot_starts_s: np.ndarray | None = None
 
     def times(self) -> np.ndarray:
-        return self.t0_s + np.arange(len(self.samples)) / self.sample_rate_hz
+        """Sample times; slots x samples per slot for a multi-slot trace."""
+        if self.slot_starts_s is None:
+            return self.t0_s + np.arange(len(self.samples)) / self.sample_rate_hz
+        n = len(self.samples) // len(self.slot_starts_s)
+        return self.slot_starts_s[:, None] + np.arange(n) / self.sample_rate_hz
 
 
 def _as_trajectory(where: Position | Trajectory) -> Trajectory:
@@ -153,18 +189,25 @@ def _positions_at(traj: Trajectory, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def propagate(schedule: SweepSchedule, paths: PathSet,
               where: Position | Trajectory, sample_rate_hz: float,
-              t0_s: float = 0.0, ap_index: int = 0) -> FieldTrace:
-    """Synthesize the received field for one sweep period of one AP.
+              t0_s: float | np.ndarray = 0.0, ap_index: int = 0) -> FieldTrace:
+    """Synthesize the received field for sweep periods of one AP.
 
-    Each sample takes the drive of the schedule row active at its time;
-    sweep_response turns that drive into per-path fields, with the LOS
-    bearing following the receiver.
+    t0_s is one slot start time, or an (R,) array of them: R slots of this
+    AP, one per TDMA round, from one call. paths is one draw for every
+    slot, or one draw per slot on a leading axis of length R. The slots
+    come out back to back in samples (R x period samples, flat), with
+    per-path fields R x paths x samples in path_components and the start
+    times in slot_starts_s. Each sample takes the drive of the schedule row
+    active at its time within its slot; sweep_response turns that drive
+    into per-path fields, with the LOS bearing following the receiver.
+    Raises GeometryError if the receiver reaches the AP in any slot.
     """
     ap = schedule.ap
     traj = _as_trajectory(where)
     n = round(schedule.period_s * sample_rate_hz)
     t_local = np.arange(n) / sample_rate_hz
-    t_abs = t0_s + t_local
+    starts = np.asarray(t0_s, dtype=float)
+    t_abs = starts[..., None] + t_local
 
     row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
     row = np.clip(row, 0, len(schedule.starts_s) - 1)
@@ -180,9 +223,12 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
 
     components = sweep_response(paths, los_bearing, ap,
                                 schedule.drive[:, row], link=amp)
-    return FieldTrace(samples=components.sum(axis=0), sample_rate_hz=sample_rate_hz,
-                      t0_s=t0_s, kinds=schedule.kinds[row], ap=ap,
-                      ap_index=ap_index, paths=paths, path_components=components)
+    kinds = np.broadcast_to(schedule.kinds[row], t_abs.shape)
+    return FieldTrace(samples=components.sum(axis=-2).reshape(-1),
+                      sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]),
+                      kinds=kinds.reshape(-1), ap=ap, ap_index=ap_index,
+                      paths=paths, path_components=components,
+                      slot_starts_s=starts if starts.ndim else None)
 
 
 def silence_trace(duration_s: float, sample_rate_hz: float,
@@ -205,14 +251,20 @@ def concat_traces(traces: Sequence[FieldTrace]) -> FieldTrace:
                       kinds=np.concatenate([tr.kinds for tr in traces]))
 
 
+def complex_noise(noise_power_dbm: float, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n samples of circular complex Gaussian noise of the given total
+    power: all n real parts are drawn first, then all n imaginary parts."""
+    sigma = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
+    return rng.normal(0.0, sigma, n) + 1j * rng.normal(0.0, sigma, n)
+
+
 def add_noise(trace: FieldTrace, noise_power_dbm: float | None,
               rng: np.random.Generator) -> FieldTrace:
     """Add circular complex Gaussian noise of the given total power."""
     if noise_power_dbm is None:
         return trace
-    sigma = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
-    noise = rng.normal(0.0, sigma, len(trace.samples)) \
-        + 1j * rng.normal(0.0, sigma, len(trace.samples))
+    noise = complex_noise(noise_power_dbm, len(trace.samples), rng)
     return replace(trace, samples=trace.samples + noise)
 
 
@@ -224,25 +276,32 @@ def apply_doppler(trace: FieldTrace, trajectory: Trajectory) -> FieldTrace:
     toward a path's source shortens it and advances its phase, so path
     phases drift relative to each other and the fade pattern moves.
     Apply before add_noise: the output is rebuilt from path components.
+
+    A multi-slot trace from propagate is rotated in one call, slot by slot
+    along its leading axis. Each slot measures length changes from its own
+    first sample (dist - dist[0] per slot), so the Doppler phase restarts
+    at every slot; a phase that follows position across slots would change
+    every moving result.
     """
     if trace.ap is None or trace.paths is None or trace.path_components is None:
         raise ConfigError("doppler needs a single-AP trace with path data")
-    lam = SPEED_OF_LIGHT / trace.ap.carrier_hz
-    t = trace.times()
-    px, py = _positions_at(trajectory, t)
     ap = trace.ap
+    lam = SPEED_OF_LIGHT / ap.carrier_hz
+    px, py = _positions_at(trajectory, trace.times())
     dist = np.hypot(px - ap.position.x, py - ap.position.y)
     if np.any(dist <= 0):
         raise GeometryError("receiver trajectory passes through the AP")
-    dpx = px - px[0]
-    dpy = py - py[0]
+    dpx = px - px[..., :1]
+    dpy = py - py[..., :1]
+    bearings = trace.paths.bearings_rad
     components = np.empty_like(trace.path_components)
-    for k, bearing in enumerate(trace.paths.bearings_rad):
+    for k in range(bearings.shape[-1]):
         if k == 0:
-            delta_len = dist - dist[0]
+            delta_len = dist - dist[..., :1]
         else:
-            alpha = ap.boresight_rad + bearing  # toward the source
+            alpha = ap.boresight_rad + bearings[..., k, None]  # toward the source
             delta_len = -(np.cos(alpha) * dpx + np.sin(alpha) * dpy)
-        components[k] = trace.path_components[k] * np.exp(-2j * math.pi * delta_len / lam)
-    return replace(trace, samples=components.sum(axis=0),
+        components[..., k, :] = (trace.path_components[..., k, :]
+                                 * np.exp(-2j * math.pi * delta_len / lam))
+    return replace(trace, samples=components.sum(axis=-2).reshape(-1),
                    path_components=components)

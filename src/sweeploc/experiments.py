@@ -22,8 +22,7 @@ from .backscatter import (InsectNode, SensorRecord, ber_point,
                           payload_duration_s)
 from .channel import add_noise, concat_traces, draw_multipath, propagate, \
     silence_trace
-from .pipeline import (draw_pathsets, fast_estimate_bearings, localize_once,
-                       synthesize_rounds)
+from .pipeline import capture_track, fast_estimate_bearings, localize_once
 from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
                     average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h)
@@ -369,7 +368,6 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
                                          multipath_ratio=SPEED_RATIO))
     table = _cached_table(scn)
     round_s = len(scn.aps) * scn.aps[0].sweep_period_s
-    redraw_m = scn.channel.nlos_redraw_distance_m
     tracked = 0
     raw_sum = 0.0
     smooth_sum = 0.0
@@ -386,17 +384,7 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
             traj = Trajectory.stationary(start)
         receiver = Receiver(scn_t.aps[:2], scn_t.sweep_mode, scn_t.smoothing,
                             table=table)
-        pathsets = None
-        last_draw: Position | None = None
-        for r in range(SPEED_ROUNDS):
-            t0 = r * round_s
-            pos = traj.position_at(t0)
-            if last_draw is None or pos.distance_to(last_draw) >= redraw_m:
-                pathsets = draw_pathsets(scn_t, traj, rng, t0_s=t0)
-                last_draw = pos
-            fieldtrace = synthesize_rounds(scn_t, pathsets, traj, rounds=1,
-                                           t0_s=t0, noise_rng=rng)
-            env = envelope_detect(fieldtrace, scn_t.detector, rng)
+        for env in capture_track(scn_t, traj, rng, SPEED_ROUNDS):
             result = receiver.process_buffer(env)
             for which, est in enumerate(result.angles):
                 if est is None:

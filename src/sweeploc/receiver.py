@@ -66,10 +66,20 @@ def envelope_detect(trace, det: DetectorConfig,
         n = (len(volts) // factor) * factor
         volts = volts[:n].reshape(-1, factor).mean(axis=1)
         clipped = clipped[:n].reshape(-1, factor).all(axis=1)
-    if rng is not None and det.noise_sigma_volts > 0:
-        volts = volts + rng.normal(0.0, det.noise_sigma_volts, len(volts))
+    noise = detector_noise(det, len(volts), rng)
+    if noise is not None:
+        volts = volts + noise
     return EnvelopeTrace(volts=volts, sample_rate_hz=det.sample_rate_hz,
                          t0_s=trace.t0_s, floor_clipped=clipped)
+
+
+def detector_noise(det: DetectorConfig, n: int,
+                   rng: np.random.Generator | None) -> np.ndarray | None:
+    """n samples of the detector's Gaussian output noise, or None (drawing
+    nothing) without an rng or for a noiseless detector."""
+    if rng is None or det.noise_sigma_volts <= 0:
+        return None
+    return rng.normal(0.0, det.noise_sigma_volts, n)
 
 
 # --- sweep timing shared by the estimator and the fast ensemble path ------
@@ -265,6 +275,14 @@ def intersect_bearings(ap1: ApConfig, bearing1_rad: float, ap2: ApConfig,
     return Position(ap1.position.x + t1 * u1[0], ap1.position.y + t1 * u1[1])
 
 
+def _unit_vectors(angles_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each angle through math, as intersect_bearings takes
+    them, so the table equals its loop on any numpy build (SIMD sin/cos
+    builds may round the last bit differently)."""
+    return (np.array([math.cos(a) for a in angles_rad]),
+            np.array([math.sin(a) for a in angles_rad]))
+
+
 @dataclass(frozen=True)
 class LocationFix:
     position: Position
@@ -294,15 +312,20 @@ class LookupTable:
             raise ConfigError("resolution_deg must divide 180 evenly")
         centers = -90.0 + (np.arange(self.cell_count) + 0.5) * resolution_deg
         self.centers_rad = np.deg2rad(centers)
-        n = self.cell_count
-        self.xs = np.full((n, n), np.nan)
-        self.ys = np.full((n, n), np.nan)
-        for i, b1 in enumerate(self.centers_rad):
-            for j, b2 in enumerate(self.centers_rad):
-                pt = intersect_bearings(ap1, float(b1), ap2, float(b2))
-                if pt is not None:
-                    self.xs[i, j] = pt.x
-                    self.ys[i, j] = pt.y
+        # intersect_bearings for every pair at once, with its arithmetic
+        # and its degeneracy rules: rows are AP 1 bearings, columns AP 2.
+        u1x, u1y = _unit_vectors(ap1.boresight_rad + self.centers_rad)
+        u2x, u2y = _unit_vectors(ap2.boresight_rad + self.centers_rad)
+        u1x, u1y = u1x[:, None], u1y[:, None]
+        den = u1x * u2y - u1y * u2x
+        dx = ap2.position.x - ap1.position.x
+        dy = ap2.position.y - ap1.position.y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (dx * u2y - dy * u2x) / den
+            t2 = (dx * u1y - dy * u1x) / den
+        ok = (np.abs(den) >= MIN_CROSSING_SINE) & (t1 > 0) & (t2 > 0)
+        self.xs = np.where(ok, ap1.position.x + t1 * u1x, np.nan)
+        self.ys = np.where(ok, ap1.position.y + t1 * u1y, np.nan)
 
     def cell_index(self, bearing_rad: float) -> int:
         deg = math.degrees(bearing_rad)

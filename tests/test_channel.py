@@ -99,6 +99,31 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     assert np.max(np.abs(summed - oracle.sum(axis=1))) < 1e-12
 
 
+def test_sum_paths_adds_steering_vectors_in_path_order():
+    """The grid shortcut's field is the drive contraction of the steering
+    vectors summed LOS first, then each reflected path in order, bit for
+    bit: the grid CSV bytes depend on that rounding."""
+    rng = trial_rng(5, "path-order")
+    trials, n = 256, 4
+    ap = replace(AP, antenna_count=n)
+    paths = PathSet(rng.uniform(0.1, 1.0, (trials, 5)),
+                    rng.uniform(-1.5, 1.5, (trials, 5)),
+                    rng.uniform(0.0, 2 * math.pi, (trials, 5)))
+    los = rng.uniform(-1.5, 1.5, (trials, 1))
+    drive = drive_for(rng.uniform(0.0, 2 * math.pi, 32), n)
+    bearings = np.where(np.arange(5) == 0, los, paths.bearings_rad)
+    steering = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad)
+                )[..., None] * np.exp(1j * np.multiply.outer(
+                    2 * math.pi * ap.spacing_wavelengths * np.sin(bearings),
+                    np.arange(n)))
+    total = steering[:, 0]
+    for k in range(1, 5):
+        total = total + steering[:, k]
+    want = np.einsum("...i,i...->...", total[:, None, :], drive)
+    got = sweep_response(paths, los, ap, drive, sum_paths=True)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_draw_multipath_invariants():
     cfg = ChannelConfig(nlos_path_count=3, multipath_ratio=0.6)
     rng = trial_rng(1, "draw")
@@ -227,3 +252,43 @@ def test_apply_doppler_radial_motion_rotates_los_phase():
     # compare only where the transmitter radiates
     on = np.abs(static.samples) > 0
     assert np.allclose(moved.samples[on], expect[on], rtol=1e-9, atol=0)
+
+
+def test_multi_slot_propagate_and_doppler_equal_slot_by_slot():
+    """One call over several slots (a rounds axis on the start times and on
+    the draws) equals one call per slot, bit for bit, Doppler included."""
+    sched = build_sweep_schedule(AP)
+    starts = np.array([0.0, 0.1, 0.2])
+    rng = trial_rng(4, "slots")
+    paths = draw_multipath(ChannelConfig(multipath_ratio=0.5), rng,
+                           np.array([0.1, 0.12, 0.14]))
+    traj = Trajectory.line(Position(10.0, 2.0), heading_rad=0.3,
+                           speed_mps=9.1, duration_s=1.0)
+    batched = apply_doppler(propagate(sched, paths, traj, 4000.0, t0_s=starts),
+                            traj)
+    assert len(batched.samples) == 3 * 200
+    assert batched.t0_s == 0.0
+    for r, t0 in enumerate(starts):
+        one = PathSet(paths.amplitudes[r], paths.bearings_rad[r],
+                      paths.excess_phases_rad[r])
+        slot = apply_doppler(propagate(sched, one, traj, 4000.0, t0_s=float(t0)),
+                             traj)
+        got = batched.samples[r * 200:(r + 1) * 200]
+        assert got.tobytes() == slot.samples.tobytes()
+        assert batched.path_components[r].tobytes() == slot.path_components.tobytes()
+        assert np.array_equal(batched.kinds[r * 200:(r + 1) * 200], slot.kinds)
+
+
+def test_apply_doppler_checks_geometry_in_every_slot():
+    sched = build_sweep_schedule(AP)
+    ps = PathSet([1.0, 0.3], [0.0, 0.5], [0.0, 1.0])
+    starts = np.array([0.0, 0.1, 0.2])
+    # reaches the AP at 0.15 s and stays there: clear in slot 0 only
+    reaches = Trajectory(((0.0, Position(10.0, 0.0)), (0.15, AP.position)))
+    first = propagate(sched, ps, Position(10.0, 0.0), 4000.0, t0_s=starts[:1])
+    apply_doppler(first, reaches)
+    trace = propagate(sched, ps, Position(10.0, 0.0), 4000.0, t0_s=starts)
+    with pytest.raises(GeometryError):
+        apply_doppler(trace, reaches)
+    with pytest.raises(GeometryError):
+        propagate(sched, ps, reaches, 4000.0, t0_s=starts)

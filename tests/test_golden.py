@@ -5,6 +5,16 @@ builtin scenario at seed 1, in both sweep modes where the experiment
 uses the sweep. A refactor that must keep behaviour (same arithmetic,
 same rng draw order) keeps every digest; a change that is meant to move
 results updates the table and says why in CHANGES.md.
+
+The builtin farm scenario has no channel noise, so NOISY pins the two
+experiments that draw channel noise inside their trial loop on a farm
+variant with noise on; those digests cover the per-round rng order (path
+redraws, then channel noise, real then imaginary, then detector noise).
+
+Every digest was recorded with numpy 2.4.6 on Python 3.11. Another numpy
+release may round a transcendental or a reduction differently, so a
+digest that fails on one numpy version alone points at the environment,
+not the code.
 """
 
 import hashlib
@@ -54,8 +64,27 @@ GOLDEN = {
 }
 
 
-def csv_digest(experiment: str, mode: str) -> str:
+# farm with channel noise at this level still fixes every trial.
+NOISE_POWER_DBM = -50.0
+
+NOISY = {
+    ("speed_sweep", "alg1"):
+        "c1d84f94029b371e95ca602e1ccca2be5dceea240a07a8161d6b68ca6f3126f2",
+    ("speed_sweep", "uniform-theta"):
+        "13a86903f846e1ee89d268a87e489753aa044b52b845575104b654937551f92f",
+    ("farm_cdf", "alg1"):
+        "351ed5a99aee4446180bf9e8157f6c806dbc6786a07abcfb14f92ca8d1e7bea2",
+    ("farm_cdf", "uniform-theta"):
+        "d81688c1c30c21555c48e0dbd4434b55c7eb372339da458393281cc830570636",
+}
+
+
+def csv_digest(experiment: str, mode: str,
+               noise_power_dbm: float | None = None) -> str:
     scn = BUILTIN_SCENARIOS[DEFAULT_SCENARIO[experiment]](seed=1)
+    if noise_power_dbm is not None:
+        scn = replace(scn, channel=replace(scn.channel,
+                                           noise_power_dbm=noise_power_dbm))
     spec = ExperimentSpec(experiment, replace(scn, sweep_mode=mode),
                           trials=TRIALS[experiment])
     text = render_csv(run_experiment(spec))
@@ -65,6 +94,13 @@ def csv_digest(experiment: str, mode: str) -> str:
 @pytest.mark.parametrize("experiment,mode", sorted(GOLDEN))
 def test_csv_bytes_match_golden(experiment, mode):
     assert csv_digest(experiment, mode) == GOLDEN[(experiment, mode)]
+
+
+@pytest.mark.parametrize("experiment,mode", sorted(NOISY))
+def test_csv_bytes_match_golden_with_channel_noise(experiment, mode):
+    assert DEFAULT_SCENARIO[experiment] == "farm"
+    digest = csv_digest(experiment, mode, noise_power_dbm=NOISE_POWER_DBM)
+    assert digest == NOISY[(experiment, mode)]
 
 
 def test_golden_covers_every_experiment():

@@ -9,13 +9,15 @@ import pytest
 from sweeploc.channel import PathSet, draw_multipath, propagate
 from sweeploc.pipeline import (
     capture_envelope,
+    capture_track,
     draw_pathsets,
     fast_estimate_bearings,
     localize_once,
     synthesize_rounds,
 )
 from sweeploc.receiver import LookupTable, Receiver, envelope_detect, estimate_angle
-from sweeploc.scenario import Position, Trajectory, trial_rng, true_bearing
+from sweeploc.scenario import (GeometryError, Position, Trajectory, trial_rng,
+                               true_bearing)
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import build_sweep_schedule
 
@@ -103,3 +105,70 @@ def test_speed_affects_doppler_only_when_enabled():
     # magnitudes shift only subtly; the phase carries the motion
     assert np.allclose(np.abs(still.samples), np.abs(moving.samples),
                        rtol=0.3, atol=1e-9)
+
+
+def _moving_farm(mode, doppler, seed):
+    scn = farm_scenario(seed=seed)
+    channel = dataclasses.replace(scn.channel, doppler_enabled=doppler,
+                                  multipath_ratio=0.4)
+    return dataclasses.replace(scn, sweep_mode=mode, channel=channel)
+
+
+@pytest.mark.parametrize("doppler", [False, True])
+@pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
+def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
+    """40 rounds in one synthesize_rounds call, with one draw per round on
+    a leading axis, equal 40 one-round calls concatenated, bit for bit."""
+    scn = _moving_farm(mode, doppler, seed=5)
+    rounds = 40
+    round_s = len(scn.aps) * scn.aps[0].sweep_period_s
+    traj = Trajectory.line(Position(40.0, 30.0), heading_rad=0.4,
+                           speed_mps=9.1, duration_s=rounds * round_s)
+    rng = trial_rng(5, "batched", mode, doppler)
+    starts = [r * round_s for r in range(rounds)]
+    draws, last = [], None
+    for t0 in starts:
+        pos = traj.position_at(t0)
+        if last is None or pos.distance_to(last) >= scn.channel.nlos_redraw_distance_m:
+            pathsets, last = draw_pathsets(scn, traj, rng, t0_s=t0), pos
+        draws.append(pathsets)
+    assert len({id(d) for d in draws}) > 1  # paths are redrawn on the way
+    per_ap = [PathSet(*(np.stack([getattr(d[k], f) for d in draws])
+                        for f in ("amplitudes", "bearings_rad",
+                                  "excess_phases_rad")))
+              for k in range(len(scn.aps))]
+    batched = synthesize_rounds(scn, per_ap, traj, rounds=rounds, t0_s=0.0)
+    single = [synthesize_rounds(scn, d, traj, rounds=1, t0_s=t0)
+              for d, t0 in zip(draws, starts)]
+    assert batched.t0_s == single[0].t0_s
+    assert batched.samples.tobytes() == np.concatenate(
+        [tr.samples for tr in single]).tobytes()
+    assert np.array_equal(batched.kinds,
+                          np.concatenate([tr.kinds for tr in single]))
+
+
+@pytest.mark.parametrize("noise_dbm", [None, -50.0])
+def test_capture_track_rounds_start_where_the_round_starts(noise_dbm):
+    scn = _moving_farm("alg1", True, seed=6)
+    scn = dataclasses.replace(scn, channel=dataclasses.replace(
+        scn.channel, noise_power_dbm=noise_dbm))
+    traj = Trajectory.line(Position(40.0, 30.0), heading_rad=0.4,
+                           speed_mps=5.0, duration_s=1.0)
+    envs = capture_track(scn, traj, trial_rng(6, "track"), rounds=5)
+    assert [env.t0_s for env in envs] == [r * 0.1 for r in range(5)]
+    assert all(len(env) == 400 for env in envs)
+    rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
+    assert all(rx.process_buffer(env).ok for env in envs)
+
+
+@pytest.mark.parametrize("doppler", [False, True])
+def test_batched_synthesis_checks_geometry_in_a_later_slot(doppler):
+    scn = _moving_farm("alg1", doppler, seed=2)
+    ap = scn.aps[0]
+    # reaches AP 1 at 0.3 s and stays there: every slot of round 0 is clear
+    traj = Trajectory(((0.0, Position(ap.position.x, 30.0)),
+                       (0.3, ap.position)))
+    pathsets = draw_pathsets(scn, traj, trial_rng(2, "geometry"))
+    synthesize_rounds(scn, pathsets, traj, rounds=1)
+    with pytest.raises(GeometryError):
+        synthesize_rounds(scn, pathsets, traj, rounds=5)

@@ -38,6 +38,7 @@ from sweeploc.scenario import (
     trial_rng,
     true_bearing,
 )
+from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import PREAMBLE_PATTERNS, build_sweep_schedule
 
 AP1 = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0, preamble_id=1)
@@ -237,6 +238,27 @@ def test_lookup_table_exact_at_cell_centers():
     fix = fix_2d(b1, b2, table)
     assert fix.position.x == pytest.approx(exact.x, abs=1e-9)
     assert fix.position.y == pytest.approx(exact.y, abs=1e-9)
+
+
+@pytest.mark.parametrize("resolution", [1.0, 0.5, 30.0])
+@pytest.mark.parametrize("pair", ["farm", "bench"])
+def test_lookup_table_equals_intersect_bearings_loop(pair, resolution):
+    """The array-valued table build gives, bit for bit, what one
+    intersect_bearings call per cell gives, with NaN in the same cells."""
+    ap1, ap2 = {"farm": farm_scenario, "bench": bench_scenario}[pair](seed=0).aps[:2]
+    table = LookupTable(ap1, ap2, resolution_deg=resolution)
+    n = table.cell_count
+    xs = np.full((n, n), np.nan)
+    ys = np.full((n, n), np.nan)
+    for i, b1 in enumerate(table.centers_rad):
+        for j, b2 in enumerate(table.centers_rad):
+            pt = intersect_bearings(ap1, float(b1), ap2, float(b2))
+            if pt is not None:
+                xs[i, j], ys[i, j] = pt.x, pt.y
+    assert 0.0 < table.valid_fraction() < 1.0
+    assert np.array_equal(np.isnan(table.xs), np.isnan(xs))
+    assert table.xs.tobytes() == xs.tobytes()
+    assert table.ys.tobytes() == ys.tobytes()
 
 
 def test_fix_2d_low_confidence_raises():
