@@ -17,8 +17,8 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, DetectorConfig,
                        true_bearing, wrap_angle)
 from .transmitter import (PREAMBLE_PATTERNS, SweepSchedule, TdmaPlan,
                           build_sweep_schedule, tdma_plan)
-from .channel import (FieldTrace, PathSet, add_noise, apply_doppler,
-                      draw_multipath, propagate, sweep_response)
+from .channel import (FieldTrace, PathSet, apply_doppler, draw_multipath,
+                      propagate, sweep_response)
 from .receiver import (AngleEstimate, EnvelopeTrace, LocationFix, LogStore,
                        LookupTable, LowConfidenceFixError, Receiver,
                        SensorRecord, StoreFullError, envelope_detect,
@@ -32,7 +32,7 @@ from .backscatter import (DemodConfig, Frame, InsectNode, LinkBudget,
 from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
                     average_current_ma, battery_life_h, logging_endurance_h,
                     rf_charge_time_h, solar_charge_time_h)
-from .pipeline import (capture_envelope, fast_estimate_bearings,
+from .pipeline import (detect_with_noise, draw_noise, fast_estimate_bearings,
                        localize_once, synthesize_rounds)
 from .experiments import (EXPERIMENTS, ExperimentSpec, ResultTable, emit_csv,
                           read_csv, run_experiment)

@@ -1,4 +1,4 @@
-"""Downlink channel: multipath draws, field synthesis, noise, Doppler.
+"""Downlink channel: multipath draws, field synthesis, Doppler, noise.
 
 Fields are complex baseband samples in sqrt-milliwatt units, so |s|^2 is
 instantaneous received power in mW. The line-of-sight path tracks the
@@ -9,7 +9,7 @@ phases for the lifetime of one PathSet draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -143,67 +143,38 @@ def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
 
 @dataclass(frozen=True)
 class FieldTrace:
-    """Sampled complex field at the receiver over one or more transmit slots.
+    """Sampled complex field at the receiver: a plain sample buffer.
 
     samples[s] is the total field at t0_s + s/sample_rate_hz; kinds[s]
-    labels the active schedule row (0 silence, K_PREAMBLE, K_SWEEP).
-    path_components holds the per-path fields (paths x samples) whose sum
-    is the noiseless total; additive noise only affects samples.
-
-    A trace of several slots of one AP (one per TDMA round, see propagate)
-    keeps them back to back in samples although they are apart in time:
-    slot_starts_s holds each slot's start time, and path_components gets a
-    leading slots axis (slots x paths x samples per slot).
+    labels the active schedule row (0 silence, K_PREAMBLE, K_SWEEP). A
+    buffer of several slots (see propagate) keeps them back to back,
+    although they may be apart in time.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
     t0_s: float
     kinds: np.ndarray
-    ap: ApConfig | None = None
-    ap_index: int = -1
-    paths: PathSet | None = None
-    path_components: np.ndarray | None = None
-    slot_starts_s: np.ndarray | None = None
-
-    def times(self) -> np.ndarray:
-        """Sample times; slots x samples per slot for a multi-slot trace."""
-        if self.slot_starts_s is None:
-            return self.t0_s + np.arange(len(self.samples)) / self.sample_rate_hz
-        n = len(self.samples) // len(self.slot_starts_s)
-        return self.slot_starts_s[:, None] + np.arange(n) / self.sample_rate_hz
-
-
-def _as_trajectory(where: Position | Trajectory) -> Trajectory:
-    if isinstance(where, Position):
-        return Trajectory.stationary(where)
-    return where
-
-
-def _positions_at(traj: Trajectory, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    times = np.array([w[0] for w in traj.waypoints])
-    xs = np.array([w[1].x for w in traj.waypoints])
-    ys = np.array([w[1].y for w in traj.waypoints])
-    return np.interp(t, times, xs), np.interp(t, times, ys)
 
 
 def propagate(schedule: SweepSchedule, paths: PathSet,
               where: Position | Trajectory, sample_rate_hz: float,
-              t0_s: float | np.ndarray = 0.0, ap_index: int = 0) -> FieldTrace:
+              t0_s: float | np.ndarray = 0.0,
+              doppler: bool = False) -> FieldTrace:
     """Synthesize the received field for sweep periods of one AP.
 
     t0_s is one slot start time, or an (R,) array of them: R slots of this
     AP, one per TDMA round, from one call. paths is one draw for every
     slot, or one draw per slot on a leading axis of length R. The slots
-    come out back to back in samples (R x period samples, flat), with
-    per-path fields R x paths x samples in path_components and the start
-    times in slot_starts_s. Each sample takes the drive of the schedule row
-    active at its time within its slot; sweep_response turns that drive
-    into per-path fields, with the LOS bearing following the receiver.
-    Raises GeometryError if the receiver reaches the AP in any slot.
+    come out back to back in samples (R x period samples, flat). Each
+    sample takes the drive of the schedule row active at its time within
+    its slot; sweep_response turns that drive into per-path fields, with
+    the LOS bearing following the receiver, which apply_doppler rotates if
+    doppler is set and the receiver moves. Raises GeometryError if the
+    receiver reaches the AP in any slot.
     """
     ap = schedule.ap
-    traj = _as_trajectory(where)
+    waypoints = where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)
     n = round(schedule.period_s * sample_rate_hz)
     t_local = np.arange(n) / sample_rate_hz
     starts = np.asarray(t0_s, dtype=float)
@@ -212,7 +183,9 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
     row = np.clip(row, 0, len(schedule.starts_s) - 1)
 
-    px, py = _positions_at(traj, t_abs)
+    times = [t for t, _ in waypoints]
+    px = np.interp(t_abs, times, [p.x for _, p in waypoints])
+    py = np.interp(t_abs, times, [p.y for _, p in waypoints])
     dx = px - ap.position.x
     dy = py - ap.position.y
     dist = np.hypot(dx, dy)
@@ -223,12 +196,42 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
 
     components = sweep_response(paths, los_bearing, ap,
                                 schedule.drive[:, row], link=amp)
+    if doppler and len(waypoints) > 1:
+        components = apply_doppler(components, paths.bearings_rad, ap,
+                                   px, py, dist)
     kinds = np.broadcast_to(schedule.kinds[row], t_abs.shape)
     return FieldTrace(samples=components.sum(axis=-2).reshape(-1),
                       sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]),
-                      kinds=kinds.reshape(-1), ap=ap, ap_index=ap_index,
-                      paths=paths, path_components=components,
-                      slot_starts_s=starts if starts.ndim else None)
+                      kinds=kinds.reshape(-1))
+
+
+def apply_doppler(components: np.ndarray, bearings_rad: np.ndarray,
+                  ap: ApConfig, px: np.ndarray, py: np.ndarray,
+                  dist: np.ndarray) -> np.ndarray:
+    """Rotate each path's field by its geometric length change over time.
+
+    components are propagate's per-path fields (... x paths x samples);
+    px, py and dist are the receiver's position and AP distance at each
+    sample (... x samples). The LOS length change is exact from geometry;
+    reflected paths use the plane-wave approximation along their fixed
+    arrival bearings. Motion toward a path's source shortens it and
+    advances its phase, so the fade pattern moves. Each slot measures from
+    its own first sample (dist - dist[..., :1]): the phase restarts at
+    every slot.
+    """
+    lam = SPEED_OF_LIGHT / ap.carrier_hz
+    dpx = px - px[..., :1]
+    dpy = py - py[..., :1]
+    rotated = np.empty_like(components)
+    for k in range(bearings_rad.shape[-1]):
+        if k == 0:
+            delta_len = dist - dist[..., :1]
+        else:
+            alpha = ap.boresight_rad + bearings_rad[..., k, None]  # toward the source
+            delta_len = -(np.cos(alpha) * dpx + np.sin(alpha) * dpy)
+        rotated[..., k, :] = (components[..., k, :]
+                              * np.exp(-2j * math.pi * delta_len / lam))
+    return rotated
 
 
 def silence_trace(duration_s: float, sample_rate_hz: float,
@@ -257,51 +260,3 @@ def complex_noise(noise_power_dbm: float, n: int,
     power: all n real parts are drawn first, then all n imaginary parts."""
     sigma = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
     return rng.normal(0.0, sigma, n) + 1j * rng.normal(0.0, sigma, n)
-
-
-def add_noise(trace: FieldTrace, noise_power_dbm: float | None,
-              rng: np.random.Generator) -> FieldTrace:
-    """Add circular complex Gaussian noise of the given total power."""
-    if noise_power_dbm is None:
-        return trace
-    noise = complex_noise(noise_power_dbm, len(trace.samples), rng)
-    return replace(trace, samples=trace.samples + noise)
-
-
-def apply_doppler(trace: FieldTrace, trajectory: Trajectory) -> FieldTrace:
-    """Rotate each path's phase by its geometric length change over time.
-
-    The LOS length change is exact from geometry; reflected paths use the
-    plane-wave approximation along their fixed arrival direction. Motion
-    toward a path's source shortens it and advances its phase, so path
-    phases drift relative to each other and the fade pattern moves.
-    Apply before add_noise: the output is rebuilt from path components.
-
-    A multi-slot trace from propagate is rotated in one call, slot by slot
-    along its leading axis. Each slot measures length changes from its own
-    first sample (dist - dist[0] per slot), so the Doppler phase restarts
-    at every slot; a phase that follows position across slots would change
-    every moving result.
-    """
-    if trace.ap is None or trace.paths is None or trace.path_components is None:
-        raise ConfigError("doppler needs a single-AP trace with path data")
-    ap = trace.ap
-    lam = SPEED_OF_LIGHT / ap.carrier_hz
-    px, py = _positions_at(trajectory, trace.times())
-    dist = np.hypot(px - ap.position.x, py - ap.position.y)
-    if np.any(dist <= 0):
-        raise GeometryError("receiver trajectory passes through the AP")
-    dpx = px - px[..., :1]
-    dpy = py - py[..., :1]
-    bearings = trace.paths.bearings_rad
-    components = np.empty_like(trace.path_components)
-    for k in range(bearings.shape[-1]):
-        if k == 0:
-            delta_len = dist - dist[..., :1]
-        else:
-            alpha = ap.boresight_rad + bearings[..., k, None]  # toward the source
-            delta_len = -(np.cos(alpha) * dpx + np.sin(alpha) * dpy)
-        components[..., k, :] = (trace.path_components[..., k, :]
-                                 * np.exp(-2j * math.pi * delta_len / lam))
-    return replace(trace, samples=components.sum(axis=-2).reshape(-1),
-                   path_components=components)

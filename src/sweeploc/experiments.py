@@ -9,6 +9,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -20,15 +21,15 @@ from . import __version__
 from .backscatter import (InsectNode, SensorRecord, ber_point,
                           frame_from_records, hive_mac_session,
                           payload_duration_s)
-from .channel import add_noise, concat_traces, draw_multipath, propagate, \
-    silence_trace
-from .pipeline import capture_track, fast_estimate_bearings, localize_once
+from .channel import concat_traces, draw_multipath, propagate, silence_trace
+from .pipeline import (capture_track, detect_with_noise, draw_noise,
+                       fast_estimate_bearings, localize_once)
 from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
                     average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h)
-from .receiver import (LookupTable, Receiver, envelope_detect, estimate_angle,
-                       find_preamble, period_samples)
-from .scenario import (ConfigError, Position, Scenario, Trajectory,
+from .receiver import (LookupTable, Receiver, estimate_angle, find_preamble,
+                       period_samples)
+from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
                        scenario_digest, trial_rng, true_bearing)
 from .transmitter import cached_schedule
 
@@ -239,6 +240,8 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     period = ap.sweep_period_s
     distance = RANGE_DISTANCES_M[d_idx]
     limit = math.radians(RANGE_BEARING_LIMIT_DEG)
+    lead, tail = silence_trace(period / 2.0, fs), silence_trace(period, fs)
+    n = len(lead.samples) + period_samples(ap, fs) + len(tail.samples)
     detected = 0
     abs_err_sum = 0.0
     for t in range(lo, hi):
@@ -248,12 +251,10 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
         pos = Position(ap.position.x + distance * math.cos(heading),
                        ap.position.y + distance * math.sin(heading))
         paths = draw_multipath(scn.channel, rng, bearing)
+        noise = draw_noise(scn, n, rng)
         slot = propagate(schedule, paths, pos, fs, t0_s=period / 2.0)
-        buffer = concat_traces([silence_trace(period / 2.0, fs),
-                                slot,
-                                silence_trace(period, fs)])
-        buffer = add_noise(buffer, scn.channel.noise_power_dbm, rng)
-        env = envelope_detect(buffer, scn.detector, rng)
+        env = detect_with_noise(concat_traces([lead, slot, tail]),
+                                scn.detector, noise)
         stop = len(env.volts) - 2 * period_samples(ap, fs) + 1
         det = find_preamble(env, ap, 0, stop)
         if det is None:
@@ -291,14 +292,13 @@ def range_sweep(spec: ExperimentSpec) -> ResultTable:
 FARM_MARGIN_M = 5.0
 FARM_RATIO_MAX = 0.6
 
-_TABLE_CACHE: dict[str, LookupTable] = {}
-
-
-def _cached_table(scn: Scenario) -> LookupTable:
-    key = scenario_digest(scn)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = LookupTable(scn.aps[0], scn.aps[1])
-    return _TABLE_CACHE[key]
+@functools.lru_cache(maxsize=64)
+def cached_table(ap1: ApConfig, ap2: ApConfig) -> LookupTable:
+    """LookupTable(ap1, ap2), once per AP pair; shared, so read-only."""
+    table = LookupTable(ap1, ap2)
+    for grid in (table.xs, table.ys):
+        grid.flags.writeable = False
+    return table
 
 
 def _farm_chunk(task) -> tuple[list[tuple], int]:
@@ -306,7 +306,7 @@ def _farm_chunk(task) -> tuple[list[tuple], int]:
     if scn.field_extent_m is None:
         raise ConfigError("farm experiment needs a field extent")
     width, height = scn.field_extent_m
-    table = _cached_table(scn)
+    table = cached_table(scn.aps[0], scn.aps[1])
     rows: list[tuple] = []
     skipped = 0
     for t in range(lo, hi):
@@ -366,7 +366,7 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
     speed = SPEED_POINTS_MPS[s_idx]
     scn_t = replace(scn, channel=replace(scn.channel, doppler_enabled=True,
                                          multipath_ratio=SPEED_RATIO))
-    table = _cached_table(scn)
+    table = cached_table(scn.aps[0], scn.aps[1])
     round_s = len(scn.aps) * scn.aps[0].sweep_period_s
     tracked = 0
     raw_sum = 0.0

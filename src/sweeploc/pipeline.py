@@ -4,7 +4,8 @@ One TDMA round is every AP's sweep period back to back. A capture of two
 rounds guarantees the scan logic finds a full period from each AP whatever
 the buffer's phase relative to the schedule. However many rounds a capture
 or a moving trial spans, each AP's slots are synthesized in one propagate
-call with a leading rounds axis.
+call with a leading rounds axis. Every capture draws its noise before
+synthesis and adds it around envelope detection.
 """
 
 from __future__ import annotations
@@ -13,62 +14,72 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import (FieldTrace, PathSet, add_noise, apply_doppler,
-                      complex_noise, draw_multipath, propagate, sweep_response)
+from .channel import (FieldTrace, PathSet, complex_noise, draw_multipath,
+                      propagate, sweep_response)
 from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, detector_noise, envelope_detect,
-                       step_estimate_angles)
-from .scenario import ApConfig, Position, Scenario, Trajectory, true_bearing
+                       period_samples, step_estimate_angles)
+from .scenario import (ApConfig, DetectorConfig, Position, Scenario,
+                       Trajectory, true_bearing)
 from .transmitter import cached_schedule
 
 
 def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
                       where: Position | Trajectory, rounds: int = 2,
-                      t0_s: float = 0.0, oversample: int = 1,
-                      noise_rng: np.random.Generator | None = None) -> FieldTrace:
-    """Received field for whole TDMA rounds: one slot per AP per round.
+                      t0_s: float = 0.0) -> FieldTrace:
+    """Noiseless field of whole TDMA rounds: one slot per AP per round.
 
-    Each AP's slots of all rounds come from one propagate call (and one
-    apply_doppler call when the receiver moves and Doppler is on), which
-    are then interleaved in TDMA order; the result equals synthesizing the
+    Each AP's slots of all rounds come from one propagate call, which are
+    then interleaved in TDMA order; the result equals synthesizing the
     rounds one at a time. pathsets[k] is AP k's draw for every round, or
     one draw per round on a leading axis of length rounds. t0_s is the
-    start of round 0; the rounds follow back to back. With noise_rng,
-    channel noise is drawn once over the whole buffer: every real part, then every imaginary part. A trial
-    that draws paths and noise round by round (capture_track) makes its
-    draws first and passes no noise_rng. Doppler, when applied, measures
+    start of round 0; the rounds follow back to back. propagate applies
+    Doppler when the scenario enables it and the receiver moves, measuring
     path lengths from each slot's first sample (see apply_doppler).
     """
-    rate = scn.detector.sample_rate_hz * oversample
+    rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
-    moving = isinstance(where, Trajectory) and len(where.waypoints) > 1
     round_starts = t0_s + np.arange(rounds) * (len(scn.aps) * period)
     samples, kinds = [], []
     for k, ap in enumerate(scn.aps):
         tr = propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k], where,
-                       rate, t0_s=round_starts + k * period, ap_index=k)
-        if scn.channel.doppler_enabled and moving:
-            tr = apply_doppler(tr, where)
+                       rate, t0_s=round_starts + k * period,
+                       doppler=scn.channel.doppler_enabled)
         samples.append(tr.samples.reshape(rounds, -1))
         kinds.append(tr.kinds.reshape(rounds, -1))
     # rounds x APs x samples per slot: the slots in TDMA order
-    combined = FieldTrace(samples=np.stack(samples, axis=1).reshape(-1),
-                          sample_rate_hz=rate, t0_s=t0_s,
-                          kinds=np.stack(kinds, axis=1).reshape(-1))
-    if noise_rng is not None and scn.channel.noise_power_dbm is not None:
-        combined = add_noise(combined, scn.channel.noise_power_dbm, noise_rng)
-    return combined
+    return FieldTrace(samples=np.stack(samples, axis=1).reshape(-1),
+                      sample_rate_hz=rate, t0_s=t0_s,
+                      kinds=np.stack(kinds, axis=1).reshape(-1))
 
 
-def capture_envelope(scn: Scenario, pathsets: list[PathSet],
-                     where: Position | Trajectory, rounds: int = 2,
-                     t0_s: float = 0.0, oversample: int = 1,
-                     noise_rng: np.random.Generator | None = None,
-                     detector_rng: np.random.Generator | None = None
-                     ) -> EnvelopeTrace:
-    field = synthesize_rounds(scn, pathsets, where, rounds, t0_s, oversample,
-                              noise_rng)
-    return envelope_detect(field, scn.detector, detector_rng)
+def draw_noise(scn: Scenario, n: int, rng: np.random.Generator
+               ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Noise of an n-sample capture, drawn before its synthesis.
+
+    Channel noise comes first (every real part, then every imaginary
+    part), then detector output noise; each is None, drawing nothing,
+    when the scenario turns it off.
+    """
+    dbm = scn.channel.noise_power_dbm
+    field = None if dbm is None else complex_noise(dbm, n, rng)
+    return field, detector_noise(scn.detector, n, rng)
+
+
+def detect_with_noise(field: FieldTrace, det: DetectorConfig,
+                      noise: tuple) -> EnvelopeTrace:
+    """envelope_detect with draw_noise's noise: channel noise added to the
+    field before detection, detector noise to the volts after it."""
+    channel, detector = noise
+    if channel is not None:
+        field = replace(field, samples=field.samples + channel)
+    env = envelope_detect(field, det)
+    return env if detector is None else replace(env, volts=env.volts + detector)
+
+
+def _round_samples(scn: Scenario) -> int:
+    """Samples in one TDMA round: one sweep period per AP."""
+    return len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
 
 
 def draw_pathsets(scn: Scenario, where: Position | Trajectory,
@@ -86,18 +97,16 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
     Each round draws from rng in the order a round-by-round simulation
     would: a new multipath draw for every AP once the receiver is
     nlos_redraw_distance_m from the last draw (and in round 0), then the
-    round's channel noise (real parts, then imaginary parts), then its
-    detector noise. The field of all rounds is synthesized afterwards in
-    one synthesize_rounds call, with the draws of each round on a leading
-    rounds axis. Round r's envelope starts at r times the round length.
+    round's noise (draw_noise). The field of all rounds is synthesized
+    afterwards in one synthesize_rounds call, with the draws of each round
+    on a leading rounds axis, and detected with the rounds' noise joined
+    in round order. Round r's envelope starts at r times the round length.
     """
     round_s = len(scn.aps) * scn.aps[0].sweep_period_s
     starts = [r * round_s for r in range(rounds)]
-    n = len(scn.aps) * round(scn.aps[0].sweep_period_s
-                             * scn.detector.sample_rate_hz)
-    noise_dbm = scn.channel.noise_power_dbm
+    n = _round_samples(scn)
     redraw_m = scn.channel.nlos_redraw_distance_m
-    draws, field_noise, det_noise = [], [], []
+    draws, noises = [], []
     last_draw: Position | None = None
     for t0 in starts:
         pos = traj.position_at(t0)
@@ -105,22 +114,15 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
             pathsets = draw_pathsets(scn, traj, rng, t0_s=t0)
             last_draw = pos
         draws.append(pathsets)
-        if noise_dbm is not None:
-            field_noise.append(complex_noise(noise_dbm, n, rng))
-        noise = detector_noise(scn.detector, n, rng)
-        if noise is not None:
-            det_noise.append(noise)
+        noises.append(draw_noise(scn, n, rng))
     per_ap = [PathSet(*(np.stack([getattr(d[k], f) for d in draws])
                         for f in ("amplitudes", "bearings_rad", "excess_phases_rad")))
               for k in range(len(scn.aps))]
-    field = synthesize_rounds(scn, per_ap, traj, rounds)
-    if field_noise:
-        field = replace(field, samples=field.samples + np.concatenate(field_noise))
-    env = envelope_detect(field, scn.detector)
-    volts = env.volts
-    if det_noise:
-        volts = volts + np.concatenate(det_noise)
-    return [EnvelopeTrace(volts=volts[r * n:(r + 1) * n],
+    noise = tuple(None if parts[0] is None else np.concatenate(parts)
+                  for parts in zip(*noises))
+    env = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),
+                            scn.detector, noise)
+    return [EnvelopeTrace(volts=env.volts[r * n:(r + 1) * n],
                           sample_rate_hz=env.sample_rate_hz, t0_s=t0,
                           floor_clipped=env.floor_clipped[r * n:(r + 1) * n])
             for r, t0 in enumerate(starts)]
@@ -148,14 +150,13 @@ def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
 
 def localize_once(scn: Scenario, where: Position | Trajectory,
                   rng: np.random.Generator, table: LookupTable,
-                  receiver: Receiver | None = None, rounds: int = 2,
-                  with_noise: bool = True) -> LocalizationResult:
-    """Draw a channel, synthesize a capture, and run the receiver over it."""
+                  receiver: Receiver | None = None) -> LocalizationResult:
+    """Draw a channel and the noise of a two-round capture, synthesize it,
+    and run the receiver over it."""
     pathsets = draw_pathsets(scn, where, rng)
-    noise_rng = rng if with_noise else None
-    det_rng = rng if with_noise else None
-    env = capture_envelope(scn, pathsets, where, rounds=rounds,
-                           noise_rng=noise_rng, detector_rng=det_rng)
+    noise = draw_noise(scn, 2 * _round_samples(scn), rng)
+    env = detect_with_noise(synthesize_rounds(scn, pathsets, where, rounds=2),
+                            scn.detector, noise)
     if receiver is None:
         receiver = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing,
                             table=table)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -43,15 +43,14 @@ class EnvelopeTrace:
         return len(self.volts)
 
 
-def envelope_detect(trace, det: DetectorConfig,
-                    rng: np.random.Generator | None = None) -> EnvelopeTrace:
+def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
     """Run a field trace through the detector response and output sampler.
 
     Instantaneous input power |s|^2 (mW) maps through the monotone response
     to volts, clipping below the sensitivity floor. If the field is
     oversampled relative to the detector output rate the response output is
-    block-averaged down; Gaussian output noise (sigma from the detector
-    config) is added after decimation when an rng is given.
+    block-averaged down. The output is noiseless; detector_noise draws the
+    Gaussian output noise for a caller to add.
     """
     factor_f = trace.sample_rate_hz / det.sample_rate_hz
     factor = round(factor_f)
@@ -66,18 +65,15 @@ def envelope_detect(trace, det: DetectorConfig,
         n = (len(volts) // factor) * factor
         volts = volts[:n].reshape(-1, factor).mean(axis=1)
         clipped = clipped[:n].reshape(-1, factor).all(axis=1)
-    noise = detector_noise(det, len(volts), rng)
-    if noise is not None:
-        volts = volts + noise
     return EnvelopeTrace(volts=volts, sample_rate_hz=det.sample_rate_hz,
                          t0_s=trace.t0_s, floor_clipped=clipped)
 
 
 def detector_noise(det: DetectorConfig, n: int,
-                   rng: np.random.Generator | None) -> np.ndarray | None:
+                   rng: np.random.Generator) -> np.ndarray | None:
     """n samples of the detector's Gaussian output noise, or None (drawing
-    nothing) without an rng or for a noiseless detector."""
-    if rng is None or det.noise_sigma_volts <= 0:
+    nothing) for a noiseless detector."""
+    if det.noise_sigma_volts <= 0:
         return None
     return rng.normal(0.0, det.noise_sigma_volts, n)
 
@@ -162,12 +158,12 @@ class AngleEstimate:
 
 
 def estimate_angle(env: EnvelopeTrace, period_start_sample: int, ap: ApConfig,
-                   mode: str, ap_index: int = 0,
-                   smoothed_rad: float | None = None) -> AngleEstimate:
+                   mode: str, ap_index: int = 0) -> AngleEstimate:
     """Peak-sample bearing estimate for the period starting at the given sample.
 
     Scans the sweep portion only (preamble excluded), takes the earliest
-    maximum, and inverts the sweep's linear time map.
+    maximum, and inverts the sweep's linear time map. The estimate's
+    smoothed value is the raw one; Receiver smooths across sweeps.
     """
     first, stop = sweep_window_samples(ap, env.sample_rate_hz)
     lo = period_start_sample + first
@@ -176,8 +172,7 @@ def estimate_angle(env: EnvelopeTrace, period_start_sample: int, ap: ApConfig,
         raise ConfigError("sweep window extends past the captured buffer")
     rel = int(np.argmax(env.volts[lo:hi]))
     raw = angle_from_sample(ap, mode, first + rel, env.sample_rate_hz)
-    return AngleEstimate(ap_index=ap_index, raw_rad=raw,
-                         smoothed_rad=raw if smoothed_rad is None else smoothed_rad,
+    return AngleEstimate(ap_index=ap_index, raw_rad=raw, smoothed_rad=raw,
                          peak_sample=lo + rel,
                          timestamp_s=env.t0_s + (lo + rel) / env.sample_rate_hz)
 
@@ -534,9 +529,7 @@ class Receiver:
                              self.sweep_mode, ap_index=which)
         smoothed = smooth_angle(self.smoothed[which], raw.raw_rad, self.smoothing)
         self.smoothed[which] = smoothed
-        return AngleEstimate(ap_index=which, raw_rad=raw.raw_rad,
-                             smoothed_rad=smoothed, peak_sample=raw.peak_sample,
-                             timestamp_s=raw.timestamp_s)
+        return replace(raw, smoothed_rad=smoothed)
 
     def log_measurement(self, kind: str, value: int) -> SensorRecord:
         """Append one measurement stamped with the current smoothed bearings."""

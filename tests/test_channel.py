@@ -8,8 +8,7 @@ import pytest
 
 from sweeploc.channel import (
     PathSet,
-    add_noise,
-    apply_doppler,
+    complex_noise,
     concat_traces,
     draw_multipath,
     propagate,
@@ -25,6 +24,9 @@ from sweeploc.scenario import (
     Trajectory,
     trial_rng,
 )
+from sweeploc.pipeline import draw_noise
+from sweeploc.receiver import detector_noise
+from sweeploc.scenarios import bench_scenario
 from sweeploc.transmitter import K_PREAMBLE, K_SWEEP, build_sweep_schedule
 
 AP = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
@@ -223,18 +225,29 @@ def test_concat_traces_preserves_samples():
 
 
 def test_add_noise_power_statistics():
-    trace = silence_trace(25.0, 4000.0)  # 100k samples
-    noisy = add_noise(trace, -30.0, trial_rng(3, "noise"))
-    measured_mw = np.mean(np.abs(noisy.samples) ** 2)
+    """The capture noise helper: channel noise of the configured power,
+    drawn before the detector noise; with both off it draws nothing."""
+    scn = bench_scenario(seed=3)
+    noisy = replace(scn, channel=replace(scn.channel, noise_power_dbm=-30.0))
+    field, det = draw_noise(noisy, 100_000, trial_rng(3, "noise"))
+    measured_mw = np.mean(np.abs(field) ** 2)
     assert measured_mw == pytest.approx(1e-3, rel=0.02)
-    assert add_noise(trace, None, trial_rng(3)) is trace
+    rng = trial_rng(3, "noise")
+    assert field.tobytes() == complex_noise(-30.0, 100_000, rng).tobytes()
+    assert det.tobytes() == detector_noise(scn.detector, 100_000, rng).tobytes()
+    quiet = replace(scn, detector=replace(scn.detector, output_noise_volts=0.0))
+    rng = trial_rng(3)
+    state = rng.bit_generator.state
+    assert draw_noise(quiet, 100, rng) == (None, None)
+    assert rng.bit_generator.state == state
 
 
 def test_apply_doppler_stationary_is_identity():
     sched = build_sweep_schedule(AP)
     ps = PathSet([1.0, 0.3], [0.0, 0.4], [0.0, 1.0])
     trace = propagate(sched, ps, Position(10.0, 0.0), 4000.0)
-    still = apply_doppler(trace, Trajectory.stationary(Position(10.0, 0.0)))
+    still = propagate(sched, ps, Trajectory.stationary(Position(10.0, 0.0)),
+                      4000.0, doppler=True)
     assert np.allclose(still.samples, trace.samples, rtol=0, atol=1e-15)
 
 
@@ -243,14 +256,13 @@ def test_apply_doppler_radial_motion_rotates_los_phase():
     ps = PathSet([1.0], [0.0], [0.0])
     traj = Trajectory.line(Position(10.0, 0.0), heading_rad=0.0,
                            speed_mps=5.0, duration_s=1.0)
-    static = propagate(sched, ps, Position(10.0, 0.0), 4000.0)
-    moved = apply_doppler(
-        propagate(sched, ps, Position(10.0, 0.0), 4000.0), traj)
+    off = propagate(sched, ps, traj, 4000.0)
+    moved = propagate(sched, ps, traj, 4000.0, doppler=True)
     lam = AP.wavelength_m
     t = np.arange(200) / 4000.0
-    expect = static.samples * np.exp(-2j * math.pi * (5.0 * t) / lam)
+    expect = off.samples * np.exp(-2j * math.pi * (5.0 * t) / lam)
     # compare only where the transmitter radiates
-    on = np.abs(static.samples) > 0
+    on = np.abs(off.samples) > 0
     assert np.allclose(moved.samples[on], expect[on], rtol=1e-9, atol=0)
 
 
@@ -264,18 +276,15 @@ def test_multi_slot_propagate_and_doppler_equal_slot_by_slot():
                            np.array([0.1, 0.12, 0.14]))
     traj = Trajectory.line(Position(10.0, 2.0), heading_rad=0.3,
                            speed_mps=9.1, duration_s=1.0)
-    batched = apply_doppler(propagate(sched, paths, traj, 4000.0, t0_s=starts),
-                            traj)
+    batched = propagate(sched, paths, traj, 4000.0, t0_s=starts, doppler=True)
     assert len(batched.samples) == 3 * 200
     assert batched.t0_s == 0.0
     for r, t0 in enumerate(starts):
         one = PathSet(paths.amplitudes[r], paths.bearings_rad[r],
                       paths.excess_phases_rad[r])
-        slot = apply_doppler(propagate(sched, one, traj, 4000.0, t0_s=float(t0)),
-                             traj)
+        slot = propagate(sched, one, traj, 4000.0, t0_s=float(t0), doppler=True)
         got = batched.samples[r * 200:(r + 1) * 200]
         assert got.tobytes() == slot.samples.tobytes()
-        assert batched.path_components[r].tobytes() == slot.path_components.tobytes()
         assert np.array_equal(batched.kinds[r * 200:(r + 1) * 200], slot.kinds)
 
 
@@ -285,10 +294,7 @@ def test_apply_doppler_checks_geometry_in_every_slot():
     starts = np.array([0.0, 0.1, 0.2])
     # reaches the AP at 0.15 s and stays there: clear in slot 0 only
     reaches = Trajectory(((0.0, Position(10.0, 0.0)), (0.15, AP.position)))
-    first = propagate(sched, ps, Position(10.0, 0.0), 4000.0, t0_s=starts[:1])
-    apply_doppler(first, reaches)
-    trace = propagate(sched, ps, Position(10.0, 0.0), 4000.0, t0_s=starts)
-    with pytest.raises(GeometryError):
-        apply_doppler(trace, reaches)
-    with pytest.raises(GeometryError):
-        propagate(sched, ps, reaches, 4000.0, t0_s=starts)
+    propagate(sched, ps, reaches, 4000.0, t0_s=starts[:1], doppler=True)
+    for doppler in (False, True):
+        with pytest.raises(GeometryError):
+            propagate(sched, ps, reaches, 4000.0, t0_s=starts, doppler=doppler)

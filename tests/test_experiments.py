@@ -8,11 +8,13 @@ from sweeploc.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     ResultTable,
+    cached_table,
     emit_csv,
     read_csv,
     render_csv,
     run_experiment,
 )
+from sweeploc.receiver import LookupTable
 from sweeploc.scenario import ConfigError, scenario_to_yaml
 from sweeploc.scenarios import BUILTIN_SCENARIOS, bench_scenario, farm_scenario
 
@@ -111,6 +113,19 @@ def test_farm_cdf_shape():
     assert cdf[-1] == pytest.approx(1.0)
     assert "median_error_m" in table.meta
     assert table.meta["margin_m"] == 5.0
+
+
+def test_cached_table_is_shared_and_read_only():
+    farm = farm_scenario(seed=5)
+    table = cached_table(farm.aps[0], farm.aps[1])
+    # the table depends on the APs alone, not on the rest of the scenario
+    assert cached_table(*farm_scenario(seed=6).aps[:2]) is table
+    assert cached_table(farm.aps[1], farm.aps[0]) is not table
+    fresh = LookupTable(farm.aps[0], farm.aps[1])
+    for name in ("xs", "ys"):
+        assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
+        with pytest.raises(ValueError):
+            getattr(table, name)[0, 0] = 0.0
 
 
 def test_ber_experiment_columns():

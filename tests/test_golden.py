@@ -6,10 +6,12 @@ uses the sweep. A refactor that must keep behaviour (same arithmetic,
 same rng draw order) keeps every digest; a change that is meant to move
 results updates the table and says why in CHANGES.md.
 
-The builtin farm scenario has no channel noise, so NOISY pins the two
-experiments that draw channel noise inside their trial loop on a farm
-variant with noise on; those digests cover the per-round rng order (path
-redraws, then channel noise, real then imaginary, then detector noise).
+The builtin scenarios have no channel noise, so NOISY pins the three
+experiments that draw channel noise inside their trial loop on a variant
+of their default scenario with noise on; those digests cover the rng
+order of a capture (path draws, then channel noise, real then imaginary,
+then detector noise) and, for range_sweep, noise over the silent padding
+around the slot as well as over the slot.
 
 Every digest was recorded with numpy 2.4.6 on Python 3.11. Another numpy
 release may round a transcendental or a reduction differently, so a
@@ -64,7 +66,8 @@ GOLDEN = {
 }
 
 
-# farm with channel noise at this level still fixes every trial.
+# farm with channel noise at this level still fixes every trial; on the
+# range scenario detections still fall off with distance.
 NOISE_POWER_DBM = -50.0
 
 NOISY = {
@@ -76,6 +79,10 @@ NOISY = {
         "351ed5a99aee4446180bf9e8157f6c806dbc6786a07abcfb14f92ca8d1e7bea2",
     ("farm_cdf", "uniform-theta"):
         "d81688c1c30c21555c48e0dbd4434b55c7eb372339da458393281cc830570636",
+    ("range_sweep", "alg1"):
+        "e5b9183f9411a50559ced96b4d126bf32720b310939d12db27e201289e9f86cb",
+    ("range_sweep", "uniform-theta"):
+        "ca1a72a440b87de9b108429ce8d637eea31b94243ad148140d4cb575a5411abd",
 }
 
 
@@ -98,7 +105,9 @@ def test_csv_bytes_match_golden(experiment, mode):
 
 @pytest.mark.parametrize("experiment,mode", sorted(NOISY))
 def test_csv_bytes_match_golden_with_channel_noise(experiment, mode):
-    assert DEFAULT_SCENARIO[experiment] == "farm"
+    # the plain digest of this experiment draws no channel noise
+    scn = BUILTIN_SCENARIOS[DEFAULT_SCENARIO[experiment]](seed=1)
+    assert scn.channel.noise_power_dbm is None
     digest = csv_digest(experiment, mode, noise_power_dbm=NOISE_POWER_DBM)
     assert digest == NOISY[(experiment, mode)]
 

@@ -8,8 +8,9 @@ import pytest
 
 from sweeploc.channel import PathSet, draw_multipath, propagate
 from sweeploc.pipeline import (
-    capture_envelope,
     capture_track,
+    detect_with_noise,
+    draw_noise,
     draw_pathsets,
     fast_estimate_bearings,
     localize_once,
@@ -30,16 +31,41 @@ def test_synthesize_rounds_buffer_length():
     trace = synthesize_rounds(scn, pathsets, where, rounds=2)
     # two rounds x two APs x 50 ms at 4 kHz
     assert len(trace.samples) == 2 * 2 * 200
-    env = capture_envelope(scn, pathsets, where, rounds=1)
+    env = envelope_detect(synthesize_rounds(scn, pathsets, where, rounds=1),
+                          scn.detector)
     assert len(env.volts) == 400
 
 
+def _noiseless(scn):
+    """scn with its detector's output noise off (it has no channel noise)."""
+    assert scn.channel.noise_power_dbm is None
+    return dataclasses.replace(scn, detector=dataclasses.replace(
+        scn.detector, output_noise_volts=0.0))
+
+
+def test_detect_with_noise_adds_channel_then_detector_noise():
+    scn = bench_scenario(seed=2)
+    scn = dataclasses.replace(scn, channel=dataclasses.replace(
+        scn.channel, noise_power_dbm=-45.0))
+    where = Position(40.0, 10.0)
+    field = synthesize_rounds(scn, draw_pathsets(scn, where, trial_rng(2, "p")),
+                              where)
+    noise = draw_noise(scn, len(field.samples), trial_rng(2, "n"))
+    env = detect_with_noise(field, scn.detector, noise)
+    noisy_field = dataclasses.replace(field, samples=field.samples + noise[0])
+    expect = envelope_detect(noisy_field, scn.detector)
+    assert env.volts.tobytes() == (expect.volts + noise[1]).tobytes()
+    assert np.array_equal(env.floor_clipped, expect.floor_clipped)
+    quiet = detect_with_noise(field, scn.detector, (None, None))
+    assert quiet.volts.tobytes() == envelope_detect(field, scn.detector).volts.tobytes()
+
+
 def test_localize_once_noiseless_near_truth():
-    scn = bench_scenario(seed=3)
+    scn = _noiseless(bench_scenario(seed=3))
     table = LookupTable(scn.aps[0], scn.aps[1])
     where = Position(45.0, 25.0)
     rng = trial_rng(3, "fix")
-    result = localize_once(scn, where, rng, table, with_noise=False)
+    result = localize_once(scn, where, rng, table)
     assert result.ok
     err = math.hypot(result.fix.position.x - 45.0,
                      result.fix.position.y - 25.0)
@@ -47,14 +73,12 @@ def test_localize_once_noiseless_near_truth():
 
 
 def test_localize_once_keeps_receiver_state():
-    scn = bench_scenario(seed=4)
+    scn = _noiseless(bench_scenario(seed=4))
     table = LookupTable(scn.aps[0], scn.aps[1])
     rx = Receiver(scn.aps, scn.sweep_mode, scn.smoothing, table=table)
     where = Position(45.0, 25.0)
-    first = localize_once(scn, where, trial_rng(4, "a"), table, receiver=rx,
-                          with_noise=False)
-    second = localize_once(scn, where, trial_rng(4, "b"), table, receiver=rx,
-                           with_noise=False)
+    first = localize_once(scn, where, trial_rng(4, "a"), table, receiver=rx)
+    second = localize_once(scn, where, trial_rng(4, "b"), table, receiver=rx)
     assert first.ok and second.ok
     # smoothing has converged toward the constant truth
     b1 = true_bearing(scn.aps[0], where)

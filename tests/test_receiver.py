@@ -344,7 +344,7 @@ def test_receiver_two_slot_buffer_produces_fix():
     s1 = propagate(build_sweep_schedule(AP1), PathSet([1.0], [b1], [0.0]),
                    target, FS, t0_s=0.0)
     s2 = propagate(build_sweep_schedule(AP2), PathSet([1.0], [b2], [0.0]),
-                   target, FS, t0_s=0.05, ap_index=1)
+                   target, FS, t0_s=0.05)
     env = envelope_detect(concat_traces([s1, s2]), DET)
     result = rx.process_buffer(env)
     assert result.ok
