@@ -65,12 +65,31 @@ def records_from_bits(bits: Sequence[int]) -> list[SensorRecord]:
 
 @dataclass(frozen=True)
 class SwitchWaveform:
-    """The tag's antenna-switch drive: 0/1 states at the modulator rate."""
+    """The tag's antenna-switch drive at the modulator rate: one-bits toggle
+    at the subcarrier with 50% duty, zero-bits leave the switch open."""
 
-    states: np.ndarray
+    bits: np.ndarray
     sample_rate_hz: float
     subcarrier_hz: float
     bitrate_hz: float
+    one_bit: np.ndarray = field(init=False, repr=False)  # states of a one-bit
+
+    def __post_init__(self) -> None:
+        spb_f = self.sample_rate_hz / self.bitrate_hz
+        half_f = self.sample_rate_hz / (2.0 * self.subcarrier_hz)
+        spb, half = round(spb_f), round(half_f)
+        if spb < 2 or abs(spb_f - spb) > 1e-6:
+            raise ConfigError("sample rate must be an integer multiple of the bitrate")
+        if half < 1 or abs(half_f - half) > 1e-6:
+            raise ConfigError("sample rate must resolve the subcarrier half-period")
+        if spb % (2 * half):
+            raise ConfigError("each bit must span whole subcarrier cycles")
+        object.__setattr__(self, "one_bit",
+                           ((np.arange(spb) // half) % 2 == 0).astype(np.uint8))
+
+    @property
+    def states(self) -> np.ndarray:
+        return np.outer(self.bits, self.one_bit).reshape(-1)
 
     def rising_edges(self) -> int:
         """Count 0-to-1 switch events, including a leading rise from idle."""
@@ -79,26 +98,14 @@ class SwitchWaveform:
 
     @property
     def duration_s(self) -> float:
-        return len(self.states) / self.sample_rate_hz
+        return len(self.bits) / self.bitrate_hz
 
 
 def modulate_frame(frame: Frame, sample_rate_hz: float = 8e6,
                    subcarrier_hz: float = 2e6) -> SwitchWaveform:
-    """Expand frame bits to the switch drive: one-bits toggle at the
-    subcarrier with 50% duty, zero-bits leave the switch open."""
-    spb_f = sample_rate_hz / frame.bitrate_hz
-    half_f = sample_rate_hz / (2.0 * subcarrier_hz)
-    spb, half = round(spb_f), round(half_f)
-    if spb < 2 or abs(spb_f - spb) > 1e-6:
-        raise ConfigError("sample rate must be an integer multiple of the bitrate")
-    if half < 1 or abs(half_f - half) > 1e-6:
-        raise ConfigError("sample rate must resolve the subcarrier half-period")
-    if spb % (2 * half):
-        raise ConfigError("each bit must span whole subcarrier cycles")
-    one_bit = ((np.arange(spb) // half) % 2 == 0).astype(np.uint8)
-    states = np.outer(np.asarray(frame.bits, dtype=np.uint8), one_bit).reshape(-1)
-    return SwitchWaveform(states=states, sample_rate_hz=sample_rate_hz,
-                          subcarrier_hz=subcarrier_hz, bitrate_hz=frame.bitrate_hz)
+    """Expand frame bits to the switch drive at the modulator rate."""
+    return SwitchWaveform(np.asarray(frame.bits, dtype=np.uint8),
+                          sample_rate_hz, subcarrier_hz, frame.bitrate_hz)
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,33 @@ class RxCapture:
         return round(self.sample_rate_hz / self.bitrate_hz)
 
 
+def _decimated_envelope(wave: SwitchWaveform, demod: DemodConfig,
+                        amplitude: float) -> np.ndarray:
+    """The switch waveform at path amplitude, mixed down by the subcarrier
+    offset and block-averaged to the capture rate.
+
+    Every bit spans whole decimation blocks, so the envelope is
+    bits (x) (rotation * template): the one-bit template is mixed and
+    averaged once, and each bit's mixer phase is reduced to under one
+    cycle before the exp, which keeps long frames exact.
+    """
+    factor_f = wave.sample_rate_hz / demod.sample_rate_hz
+    factor = round(factor_f)
+    if factor < 1 or abs(factor_f - factor) > 1e-6:
+        raise ConfigError("modulator rate must be an integer multiple of the capture rate")
+    spb = len(wave.one_bit)
+    if spb % factor:
+        raise ConfigError(f"a bit ({spb} modulator samples) must span whole capture"
+                          f" blocks of {factor}, not {spb / factor:g} blocks")
+    mixed = wave.one_bit * np.exp(-2j * math.pi * demod.offset_hz
+                                  * np.arange(spb) / wave.sample_rate_hz)
+    template = 2.0 * amplitude * mixed.reshape(-1, factor).mean(axis=1)
+    cycles_per_bit = demod.offset_hz * spb / wave.sample_rate_hz
+    phase = np.arange(len(wave.bits)) * (cycles_per_bit % 1.0) % 1.0
+    rotation = np.exp(-2j * math.pi * phase)
+    return (wave.bits[:, None] * rotation[:, None] * template).reshape(-1)
+
+
 def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
                          demod: DemodConfig,
                          rng: np.random.Generator | None = None) -> RxCapture:
@@ -172,23 +206,7 @@ def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
     a one-bit's fundamental lands at amplitude gain * (2/pi) in the
     infinite-rate limit.
     """
-    factor_f = wave.sample_rate_hz / demod.sample_rate_hz
-    factor = round(factor_f)
-    if factor < 1 or abs(factor_f - factor) > 1e-6:
-        raise ConfigError("modulator rate must be an integer multiple of the capture rate")
-    gain = 10.0 ** (link.path_gain_db / 20.0)
-    n = (len(wave.states) // factor) * factor
-    # Mix and decimate in factor-aligned slices; the full modulator-rate
-    # complex waveform would not fit memory for long frames.
-    chunk = max(factor, (4_000_000 // factor) * factor)
-    parts = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        t = np.arange(lo, hi) / wave.sample_rate_hz
-        mixed = 2.0 * gain * wave.states[lo:hi] \
-            * np.exp(-2j * math.pi * demod.offset_hz * t)
-        parts.append(mixed.reshape(-1, factor).mean(axis=1))
-    env = np.concatenate(parts)
+    env = _decimated_envelope(wave, demod, 10.0 ** (link.path_gain_db / 20.0))
     if rng is not None:
         sigma = math.sqrt(10.0 ** (link.noise_floor_dbm / 10.0) / 2.0)
         env = env + rng.normal(0.0, sigma, len(env)) \
@@ -327,31 +345,24 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
         raise ConfigError("need at least one bit")
     demod = demod or DemodConfig()
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    factor = round(wave_rate_hz / demod.sample_rate_hz)
+    bitrate_hz = 1000.0
+    wave = SwitchWaveform(bits, wave_rate_hz, subcarrier_hz, bitrate_hz)
     fundamental = abs(demod_fundamental_gain(wave_rate_hz, subcarrier_hz))
-    gain = 1.0 / fundamental
+    env = _decimated_envelope(wave, demod, 1.0 / fundamental)
+    factor = round(wave_rate_hz / demod.sample_rate_hz)
     # per-dimension sigma chosen so block-averaging by `factor` leaves the
     # capture with total complex noise power 10**(-snr/10)
     sigma_hi = 10.0 ** (-snr_db / 20.0) * math.sqrt(factor / 2.0)
-    # The modulator-rate waveform is 8000x the capture; stream it in
-    # bit-aligned chunks (exact: the switch pattern restarts every bit) and
-    # keep the mixer phase on a global sample clock.
-    chunk_bits = 500
-    bitrate_hz = 1000.0
-    env_parts = []
-    offset = 0
+    # Draw the modulator-rate noise in bit-aligned chunks and keep only its
+    # block means, which add to the decimated envelope.
+    chunk_bits, spb = 500, len(wave.one_bit)
+    noise_parts = []
     for lo in range(0, n_bits, chunk_bits):
-        chunk = bits[lo:lo + chunk_bits]
-        frame = Frame(bits=tuple(int(b) for b in chunk), bitrate_hz=bitrate_hz)
-        wave = modulate_frame(frame, wave_rate_hz, subcarrier_hz)
-        t = (offset + np.arange(len(wave.states))) / wave_rate_hz
-        mixed = 2.0 * gain * wave.states \
-            * np.exp(-2j * math.pi * demod.offset_hz * t)
-        noise = rng.normal(0.0, sigma_hi, len(mixed)) \
-            + 1j * rng.normal(0.0, sigma_hi, len(mixed))
-        env_parts.append((mixed + noise).reshape(-1, factor).mean(axis=1))
-        offset += len(wave.states)
-    rx = RxCapture(samples=np.concatenate(env_parts),
+        n = len(bits[lo:lo + chunk_bits]) * spb
+        real = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
+        imag = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
+        noise_parts.append(real + 1j * imag)
+    rx = RxCapture(samples=env + np.concatenate(noise_parts),
                    sample_rate_hz=demod.sample_rate_hz, bitrate_hz=bitrate_hz)
     decided = ap_demodulate(rx, demod)
     errors = int(np.count_nonzero(decided != bits))
@@ -390,10 +401,6 @@ class MacEvent:
     start_s: float
     end_s: float
     skipped: bool
-
-    @property
-    def elapsed_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 @dataclass

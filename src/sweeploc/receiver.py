@@ -148,14 +148,6 @@ class AngleEstimate:
     peak_sample: int
     timestamp_s: float
 
-    @property
-    def raw_deg(self) -> float:
-        return math.degrees(self.raw_rad)
-
-    @property
-    def smoothed_deg(self) -> float:
-        return math.degrees(self.smoothed_rad)
-
 
 def estimate_angle(env: EnvelopeTrace, period_start_sample: int, ap: ApConfig,
                    mode: str, ap_index: int = 0) -> AngleEstimate:

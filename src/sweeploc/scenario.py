@@ -133,8 +133,9 @@ class ApConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.antenna_count <= 8:
             raise ConfigError(f"antenna_count must be in [2, 8], got {self.antenna_count}")
-        if not 0.0 < self.spacing_wavelengths <= 2.0:
-            raise ConfigError("spacing_wavelengths must be in (0, 2]")
+        if not 0.0 < self.spacing_wavelengths <= 0.5:
+            raise ConfigError("spacing_wavelengths must be in (0, 0.5]: wider spacing"
+                              " has grating lobes, so the bearing is ambiguous")
         if self.carrier_hz <= 0:
             raise ConfigError("carrier_hz must be positive")
         if not 0.0 < self.preamble_duration_s < self.sweep_period_s:

@@ -121,6 +121,55 @@ def test_transmit_decimation_counts():
     assert rx.samples_per_bit == 16
 
 
+def mix_and_decimate_per_sample(wave, link, demod):
+    """Brute-force reference: mix every modulator-rate sample down by the
+    offset with its own exp and block-average to the capture rate."""
+    factor = round(wave.sample_rate_hz / demod.sample_rate_hz)
+    gain = 10.0 ** (link.path_gain_db / 20.0)
+    states = wave.states
+    n = (len(states) // factor) * factor
+    chunk = max(factor, (4_000_000 // factor) * factor)
+    parts = []
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        t = np.arange(lo, hi) / wave.sample_rate_hz
+        mixed = 2.0 * gain * states[lo:hi] \
+            * np.exp(-2j * math.pi * demod.offset_hz * t)
+        parts.append(mixed.reshape(-1, factor).mean(axis=1))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("n_bits, offset_hz", [
+    (512, 2e6),
+    (512, 2_000_500.0),  # 2000.5 mixer cycles per bit: the rotation flips
+    (1608, 2e6),  # a mac_session reply: sync plus 50 records
+])
+def test_transmit_matches_per_sample_mixer(n_bits, offset_hz):
+    """The per-bit template and rotation give the envelope the per-sample
+    mixer gives. The reference's own phase rounding grows with frame time
+    (about 1e-9 relative at 1.6 s), which sets the 1e-12 bound at 2 m."""
+    rng = trial_rng(13, "mixer", n_bits)
+    wave = modulate_frame(Frame(bits=tuple(int(b) for b in
+                                           rng.integers(0, 2, n_bits))))
+    link, demod = LinkBudget(distance_m=2.0), DemodConfig(offset_hz=offset_hz)
+    got = transmit_backscatter(wave, link, demod).samples
+    want = mix_and_decimate_per_sample(wave, link, demod)
+    assert got.shape == want.shape == (n_bits * 16,)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_transmit_rejects_capture_rate_splitting_a_bit():
+    """At 12.5 kHz a decimation block is 640 modulator samples, so a bit
+    of 8000 spans 12.5 blocks and one block would straddle two bits."""
+    wave = modulate_frame(Frame(bits=(1, 0, 1, 1)))
+    with pytest.raises(ConfigError, match="whole capture blocks"):
+        transmit_backscatter(wave, LinkBudget(distance_m=2.0),
+                             DemodConfig(sample_rate_hz=12500.0))
+    with pytest.raises(ConfigError, match="whole capture blocks"):
+        ber_point_waveform_oracle(0.0, 10, trial_rng(14, "oracle-rate"),
+                                  DemodConfig(sample_rate_hz=12500.0))
+
+
 def test_bit_magnitudes_separate_levels():
     rng = trial_rng(6, "levels")
     bits = np.array([1, 0] * 64, dtype=np.uint8)

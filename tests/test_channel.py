@@ -72,7 +72,7 @@ def test_phased_sum_peak_and_wraparound():
         assert np.max(np.abs(got - brute_sum(xs, n))) < 1e-12
 
 
-@pytest.mark.parametrize("spacing", [0.25, 1.0])
+@pytest.mark.parametrize("spacing", [0.25, 0.4])
 def test_sweep_response_weights_paths_at_any_spacing(spacing):
     """Trials x paths at a spacing other than half a wavelength: each
     path's field is a*link*exp(j*psi) times the array sum at its own

@@ -188,6 +188,22 @@ def test_yaml_rejects_non_finite_numbers():
         scenario_from_mapping(m)
 
 
+@pytest.mark.parametrize("spacing", [0.5001, 0.75, 1.0, 2.0])
+def test_spacing_above_half_wavelength_is_rejected_at_load(spacing):
+    """Above lambda/2 a uniform linear array has grating lobes, so a sweep
+    peaks at two steps and the bearing is ambiguous: reject the spacing
+    when the AP is built and when a scenario file is loaded."""
+    good = dict(position=Position(0.0, 0.0), boresight_rad=0.0)
+    with pytest.raises(ConfigError, match="grating lobes"):
+        ApConfig(spacing_wavelengths=spacing, **good)
+    m = _bench_mapping()
+    m["aps"][1]["spacing_wavelengths"] = spacing
+    with pytest.raises(ConfigError, match="spacing_wavelengths"):
+        scenario_from_mapping(m)
+    for legal in (0.1, 0.4, 0.5):
+        assert ApConfig(spacing_wavelengths=legal, **good).spacing_wavelengths == legal
+
+
 def test_yaml_accepts_degree_aliases():
     m = _bench_mapping()
     for ap in m["aps"]:
