@@ -10,22 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
-                       Position, Trajectory, free_space_loss_db, wrap_angle,
-                       SPEED_OF_LIGHT)
+                       Position, Trajectory, free_space_loss_db, wrap_angle)
 from .transmitter import SweepSchedule
 
 
 def phased_sum(x: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Array response sum_i x_i * drive[i, r] of steering vectors x (... x N)
-    under an antenna x row drive matrix. A row axis of x, the one before
-    the antennas, pairs each row with its own drive column; at size 1 it
-    broadcasts, which makes the product x @ drive."""
-    return np.einsum("...i,i...->...", x, drive)
+    """Array response sum_i x[i] * drive[i] of antenna-major steering
+    vectors x (N x ... x rows) under an antenna x row drive matrix. The
+    last axis of x pairs each row with its own drive column; at size 1 it
+    broadcasts, which makes the product x.T @ drive. The antennas stay on
+    the outer axis, so every product runs over whole rows."""
+    return np.einsum("i...,i...->...", x, drive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +82,16 @@ def draw_multipath(cfg: ChannelConfig, rng: np.random.Generator,
 
 
 def _steering(paths: PathSet, ks: slice, bearing: np.ndarray, ap: ApConfig,
-              link: np.ndarray | float) -> np.ndarray:
-    """Weighted steering vectors of paths[ks], ... x paths x rows x antennas.
-    bearing and link broadcast against ... x paths x rows."""
+              link: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Steering vectors of paths[ks] as weights times antenna phase factors;
+    their product is antennas x ... x paths x rows. bearing and link
+    broadcast against ... x paths x rows."""
     phase = 2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearing)
     weight = (paths.amplitudes[..., ks, None] * link
               * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
-    return weight[..., None] * np.exp(
-        1j * np.multiply.outer(phase, np.arange(ap.antenna_count)))
+    antennas = np.arange(ap.antenna_count).reshape(
+        (-1,) + (1,) * max(weight.ndim, phase.ndim))  # before every axis
+    return weight, np.exp(1j * (antennas * phase))
 
 
 def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
@@ -118,26 +119,25 @@ def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
     Otherwise the reflected paths are contracted one at a time, so no
     temporary holds every path's steering vectors for every row.
     """
-    if np.ndim(link):
-        link = np.expand_dims(link, -2)
-    los = _steering(paths, slice(0, 1), np.expand_dims(los_bearing_rad, -2),
-                    ap, link)[..., 0, :, :]
+    link = np.expand_dims(link, -2) if np.ndim(link) else link
+    los = np.multiply(*_steering(paths, slice(0, 1), np.expand_dims(
+        los_bearing_rad, -2), ap, link))[..., 0, :]
+    if not sum_paths:  # contracted now, so its steering vectors are freed
+        los = phased_sum(los, drive)
+    weight, phases = _steering(paths, slice(1, None),
+                               paths.bearings_rad[..., 1:, None], ap, link)
     if sum_paths:
-        reflected = _steering(paths, slice(1, None),
-                              paths.bearings_rad[..., 1:, None], ap, link)
         total = los
-        for k in range(reflected.shape[-3]):
-            total = total + reflected[..., k, :, :]
+        for k in range(weight.shape[-2]):
+            total = total + weight[..., k, :] * phases[..., k, :]
         return phased_sum(total, drive)
-    los = phased_sum(los, drive)
     # The LOS field has the widest shape: its bearing carries the geometry.
-    k_paths = paths.amplitudes.shape[-1]
-    fields = np.empty(los.shape[:-1] + (k_paths, los.shape[-1]), dtype=complex)
+    fields = np.empty(los.shape[:-1] + (weight.shape[-2] + 1, los.shape[-1]),
+                      dtype=complex)
     fields[..., 0, :] = los
-    for k in range(1, k_paths):
-        fields[..., k, :] = phased_sum(_steering(
-            paths, slice(k, k + 1), paths.bearings_rad[..., k, None, None],
-            ap, link)[..., 0, :, :], drive)
+    for k in range(weight.shape[-2]):
+        fields[..., k + 1, :] = phased_sum(weight[..., k, :] * phases[..., k, :],
+                                           drive)
     return fields
 
 
@@ -145,16 +145,14 @@ def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
 class FieldTrace:
     """Sampled complex field at the receiver: a plain sample buffer.
 
-    samples[s] is the total field at t0_s + s/sample_rate_hz; kinds[s]
-    labels the active schedule row (0 silence, K_PREAMBLE, K_SWEEP). A
-    buffer of several slots (see propagate) keeps them back to back,
-    although they may be apart in time.
+    samples[s] is the total field at t0_s + s/sample_rate_hz. A buffer of
+    several slots (see propagate) keeps them back to back, although they
+    may be apart in time.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
     t0_s: float
-    kinds: np.ndarray
 
 
 def propagate(schedule: SweepSchedule, paths: PathSet,
@@ -199,10 +197,8 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     if doppler and len(waypoints) > 1:
         components = apply_doppler(components, paths.bearings_rad, ap,
                                    px, py, dist)
-    kinds = np.broadcast_to(schedule.kinds[row], t_abs.shape)
     return FieldTrace(samples=components.sum(axis=-2).reshape(-1),
-                      sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]),
-                      kinds=kinds.reshape(-1))
+                      sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
 
 
 def apply_doppler(components: np.ndarray, bearings_rad: np.ndarray,
@@ -219,7 +215,6 @@ def apply_doppler(components: np.ndarray, bearings_rad: np.ndarray,
     its own first sample (dist - dist[..., :1]): the phase restarts at
     every slot.
     """
-    lam = SPEED_OF_LIGHT / ap.carrier_hz
     dpx = px - px[..., :1]
     dpy = py - py[..., :1]
     rotated = np.empty_like(components)
@@ -230,28 +225,8 @@ def apply_doppler(components: np.ndarray, bearings_rad: np.ndarray,
             alpha = ap.boresight_rad + bearings_rad[..., k, None]  # toward the source
             delta_len = -(np.cos(alpha) * dpx + np.sin(alpha) * dpy)
         rotated[..., k, :] = (components[..., k, :]
-                              * np.exp(-2j * math.pi * delta_len / lam))
+                              * np.exp(-2j * math.pi * delta_len / ap.wavelength_m))
     return rotated
-
-
-def silence_trace(duration_s: float, sample_rate_hz: float,
-                  t0_s: float = 0.0) -> FieldTrace:
-    n = round(duration_s * sample_rate_hz)
-    return FieldTrace(samples=np.zeros(n, dtype=complex),
-                      sample_rate_hz=sample_rate_hz, t0_s=t0_s,
-                      kinds=np.zeros(n, dtype=np.int8))
-
-
-def concat_traces(traces: Sequence[FieldTrace]) -> FieldTrace:
-    """Join back-to-back slots (e.g. a TDMA round) into one buffer."""
-    if not traces:
-        raise ConfigError("nothing to concatenate")
-    rate = traces[0].sample_rate_hz
-    if any(tr.sample_rate_hz != rate for tr in traces):
-        raise ConfigError("traces must share one sample rate")
-    return FieldTrace(samples=np.concatenate([tr.samples for tr in traces]),
-                      sample_rate_hz=rate, t0_s=traces[0].t0_s,
-                      kinds=np.concatenate([tr.kinds for tr in traces]))
 
 
 def complex_noise(noise_power_dbm: float, n: int,

@@ -7,7 +7,8 @@ import sys
 from dataclasses import replace
 
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
-from .scenario import ConfigError, Scenario, load_scenario_file, scenario_to_yaml
+from .scenario import (ConfigError, Scenario, load_scenario_file,
+                       scenario_to_yaml, with_seed)
 from .scenarios import BUILTIN_SCENARIOS
 
 DEFAULT_SCENARIO = {
@@ -26,9 +27,7 @@ def _resolve_scenario(name_or_path: str, seed: int | None) -> Scenario:
         scn = BUILTIN_SCENARIOS[name_or_path]()
     else:
         scn = load_scenario_file(name_or_path)
-    if seed is not None:
-        scn = replace(scn, seed=seed)
-    return scn
+    return scn if seed is None else with_seed(scn, seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

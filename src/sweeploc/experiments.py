@@ -21,7 +21,7 @@ from . import __version__
 from .backscatter import (InsectNode, SensorRecord, ber_point,
                           frame_from_records, hive_mac_session,
                           payload_duration_s)
-from .channel import concat_traces, draw_multipath, propagate, silence_trace
+from .channel import FieldTrace, draw_multipath, propagate
 from .pipeline import (capture_track, detect_with_noise, draw_noise,
                        fast_estimate_bearings, localize_once)
 from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
@@ -240,10 +240,11 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     period = ap.sweep_period_s
     distance = RANGE_DISTANCES_M[d_idx]
     limit = math.radians(RANGE_BEARING_LIMIT_DEG)
-    lead, tail = silence_trace(period / 2.0, fs), silence_trace(period, fs)
-    n = len(lead.samples) + period_samples(ap, fs) + len(tail.samples)
-    detected = 0
-    abs_err_sum = 0.0
+    # the slot sits between half a period of silence and a whole one
+    lead, slot_n = round(period / 2.0 * fs), period_samples(ap, fs)
+    n = lead + 2 * slot_n
+    pads = np.zeros(lead, complex), np.zeros(slot_n, complex)
+    detected, abs_err_sum = 0, 0.0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
         bearing = rng.uniform(-limit, limit)
@@ -253,10 +254,9 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
         paths = draw_multipath(scn.channel, rng, bearing)
         noise = draw_noise(scn, n, rng)
         slot = propagate(schedule, paths, pos, fs, t0_s=period / 2.0)
-        env = detect_with_noise(concat_traces([lead, slot, tail]),
-                                scn.detector, noise)
-        stop = len(env.volts) - 2 * period_samples(ap, fs) + 1
-        det = find_preamble(env, ap, 0, stop)
+        env = detect_with_noise(FieldTrace(np.concatenate(
+            [pads[0], slot.samples, pads[1]]), fs, 0.0), scn.detector, noise)
+        det = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
         if det is None:
             continue
         detected += 1
@@ -368,24 +368,19 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
                                          multipath_ratio=SPEED_RATIO))
     table = cached_table(scn.aps[0], scn.aps[1])
     round_s = len(scn.aps) * scn.aps[0].sweep_period_s
-    tracked = 0
-    raw_sum = 0.0
-    smooth_sum = 0.0
+    tracked, raw_sum, smooth_sum = 0, 0.0, 0.0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "speed_sweep", s_idx, t)
         start = Position(rng.uniform(SPEED_MARGIN_M, width - SPEED_MARGIN_M),
                          rng.uniform(SPEED_MARGIN_M, height - SPEED_MARGIN_M))
         center_dir = math.atan2(height / 2.0 - start.y, width / 2.0 - start.x)
         heading = center_dir + rng.uniform(-math.pi / 6, math.pi / 6)
-        duration = SPEED_ROUNDS * round_s
-        if speed > 0:
-            traj = Trajectory.line(start, heading, speed, duration)
-        else:
-            traj = Trajectory.stationary(start)
+        traj = (Trajectory.line(start, heading, speed, SPEED_ROUNDS * round_s)
+                if speed > 0 else Trajectory.stationary(start))
         receiver = Receiver(scn_t.aps[:2], scn_t.sweep_mode, scn_t.smoothing,
                             table=table)
-        for env in capture_track(scn_t, traj, rng, SPEED_ROUNDS):
-            result = receiver.process_buffer(env)
+        for result in receiver.scan(capture_track(scn_t, traj, rng,
+                                                  SPEED_ROUNDS)):
             for which, est in enumerate(result.angles):
                 if est is None:
                     continue

@@ -40,17 +40,14 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
     round_starts = t0_s + np.arange(rounds) * (len(scn.aps) * period)
-    samples, kinds = [], []
-    for k, ap in enumerate(scn.aps):
-        tr = propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k], where,
-                       rate, t0_s=round_starts + k * period,
-                       doppler=scn.channel.doppler_enabled)
-        samples.append(tr.samples.reshape(rounds, -1))
-        kinds.append(tr.kinds.reshape(rounds, -1))
+    samples = [propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k],
+                         where, rate, t0_s=round_starts + k * period,
+                         doppler=scn.channel.doppler_enabled
+                         ).samples.reshape(rounds, -1)
+               for k, ap in enumerate(scn.aps)]
     # rounds x APs x samples per slot: the slots in TDMA order
     return FieldTrace(samples=np.stack(samples, axis=1).reshape(-1),
-                      sample_rate_hz=rate, t0_s=t0_s,
-                      kinds=np.stack(kinds, axis=1).reshape(-1))
+                      sample_rate_hz=rate, t0_s=t0_s)
 
 
 def draw_noise(scn: Scenario, n: int, rng: np.random.Generator
@@ -91,16 +88,16 @@ def draw_pathsets(scn: Scenario, where: Position | Trajectory,
 
 
 def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
-                  rounds: int) -> list[EnvelopeTrace]:
-    """Envelope captures of a moving receiver, one per TDMA round.
+                  rounds: int) -> EnvelopeTrace:
+    """Envelope capture of a moving receiver: row r is round r, and t0_s
+    holds each row's start (r times the round length).
 
     Each round draws from rng in the order a round-by-round simulation
     would: a new multipath draw for every AP once the receiver is
     nlos_redraw_distance_m from the last draw (and in round 0), then the
-    round's noise (draw_noise). The field of all rounds is synthesized
-    afterwards in one synthesize_rounds call, with the draws of each round
-    on a leading rounds axis, and detected with the rounds' noise joined
-    in round order. Round r's envelope starts at r times the round length.
+    round's noise (draw_noise). All rounds are then synthesized in one
+    synthesize_rounds call, with each round's draws on a leading rounds
+    axis, and detected with the rounds' noise joined in round order.
     """
     round_s = len(scn.aps) * scn.aps[0].sweep_period_s
     starts = [r * round_s for r in range(rounds)]
@@ -122,10 +119,10 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
                   for parts in zip(*noises))
     env = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),
                             scn.detector, noise)
-    return [EnvelopeTrace(volts=env.volts[r * n:(r + 1) * n],
-                          sample_rate_hz=env.sample_rate_hz, t0_s=t0,
-                          floor_clipped=env.floor_clipped[r * n:(r + 1) * n])
-            for r, t0 in enumerate(starts)]
+    return EnvelopeTrace(volts=env.volts.reshape(rounds, n),
+                         sample_rate_hz=env.sample_rate_hz,
+                         t0_s=np.array(starts),
+                         floor_clipped=env.floor_clipped.reshape(rounds, n))
 
 
 def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -32,15 +32,13 @@ class StoreFullError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvelopeTrace:
-    """Sampled detector output: volts plus a below-floor flag per sample."""
+    """Sampled detector output: volts plus a below-floor flag per sample,
+    or rows of buffers (rows x samples) with one start time t0_s per row."""
 
     volts: np.ndarray
     sample_rate_hz: float
-    t0_s: float
+    t0_s: float | np.ndarray
     floor_clipped: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.volts)
 
 
 def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
@@ -138,6 +136,19 @@ def step_estimate_angles(ap: ApConfig, mode: str,
     return out
 
 
+def sweep_peaks(volts: np.ndarray, period_start: np.ndarray, ap: ApConfig,
+                sample_rate_hz: float) -> np.ndarray:
+    """estimate_angle's peak search over rows of buffers (rows x samples):
+    the earliest maximum of row r's sweep in the period that starts at
+    period_start[r], from one argmax over the gathered sweep windows (past
+    the buffer's end, its last sample again)."""
+    first, stop = sweep_window_samples(ap, sample_rate_hz)
+    lo = period_start[:, None] + first
+    windows = volts[np.arange(len(volts))[:, None],
+                    np.minimum(lo + np.arange(stop - first), volts.shape[-1] - 1)]
+    return lo[:, 0] + np.argmax(windows, axis=1)
+
+
 @dataclass(frozen=True)
 class AngleEstimate:
     """One raw bearing from one sweep, plus its smoothed value."""
@@ -154,19 +165,15 @@ def estimate_angle(env: EnvelopeTrace, period_start_sample: int, ap: ApConfig,
     """Peak-sample bearing estimate for the period starting at the given sample.
 
     Scans the sweep portion only (preamble excluded), takes the earliest
-    maximum, and inverts the sweep's linear time map. The estimate's
-    smoothed value is the raw one; Receiver smooths across sweeps.
+    maximum (sweep_peaks on one row), and inverts the sweep's linear time
+    map. The smoothed value is the raw one; Receiver smooths across sweeps.
     """
-    first, stop = sweep_window_samples(ap, env.sample_rate_hz)
-    lo = period_start_sample + first
-    hi = period_start_sample + stop
-    if period_start_sample < 0 or hi > len(env.volts):
+    rate, start = env.sample_rate_hz, period_start_sample
+    if start < 0 or start + sweep_window_samples(ap, rate)[1] > len(env.volts):
         raise ConfigError("sweep window extends past the captured buffer")
-    rel = int(np.argmax(env.volts[lo:hi]))
-    raw = angle_from_sample(ap, mode, first + rel, env.sample_rate_hz)
-    return AngleEstimate(ap_index=ap_index, raw_rad=raw, smoothed_rad=raw,
-                         peak_sample=lo + rel,
-                         timestamp_s=env.t0_s + (lo + rel) / env.sample_rate_hz)
+    peak = int(sweep_peaks(env.volts[None], np.array([start]), ap, rate)[0])
+    raw = angle_from_sample(ap, mode, peak - start, rate)
+    return AngleEstimate(ap_index, raw, raw, peak, env.t0_s + peak / rate)
 
 
 def smooth_angle(previous_rad: float | None, raw_rad: float,
@@ -186,52 +193,79 @@ class PreambleDetection:
     correlation: float
 
 
+@functools.lru_cache(maxsize=64)
+def centered_template(pattern: tuple[int, ...],
+                      samples_per_bit: int) -> tuple[np.ndarray, float]:
+    """The OOK template of a preamble pattern, centered, and its norm.
+    Built once per (pattern, samples_per_bit); shared, so read-only."""
+    template = np.repeat(np.asarray(pattern, dtype=float), samples_per_bit)
+    tc = template - template.mean()
+    tc.flags.writeable = False
+    return tc, math.sqrt(float(tc @ tc))
+
+
 def correlate_pattern(volts: np.ndarray, pattern: Iterable[int],
                       samples_per_bit: int) -> np.ndarray:
-    """Normalized (Pearson) correlation of the OOK template at every offset.
-    Row sums, not a BLAS product whose rounding varies with a row's
-    position, keep each value a function of its own window alone."""
-    template = np.repeat(np.asarray(list(pattern), dtype=float), samples_per_bit)
-    length = len(template)
-    if len(volts) < length:
-        return np.empty(0)
-    tc = template - template.mean()
-    tnorm = math.sqrt(float(tc @ tc))
-    windows = np.lib.stride_tricks.sliding_window_view(volts, length)
-    wc = windows - windows.mean(axis=1, keepdims=True)
-    wnorm = np.sqrt((wc * wc).sum(axis=1))
-    num = (wc * tc).sum(axis=1)
+    """Normalized (Pearson) correlation of the OOK template at every offset
+    along the last axis of volts, so of rows of buffers at once. Row sums,
+    not a BLAS product whose rounding varies with a row's position, keep
+    each value a function of its own window alone."""
+    tc, tnorm = centered_template(tuple(pattern), samples_per_bit)
+    offsets = max(volts.shape[-1] - len(tc) + 1, 0)
+    windows = np.lib.stride_tricks.as_strided(  # read-only sliding windows
+        volts, volts.shape[:-1] + (offsets, len(tc)),
+        volts.strides + volts.strides[-1:], writeable=False)
+    wc = windows - windows.sum(axis=-1, keepdims=True) / len(tc)  # = np.mean, cheaper
+    wnorm = np.sqrt((wc * wc).sum(axis=-1))
+    num = (wc * tc).sum(axis=-1)
     den = wnorm * tnorm
-    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+
+def search_preambles(volts: np.ndarray, ap: ApConfig, sample_rate_hz: float,
+                     start: np.ndarray, stop: np.ndarray,
+                     threshold: float = PREAMBLE_CORRELATION_THRESHOLD
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """find_preamble over rows of buffers (rows x samples) at once, row r
+    searching the template start offsets [start[r], stop[r]). Returns each
+    row's earliest best offset, its correlation, and whether it reached
+    the threshold (never for an empty window)."""
+    spb_f = ap.preamble_bit_duration_s * sample_rate_hz
+    spb = round(spb_f)
+    if spb < 1 or abs(spb_f - spb) > 1e-6:
+        raise ConfigError("preamble bit must span an integer number of samples")
+    pattern = PREAMBLE_PATTERNS[ap.preamble_id]
+    n, span = volts.shape[-1], len(pattern) * spb - 1
+    stop = np.minimum(stop, n - span)
+    width = int((stop - start).max(initial=0))
+    if width <= 0:
+        return start, np.zeros(len(start)), np.zeros(len(start), dtype=bool)
+    # each row from its first offset on (past its end: its last sample, masked)
+    rows = np.arange(len(volts))
+    segment = volts[rows[:, None], np.minimum(
+        start[:, None] + np.arange(width + span), n - 1)]
+    corr = np.where(np.arange(width) < (stop - start)[:, None],
+                    correlate_pattern(segment, pattern, spb), -np.inf)
+    best = np.argmax(corr, axis=1)
+    peak = corr[rows, best]
+    return start + best, peak, (stop > start) & ~(peak < threshold)
 
 
 def find_preamble(env: EnvelopeTrace, ap: ApConfig, start: int = 0,
                   stop: int | None = None,
                   threshold: float = PREAMBLE_CORRELATION_THRESHOLD
                   ) -> PreambleDetection | None:
-    """Best correlation offset for this AP's preamble in [start, stop).
+    """Best correlation offset for this AP's preamble in [start, stop), by
+    search_preambles on one row.
 
     stop bounds the template's *start* offset. Returns None when no offset
     reaches the threshold.
     """
-    spb_f = ap.preamble_bit_duration_s * env.sample_rate_hz
-    spb = round(spb_f)
-    if spb < 1 or abs(spb_f - spb) > 1e-6:
-        raise ConfigError("preamble bit must span an integer number of samples")
-    pattern = PREAMBLE_PATTERNS[ap.preamble_id]
-    template_len = len(pattern) * spb
-    offsets = len(env.volts) - template_len + 1
-    stop = offsets if stop is None else min(stop, offsets)
-    if start >= stop:
-        return None
-    segment = correlate_pattern(env.volts[start:stop + template_len - 1],
-                                pattern, spb)
-    best = int(np.argmax(segment))
-    if segment[best] < threshold:
-        return None
-    return PreambleDetection(preamble_id=ap.preamble_id,
-                             start_sample=start + best,
-                             correlation=float(segment[best]))
+    best, corr, found = search_preambles(
+        env.volts[None], ap, env.sample_rate_hz, np.array([start]),
+        np.array([len(env.volts) if stop is None else stop]), threshold)
+    return (PreambleDetection(ap.preamble_id, int(best[0]), float(corr[0]))
+            if found[0] else None)
 
 
 # --- two-AP fix -----------------------------------------------------------
@@ -322,9 +356,6 @@ class LookupTable:
         if not 0 <= idx < self.cell_count:
             raise LowConfidenceFixError(f"bearing {deg:.2f} deg outside the table")
         return idx
-
-    def valid_fraction(self) -> float:
-        return float(np.isfinite(self.xs).mean())
 
 
 def fix_2d(bearing1_rad: float, bearing2_rad: float, table: LookupTable,
@@ -492,36 +523,50 @@ class Receiver:
         self.fixes: list[LocationFix] = []
 
     def process_buffer(self, env: EnvelopeTrace) -> LocalizationResult:
-        ap1, ap2 = self.aps[0], self.aps[1]
-        n_period = period_samples(ap1, env.sample_rate_hz)
-        # det1 needs two full slots after it; det2 needs one.
-        search_stop = len(env.volts) - 2 * n_period + 1
-        det1 = find_preamble(env, ap1, 0, max(search_stop, 0))
-        if det1 is None:
-            return LocalizationResult((None, None), (None, None), None)
-        est1 = self._track(env, det1.start_sample, 0)
-        det2_stop = min(det1.start_sample + 2 * n_period - 1,
-                        len(env.volts) - n_period + 1)
-        det2 = find_preamble(env, ap2, det1.start_sample + n_period, det2_stop)
-        if det2 is None:
-            return LocalizationResult((det1, None), (est1, None), None)
-        est2 = self._track(env, det2.start_sample, 1)
-        try:
-            fix = fix_2d(est1.smoothed_rad, est2.smoothed_rad, self.table,
-                         timestamp_s=est2.timestamp_s)
-        except LowConfidenceFixError:
-            return LocalizationResult((det1, det2), (est1, est2), None,
-                                      low_confidence=True)
-        self.fixes.append(fix)
-        return LocalizationResult((det1, det2), (est1, est2), fix)
+        """Scan one buffer: scan with a batch of one."""
+        return self.scan(env)[0]
 
-    def _track(self, env: EnvelopeTrace, start_sample: int,
-               which: int) -> AngleEstimate:
-        raw = estimate_angle(env, start_sample, self.aps[which],
-                             self.sweep_mode, ap_index=which)
-        smoothed = smooth_angle(self.smoothed[which], raw.raw_rad, self.smoothing)
-        self.smoothed[which] = smoothed
-        return replace(raw, smoothed_rad=smoothed)
+    def scan(self, env: EnvelopeTrace) -> list[LocalizationResult]:
+        """process_buffer over each row of a rows x samples envelope (a 1-D
+        envelope is one row), in row order. Each AP's preamble search and
+        sweep peak run over all rows at once; a plain loop over the rows
+        then smooths and fixes, skipping AP 2 where AP 1 was missed."""
+        volts, rate = np.atleast_2d(env.volts), env.sample_rate_hz
+        (rows, n), n_period = volts.shape, period_samples(self.aps[0], rate)
+        # det1 needs two full slots after it; det2 needs one.
+        det1 = search_preambles(volts, self.aps[0], rate, np.zeros(rows, int),
+                                np.full(rows, n - 2 * n_period + 1))
+        start1 = det1[0]
+        hi2 = np.minimum(start1 + 2 * n_period - 1, n - n_period + 1)
+        det2 = search_preambles(volts, self.aps[1], rate, start1 + n_period, hi2)
+        per_ap = []
+        for ap, (start, corr, found) in zip(self.aps, (det1, det2)):
+            # rows that missed this AP get a placeholder peak, never read
+            peak = sweep_peaks(volts, start, ap, rate)
+            per_ap.append(zip(*(a.tolist() for a in (
+                found, start, corr, peak, env.t0_s + peak / rate))))
+        results = []
+        for row in zip(*per_ap):
+            dets, ests = [None, None], [None, None]
+            for which, (found, start, corr, peak, stamp) in enumerate(row):
+                if not found:
+                    break
+                ap = self.aps[which]
+                raw = angle_from_sample(ap, self.sweep_mode, peak - start, rate)
+                smoothed = smooth_angle(self.smoothed[which], raw, self.smoothing)
+                self.smoothed[which] = smoothed
+                dets[which] = PreambleDetection(ap.preamble_id, start, corr)
+                ests[which] = AngleEstimate(which, raw, smoothed, peak, stamp)
+            fix, low = None, False
+            if ests[1] is not None:
+                try:
+                    fix = fix_2d(ests[0].smoothed_rad, ests[1].smoothed_rad,
+                                 self.table, timestamp_s=ests[1].timestamp_s)
+                    self.fixes.append(fix)
+                except LowConfidenceFixError:
+                    low = True
+            results.append(LocalizationResult(tuple(dets), tuple(ests), fix, low))
+        return results
 
     def log_measurement(self, kind: str, value: int) -> SensorRecord:
         """Append one measurement stamped with the current smoothed bearings."""

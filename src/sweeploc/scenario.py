@@ -57,8 +57,7 @@ class Trajectory:
     """Piecewise-linear motion: waypoints of (time_s, Position).
 
     Before the first waypoint and after the last the position is clamped
-    (zero velocity). velocity_at() returns the segment slope, using the
-    right-hand segment at interior waypoint times.
+    (zero velocity).
     """
 
     waypoints: tuple[tuple[float, Position], ...]
@@ -97,16 +96,6 @@ class Trajectory:
                 f = (t - t0) / (t1 - t0)
                 return Position(p0.x + f * (p1.x - p0.x), p0.y + f * (p1.y - p0.y))
         return pts[-1][1]
-
-    def velocity_at(self, t: float) -> tuple[float, float]:
-        pts = self.waypoints
-        if len(pts) == 1 or t < pts[0][0] or t >= pts[-1][0]:
-            return (0.0, 0.0)
-        for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
-            if t0 <= t < t1:
-                dt = t1 - t0
-                return ((p1.x - p0.x) / dt, (p1.y - p0.y) / dt)
-        return (0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ PREAMBLE_PATTERNS: dict[int, tuple[int, ...]] = {
     2: (1, 1, 0, 0, 1, 1, 0, 0),
 }
 
-# Row kind codes; FieldTrace.kinds uses the same codes, with 0 for silence.
+# Row kind codes of SweepSchedule.kinds.
 K_PREAMBLE = 1
 K_SWEEP = 2
 

@@ -16,7 +16,8 @@ from sweeploc.pipeline import (
     localize_once,
     synthesize_rounds,
 )
-from sweeploc.receiver import LookupTable, Receiver, envelope_detect, estimate_angle
+from sweeploc.receiver import (EnvelopeTrace, LookupTable, Receiver,
+                               envelope_detect, estimate_angle)
 from sweeploc.scenario import (GeometryError, Position, Trajectory, trial_rng,
                                true_bearing)
 from sweeploc.scenarios import bench_scenario, farm_scenario
@@ -167,8 +168,6 @@ def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
     assert batched.t0_s == single[0].t0_s
     assert batched.samples.tobytes() == np.concatenate(
         [tr.samples for tr in single]).tobytes()
-    assert np.array_equal(batched.kinds,
-                          np.concatenate([tr.kinds for tr in single]))
 
 
 @pytest.mark.parametrize("noise_dbm", [None, -50.0])
@@ -178,11 +177,68 @@ def test_capture_track_rounds_start_where_the_round_starts(noise_dbm):
         scn.channel, noise_power_dbm=noise_dbm))
     traj = Trajectory.line(Position(40.0, 30.0), heading_rad=0.4,
                            speed_mps=5.0, duration_s=1.0)
-    envs = capture_track(scn, traj, trial_rng(6, "track"), rounds=5)
-    assert [env.t0_s for env in envs] == [r * 0.1 for r in range(5)]
-    assert all(len(env) == 400 for env in envs)
+    env = capture_track(scn, traj, trial_rng(6, "track"), rounds=5)
+    assert env.t0_s.tolist() == [r * 0.1 for r in range(5)]
+    assert env.volts.shape == env.floor_clipped.shape == (5, 400)
     rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
-    assert all(rx.process_buffer(env).ok for env in envs)
+    assert all(result.ok for result in rx.scan(env))
+
+
+def _scan_both_ways(scn, traj, rng):
+    """One Receiver.scan over a 40-round capture, and process_buffer on
+    each round in turn with a second receiver: results and receiver state
+    must be equal."""
+    env = capture_track(scn, traj, rng, rounds=40)
+    batched_rx, single_rx = (Receiver(scn.aps[:2], scn.sweep_mode,
+                                      scn.smoothing) for _ in range(2))
+    batched = batched_rx.scan(env)
+    single = [single_rx.process_buffer(EnvelopeTrace(
+        env.volts[r], env.sample_rate_hz, float(env.t0_s[r]),
+        env.floor_clipped[r])) for r in range(40)]
+    # detections, raw and smoothed bearings, peaks, timestamps, fixes and
+    # low_confidence, all compared exactly
+    assert batched == single
+    assert batched_rx.smoothed == single_rx.smoothed
+    assert batched_rx.fixes == single_rx.fixes
+    return batched
+
+
+@pytest.mark.parametrize("speed", [0.0, 9.1])
+@pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
+def test_batched_receiver_equals_round_by_round(mode, speed):
+    scn = _moving_farm(mode, True, seed=8)
+    start = Position(50.0, 40.0)
+    traj = (Trajectory.line(start, 0.4, speed, 4.0) if speed
+            else Trajectory.stationary(start))
+    results = _scan_both_ways(scn, traj, trial_rng(8, "scan", mode, speed))
+    assert sum(r.ok for r in results) >= 30
+
+
+@pytest.mark.parametrize("track", ["diagonal", "outbound"])
+def test_batched_receiver_equals_round_by_round_with_misses(track):
+    """Rounds that miss AP 1, miss AP 2 or give a low-confidence fix:
+    detector noise on a track along the line through both APs (nearly
+    parallel bearings), and on one that flies out of the field."""
+    scn = _moving_farm("alg1", True, seed=3)
+    if track == "diagonal":
+        traj = Trajectory.line(Position(55.0, 5.0), math.atan2(45.0, -60.0),
+                               9.1, 4.0)
+        noise = 1e-3
+    else:
+        traj = Trajectory.line(Position(60.0, 30.0), math.pi / 2, 36.4, 4.0)
+        noise = 3e-4
+    scn = dataclasses.replace(scn, detector=dataclasses.replace(
+        scn.detector, output_noise_volts=noise))
+    results = _scan_both_ways(scn, traj, trial_rng(3, "x", track))
+    missed_ap1 = sum(r.detections[0] is None for r in results)
+    missed_ap2 = sum(r.detections[0] is not None and r.detections[1] is None
+                     for r in results)
+    low = sum(r.low_confidence for r in results)
+    assert sum(r.ok for r in results) > 0
+    if track == "diagonal":
+        assert missed_ap2 > 0 and low > 0
+    else:
+        assert missed_ap1 > 0
 
 
 @pytest.mark.parametrize("doppler", [False, True])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sweeploc.channel import PathSet, concat_traces, propagate, silence_trace
+from sweeploc.channel import FieldTrace, PathSet, propagate
 from sweeploc.receiver import (
     MIN_CROSSING_SINE,
     EnvelopeTrace,
@@ -20,6 +20,7 @@ from sweeploc.receiver import (
     angle_code,
     angle_from_code,
     angle_from_sample,
+    centered_template,
     correlate_pattern,
     envelope_detect,
     estimate_angle,
@@ -27,8 +28,10 @@ from sweeploc.receiver import (
     fix_2d,
     intersect_bearings,
     period_samples,
+    search_preambles,
     smooth_angle,
     step_estimate_angles,
+    sweep_peaks,
     sweep_window_samples,
 )
 from sweeploc.scenario import (
@@ -46,6 +49,14 @@ AP2 = ApConfig(position=Position(100.0, 0.0), boresight_rad=math.pi,
                preamble_id=2)
 DET = DetectorConfig()
 FS = DET.sample_rate_hz
+
+
+def joined(*slots):
+    """One buffer of back-to-back field samples (numbers of zeros for
+    silence), starting at t = 0."""
+    parts = [np.zeros(s, dtype=complex) if isinstance(s, int) else s.samples
+             for s in slots]
+    return FieldTrace(np.concatenate(parts), FS, 0.0)
 
 
 def los_trace(ap, phi, dist=10.0, mode="alg1", t0=0.0):
@@ -67,7 +78,7 @@ def test_envelope_detect_response_and_clip():
     assert not env.floor_clipped.all()
     # power at 10 m is far above the floor; silence clips to the floor
     assert env.volts[32:].max() > DET.floor_volts
-    quiet = envelope_detect(silence_trace(0.05, FS), DET)
+    quiet = envelope_detect(joined(200), DET)
     assert np.all(quiet.volts == DET.floor_volts)
     assert quiet.floor_clipped.all()
 
@@ -157,9 +168,8 @@ def test_correlate_pattern_orthogonal_preambles():
 
 def test_find_preamble_locates_slot_start():
     t_lead = 0.025
-    lead = silence_trace(t_lead, FS)
     slot = los_trace(AP1, math.radians(10.0), t0=t_lead)
-    env = envelope_detect(concat_traces([lead, slot]), DET)
+    env = envelope_detect(joined(round(t_lead * FS), slot), DET)
     det = find_preamble(env, AP1)
     assert det is not None
     assert det.start_sample == round(t_lead * FS)
@@ -178,7 +188,7 @@ def test_find_preamble_rejects_other_ap_pattern():
 
 
 def test_find_preamble_below_floor_returns_none():
-    env = envelope_detect(silence_trace(0.1, FS), DET)
+    env = envelope_detect(joined(400), DET)
     assert find_preamble(env, AP1) is None
 
 
@@ -201,6 +211,70 @@ def test_find_preamble_equals_whole_buffer_search(start, stop):
     best = start + int(np.argmax(corr[start:end]))
     assert got.start_sample == best
     assert got.correlation == corr[best]
+
+
+def test_find_preamble_equals_whole_buffer_search_in_rows():
+    """Rows of buffers searched at once, each in its own [start, stop)
+    window, give bit for bit what the whole-buffer correlation of each row
+    gives, and what find_preamble gives on the row alone."""
+    pattern = PREAMBLE_PATTERNS[AP1.preamble_id]
+    windows = [(0, 200), (0, 40), (37, 120), (150, 400), (163, 165), (90, 90),
+               (100, 101), (2, 169)]
+    volts = trial_rng(11, "preamble-rows").normal(0.0, 0.05, (len(windows), 200))
+    for r in range(len(windows)):
+        volts[r, 60 + 10 * r:92 + 10 * r] += np.repeat(pattern, 4)
+    start, stop = (np.array(w) for w in zip(*windows))
+    best, corr, found = search_preambles(volts, AP1, FS, start, stop,
+                                         threshold=-1.0)
+    assert found.tolist() == [lo < min(hi, 169) for lo, hi in windows]
+    for r, (lo, hi) in enumerate(windows):
+        whole = correlate_pattern(volts[r], pattern, 4)
+        env = EnvelopeTrace(volts[r], FS, 0.0, np.zeros(200, dtype=bool))
+        one = find_preamble(env, AP1, lo, hi, threshold=-1.0)
+        if not found[r]:
+            assert one is None
+            continue
+        want = lo + int(np.argmax(whole[lo:min(hi, len(whole))]))
+        assert best[r] == one.start_sample == want
+        assert corr[r] == one.correlation == whole[want]
+    # a row's window reaching the threshold is a detection, the rest not
+    _, _, strict = search_preambles(volts, AP1, FS, start, stop)
+    assert strict.tolist() == (found & (corr >= 0.75)).tolist()
+
+
+def test_sweep_peaks_rows_with_their_own_periods():
+    """Each row's peak is the earliest maximum of its own sweep window,
+    the same as estimate_angle on the row alone."""
+    first, stop = sweep_window_samples(AP1, FS)
+    starts = np.array([0, 37, 200, 5, 199, 120])
+    volts = trial_rng(12, "peak-rows").normal(0.0, 1.0, (len(starts), 400))
+    volts[1, 37 + first:37 + stop] = 0.0  # a flat sweep: the first sample wins
+    peaks = sweep_peaks(volts, starts, AP1, FS)
+    for r, p in enumerate(starts):
+        assert peaks[r] == p + first + int(np.argmax(volts[r, p + first:p + stop]))
+        env = EnvelopeTrace(volts[r], FS, 0.25, np.zeros(400, dtype=bool))
+        est = estimate_angle(env, int(p), AP1, "alg1")
+        assert est.peak_sample == peaks[r]
+        assert est.raw_rad == angle_from_sample(AP1, "alg1", peaks[r] - p, FS)
+        assert est.timestamp_s == 0.25 + peaks[r] / FS
+
+
+def test_centered_template_is_cached_read_only_and_exact():
+    """The template the correlator uses is built once per (pattern,
+    samples per bit), cannot be written, and equals the per-call formula
+    bit for bit."""
+    for pattern in PREAMBLE_PATTERNS.values():
+        for spb in (1, 4, 7):
+            tc, tnorm = centered_template(pattern, spb)
+            again, _ = centered_template(tuple(list(pattern)), spb)
+            assert again is tc
+            assert not tc.flags.writeable
+            with pytest.raises(ValueError):
+                tc[0] = 0.0
+            template = np.repeat(np.asarray(list(pattern), dtype=float), spb)
+            want = template - template.mean()
+            assert tc.tobytes() == want.tobytes()
+            assert tnorm == math.sqrt(float(want @ want))
 
 
 def test_intersect_bearings_exact_geometry():
@@ -226,7 +300,7 @@ def test_intersect_bearings_degenerate_cases():
 def test_lookup_table_exact_at_cell_centers():
     table = LookupTable(AP1, AP2)
     assert table.resolution_deg == 1.0
-    assert 0.0 < table.valid_fraction() < 1.0
+    assert 0.0 < np.isfinite(table.xs).mean() < 1.0
     target = Position(30.5, 44.2)
     b1 = true_bearing(AP1, target)
     b2 = true_bearing(AP2, target)
@@ -255,7 +329,7 @@ def test_lookup_table_equals_intersect_bearings_loop(pair, resolution):
             pt = intersect_bearings(ap1, float(b1), ap2, float(b2))
             if pt is not None:
                 xs[i, j], ys[i, j] = pt.x, pt.y
-    assert 0.0 < table.valid_fraction() < 1.0
+    assert 0.0 < np.isfinite(table.xs).mean() < 1.0
     assert np.array_equal(np.isnan(table.xs), np.isnan(xs))
     assert table.xs.tobytes() == xs.tobytes()
     assert table.ys.tobytes() == ys.tobytes()
@@ -345,7 +419,7 @@ def test_receiver_two_slot_buffer_produces_fix():
                    target, FS, t0_s=0.0)
     s2 = propagate(build_sweep_schedule(AP2), PathSet([1.0], [b2], [0.0]),
                    target, FS, t0_s=0.05)
-    env = envelope_detect(concat_traces([s1, s2]), DET)
+    env = envelope_detect(joined(s1, s2), DET)
     result = rx.process_buffer(env)
     assert result.ok
     err = math.hypot(result.fix.position.x - 50.0,

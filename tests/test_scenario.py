@@ -121,7 +121,6 @@ def test_trajectory_stationary_and_line():
     still = Trajectory.stationary(Position(3.0, 4.0))
     assert still.position_at(0.0) == Position(3.0, 4.0)
     assert still.position_at(100.0) == Position(3.0, 4.0)
-    assert still.velocity_at(1.0) == (0.0, 0.0)
 
     line = Trajectory.line(Position(0.0, 0.0), heading_rad=0.0,
                            speed_mps=2.0, duration_s=10.0)
@@ -132,7 +131,9 @@ def test_trajectory_stationary_and_line():
     assert xy(line.position_at(5.0)) == pytest.approx((10.0, 0.0))
     assert xy(line.position_at(10.0)) == pytest.approx((20.0, 0.0))
     assert xy(line.position_at(25.0)) == pytest.approx((20.0, 0.0))  # clamped
-    assert line.velocity_at(5.0) == pytest.approx((2.0, 0.0))
+    # 2 m/s along the heading while it moves, standing still after
+    assert xy(line.position_at(6.0)) == pytest.approx((12.0, 0.0))
+    assert line.position_at(30.0) == line.position_at(25.0)
 
 
 def test_trial_rng_reproducible_and_key_sensitive():
