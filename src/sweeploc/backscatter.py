@@ -21,6 +21,7 @@ from .scenario import ConfigError, DetectorConfig, free_space_loss_db
 MAX_FRAME_BITS = 8 * 32768  # a full measurement log
 SUBCARRIER_GAIN_DB = 20.0 * math.log10(2.0 / math.pi)  # square-wave fundamental
 SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
+UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class Frame:
     """An uplink payload: bits at the tag's (slow) backscatter bitrate."""
 
     bits: tuple[int, ...]
-    bitrate_hz: float = 1000.0
+    bitrate_hz: float = UPLINK_BITRATE_HZ
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.bits) <= MAX_FRAME_BITS:
@@ -48,7 +49,7 @@ def payload_duration_s(frame: Frame) -> float:
 
 
 def frame_from_records(records: Sequence[SensorRecord],
-                       bitrate_hz: float = 1000.0) -> Frame:
+                       bitrate_hz: float = UPLINK_BITRATE_HZ) -> Frame:
     """Serialize packed records to an uplink frame, MSB first."""
     payload = b"".join(r.pack() for r in records)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
@@ -63,6 +64,13 @@ def records_from_bits(bits: Sequence[int]) -> list[SensorRecord]:
     return [SensorRecord.unpack(payload[k:k + 4]) for k in range(0, len(payload), 4)]
 
 
+def _whole_ratio(numerator: float, denominator: float, message: str) -> int:
+    ratio = round(numerator / denominator)
+    if ratio < 1 or abs(numerator / denominator - ratio) > 1e-6:
+        raise ConfigError(message)
+    return ratio
+
+
 @dataclass(frozen=True)
 class SwitchWaveform:
     """The tag's antenna-switch drive at the modulator rate: one-bits toggle
@@ -75,13 +83,10 @@ class SwitchWaveform:
     one_bit: np.ndarray = field(init=False, repr=False)  # states of a one-bit
 
     def __post_init__(self) -> None:
-        spb_f = self.sample_rate_hz / self.bitrate_hz
-        half_f = self.sample_rate_hz / (2.0 * self.subcarrier_hz)
-        spb, half = round(spb_f), round(half_f)
-        if spb < 2 or abs(spb_f - spb) > 1e-6:
-            raise ConfigError("sample rate must be an integer multiple of the bitrate")
-        if half < 1 or abs(half_f - half) > 1e-6:
-            raise ConfigError("sample rate must resolve the subcarrier half-period")
+        spb = _whole_ratio(self.sample_rate_hz, self.bitrate_hz,
+                           "sample rate must be an integer multiple of the bitrate")
+        half = _whole_ratio(self.sample_rate_hz, 2.0 * self.subcarrier_hz,
+                            "sample rate must resolve the subcarrier half-period")
         if spb % (2 * half):
             raise ConfigError("each bit must span whole subcarrier cycles")
         object.__setattr__(self, "one_bit",
@@ -155,6 +160,11 @@ class DemodConfig:
     def filter_length(self) -> int:
         return max(1, round(self.sample_rate_hz / self.filter_bandwidth_hz))
 
+    @property
+    def samples_per_bit(self) -> int:
+        return _whole_ratio(self.sample_rate_hz, UPLINK_BITRATE_HZ, "capture"
+                            " rate must be a whole multiple of the uplink bitrate")
+
 
 @dataclass(frozen=True)
 class RxCapture:
@@ -179,10 +189,8 @@ def _decimated_envelope(wave: SwitchWaveform, demod: DemodConfig,
     averaged once, and each bit's mixer phase is reduced to under one
     cycle before the exp, which keeps long frames exact.
     """
-    factor_f = wave.sample_rate_hz / demod.sample_rate_hz
-    factor = round(factor_f)
-    if factor < 1 or abs(factor_f - factor) > 1e-6:
-        raise ConfigError("modulator rate must be an integer multiple of the capture rate")
+    factor = _whole_ratio(wave.sample_rate_hz, demod.sample_rate_hz, "modulator"
+                          " rate must be an integer multiple of the capture rate")
     spb = len(wave.one_bit)
     if spb % factor:
         raise ConfigError(f"a bit ({spb} modulator samples) must span whole capture"
@@ -230,15 +238,14 @@ def demod_fundamental_gain(wave_rate_hz: float = 8e6,
 def bit_magnitudes(rx: RxCapture, demod: DemodConfig) -> np.ndarray:
     """Filtered envelope magnitude at each bit center."""
     spb = rx.samples_per_bit
-    if spb < 1:
-        raise ConfigError("capture rate must be at least the bitrate")
     n_bits = len(rx.samples) // spb
+    if n_bits < 1:
+        raise ConfigError("capture is shorter than one bit")
     length = min(demod.filter_length, len(rx.samples))
-    cs = np.concatenate(([0.0 + 0j], np.cumsum(rx.samples)))
     centers = np.arange(n_bits) * spb + spb // 2
     starts = np.clip(centers - length // 2, 0, len(rx.samples) - length)
-    filtered = (cs[starts + length] - cs[starts]) / length
-    return np.abs(filtered)
+    windows = np.lib.stride_tricks.sliding_window_view(rx.samples, length)
+    return np.abs(windows[starts].sum(axis=1) / length)
 
 
 def _bimodal_threshold(mags: np.ndarray) -> float:
@@ -250,13 +257,15 @@ def _bimodal_threshold(mags: np.ndarray) -> float:
     capture length because the noise maximum is unbounded in n, making BER
     depend on batch size.
     """
-    t = 0.5 * (float(mags.min()) + float(mags.max()))
+    ordered = np.sort(mags)
+    prefix = np.concatenate(([0.0], np.cumsum(ordered)))
+    n = len(ordered)
+    t = 0.5 * (float(ordered[0]) + float(ordered[-1]))
     for _ in range(64):
-        hi = mags[mags > t]
-        lo = mags[mags <= t]
-        if len(hi) == 0 or len(lo) == 0:
+        k = int(np.searchsorted(ordered, t, side="right"))  # count <= t
+        if k == 0 or k == n:
             break
-        t_new = 0.5 * (float(hi.mean()) + float(lo.mean()))
+        t_new = 0.5 * ((prefix[n] - prefix[k]) / (n - k) + prefix[k] / k)
         if abs(t_new - t) <= 1e-12 * max(abs(t), 1.0):
             break
         t = t_new
@@ -298,24 +307,24 @@ def roundtrip_frame(frame: Frame, link: LinkBudget, demod: DemodConfig,
 # --- BER simulation ---------------------------------------------------------
 
 def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
-                  rng: np.random.Generator, samples_per_bit: int = 16,
-                  sample_rate_hz: float = 16000.0,
-                  bitrate_hz: float = 1000.0) -> RxCapture:
+                  rng: np.random.Generator, demod: DemodConfig) -> RxCapture:
     """Capture-rate OOK envelope without the modulator-rate detour.
 
     Equivalent to transmit_backscatter for whole-cycle decimation blocks up
     to the complex fundamental gain, which the caller folds into amplitude.
     """
-    signal = np.repeat(bits.astype(float) * amplitude, samples_per_bit) + 0j
-    noise = rng.normal(0.0, noise_sigma / math.sqrt(2.0), len(signal)) \
-        + 1j * rng.normal(0.0, noise_sigma / math.sqrt(2.0), len(signal))
-    return RxCapture(samples=signal + noise, sample_rate_hz=sample_rate_hz,
-                     bitrate_hz=bitrate_hz)
+    spb = demod.samples_per_bit
+    sigma = noise_sigma / math.sqrt(2.0)
+    samples = np.empty(len(bits) * spb, dtype=complex)
+    np.add(rng.normal(0.0, sigma, len(samples)).reshape(-1, spb),
+           (bits * amplitude)[:, None], out=samples.real.reshape(-1, spb))
+    samples.imag = rng.normal(0.0, sigma, len(samples))
+    return RxCapture(samples=samples, sample_rate_hz=demod.sample_rate_hz,
+                     bitrate_hz=UPLINK_BITRATE_HZ)
 
 
 def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
-              demod: DemodConfig | None = None,
-              samples_per_bit: int = 16) -> tuple[float, int]:
+              demod: DemodConfig | None = None) -> tuple[float, int]:
     """Monte Carlo BER at a per-sample SNR (signal power over total complex
     noise power during a one-bit). Returns (ber, error_count)."""
     if n_bits < 1:
@@ -323,7 +332,7 @@ def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
     demod = demod or DemodConfig()
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
     sigma = 10.0 ** (-snr_db / 20.0)
-    rx = synth_capture(bits, 1.0, sigma, rng, samples_per_bit)
+    rx = synth_capture(bits, 1.0, sigma, rng, demod)
     decided = ap_demodulate(rx, demod)
     errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors
@@ -345,8 +354,7 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
         raise ConfigError("need at least one bit")
     demod = demod or DemodConfig()
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    bitrate_hz = 1000.0
-    wave = SwitchWaveform(bits, wave_rate_hz, subcarrier_hz, bitrate_hz)
+    wave = SwitchWaveform(bits, wave_rate_hz, subcarrier_hz, UPLINK_BITRATE_HZ)
     fundamental = abs(demod_fundamental_gain(wave_rate_hz, subcarrier_hz))
     env = _decimated_envelope(wave, demod, 1.0 / fundamental)
     factor = round(wave_rate_hz / demod.sample_rate_hz)
@@ -362,8 +370,8 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
         real = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
         imag = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
         noise_parts.append(real + 1j * imag)
-    rx = RxCapture(samples=env + np.concatenate(noise_parts),
-                   sample_rate_hz=demod.sample_rate_hz, bitrate_hz=bitrate_hz)
+    rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz,
+                   UPLINK_BITRATE_HZ)
     decided = ap_demodulate(rx, demod)
     errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors
@@ -452,7 +460,7 @@ def hive_mac_session(insects: Sequence[InsectNode],
                      rng: np.random.Generator,
                      tx_power_dbm: float = 20.0,
                      carrier_hz: float = 915e6,
-                     bitrate_hz: float = 1000.0,
+                     bitrate_hz: float = UPLINK_BITRATE_HZ,
                      demod: DemodConfig | None = None,
                      detector: DetectorConfig | None = None,
                      retries: int = 2,

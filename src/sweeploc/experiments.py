@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .backscatter import (InsectNode, SensorRecord, ber_point,
+from .backscatter import (DemodConfig, InsectNode, SensorRecord, ber_point,
                           frame_from_records, hive_mac_session,
                           payload_duration_s)
 from .channel import FieldTrace, draw_multipath, propagate
@@ -445,7 +445,7 @@ def ber_vs_snr(spec: ExperimentSpec) -> ResultTable:
         half_ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 1e-12) / count)
         rows.append((snr, count, errors, ber, half_ci))
     meta = _base_meta(spec, bits)
-    meta["samples_per_bit"] = 16
+    meta["samples_per_bit"] = DemodConfig().samples_per_bit
     return ResultTable(
         columns=("snr_db", "bits", "errors", "ber", "ci95_half_width"),
         rows=rows, meta=meta)

@@ -13,6 +13,7 @@ from sweeploc.backscatter import (
     Frame,
     InsectNode,
     LinkBudget,
+    RxCapture,
     ap_demodulate,
     ber_point,
     ber_point_waveform_oracle,
@@ -173,7 +174,7 @@ def test_transmit_rejects_capture_rate_splitting_a_bit():
 def test_bit_magnitudes_separate_levels():
     rng = trial_rng(6, "levels")
     bits = np.array([1, 0] * 64, dtype=np.uint8)
-    rx = synth_capture(bits, 1.0, 0.05, rng)
+    rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
     mags = bit_magnitudes(rx, DemodConfig())
     ones = mags[bits == 1]
     zeros = mags[bits == 0]
@@ -182,11 +183,111 @@ def test_bit_magnitudes_separate_levels():
     assert np.array_equal(decided, bits)
 
 
+def brute_force_bit_magnitudes(samples, spb, length):
+    """Reference: each bit's window mean, one window at a time, centered on
+    the bit and shifted back inside the capture where it would overhang."""
+    mags = []
+    for k in range(len(samples) // spb):
+        start = k * spb + spb // 2 - length // 2
+        start = min(max(start, 0), len(samples) - length)
+        mags.append(abs(np.mean(samples[start:start + length])))
+    return np.array(mags)
+
+
+@pytest.mark.parametrize("bandwidth_hz, length", [(2000.0, 8), (1000.0, 16),
+                                                  (500.0, 32)])
+def test_bit_magnitudes_equal_brute_force_window_means(bandwidth_hz, length):
+    """Filter length 32 on 16-sample bits clips the first and last windows;
+    the three trailing samples are not a whole bit and start no window."""
+    demod = DemodConfig(filter_bandwidth_hz=bandwidth_hz)
+    assert demod.filter_length == length
+    rng = trial_rng(16, "windows", length)
+    rx = synth_capture(rng.integers(0, 2, 300).astype(np.uint8), 1.0, 0.7,
+                       rng, demod)
+    rx = RxCapture(np.concatenate([rx.samples, [1.0, 2.0j, 3.0]]),
+                   rx.sample_rate_hz, rx.bitrate_hz)
+    got = bit_magnitudes(rx, demod)
+    want = brute_force_bit_magnitudes(rx.samples, 16, length)
+    assert got.shape == (300,)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def masked_two_means_threshold(mags):
+    """Reference: the two-means split with a boolean mask on every pass."""
+    t = 0.5 * (float(mags.min()) + float(mags.max()))
+    for _ in range(64):
+        hi = mags[mags > t]
+        lo = mags[mags <= t]
+        if len(hi) == 0 or len(lo) == 0:
+            break
+        t_new = 0.5 * (float(hi.mean()) + float(lo.mean()))
+        if abs(t_new - t) <= 1e-12 * max(abs(t), 1.0):
+            break
+        t = t_new
+    return t
+
+
+@pytest.mark.parametrize("amplitude, sigma", [(1.0, 0.3), (1.0, 1.0),
+                                              (1.0, 2.5), (0.0, 1.0)])
+@pytest.mark.parametrize("seed", range(3))
+def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
+    """Bimodal populations at high to low SNR, and noise alone."""
+    demod = DemodConfig()
+    rng = trial_rng(17, "two-means", seed)
+    rx = synth_capture(rng.integers(0, 2, 5000).astype(np.uint8), amplitude,
+                       sigma, rng, demod)
+    mags = bit_magnitudes(rx, demod)
+    want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
+    assert np.array_equal(ap_demodulate(rx, demod), want)
+
+
+@pytest.mark.parametrize("levels, decided", [
+    ([0.5 + 0.5j], [0]),  # one magnitude: no split exists
+    ([1.0] * 40, [0] * 40),  # all equal: every bit sits at the threshold
+    ([0.0, 1.0, 2.0], [0, 0, 1]),  # a magnitude on the split counts as below
+])
+def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
+    demod = DemodConfig()
+    rx = RxCapture(np.repeat(np.asarray(levels, dtype=complex), 16),
+                   demod.sample_rate_hz, 1000.0)
+    mags = bit_magnitudes(rx, demod)
+    want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
+    assert np.array_equal(want, decided)
+    assert np.array_equal(ap_demodulate(rx, demod), decided)
+
+
+def test_capture_shorter_than_one_bit_is_a_config_error():
+    demod = DemodConfig()
+    rx = RxCapture(np.ones(15, dtype=complex), demod.sample_rate_hz, 1000.0)
+    with pytest.raises(ConfigError, match="shorter than one bit"):
+        bit_magnitudes(rx, demod)
+    with pytest.raises(ConfigError, match="shorter than one bit"):
+        ap_demodulate(rx, demod)
+
+
+def test_ber_point_captures_at_the_demod_rate():
+    """At 8 kHz a bit is 8 capture samples and the filter spans 8 of them;
+    a rate that splits a bit is refused."""
+    demod = DemodConfig(sample_rate_hz=8000.0)
+    got = ber_point(-4.0, 4000, trial_rng(18, "rate"), demod)
+    rng = trial_rng(18, "rate")
+    bits = rng.integers(0, 2, 4000).astype(np.uint8)
+    rx = synth_capture(bits, 1.0, 10.0 ** (4.0 / 20.0), rng, demod)
+    assert rx.sample_rate_hz == 8000.0 and rx.samples_per_bit == 8
+    assert len(rx.samples) == 8 * 4000
+    errors = int(np.count_nonzero(ap_demodulate(rx, demod) != bits))
+    assert got == (errors / 4000, errors)
+    assert 0 < errors < 4000 * 0.5
+    with pytest.raises(ConfigError, match="whole multiple"):
+        ber_point(0.0, 10, trial_rng(18, "split"),
+                  DemodConfig(sample_rate_hz=12500.0))
+
+
 def test_sync_calibrated_demodulation_handles_skewed_payload():
     rng = trial_rng(7, "sync")
     payload = np.ones(64, dtype=np.uint8)  # all ones would break blind split
     bits = np.concatenate([np.asarray(SYNC_PATTERN, dtype=np.uint8), payload])
-    rx = synth_capture(bits, 1.0, 0.05, rng)
+    rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
     decided = ap_demodulate(rx, DemodConfig(), sync_bits=len(SYNC_PATTERN))
     assert np.array_equal(decided[len(SYNC_PATTERN):], payload)
 

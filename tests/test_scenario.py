@@ -50,6 +50,17 @@ def test_wrap_angle_vectorized():
     assert np.all(ws <= math.pi + 1e-12)
 
 
+def test_wrap_angle_scalar_and_array_paths_agree_bitwise():
+    edges = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+             3 * math.pi, 1e-300, -1e-300]
+    xs = edges + list(np.random.default_rng(19).uniform(-40.0, 40.0, 2000))
+    array_path = wrap_angle(np.array(xs))
+    for x, want in zip(xs, array_path):
+        got = wrap_angle(float(x))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), x
+
+
 def test_free_space_loss_reference_points():
     # 915 MHz: 31.68 dB at 1 m, 69.74 dB at 80 m, +6.0206 dB per doubling
     assert free_space_loss_db(1.0, 915e6) == pytest.approx(31.6776, abs=0.01)
