@@ -160,11 +160,6 @@ class DemodConfig:
     def filter_length(self) -> int:
         return max(1, round(self.sample_rate_hz / self.filter_bandwidth_hz))
 
-    @property
-    def samples_per_bit(self) -> int:
-        return _whole_ratio(self.sample_rate_hz, UPLINK_BITRATE_HZ, "capture"
-                            " rate must be a whole multiple of the uplink bitrate")
-
 
 @dataclass(frozen=True)
 class RxCapture:
@@ -176,7 +171,8 @@ class RxCapture:
 
     @property
     def samples_per_bit(self) -> int:
-        return round(self.sample_rate_hz / self.bitrate_hz)
+        return _whole_ratio(self.sample_rate_hz, self.bitrate_hz,
+                            "capture rate must be a whole multiple of the bitrate")
 
 
 def _decimated_envelope(wave: SwitchWaveform, demod: DemodConfig,
@@ -313,7 +309,8 @@ def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
     Equivalent to transmit_backscatter for whole-cycle decimation blocks up
     to the complex fundamental gain, which the caller folds into amplitude.
     """
-    spb = demod.samples_per_bit
+    spb = _whole_ratio(demod.sample_rate_hz, UPLINK_BITRATE_HZ, "capture rate"
+                       " must be a whole multiple of the uplink bitrate")
     sigma = noise_sigma / math.sqrt(2.0)
     samples = np.empty(len(bits) * spb, dtype=complex)
     np.add(rng.normal(0.0, sigma, len(samples)).reshape(-1, spb),

@@ -31,12 +31,9 @@ class GeometryError(ValueError):
 
 def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
     """Wrap an angle in radians to the interval (-pi, pi]."""
-    if isinstance(angle, float):  # Python's float % rounds as np.mod does
-        return float(-((-angle + math.pi) % (2.0 * math.pi)) + math.pi)
-    wrapped = -np.mod(-np.asarray(angle) + np.pi, 2.0 * np.pi) + np.pi
-    if np.ndim(angle) == 0:
-        return float(wrapped)
-    return wrapped
+    # Python floats and numpy arrays both take this path; their % round alike.
+    wrapped = -((-angle + math.pi) % (2.0 * math.pi)) + math.pi
+    return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
 
 
 @dataclass(frozen=True)

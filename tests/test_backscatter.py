@@ -256,12 +256,18 @@ def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
     assert np.array_equal(ap_demodulate(rx, demod), decided)
 
 
-def test_capture_shorter_than_one_bit_is_a_config_error():
-    demod = DemodConfig()
-    rx = RxCapture(np.ones(15, dtype=complex), demod.sample_rate_hz, 1000.0)
-    with pytest.raises(ConfigError, match="shorter than one bit"):
+@pytest.mark.parametrize("rate_hz, n_samples, message", [
+    (16000.0, 15, "shorter than one bit"),
+    (400.0, 15, "whole multiple"),  # a bit is 0.4 samples
+    (12500.0, 125, "whole multiple"),  # a bit is 12.5 samples
+])
+def test_capture_shorter_than_one_bit_is_a_config_error(rate_hz, n_samples,
+                                                        message):
+    demod = DemodConfig(sample_rate_hz=rate_hz)
+    rx = RxCapture(np.ones(n_samples, dtype=complex), rate_hz, 1000.0)
+    with pytest.raises(ConfigError, match=message):
         bit_magnitudes(rx, demod)
-    with pytest.raises(ConfigError, match="shorter than one bit"):
+    with pytest.raises(ConfigError, match=message):
         ap_demodulate(rx, demod)
 
 

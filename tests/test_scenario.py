@@ -50,12 +50,12 @@ def test_wrap_angle_vectorized():
     assert np.all(ws <= math.pi + 1e-12)
 
 
-def test_wrap_angle_scalar_and_array_paths_agree_bitwise():
+def test_wrap_angle_float_and_array_inputs_agree_bitwise():
     edges = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
              3 * math.pi, 1e-300, -1e-300]
     xs = edges + list(np.random.default_rng(19).uniform(-40.0, 40.0, 2000))
-    array_path = wrap_angle(np.array(xs))
-    for x, want in zip(xs, array_path):
+    wrapped = wrap_angle(np.array(xs))
+    for x, want in zip(xs, wrapped):
         got = wrap_angle(float(x))
         assert type(got) is float
         assert np.float64(got).tobytes() == want.tobytes(), x
