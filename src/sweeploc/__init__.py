@@ -15,8 +15,7 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, DetectorConfig,
                        free_space_loss_db, load_scenario, load_scenario_file,
                        scenario_digest, scenario_to_yaml, trial_rng,
                        true_bearing, wrap_angle)
-from .transmitter import (PREAMBLE_PATTERNS, SweepSchedule, TdmaPlan,
-                          build_sweep_schedule, tdma_plan)
+from .transmitter import PREAMBLE_PATTERNS, SweepSchedule, build_sweep_schedule
 from .channel import (FieldTrace, PathSet, apply_doppler, draw_multipath,
                       propagate, sweep_response)
 from .receiver import (AngleEstimate, EnvelopeTrace, LocationFix, LogStore,
@@ -27,8 +26,7 @@ from .receiver import (AngleEstimate, EnvelopeTrace, LocationFix, LogStore,
 from .backscatter import (DemodConfig, Frame, InsectNode, LinkBudget,
                           SwitchWaveform, ap_demodulate, ber_point,
                           frame_from_records, hive_mac_session,
-                          modulate_frame, payload_duration_s,
-                          transmit_backscatter)
+                          modulate_frame, transmit_backscatter)
 from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
                     average_current_ma, battery_life_h, logging_endurance_h,
                     rf_charge_time_h, solar_charge_time_h)

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .channel import complex_noise
 from .receiver import LogStore, SensorRecord
 from .scenario import ConfigError, DetectorConfig, free_space_loss_db
 
@@ -22,6 +23,8 @@ MAX_FRAME_BITS = 8 * 32768  # a full measurement log
 SUBCARRIER_GAIN_DB = 20.0 * math.log10(2.0 / math.pi)  # square-wave fundamental
 SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
 UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
+MODULATOR_RATE_HZ = 8e6  # the tag's switch-drive sample rate
+SUBCARRIER_HZ = 2e6  # switch toggle rate, the interrogator's mixing offset
 
 
 @dataclass(frozen=True)
@@ -29,31 +32,23 @@ class Frame:
     """An uplink payload: bits at the tag's (slow) backscatter bitrate."""
 
     bits: tuple[int, ...]
-    bitrate_hz: float = UPLINK_BITRATE_HZ
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.bits) <= MAX_FRAME_BITS:
             raise ConfigError(f"frame must carry 1..{MAX_FRAME_BITS} bits")
         if any(b not in (0, 1) for b in self.bits):
             raise ConfigError("frame bits must be 0 or 1")
-        if self.bitrate_hz <= 0:
-            raise ConfigError("bitrate must be positive")
 
     @property
     def payload_duration_s(self) -> float:
-        return len(self.bits) / self.bitrate_hz
+        return len(self.bits) / UPLINK_BITRATE_HZ
 
 
-def payload_duration_s(frame: Frame) -> float:
-    return frame.payload_duration_s
-
-
-def frame_from_records(records: Sequence[SensorRecord],
-                       bitrate_hz: float = UPLINK_BITRATE_HZ) -> Frame:
+def frame_from_records(records: Sequence[SensorRecord]) -> Frame:
     """Serialize packed records to an uplink frame, MSB first."""
     payload = b"".join(r.pack() for r in records)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    return Frame(bits=tuple(int(b) for b in bits), bitrate_hz=bitrate_hz)
+    return Frame(bits=tuple(int(b) for b in bits))
 
 
 def records_from_bits(bits: Sequence[int]) -> list[SensorRecord]:
@@ -79,11 +74,10 @@ class SwitchWaveform:
     bits: np.ndarray
     sample_rate_hz: float
     subcarrier_hz: float
-    bitrate_hz: float
     one_bit: np.ndarray = field(init=False, repr=False)  # states of a one-bit
 
     def __post_init__(self) -> None:
-        spb = _whole_ratio(self.sample_rate_hz, self.bitrate_hz,
+        spb = _whole_ratio(self.sample_rate_hz, UPLINK_BITRATE_HZ,
                            "sample rate must be an integer multiple of the bitrate")
         half = _whole_ratio(self.sample_rate_hz, 2.0 * self.subcarrier_hz,
                             "sample rate must resolve the subcarrier half-period")
@@ -103,14 +97,14 @@ class SwitchWaveform:
 
     @property
     def duration_s(self) -> float:
-        return len(self.bits) / self.bitrate_hz
+        return len(self.bits) / UPLINK_BITRATE_HZ
 
 
-def modulate_frame(frame: Frame, sample_rate_hz: float = 8e6,
-                   subcarrier_hz: float = 2e6) -> SwitchWaveform:
+def modulate_frame(frame: Frame, sample_rate_hz: float = MODULATOR_RATE_HZ,
+                   subcarrier_hz: float = SUBCARRIER_HZ) -> SwitchWaveform:
     """Expand frame bits to the switch drive at the modulator rate."""
     return SwitchWaveform(np.asarray(frame.bits, dtype=np.uint8),
-                          sample_rate_hz, subcarrier_hz, frame.bitrate_hz)
+                          sample_rate_hz, subcarrier_hz)
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,7 @@ class LinkBudget:
 class DemodConfig:
     """Interrogator-side capture and decision parameters."""
 
-    offset_hz: float = 2e6
+    offset_hz: float = SUBCARRIER_HZ
     sample_rate_hz: float = 16000.0
     filter_bandwidth_hz: float = 1000.0
 
@@ -167,11 +161,10 @@ class RxCapture:
 
     samples: np.ndarray
     sample_rate_hz: float
-    bitrate_hz: float
 
     @property
     def samples_per_bit(self) -> int:
-        return _whole_ratio(self.sample_rate_hz, self.bitrate_hz,
+        return _whole_ratio(self.sample_rate_hz, UPLINK_BITRATE_HZ,
                             "capture rate must be a whole multiple of the bitrate")
 
 
@@ -212,15 +205,12 @@ def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
     """
     env = _decimated_envelope(wave, demod, 10.0 ** (link.path_gain_db / 20.0))
     if rng is not None:
-        sigma = math.sqrt(10.0 ** (link.noise_floor_dbm / 10.0) / 2.0)
-        env = env + rng.normal(0.0, sigma, len(env)) \
-            + 1j * rng.normal(0.0, sigma, len(env))
-    return RxCapture(samples=env, sample_rate_hz=demod.sample_rate_hz,
-                     bitrate_hz=wave.bitrate_hz)
+        env = env + complex_noise(link.noise_floor_dbm, len(env), rng)
+    return RxCapture(samples=env, sample_rate_hz=demod.sample_rate_hz)
 
 
-def demod_fundamental_gain(wave_rate_hz: float = 8e6,
-                           subcarrier_hz: float = 2e6) -> complex:
+def demod_fundamental_gain(wave_rate_hz: float = MODULATOR_RATE_HZ,
+                           subcarrier_hz: float = SUBCARRIER_HZ) -> complex:
     """Complex per-bit gain the discrete mix+decimate applies to a one-bit
     of unit path gain. Its magnitude approaches 2/pi as the modulator rate
     grows."""
@@ -292,11 +282,9 @@ def ap_demodulate(rx: RxCapture, demod: DemodConfig,
 
 def roundtrip_frame(frame: Frame, link: LinkBudget, demod: DemodConfig,
                     rng: np.random.Generator | None = None,
-                    wave_rate_hz: float = 8e6, subcarrier_hz: float = 2e6,
                     sync_bits: int = 0) -> np.ndarray:
     """Modulate, reflect through the link, capture, and demodulate."""
-    wave = modulate_frame(frame, wave_rate_hz, subcarrier_hz)
-    rx = transmit_backscatter(wave, link, demod, rng)
+    rx = transmit_backscatter(modulate_frame(frame), link, demod, rng)
     return ap_demodulate(rx, demod, sync_bits=sync_bits)
 
 
@@ -316,8 +304,7 @@ def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
     np.add(rng.normal(0.0, sigma, len(samples)).reshape(-1, spb),
            (bits * amplitude)[:, None], out=samples.real.reshape(-1, spb))
     samples.imag = rng.normal(0.0, sigma, len(samples))
-    return RxCapture(samples=samples, sample_rate_hz=demod.sample_rate_hz,
-                     bitrate_hz=UPLINK_BITRATE_HZ)
+    return RxCapture(samples=samples, sample_rate_hz=demod.sample_rate_hz)
 
 
 def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
@@ -337,9 +324,8 @@ def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
 
 def ber_point_waveform_oracle(snr_db: float, n_bits: int,
                               rng: np.random.Generator,
-                              demod: DemodConfig | None = None,
-                              wave_rate_hz: float = 8e6,
-                              subcarrier_hz: float = 2e6) -> tuple[float, int]:
+                              demod: DemodConfig | None = None
+                              ) -> tuple[float, int]:
     """Brute-force BER reference through the full modulator-rate waveform.
 
     Noise is injected at the modulator rate with its power scaled so the
@@ -351,10 +337,9 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
         raise ConfigError("need at least one bit")
     demod = demod or DemodConfig()
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    wave = SwitchWaveform(bits, wave_rate_hz, subcarrier_hz, UPLINK_BITRATE_HZ)
-    fundamental = abs(demod_fundamental_gain(wave_rate_hz, subcarrier_hz))
-    env = _decimated_envelope(wave, demod, 1.0 / fundamental)
-    factor = round(wave_rate_hz / demod.sample_rate_hz)
+    wave = SwitchWaveform(bits, MODULATOR_RATE_HZ, SUBCARRIER_HZ)
+    env = _decimated_envelope(wave, demod, 1.0 / abs(demod_fundamental_gain()))
+    factor = round(MODULATOR_RATE_HZ / demod.sample_rate_hz)
     # per-dimension sigma chosen so block-averaging by `factor` leaves the
     # capture with total complex noise power 10**(-snr/10)
     sigma_hi = 10.0 ** (-snr_db / 20.0) * math.sqrt(factor / 2.0)
@@ -367,8 +352,7 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
         real = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
         imag = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
         noise_parts.append(real + 1j * imag)
-    rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz,
-                   UPLINK_BITRATE_HZ)
+    rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz)
     decided = ap_demodulate(rx, demod)
     errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors
@@ -378,6 +362,8 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
 
 QUERY_ADDRESS_BITS = 8
 QUERY_COMMAND_DUMP = 0xD1
+MAC_RETRIES = 2  # further queries before an insect is skipped
+MAC_GUARD_S = 0.005  # idle gap after every query and every reply
 
 
 @dataclass
@@ -436,13 +422,14 @@ class MacTranscript:
 
 
 def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
-                     bitrate_hz: float, rng: np.random.Generator) -> int:
-    """OOK query through the insect's envelope detector; returns the address
-    the insect heard (possibly garbage when under its floor)."""
+                     rng: np.random.Generator) -> int:
+    """OOK query, at the uplink bitrate, through the insect's envelope
+    detector; returns the address the insect heard (possibly garbage when
+    under its floor)."""
     bits = list(SYNC_PATTERN) + [(address >> (7 - k)) & 1 for k in range(8)]
     one_way_dbm = link.tx_power_dbm - free_space_loss_db(link.distance_m,
                                                          link.carrier_hz)
-    spb = round(det.sample_rate_hz / bitrate_hz)
+    spb = round(det.sample_rate_hz / UPLINK_BITRATE_HZ)
     levels = np.where(np.repeat(bits, spb) > 0,
                       float(det.response_volts(one_way_dbm)), det.floor_volts)
     volts = levels + rng.normal(0.0, det.noise_sigma_volts, len(levels))
@@ -454,14 +441,7 @@ def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
 
 
 def hive_mac_session(insects: Sequence[InsectNode],
-                     rng: np.random.Generator,
-                     tx_power_dbm: float = 20.0,
-                     carrier_hz: float = 915e6,
-                     bitrate_hz: float = UPLINK_BITRATE_HZ,
-                     demod: DemodConfig | None = None,
-                     detector: DetectorConfig | None = None,
-                     retries: int = 2,
-                     guard_s: float = 0.005) -> MacTranscript:
+                     rng: np.random.Generator) -> MacTranscript:
     """Round-robin query/dump cycle over the hive's tagged insects.
 
     The reader addresses one insect at a time; an insect replies only when
@@ -469,36 +449,32 @@ def hive_mac_session(insects: Sequence[InsectNode],
     skipped after the retry budget. Replies carry the insect's full log
     behind a sync header.
     """
-    demod = demod or DemodConfig()
-    detector = detector or DetectorConfig()
+    demod, detector = DemodConfig(), DetectorConfig()
     transcript = MacTranscript()
-    query_s = (len(SYNC_PATTERN) + QUERY_ADDRESS_BITS) / bitrate_hz
+    query_s = (len(SYNC_PATTERN) + QUERY_ADDRESS_BITS) / UPLINK_BITRATE_HZ
     for insect in insects:
-        link = LinkBudget(distance_m=insect.distance_m,
-                          tx_power_dbm=tx_power_dbm, carrier_hz=carrier_hz)
-        for attempt in range(1, retries + 2):
+        link = LinkBudget(distance_m=insect.distance_m)
+        for attempt in range(1, MAC_RETRIES + 2):
             start_s = transcript.total_elapsed_s
-            transcript.total_elapsed_s += query_s + guard_s
-            heard = _downlink_decode(insect.address, link, detector,
-                                     bitrate_hz, rng)
+            transcript.total_elapsed_s += query_s + MAC_GUARD_S
+            heard = _downlink_decode(insect.address, link, detector, rng)
             decoded_ok = heard == insect.address
             if not decoded_ok:
-                last = attempt == retries + 1
+                last = attempt == MAC_RETRIES + 1
                 transcript.events.append(MacEvent(
                     insect.address, attempt, False, False, 0, 0,
                     start_s, transcript.total_elapsed_s, skipped=last))
                 continue
-            payload = frame_from_records(insect.store.records,
-                                         bitrate_hz=bitrate_hz) \
+            payload = frame_from_records(insect.store.records) \
                 if insect.store.records else None
             bits = list(SYNC_PATTERN) + (list(payload.bits) if payload else [])
-            frame = Frame(bits=tuple(bits), bitrate_hz=bitrate_hz)
+            frame = Frame(bits=tuple(bits))
             decided = roundtrip_frame(frame, link, demod, rng,
                                       sync_bits=len(SYNC_PATTERN))
             sent = len(frame.bits) - len(SYNC_PATTERN)
             errors = int(np.count_nonzero(
                 decided[len(SYNC_PATTERN):] != np.asarray(frame.bits[len(SYNC_PATTERN):])))
-            transcript.total_elapsed_s += frame.payload_duration_s + guard_s
+            transcript.total_elapsed_s += frame.payload_duration_s + MAC_GUARD_S
             transcript.events.append(MacEvent(
                 insect.address, attempt, True, True, sent, errors,
                 start_s, transcript.total_elapsed_s, skipped=False))

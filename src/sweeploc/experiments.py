@@ -20,8 +20,7 @@ import numpy as np
 from . import __version__
 from .backscatter import (UPLINK_BITRATE_HZ, DemodConfig, InsectNode,
                           SensorRecord, _whole_ratio, ber_point,
-                          frame_from_records, hive_mac_session,
-                          payload_duration_s)
+                          frame_from_records, hive_mac_session)
 from .channel import FieldTrace, draw_multipath, propagate
 from .pipeline import (capture_track, detect_with_noise, draw_noise,
                        fast_estimate_bearings, localize_once)
@@ -368,7 +367,6 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
     scn_t = replace(scn, channel=replace(scn.channel, doppler_enabled=True,
                                          multipath_ratio=SPEED_RATIO))
     table = cached_table(scn.aps[0], scn.aps[1])
-    round_s = len(scn.aps) * scn.aps[0].sweep_period_s
     tracked, raw_sum, smooth_sum = 0, 0.0, 0.0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "speed_sweep", s_idx, t)
@@ -376,7 +374,7 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
                          rng.uniform(SPEED_MARGIN_M, height - SPEED_MARGIN_M))
         center_dir = math.atan2(height / 2.0 - start.y, width / 2.0 - start.x)
         heading = center_dir + rng.uniform(-math.pi / 6, math.pi / 6)
-        traj = (Trajectory.line(start, heading, speed, SPEED_ROUNDS * round_s)
+        traj = (Trajectory.line(start, heading, speed, SPEED_ROUNDS * scn.round_s)
                 if speed > 0 else Trajectory.stationary(start))
         receiver = Receiver(scn_t.aps[:2], scn_t.sweep_mode, scn_t.smoothing,
                             table=table)
@@ -485,8 +483,8 @@ def mac_session(spec: ExperimentSpec) -> ResultTable:
             node.store.append(record)
         insects.append(node)
     transcript = hive_mac_session(insects, rng)
-    one = payload_duration_s(frame_from_records(_demo_records(0x10)[:1]))
-    ten = payload_duration_s(frame_from_records(_demo_records(0x10)[:10]))
+    one = frame_from_records(_demo_records(0x10)[:1]).payload_duration_s
+    ten = frame_from_records(_demo_records(0x10)[:10]).payload_duration_s
     meta = _base_meta(spec, len(insects))
     meta["fairness_index"] = transcript.fairness_index()
     meta["total_elapsed_s"] = transcript.total_elapsed_s

@@ -39,7 +39,7 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
     """
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
-    round_starts = t0_s + np.arange(rounds) * (len(scn.aps) * period)
+    round_starts = t0_s + np.arange(rounds) * scn.round_s
     samples = [propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k],
                          where, rate, t0_s=round_starts + k * period,
                          doppler=scn.channel.doppler_enabled
@@ -99,8 +99,7 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
     synthesize_rounds call, with each round's draws on a leading rounds
     axis, and detected with the rounds' noise joined in round order.
     """
-    round_s = len(scn.aps) * scn.aps[0].sweep_period_s
-    starts = [r * round_s for r in range(rounds)]
+    starts = [r * scn.round_s for r in range(rounds)]
     n = _round_samples(scn)
     redraw_m = scn.channel.nlos_redraw_distance_m
     draws, noises = [], []

@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .scenario import ApConfig, ConfigError, DetectorConfig, Position
+from .scenario import (SWEEP_MODES, ApConfig, ConfigError, DetectorConfig,
+                       Position)
 from .transmitter import PREAMBLE_PATTERNS
 
 PREAMBLE_CORRELATION_THRESHOLD = 0.75
@@ -85,10 +86,10 @@ def _ceil_tol(x: float) -> int:
 
 def sweep_window_samples(ap: ApConfig, sample_rate_hz: float) -> tuple[int, int]:
     """Half-open [first, stop) sample range of the sweep within one period,
-    relative to the period's first sample."""
+    relative to the period's first sample: the sweep runs to the period's
+    end."""
     first = _ceil_tol(ap.preamble_duration_s * sample_rate_hz)
-    stop = _ceil_tol(ap.sweep_period_s * sample_rate_hz)
-    return first, stop
+    return first, period_samples(ap, sample_rate_hz)
 
 
 def period_samples(ap: ApConfig, sample_rate_hz: float) -> int:
@@ -514,6 +515,10 @@ class Receiver:
                  store: LogStore | None = None) -> None:
         if len(aps) < 2:
             raise ConfigError("a 2D receiver needs two APs")
+        if sweep_mode not in SWEEP_MODES:
+            raise ConfigError(f"sweep_mode must be one of {SWEEP_MODES}")
+        if not 0.0 <= smoothing < 1.0:
+            raise ConfigError("smoothing must be in [0, 1)")
         self.aps = aps
         self.sweep_mode = sweep_mode
         self.smoothing = smoothing

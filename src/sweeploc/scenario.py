@@ -271,6 +271,15 @@ class Scenario:
             spb = ap.preamble_bit_duration_s * fs
             if spb < 1.0 - 1e-9 or abs(spb - round(spb)) > 1e-6:
                 raise ConfigError("preamble bit must span an integer number of samples")
+            n_period = ap.sweep_period_s * fs
+            if abs(n_period - round(n_period)) > 1e-6:
+                raise ConfigError("sweep period must span an integer number of"
+                                  f" detector samples, not {n_period:g}")
+
+    @property
+    def round_s(self) -> float:
+        """One TDMA round: every AP's sweep period back to back."""
+        return len(self.aps) * self.aps[0].sweep_period_s
 
 
 def true_bearing(ap: ApConfig, pos: Position) -> float:

@@ -28,28 +28,21 @@ PREAMBLE_PATTERNS: dict[int, tuple[int, ...]] = {
     2: (1, 1, 0, 0, 1, 1, 0, 0),
 }
 
-# Row kind codes of SweepSchedule.kinds.
-K_PREAMBLE = 1
-K_SWEEP = 2
-
 
 @dataclass(frozen=True, eq=False)
 class SweepSchedule:
     """One AP's sweep period as per-row arrays, in time order.
 
-    Rows are the preamble bits, then the sweep steps. starts_s is each
-    row's start time and kinds its K_PREAMBLE/K_SWEEP code. increments is
-    the inter-antenna drive increment, wrapped into [0, 2*pi), so antenna i
-    radiates at phase i * increment (0 on preamble rows). drive is the
-    antenna x row matrix of the array response: exp(-j*i*increment) on
-    sweep rows, the preamble bit on antenna 0 alone on preamble rows.
+    Rows are the preamble bits, then the last sweep_step_count rows the
+    sweep steps. starts_s is each row's start time. drive is the antenna x
+    row matrix of the array response: exp(-j*i*increment) on sweep rows,
+    with increment from drive_increments, so antenna i radiates at phase
+    i * increment; the preamble bit on antenna 0 alone on preamble rows.
     """
 
     ap: ApConfig
     mode: str
     starts_s: np.ndarray
-    kinds: np.ndarray
-    increments: np.ndarray
     drive: np.ndarray
 
     @property
@@ -94,58 +87,14 @@ def build_sweep_schedule(ap: ApConfig, mode: str = "alg1") -> SweepSchedule:
         starts_s=np.concatenate([
             np.arange(n_bits) * ap.preamble_bit_duration_s,
             ap.preamble_duration_s + np.arange(n_steps) * ap.sweep_dwell_s]),
-        kinds=np.repeat(np.array([K_PREAMBLE, K_SWEEP], dtype=np.int8),
-                        [n_bits, n_steps]),
-        increments=increments, drive=drive)
+        drive=drive)
 
 
 @functools.lru_cache(maxsize=64)
 def cached_schedule(ap: ApConfig, mode: str) -> SweepSchedule:
     """build_sweep_schedule, once per (ap, mode); shared, so read-only."""
     schedule = build_sweep_schedule(ap, mode)
-    for name in ("starts_s", "kinds", "increments", "drive"):
+    for name in ("starts_s", "drive"):
         getattr(schedule, name).flags.writeable = False
     return schedule
 
-
-@dataclass(frozen=True)
-class TdmaSlot:
-    ap_index: int
-    start_s: float
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class TdmaPlan:
-    """Round-robin AP slots: AP k owns [k*T, (k+1)*T) in every round."""
-
-    slots: tuple[TdmaSlot, ...]
-    period_s: float
-
-    @property
-    def fix_latency_s(self) -> float:
-        # One full round delivers one angle per AP, hence one fix.
-        return self.period_s
-
-    def active_ap(self, t: float) -> int:
-        phase = math.fmod(t, self.period_s)
-        if phase < 0:
-            phase += self.period_s
-        for slot in self.slots:
-            if slot.start_s <= phase < slot.start_s + slot.duration_s:
-                return slot.ap_index
-        return self.slots[-1].ap_index
-
-
-def tdma_plan(aps: tuple[ApConfig, ...] | list[ApConfig]) -> TdmaPlan:
-    """Build the single-frequency schedule: one sweep period per AP, in order."""
-    if len(aps) < 2:
-        raise ConfigError("TDMA needs at least two APs")
-    periods = {ap.sweep_period_s for ap in aps}
-    if len(periods) != 1:
-        raise ConfigError("TDMA requires a common sweep period")
-    if aps[0].preamble_id == aps[1].preamble_id:
-        raise ConfigError("the first two APs must use distinct preamble ids")
-    t = aps[0].sweep_period_s
-    slots = tuple(TdmaSlot(k, k * t, t) for k in range(len(aps)))
-    return TdmaPlan(slots=slots, period_s=len(aps) * t)

@@ -22,7 +22,6 @@ from sweeploc.backscatter import (
     frame_from_records,
     hive_mac_session,
     modulate_frame,
-    payload_duration_s,
     records_from_bits,
     roundtrip_frame,
     synth_capture,
@@ -42,8 +41,8 @@ def test_payload_duration_one_and_ten_records():
     ten = frame_from_records(make_records(10))
     assert len(one.bits) == 32
     assert len(ten.bits) == 320
-    assert payload_duration_s(one) == pytest.approx(0.032)
-    assert payload_duration_s(ten) == pytest.approx(0.320)
+    assert one.payload_duration_s == pytest.approx(0.032)
+    assert ten.payload_duration_s == pytest.approx(0.320)
 
 
 def test_frame_record_round_trip():
@@ -205,7 +204,7 @@ def test_bit_magnitudes_equal_brute_force_window_means(bandwidth_hz, length):
     rx = synth_capture(rng.integers(0, 2, 300).astype(np.uint8), 1.0, 0.7,
                        rng, demod)
     rx = RxCapture(np.concatenate([rx.samples, [1.0, 2.0j, 3.0]]),
-                   rx.sample_rate_hz, rx.bitrate_hz)
+                   rx.sample_rate_hz)
     got = bit_magnitudes(rx, demod)
     want = brute_force_bit_magnitudes(rx.samples, 16, length)
     assert got.shape == (300,)
@@ -249,7 +248,7 @@ def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
 def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
     demod = DemodConfig()
     rx = RxCapture(np.repeat(np.asarray(levels, dtype=complex), 16),
-                   demod.sample_rate_hz, 1000.0)
+                   demod.sample_rate_hz)
     mags = bit_magnitudes(rx, demod)
     want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
     assert np.array_equal(want, decided)
@@ -264,7 +263,7 @@ def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
 def test_capture_shorter_than_one_bit_is_a_config_error(rate_hz, n_samples,
                                                         message):
     demod = DemodConfig(sample_rate_hz=rate_hz)
-    rx = RxCapture(np.ones(n_samples, dtype=complex), rate_hz, 1000.0)
+    rx = RxCapture(np.ones(n_samples, dtype=complex), rate_hz)
     with pytest.raises(ConfigError, match=message):
         bit_magnitudes(rx, demod)
     with pytest.raises(ConfigError, match=message):

@@ -25,7 +25,7 @@ from sweeploc.scenario import (
 from sweeploc.pipeline import draw_noise
 from sweeploc.receiver import detector_noise
 from sweeploc.scenarios import bench_scenario
-from sweeploc.transmitter import K_PREAMBLE, K_SWEEP, build_sweep_schedule
+from sweeploc.transmitter import build_sweep_schedule, drive_increments
 
 AP = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
 
@@ -184,8 +184,10 @@ def test_propagate_preamble_and_sweep_kinds():
     assert len(trace.samples) == 200
     row = np.searchsorted(sched.starts_s, np.arange(200) / 4000.0 + 1e-12,
                           side="right") - 1
-    assert np.all(sched.kinds[row[:32]] == K_PREAMBLE)
-    assert np.all(sched.kinds[row[32:]] == K_SWEEP)
+    # the sweep steps are the schedule's last sweep_step_count rows
+    n_pre = len(sched.starts_s) - AP.sweep_step_count
+    assert np.all(row[:32] < n_pre)
+    assert np.all(row[32:] >= n_pre)
     # one-bits radiate from one antenna, zero-bits are silent
     bit_pattern = np.repeat([1, 0, 1, 0, 1, 0, 1, 0], 4).astype(bool)
     amp = 10 ** ((AP.tx_power_dbm
@@ -194,8 +196,9 @@ def test_propagate_preamble_and_sweep_kinds():
     assert mags[bit_pattern] == pytest.approx(amp)
     assert np.all(mags[~bit_pattern] == 0.0)
     # at boresight every sweep sample is the array factor of its step
+    incs = drive_increments(AP, "alg1")[row[32:] - n_pre]
     factor = np.abs(np.exp(-1j * np.outer(np.arange(AP.antenna_count),
-                                          sched.increments[row[32:]])).sum(axis=0))
+                                          incs)).sum(axis=0))
     assert np.abs(trace.samples[32:]) == pytest.approx(amp * factor)
 
 

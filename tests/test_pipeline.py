@@ -146,11 +146,10 @@ def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
     a leading axis, equal 40 one-round calls concatenated, bit for bit."""
     scn = _moving_farm(mode, doppler, seed=5)
     rounds = 40
-    round_s = len(scn.aps) * scn.aps[0].sweep_period_s
     traj = Trajectory.line(Position(40.0, 30.0), heading_rad=0.4,
-                           speed_mps=9.1, duration_s=rounds * round_s)
+                           speed_mps=9.1, duration_s=rounds * scn.round_s)
     rng = trial_rng(5, "batched", mode, doppler)
-    starts = [r * round_s for r in range(rounds)]
+    starts = [r * scn.round_s for r in range(rounds)]
     draws, last = [], None
     for t0 in starts:
         pos = traj.position_at(t0)
@@ -182,6 +181,20 @@ def test_capture_track_rounds_start_where_the_round_starts(noise_dbm):
     assert env.volts.shape == env.floor_clipped.shape == (5, 400)
     rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
     assert all(result.ok for result in rx.scan(env))
+
+
+def test_capture_track_rows_step_by_the_round():
+    """Three APs with 40 ms periods: a round is 120 ms of 3 x 160 samples."""
+    scn = bench_scenario(seed=7)
+    ap = dataclasses.replace(scn.aps[0], sweep_period_s=0.04)
+    scn = dataclasses.replace(scn, aps=(ap, dataclasses.replace(
+        scn.aps[1], sweep_period_s=0.04), ap))
+    assert scn.round_s == 3 * 0.04
+    traj = Trajectory.line(Position(40.0, 10.0), heading_rad=0.4,
+                           speed_mps=5.0, duration_s=1.0)
+    env = capture_track(scn, traj, trial_rng(7, "track"), rounds=4)
+    assert env.t0_s.tolist() == [r * scn.round_s for r in range(4)]
+    assert env.volts.shape == (4, 3 * 160)
 
 
 def _scan_both_ways(scn, traj, rng):

@@ -36,6 +36,7 @@ from sweeploc.receiver import (
 )
 from sweeploc.scenario import (
     ApConfig,
+    ConfigError,
     DetectorConfig,
     Position,
     trial_rng,
@@ -427,6 +428,15 @@ def test_receiver_two_slot_buffer_produces_fix():
     assert err < 3.0
     # the smoothed track seeds from the first raw angles
     assert rx.smoothed[0] == pytest.approx(result.angles[0].raw_rad)
+
+
+@pytest.mark.parametrize("mode, smoothing", [("bogus", 0.8), ("alg1", 1.5),
+                                             ("alg1", -0.1)])
+def test_receiver_rejects_bad_mode_and_smoothing(mode, smoothing):
+    """At construction, not at the first detection: a silent buffer would
+    otherwise scan without error."""
+    with pytest.raises(ConfigError):
+        Receiver((AP1, AP2), mode, smoothing)
 
 
 def test_receiver_log_measurement_uses_tracked_angles():

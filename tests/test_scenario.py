@@ -1,6 +1,7 @@
 """Configuration, geometry, and determinism plumbing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,11 +112,20 @@ def test_scenario_cross_validation():
     Scenario(aps=(ap1, ap2))  # fine
     with pytest.raises(ConfigError):
         Scenario(aps=(ap1, ap1))  # same preamble id twice
+    with pytest.raises(ConfigError, match="share one sweep period"):
+        Scenario(aps=(ap1, replace(ap2, sweep_period_s=0.06)))
     with pytest.raises(ConfigError):
         # sampler cannot resolve one dwell step
         Scenario(aps=(ap1, ap2), detector=DetectorConfig(sample_rate_hz=1000.0))
     with pytest.raises(ConfigError):
         Scenario(aps=(ap1, ap2), sweep_mode="zigzag")
+    # a 50.5-sample period would end AP 1's sweep window (rounded up to 51)
+    # inside AP 2's slot (rounded to 50)
+    odd = tuple(replace(ap, sweep_period_s=0.0505, sweep_step_rad=math.pi / 32)
+                for ap in (ap1, ap2))
+    with pytest.raises(ConfigError, match="sweep period must span"):
+        Scenario(aps=odd, detector=DetectorConfig(sample_rate_hz=1000.0))
+    Scenario(aps=odd, detector=DetectorConfig(sample_rate_hz=2000.0))  # 101
 
 
 def test_detector_response_and_floor():

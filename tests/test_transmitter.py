@@ -1,4 +1,4 @@
-"""Sweep schedule layout and TDMA plan."""
+"""Sweep schedule layout."""
 
 import math
 
@@ -7,20 +7,15 @@ import pytest
 
 from sweeploc.scenario import ApConfig, ConfigError, Position
 from sweeploc.transmitter import (
-    K_PREAMBLE,
-    K_SWEEP,
     PREAMBLE_PATTERNS,
     build_sweep_schedule,
     cached_schedule,
     drive_increments,
     steering_values,
     step_increments,
-    tdma_plan,
 )
 
 AP = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
-AP2 = ApConfig(position=Position(100.0, 0.0), boresight_rad=math.pi,
-               preamble_id=2)
 
 
 def test_preamble_patterns_are_distinct_eight_bit():
@@ -33,25 +28,24 @@ def test_preamble_patterns_are_distinct_eight_bit():
 
 def test_schedule_tiles_the_period_exactly():
     sched = build_sweep_schedule(AP)
-    for rows in (sched.starts_s, sched.kinds, sched.increments):
-        assert rows.shape == (8 + 128,)
+    assert sched.starts_s.shape == (8 + 128,)
     assert sched.drive.shape == (AP.antenna_count, 8 + 128)
     assert sched.starts_s[0] == 0.0
     durations = np.diff(np.append(sched.starts_s, AP.sweep_period_s))
     assert np.allclose(durations[:8], AP.preamble_bit_duration_s,
                        rtol=0, atol=1e-12)
     assert np.allclose(durations[8:], AP.sweep_dwell_s, rtol=0, atol=1e-12)
-    assert np.all(sched.kinds[:8] == K_PREAMBLE)
-    assert np.all(sched.kinds[8:] == K_SWEEP)
+    # the sweep rows are the last sweep_step_count; they start after the preamble
+    assert np.all(sched.starts_s[-AP.sweep_step_count:] >= AP.preamble_duration_s)
+    assert np.all(sched.starts_s[:8] < AP.preamble_duration_s)
 
 
 def test_preamble_entries_drive_single_antenna():
-    # Preamble rows carry their bit on antenna 0 and no inter-antenna
-    # increment; sweep rows drive the whole array, antenna 0 at unit drive.
+    # Preamble rows carry their bit on antenna 0 alone; sweep rows drive
+    # the whole array, antenna 0 at unit drive.
     sched = build_sweep_schedule(AP)
     assert np.array_equal(sched.drive[0, :8], PREAMBLE_PATTERNS[AP.preamble_id])
     assert np.all(sched.drive[1:, :8] == 0)
-    assert np.all(sched.increments[:8] == 0.0)
     assert np.all(sched.drive[0, 8:] == 1.0)
 
 
@@ -96,13 +90,12 @@ def test_step_phase_offsets_shape_and_wrap():
 def test_sweep_entry_phases_match_offsets():
     for mode in ("alg1", "uniform-theta"):
         sched = build_sweep_schedule(AP, mode)
-        got = sched.increments[sched.kinds == K_SWEEP]
-        assert np.array_equal(got, drive_increments(AP, mode))
+        got = drive_increments(AP, mode)
         assert np.all((got >= 0.0) & (got < 2 * math.pi))
         assert np.allclose(np.exp(1j * got),
                            np.exp(1j * step_increments(AP, mode)))
         drive = np.exp(-1j * np.outer(np.arange(AP.antenna_count), got))
-        assert np.array_equal(sched.drive[:, sched.kinds == K_SWEEP], drive)
+        assert np.array_equal(sched.drive[:, -AP.sweep_step_count:], drive)
 
 
 def test_cached_schedule_is_shared_and_read_only():
@@ -110,27 +103,8 @@ def test_cached_schedule_is_shared_and_read_only():
     assert cached_schedule(AP, "alg1") is sched
     assert cached_schedule(AP, "uniform-theta") is not sched
     fresh = build_sweep_schedule(AP, "alg1")
-    for name in ("starts_s", "kinds", "increments", "drive"):
+    for name in ("starts_s", "drive"):
         assert np.array_equal(getattr(sched, name), getattr(fresh, name))
         with pytest.raises(ValueError):
             getattr(sched, name)[0] = 0
 
-
-def test_tdma_plan_two_aps():
-    plan = tdma_plan((AP, AP2))
-    assert plan.period_s == pytest.approx(0.1)
-    assert plan.fix_latency_s == pytest.approx(0.1)
-    assert plan.active_ap(0.0) == 0
-    assert plan.active_ap(0.049) == 0
-    assert plan.active_ap(0.05) == 1
-    assert plan.active_ap(0.099) == 1
-    assert plan.active_ap(0.1) == 0  # wraps into the next round
-    assert plan.active_ap(0.151) == 1
-
-
-def test_tdma_plan_rejects_mismatched_periods():
-    import dataclasses
-    odd = dataclasses.replace(AP2, sweep_period_s=0.06,
-                              preamble_duration_s=0.008)
-    with pytest.raises(ConfigError):
-        tdma_plan((AP, odd))
