@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import complex_noise
 from .receiver import LogStore, SensorRecord
-from .scenario import ConfigError, DetectorConfig, free_space_loss_db
+from .scenario import ConfigError, DetectorConfig, _normals, free_space_loss_db
 
 MAX_FRAME_BITS = 8 * 32768  # a full measurement log
 SUBCARRIER_GAIN_DB = 20.0 * math.log10(2.0 / math.pi)  # square-wave fundamental
@@ -122,6 +122,8 @@ class LinkBudget:
             raise ConfigError("distance must be positive")
         if self.reflection_loss_db < 0:
             raise ConfigError("reflection loss must be >= 0")
+        if not math.isfinite(self.noise_floor_dbm):
+            raise ConfigError("noise floor must be finite")
 
     @property
     def path_gain_db(self) -> float:
@@ -228,10 +230,13 @@ def bit_magnitudes(rx: RxCapture, demod: DemodConfig) -> np.ndarray:
     if n_bits < 1:
         raise ConfigError("capture is shorter than one bit")
     length = min(demod.filter_length, len(rx.samples))
-    centers = np.arange(n_bits) * spb + spb // 2
-    starts = np.clip(centers - length // 2, 0, len(rx.samples) - length)
-    windows = np.lib.stride_tricks.sliding_window_view(rx.samples, length)
-    return np.abs(windows[starts].sum(axis=1) / length)
+    if length == spb:  # each window is one whole bit: read them as a view
+        windows = rx.samples[:n_bits * spb].reshape(n_bits, spb)
+    else:
+        centers = np.arange(n_bits) * spb + spb // 2
+        starts = np.clip(centers - length // 2, 0, len(rx.samples) - length)
+        windows = np.lib.stride_tricks.sliding_window_view(rx.samples, length)[starts]
+    return np.abs(windows.sum(axis=1) / length)
 
 
 def _bimodal_threshold(mags: np.ndarray) -> float:
@@ -301,9 +306,9 @@ def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
                        " must be a whole multiple of the uplink bitrate")
     sigma = noise_sigma / math.sqrt(2.0)
     samples = np.empty(len(bits) * spb, dtype=complex)
-    np.add(rng.normal(0.0, sigma, len(samples)).reshape(-1, spb),
-           (bits * amplitude)[:, None], out=samples.real.reshape(-1, spb))
-    samples.imag = rng.normal(0.0, sigma, len(samples))
+    noise = _normals(rng, sigma, np.empty((len(bits), spb)))
+    np.add(noise, (bits * amplitude)[:, None], out=samples.real.reshape(-1, spb))
+    samples.imag = _normals(rng, sigma, noise).reshape(-1)
     return RxCapture(samples=samples, sample_rate_hz=demod.sample_rate_hz)
 
 
@@ -346,11 +351,12 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
     # Draw the modulator-rate noise in bit-aligned chunks and keep only its
     # block means, which add to the decimated envelope.
     chunk_bits, spb = 500, len(wave.one_bit)
+    chunk = np.empty(min(n_bits, chunk_bits) * spb)
     noise_parts = []
     for lo in range(0, n_bits, chunk_bits):
-        n = len(bits[lo:lo + chunk_bits]) * spb
-        real = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
-        imag = rng.normal(0.0, sigma_hi, n).reshape(-1, factor).mean(axis=1)
+        buf = chunk[:len(bits[lo:lo + chunk_bits]) * spb]
+        real = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
+        imag = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
         noise_parts.append(real + 1j * imag)
     rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz)
     decided = ap_demodulate(rx, demod)
@@ -432,7 +438,7 @@ def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
     spb = round(det.sample_rate_hz / UPLINK_BITRATE_HZ)
     levels = np.where(np.repeat(bits, spb) > 0,
                       float(det.response_volts(one_way_dbm)), det.floor_volts)
-    volts = levels + rng.normal(0.0, det.noise_sigma_volts, len(levels))
+    volts = levels + _normals(rng, det.noise_sigma_volts, np.empty(len(levels)))
     mags = volts.reshape(-1, spb).mean(axis=1)
     sync = np.asarray(SYNC_PATTERN)
     threshold = 0.5 * (mags[:8][sync == 1].mean() + mags[:8][sync == 0].mean())

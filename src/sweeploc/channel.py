@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
-                       Position, Trajectory, free_space_loss_db, wrap_angle)
+                       Position, Trajectory, _normals, free_space_loss_db, wrap_angle)
 from .transmitter import SweepSchedule
 
 
@@ -234,4 +234,7 @@ def complex_noise(noise_power_dbm: float, n: int,
     """n samples of circular complex Gaussian noise of the given total
     power: all n real parts are drawn first, then all n imaginary parts."""
     sigma = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
-    return rng.normal(0.0, sigma, n) + 1j * rng.normal(0.0, sigma, n)
+    noise, part = np.empty(n, dtype=complex), np.empty(n)
+    noise.real = _normals(rng, sigma, part)
+    noise.imag = _normals(rng, sigma, part)
+    return noise

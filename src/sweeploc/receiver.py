@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .scenario import (SWEEP_MODES, ApConfig, ConfigError, DetectorConfig,
-                       Position)
+                       Position, _normals)
 from .transmitter import PREAMBLE_PATTERNS
 
 PREAMBLE_CORRELATION_THRESHOLD = 0.75
@@ -74,7 +74,7 @@ def detector_noise(det: DetectorConfig, n: int,
     nothing) for a noiseless detector."""
     if det.noise_sigma_volts <= 0:
         return None
-    return rng.normal(0.0, det.noise_sigma_volts, n)
+    return _normals(rng, det.noise_sigma_volts, np.empty(n))
 
 
 # --- sweep timing shared by the estimator and the fast ensemble path ------

@@ -210,8 +210,8 @@ class DetectorConfig:
                 raise ConfigError("table dBm points must be strictly increasing")
             if any(b < a for a, b in zip(volts, volts[1:])) or volts[0] < 0:
                 raise ConfigError("table volts must be nonnegative and nondecreasing")
-        if self.output_noise_volts is not None and self.output_noise_volts < 0:
-            raise ConfigError("output_noise_volts must be >= 0")
+        if self.output_noise_volts is not None and not 0 <= self.output_noise_volts < math.inf:
+            raise ConfigError("output_noise_volts must be finite and >= 0")
 
     def response_volts(self, power_dbm: np.ndarray | float) -> np.ndarray:
         """Map input power (dBm) to output volts, clipping below the floor."""
@@ -322,6 +322,17 @@ def trial_rng(seed: int, *key: int | str) -> np.random.Generator:
     for part in key:
         words.extend(_key_words(part))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(words)))
+
+
+def _normals(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Fill a contiguous float64 buffer with N(0, sigma) draws and return it:
+    bitwise Generator.normal(0.0, sigma, out.size), which is 0.0 + sigma * z."""
+    if not 0.0 <= sigma < math.inf:
+        raise ConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
+    rng.standard_normal(out=out)
+    if sigma == 0.0:  # 0.0 + 0.0 * z is +0.0 even where z < 0
+        out.fill(0.0)
+    return np.multiply(out, sigma, out=out)
 
 
 # --- YAML serialization ---------------------------------------------------

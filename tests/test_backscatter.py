@@ -1,6 +1,7 @@
 """Uplink frames, switch waveform, link budget, demodulation, MAC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,66 @@ def test_bit_magnitudes_equal_brute_force_window_means(bandwidth_hz, length):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def gathered_bit_magnitudes(samples, spb, length):
+    """Reference: every bit's filter window gathered from a sliding-window
+    view, centered and clipped as for any filter length."""
+    centers = np.arange(len(samples) // spb) * spb + spb // 2
+    starts = np.clip(centers - length // 2, 0, len(samples) - length)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, length)
+    return np.abs(windows[starts].sum(axis=1) / length)
+
+
+@pytest.mark.parametrize("rate_hz", [16000.0, 15000.0])
+@pytest.mark.parametrize("sigma", [0.1, 0.7, 2.5])
+def test_aligned_bit_windows_equal_gathered_windows_bitwise(rate_hz, sigma):
+    """A filter one bit long reads the bits as a view: the same windows, in
+    the same sum order, as the gathered copy; trailing samples start no
+    bit, and a 15 kHz capture has odd 15-sample bits."""
+    demod = DemodConfig(sample_rate_hz=rate_hz)
+    spb = round(rate_hz / 1000.0)
+    assert demod.filter_length == spb
+    rng = trial_rng(21, "aligned", int(rate_hz), sigma)
+    rx = synth_capture(rng.integers(0, 2, 2000).astype(np.uint8), 1.0, sigma,
+                       rng, demod)
+    rx = RxCapture(np.concatenate([rx.samples, rx.samples[:spb - 1]]), rate_hz)
+    got = bit_magnitudes(rx, demod)
+    assert got.shape == (2000,)
+    assert got.tobytes() == gathered_bit_magnitudes(rx.samples, spb, spb).tobytes()
+
+
+@pytest.mark.parametrize("bandwidth_hz, gathers", [(2000.0, True), (1000.0, False),
+                                                   (500.0, True)])
+def test_only_unaligned_filter_lengths_gather_windows(monkeypatch, bandwidth_hz,
+                                                      gathers):
+    demod = DemodConfig(filter_bandwidth_hz=bandwidth_hz)
+    rng = trial_rng(22, "gather")
+    rx = synth_capture(rng.integers(0, 2, 100).astype(np.uint8), 1.0, 0.5,
+                       rng, demod)
+    calls = []
+    view = np.lib.stride_tricks.sliding_window_view
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                        lambda *args: calls.append(args) or view(*args))
+    got = bit_magnitudes(rx, demod)
+    assert bool(calls) == gathers
+    want = gathered_bit_magnitudes(rx.samples, 16, demod.filter_length)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_aligned_bit_magnitudes_allocate_no_window_copy():
+    """A 25 000-bit capture's windows are 6.4 MB as a gathered copy."""
+    demod = DemodConfig()
+    rng = trial_rng(23, "alloc")
+    rx = synth_capture(rng.integers(0, 2, 25_000).astype(np.uint8), 1.0, 0.5,
+                       rng, demod)
+    tracemalloc.start()
+    try:
+        bit_magnitudes(rx, demod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def masked_two_means_threshold(mags):
     """Reference: the two-means split with a boolean mask on every pass."""
     t = 0.5 * (float(mags.min()) + float(mags.max()))
@@ -295,6 +356,19 @@ def test_sync_calibrated_demodulation_handles_skewed_payload():
     rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
     decided = ap_demodulate(rx, DemodConfig(), sync_bits=len(SYNC_PATTERN))
     assert np.array_equal(decided[len(SYNC_PATTERN):], payload)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_ber_point_rejects_a_non_finite_noise_level(snr_db):
+    for ber in (ber_point, ber_point_waveform_oracle):
+        with pytest.raises(ConfigError, match="sigma"):
+            ber(snr_db, 100, trial_rng(24, "snr"))
+
+
+@pytest.mark.parametrize("floor_dbm", [math.nan, math.inf, -math.inf])
+def test_link_budget_rejects_a_non_finite_noise_floor(floor_dbm):
+    with pytest.raises(ConfigError, match="noise floor"):
+        LinkBudget(2.0, noise_floor_dbm=floor_dbm)
 
 
 def test_ber_point_high_snr_is_error_free():

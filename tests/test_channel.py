@@ -222,6 +222,17 @@ def test_propagate_rejects_receiver_on_the_ap():
                   4000.0)
 
 
+@pytest.mark.parametrize("dbm, n", [(-30.0, 1), (-30.0, 7), (12.0, 400_000)])
+def test_complex_noise_equals_two_normal_draws_bitwise(dbm, n):
+    """Real parts, then imaginary parts, written into one complex array,
+    equal the sum of the two generator draws."""
+    sigma = math.sqrt(10.0 ** (dbm / 10.0) / 2.0)
+    want_rng, got_rng = trial_rng(20, "complex", n), trial_rng(20, "complex", n)
+    want = want_rng.normal(0.0, sigma, n) + 1j * want_rng.normal(0.0, sigma, n)
+    assert complex_noise(dbm, n, got_rng).tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_add_noise_power_statistics():
     """The capture noise helper: channel noise of the configured power,
     drawn before the detector noise; with both off it draws nothing."""

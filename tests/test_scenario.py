@@ -26,6 +26,7 @@ from sweeploc.scenario import (
     with_seed,
     wrap_angle,
 )
+from sweeploc import scenario
 from sweeploc.scenarios import bench_scenario, farm_scenario, range_scenario
 
 
@@ -252,6 +253,33 @@ def test_builtin_scenarios_are_valid():
         assert scn.channel.nlos_path_count >= 1
         text = scenario_to_yaml(scn)
         assert load_scenario(text) == scn
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.37, 2.5, 0.0])
+@pytest.mark.parametrize("n", [1, 7, 400_000])
+def test_normals_equal_generator_normal_bitwise(sigma, n):
+    """The scaled standard-normal draw is the generator's own N(0, sigma)
+    draw, signed zeros included, and leaves the generator where it left it."""
+    want_rng, got_rng = trial_rng(19, "normals", n), trial_rng(19, "normals", n)
+    want = want_rng.normal(0.0, sigma, n)
+    got = scenario._normals(got_rng, sigma, np.empty(n))
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+def test_normals_reject_a_negative_or_non_finite_sigma(sigma):
+    rng = trial_rng(19, "bad-sigma")
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="sigma"):
+        scenario._normals(rng, sigma, np.empty(4))
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("volts", [-1e-3, math.nan, math.inf])
+def test_detector_output_noise_must_be_finite_and_nonnegative(volts):
+    with pytest.raises(ConfigError, match="output_noise_volts"):
+        DetectorConfig(output_noise_volts=volts)
 
 
 def test_channel_config_validation():
