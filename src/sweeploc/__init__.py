@@ -29,7 +29,7 @@ from .backscatter import (DemodConfig, Frame, InsectNode, LinkBudget,
                           modulate_frame, transmit_backscatter)
 from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
                     average_current_ma, battery_life_h, logging_endurance_h,
-                    rf_charge_time_h, solar_charge_time_h)
+                    rf_charge_time_h)
 from .pipeline import (detect_with_noise, draw_noise, fast_estimate_bearings,
                        localize_once, synthesize_rounds)
 from .experiments import (EXPERIMENTS, ExperimentSpec, ResultTable, emit_csv,

@@ -20,7 +20,6 @@ from .receiver import LogStore, SensorRecord
 from .scenario import ConfigError, DetectorConfig, _normals, free_space_loss_db
 
 MAX_FRAME_BITS = 8 * 32768  # a full measurement log
-SUBCARRIER_GAIN_DB = 20.0 * math.log10(2.0 / math.pi)  # square-wave fundamental
 SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
 UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
 MODULATOR_RATE_HZ = 8e6  # the tag's switch-drive sample rate
@@ -49,14 +48,6 @@ def frame_from_records(records: Sequence[SensorRecord]) -> Frame:
     payload = b"".join(r.pack() for r in records)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     return Frame(bits=tuple(int(b) for b in bits))
-
-
-def records_from_bits(bits: Sequence[int]) -> list[SensorRecord]:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if len(arr) % 32:
-        raise ConfigError("record payload must be a whole number of 32-bit records")
-    payload = np.packbits(arr).tobytes()
-    return [SensorRecord.unpack(payload[k:k + 4]) for k in range(0, len(payload), 4)]
 
 
 def _whole_ratio(numerator: float, denominator: float, message: str) -> int:
@@ -90,11 +81,6 @@ class SwitchWaveform:
     def states(self) -> np.ndarray:
         return np.outer(self.bits, self.one_bit).reshape(-1)
 
-    def rising_edges(self) -> int:
-        """Count 0-to-1 switch events, including a leading rise from idle."""
-        padded = np.concatenate(([0], self.states.astype(np.int8)))
-        return int(np.count_nonzero(np.diff(padded) == 1))
-
     @property
     def duration_s(self) -> float:
         return len(self.bits) / UPLINK_BITRATE_HZ
@@ -118,9 +104,11 @@ class LinkBudget:
     noise_floor_dbm: float = -90.0
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0:
+        if not self.distance_m > 0:
             raise ConfigError("distance must be positive")
-        if self.reflection_loss_db < 0:
+        if not math.isfinite(self.tx_power_dbm):
+            raise ConfigError("transmit power must be finite")
+        if not self.reflection_loss_db >= 0:
             raise ConfigError("reflection loss must be >= 0")
         if not math.isfinite(self.noise_floor_dbm):
             raise ConfigError("noise floor must be finite")
@@ -132,11 +120,6 @@ class LinkBudget:
                 - 2.0 * free_space_loss_db(self.distance_m, self.carrier_hz)
                 - self.reflection_loss_db)
 
-    @property
-    def received_power_dbm(self) -> float:
-        """Subcarrier fundamental power back at the interrogator."""
-        return self.path_gain_db + SUBCARRIER_GAIN_DB
-
 
 @dataclass(frozen=True)
 class DemodConfig:
@@ -144,17 +127,10 @@ class DemodConfig:
 
     offset_hz: float = SUBCARRIER_HZ
     sample_rate_hz: float = 16000.0
-    filter_bandwidth_hz: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.offset_hz <= 0 or self.sample_rate_hz <= 0:
+        if not (self.offset_hz > 0 and self.sample_rate_hz > 0):
             raise ConfigError("offset and sample rate must be positive")
-        if self.filter_bandwidth_hz <= 0:
-            raise ConfigError("filter bandwidth must be positive")
-
-    @property
-    def filter_length(self) -> int:
-        return max(1, round(self.sample_rate_hz / self.filter_bandwidth_hz))
 
 
 @dataclass(frozen=True)
@@ -223,20 +199,15 @@ def demod_fundamental_gain(wave_rate_hz: float = MODULATOR_RATE_HZ,
     return complex(2.0 * np.mean(states * np.exp(-2j * math.pi * k / cycle)))
 
 
-def bit_magnitudes(rx: RxCapture, demod: DemodConfig) -> np.ndarray:
-    """Filtered envelope magnitude at each bit center."""
+def bit_magnitudes(rx: RxCapture) -> np.ndarray:
+    """Magnitude of each whole bit's mean envelope: a boxcar filter one bit
+    long, read as a view of the capture. Trailing samples short of a bit
+    are not read."""
     spb = rx.samples_per_bit
     n_bits = len(rx.samples) // spb
     if n_bits < 1:
         raise ConfigError("capture is shorter than one bit")
-    length = min(demod.filter_length, len(rx.samples))
-    if length == spb:  # each window is one whole bit: read them as a view
-        windows = rx.samples[:n_bits * spb].reshape(n_bits, spb)
-    else:
-        centers = np.arange(n_bits) * spb + spb // 2
-        starts = np.clip(centers - length // 2, 0, len(rx.samples) - length)
-        windows = np.lib.stride_tricks.sliding_window_view(rx.samples, length)[starts]
-    return np.abs(windows.sum(axis=1) / length)
+    return np.abs(rx.samples[:n_bits * spb].reshape(n_bits, spb).sum(axis=1) / spb)
 
 
 def _bimodal_threshold(mags: np.ndarray) -> float:
@@ -263,16 +234,15 @@ def _bimodal_threshold(mags: np.ndarray) -> float:
     return t
 
 
-def ap_demodulate(rx: RxCapture, demod: DemodConfig,
-                  sync_bits: int = 0) -> np.ndarray:
-    """Decide bits by thresholding filtered magnitudes at bit centers.
+def ap_demodulate(rx: RxCapture, sync_bits: int = 0) -> np.ndarray:
+    """Decide bits by thresholding each bit's magnitude (bit_magnitudes).
 
     The threshold is the two-means split of the frame's magnitudes. When
     the frame starts with the known sync pattern, pass sync_bits to
     calibrate the threshold from the sync levels instead, which also
     handles degenerate all-same payloads.
     """
-    mags = bit_magnitudes(rx, demod)
+    mags = bit_magnitudes(rx)
     if sync_bits:
         if sync_bits > len(mags) or sync_bits > len(SYNC_PATTERN):
             raise ConfigError("sync_bits exceeds the frame or pattern length")
@@ -290,7 +260,7 @@ def roundtrip_frame(frame: Frame, link: LinkBudget, demod: DemodConfig,
                     sync_bits: int = 0) -> np.ndarray:
     """Modulate, reflect through the link, capture, and demodulate."""
     rx = transmit_backscatter(modulate_frame(frame), link, demod, rng)
-    return ap_demodulate(rx, demod, sync_bits=sync_bits)
+    return ap_demodulate(rx, sync_bits=sync_bits)
 
 
 # --- BER simulation ---------------------------------------------------------
@@ -322,7 +292,7 @@ def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
     sigma = 10.0 ** (-snr_db / 20.0)
     rx = synth_capture(bits, 1.0, sigma, rng, demod)
-    decided = ap_demodulate(rx, demod)
+    decided = ap_demodulate(rx)
     errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors
 
@@ -359,7 +329,7 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
         imag = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
         noise_parts.append(real + 1j * imag)
     rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz)
-    decided = ap_demodulate(rx, demod)
+    decided = ap_demodulate(rx)
     errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors
 
@@ -367,7 +337,6 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
 # --- hive MAC ----------------------------------------------------------------
 
 QUERY_ADDRESS_BITS = 8
-QUERY_COMMAND_DUMP = 0xD1
 MAC_RETRIES = 2  # further queries before an insect is skipped
 MAC_GUARD_S = 0.005  # idle gap after every query and every reply
 
@@ -383,7 +352,7 @@ class InsectNode:
     def __post_init__(self) -> None:
         if not 0 <= self.address < (1 << QUERY_ADDRESS_BITS):
             raise ConfigError("address must fit 8 bits")
-        if self.distance_m <= 0:
+        if not self.distance_m > 0:
             raise ConfigError("distance must be positive")
 
 

@@ -185,12 +185,6 @@ def _grid_chunk_errors(scn: Scenario, antenna_counts: Sequence[int],
         for n_ant in antenna_counts]
 
 
-def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
-                     chunk_idx: int, n: int) -> np.ndarray:
-    """Signed bearing errors (degrees) for one grid cell chunk."""
-    return _grid_chunk_errors(scn, (n_ant,), ratio, r_key, chunk_idx, n)[0]
-
-
 def _grid_ratio_chunk(task) -> list[tuple[tuple[int, int], float, float, int]]:
     scn, r_idx, chunk_idx, lo, hi = task
     errors = _grid_chunk_errors(scn, GRID_ANTENNA_COUNTS, GRID_RATIOS[r_idx],

@@ -145,15 +145,13 @@ def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
 
 
 def localize_once(scn: Scenario, where: Position | Trajectory,
-                  rng: np.random.Generator, table: LookupTable,
-                  receiver: Receiver | None = None) -> LocalizationResult:
+                  rng: np.random.Generator,
+                  table: LookupTable) -> LocalizationResult:
     """Draw a channel and the noise of a two-round capture, synthesize it,
-    and run the receiver over it."""
+    and run a fresh receiver over it."""
     pathsets = draw_pathsets(scn, where, rng)
     noise = draw_noise(scn, 2 * _round_samples(scn), rng)
     env = detect_with_noise(synthesize_rounds(scn, pathsets, where, rounds=2),
                             scn.detector, noise)
-    if receiver is None:
-        receiver = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing,
-                            table=table)
+    receiver = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing, table=table)
     return receiver.process_buffer(env)

@@ -25,7 +25,7 @@ class PowerProfile:
 
     def __post_init__(self) -> None:
         for name in ("active_ma", "sleep_ma", "logging_ma", "supply_v"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
 
 
@@ -35,7 +35,7 @@ class BatteryConfig:
     voltage_v: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.capacity_mah <= 0 or self.voltage_v <= 0:
+        if not (self.capacity_mah > 0 and self.voltage_v > 0):
             raise ConfigError("battery capacity and voltage must be positive")
 
 
@@ -152,14 +152,6 @@ class SolarHarvest:
         (x0, y0), (x1, y1) = seg
         y = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
         return math.exp(y)
-
-
-def solar_charge_time_h(harvest: SolarHarvest, battery: BatteryConfig,
-                        lux: float) -> float:
-    power_mw = harvest.power_uw(lux) / 1000.0
-    if power_mw <= 0.0:
-        return math.inf
-    return battery.capacity_mah / (power_mw / battery.voltage_v)
 
 
 def logging_endurance_h(capacity_bytes: int = 32768, record_bytes: int = 4,

@@ -43,29 +43,23 @@ class EnvelopeTrace:
 
 
 def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
-    """Run a field trace through the detector response and output sampler.
+    """Run a field trace, sampled at the detector's output rate, through
+    the detector response.
 
     Instantaneous input power |s|^2 (mW) maps through the monotone response
-    to volts, clipping below the sensitivity floor. If the field is
-    oversampled relative to the detector output rate the response output is
-    block-averaged down. The output is noiseless; detector_noise draws the
-    Gaussian output noise for a caller to add.
+    to volts, clipping below the sensitivity floor. The output is
+    noiseless; detector_noise draws the Gaussian output noise for a caller
+    to add.
     """
-    factor_f = trace.sample_rate_hz / det.sample_rate_hz
-    factor = round(factor_f)
-    if factor < 1 or abs(factor_f - factor) > 1e-9:
-        raise ConfigError("field rate must be an integer multiple of detector rate")
+    if trace.sample_rate_hz != det.sample_rate_hz:
+        raise ConfigError(f"field rate {trace.sample_rate_hz} Hz must equal the"
+                          f" detector rate {det.sample_rate_hz} Hz")
     power_mw = np.abs(trace.samples) ** 2
     with np.errstate(divide="ignore"):
         power_dbm = 10.0 * np.log10(power_mw)
-    volts = det.response_volts(power_dbm)
-    clipped = power_dbm < det.sensitivity_floor_dbm
-    if factor > 1:
-        n = (len(volts) // factor) * factor
-        volts = volts[:n].reshape(-1, factor).mean(axis=1)
-        clipped = clipped[:n].reshape(-1, factor).all(axis=1)
-    return EnvelopeTrace(volts=volts, sample_rate_hz=det.sample_rate_hz,
-                         t0_s=trace.t0_s, floor_clipped=clipped)
+    return EnvelopeTrace(volts=det.response_volts(power_dbm),
+                         sample_rate_hz=det.sample_rate_hz, t0_s=trace.t0_s,
+                         floor_clipped=power_dbm < det.sensitivity_floor_dbm)
 
 
 def detector_noise(det: DetectorConfig, n: int,
@@ -157,7 +151,6 @@ class AngleEstimate:
     ap_index: int
     raw_rad: float
     smoothed_rad: float
-    peak_sample: int
     timestamp_s: float
 
 
@@ -174,7 +167,7 @@ def estimate_angle(env: EnvelopeTrace, period_start_sample: int, ap: ApConfig,
         raise ConfigError("sweep window extends past the captured buffer")
     peak = int(sweep_peaks(env.volts[None], np.array([start]), ap, rate)[0])
     raw = angle_from_sample(ap, mode, peak - start, rate)
-    return AngleEstimate(ap_index, raw, raw, peak, env.t0_s + peak / rate)
+    return AngleEstimate(ap_index, raw, raw, env.t0_s + peak / rate)
 
 
 def smooth_angle(previous_rad: float | None, raw_rad: float,
@@ -385,21 +378,7 @@ SENSOR_KINDS: dict[str, tuple[int, int]] = {
     "light": (2, 12),
 }
 
-_TAG_TO_KIND = {tag: kind for kind, (tag, _) in SENSOR_KINDS.items()}
-
 RECORD_SIZE_BYTES = 4
-
-
-def angle_code(bearing_rad: float) -> int:
-    """Quantize a bearing in [-90, 90] degrees to an 8-bit code."""
-    deg = min(max(math.degrees(bearing_rad), -90.0), 90.0)
-    return round((deg + 90.0) / 180.0 * 255.0)
-
-
-def angle_from_code(code: int) -> float:
-    if not 0 <= code <= 255:
-        raise ConfigError("angle code must fit 8 bits")
-    return math.radians(code / 255.0 * 180.0 - 90.0)
 
 
 @dataclass(frozen=True)
@@ -431,20 +410,6 @@ class SensorRecord:
             | (self.angle2_code << 2)
         return word.to_bytes(RECORD_SIZE_BYTES, "big")
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "SensorRecord":
-        if len(data) != RECORD_SIZE_BYTES:
-            raise ConfigError("a packed record is exactly 4 bytes")
-        word = int.from_bytes(data, "big")
-        tag = word >> 30
-        if tag not in _TAG_TO_KIND:
-            raise ConfigError(f"unknown kind tag {tag}")
-        if word & 0x3:
-            raise ConfigError("reserved bits must be zero")
-        return cls(kind=_TAG_TO_KIND[tag], value=(word >> 18) & 0xFFF,
-                   angle1_code=(word >> 10) & 0xFF,
-                   angle2_code=(word >> 2) & 0xFF)
-
 
 @dataclass
 class LogStore:
@@ -461,29 +426,10 @@ class LogStore:
     def max_records(self) -> int:
         return self.capacity_bytes // RECORD_SIZE_BYTES
 
-    @property
-    def used_bytes(self) -> int:
-        return len(self.records) * RECORD_SIZE_BYTES
-
     def append(self, record: SensorRecord) -> None:
         if len(self.records) >= self.max_records:
             raise StoreFullError(f"log full at {self.max_records} records")
         self.records.append(record)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def dump(self) -> bytes:
-        return b"".join(r.pack() for r in self.records)
-
-    @classmethod
-    def restore(cls, data: bytes, capacity_bytes: int = 32768) -> "LogStore":
-        if len(data) % RECORD_SIZE_BYTES:
-            raise ConfigError("dump length must be a multiple of 4 bytes")
-        store = cls(capacity_bytes=capacity_bytes)
-        for k in range(0, len(data), RECORD_SIZE_BYTES):
-            store.append(SensorRecord.unpack(data[k:k + RECORD_SIZE_BYTES]))
-        return store
 
 
 # --- stateful driver --------------------------------------------------------
@@ -505,14 +451,13 @@ class LocalizationResult:
 class Receiver:
     """Runs the capture-scan-estimate-smooth-fix loop over sample buffers.
 
-    Keeps one smoothed bearing per AP across calls and an optional
-    measurement log. Buffers must contain at least two full sweep periods
-    after the first AP's preamble for a fix to come out.
+    Keeps one smoothed bearing per AP across calls. Buffers must contain
+    at least two full sweep periods after the first AP's preamble for a fix
+    to come out.
     """
 
     def __init__(self, aps: tuple[ApConfig, ApConfig], sweep_mode: str,
-                 smoothing: float, table: LookupTable | None = None,
-                 store: LogStore | None = None) -> None:
+                 smoothing: float, table: LookupTable | None = None) -> None:
         if len(aps) < 2:
             raise ConfigError("a 2D receiver needs two APs")
         if sweep_mode not in SWEEP_MODES:
@@ -523,9 +468,7 @@ class Receiver:
         self.sweep_mode = sweep_mode
         self.smoothing = smoothing
         self.table = table if table is not None else LookupTable(aps[0], aps[1])
-        self.store = store if store is not None else LogStore()
         self.smoothed: list[float | None] = [None, None]
-        self.fixes: list[LocationFix] = []
 
     def process_buffer(self, env: EnvelopeTrace) -> LocalizationResult:
         """Scan one buffer: scan with a batch of one."""
@@ -561,23 +504,13 @@ class Receiver:
                 smoothed = smooth_angle(self.smoothed[which], raw, self.smoothing)
                 self.smoothed[which] = smoothed
                 dets[which] = PreambleDetection(ap.preamble_id, start, corr)
-                ests[which] = AngleEstimate(which, raw, smoothed, peak, stamp)
+                ests[which] = AngleEstimate(which, raw, smoothed, stamp)
             fix, low = None, False
             if ests[1] is not None:
                 try:
                     fix = fix_2d(ests[0].smoothed_rad, ests[1].smoothed_rad,
                                  self.table, timestamp_s=ests[1].timestamp_s)
-                    self.fixes.append(fix)
                 except LowConfidenceFixError:
                     low = True
             results.append(LocalizationResult(tuple(dets), tuple(ests), fix, low))
         return results
-
-    def log_measurement(self, kind: str, value: int) -> SensorRecord:
-        """Append one measurement stamped with the current smoothed bearings."""
-        b1 = self.smoothed[0] if self.smoothed[0] is not None else 0.0
-        b2 = self.smoothed[1] if self.smoothed[1] is not None else 0.0
-        record = SensorRecord(kind=kind, value=value,
-                              angle1_code=angle_code(b1), angle2_code=angle_code(b2))
-        self.store.append(record)
-        return record

@@ -124,11 +124,13 @@ class ApConfig:
         if not 0.0 < self.spacing_wavelengths <= 0.5:
             raise ConfigError("spacing_wavelengths must be in (0, 0.5]: wider spacing"
                               " has grating lobes, so the bearing is ambiguous")
-        if self.carrier_hz <= 0:
+        if not self.carrier_hz > 0:
             raise ConfigError("carrier_hz must be positive")
+        if not (math.isfinite(self.tx_power_dbm) and math.isfinite(self.boresight_rad)):
+            raise ConfigError("tx_power_dbm and boresight_rad must be finite")
         if not 0.0 < self.preamble_duration_s < self.sweep_period_s:
             raise ConfigError("need 0 < preamble_duration < sweep_period")
-        if self.sweep_step_rad <= 0:
+        if not self.sweep_step_rad > 0:
             raise ConfigError("sweep_step_rad must be positive")
         steps = math.pi / self.sweep_step_rad
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 2:
@@ -172,7 +174,7 @@ class ChannelConfig:
             raise ConfigError("multipath_ratio must be in [0, 2]")
         if self.noise_power_dbm is not None and not math.isfinite(self.noise_power_dbm):
             raise ConfigError("noise_power_dbm must be finite or None")
-        if self.nlos_redraw_distance_m <= 0:
+        if not self.nlos_redraw_distance_m > 0:
             raise ConfigError("nlos_redraw_distance_m must be positive")
 
 
@@ -196,8 +198,10 @@ class DetectorConfig:
     output_noise_volts: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
+        if not self.sample_rate_hz > 0:
             raise ConfigError("sample_rate_hz must be positive")
+        if not math.isfinite(self.sensitivity_floor_dbm):
+            raise ConfigError("sensitivity_floor_dbm must be finite")
         if self.response_model not in ("square_law", "table"):
             raise ConfigError("response_model must be 'square_law' or 'table'")
         if self.response_model == "table":
@@ -262,7 +266,7 @@ class Scenario:
                 raise ConfigError("all APs must share one sweep period for TDMA")
         if self.field_extent_m is not None:
             w, h = self.field_extent_m
-            if w <= 0 or h <= 0:
+            if not (w > 0 and h > 0):
                 raise ConfigError("field_extent_m must be positive")
         fs = self.detector.sample_rate_hz
         for ap in self.aps:

@@ -26,7 +26,6 @@ from sweeploc.channel import PathSet, propagate
 from sweeploc.experiments import (
     BER_SNR_POINTS_DB,
     ExperimentSpec,
-    grid_cell_errors,
     render_csv,
     run_experiment,
 )
@@ -59,6 +58,8 @@ from sweeploc.scenario import (
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import build_sweep_schedule, drive_increments
+
+from helpers import grid_cell_errors
 
 
 def test_criterion_1_multipath_error_and_antenna_monotonicity():

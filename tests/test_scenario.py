@@ -27,6 +27,8 @@ from sweeploc.scenario import (
     wrap_angle,
 )
 from sweeploc import scenario
+from sweeploc.backscatter import DemodConfig, InsectNode, LinkBudget
+from sweeploc.power import BatteryConfig, PowerProfile
 from sweeploc.scenarios import bench_scenario, farm_scenario, range_scenario
 
 
@@ -287,3 +289,35 @@ def test_channel_config_validation():
         ChannelConfig(nlos_path_count=-1)
     with pytest.raises(ConfigError):
         ChannelConfig(multipath_ratio=-0.5)
+
+
+_ORIGIN = Position(0.0, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ApConfig(_ORIGIN, 0.0, carrier_hz=math.nan), id="ap-carrier"),
+    pytest.param(lambda: ApConfig(_ORIGIN, 0.0, tx_power_dbm=math.nan),
+                 id="ap-tx-power"),
+    pytest.param(lambda: ApConfig(_ORIGIN, math.nan), id="ap-boresight"),
+    pytest.param(lambda: ApConfig(_ORIGIN, 0.0, sweep_step_rad=math.nan),
+                 id="ap-sweep-step"),
+    pytest.param(lambda: ChannelConfig(nlos_redraw_distance_m=math.nan),
+                 id="channel-redraw"),
+    pytest.param(lambda: DetectorConfig(sample_rate_hz=math.nan), id="detector-rate"),
+    pytest.param(lambda: DetectorConfig(sensitivity_floor_dbm=math.nan),
+                 id="detector-floor"),
+    pytest.param(lambda: Scenario(aps=(ApConfig(_ORIGIN, 0.0),),
+                                  field_extent_m=(math.nan, 10.0)), id="field-extent"),
+    pytest.param(lambda: LinkBudget(math.nan), id="link-distance"),
+    pytest.param(lambda: LinkBudget(2.0, tx_power_dbm=math.nan), id="link-tx-power"),
+    pytest.param(lambda: LinkBudget(2.0, reflection_loss_db=math.nan),
+                 id="link-reflection"),
+    pytest.param(lambda: DemodConfig(sample_rate_hz=math.nan), id="demod-rate"),
+    pytest.param(lambda: InsectNode(1, math.nan), id="insect-distance"),
+    pytest.param(lambda: PowerProfile(active_ma=math.nan), id="power-active"),
+    pytest.param(lambda: BatteryConfig(capacity_mah=math.nan), id="battery-capacity"),
+])
+def test_configs_reject_nan(build):
+    """NaN fails every comparison, so each check is written to fail on it."""
+    with pytest.raises(ConfigError):
+        build()
