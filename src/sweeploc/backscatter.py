@@ -10,7 +10,7 @@ carrier leakage is band-passed away), decimated to a few samples per bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +55,11 @@ def _whole_ratio(numerator: float, denominator: float, message: str) -> int:
     if ratio < 1 or abs(numerator / denominator - ratio) > 1e-6:
         raise ConfigError(message)
     return ratio
+
+
+def _capture_samples_per_bit(sample_rate_hz: float) -> int:
+    return _whole_ratio(sample_rate_hz, UPLINK_BITRATE_HZ, "capture rate must"
+                        " be a whole multiple of the uplink bitrate")
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,7 @@ class RxCapture:
 
     @property
     def samples_per_bit(self) -> int:
-        return _whole_ratio(self.sample_rate_hz, UPLINK_BITRATE_HZ,
-                            "capture rate must be a whole multiple of the bitrate")
+        return _capture_samples_per_bit(self.sample_rate_hz)
 
 
 def _decimated_envelope(wave: SwitchWaveform, demod: DemodConfig,
@@ -267,13 +271,13 @@ def roundtrip_frame(frame: Frame, link: LinkBudget, demod: DemodConfig,
 
 def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
                   rng: np.random.Generator, demod: DemodConfig) -> RxCapture:
-    """Capture-rate OOK envelope without the modulator-rate detour.
+    """Capture-rate OOK envelope without the modulator-rate detour; at the
+    bitrate it is the boxcar filter's output, one sample per bit.
 
     Equivalent to transmit_backscatter for whole-cycle decimation blocks up
     to the complex fundamental gain, which the caller folds into amplitude.
     """
-    spb = _whole_ratio(demod.sample_rate_hz, UPLINK_BITRATE_HZ, "capture rate"
-                       " must be a whole multiple of the uplink bitrate")
+    spb = _capture_samples_per_bit(demod.sample_rate_hz)
     sigma = noise_sigma / math.sqrt(2.0)
     samples = np.empty(len(bits) * spb, dtype=complex)
     noise = _normals(rng, sigma, np.empty((len(bits), spb)))
@@ -285,15 +289,17 @@ def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
 def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
               demod: DemodConfig | None = None) -> tuple[float, int]:
     """Monte Carlo BER at a per-sample SNR (signal power over total complex
-    noise power during a one-bit). Returns (ber, error_count)."""
+    noise power during a one-bit), drawn as each bit's boxcar output: one
+    complex Gaussian at sigma / sqrt(spb). Returns (ber, error_count)."""
     if n_bits < 1:
         raise ConfigError("need at least one bit")
     demod = demod or DemodConfig()
+    spb = _capture_samples_per_bit(demod.sample_rate_hz)
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    sigma = 10.0 ** (-snr_db / 20.0)
-    rx = synth_capture(bits, 1.0, sigma, rng, demod)
-    decided = ap_demodulate(rx)
-    errors = int(np.count_nonzero(decided != bits))
+    sigma = 10.0 ** (-snr_db / 20.0) / math.sqrt(spb)
+    rx = synth_capture(bits, 1.0, sigma, rng,
+                       replace(demod, sample_rate_hz=UPLINK_BITRATE_HZ))
+    errors = int(np.count_nonzero(ap_demodulate(rx) != bits))
     return errors / n_bits, errors
 
 

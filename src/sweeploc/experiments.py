@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .backscatter import (UPLINK_BITRATE_HZ, DemodConfig, InsectNode,
-                          SensorRecord, _whole_ratio, ber_point,
+from .backscatter import (DemodConfig, InsectNode, SensorRecord,
+                          _capture_samples_per_bit, ber_point,
                           frame_from_records, hive_mac_session)
 from .channel import FieldTrace, draw_multipath, propagate
 from .pipeline import (capture_track, detect_with_noise, draw_noise,
@@ -438,9 +438,7 @@ def ber_vs_snr(spec: ExperimentSpec) -> ResultTable:
         half_ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 1e-12) / count)
         rows.append((snr, count, errors, ber, half_ci))
     meta = _base_meta(spec, bits)
-    meta["samples_per_bit"] = _whole_ratio(
-        DemodConfig().sample_rate_hz, UPLINK_BITRATE_HZ, "capture rate must be"
-        " a whole multiple of the uplink bitrate")
+    meta["samples_per_bit"] = _capture_samples_per_bit(DemodConfig().sample_rate_hz)
     return ResultTable(
         columns=("snr_db", "bits", "errors", "ber", "ci95_half_width"),
         rows=rows, meta=meta)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scenario import ConfigError
 
 
@@ -42,8 +44,8 @@ class BatteryConfig:
 def average_current_ma(profile: PowerProfile, awake_s: float = 0.1,
                        period_s: float = 4.0, logging_s: float = 0.0) -> float:
     """Time-weighted current over one wake/sleep cycle."""
-    if period_s <= 0 or awake_s < 0 or logging_s < 0:
-        raise ConfigError("period must be positive, state times nonnegative")
+    if not (0 < period_s < math.inf and awake_s >= 0 and logging_s >= 0):
+        raise ConfigError("period must be finite and > 0, state times >= 0")
     if awake_s + logging_s > period_s:
         raise ConfigError("state times exceed the cycle period")
     sleep_s = period_s - awake_s - logging_s
@@ -78,6 +80,9 @@ class RfHarvest:
         curve = self.efficiency_curve
         if len(curve) < 1:
             raise ConfigError("efficiency curve needs at least one point")
+        if not all(map(math.isfinite, (self.tx_power_dbm, self.path_loss_db,
+                                       self.turn_on_dbm, *(p for p, _ in curve)))):
+            raise ConfigError("harvest power levels and losses must be finite")
         if any(b[0] <= a[0] for a, b in zip(curve, curve[1:])):
             raise ConfigError("efficiency curve dBm points must increase")
         if any(not 0.0 <= eff <= 1.0 for _, eff in curve):
@@ -90,16 +95,7 @@ class RfHarvest:
     def efficiency(self, power_dbm: float) -> float:
         if power_dbm < self.turn_on_dbm:
             return 0.0
-        curve = self.efficiency_curve
-        if power_dbm <= curve[0][0]:
-            return curve[0][1]
-        if power_dbm >= curve[-1][0]:
-            return curve[-1][1]
-        for (p0, e0), (p1, e1) in zip(curve, curve[1:]):
-            if p0 <= power_dbm <= p1:
-                f = (power_dbm - p0) / (p1 - p0)
-                return e0 + f * (e1 - e0)
-        return curve[-1][1]
+        return float(np.interp(power_dbm, *zip(*self.efficiency_curve)))
 
     def harvested_mw(self, power_dbm: float | None = None) -> float:
         p = self.received_dbm if power_dbm is None else power_dbm
@@ -157,6 +153,6 @@ class SolarHarvest:
 def logging_endurance_h(capacity_bytes: int = 32768, record_bytes: int = 4,
                         interval_s: float = 5.0) -> float:
     """How long the log lasts at a fixed measurement cadence."""
-    if interval_s <= 0 or record_bytes <= 0 or capacity_bytes < record_bytes:
+    if not (interval_s > 0 and record_bytes > 0 and capacity_bytes >= record_bytes):
         raise ConfigError("need positive interval and a capacity >= one record")
     return (capacity_bytes // record_bytes) * interval_s / 3600.0

@@ -298,7 +298,7 @@ def true_bearing(ap: ApConfig, pos: Position) -> float:
 def free_space_loss_db(distance_m: float | np.ndarray, carrier_hz: float) -> float | np.ndarray:
     """Free-space path loss 20*log10(4*pi*d/lambda), dB."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0) or carrier_hz <= 0:
+    if not (np.all(d > 0) and carrier_hz > 0):
         raise ConfigError("free-space loss needs distance > 0 and carrier > 0")
     loss = 20.0 * np.log10(4.0 * math.pi * d * carrier_hz / SPEED_OF_LIGHT)
     if np.ndim(distance_m) == 0:

@@ -26,8 +26,10 @@ from sweeploc.backscatter import (
     synth_capture,
     transmit_backscatter,
 )
+from sweeploc.experiments import ExperimentSpec, run_experiment
 from sweeploc.receiver import SensorRecord
 from sweeploc.scenario import ConfigError, free_space_loss_db, trial_rng
+from sweeploc.scenarios import bench_scenario
 
 
 def make_records(n):
@@ -281,15 +283,17 @@ def test_capture_shorter_than_one_bit_is_a_config_error(rate_hz, n_samples,
 
 
 def test_ber_point_captures_at_the_demod_rate():
-    """At 8 kHz a bit is 8 capture samples; a rate that splits a bit is
-    refused."""
-    demod = DemodConfig(sample_rate_hz=8000.0)
-    got = ber_point(-4.0, 4000, trial_rng(18, "rate"), demod)
+    """At 8 kHz a bit's boxcar output is the mean of 8 capture samples, one
+    complex Gaussian with sigma / sqrt(8): ber_point draws it at one sample
+    per bit, bits then real parts then imaginary parts, and decides with
+    ap_demodulate. A rate that splits a bit is refused."""
+    got = ber_point(-4.0, 4000, trial_rng(18, "rate"),
+                    DemodConfig(sample_rate_hz=8000.0))
     rng = trial_rng(18, "rate")
     bits = rng.integers(0, 2, 4000).astype(np.uint8)
-    rx = synth_capture(bits, 1.0, 10.0 ** (4.0 / 20.0), rng, demod)
-    assert rx.sample_rate_hz == 8000.0 and rx.samples_per_bit == 8
-    assert len(rx.samples) == 8 * 4000
+    rx = synth_capture(bits, 1.0, 10.0 ** (4.0 / 20.0) / math.sqrt(8.0), rng,
+                       DemodConfig(sample_rate_hz=1000.0))
+    assert rx.samples_per_bit == 1 and len(rx.samples) == 4000
     errors = int(np.count_nonzero(ap_demodulate(rx) != bits))
     assert got == (errors / 4000, errors)
     assert 0 < errors < 4000 * 0.5
@@ -343,6 +347,61 @@ def test_fast_ber_matches_waveform_oracle():
     pooled = (ef + eo) / (n_fast + n_oracle)
     margin = 1.96 * math.sqrt(pooled * (1 - pooled) * (1 / n_fast + 1 / n_oracle))
     assert abs(bf - bo) <= margin
+
+
+def rician_ook_ber(snr_db):
+    """Closed-form BER of ber_point's decision: noncoherent OOK (Rice,
+    Mathematical analysis of random noise, BSTJ 1944; Proakis, Digital
+    Communications). The mean of a bit's 16 capture samples has
+    per-dimension noise variance s2; zero-bits read a Rayleigh magnitude,
+    one-bits a Rician one with A = 1. The threshold is the two-means fixed
+    point of the equiprobable mixture, which _bimodal_threshold converges
+    to as the capture grows."""
+    s2 = 10.0 ** (-snr_db / 10.0) / (2.0 * 16)
+    r_max = 1.0 + 12.0 * math.sqrt(s2)
+
+    def rayleigh_and_rice(r):
+        return (r / s2 * np.exp(-r * r / (2.0 * s2)),
+                r / s2 * np.exp(-(r * r + 1.0) / (2.0 * s2)) * np.i0(r / s2))
+
+    def mass_and_mean(lo, hi):
+        r = np.linspace(lo, hi, 20001)
+        pdf = sum(rayleigh_and_rice(r))
+        mass = np.trapezoid(pdf, r)
+        return mass, np.trapezoid(r * pdf, r) / mass
+
+    t = 0.5
+    for _ in range(200):
+        t_new = 0.5 * (mass_and_mean(0.0, t)[1] + mass_and_mean(t, r_max)[1])
+        if abs(t_new - t) <= 1e-12:
+            break
+        t = t_new
+    r = np.linspace(0.0, t, 20001)
+    missed_one = np.trapezoid(rayleigh_and_rice(r)[1], r)
+    return 0.5 * (math.exp(-t * t / (2.0 * s2)) + missed_one)
+
+
+def test_rician_closed_form_values():
+    """Spot values of the closed form, independent of the simulator."""
+    got = [rician_ook_ber(snr) for snr in (-12.0, -4.0, 0.0, 4.0)]
+    assert got == pytest.approx([0.35317, 0.081597, 0.0071866, 2.4881e-5],
+                                rel=1e-4)
+
+
+def test_ber_vs_snr_matches_rician_closed_form():
+    """10^6 bits per point, seed 1: every point with at least 20 expected
+    errors (-12 to 4 dB) sits within 3 binomial standard deviations of the
+    closed form; at 6 dB, where 0.11 errors are expected, at most 2."""
+    table = run_experiment(ExperimentSpec(
+        "ber_vs_snr", bench_scenario(seed=1), trials=10**6, workers=1))
+    for snr, n, errors, _, _ in table.rows:
+        p = rician_ook_ber(snr)
+        expected = n * p
+        if expected >= 20:
+            assert abs(errors - expected) <= 3.0 * math.sqrt(expected * (1 - p)), \
+                f"snr={snr}: {errors} errors, closed form {expected:.1f}"
+        else:
+            assert errors <= 2, f"snr={snr}: {errors} errors"
 
 
 def test_mac_session_round_robin_and_skip():

@@ -58,7 +58,7 @@ GOLDEN = {
     ("speed_sweep", "uniform-theta"):
         "5b78b5d90291c500bb20c0eca795cf7016740fedc3a21ee8a6c669a853dc6605",
     ("ber_vs_snr", "alg1"):
-        "c11a224e26b71e0adecacfb5dce095d2c92795812f4763e636489ad2cffe6239",
+        "43133c9f20ff99e49345e4c1296eb7b56016ae9d3fff073dfb63857345937dac",
     ("mac_session", "alg1"):
         "2fad1dbf54e29139d832726c9686ae864b970893969be7f1ae88ec961daffb57",
     ("power_report", "alg1"):

@@ -61,6 +61,14 @@ def test_rf_harvest_budget():
     assert 5.5 <= hours <= 6.5
 
 
+def test_rf_efficiency_interpolates_the_curve_and_clamps_its_ends():
+    rf = RfHarvest(turn_on_dbm=-20.0,
+                   efficiency_curve=((-20.0, 0.1), (0.0, 0.3), (10.0, 0.5)))
+    powers = (-30.0, -20.0, -10.0, 0.0, 5.0, 20.0)
+    assert [rf.efficiency(p) for p in powers] == \
+        pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], rel=1e-12)
+
+
 def test_rf_harvest_below_turn_on_never_charges():
     rf = RfHarvest(path_loss_db=70.0)  # received -50 dBm < -40 dBm turn-on
     assert rf.harvested_mw() == 0.0

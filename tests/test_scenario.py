@@ -28,7 +28,9 @@ from sweeploc.scenario import (
 )
 from sweeploc import scenario
 from sweeploc.backscatter import DemodConfig, InsectNode, LinkBudget
-from sweeploc.power import BatteryConfig, PowerProfile
+from sweeploc.power import (BatteryConfig, PowerProfile, RfHarvest,
+                            average_current_ma, logging_endurance_h,
+                            rf_charge_time_h)
 from sweeploc.scenarios import bench_scenario, farm_scenario, range_scenario
 
 
@@ -321,3 +323,27 @@ def test_configs_reject_nan(build):
     """NaN fails every comparison, so each check is written to fail on it."""
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("compute", [
+    pytest.param(lambda: free_space_loss_db(math.nan, 915e6), id="loss-distance"),
+    pytest.param(lambda: free_space_loss_db(np.array([1.0, math.nan]), 915e6),
+                 id="loss-distances"),
+    pytest.param(lambda: LinkBudget(2.0, carrier_hz=math.nan).path_gain_db,
+                 id="link-carrier"),
+    pytest.param(lambda: average_current_ma(PowerProfile(), awake_s=math.nan),
+                 id="current-awake"),
+    pytest.param(lambda: average_current_ma(PowerProfile(), period_s=math.inf),
+                 id="current-period"),
+    pytest.param(lambda: logging_endurance_h(interval_s=math.nan),
+                 id="endurance-interval"),
+    pytest.param(lambda: rf_charge_time_h(RfHarvest(tx_power_dbm=math.nan),
+                                          BatteryConfig()), id="rf-tx-power"),
+    pytest.param(lambda: rf_charge_time_h(RfHarvest(path_loss_db=math.nan),
+                                          BatteryConfig()), id="rf-path-loss"),
+])
+def test_calculations_reject_nan(compute):
+    """Arguments outside the config dataclasses are checked the same way:
+    a NaN (or an infinite cycle period) raises instead of returning NaN."""
+    with pytest.raises(ConfigError):
+        compute()
