@@ -109,12 +109,14 @@ class LinkBudget:
     noise_floor_dbm: float = -90.0
 
     def __post_init__(self) -> None:
-        if not self.distance_m > 0:
-            raise ConfigError("distance must be positive")
+        if not 0 < self.distance_m < math.inf:
+            raise ConfigError("distance must be finite and positive")
         if not math.isfinite(self.tx_power_dbm):
             raise ConfigError("transmit power must be finite")
-        if not self.reflection_loss_db >= 0:
-            raise ConfigError("reflection loss must be >= 0")
+        if not 0 < self.carrier_hz < math.inf:
+            raise ConfigError("carrier must be finite and positive")
+        if not 0 <= self.reflection_loss_db < math.inf:
+            raise ConfigError("reflection loss must be finite and >= 0")
         if not math.isfinite(self.noise_floor_dbm):
             raise ConfigError("noise floor must be finite")
 

@@ -66,11 +66,23 @@ def draw_multipath(cfg: ChannelConfig, rng: np.random.Generator,
     so their sum equals multipath_ratio; bearings are i.i.d.
     U(-pi/2, pi/2); excess phases U[0, 2*pi). Each trial draws its
     amplitudes, then bearings, then phases, so n draws at once equal n
-    draws in turn.
+    draws in turn. It maps (map_multipath) a draw of uniforms
+    (path_uniforms); capture_track calls the two steps apart.
     """
+    los = np.asarray(los_bearing_rad, dtype=float)
+    return map_multipath(cfg, path_uniforms(cfg, rng, los.shape), los)
+
+
+def path_uniforms(cfg: ChannelConfig, rng: np.random.Generator,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """The uniforms of draws of the given shape (shape x 3 x reflections)."""
+    return rng.random(shape + (3, cfg.nlos_path_count if cfg.multipath_ratio else 0))
+
+
+def map_multipath(cfg: ChannelConfig, u: np.ndarray,
+                  los_bearing_rad: np.ndarray) -> PathSet:
+    """The PathSet of draws from their uniforms and LOS bearings."""
     los = np.asarray(los_bearing_rad, dtype=float)[..., None]
-    k = cfg.nlos_path_count if cfg.multipath_ratio != 0.0 else 0
-    u = rng.random(los.shape[:-1] + (3, k))
     raw = 1.0 - u[..., 0, :]  # U(0, 1], cannot be zero
     amps = raw / raw.sum(axis=-1, keepdims=True) * cfg.multipath_ratio
     lo, hi = -math.pi / 2, math.pi / 2
@@ -81,63 +93,62 @@ def draw_multipath(cfg: ChannelConfig, rng: np.random.Generator,
                    np.concatenate([np.zeros_like(los), phases], axis=-1))
 
 
-def _steering(paths: PathSet, ks: slice, bearing: np.ndarray, ap: ApConfig,
-              link: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """Steering vectors of paths[ks] as weights times antenna phase factors;
-    their product is antennas x ... x paths x rows. bearing and link
-    broadcast against ... x paths x rows."""
-    phase = 2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearing)
-    weight = (paths.amplitudes[..., ks, None] * link
+def _steering(paths: PathSet, ks: slice, bearing: np.ndarray,
+              ap: ApConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Steering vectors of paths[ks] as weights (... x paths x 1) times
+    antenna factors (antennas x ... x paths x rows; bearing broadcasts
+    against ... x paths x rows). Antenna i's factor is the i-th power of
+    exp(j*phi), by successive products: one complex exponential per path
+    and row, not one per antenna."""
+    phasor = np.exp(1j * (2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearing)))
+    weight = (paths.amplitudes[..., ks, None]
               * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
-    antennas = np.arange(ap.antenna_count).reshape(
-        (-1,) + (1,) * max(weight.ndim, phase.ndim))  # before every axis
-    return weight, np.exp(1j * (antennas * phase))
+    factors = np.empty((ap.antenna_count,) + (1,) * (weight.ndim - phasor.ndim)
+                       + phasor.shape, dtype=complex)  # antennas before every axis
+    factors[0], factors[1] = 1.0, phasor
+    for i in range(2, ap.antenna_count):
+        np.multiply(factors[i - 1], phasor, out=factors[i])
+    return weight, factors
 
 
 def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
-                   ap: ApConfig, drive: np.ndarray,
-                   link: np.ndarray | float = 1.0,
-                   sum_paths: bool = False) -> np.ndarray:
+                   ap: ApConfig, drive: np.ndarray, sum_paths: bool = False,
+                   rows: np.ndarray | None = None) -> np.ndarray:
     """Complex field of each path under each drive row: steering @ drive.
 
     Path k's steering vector over antennas i is w_k * exp(j*i*phi_k), with
-    phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*link*exp(j*psi_k).
+    phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*exp(j*psi_k).
     phased_sum contracts it with the drive matrix (SweepSchedule.drive);
     on a sweep row, exp(-j*i*inc), that gives the array-manifold sum
     w_k * sum_i exp(j*i*(phi_k - inc)) (Van Trees, Optimum Array
-    Processing, ch. 2). The LOS bearing b_0 is los_bearing_rad, from
-    geometry, never the stored nominal value.
+    Processing, ch. 2). The LOS bearing b_0 is los_bearing_rad, never the
+    stored nominal value.
 
-    The last axis of drive (and of link and the LOS bearing, where they
-    vary) runs over drive rows: output samples or sweep steps. Leading
-    axes of paths (trials, or one AP's slots in successive rounds)
-    broadcast against the leading axes of the LOS bearing and the link.
-    exp(j*i*phi_k) is evaluated per row only for the LOS path, and once
-    per draw for the reflected paths, whose weights carry the per-row link.
+    The output rows are the drive's columns, or the columns rows[s] for
+    output samples s; the LOS bearing's last axis, where it varies, runs
+    over them. Leading axes of paths (trials, or one AP's slots in
+    successive rounds) broadcast against its leading axes. The LOS path is
+    contracted per output row, each reflected path once per drive column.
     Paths come out on the axis before the rows, unless sum_paths adds the
-    steering vectors first, in path order (the field is linear in them).
-    Otherwise the reflected paths are contracted one at a time, so no
-    temporary holds every path's steering vectors for every row.
+    weighted steering vectors first, in path order.
     """
-    link = np.expand_dims(link, -2) if np.ndim(link) else link
-    los = np.multiply(*_steering(paths, slice(0, 1), np.expand_dims(
-        los_bearing_rad, -2), ap, link))[..., 0, :]
-    if not sum_paths:  # contracted now, so its steering vectors are freed
-        los = phased_sum(los, drive)
-    weight, phases = _steering(paths, slice(1, None),
-                               paths.bearings_rad[..., 1:, None], ap, link)
+    per_row = drive if rows is None else drive[:, rows]
+    los_weight, los = _steering(paths, slice(0, 1), np.expand_dims(
+        los_bearing_rad, -2), ap)
+    weight, factors = _steering(paths, slice(1, None),
+                                paths.bearings_rad[..., 1:, None], ap)
     if sum_paths:
-        total = los
+        total = (los_weight * los)[..., 0, :]
         for k in range(weight.shape[-2]):
-            total = total + weight[..., k, :] * phases[..., k, :]
-        return phased_sum(total, drive)
+            total = total + weight[..., k, :] * factors[..., k, :]
+        return phased_sum(total, per_row)
+    los = phased_sum(los[..., 0, :], per_row) * los_weight[..., 0, :]
     # The LOS field has the widest shape: its bearing carries the geometry.
     fields = np.empty(los.shape[:-1] + (weight.shape[-2] + 1, los.shape[-1]),
                       dtype=complex)
     fields[..., 0, :] = los
-    for k in range(weight.shape[-2]):
-        fields[..., k + 1, :] = phased_sum(weight[..., k, :] * phases[..., k, :],
-                                           drive)
+    reflected = phased_sum(weight * factors, drive)
+    fields[..., 1:, :] = reflected if rows is None else reflected[..., rows]
     return fields
 
 
@@ -166,9 +177,10 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     slot, or one draw per slot on a leading axis of length R. The slots
     come out back to back in samples (R x period samples, flat). Each
     sample takes the drive of the schedule row active at its time within
-    its slot; sweep_response turns that drive into per-path fields, with
-    the LOS bearing following the receiver, which apply_doppler rotates if
-    doppler is set and the receiver moves. Raises GeometryError if the
+    its slot; sweep_response turns the rows into per-path fields, with the
+    LOS bearing following the receiver. apply_doppler rotates and adds them
+    if doppler is set and the receiver moves, and the link amplitude, the
+    same for every path, scales their sum. Raises GeometryError if the
     receiver reaches the AP in any slot.
     """
     ap = schedule.ap
@@ -184,49 +196,42 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     times = [t for t, _ in waypoints]
     px = np.interp(t_abs, times, [p.x for _, p in waypoints])
     py = np.interp(t_abs, times, [p.y for _, p in waypoints])
-    dx = px - ap.position.x
-    dy = py - ap.position.y
+    dx, dy = px - ap.position.x, py - ap.position.y
     dist = np.hypot(dx, dy)
     if np.any(dist <= 0):
         raise GeometryError("receiver trajectory passes through the AP")
     amp = 10.0 ** ((ap.tx_power_dbm - free_space_loss_db(dist, ap.carrier_hz)) / 20.0)
     los_bearing = wrap_angle(np.arctan2(dy, dx) - ap.boresight_rad)
 
-    components = sweep_response(paths, los_bearing, ap,
-                                schedule.drive[:, row], link=amp)
+    fields = sweep_response(paths, los_bearing, ap, schedule.drive, rows=row)
     if doppler and len(waypoints) > 1:
-        components = apply_doppler(components, paths.bearings_rad, ap,
-                                   px, py, dist)
-    return FieldTrace(samples=components.sum(axis=-2).reshape(-1),
+        samples = apply_doppler(fields, paths.bearings_rad, ap, px, py, dist)
+    else:
+        samples = fields.sum(axis=-2)
+    return FieldTrace(samples=(samples * amp).reshape(-1),
                       sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
 
 
-def apply_doppler(components: np.ndarray, bearings_rad: np.ndarray,
+def apply_doppler(fields: np.ndarray, bearings_rad: np.ndarray,
                   ap: ApConfig, px: np.ndarray, py: np.ndarray,
                   dist: np.ndarray) -> np.ndarray:
-    """Rotate each path's field by its geometric length change over time.
+    """Rotate each path's field (... x paths x samples, from propagate) by
+    its length change since its slot's first sample, so the phase restarts
+    at every slot, and add the paths in path order into one buffer.
 
-    components are propagate's per-path fields (... x paths x samples);
     px, py and dist are the receiver's position and AP distance at each
-    sample (... x samples). The LOS length change is exact from geometry;
-    reflected paths use the plane-wave approximation along their fixed
-    arrival bearings. Motion toward a path's source shortens it and
-    advances its phase, so the fade pattern moves. Each slot measures from
-    its own first sample (dist - dist[..., :1]): the phase restarts at
-    every slot.
+    sample. The LOS length change is exact; reflected paths use the plane
+    wave along their fixed arrival bearings. Motion toward a path's source
+    shortens it and advances its phase, so the fade pattern moves.
     """
-    dpx = px - px[..., :1]
-    dpy = py - py[..., :1]
-    rotated = np.empty_like(components)
-    for k in range(bearings_rad.shape[-1]):
-        if k == 0:
-            delta_len = dist - dist[..., :1]
-        else:
-            alpha = ap.boresight_rad + bearings_rad[..., k, None]  # toward the source
-            delta_len = -(np.cos(alpha) * dpx + np.sin(alpha) * dpy)
-        rotated[..., k, :] = (components[..., k, :]
-                              * np.exp(-2j * math.pi * delta_len / ap.wavelength_m))
-    return rotated
+    dpx, dpy = px - px[..., :1], py - py[..., :1]
+    wavenumber = 2.0 * math.pi / ap.wavelength_m  # phase advance per meter shorter
+    total = fields[..., 0, :] * np.exp(-1j * wavenumber * (dist - dist[..., :1]))
+    for k in range(1, bearings_rad.shape[-1]):
+        alpha = ap.boresight_rad + bearings_rad[..., k, None]  # toward the source
+        advance = wavenumber * np.cos(alpha) * dpx + wavenumber * np.sin(alpha) * dpy
+        total += fields[..., k, :] * np.exp(1j * advance)
+    return total
 
 
 def complex_noise(noise_power_dbm: float, n: int,

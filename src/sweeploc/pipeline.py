@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import (FieldTrace, PathSet, complex_noise, draw_multipath,
-                      propagate, sweep_response)
+                      map_multipath, path_uniforms, propagate, sweep_response)
 from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, detector_noise, envelope_detect,
                        period_samples, step_estimate_angles)
@@ -95,25 +95,26 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
     Each round draws from rng in the order a round-by-round simulation
     would: a new multipath draw for every AP once the receiver is
     nlos_redraw_distance_m from the last draw (and in round 0), then the
-    round's noise (draw_noise). All rounds are then synthesized in one
-    synthesize_rounds call, with each round's draws on a leading rounds
-    axis, and detected with the rounds' noise joined in round order.
+    round's noise (draw_noise). A redraw draws only its uniforms
+    (path_uniforms); map_multipath maps each AP's, per round, into one
+    PathSet on a leading rounds axis. One synthesize_rounds call makes all
+    rounds, detected with the rounds' noise joined in round order.
     """
     starts = [r * scn.round_s for r in range(rounds)]
     n = _round_samples(scn)
     redraw_m = scn.channel.nlos_redraw_distance_m
-    draws, noises = [], []
-    last_draw: Position | None = None
+    uniforms, origins, draw_of_round, noises = [], [], [], []
     for t0 in starts:
         pos = traj.position_at(t0)
-        if last_draw is None or pos.distance_to(last_draw) >= redraw_m:
-            pathsets = draw_pathsets(scn, traj, rng, t0_s=t0)
-            last_draw = pos
-        draws.append(pathsets)
+        if not origins or pos.distance_to(origins[-1]) >= redraw_m:
+            uniforms.append(path_uniforms(scn.channel, rng, (len(scn.aps),)))
+            origins.append(pos)
+        draw_of_round.append(len(origins) - 1)
         noises.append(draw_noise(scn, n, rng))
-    per_ap = [PathSet(*(np.stack([getattr(d[k], f) for d in draws])
-                        for f in ("amplitudes", "bearings_rad", "excess_phases_rad")))
-              for k in range(len(scn.aps))]
+    u = np.stack(uniforms)[draw_of_round]
+    los = np.array([[true_bearing(ap, pos) for ap in scn.aps] for pos in origins])
+    los = los[draw_of_round]
+    per_ap = [map_multipath(scn.channel, u[:, k], los[:, k]) for k in range(len(scn.aps))]
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
                   for parts in zip(*noises))
     env = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),

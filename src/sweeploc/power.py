@@ -93,6 +93,8 @@ class RfHarvest:
         return self.tx_power_dbm - self.path_loss_db
 
     def efficiency(self, power_dbm: float) -> float:
+        if not math.isfinite(power_dbm):
+            raise ConfigError("harvested power must be finite")
         if power_dbm < self.turn_on_dbm:
             return 0.0
         return float(np.interp(power_dbm, *zip(*self.efficiency_curve)))
@@ -130,6 +132,8 @@ class SolarHarvest:
             raise ConfigError("solar anchor lux points must increase")
 
     def power_uw(self, lux: float) -> float:
+        if not math.isfinite(lux):
+            raise ConfigError("illuminance must be finite")
         if lux <= 0.0:
             return 0.0
         a = self.anchors_lux_uw

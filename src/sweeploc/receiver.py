@@ -113,6 +113,15 @@ def angle_from_sample(ap: ApConfig, mode: str, sample_index: int,
 
 
 @functools.lru_cache(maxsize=64)
+def sample_angles(ap: ApConfig, mode: str, sample_rate_hz: float) -> np.ndarray:
+    """angle_from_sample at each sample index of a period; read-only."""
+    out = np.array([angle_from_sample(ap, mode, s, sample_rate_hz)
+                    for s in range(period_samples(ap, sample_rate_hz))])
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
 def step_estimate_angles(ap: ApConfig, mode: str,
                          sample_rate_hz: float) -> np.ndarray:
     """Bearing the estimator reports if step m wins the peak search.
@@ -122,11 +131,9 @@ def step_estimate_angles(ap: ApConfig, mode: str,
     in one place so vectorized experiments and the sample-domain receiver
     agree exactly. Built once per argument set, so the result is read-only.
     """
-    dwell = ap.sweep_dwell_s
-    out = np.empty(ap.sweep_step_count)
-    for m in range(ap.sweep_step_count):
-        s = _ceil_tol((ap.preamble_duration_s + m * dwell) * sample_rate_hz)
-        out[m] = angle_from_sample(ap, mode, s, sample_rate_hz)
+    first = [_ceil_tol((ap.preamble_duration_s + m * ap.sweep_dwell_s) * sample_rate_hz)
+             for m in range(ap.sweep_step_count)]
+    out = sample_angles(ap, mode, sample_rate_hz)[first]
     out.flags.writeable = False
     return out
 
@@ -491,16 +498,16 @@ class Receiver:
         for ap, (start, corr, found) in zip(self.aps, (det1, det2)):
             # rows that missed this AP get a placeholder peak, never read
             peak = sweep_peaks(volts, start, ap, rate)
+            raw = sample_angles(ap, self.sweep_mode, rate)[peak - start]
             per_ap.append(zip(*(a.tolist() for a in (
-                found, start, corr, peak, env.t0_s + peak / rate))))
+                found, start, corr, raw, env.t0_s + peak / rate))))
         results = []
         for row in zip(*per_ap):
             dets, ests = [None, None], [None, None]
-            for which, (found, start, corr, peak, stamp) in enumerate(row):
+            for which, (found, start, corr, raw, stamp) in enumerate(row):
                 if not found:
                     break
                 ap = self.aps[which]
-                raw = angle_from_sample(ap, self.sweep_mode, peak - start, rate)
                 smoothed = smooth_angle(self.smoothed[which], raw, self.smoothing)
                 self.smoothed[which] = smoothed
                 dets[which] = PreambleDetection(ap.preamble_id, start, corr)

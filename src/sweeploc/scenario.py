@@ -8,6 +8,7 @@ stream in a run is derived.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -230,7 +231,7 @@ class DetectorConfig:
     def floor_volts(self) -> float:
         return float(self.response_volts(self.sensitivity_floor_dbm))
 
-    @property
+    @functools.cached_property  # read once per noise draw, so once per config
     def noise_sigma_volts(self) -> float:
         if self.output_noise_volts is not None:
             return self.output_noise_volts

@@ -27,6 +27,8 @@ from sweeploc.receiver import detector_noise
 from sweeploc.scenarios import bench_scenario
 from sweeploc.transmitter import build_sweep_schedule, drive_increments
 
+from helpers import per_antenna_propagate
+
 AP = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
 
 
@@ -73,7 +75,7 @@ def test_phased_sum_peak_and_wraparound():
 @pytest.mark.parametrize("spacing", [0.25, 0.4])
 def test_sweep_response_weights_paths_at_any_spacing(spacing):
     """Trials x paths at a spacing other than half a wavelength: each
-    path's field is a*link*exp(j*psi) times the array sum at its own
+    path's field is a*exp(j*psi) times the array sum at its own
     2*pi*spacing*sin(b) - inc, the LOS path at the given bearing, and
     sum_paths gives their sum."""
     rng = trial_rng(4, "kernel", spacing)
@@ -84,16 +86,14 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
                     rng.uniform(0.0, 2 * math.pi, (trials, paths_per_trial)))
     los = rng.uniform(-1.5, 1.5, trials)
     inc = rng.uniform(0.0, 2 * math.pi, 64)
-    link = 0.3
     bearings = paths.bearings_rad.copy()
     bearings[:, 0] = los
     x = 2 * math.pi * spacing * np.sin(bearings)[..., None] - inc
-    oracle = (paths.amplitudes * link * np.exp(1j * paths.excess_phases_rad)
+    oracle = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad)
               )[..., None] * brute_sum(x, n)
-    per_path = sweep_response(paths, los[:, None], ap, drive_for(inc, n),
-                              link=link)
+    per_path = sweep_response(paths, los[:, None], ap, drive_for(inc, n))
     summed = sweep_response(paths, los[:, None], ap, drive_for(inc, n),
-                            link=link, sum_paths=True)
+                            sum_paths=True)
     assert per_path.shape == (trials, paths_per_trial, len(inc))
     assert np.max(np.abs(per_path - oracle)) < 1e-12
     assert np.max(np.abs(summed - oracle.sum(axis=1))) < 1e-12
@@ -102,7 +102,8 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
 def test_sum_paths_adds_steering_vectors_in_path_order():
     """The grid shortcut's field is the drive contraction of the steering
     vectors summed LOS first, then each reflected path in order, bit for
-    bit: the grid CSV bytes depend on that rounding."""
+    bit: the grid CSV bytes depend on that rounding. Antenna i's factor is
+    the phasor exp(j*phi) times antenna i-1's factor."""
     rng = trial_rng(5, "path-order")
     trials, n = 256, 4
     ap = replace(AP, antenna_count=n)
@@ -112,10 +113,12 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     los = rng.uniform(-1.5, 1.5, (trials, 1))
     drive = drive_for(rng.uniform(0.0, 2 * math.pi, 32), n)
     bearings = np.where(np.arange(5) == 0, los, paths.bearings_rad)
+    phasor = np.exp(1j * (2 * math.pi * ap.spacing_wavelengths * np.sin(bearings)))
+    powers = [np.ones_like(phasor), phasor]
+    for _ in range(2, n):
+        powers.append(powers[-1] * phasor)
     steering = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad)
-                )[..., None] * np.exp(1j * np.multiply.outer(
-                    2 * math.pi * ap.spacing_wavelengths * np.sin(bearings),
-                    np.arange(n)))
+                )[..., None] * np.stack(powers, axis=-1)
     total = steering[:, 0]
     for k in range(1, 5):
         total = total + steering[:, k]
@@ -124,6 +127,39 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     want = np.einsum("...i,i...->...", total[:, None, :], drive)
     got = sweep_response(paths, los, ap, drive, sum_paths=True)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.5])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
+def test_propagate_matches_per_antenna_oracle(mode, n, spacing):
+    """propagate (one phasor per path and row, raised to each antenna's
+    power) equals the per-antenna sum of exp(j*i*phi) to rounding: moving
+    and static receivers, Doppler on and off, with and without reflections,
+    one draw for every slot and one draw per slot, and a LOS path whose
+    amplitude and excess phase are not 1 and 0."""
+    ap = replace(AP, antenna_count=n, spacing_wavelengths=spacing)
+    sched = build_sweep_schedule(ap, mode)
+    rng = trial_rng(11, "oracle", mode, n, spacing)
+    starts = np.array([0.0, 0.1, 0.35])
+    hand_built = PathSet([0.7, 0.3, 0.2, 0.1], [0.2, -0.9, 0.4, 1.3],
+                         [1.1, 0.5, 2.5, 4.0])
+    cases = [(hand_built, 0.0), (hand_built, starts),
+             (PathSet([1.3], [0.0], [2.0]), 0.0),
+             (draw_multipath(ChannelConfig(multipath_ratio=0.6), rng,
+                             rng.uniform(-1.0, 1.0, 3)), starts)]
+    moving = Trajectory.line(Position(12.0, 5.0), heading_rad=2.0,
+                             speed_mps=9.1, duration_s=1.0)
+    for where in (Position(12.0, 5.0), Trajectory.stationary(Position(6.0, -8.0)),
+                  moving):
+        for paths, t0 in cases:
+            for doppler in (False, True):
+                got = propagate(sched, paths, where, 4000.0, t0_s=t0,
+                                doppler=doppler).samples
+                want = per_antenna_propagate(sched, paths, where, 4000.0,
+                                             t0_s=t0, doppler=doppler)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_draw_multipath_invariants():

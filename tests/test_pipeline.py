@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sweeploc import pipeline
 from sweeploc.channel import PathSet, draw_multipath, propagate
 from sweeploc.pipeline import (
     capture_track,
@@ -167,6 +168,54 @@ def test_capture_track_rounds_start_where_the_round_starts(noise_dbm):
     assert env.volts.shape == env.floor_clipped.shape == (5, 400)
     rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
     assert all(result.ok for result in rx.scan(env))
+
+
+@pytest.mark.parametrize("noise_dbm", [None, -50.0])
+def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
+                                                           monkeypatch):
+    """capture_track takes only each redraw's uniforms from rng and maps
+    them all at once. Its paths equal per-redraw draw_multipath calls
+    (draw_pathsets), its capture equals one built round by round from
+    those and draw_noise, bit for bit, and it leaves rng where they do."""
+    scn = _moving_farm("alg1", True, seed=4)
+    scn = dataclasses.replace(scn, channel=dataclasses.replace(
+        scn.channel, noise_power_dbm=noise_dbm))
+    rounds = 40
+    traj = Trajectory.line(Position(40.0, 30.0), heading_rad=0.4,
+                           speed_mps=9.1, duration_s=rounds * scn.round_s)
+    key = "quiet" if noise_dbm is None else "noisy"
+    batched_rng, single_rng = trial_rng(4, "order", key), trial_rng(4, "order", key)
+    synthesized = []
+
+    def spy(scn, pathsets, where, rounds):
+        synthesized.append(pathsets)
+        return synthesize_rounds(scn, pathsets, where, rounds)
+    monkeypatch.setattr(pipeline, "synthesize_rounds", spy)
+    env = capture_track(scn, traj, batched_rng, rounds)
+
+    n = env.volts.shape[1]
+    draws, noises, last = [], [], None
+    for r in range(rounds):
+        t0 = r * scn.round_s
+        pos = traj.position_at(t0)
+        if last is None or pos.distance_to(last) >= scn.channel.nlos_redraw_distance_m:
+            pathsets, last = draw_pathsets(scn, traj, single_rng, t0_s=t0), pos
+        draws.append(pathsets)
+        noises.append(draw_noise(scn, n, single_rng))
+    assert len({id(d) for d in draws}) > rounds // 3  # redrawn on the way
+    fields = ("amplitudes", "bearings_rad", "excess_phases_rad")
+    per_ap = [PathSet(*(np.stack([getattr(d[k], f) for d in draws])
+                        for f in fields)) for k in range(len(scn.aps))]
+    for got, want in zip(synthesized[0], per_ap, strict=True):
+        for f in fields:
+            assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
+    noise = tuple(None if parts[0] is None else np.concatenate(parts)
+                  for parts in zip(*noises))
+    want = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),
+                             scn.detector, noise)
+    assert env.volts.tobytes() == want.volts.tobytes()
+    assert np.array_equal(env.floor_clipped.reshape(-1), want.floor_clipped)
+    assert batched_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 def test_capture_track_rows_step_by_the_round():

@@ -27,6 +27,7 @@ from sweeploc.receiver import (
     fix_2d,
     intersect_bearings,
     period_samples,
+    sample_angles,
     search_preambles,
     smooth_angle,
     step_estimate_angles,
@@ -110,6 +111,16 @@ def test_step_estimate_angles_monotone():
         assert angles[0] == pytest.approx(-math.pi / 2)
         assert np.all(np.diff(angles) >= 0)
         assert not angles.flags.writeable  # cached and shared
+
+
+def test_sample_angles_is_angle_from_sample_at_every_sample():
+    """The table Receiver.scan reads raw bearings from holds exactly
+    angle_from_sample of each sample index of a period, read-only."""
+    for mode in ("alg1", "uniform-theta"):
+        table = sample_angles(AP1, mode, FS)
+        assert table.tolist() == [angle_from_sample(AP1, mode, s, FS)
+                                  for s in range(period_samples(AP1, FS))]
+        assert not table.flags.writeable  # cached and shared
 
 
 @pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])

@@ -29,7 +29,7 @@ from sweeploc.scenario import (
 from sweeploc import scenario
 from sweeploc.backscatter import DemodConfig, InsectNode, LinkBudget
 from sweeploc.power import (BatteryConfig, PowerProfile, RfHarvest,
-                            average_current_ma, logging_endurance_h,
+                            SolarHarvest, average_current_ma, logging_endurance_h,
                             rf_charge_time_h)
 from sweeploc.scenarios import bench_scenario, farm_scenario, range_scenario
 
@@ -314,6 +314,12 @@ _ORIGIN = Position(0.0, 0.0)
     pytest.param(lambda: LinkBudget(2.0, tx_power_dbm=math.nan), id="link-tx-power"),
     pytest.param(lambda: LinkBudget(2.0, reflection_loss_db=math.nan),
                  id="link-reflection"),
+    pytest.param(lambda: LinkBudget(math.inf), id="link-distance-inf"),
+    pytest.param(lambda: LinkBudget(2.0, carrier_hz=-1.0), id="link-carrier-negative"),
+    pytest.param(lambda: LinkBudget(2.0, carrier_hz=math.nan), id="link-carrier-nan"),
+    pytest.param(lambda: LinkBudget(2.0, carrier_hz=math.inf), id="link-carrier-inf"),
+    pytest.param(lambda: LinkBudget(2.0, reflection_loss_db=math.inf),
+                 id="link-reflection-inf"),
     pytest.param(lambda: DemodConfig(sample_rate_hz=math.nan), id="demod-rate"),
     pytest.param(lambda: InsectNode(1, math.nan), id="insect-distance"),
     pytest.param(lambda: PowerProfile(active_ma=math.nan), id="power-active"),
@@ -341,6 +347,10 @@ def test_configs_reject_nan(build):
                                           BatteryConfig()), id="rf-tx-power"),
     pytest.param(lambda: rf_charge_time_h(RfHarvest(path_loss_db=math.nan),
                                           BatteryConfig()), id="rf-path-loss"),
+    pytest.param(lambda: RfHarvest().efficiency(math.nan), id="rf-efficiency"),
+    pytest.param(lambda: RfHarvest().harvested_mw(math.nan), id="rf-harvested"),
+    pytest.param(lambda: SolarHarvest().power_uw(math.nan), id="solar-nan"),
+    pytest.param(lambda: SolarHarvest().power_uw(math.inf), id="solar-inf"),
 ])
 def test_calculations_reject_nan(compute):
     """Arguments outside the config dataclasses are checked the same way:
