@@ -208,12 +208,13 @@ def demod_fundamental_gain(wave_rate_hz: float = MODULATOR_RATE_HZ,
 def bit_magnitudes(rx: RxCapture) -> np.ndarray:
     """Magnitude of each whole bit's mean envelope: a boxcar filter one bit
     long, read as a view of the capture. Trailing samples short of a bit
-    are not read."""
+    are not read; at one sample per bit the samples are the means."""
     spb = rx.samples_per_bit
     n_bits = len(rx.samples) // spb
     if n_bits < 1:
         raise ConfigError("capture is shorter than one bit")
-    return np.abs(rx.samples[:n_bits * spb].reshape(n_bits, spb).sum(axis=1) / spb)
+    bits = rx.samples[:n_bits * spb].reshape(n_bits, spb)
+    return np.abs(bits[:, 0] if spb == 1 else bits.sum(axis=1) / spb)
 
 
 def _bimodal_threshold(mags: np.ndarray) -> float:

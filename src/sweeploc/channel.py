@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
-                       Position, Trajectory, _normals, free_space_loss_db, wrap_angle)
+                       Position, Trajectory, _normals)
 from .transmitter import SweepSchedule
 
 
@@ -34,8 +34,8 @@ class PathSet:
     The last axis is paths, index 0 the line-of-sight path; an optional
     leading axis holds trials. Each path has a relative amplitude, an
     arrival bearing relative to boresight and an excess phase. The stored
-    LOS bearing is nominal (the bearing at draw time): sweep_response takes
-    the LOS bearing from geometry, while reflected-path bearings stay fixed.
+    LOS bearing is nominal (the bearing at draw time): propagate takes the
+    LOS sine from geometry, while reflected-path bearings stay fixed.
     """
 
     amplitudes: np.ndarray
@@ -93,14 +93,14 @@ def map_multipath(cfg: ChannelConfig, u: np.ndarray,
                    np.concatenate([np.zeros_like(los), phases], axis=-1))
 
 
-def _steering(paths: PathSet, ks: slice, bearing: np.ndarray,
+def _steering(paths: PathSet, ks: slice, sine: np.ndarray,
               ap: ApConfig) -> tuple[np.ndarray, np.ndarray]:
     """Steering vectors of paths[ks] as weights (... x paths x 1) times
-    antenna factors (antennas x ... x paths x rows; bearing broadcasts
-    against ... x paths x rows). Antenna i's factor is the i-th power of
-    exp(j*phi), by successive products: one complex exponential per path
-    and row, not one per antenna."""
-    phasor = np.exp(1j * (2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearing)))
+    antenna factors (antennas x ... x paths x rows), from the sine of each
+    path's bearing (broadcasting against ... x paths x rows). Antenna i's
+    factor is the i-th power of exp(j*phi), by successive products: one
+    complex exponential per path and row, not one per antenna."""
+    phasor = np.exp(1j * (2.0 * math.pi * ap.spacing_wavelengths * sine))
     weight = (paths.amplitudes[..., ks, None]
               * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
     factors = np.empty((ap.antenna_count,) + (1,) * (weight.ndim - phasor.ndim)
@@ -111,45 +111,43 @@ def _steering(paths: PathSet, ks: slice, bearing: np.ndarray,
     return weight, factors
 
 
-def sweep_response(paths: PathSet, los_bearing_rad: np.ndarray,
+def sweep_response(paths: PathSet, los_sine: np.ndarray,
                    ap: ApConfig, drive: np.ndarray, sum_paths: bool = False,
-                   rows: np.ndarray | None = None) -> np.ndarray:
-    """Complex field of each path under each drive row: steering @ drive.
+                   rows: np.ndarray | None = None):
+    """Complex field of the paths under each drive row: steering @ drive.
 
     Path k's steering vector over antennas i is w_k * exp(j*i*phi_k), with
     phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*exp(j*psi_k).
     phased_sum contracts it with the drive matrix (SweepSchedule.drive);
     on a sweep row, exp(-j*i*inc), that gives the array-manifold sum
     w_k * sum_i exp(j*i*(phi_k - inc)) (Van Trees, Optimum Array
-    Processing, ch. 2). The LOS bearing b_0 is los_bearing_rad, never the
-    stored nominal value.
+    Processing, ch. 2). The LOS path takes sin(b_0) = los_sine, never the
+    stored nominal bearing: propagate works the sine out from geometry.
 
     The output rows are the drive's columns, or the columns rows[s] for
-    output samples s; the LOS bearing's last axis, where it varies, runs
-    over them. Leading axes of paths (trials, or one AP's slots in
-    successive rounds) broadcast against its leading axes. The LOS path is
-    contracted per output row, each reflected path once per drive column.
-    Paths come out on the axis before the rows, unless sum_paths adds the
-    weighted steering vectors first, in path order.
+    output samples s; the LOS sine's last axis, where it varies, runs over
+    them. Leading axes of paths (trials, or one AP's slots in successive
+    rounds) broadcast against its leading axes. sum_paths adds the weighted
+    steering vectors first, in path order, into one field per output row.
+    Otherwise it returns the LOS field per output row and the reflected
+    paths' fields per drive column (... x paths x columns); equal draws on
+    successive slots of a leading axis are contracted once.
     """
     per_row = drive if rows is None else drive[:, rows]
-    los_weight, los = _steering(paths, slice(0, 1), np.expand_dims(
-        los_bearing_rad, -2), ap)
+    los_weight, los = _steering(paths, slice(0, 1), np.expand_dims(los_sine, -2), ap)
     weight, factors = _steering(paths, slice(1, None),
-                                paths.bearings_rad[..., 1:, None], ap)
+                                np.sin(paths.bearings_rad[..., 1:, None]), ap)
     if sum_paths:
         total = (los_weight * los)[..., 0, :]
         for k in range(weight.shape[-2]):
             total = total + weight[..., k, :] * factors[..., k, :]
         return phased_sum(total, per_row)
     los = phased_sum(los[..., 0, :], per_row) * los_weight[..., 0, :]
-    # The LOS field has the widest shape: its bearing carries the geometry.
-    fields = np.empty(los.shape[:-1] + (weight.shape[-2] + 1, los.shape[-1]),
-                      dtype=complex)
-    fields[..., 0, :] = los
-    reflected = phased_sum(weight * factors, drive)
-    fields[..., 1:, :] = reflected if rows is None else reflected[..., rows]
-    return fields
+    steer = weight * factors
+    if steer.ndim == 4:  # a draw per slot, kept until a redraw: contract each once
+        new = np.append(True, np.any(steer[:, 1:] != steer[:, :-1], axis=(0, 2, 3)))
+        return los, phased_sum(steer[:, new], drive)[np.cumsum(new) - 1]
+    return los, phased_sum(steer, drive)
 
 
 @dataclass(frozen=True)
@@ -177,11 +175,12 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     slot, or one draw per slot on a leading axis of length R. The slots
     come out back to back in samples (R x period samples, flat). Each
     sample takes the drive of the schedule row active at its time within
-    its slot; sweep_response turns the rows into per-path fields, with the
-    LOS bearing following the receiver. apply_doppler rotates and adds them
-    if doppler is set and the receiver moves, and the link amplitude, the
-    same for every path, scales their sum. Raises GeometryError if the
-    receiver reaches the AP in any slot.
+    its slot. The LOS sine (dy*cos(b) - dx*sin(b)) / dist and the link
+    amplitude 10**(P/20) * lambda / (4*pi*dist) follow the receiver in
+    closed form. The reflected paths are added per schedule row and
+    gathered once, or, with doppler set and a moving receiver, gathered
+    and rotated by apply_doppler. Raises GeometryError if the receiver
+    reaches the AP in any slot.
     """
     ap = schedule.ap
     waypoints = where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)
@@ -191,47 +190,70 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     t_abs = starts[..., None] + t_local
 
     row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
-    row = np.clip(row, 0, len(schedule.starts_s) - 1)
 
-    times = [t for t, _ in waypoints]
-    px = np.interp(t_abs, times, [p.x for _, p in waypoints])
-    py = np.interp(t_abs, times, [p.y for _, p in waypoints])
-    dx, dy = px - ap.position.x, py - ap.position.y
-    dist = np.hypot(dx, dy)
+    rel = np.interp(t_abs, [t for t, _ in waypoints], [complex(
+        p.x - ap.position.x, p.y - ap.position.y) for _, p in waypoints])
+    dx, dy = rel.real, rel.imag
+    dist = np.sqrt(dx * dx + dy * dy)
     if np.any(dist <= 0):
         raise GeometryError("receiver trajectory passes through the AP")
-    amp = 10.0 ** ((ap.tx_power_dbm - free_space_loss_db(dist, ap.carrier_hz)) / 20.0)
-    los_bearing = wrap_angle(np.arctan2(dy, dx) - ap.boresight_rad)
+    los_sine = (dy * math.cos(ap.boresight_rad) - dx * math.sin(ap.boresight_rad)) / dist
+    amp = 10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m / (4.0 * math.pi * dist)
 
-    fields = sweep_response(paths, los_bearing, ap, schedule.drive, rows=row)
+    los, reflected = sweep_response(paths, los_sine, ap, schedule.drive, rows=row)
     if doppler and len(waypoints) > 1:
-        samples = apply_doppler(fields, paths.bearings_rad, ap, px, py, dist)
+        samples = apply_doppler(los, reflected, row,
+                                paths.bearings_rad, ap, where, starts, t_local, dist)
     else:
-        samples = fields.sum(axis=-2)
+        samples = los + reflected.sum(axis=-2)[..., row]
     return FieldTrace(samples=(samples * amp).reshape(-1),
                       sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
 
 
-def apply_doppler(fields: np.ndarray, bearings_rad: np.ndarray,
-                  ap: ApConfig, px: np.ndarray, py: np.ndarray,
+def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
+                  bearings_rad: np.ndarray, ap: ApConfig, traj: Trajectory,
+                  starts: np.ndarray, t_local: np.ndarray,
                   dist: np.ndarray) -> np.ndarray:
-    """Rotate each path's field (... x paths x samples, from propagate) by
-    its length change since its slot's first sample, so the phase restarts
-    at every slot, and add the paths in path order into one buffer.
+    """Rotate each path by its length change since its slot's first
+    sample, so the phase restarts at every slot, and add the paths up.
 
-    px, py and dist are the receiver's position and AP distance at each
-    sample. The LOS length change is exact; reflected paths use the plane
-    wave along their fixed arrival bearings. Motion toward a path's source
-    shortens it and advances its phase, so the fade pattern moves.
+    los is the LOS field per sample, reflected the reflected paths' fields
+    per schedule row (... x paths x rows), row each sample's row, t_local
+    its time in its slot and dist its AP distance. The LOS length change is
+    exact. Path k, a plane wave from bearing u_k, turns its phase at
+    omega_k = (2*pi/lambda) * u_k . v (Clarke, BSTJ 1968) while the
+    receiver moves along traj's one segment at velocity v. The gathered
+    paths are rotated in place by a per-block and a within-block table of
+    exp(j*omega_k*t), about 2*sqrt(samples) complex exponentials per path
+    and slot. Motion toward a source shortens its path and advances it.
     """
-    dpx, dpy = px - px[..., :1], py - py[..., :1]
     wavenumber = 2.0 * math.pi / ap.wavelength_m  # phase advance per meter shorter
-    total = fields[..., 0, :] * np.exp(-1j * wavenumber * (dist - dist[..., :1]))
-    for k in range(1, bearings_rad.shape[-1]):
-        alpha = ap.boresight_rad + bearings_rad[..., k, None]  # toward the source
-        advance = wavenumber * np.cos(alpha) * dpx + wavenumber * np.sin(alpha) * dpy
-        total += fields[..., k, :] * np.exp(1j * advance)
-    return total
+    total = los * np.exp(-1j * wavenumber * (dist - dist[..., :1]))
+    (t_start, p_start), (t_stop, p_stop) = traj.waypoints
+    alpha = ap.boresight_rad + bearings_rad[..., 1:, None]  # toward the source
+    omega = wavenumber * (np.cos(alpha) * (p_stop.x - p_start.x)
+                          + np.sin(alpha) * (p_stop.y - p_start.y)) / (t_stop - t_start)
+    moves_from = np.maximum(t_start - starts, 0.0)[..., None, None]  # slot time
+    moves_to = np.maximum(t_stop - starts, 0.0)[..., None, None]
+    n = len(t_local)
+    block = math.isqrt(n - 1) + 1  # samples per block; whole blocks pad the slot
+    pad = np.minimum(np.arange(-(-n // block) * block), n - 1)
+    t = t_local[pad]
+    every_slot = np.broadcast_shapes(reflected.shape, moves_from.shape)
+    fields = np.take(np.broadcast_to(reflected, every_slot), row[pad], axis=-1)
+    blocks = fields.reshape(fields.shape[:-1] + (len(pad) // block, block))
+    # tau = t - moves_from while moving, 0 before, moves_to - moves_from after
+    moving = ((t >= moves_from) & (t <= moves_to)).reshape(
+        moves_from.shape[:-1] + blocks.shape[-2:])
+    moving = True if moving.all() else moving  # a mask only if the motion clips
+    np.multiply(blocks, np.exp(1j * omega * (t[::block] - moves_from))[..., None],
+                out=blocks, where=moving)
+    np.multiply(blocks, np.exp(1j * omega * t[:block])[..., None, :],
+                out=blocks, where=moving)
+    if moving is not True:
+        np.multiply(fields, np.exp(1j * omega * (moves_to - moves_from)),
+                    out=fields, where=t > moves_to)
+    return total + fields[..., :n].sum(axis=-2)
 
 
 def complex_noise(noise_power_dbm: float, n: int,

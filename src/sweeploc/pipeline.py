@@ -34,8 +34,8 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
     rounds one at a time. pathsets[k] is AP k's draw for every round, or
     one draw per round on a leading axis of length rounds. t0_s is the
     start of round 0; the rounds follow back to back. propagate applies
-    Doppler when the scenario enables it and the receiver moves, measuring
-    path lengths from each slot's first sample (see apply_doppler).
+    Doppler (apply_doppler's per-slot phase ramps) when the scenario
+    enables it and the receiver moves, from each slot's first sample.
     """
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
@@ -140,7 +140,7 @@ def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
     """
     los = np.asarray(los_bearings, dtype=float)
     drive = cached_schedule(ap, mode).drive[:, -ap.sweep_step_count:]
-    field = sweep_response(paths, los[:, None], ap, drive, sum_paths=True)
+    field = sweep_response(paths, np.sin(los)[:, None], ap, drive, sum_paths=True)
     winners = np.argmax(np.abs(field), axis=1)
     return step_estimate_angles(ap, mode, sample_rate_hz)[winners]
 

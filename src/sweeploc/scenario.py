@@ -54,17 +54,16 @@ class Position:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear motion: waypoints of (time_s, Position).
-
-    Before the first waypoint and after the last the position is clamped
-    (zero velocity).
-    """
+    """Motion along one straight segment: one waypoint (standing still) or
+    a start and a stop, each (time_s, Position). The position is clamped
+    before the first and after the last (zero velocity), so each reflected
+    path has one Doppler frequency while the receiver moves."""
 
     waypoints: tuple[tuple[float, Position], ...]
 
     def __post_init__(self) -> None:
-        if len(self.waypoints) < 1:
-            raise ConfigError("trajectory needs at least one waypoint")
+        if not 1 <= len(self.waypoints) <= 2:
+            raise ConfigError("trajectory needs one or two waypoints")
         times = [t for t, _ in self.waypoints]
         if any(not math.isfinite(t) for t in times):
             raise ConfigError("waypoint times must be finite")
@@ -86,16 +85,13 @@ class Trajectory:
         return cls(((0.0, start), (duration_s, end)))
 
     def position_at(self, t: float) -> Position:
-        pts = self.waypoints
-        if t <= pts[0][0] or len(pts) == 1:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
-            if t0 <= t < t1:
-                f = (t - t0) / (t1 - t0)
-                return Position(p0.x + f * (p1.x - p0.x), p0.y + f * (p1.y - p0.y))
-        return pts[-1][1]
+        (t0, p0), (t1, p1) = self.waypoints[0], self.waypoints[-1]
+        if t <= t0 or len(self.waypoints) == 1:
+            return p0
+        if t >= t1:
+            return p1
+        f = (t - t0) / (t1 - t0)
+        return Position(p0.x + f * (p1.x - p0.x), p0.y + f * (p1.y - p0.y))
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,12 @@ class ApConfig:
         if not 0.0 < self.spacing_wavelengths <= 0.5:
             raise ConfigError("spacing_wavelengths must be in (0, 0.5]: wider spacing"
                               " has grating lobes, so the bearing is ambiguous")
-        if not self.carrier_hz > 0:
-            raise ConfigError("carrier_hz must be positive")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
+            raise ConfigError("carrier_hz must be finite and positive")
         if not (math.isfinite(self.tx_power_dbm) and math.isfinite(self.boresight_rad)):
             raise ConfigError("tx_power_dbm and boresight_rad must be finite")
-        if not 0.0 < self.preamble_duration_s < self.sweep_period_s:
-            raise ConfigError("need 0 < preamble_duration < sweep_period")
+        if not 0.0 < self.preamble_duration_s < self.sweep_period_s < math.inf:
+            raise ConfigError("need 0 < preamble_duration < sweep_period < inf")
         if not self.sweep_step_rad > 0:
             raise ConfigError("sweep_step_rad must be positive")
         steps = math.pi / self.sweep_step_rad
@@ -296,15 +292,11 @@ def true_bearing(ap: ApConfig, pos: Position) -> float:
     return wrap_angle(math.atan2(dy, dx) - ap.boresight_rad)
 
 
-def free_space_loss_db(distance_m: float | np.ndarray, carrier_hz: float) -> float | np.ndarray:
+def free_space_loss_db(distance_m: float, carrier_hz: float) -> float:
     """Free-space path loss 20*log10(4*pi*d/lambda), dB."""
-    d = np.asarray(distance_m, dtype=float)
-    if not (np.all(d > 0) and carrier_hz > 0):
+    if not (distance_m > 0 and carrier_hz > 0):
         raise ConfigError("free-space loss needs distance > 0 and carrier > 0")
-    loss = 20.0 * np.log10(4.0 * math.pi * d * carrier_hz / SPEED_OF_LIGHT)
-    if np.ndim(distance_m) == 0:
-        return float(loss)
-    return loss
+    return float(20.0 * np.log10(4.0 * math.pi * distance_m * carrier_hz / SPEED_OF_LIGHT))
 
 
 def _key_words(part: int | str) -> tuple[int, ...]:

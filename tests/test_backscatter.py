@@ -193,12 +193,13 @@ def gathered_bit_magnitudes(samples, spb):
     return np.abs(windows[starts].sum(axis=1) / spb)
 
 
-@pytest.mark.parametrize("rate_hz", [16000.0, 15000.0])
+@pytest.mark.parametrize("rate_hz", [16000.0, 15000.0, 1000.0])
 @pytest.mark.parametrize("sigma", [0.1, 0.7, 2.5])
 def test_aligned_bit_windows_equal_gathered_windows_bitwise(rate_hz, sigma):
     """Bits read as a view give the same windows, in the same sum order, as
-    the gathered copy; trailing samples start no bit, and a 15 kHz capture
-    has odd 15-sample bits."""
+    the gathered copy; trailing samples start no bit, a 15 kHz capture
+    has odd 15-sample bits, and a 1 kHz capture (ber_point's one sample per
+    bit) is read as its own means."""
     demod = DemodConfig(sample_rate_hz=rate_hz)
     spb = round(rate_hz / 1000.0)
     rng = trial_rng(21, "aligned", int(rate_hz), sigma)

@@ -91,8 +91,10 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     x = 2 * math.pi * spacing * np.sin(bearings)[..., None] - inc
     oracle = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad)
               )[..., None] * brute_sum(x, n)
-    per_path = sweep_response(paths, los[:, None], ap, drive_for(inc, n))
-    summed = sweep_response(paths, los[:, None], ap, drive_for(inc, n),
+    los_field, reflected = sweep_response(paths, np.sin(los)[:, None], ap,
+                                          drive_for(inc, n))
+    per_path = np.concatenate([los_field[:, None], reflected], axis=1)
+    summed = sweep_response(paths, np.sin(los)[:, None], ap, drive_for(inc, n),
                             sum_paths=True)
     assert per_path.shape == (trials, paths_per_trial, len(inc))
     assert np.max(np.abs(per_path - oracle)) < 1e-12
@@ -125,7 +127,7 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     # contracted with the antennas on the last axis: the bits must not
     # depend on the steering layout
     want = np.einsum("...i,i...->...", total[:, None, :], drive)
-    got = sweep_response(paths, los, ap, drive, sum_paths=True)
+    got = sweep_response(paths, np.sin(los), ap, drive, sum_paths=True)
     assert got.tobytes() == want.tobytes()
 
 
@@ -160,6 +162,29 @@ def test_propagate_matches_per_antenna_oracle(mode, n, spacing):
                                              t0_s=t0, doppler=doppler)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_propagate_doppler_ramps_clip_at_start_and_stop():
+    """The reflected paths' Doppler ramps follow the receiver's motion
+    within each slot: it starts moving inside a slot, stops inside one and
+    stands still in the next, or does both inside one slot. One draw per
+    slot, each with its own bearings; propagate equals the per-antenna
+    oracle within 1e-12 of the largest sample."""
+    sched = build_sweep_schedule(AP)
+    rng = trial_rng(12, "clipped")
+    starts = np.array([0.0, 0.1, 0.2])
+    paths = draw_multipath(ChannelConfig(multipath_ratio=0.6), rng,
+                           np.array([0.3, -0.5, 1.1]))
+    assert len(np.unique(paths.bearings_rad[:, 1])) == 3
+    p0, p1 = Position(12.0, 5.0), Position(10.6, 6.3)
+    for waypoints in (((0.13, p0), (0.5, p1)), ((0.0, p0), (0.13, p1)),
+                      ((0.02, p0), (0.03, p1))):
+        traj = Trajectory(waypoints)
+        got = propagate(sched, paths, traj, 4000.0, t0_s=starts,
+                        doppler=True).samples
+        want = per_antenna_propagate(sched, paths, traj, 4000.0, t0_s=starts,
+                                     doppler=True)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_draw_multipath_invariants():

@@ -162,6 +162,16 @@ def test_trajectory_stationary_and_line():
     assert line.position_at(30.0) == line.position_at(25.0)
 
 
+def test_trajectory_is_one_segment():
+    """A start and a stop at most: each reflected path then has one Doppler
+    frequency while the receiver moves."""
+    with pytest.raises(ConfigError):
+        Trajectory(((0.0, Position(0.0, 0.0)), (1.0, Position(1.0, 0.0)),
+                    (2.0, Position(1.0, 1.0))))
+    with pytest.raises(ConfigError):
+        Trajectory(())
+
+
 def test_trial_rng_reproducible_and_key_sensitive():
     a = trial_rng(7, "exp", 3).uniform(size=4)
     b = trial_rng(7, "exp", 3).uniform(size=4)
@@ -303,6 +313,10 @@ _ORIGIN = Position(0.0, 0.0)
     pytest.param(lambda: ApConfig(_ORIGIN, math.nan), id="ap-boresight"),
     pytest.param(lambda: ApConfig(_ORIGIN, 0.0, sweep_step_rad=math.nan),
                  id="ap-sweep-step"),
+    pytest.param(lambda: ApConfig(_ORIGIN, 0.0, carrier_hz=math.inf),
+                 id="ap-carrier-inf"),
+    pytest.param(lambda: ApConfig(_ORIGIN, 0.0, sweep_period_s=math.inf),
+                 id="ap-sweep-period-inf"),
     pytest.param(lambda: ChannelConfig(nlos_redraw_distance_m=math.nan),
                  id="channel-redraw"),
     pytest.param(lambda: DetectorConfig(sample_rate_hz=math.nan), id="detector-rate"),
@@ -333,8 +347,6 @@ def test_configs_reject_nan(build):
 
 @pytest.mark.parametrize("compute", [
     pytest.param(lambda: free_space_loss_db(math.nan, 915e6), id="loss-distance"),
-    pytest.param(lambda: free_space_loss_db(np.array([1.0, math.nan]), 915e6),
-                 id="loss-distances"),
     pytest.param(lambda: LinkBudget(2.0, carrier_hz=math.nan).path_gain_db,
                  id="link-carrier"),
     pytest.param(lambda: average_current_ma(PowerProfile(), awake_s=math.nan),
