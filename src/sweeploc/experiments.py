@@ -250,12 +250,12 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
         slot = propagate(schedule, paths, pos, fs, t0_s=period / 2.0)
         env = detect_with_noise(FieldTrace(np.concatenate(
             [pads[0], slot.samples, pads[1]]), fs, 0.0), scn.detector, noise)
-        det = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
-        if det is None:
+        start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
+        if start is None:
             continue
         detected += 1
-        est = estimate_angle(env, det.start_sample, ap, scn.sweep_mode)
-        abs_err_sum += abs(math.degrees(est.raw_rad - bearing))
+        raw = estimate_angle(env, start, ap, scn.sweep_mode)
+        abs_err_sum += abs(math.degrees(raw - bearing))
     return [(d_idx, hi - lo, detected, abs_err_sum)]
 
 
@@ -309,12 +309,11 @@ def _farm_chunk(task) -> tuple[list[tuple], int]:
                        rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
         ratio = rng.uniform(0.0, FARM_RATIO_MAX)
         scn_t = replace(scn, channel=replace(scn.channel, multipath_ratio=ratio))
-        result = localize_once(scn_t, pos, rng, table)
-        if not result.ok:
+        fix = localize_once(scn_t, pos, rng, table).fix
+        if fix is None:
             skipped += 1
             continue
-        err = result.fix.position.distance_to(pos)
-        rows.append((pos.x, pos.y, ratio, err))
+        rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))
     return rows, skipped
 
 
@@ -372,16 +371,17 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
                 if speed > 0 else Trajectory.stationary(start))
         receiver = Receiver(scn_t.aps[:2], scn_t.sweep_mode, scn_t.smoothing,
                             table=table)
-        for result in receiver.scan(capture_track(scn_t, traj, rng,
-                                                  SPEED_ROUNDS)):
-            for which, est in enumerate(result.angles):
-                if est is None:
-                    continue
-                truth = true_bearing(scn_t.aps[which],
-                                     traj.position_at(est.timestamp_s))
-                raw_sum += abs(math.degrees(est.raw_rad - truth))
-                smooth_sum += abs(math.degrees(est.smoothed_rad - truth))
-                tracked += 1
+        scan = receiver.scan(capture_track(scn_t, traj, rng, SPEED_ROUNDS))
+        # boolean indexing is row-major: the sums add round by round, AP 1
+        # before AP 2, as the CSV bytes require
+        found = scan.found
+        for which, stamp, raw, smoothed in zip(
+                np.nonzero(found)[1].tolist(), scan.timestamp_s[found].tolist(),
+                scan.raw_rad[found].tolist(), scan.smoothed_rad[found].tolist()):
+            truth = true_bearing(scn_t.aps[which], traj.position_at(stamp))
+            raw_sum += abs(math.degrees(raw - truth))
+            smooth_sum += abs(math.degrees(smoothed - truth))
+            tracked += 1
     return [(s_idx, hi - lo, tracked, raw_sum, smooth_sum)]
 
 

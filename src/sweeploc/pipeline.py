@@ -121,8 +121,7 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
                             scn.detector, noise)
     return EnvelopeTrace(volts=env.volts.reshape(rounds, n),
                          sample_rate_hz=env.sample_rate_hz,
-                         t0_s=np.array(starts),
-                         floor_clipped=env.floor_clipped.reshape(rounds, n))
+                         t0_s=np.array(starts))
 
 
 def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,

@@ -33,13 +33,12 @@ class StoreFullError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvelopeTrace:
-    """Sampled detector output: volts plus a below-floor flag per sample,
-    or rows of buffers (rows x samples) with one start time t0_s per row."""
+    """Sampled detector output in volts, or rows of buffers (rows x
+    samples) with one start time t0_s per row."""
 
     volts: np.ndarray
     sample_rate_hz: float
     t0_s: float | np.ndarray
-    floor_clipped: np.ndarray
 
 
 def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
@@ -58,8 +57,7 @@ def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
     with np.errstate(divide="ignore"):
         power_dbm = 10.0 * np.log10(power_mw)
     return EnvelopeTrace(volts=det.response_volts(power_dbm),
-                         sample_rate_hz=det.sample_rate_hz, t0_s=trace.t0_s,
-                         floor_clipped=power_dbm < det.sensitivity_floor_dbm)
+                         sample_rate_hz=det.sample_rate_hz, t0_s=trace.t0_s)
 
 
 def detector_noise(det: DetectorConfig, n: int,
@@ -151,30 +149,19 @@ def sweep_peaks(volts: np.ndarray, period_start: np.ndarray, ap: ApConfig,
     return lo[:, 0] + np.argmax(windows, axis=1)
 
 
-@dataclass(frozen=True)
-class AngleEstimate:
-    """One raw bearing from one sweep, plus its smoothed value."""
-
-    ap_index: int
-    raw_rad: float
-    smoothed_rad: float
-    timestamp_s: float
-
-
 def estimate_angle(env: EnvelopeTrace, period_start_sample: int, ap: ApConfig,
-                   mode: str, ap_index: int = 0) -> AngleEstimate:
-    """Peak-sample bearing estimate for the period starting at the given sample.
+                   mode: str) -> float:
+    """Raw bearing of the period starting at the given sample.
 
     Scans the sweep portion only (preamble excluded), takes the earliest
     maximum (sweep_peaks on one row), and inverts the sweep's linear time
-    map. The smoothed value is the raw one; Receiver smooths across sweeps.
+    map.
     """
     rate, start = env.sample_rate_hz, period_start_sample
     if start < 0 or start + sweep_window_samples(ap, rate)[1] > len(env.volts):
         raise ConfigError("sweep window extends past the captured buffer")
     peak = int(sweep_peaks(env.volts[None], np.array([start]), ap, rate)[0])
-    raw = angle_from_sample(ap, mode, peak - start, rate)
-    return AngleEstimate(ap_index, raw, raw, env.t0_s + peak / rate)
+    return angle_from_sample(ap, mode, peak - start, rate)
 
 
 def smooth_angle(previous_rad: float | None, raw_rad: float,
@@ -185,13 +172,6 @@ def smooth_angle(previous_rad: float | None, raw_rad: float,
     if previous_rad is None:
         return raw_rad
     return smoothing * previous_rad + (1.0 - smoothing) * raw_rad
-
-
-@dataclass(frozen=True)
-class PreambleDetection:
-    preamble_id: int
-    start_sample: int
-    correlation: float
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,18 +235,17 @@ def search_preambles(volts: np.ndarray, ap: ApConfig, sample_rate_hz: float,
 def find_preamble(env: EnvelopeTrace, ap: ApConfig, start: int = 0,
                   stop: int | None = None,
                   threshold: float = PREAMBLE_CORRELATION_THRESHOLD
-                  ) -> PreambleDetection | None:
-    """Best correlation offset for this AP's preamble in [start, stop), by
-    search_preambles on one row.
+                  ) -> int | None:
+    """Start sample of the best correlation offset for this AP's preamble
+    in [start, stop), by search_preambles on one row.
 
     stop bounds the template's *start* offset. Returns None when no offset
     reaches the threshold.
     """
-    best, corr, found = search_preambles(
+    best, _, found = search_preambles(
         env.volts[None], ap, env.sample_rate_hz, np.array([start]),
         np.array([len(env.volts) if stop is None else stop]), threshold)
-    return (PreambleDetection(ap.preamble_id, int(best[0]), float(corr[0]))
-            if found[0] else None)
+    return int(best[0]) if found[0] else None
 
 
 # --- two-AP fix -----------------------------------------------------------
@@ -303,14 +282,6 @@ def _unit_vectors(angles_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     builds may round the last bit differently)."""
     return (np.array([math.cos(a) for a in angles_rad]),
             np.array([math.sin(a) for a in angles_rad]))
-
-
-@dataclass(frozen=True)
-class LocationFix:
-    position: Position
-    timestamp_s: float
-    bearing1_rad: float
-    bearing2_rad: float
 
 
 class LookupTable:
@@ -359,8 +330,8 @@ class LookupTable:
         return idx
 
 
-def fix_2d(bearing1_rad: float, bearing2_rad: float, table: LookupTable,
-           timestamp_s: float = 0.0) -> LocationFix:
+def fix_2d(bearing1_rad: float, bearing2_rad: float,
+           table: LookupTable) -> Position:
     """Quantize two bearings into the table and return the stored fix.
 
     Raises LowConfidenceFixError for out-of-range bearings or cells whose
@@ -371,9 +342,7 @@ def fix_2d(bearing1_rad: float, bearing2_rad: float, table: LookupTable,
     x = table.xs[i, j]
     if not math.isfinite(x):
         raise LowConfidenceFixError("bearing pair has no usable intersection")
-    return LocationFix(position=Position(float(x), float(table.ys[i, j])),
-                       timestamp_s=timestamp_s,
-                       bearing1_rad=bearing1_rad, bearing2_rad=bearing2_rad)
+    return Position(float(x), float(table.ys[i, j]))
 
 
 # --- measurement log --------------------------------------------------------
@@ -439,28 +408,37 @@ class LogStore:
         self.records.append(record)
 
 
-# --- stateful driver --------------------------------------------------------
+# --- receiver scan ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scan:
+    """Receiver.scan over rows of buffers. Per row and AP (rows x 2):
+    whether its preamble was found, and its raw and smoothed bearings and
+    peak time, NaN where it was not. Per row: the fix, NaN where there is
+    none."""
+
+    found: np.ndarray
+    raw_rad: np.ndarray
+    smoothed_rad: np.ndarray
+    timestamp_s: np.ndarray
+    x_m: np.ndarray
+    y_m: np.ndarray
+
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Outcome of one buffer scan: detections, angles, and the fix if any."""
+    """Outcome of one buffer: the fix, if any."""
 
-    detections: tuple[PreambleDetection | None, PreambleDetection | None]
-    angles: tuple[AngleEstimate | None, AngleEstimate | None]
-    fix: LocationFix | None
-    low_confidence: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.fix is not None
+    fix: Position | None
 
 
 class Receiver:
-    """Runs the capture-scan-estimate-smooth-fix loop over sample buffers.
+    """Finds each AP's preamble and sweep peak in sample buffers, smooths
+    the bearings and fixes each pair.
 
-    Keeps one smoothed bearing per AP across calls. Buffers must contain
-    at least two full sweep periods after the first AP's preamble for a fix
-    to come out.
+    Holds only its configuration, so a scan depends on its envelope alone.
+    Buffers must contain at least two full sweep periods after the first
+    AP's preamble for a fix to come out.
     """
 
     def __init__(self, aps: tuple[ApConfig, ApConfig], sweep_mode: str,
@@ -475,49 +453,47 @@ class Receiver:
         self.sweep_mode = sweep_mode
         self.smoothing = smoothing
         self.table = table if table is not None else LookupTable(aps[0], aps[1])
-        self.smoothed: list[float | None] = [None, None]
 
     def process_buffer(self, env: EnvelopeTrace) -> LocalizationResult:
         """Scan one buffer: scan with a batch of one."""
-        return self.scan(env)[0]
+        scan = self.scan(env)
+        x, y = float(scan.x_m[0]), float(scan.y_m[0])
+        return LocalizationResult(None if math.isnan(x) else Position(x, y))
 
-    def scan(self, env: EnvelopeTrace) -> list[LocalizationResult]:
-        """process_buffer over each row of a rows x samples envelope (a 1-D
-        envelope is one row), in row order. Each AP's preamble search and
-        sweep peak run over all rows at once; a plain loop over the rows
-        then smooths and fixes, skipping AP 2 where AP 1 was missed."""
+    def scan(self, env: EnvelopeTrace) -> Scan:
+        """The rows of a rows x samples envelope (a 1-D envelope is one
+        row), in row order. Each AP's preamble search and sweep peak run
+        over all rows at once, AP 2's only where AP 1 was found. Each AP's
+        bearings are smoothed over the rows that found it, seeded at the
+        first, then each row with both is fixed."""
         volts, rate = np.atleast_2d(env.volts), env.sample_rate_hz
         (rows, n), n_period = volts.shape, period_samples(self.aps[0], rate)
-        # det1 needs two full slots after it; det2 needs one.
-        det1 = search_preambles(volts, self.aps[0], rate, np.zeros(rows, int),
-                                np.full(rows, n - 2 * n_period + 1))
-        start1 = det1[0]
+        # AP 1 needs two full slots after it; AP 2 needs one.
+        start1, _, found1 = search_preambles(
+            volts, self.aps[0], rate, np.zeros(rows, int),
+            np.full(rows, n - 2 * n_period + 1))
         hi2 = np.minimum(start1 + 2 * n_period - 1, n - n_period + 1)
-        det2 = search_preambles(volts, self.aps[1], rate, start1 + n_period, hi2)
-        per_ap = []
-        for ap, (start, corr, found) in zip(self.aps, (det1, det2)):
-            # rows that missed this AP get a placeholder peak, never read
+        start2, _, found2 = search_preambles(volts, self.aps[1], rate,
+                                             start1 + n_period, hi2)
+        found = np.stack([found1, found1 & found2], axis=1)
+        raw, stamp = np.empty((rows, 2)), np.empty((rows, 2))
+        for which, (ap, start) in enumerate(zip(self.aps, (start1, start2))):
+            # rows that missed this AP get a placeholder peak, masked below
             peak = sweep_peaks(volts, start, ap, rate)
-            raw = sample_angles(ap, self.sweep_mode, rate)[peak - start]
-            per_ap.append(zip(*(a.tolist() for a in (
-                found, start, corr, raw, env.t0_s + peak / rate))))
-        results = []
-        for row in zip(*per_ap):
-            dets, ests = [None, None], [None, None]
-            for which, (found, start, corr, raw, stamp) in enumerate(row):
-                if not found:
-                    break
-                ap = self.aps[which]
-                smoothed = smooth_angle(self.smoothed[which], raw, self.smoothing)
-                self.smoothed[which] = smoothed
-                dets[which] = PreambleDetection(ap.preamble_id, start, corr)
-                ests[which] = AngleEstimate(which, raw, smoothed, stamp)
-            fix, low = None, False
-            if ests[1] is not None:
-                try:
-                    fix = fix_2d(ests[0].smoothed_rad, ests[1].smoothed_rad,
-                                 self.table, timestamp_s=ests[1].timestamp_s)
-                except LowConfidenceFixError:
-                    low = True
-            results.append(LocalizationResult(tuple(dets), tuple(ests), fix, low))
-        return results
+            raw[:, which] = sample_angles(ap, self.sweep_mode, rate)[peak - start]
+            stamp[:, which] = env.t0_s + peak / rate
+        raw[~found] = stamp[~found] = np.nan
+        smoothed = raw.copy()
+        for column, hits in zip(smoothed.T, found.T):
+            previous = None
+            for r in np.flatnonzero(hits).tolist():
+                previous = column[r] = smooth_angle(previous, float(column[r]),
+                                                    self.smoothing)
+        x, y = np.full(rows, np.nan), np.full(rows, np.nan)
+        for r in np.flatnonzero(found[:, 1]).tolist():
+            try:
+                fix = fix_2d(*smoothed[r].tolist(), self.table)
+            except LowConfidenceFixError:
+                continue
+            x[r], y[r] = fix.x, fix.y
+        return Scan(found, raw, smoothed, stamp, x, y)

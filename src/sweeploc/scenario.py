@@ -30,11 +30,9 @@ class GeometryError(ValueError):
     """A geometric query has no defined answer (coincident points, etc.)."""
 
 
-def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
+def wrap_angle(angle: float) -> float:
     """Wrap an angle in radians to the interval (-pi, pi]."""
-    # Python floats and numpy arrays both take this path; their % round alike.
-    wrapped = -((-angle + math.pi) % (2.0 * math.pi)) + math.pi
-    return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
+    return -((-angle + math.pi) % (2.0 * math.pi)) + math.pi
 
 
 @dataclass(frozen=True)

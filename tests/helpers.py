@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from sweeploc.experiments import _grid_chunk_errors
-from sweeploc.scenario import Scenario, Trajectory, wrap_angle
+from sweeploc.scenario import Scenario, Trajectory
 
 
 def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
@@ -33,8 +33,7 @@ def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
     dist = np.hypot(px - ap.position.x, py - ap.position.y)
     loss_db = 20.0 * np.log10(4.0 * math.pi * dist / ap.wavelength_m)  # free space
     link = 10.0 ** ((ap.tx_power_dbm - loss_db) / 20.0)
-    los = wrap_angle(np.arctan2(py - ap.position.y, px - ap.position.x)
-                     - ap.boresight_rad)
+    los = np.arctan2(py - ap.position.y, px - ap.position.x) - ap.boresight_rad
     drive = schedule.drive[:, row]
     total = 0.0
     for k in range(paths.amplitudes.shape[-1]):

@@ -107,7 +107,7 @@ def test_criterion_2_noiseless_estimates_within_quantization():
                 trace = propagate(sched, PathSet([1.0], [phi], [0.0]),
                                   pos, fs)
                 est = estimate_angle(envelope_detect(trace, det), 0, ap, mode)
-                err = abs(est.raw_rad - phi)
+                err = abs(est - phi)
                 if mode == "alg1":
                     # half a steering step plus the sample-grid quantum
                     tol = ap.sweep_step_rad / 2 + math.pi / fs / span
@@ -213,7 +213,7 @@ def test_criterion_5_table_fix_matches_exact_intersection():
             continue
         diag = max(math.hypot(a.x - b.x, a.y - b.y)
                    for a in corners for b in corners)
-        err = math.hypot(fix.position.x - exact.x, fix.position.y - exact.y)
+        err = math.hypot(fix.x - exact.x, fix.y - exact.y)
         assert err <= diag + 1e-9
         checked += 1
     assert skipped < 0.05 * checked

@@ -72,3 +72,58 @@ def test_every_definition_has_a_caller_outside_the_tests():
               for path in modules for qualified, name in _definitions(path)
               if name not in used and name not in REFERENCES]
     assert unused == []
+
+
+def _dataclass_fields(path):
+    """(class, field) for every field of each top-level dataclass."""
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators):
+            for member in node.body:
+                if (isinstance(member, ast.AnnAssign)
+                        and isinstance(member.target, ast.Name)):
+                    yield node.name, member.target.id
+
+
+def _read_attributes(paths):
+    """Attribute loads, and the names getattr takes as a string: a literal
+    argument, or the literals a for loop binds to the argument's name."""
+    reads = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        looped: dict[str, set] = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.For, ast.comprehension))
+                    and isinstance(node.target, ast.Name)
+                    and isinstance(node.iter, (ast.Tuple, ast.List))):
+                looped.setdefault(node.target.id, set()).update(
+                    e.value for e in node.iter.elts
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1):
+                name = node.args[1]
+                if isinstance(name, ast.Constant):
+                    reads.add(name.value)
+                elif isinstance(name, ast.Name):
+                    reads |= looped.get(name.id, set())
+    return reads
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    """A field that nothing in the package or in perfbench/ reads is
+    deleted. A read is an attribute load or a getattr string, matched by
+    name, so a field sharing its name with a read attribute elsewhere goes
+    unnoticed."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    reads = _read_attributes(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    unread = [f"{path.stem}.{cls}.{name}"
+              for path in modules for cls, name in _dataclass_fields(path)
+              if name not in reads]
+    assert unread == []

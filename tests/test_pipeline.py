@@ -17,8 +17,10 @@ from sweeploc.pipeline import (
     localize_once,
     synthesize_rounds,
 )
-from sweeploc.receiver import (EnvelopeTrace, LookupTable, Receiver,
-                               envelope_detect, estimate_angle)
+from sweeploc.receiver import (EnvelopeTrace, LookupTable,
+                               LowConfidenceFixError, Receiver,
+                               envelope_detect, estimate_angle, find_preamble,
+                               fix_2d, period_samples, sweep_window_samples)
 from sweeploc.scenario import GeometryError, Position, Trajectory, trial_rng
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import build_sweep_schedule
@@ -56,7 +58,6 @@ def test_detect_with_noise_adds_channel_then_detector_noise():
     noisy_field = dataclasses.replace(field, samples=field.samples + noise[0])
     expect = envelope_detect(noisy_field, scn.detector)
     assert env.volts.tobytes() == (expect.volts + noise[1]).tobytes()
-    assert np.array_equal(env.floor_clipped, expect.floor_clipped)
     quiet = detect_with_noise(field, scn.detector, (None, None))
     assert quiet.volts.tobytes() == envelope_detect(field, scn.detector).volts.tobytes()
 
@@ -66,11 +67,8 @@ def test_localize_once_noiseless_near_truth():
     table = LookupTable(scn.aps[0], scn.aps[1])
     where = Position(45.0, 25.0)
     rng = trial_rng(3, "fix")
-    result = localize_once(scn, where, rng, table)
-    assert result.ok
-    err = math.hypot(result.fix.position.x - 45.0,
-                     result.fix.position.y - 25.0)
-    assert err < 3.0
+    fix = localize_once(scn, where, rng, table).fix
+    assert math.hypot(fix.x - 45.0, fix.y - 25.0) < 3.0
 
 
 @pytest.mark.parametrize("nlos", [0, 1, 3])
@@ -98,7 +96,7 @@ def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
                      paths.excess_phases_rad[k])
         env = envelope_detect(propagate(sched, ps, pos, fs), scn.detector)
         est = estimate_angle(env, 0, ap, mode)
-        if not math.isclose(est.raw_rad, fast[k], rel_tol=0, abs_tol=1e-12):
+        if not math.isclose(est, fast[k], rel_tol=0, abs_tol=1e-12):
             mismatches += 1
     assert mismatches == 0
 
@@ -165,9 +163,9 @@ def test_capture_track_rounds_start_where_the_round_starts(noise_dbm):
                            speed_mps=5.0, duration_s=1.0)
     env = capture_track(scn, traj, trial_rng(6, "track"), rounds=5)
     assert env.t0_s.tolist() == [r * 0.1 for r in range(5)]
-    assert env.volts.shape == env.floor_clipped.shape == (5, 400)
+    assert env.volts.shape == (5, 400)
     rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
-    assert all(result.ok for result in rx.scan(env))
+    assert not np.isnan(rx.scan(env).x_m).any()
 
 
 @pytest.mark.parametrize("noise_dbm", [None, -50.0])
@@ -214,7 +212,6 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
     want = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),
                              scn.detector, noise)
     assert env.volts.tobytes() == want.volts.tobytes()
-    assert np.array_equal(env.floor_clipped.reshape(-1), want.floor_clipped)
     assert batched_rng.bit_generator.state == single_rng.bit_generator.state
 
 
@@ -233,21 +230,55 @@ def test_capture_track_rows_step_by_the_round():
 
 
 def _scan_both_ways(scn, traj, rng):
-    """One Receiver.scan over a 40-round capture, and process_buffer on
-    each round in turn with a second receiver: results and receiver state
-    must be equal."""
+    """One Receiver.scan over a 40-round capture, against the batch-of-one
+    calls on each round in turn: find_preamble and estimate_angle give
+    what the round finds, its raw bearings and (through the earliest peak
+    of the sweep window) its peak times; a plain recurrence over the found
+    rounds gives the smoothed bearings, and fix_2d of those the fixes, NaN
+    where it raises. All compared exactly. A second scan call on the same
+    receiver gives the same arrays, bit for bit."""
     env = capture_track(scn, traj, rng, rounds=40)
-    batched_rx, single_rx = (Receiver(scn.aps[:2], scn.sweep_mode,
-                                      scn.smoothing) for _ in range(2))
-    batched = batched_rx.scan(env)
-    single = [single_rx.process_buffer(EnvelopeTrace(
-        env.volts[r], env.sample_rate_hz, float(env.t0_s[r]),
-        env.floor_clipped[r])) for r in range(40)]
-    # detections, raw and smoothed bearings, timestamps, fixes and
-    # low_confidence, all compared exactly
-    assert batched == single
-    assert batched_rx.smoothed == single_rx.smoothed
-    return batched
+    rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
+    scan = rx.scan(env)
+    for got, want in zip(dataclasses.astuple(rx.scan(env)),
+                         dataclasses.astuple(scan), strict=True):
+        assert got.tobytes() == want.tobytes()
+    rate, (rows, n) = env.sample_rate_hz, env.volts.shape
+    period = period_samples(scn.aps[0], rate)
+    w = scn.smoothing
+    smoothed = [None, None]
+    for r in range(rows):
+        row = EnvelopeTrace(env.volts[r], rate, float(env.t0_s[r]))
+        # AP 1 with two whole periods after it, AP 2 within the next one
+        start1 = find_preamble(row, scn.aps[0], 0, n - 2 * period + 1)
+        start2 = None if start1 is None else find_preamble(
+            row, scn.aps[1], start1 + period,
+            min(start1 + 2 * period - 1, n - period + 1))
+        starts = (start1, start2)
+        assert scan.found[r].tolist() == [s is not None for s in starts]
+        for which, start in enumerate(starts):
+            got = (scan.raw_rad[r, which], scan.smoothed_rad[r, which],
+                   scan.timestamp_s[r, which])
+            if start is None:
+                assert np.isnan(got).all()
+                continue
+            ap = scn.aps[which]
+            raw = estimate_angle(row, start, ap, scn.sweep_mode)
+            first, stop = sweep_window_samples(ap, rate)
+            peak = start + first + int(np.argmax(
+                row.volts[start + first:start + stop]))
+            prev = smoothed[which]
+            smoothed[which] = raw if prev is None else w * prev + (1 - w) * raw
+            assert got == (raw, smoothed[which], row.t0_s + peak / rate)
+        fix = (float("nan"), float("nan"))
+        if start2 is not None:
+            try:
+                p = fix_2d(smoothed[0], smoothed[1], rx.table)
+                fix = (p.x, p.y)
+            except LowConfidenceFixError:
+                pass
+        assert np.array_equal([scan.x_m[r], scan.y_m[r]], fix, equal_nan=True)
+    return scan
 
 
 @pytest.mark.parametrize("speed", [0.0, 9.1])
@@ -257,8 +288,8 @@ def test_batched_receiver_equals_round_by_round(mode, speed):
     start = Position(50.0, 40.0)
     traj = (Trajectory.line(start, 0.4, speed, 4.0) if speed
             else Trajectory.stationary(start))
-    results = _scan_both_ways(scn, traj, trial_rng(8, "scan", mode, speed))
-    assert sum(r.ok for r in results) >= 30
+    scan = _scan_both_ways(scn, traj, trial_rng(8, "scan", mode, speed))
+    assert np.isfinite(scan.x_m).sum() >= 30
 
 
 @pytest.mark.parametrize("track", ["diagonal", "outbound"])
@@ -276,12 +307,12 @@ def test_batched_receiver_equals_round_by_round_with_misses(track):
         noise = 3e-4
     scn = dataclasses.replace(scn, detector=dataclasses.replace(
         scn.detector, output_noise_volts=noise))
-    results = _scan_both_ways(scn, traj, trial_rng(3, "x", track))
-    missed_ap1 = sum(r.detections[0] is None for r in results)
-    missed_ap2 = sum(r.detections[0] is not None and r.detections[1] is None
-                     for r in results)
-    low = sum(r.low_confidence for r in results)
-    assert sum(r.ok for r in results) > 0
+    scan = _scan_both_ways(scn, traj, trial_rng(3, "x", track))
+    found, fixed = scan.found, np.isfinite(scan.x_m)
+    missed_ap1 = (~found[:, 0]).sum()
+    missed_ap2 = (found[:, 0] & ~found[:, 1]).sum()
+    low = (found[:, 1] & ~fixed).sum()
+    assert fixed.sum() > 0
     if track == "diagonal":
         assert missed_ap2 > 0 and low > 0
     else:

@@ -76,12 +76,10 @@ def test_envelope_detect_response_and_clip():
     trace = los_trace(AP1, 0.0, dist=10.0)
     env = envelope_detect(trace, DET)
     assert len(env.volts) == 200
-    assert not env.floor_clipped.all()
     # power at 10 m is far above the floor; silence clips to the floor
     assert env.volts[32:].max() > DET.floor_volts
     quiet = envelope_detect(joined(200), DET)
     assert np.all(quiet.volts == DET.floor_volts)
-    assert quiet.floor_clipped.all()
 
 
 def test_envelope_detect_takes_the_field_at_the_detector_rate():
@@ -130,7 +128,7 @@ def test_estimate_angle_noiseless(mode, deg):
     env = envelope_detect(los_trace(AP1, phi, mode=mode), DET)
     est = estimate_angle(env, 0, AP1, mode)
     tol = 2.0 if mode == "alg1" else 2.0 / max(math.cos(phi), 0.35)
-    assert abs(math.degrees(est.raw_rad) - deg) < tol
+    assert abs(math.degrees(est) - deg) < tol
 
 
 @pytest.mark.parametrize("deg", [-40, -10, 20, 50])
@@ -149,7 +147,7 @@ def test_uniform_theta_inverts_with_the_array_spacing(deg):
     q = math.pi / ap.sweep_step_count + 2 * math.pi / FS / span
     scale = 2 * math.pi * ap.spacing_wavelengths
     tol = math.asin(min(1.0, (scale * abs(math.sin(phi)) + q) / scale)) - abs(phi)
-    assert abs(est.raw_rad - phi) <= tol
+    assert abs(est - phi) <= tol
 
 
 def test_smooth_angle_formula():
@@ -175,20 +173,19 @@ def test_find_preamble_locates_slot_start():
     t_lead = 0.025
     slot = los_trace(AP1, math.radians(10.0), t0=t_lead)
     env = envelope_detect(joined(round(t_lead * FS), slot), DET)
-    det = find_preamble(env, AP1)
-    assert det is not None
-    assert det.start_sample == round(t_lead * FS)
-    assert det.correlation > 0.999
+    start = find_preamble(env, AP1)
+    assert start == round(t_lead * FS)
+    assert find_preamble(env, AP1, threshold=0.999) == start
     # the start bound is honored (the pattern self-correlates at later
     # bit-aligned offsets, so a weaker echo may still appear)
-    later = find_preamble(env, AP1, start=det.start_sample + 1)
-    assert later is None or later.start_sample > det.start_sample
+    later = find_preamble(env, AP1, start=start + 1)
+    assert later is None or later > start
 
 
 def test_find_preamble_rejects_other_ap_pattern():
     slot = los_trace(AP1, 0.0)
     env = envelope_detect(slot, DET)
-    assert find_preamble(env, AP1).start_sample == 0
+    assert find_preamble(env, AP1) == 0
     assert find_preamble(env, AP2) is None
 
 
@@ -206,7 +203,7 @@ def test_find_preamble_equals_whole_buffer_search(start, stop):
     rng = trial_rng(11, "preamble-window", start)
     volts = rng.normal(0.0, 0.05, 200)
     volts[100:132] += np.repeat(pattern, 4)
-    env = EnvelopeTrace(volts, FS, 0.0, np.zeros(200, dtype=bool))
+    env = EnvelopeTrace(volts, FS, 0.0)
     corr = correlate_pattern(volts, pattern, 4)
     end = len(corr) if stop is None else min(stop, len(corr))
     got = find_preamble(env, AP1, start, stop, threshold=-1.0)
@@ -214,8 +211,11 @@ def test_find_preamble_equals_whole_buffer_search(start, stop):
         assert got is None
         return
     best = start + int(np.argmax(corr[start:end]))
-    assert got.start_sample == best
-    assert got.correlation == corr[best]
+    assert got == best
+    # found at a threshold of its own correlation, not just above it
+    assert find_preamble(env, AP1, start, stop, threshold=corr[best]) == best
+    assert find_preamble(env, AP1, start, stop,
+                         threshold=np.nextafter(corr[best], 2.0)) is None
 
 
 def test_find_preamble_equals_whole_buffer_search_in_rows():
@@ -234,14 +234,14 @@ def test_find_preamble_equals_whole_buffer_search_in_rows():
     assert found.tolist() == [lo < min(hi, 169) for lo, hi in windows]
     for r, (lo, hi) in enumerate(windows):
         whole = correlate_pattern(volts[r], pattern, 4)
-        env = EnvelopeTrace(volts[r], FS, 0.0, np.zeros(200, dtype=bool))
+        env = EnvelopeTrace(volts[r], FS, 0.0)
         one = find_preamble(env, AP1, lo, hi, threshold=-1.0)
         if not found[r]:
             assert one is None
             continue
         want = lo + int(np.argmax(whole[lo:min(hi, len(whole))]))
-        assert best[r] == one.start_sample == want
-        assert corr[r] == one.correlation == whole[want]
+        assert best[r] == one == want
+        assert corr[r] == whole[want]
     # a row's window reaching the threshold is a detection, the rest not
     _, _, strict = search_preambles(volts, AP1, FS, start, stop)
     assert strict.tolist() == (found & (corr >= 0.75)).tolist()
@@ -249,7 +249,7 @@ def test_find_preamble_equals_whole_buffer_search_in_rows():
 
 def test_sweep_peaks_rows_with_their_own_periods():
     """Each row's peak is the earliest maximum of its own sweep window,
-    the same as estimate_angle on the row alone."""
+    and its bearing the one estimate_angle gives on the row alone."""
     first, stop = sweep_window_samples(AP1, FS)
     starts = np.array([0, 37, 200, 5, 199, 120])
     volts = trial_rng(12, "peak-rows").normal(0.0, 1.0, (len(starts), 400))
@@ -257,10 +257,9 @@ def test_sweep_peaks_rows_with_their_own_periods():
     peaks = sweep_peaks(volts, starts, AP1, FS)
     for r, p in enumerate(starts):
         assert peaks[r] == p + first + int(np.argmax(volts[r, p + first:p + stop]))
-        env = EnvelopeTrace(volts[r], FS, 0.25, np.zeros(400, dtype=bool))
+        env = EnvelopeTrace(volts[r], FS, 0.25)
         est = estimate_angle(env, int(p), AP1, "alg1")
-        assert est.raw_rad == angle_from_sample(AP1, "alg1", peaks[r] - p, FS)
-        assert est.timestamp_s == 0.25 + peaks[r] / FS
+        assert est == angle_from_sample(AP1, "alg1", peaks[r] - p, FS)
 
 
 def test_centered_template_is_cached_read_only_and_exact():
@@ -314,8 +313,8 @@ def test_lookup_table_exact_at_cell_centers():
     c2 = math.radians(-90.0 + (j + 0.5) * table.resolution_deg)
     exact = intersect_bearings(AP1, c1, AP2, c2)
     fix = fix_2d(b1, b2, table)
-    assert fix.position.x == pytest.approx(exact.x, abs=1e-9)
-    assert fix.position.y == pytest.approx(exact.y, abs=1e-9)
+    assert fix.x == pytest.approx(exact.x, abs=1e-9)
+    assert fix.y == pytest.approx(exact.y, abs=1e-9)
 
 
 @pytest.mark.parametrize("resolution", [1.0, 0.5, 30.0])
@@ -408,13 +407,13 @@ def test_receiver_two_slot_buffer_produces_fix():
     s2 = propagate(build_sweep_schedule(AP2), PathSet([1.0], [b2], [0.0]),
                    target, FS, t0_s=0.05)
     env = envelope_detect(joined(s1, s2), DET)
-    result = rx.process_buffer(env)
-    assert result.ok
-    err = math.hypot(result.fix.position.x - 50.0,
-                     result.fix.position.y - 10.0)
-    assert err < 3.0
-    # the smoothed track seeds from the first raw angles
-    assert rx.smoothed[0] == pytest.approx(result.angles[0].raw_rad)
+    fix = rx.process_buffer(env).fix
+    assert math.hypot(fix.x - 50.0, fix.y - 10.0) < 3.0
+    # one row: each smoothed track is seeded with its raw angle
+    scan = rx.scan(env)
+    assert scan.found.tolist() == [[True, True]]
+    assert scan.smoothed_rad.tolist() == scan.raw_rad.tolist()
+    assert (scan.x_m[0], scan.y_m[0]) == (fix.x, fix.y)
 
 
 @pytest.mark.parametrize("mode, smoothing", [("bogus", 0.8), ("alg1", 1.5),
