@@ -18,11 +18,9 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, DetectorConfig,
 from .transmitter import PREAMBLE_PATTERNS, SweepSchedule, build_sweep_schedule
 from .channel import (FieldTrace, PathSet, apply_doppler, draw_multipath,
                       propagate, sweep_response)
-from .receiver import (EnvelopeTrace, LogStore, LookupTable,
-                       LowConfidenceFixError, Receiver, SensorRecord,
-                       StoreFullError, envelope_detect, estimate_angle,
-                       find_preamble, fix_2d, intersect_bearings,
-                       smooth_angle)
+from .receiver import (EnvelopeTrace, LogStore, LookupTable, Receiver,
+                       SensorRecord, StoreFullError, envelope_detect,
+                       estimate_angle, find_preamble, fix_2d, smooth_angle)
 from .backscatter import (DemodConfig, Frame, InsectNode, LinkBudget,
                           SwitchWaveform, ap_demodulate, ber_point,
                           frame_from_records, hive_mac_session,

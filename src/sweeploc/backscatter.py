@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import complex_noise
-from .receiver import LogStore, SensorRecord
+from .receiver import LOG_CAPACITY_BYTES, LogStore, SensorRecord
 from .scenario import ConfigError, DetectorConfig, _normals, free_space_loss_db
 
-MAX_FRAME_BITS = 8 * 32768  # a full measurement log
+MAX_FRAME_BITS = 8 * LOG_CAPACITY_BYTES  # a full measurement log
 SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
 UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
 MODULATOR_RATE_HZ = 8e6  # the tag's switch-drive sample rate
@@ -85,10 +85,6 @@ class SwitchWaveform:
     @property
     def states(self) -> np.ndarray:
         return np.outer(self.bits, self.one_bit).reshape(-1)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.bits) / UPLINK_BITRATE_HZ
 
 
 def modulate_frame(frame: Frame, sample_rate_hz: float = MODULATOR_RATE_HZ,
@@ -193,18 +189,6 @@ def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
     return RxCapture(samples=env, sample_rate_hz=demod.sample_rate_hz)
 
 
-def demod_fundamental_gain(wave_rate_hz: float = MODULATOR_RATE_HZ,
-                           subcarrier_hz: float = SUBCARRIER_HZ) -> complex:
-    """Complex per-bit gain the discrete mix+decimate applies to a one-bit
-    of unit path gain. Its magnitude approaches 2/pi as the modulator rate
-    grows."""
-    half = round(wave_rate_hz / (2.0 * subcarrier_hz))
-    cycle = 2 * half
-    k = np.arange(cycle)
-    states = ((k // half) % 2 == 0).astype(float)
-    return complex(2.0 * np.mean(states * np.exp(-2j * math.pi * k / cycle)))
-
-
 def bit_magnitudes(rx: RxCapture) -> np.ndarray:
     """Magnitude of each whole bit's mean envelope: a boxcar filter one bit
     long, read as a view of the capture. Trailing samples short of a bit
@@ -306,43 +290,6 @@ def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
     return errors / n_bits, errors
 
 
-def ber_point_waveform_oracle(snr_db: float, n_bits: int,
-                              rng: np.random.Generator,
-                              demod: DemodConfig | None = None
-                              ) -> tuple[float, int]:
-    """Brute-force BER reference through the full modulator-rate waveform.
-
-    Noise is injected at the modulator rate with its power scaled so the
-    decimated capture sees the same per-sample SNR as ber_point, and the
-    path gain divides out the discrete fundamental gain so both models
-    share one signal level.
-    """
-    if n_bits < 1:
-        raise ConfigError("need at least one bit")
-    demod = demod or DemodConfig()
-    bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    wave = SwitchWaveform(bits, MODULATOR_RATE_HZ, SUBCARRIER_HZ)
-    env = _decimated_envelope(wave, demod, 1.0 / abs(demod_fundamental_gain()))
-    factor = round(MODULATOR_RATE_HZ / demod.sample_rate_hz)
-    # per-dimension sigma chosen so block-averaging by `factor` leaves the
-    # capture with total complex noise power 10**(-snr/10)
-    sigma_hi = 10.0 ** (-snr_db / 20.0) * math.sqrt(factor / 2.0)
-    # Draw the modulator-rate noise in bit-aligned chunks and keep only its
-    # block means, which add to the decimated envelope.
-    chunk_bits, spb = 500, len(wave.one_bit)
-    chunk = np.empty(min(n_bits, chunk_bits) * spb)
-    noise_parts = []
-    for lo in range(0, n_bits, chunk_bits):
-        buf = chunk[:len(bits[lo:lo + chunk_bits]) * spb]
-        real = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
-        imag = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
-        noise_parts.append(real + 1j * imag)
-    rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz)
-    decided = ap_demodulate(rx)
-    errors = int(np.count_nonzero(decided != bits))
-    return errors / n_bits, errors
-
-
 # --- hive MAC ----------------------------------------------------------------
 
 QUERY_ADDRESS_BITS = 8
@@ -408,20 +355,19 @@ class MacTranscript:
 def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
                      rng: np.random.Generator) -> int:
     """OOK query, at the uplink bitrate, through the insect's envelope
-    detector; returns the address the insect heard (possibly garbage when
-    under its floor)."""
+    detector, decided by ap_demodulate on the sync-calibrated threshold;
+    returns the address the insect heard (possibly garbage when under its
+    floor)."""
     bits = list(SYNC_PATTERN) + [(address >> (7 - k)) & 1 for k in range(8)]
     one_way_dbm = link.tx_power_dbm - free_space_loss_db(link.distance_m,
                                                          link.carrier_hz)
-    spb = round(det.sample_rate_hz / UPLINK_BITRATE_HZ)
+    spb = _capture_samples_per_bit(det.sample_rate_hz)
     levels = np.where(np.repeat(bits, spb) > 0,
                       float(det.response_volts(one_way_dbm)), det.floor_volts)
     volts = levels + _normals(rng, det.noise_sigma_volts, np.empty(len(levels)))
-    mags = volts.reshape(-1, spb).mean(axis=1)
-    sync = np.asarray(SYNC_PATTERN)
-    threshold = 0.5 * (mags[:8][sync == 1].mean() + mags[:8][sync == 0].mean())
-    decoded = (mags[8:] > threshold).astype(int)
-    return int("".join(str(b) for b in decoded), 2)
+    decided = ap_demodulate(RxCapture(volts, det.sample_rate_hz),
+                            sync_bits=len(SYNC_PATTERN))
+    return int("".join(str(b) for b in decided[len(SYNC_PATTERN):]), 2)
 
 
 def hive_mac_session(insects: Sequence[InsectNode],

@@ -369,9 +369,8 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
         heading = center_dir + rng.uniform(-math.pi / 6, math.pi / 6)
         traj = (Trajectory.line(start, heading, speed, SPEED_ROUNDS * scn.round_s)
                 if speed > 0 else Trajectory.stationary(start))
-        receiver = Receiver(scn_t.aps[:2], scn_t.sweep_mode, scn_t.smoothing,
-                            table=table)
-        scan = receiver.scan(capture_track(scn_t, traj, rng, SPEED_ROUNDS))
+        scan = Receiver(scn_t, table).scan(capture_track(scn_t, traj, rng,
+                                                         SPEED_ROUNDS))
         # boolean indexing is row-major: the sums add round by round, AP 1
         # before AP 2, as the CSV bytes require
         found = scan.found

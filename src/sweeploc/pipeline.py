@@ -153,5 +153,4 @@ def localize_once(scn: Scenario, where: Position | Trajectory,
     noise = draw_noise(scn, 2 * _round_samples(scn), rng)
     env = detect_with_noise(synthesize_rounds(scn, pathsets, where, rounds=2),
                             scn.detector, noise)
-    receiver = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing, table=table)
-    return receiver.process_buffer(env)
+    return Receiver(scn, table).process_buffer(env)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .receiver import LOG_CAPACITY_BYTES, RECORD_SIZE_BYTES
 from .scenario import ConfigError
 
 
@@ -154,9 +155,8 @@ class SolarHarvest:
         return math.exp(y)
 
 
-def logging_endurance_h(capacity_bytes: int = 32768, record_bytes: int = 4,
-                        interval_s: float = 5.0) -> float:
-    """How long the log lasts at a fixed measurement cadence."""
-    if not (interval_s > 0 and record_bytes > 0 and capacity_bytes >= record_bytes):
-        raise ConfigError("need positive interval and a capacity >= one record")
-    return (capacity_bytes // record_bytes) * interval_s / 3600.0
+def logging_endurance_h(interval_s: float = 5.0) -> float:
+    """How long the full measurement log lasts at a fixed cadence."""
+    if not interval_s > 0:
+        raise ConfigError("interval must be positive")
+    return (LOG_CAPACITY_BYTES // RECORD_SIZE_BYTES) * interval_s / 3600.0

@@ -16,15 +16,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .scenario import (SWEEP_MODES, ApConfig, ConfigError, DetectorConfig,
-                       Position, _normals)
+from .scenario import (ApConfig, ConfigError, DetectorConfig, Position,
+                       Scenario, _normals)
 from .transmitter import PREAMBLE_PATTERNS
 
 PREAMBLE_CORRELATION_THRESHOLD = 0.75
-
-
-class LowConfidenceFixError(ValueError):
-    """The two bearings do not intersect in a usable way."""
 
 
 class StoreFullError(RuntimeError):
@@ -154,14 +150,14 @@ def estimate_angle(env: EnvelopeTrace, period_start_sample: int, ap: ApConfig,
     """Raw bearing of the period starting at the given sample.
 
     Scans the sweep portion only (preamble excluded), takes the earliest
-    maximum (sweep_peaks on one row), and inverts the sweep's linear time
-    map.
+    maximum (sweep_peaks on one row), and reads its bearing from
+    sample_angles, as Receiver.scan does.
     """
     rate, start = env.sample_rate_hz, period_start_sample
     if start < 0 or start + sweep_window_samples(ap, rate)[1] > len(env.volts):
         raise ConfigError("sweep window extends past the captured buffer")
     peak = int(sweep_peaks(env.volts[None], np.array([start]), ap, rate)[0])
-    return angle_from_sample(ap, mode, peak - start, rate)
+    return float(sample_angles(ap, mode, rate)[peak - start])
 
 
 def smooth_angle(previous_rad: float | None, raw_rad: float,
@@ -253,32 +249,9 @@ def find_preamble(env: EnvelopeTrace, ap: ApConfig, start: int = 0,
 MIN_CROSSING_SINE = 0.05  # reject fixes where the rays are nearly parallel
 
 
-def intersect_bearings(ap1: ApConfig, bearing1_rad: float, ap2: ApConfig,
-                       bearing2_rad: float) -> Position | None:
-    """Exact intersection of the two bearing rays, or None if degenerate.
-
-    Degenerate means nearly parallel rays (|sin of crossing angle| below
-    MIN_CROSSING_SINE) or an intersection behind either AP.
-    """
-    a1 = ap1.boresight_rad + bearing1_rad
-    a2 = ap2.boresight_rad + bearing2_rad
-    u1 = (math.cos(a1), math.sin(a1))
-    u2 = (math.cos(a2), math.sin(a2))
-    den = u1[0] * u2[1] - u1[1] * u2[0]
-    if abs(den) < MIN_CROSSING_SINE:
-        return None
-    dx = ap2.position.x - ap1.position.x
-    dy = ap2.position.y - ap1.position.y
-    t1 = (dx * u2[1] - dy * u2[0]) / den
-    t2 = (dx * u1[1] - dy * u1[0]) / den
-    if t1 <= 0 or t2 <= 0:
-        return None
-    return Position(ap1.position.x + t1 * u1[0], ap1.position.y + t1 * u1[1])
-
-
 def _unit_vectors(angles_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each angle through math, as intersect_bearings takes
-    them, so the table equals its loop on any numpy build (SIMD sin/cos
+    """cos and sin of each angle through math, so the table equals a
+    scalar ray intersection per cell on any numpy build (SIMD sin/cos
     builds may round the last bit differently)."""
     return (np.array([math.cos(a) for a in angles_rad]),
             np.array([math.sin(a) for a in angles_rad]))
@@ -297,16 +270,16 @@ class LookupTable:
                  resolution_deg: float = 1.0) -> None:
         if not 0.0 < resolution_deg <= 30.0:
             raise ConfigError("resolution_deg must be in (0, 30]")
-        self.ap1 = ap1
-        self.ap2 = ap2
         self.resolution_deg = resolution_deg
         self.cell_count = round(180.0 / resolution_deg)
         if abs(self.cell_count * resolution_deg - 180.0) > 1e-9:
             raise ConfigError("resolution_deg must divide 180 evenly")
         centers = -90.0 + (np.arange(self.cell_count) + 0.5) * resolution_deg
         self.centers_rad = np.deg2rad(centers)
-        # intersect_bearings for every pair at once, with its arithmetic
-        # and its degeneracy rules: rows are AP 1 bearings, columns AP 2.
+        # The exact intersection of the two bearing rays for every pair at
+        # once: rows are AP 1 bearings, columns AP 2. A pair is unusable
+        # when the rays are nearly parallel (|sin of the crossing angle|
+        # below MIN_CROSSING_SINE) or cross behind either AP.
         u1x, u1y = _unit_vectors(ap1.boresight_rad + self.centers_rad)
         u2x, u2y = _unit_vectors(ap2.boresight_rad + self.centers_rad)
         u1x, u1y = u1x[:, None], u1y[:, None]
@@ -320,29 +293,27 @@ class LookupTable:
         self.xs = np.where(ok, ap1.position.x + t1 * u1x, np.nan)
         self.ys = np.where(ok, ap1.position.y + t1 * u1y, np.nan)
 
-    def cell_index(self, bearing_rad: float) -> int:
-        deg = math.degrees(bearing_rad)
-        idx = math.floor((deg + 90.0) / self.resolution_deg)
-        if idx == self.cell_count and deg <= 90.0:
-            idx -= 1  # +90 degrees belongs to the top cell
-        if not 0 <= idx < self.cell_count:
-            raise LowConfidenceFixError(f"bearing {deg:.2f} deg outside the table")
-        return idx
+    def cell_index(self, bearing_rad) -> np.ndarray:
+        """Cell of each bearing (any shape): floor((deg + 90) / resolution),
+        with +90 degrees folded into the top cell; -1 outside the table,
+        NaN included."""
+        deg = np.degrees(bearing_rad)
+        idx = np.floor((deg + 90.0) / self.resolution_deg)
+        idx = np.where((idx == self.cell_count) & (deg <= 90.0), idx - 1, idx)
+        return np.where((idx >= 0) & (idx < self.cell_count), idx, -1).astype(int)
 
 
-def fix_2d(bearing1_rad: float, bearing2_rad: float,
-           table: LookupTable) -> Position:
-    """Quantize two bearings into the table and return the stored fix.
-
-    Raises LowConfidenceFixError for out-of-range bearings or cells whose
-    rays are degenerate (nearly parallel or crossing behind an AP).
-    """
+def fix_2d(bearing1_rad, bearing2_rad,
+           table: LookupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize bearing pairs (scalars or arrays) into the table and return
+    the stored fixes as x, y arrays, NaN where there is none: a NaN bearing,
+    a bearing outside the table, or a cell pair whose rays are degenerate
+    (nearly parallel or crossing behind an AP)."""
     i = table.cell_index(bearing1_rad)
     j = table.cell_index(bearing2_rad)
-    x = table.xs[i, j]
-    if not math.isfinite(x):
-        raise LowConfidenceFixError("bearing pair has no usable intersection")
-    return Position(float(x), float(table.ys[i, j]))
+    hit = (i >= 0) & (j >= 0)
+    return (np.where(hit, table.xs[i, j], np.nan),
+            np.where(hit, table.ys[i, j], np.nan))
 
 
 # --- measurement log --------------------------------------------------------
@@ -355,6 +326,7 @@ SENSOR_KINDS: dict[str, tuple[int, int]] = {
 }
 
 RECORD_SIZE_BYTES = 4
+LOG_CAPACITY_BYTES = 32768  # the tag's measurement flash
 
 
 @dataclass(frozen=True)
@@ -391,7 +363,7 @@ class SensorRecord:
 class LogStore:
     """Fixed-capacity measurement log, sized in bytes like the real flash."""
 
-    capacity_bytes: int = 32768
+    capacity_bytes: int = LOG_CAPACITY_BYTES
     records: list[SensorRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -436,23 +408,19 @@ class Receiver:
     """Finds each AP's preamble and sweep peak in sample buffers, smooths
     the bearings and fixes each pair.
 
-    Holds only its configuration, so a scan depends on its envelope alone.
-    Buffers must contain at least two full sweep periods after the first
-    AP's preamble for a fix to come out.
+    Holds only its configuration, read from an already validated Scenario
+    (its first two APs, sweep mode and smoothing), and its lookup table, so
+    a scan depends on its envelope alone. Buffers must contain at least two
+    full sweep periods after the first AP's preamble for a fix to come out.
     """
 
-    def __init__(self, aps: tuple[ApConfig, ApConfig], sweep_mode: str,
-                 smoothing: float, table: LookupTable | None = None) -> None:
-        if len(aps) < 2:
+    def __init__(self, scn: Scenario, table: LookupTable) -> None:
+        if len(scn.aps) < 2:
             raise ConfigError("a 2D receiver needs two APs")
-        if sweep_mode not in SWEEP_MODES:
-            raise ConfigError(f"sweep_mode must be one of {SWEEP_MODES}")
-        if not 0.0 <= smoothing < 1.0:
-            raise ConfigError("smoothing must be in [0, 1)")
-        self.aps = aps
-        self.sweep_mode = sweep_mode
-        self.smoothing = smoothing
-        self.table = table if table is not None else LookupTable(aps[0], aps[1])
+        self.aps = scn.aps[:2]
+        self.sweep_mode = scn.sweep_mode
+        self.smoothing = scn.smoothing
+        self.table = table
 
     def process_buffer(self, env: EnvelopeTrace) -> LocalizationResult:
         """Scan one buffer: scan with a batch of one."""
@@ -465,7 +433,8 @@ class Receiver:
         row), in row order. Each AP's preamble search and sweep peak run
         over all rows at once, AP 2's only where AP 1 was found. Each AP's
         bearings are smoothed over the rows that found it, seeded at the
-        first, then each row with both is fixed."""
+        first, then all rows are fixed in one fix_2d call (NaN where either
+        bearing is missing)."""
         volts, rate = np.atleast_2d(env.volts), env.sample_rate_hz
         (rows, n), n_period = volts.shape, period_samples(self.aps[0], rate)
         # AP 1 needs two full slots after it; AP 2 needs one.
@@ -489,11 +458,5 @@ class Receiver:
             for r in np.flatnonzero(hits).tolist():
                 previous = column[r] = smooth_angle(previous, float(column[r]),
                                                     self.smoothing)
-        x, y = np.full(rows, np.nan), np.full(rows, np.nan)
-        for r in np.flatnonzero(found[:, 1]).tolist():
-            try:
-                fix = fix_2d(*smoothed[r].tolist(), self.table)
-            except LowConfidenceFixError:
-                continue
-            x[r], y[r] = fix.x, fix.y
+        x, y = fix_2d(smoothed[:, 0], smoothed[:, 1], self.table)
         return Scan(found, raw, smoothed, stamp, x, y)

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 
+from sweeploc.backscatter import (MODULATOR_RATE_HZ, SUBCARRIER_HZ,
+                                  DemodConfig, RxCapture, SwitchWaveform,
+                                  _decimated_envelope, ap_demodulate)
 from sweeploc.experiments import _grid_chunk_errors
-from sweeploc.scenario import Scenario, Trajectory
+from sweeploc.receiver import MIN_CROSSING_SINE
+from sweeploc.scenario import (ApConfig, ConfigError, Position, Scenario,
+                               Trajectory, _normals)
 
 
 def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
@@ -53,3 +58,76 @@ def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
             field = field * np.exp(-2j * math.pi * delta / ap.wavelength_m)
         total = total + field
     return np.reshape(total, -1)
+
+
+def intersect_bearings(ap1: ApConfig, bearing1_rad: float, ap2: ApConfig,
+                       bearing2_rad: float) -> Position | None:
+    """Exact intersection of the two bearing rays, or None if degenerate:
+    the LookupTable's reference, one pair at a time.
+
+    Degenerate means nearly parallel rays (|sin of crossing angle| below
+    MIN_CROSSING_SINE) or an intersection behind either AP.
+    """
+    a1 = ap1.boresight_rad + bearing1_rad
+    a2 = ap2.boresight_rad + bearing2_rad
+    u1 = (math.cos(a1), math.sin(a1))
+    u2 = (math.cos(a2), math.sin(a2))
+    den = u1[0] * u2[1] - u1[1] * u2[0]
+    if abs(den) < MIN_CROSSING_SINE:
+        return None
+    dx = ap2.position.x - ap1.position.x
+    dy = ap2.position.y - ap1.position.y
+    t1 = (dx * u2[1] - dy * u2[0]) / den
+    t2 = (dx * u1[1] - dy * u1[0]) / den
+    if t1 <= 0 or t2 <= 0:
+        return None
+    return Position(ap1.position.x + t1 * u1[0], ap1.position.y + t1 * u1[1])
+
+
+def demod_fundamental_gain(wave_rate_hz: float = MODULATOR_RATE_HZ,
+                           subcarrier_hz: float = SUBCARRIER_HZ) -> complex:
+    """Complex per-bit gain the discrete mix+decimate applies to a one-bit
+    of unit path gain. Its magnitude approaches 2/pi as the modulator rate
+    grows."""
+    half = round(wave_rate_hz / (2.0 * subcarrier_hz))
+    cycle = 2 * half
+    k = np.arange(cycle)
+    states = ((k // half) % 2 == 0).astype(float)
+    return complex(2.0 * np.mean(states * np.exp(-2j * math.pi * k / cycle)))
+
+
+def ber_point_waveform_oracle(snr_db: float, n_bits: int,
+                              rng: np.random.Generator,
+                              demod: DemodConfig | None = None
+                              ) -> tuple[float, int]:
+    """Brute-force BER reference through the full modulator-rate waveform.
+
+    Noise is injected at the modulator rate with its power scaled so the
+    decimated capture sees the same per-sample SNR as ber_point, and the
+    path gain divides out the discrete fundamental gain so both models
+    share one signal level.
+    """
+    if n_bits < 1:
+        raise ConfigError("need at least one bit")
+    demod = demod or DemodConfig()
+    bits = rng.integers(0, 2, n_bits).astype(np.uint8)
+    wave = SwitchWaveform(bits, MODULATOR_RATE_HZ, SUBCARRIER_HZ)
+    env = _decimated_envelope(wave, demod, 1.0 / abs(demod_fundamental_gain()))
+    factor = round(MODULATOR_RATE_HZ / demod.sample_rate_hz)
+    # per-dimension sigma chosen so block-averaging by `factor` leaves the
+    # capture with total complex noise power 10**(-snr/10)
+    sigma_hi = 10.0 ** (-snr_db / 20.0) * math.sqrt(factor / 2.0)
+    # Draw the modulator-rate noise in bit-aligned chunks and keep only its
+    # block means, which add to the decimated envelope.
+    chunk_bits, spb = 500, len(wave.one_bit)
+    chunk = np.empty(min(n_bits, chunk_bits) * spb)
+    noise_parts = []
+    for lo in range(0, n_bits, chunk_bits):
+        buf = chunk[:len(bits[lo:lo + chunk_bits]) * spb]
+        real = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
+        imag = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
+        noise_parts.append(real + 1j * imag)
+    rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz)
+    decided = ap_demodulate(rx)
+    errors = int(np.count_nonzero(decided != bits))
+    return errors / n_bits, errors

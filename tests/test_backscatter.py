@@ -16,9 +16,7 @@ from sweeploc.backscatter import (
     RxCapture,
     ap_demodulate,
     ber_point,
-    ber_point_waveform_oracle,
     bit_magnitudes,
-    demod_fundamental_gain,
     frame_from_records,
     hive_mac_session,
     modulate_frame,
@@ -30,6 +28,8 @@ from sweeploc.experiments import ExperimentSpec, run_experiment
 from sweeploc.receiver import SensorRecord
 from sweeploc.scenario import ConfigError, free_space_loss_db, trial_rng
 from sweeploc.scenarios import bench_scenario
+
+from helpers import ber_point_waveform_oracle, demod_fundamental_gain
 
 
 def make_records(n):
@@ -71,7 +71,7 @@ def test_rising_edges_per_one_bit():
     assert rising_edges(wave) == 2000
     assert rising_edges(modulate_frame(Frame(bits=(0,)))) == 0
     assert rising_edges(modulate_frame(Frame(bits=(1, 0, 1)))) == 4000
-    assert wave.duration_s == pytest.approx(0.001)
+    assert len(wave.states) == 8000  # 1 ms at the 8 MHz modulator rate
 
 
 def test_modulate_frame_validations():

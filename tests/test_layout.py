@@ -10,8 +10,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sweeploc"
 TIMED = (".calls", ".self_s", ".call_us_p50", ".call_us_p99")
-# Kept without a caller: the references the tests compare the simulator to.
-REFERENCES = {"ber_point_waveform_oracle", "intersect_bearings"}
 
 
 def _timed_functions():
@@ -32,45 +30,50 @@ def test_benchmarked_functions_exist(path):
 
 
 def _loaded_names(paths):
-    names = set()
+    """Names loaded bare, and attribute names loaded, anywhere in paths."""
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def _definitions(path):
-    """Top-level functions, classes and upper-case constants, and the
-    methods of each class (dunder methods are called implicitly)."""
+    """(qualified name, name, whether it is a class member) for top-level
+    functions, classes and upper-case constants, and for the methods and
+    properties of each class (dunder methods are called implicitly)."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node.name
+            yield node.name, node.name, False
         elif isinstance(node, ast.ClassDef):
-            yield node.name, node.name
+            yield node.name, node.name, False
             for member in node.body:
                 if (isinstance(member, ast.FunctionDef)
                         and not member.name.startswith("__")):
-                    yield f"{node.name}.{member.name}", member.name
+                    yield f"{node.name}.{member.name}", member.name, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name) and target.id.isupper():
-                    yield target.id, target.id
+                    yield target.id, target.id, False
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    """A definition only tests reach is deleted. A reference is any load of
-    the bare name in the package (re-exports in __init__.py do not count)
-    or in perfbench/, so a dead method that shares its name with a live
-    attribute elsewhere goes unnoticed."""
+    """A definition only tests reach is deleted. A reference is a load of
+    the name in the package (re-exports in __init__.py do not count) or in
+    perfbench/: bare or as an attribute for a top-level definition, only as
+    an attribute for a method or property, so a parameter or local of the
+    same name does not keep it. A dead method that shares its name with a
+    live attribute elsewhere still goes unnoticed."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    used = _loaded_names(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    names, attributes = _loaded_names(
+        modules + sorted((ROOT / "perfbench").glob("*.py")))
     unused = [f"{path.stem}.{qualified}"
-              for path in modules for qualified, name in _definitions(path)
-              if name not in used and name not in REFERENCES]
+              for path in modules for qualified, name, member in _definitions(path)
+              if name not in attributes and (member or name not in names)]
     assert unused == []
 
 

@@ -17,8 +17,8 @@ from sweeploc.pipeline import (
     localize_once,
     synthesize_rounds,
 )
-from sweeploc.receiver import (EnvelopeTrace, LookupTable,
-                               LowConfidenceFixError, Receiver,
+from sweeploc.experiments import cached_table
+from sweeploc.receiver import (EnvelopeTrace, LookupTable, Receiver,
                                envelope_detect, estimate_angle, find_preamble,
                                fix_2d, period_samples, sweep_window_samples)
 from sweeploc.scenario import GeometryError, Position, Trajectory, trial_rng
@@ -164,7 +164,7 @@ def test_capture_track_rounds_start_where_the_round_starts(noise_dbm):
     env = capture_track(scn, traj, trial_rng(6, "track"), rounds=5)
     assert env.t0_s.tolist() == [r * 0.1 for r in range(5)]
     assert env.volts.shape == (5, 400)
-    rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
+    rx = Receiver(scn, cached_table(*scn.aps[:2]))
     assert not np.isnan(rx.scan(env).x_m).any()
 
 
@@ -234,11 +234,11 @@ def _scan_both_ways(scn, traj, rng):
     calls on each round in turn: find_preamble and estimate_angle give
     what the round finds, its raw bearings and (through the earliest peak
     of the sweep window) its peak times; a plain recurrence over the found
-    rounds gives the smoothed bearings, and fix_2d of those the fixes, NaN
-    where it raises. All compared exactly. A second scan call on the same
-    receiver gives the same arrays, bit for bit."""
+    rounds gives the smoothed bearings, and fix_2d of each round's pair the
+    fixes, NaN where there is none. All compared exactly. A second scan
+    call on the same receiver gives the same arrays, bit for bit."""
     env = capture_track(scn, traj, rng, rounds=40)
-    rx = Receiver(scn.aps[:2], scn.sweep_mode, scn.smoothing)
+    rx = Receiver(scn, cached_table(*scn.aps[:2]))
     scan = rx.scan(env)
     for got, want in zip(dataclasses.astuple(rx.scan(env)),
                          dataclasses.astuple(scan), strict=True):
@@ -272,11 +272,7 @@ def _scan_both_ways(scn, traj, rng):
             assert got == (raw, smoothed[which], row.t0_s + peak / rate)
         fix = (float("nan"), float("nan"))
         if start2 is not None:
-            try:
-                p = fix_2d(smoothed[0], smoothed[1], rx.table)
-                fix = (p.x, p.y)
-            except LowConfidenceFixError:
-                pass
+            fix = fix_2d(smoothed[0], smoothed[1], rx.table)
         assert np.array_equal([scan.x_m[r], scan.y_m[r]], fix, equal_nan=True)
     return scan
 

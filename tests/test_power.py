@@ -15,6 +15,7 @@ from sweeploc.power import (
     logging_endurance_h,
     rf_charge_time_h,
 )
+from sweeploc.receiver import LOG_CAPACITY_BYTES, RECORD_SIZE_BYTES
 
 PROFILE = PowerProfile()
 BATTERY = BatteryConfig()
@@ -88,8 +89,11 @@ def test_solar_anchors_exact_and_power_law():
 
 def test_logging_endurance_memory_arithmetic():
     # 32768 B / 4 B per record = 8192 records; every 5 s spans > 10 h
+    assert (LOG_CAPACITY_BYTES, RECORD_SIZE_BYTES) == (32768, 4)
     hours = logging_endurance_h()
     assert hours == pytest.approx(8192 * 5.0 / 3600.0, rel=1e-12)
     assert hours > 10.0
+    assert logging_endurance_h(interval_s=1.0) == pytest.approx(8192 / 3600.0,
+                                                                rel=1e-12)
     # a 10-hour deployment at 5 s needs 7200 records = 28800 B, which fits
-    assert 7200 * 4 <= 32768
+    assert 7200 * RECORD_SIZE_BYTES <= LOG_CAPACITY_BYTES

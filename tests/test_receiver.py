@@ -14,7 +14,6 @@ from sweeploc.receiver import (
     SENSOR_KINDS,
     LogStore,
     LookupTable,
-    LowConfidenceFixError,
     Receiver,
     SensorRecord,
     StoreFullError,
@@ -25,7 +24,6 @@ from sweeploc.receiver import (
     estimate_angle,
     find_preamble,
     fix_2d,
-    intersect_bearings,
     period_samples,
     sample_angles,
     search_preambles,
@@ -39,11 +37,14 @@ from sweeploc.scenario import (
     ConfigError,
     DetectorConfig,
     Position,
+    Scenario,
     trial_rng,
     true_bearing,
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import PREAMBLE_PATTERNS, build_sweep_schedule
+
+from helpers import intersect_bearings
 
 AP1 = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0, preamble_id=1)
 AP2 = ApConfig(position=Position(100.0, 0.0), boresight_rad=math.pi,
@@ -312,9 +313,9 @@ def test_lookup_table_exact_at_cell_centers():
     c1 = math.radians(-90.0 + (i + 0.5) * table.resolution_deg)
     c2 = math.radians(-90.0 + (j + 0.5) * table.resolution_deg)
     exact = intersect_bearings(AP1, c1, AP2, c2)
-    fix = fix_2d(b1, b2, table)
-    assert fix.x == pytest.approx(exact.x, abs=1e-9)
-    assert fix.y == pytest.approx(exact.y, abs=1e-9)
+    x, y = fix_2d(b1, b2, table)
+    assert x == pytest.approx(exact.x, abs=1e-9)
+    assert y == pytest.approx(exact.y, abs=1e-9)
 
 
 @pytest.mark.parametrize("resolution", [1.0, 0.5, 30.0])
@@ -338,10 +339,10 @@ def test_lookup_table_equals_intersect_bearings_loop(pair, resolution):
     assert table.ys.tobytes() == ys.tobytes()
 
 
-def test_fix_2d_low_confidence_raises():
+def test_fix_2d_low_confidence_is_nan():
     table = LookupTable(AP1, AP2)
-    with pytest.raises(LowConfidenceFixError):
-        fix_2d(math.pi / 2 - 0.001, math.pi / 2 - 0.001, table)
+    x, y = fix_2d(math.pi / 2 - 0.001, math.pi / 2 - 0.001, table)
+    assert np.isnan(x) and np.isnan(y)
 
 
 def test_cell_index_edges():
@@ -350,6 +351,63 @@ def test_cell_index_edges():
     assert table.cell_index(math.radians(-89.4)) == 0
     assert table.cell_index(0.0) == 90
     assert table.cell_index(math.radians(90.0)) == 179  # top edge folds in
+    # outside the table: -1, not an error
+    assert table.cell_index(math.radians(90.0) + 1e-9) == -1
+    assert table.cell_index(math.radians(-90.0) - 1e-9) == -1
+    assert table.cell_index(math.nan) == -1
+
+
+@pytest.mark.parametrize("resolution", [1.0, 0.5, 30.0])
+def test_cell_index_of_rows_is_the_scalar_floor_rule(resolution):
+    """Over an array, each cell is the scalar rule's: math.floor of
+    (degrees + 90) / resolution, +90 degrees folded into the top cell, and
+    -1 where the scalar rule finds no cell."""
+    table = LookupTable(AP1, AP2, resolution_deg=resolution)
+    rng = trial_rng(5, "cell-index")
+    edges = np.radians(-90.0 + np.arange(table.cell_count + 1) * resolution)
+    bearings = np.concatenate([rng.uniform(-1.7, 1.7, 2000), edges,
+                               np.nextafter(edges, 3.0),
+                               np.nextafter(edges, -3.0)])
+
+    def scalar(b):
+        deg = math.degrees(b)
+        idx = math.floor((deg + 90.0) / resolution)
+        if idx == table.cell_count and deg <= 90.0:
+            idx -= 1
+        return idx if 0 <= idx < table.cell_count else -1
+    got = table.cell_index(bearings)
+    assert got.tolist() == [scalar(b) for b in bearings.tolist()]
+    assert table.cell_index(bearings[:2000].reshape(-1, 4)).tolist() == \
+        got[:2000].reshape(-1, 4).tolist()
+
+
+def test_fix_2d_over_rows_equals_one_pair_at_a_time():
+    """Rows of bearing pairs give, bit for bit, the fix of each pair on its
+    own: the table cell's, or NaN for a NaN bearing, a bearing outside the
+    table or a degenerate cell pair. NaN bearings raise no warning (the
+    suite turns a RuntimeWarning into an error)."""
+    table = LookupTable(AP1, AP2)
+    rng = trial_rng(6, "fix-rows")
+    b1, b2 = rng.uniform(-1.7, 1.7, (2, 500))
+    b1[::7] = np.nan
+    b2[3::11] = np.nan
+    xs, ys = fix_2d(b1, b2, table)
+    assert xs.shape == ys.shape == (500,)
+    for k in range(500):
+        i, j = table.cell_index(b1[k]), table.cell_index(b2[k])
+        if i < 0 or j < 0:
+            want = (math.nan, math.nan)
+        else:
+            want = (table.xs[i, j], table.ys[i, j])
+        assert np.array_equal((xs[k], ys[k]), want, equal_nan=True)
+        assert np.array_equal(fix_2d(b1[k], b2[k], table), want, equal_nan=True)
+    nan = np.isnan(b1) | np.isnan(b2)
+    assert np.isnan(xs[nan]).all() and np.isnan(ys[nan]).all()
+    # every way of giving no fix occurs
+    outside = (np.abs(b1) > math.pi / 2) | (np.abs(b2) > math.pi / 2)
+    assert nan.any() and outside.any()
+    assert np.isnan(xs[~nan & ~outside]).any()
+    assert np.isfinite(xs).sum() > 100
 
 
 @given(st.one_of(
@@ -397,7 +455,7 @@ def test_log_store_overflow_raises():
 
 def test_receiver_two_slot_buffer_produces_fix():
     table = LookupTable(AP1, AP2)
-    rx = Receiver((AP1, AP2), "alg1", smoothing=0.8, table=table)
+    rx = Receiver(Scenario(aps=(AP1, AP2), smoothing=0.8), table)
     # keep both links inside detector range (the floor clips past ~60 m)
     target = Position(50.0, 10.0)
     b1 = true_bearing(AP1, target)
@@ -416,13 +474,14 @@ def test_receiver_two_slot_buffer_produces_fix():
     assert (scan.x_m[0], scan.y_m[0]) == (fix.x, fix.y)
 
 
-@pytest.mark.parametrize("mode, smoothing", [("bogus", 0.8), ("alg1", 1.5),
-                                             ("alg1", -0.1)])
-def test_receiver_rejects_bad_mode_and_smoothing(mode, smoothing):
-    """At construction, not at the first detection: a silent buffer would
-    otherwise scan without error."""
-    with pytest.raises(ConfigError):
-        Receiver((AP1, AP2), mode, smoothing)
+def test_receiver_takes_its_settings_from_the_scenario():
+    scn = Scenario(aps=(AP1, AP2), sweep_mode="uniform-theta", smoothing=0.3)
+    table = LookupTable(AP1, AP2)
+    rx = Receiver(scn, table)
+    assert (rx.aps, rx.sweep_mode, rx.smoothing) == ((AP1, AP2), "uniform-theta", 0.3)
+    assert rx.table is table
+    with pytest.raises(ConfigError, match="two APs"):
+        Receiver(Scenario(aps=(AP1,)), table)
 
 
 def test_min_crossing_sine_guards_parallel_rays():

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from sweeploc.scenario import (
     with_seed,
     wrap_angle,
 )
-from sweeploc import scenario
+from sweeploc import cli, scenario
 from sweeploc.backscatter import DemodConfig, InsectNode, LinkBudget
 from sweeploc.power import (BatteryConfig, PowerProfile, RfHarvest,
                             SolarHarvest, average_current_ma, logging_endurance_h,
                             rf_charge_time_h)
-from sweeploc.scenarios import bench_scenario, farm_scenario, range_scenario
+from sweeploc.scenarios import (BUILTIN_SCENARIOS, bench_scenario,
+                                farm_scenario, range_scenario)
 
 
 def test_wrap_angle_known_values():
@@ -113,6 +115,28 @@ def test_scenario_cross_validation():
     with pytest.raises(ConfigError, match="sweep period must span"):
         Scenario(aps=odd, detector=DetectorConfig(sample_rate_hz=1000.0))
     Scenario(aps=odd, detector=DetectorConfig(sample_rate_hz=2000.0))  # 101
+
+
+@pytest.mark.parametrize("mode, smoothing", [("bogus", 0.8), ("alg1", 1.5),
+                                             ("alg1", -0.1), ("alg1", 1.0),
+                                             ("alg1", math.nan)])
+def test_scenario_rejects_bad_mode_and_smoothing(mode, smoothing):
+    """At construction, not at the first detection: a silent buffer would
+    otherwise scan without error. The Receiver reads both from here."""
+    match = "sweep_mode" if mode == "bogus" else "smoothing"
+    with pytest.raises(ConfigError, match=match):
+        Scenario(aps=bench_scenario().aps, sweep_mode=mode, smoothing=smoothing)
+
+
+def test_scenario_files_are_the_cli_output(capsys):
+    """Each scenarios/<name>.yaml is, byte for byte, what `sweeploc
+    scenario <name>` prints, and there is one file per builtin."""
+    folder = Path(__file__).resolve().parents[1] / "scenarios"
+    assert sorted(p.stem for p in folder.glob("*.yaml")) == sorted(BUILTIN_SCENARIOS)
+    for name in BUILTIN_SCENARIOS:
+        assert cli.main(["scenario", name]) == 0
+        assert (folder / f"{name}.yaml").read_bytes() == \
+            capsys.readouterr().out.encode()
 
 
 def test_detector_response_and_floor():
