@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,13 +19,21 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
 from .transmitter import SweepSchedule
 
 
-def phased_sum(x: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Array response sum_i x[i] * drive[i] of antenna-major steering
-    vectors x (N x ... x rows) under an antenna x row drive matrix. The
-    last axis of x pairs each row with its own drive column; at size 1 it
-    broadcasts, which makes the product x.T @ drive. The antennas stay on
-    the outer axis, so every product runs over whole rows."""
-    return np.einsum("i...,i...->...", x, drive)
+def phased_sum(x: np.ndarray, drive: np.ndarray, each: Callable | None = None):
+    """sum_i x[i] * drive[i] of antenna-major steering vectors x (N x ...
+    x rows) and an N x rows drive (x's last axis may broadcast at size 1),
+    added in antenna order in one buffer: after antenna n it holds an
+    n-antenna array's sum, bit for bit. each, if given, is called on it
+    after every antenna; its results come back stacked in place of the sum."""
+    shape = np.broadcast_shapes(x.shape[1:], drive.shape[1:])
+    # one allocation: as two, their pages went back to the OS on every call
+    total, term = np.zeros((2,) + shape, dtype=complex)
+    kept = []
+    for xi, di in zip(x, drive):
+        total += np.multiply(xi, di, out=term)
+        if each is not None:
+            kept.append(each(total))
+    return total if each is None else np.stack(kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +122,8 @@ def _steering(paths: PathSet, ks: slice, sine: np.ndarray,
 
 def sweep_response(paths: PathSet, los_sine: np.ndarray,
                    ap: ApConfig, drive: np.ndarray, sum_paths: bool = False,
-                   rows: np.ndarray | None = None):
-    """Complex field of the paths under each drive row: steering @ drive.
+                   rows: np.ndarray | None = None, each: Callable | None = None):
+    """Complex field of the paths under each drive row.
 
     Path k's steering vector over antennas i is w_k * exp(j*i*phi_k), with
     phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*exp(j*psi_k).
@@ -128,10 +137,11 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
     output samples s; the LOS sine's last axis, where it varies, runs over
     them. Leading axes of paths (trials, or one AP's slots in successive
     rounds) broadcast against its leading axes. sum_paths adds the weighted
-    steering vectors first, in path order, into one field per output row.
-    Otherwise it returns the LOS field per output row and the reflected
-    paths' fields per drive column (... x paths x columns); equal draws on
-    successive slots of a leading axis are contracted once.
+    steering vectors first, in path order, into one field per output row
+    (contracted by phased_sum with each). Otherwise it returns the LOS
+    field per output row and the reflected paths' fields per drive column
+    (... x paths x columns); equal draws on successive slots of a leading
+    axis are contracted once.
     """
     per_row = drive if rows is None else drive[:, rows]
     los_weight, los = _steering(paths, slice(0, 1), np.expand_dims(los_sine, -2), ap)
@@ -141,7 +151,7 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
         total = (los_weight * los)[..., 0, :]
         for k in range(weight.shape[-2]):
             total = total + weight[..., k, :] * factors[..., k, :]
-        return phased_sum(total, per_row)
+        return phased_sum(total, per_row, each)
     los = phased_sum(los[..., 0, :], per_row) * los_weight[..., 0, :]
     steer = weight * factors
     if steer.ndim == 4:  # a draw per slot, kept until a redraw: contract each once

@@ -172,17 +172,18 @@ def _grid_chunk_errors(scn: Scenario, antenna_counts: Sequence[int],
 
     The rng stream is keyed by the ratio and chunk only, never the antenna
     count, so all antenna counts share one channel draw (common random
-    numbers) and the trend across N is not washed out by draw noise.
+    numbers) and the trend across N is not washed out by draw noise; one
+    call at the largest count gives every count's estimates.
     """
     channel = replace(scn.channel, multipath_ratio=ratio)
     rng = trial_rng(scn.seed, "multipath_grid", r_key, chunk_idx)
     limit = math.radians(GRID_BEARING_LIMIT_DEG)
     los = rng.uniform(-limit, limit, n)
     paths = draw_multipath(channel, rng, los)
-    return [np.degrees(fast_estimate_bearings(
-        replace(scn.aps[0], antenna_count=n_ant), scn.sweep_mode,
-        scn.detector.sample_rate_hz, paths, los) - los)
-        for n_ant in antenna_counts]
+    estimates = fast_estimate_bearings(
+        replace(scn.aps[0], antenna_count=max(antenna_counts)), scn.sweep_mode,
+        scn.detector.sample_rate_hz, paths, los)
+    return [np.degrees(estimates[n_ant - 1] - los) for n_ant in antenna_counts]
 
 
 def _grid_ratio_chunk(task) -> list[tuple[tuple[int, int], float, float, int]]:

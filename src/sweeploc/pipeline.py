@@ -127,20 +127,20 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
 def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
                            paths: PathSet,
                            los_bearings: np.ndarray) -> np.ndarray:
-    """Vectorized bearing estimates for static noiseless trials.
+    """Vectorized bearing estimates for static noiseless trials: row n-1
+    (antennas x trials) is what the AP's first n antennas report.
 
     paths holds one draw per trial on its leading axis. The field is
-    evaluated once per sweep step instead of once per output sample, with
-    the same kernel and drive matrix as propagate, then the winning step is
-    mapped through the time-to-angle inversion the sample-domain receiver
-    applies. For a static receiver above the detector floor this picks the
-    same step, and therefore the same bearing, as the full synthesis
-    pipeline.
+    evaluated once per sweep step, not per output sample, with the same
+    kernel and drive matrix as propagate; the peak step after each antenna
+    is mapped through the sample-domain receiver's time-to-angle
+    inversion. For a static receiver above the detector floor this picks
+    the same step, so the same bearing, as the full synthesis pipeline.
     """
     los = np.asarray(los_bearings, dtype=float)
     drive = cached_schedule(ap, mode).drive[:, -ap.sweep_step_count:]
-    field = sweep_response(paths, np.sin(los)[:, None], ap, drive, sum_paths=True)
-    winners = np.argmax(np.abs(field), axis=1)
+    winners = sweep_response(paths, np.sin(los)[:, None], ap, drive, sum_paths=True,
+                             each=lambda field: np.argmax(np.abs(field), axis=-1))
     return step_estimate_angles(ap, mode, sample_rate_hz)[winners]
 
 

@@ -9,12 +9,14 @@ import pytest
 from sweeploc.backscatter import (
     MAX_FRAME_BITS,
     SYNC_PATTERN,
+    UPLINK_BITRATE_HZ,
     DemodConfig,
     Frame,
     InsectNode,
     LinkBudget,
     RxCapture,
     ap_demodulate,
+    _downlink_decode,
     ber_point,
     bit_magnitudes,
     frame_from_records,
@@ -26,7 +28,8 @@ from sweeploc.backscatter import (
 )
 from sweeploc.experiments import ExperimentSpec, run_experiment
 from sweeploc.receiver import SensorRecord
-from sweeploc.scenario import ConfigError, free_space_loss_db, trial_rng
+from sweeploc.scenario import (ConfigError, DetectorConfig, _normals,
+                               free_space_loss_db, trial_rng)
 from sweeploc.scenarios import bench_scenario
 
 from helpers import ber_point_waveform_oracle, demod_fundamental_gain
@@ -310,6 +313,27 @@ def test_sync_calibrated_demodulation_handles_skewed_payload():
     rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
     decided = ap_demodulate(rx, sync_bits=len(SYNC_PATTERN))
     assert np.array_equal(decided[len(SYNC_PATTERN):], payload)
+
+
+def test_downlink_query_decides_on_the_sync_calibrated_threshold():
+    """The MAC's downlink query decides its bits on the threshold that the
+    sync pattern calibrates, not on the blind two-means split. This query
+    (an all-ones address near the insect's floor) is one the two decide
+    differently, and only the sync-calibrated decision hears the address."""
+    det, link, address = DetectorConfig(), LinkBudget(distance_m=24.0), 0xFF
+    heard = _downlink_decode(address, link, det, trial_rng(0, "downlink"))
+    # the same capture, rebuilt: the query's levels plus the detector noise
+    bits = np.repeat(list(SYNC_PATTERN) + [1] * 8,
+                     round(det.sample_rate_hz / UPLINK_BITRATE_HZ))
+    dbm = link.tx_power_dbm - free_space_loss_db(link.distance_m, link.carrier_hz)
+    levels = np.where(bits > 0, float(det.response_volts(dbm)), det.floor_volts)
+    rx = RxCapture(levels + _normals(trial_rng(0, "downlink"), det.noise_sigma_volts,
+                                     np.empty(len(levels))), det.sample_rate_hz)
+    synced = ap_demodulate(rx, sync_bits=len(SYNC_PATTERN))[len(SYNC_PATTERN):]
+    blind = ap_demodulate(rx)[len(SYNC_PATTERN):]
+    assert heard == address
+    assert synced.tolist() == [1] * 8
+    assert blind.tolist() != [1] * 8
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])

@@ -77,7 +77,9 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     """Trials x paths at a spacing other than half a wavelength: each
     path's field is a*exp(j*psi) times the array sum at its own
     2*pi*spacing*sin(b) - inc, the LOS path at the given bearing, and
-    sum_paths gives their sum."""
+    sum_paths gives their sum. The running sum after antenna m is that
+    sum over the first m antennas, and, bit for bit, the sum_paths field
+    of an m-antenna array."""
     rng = trial_rng(4, "kernel", spacing)
     n, trials, paths_per_trial = 5, 16, 4
     ap = replace(AP, antenna_count=n, spacing_wavelengths=spacing)
@@ -89,8 +91,8 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     bearings = paths.bearings_rad.copy()
     bearings[:, 0] = los
     x = 2 * math.pi * spacing * np.sin(bearings)[..., None] - inc
-    oracle = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad)
-              )[..., None] * brute_sum(x, n)
+    weight = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad))[..., None]
+    oracle = weight * brute_sum(x, n)
     los_field, reflected = sweep_response(paths, np.sin(los)[:, None], ap,
                                           drive_for(inc, n))
     per_path = np.concatenate([los_field[:, None], reflected], axis=1)
@@ -99,13 +101,27 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     assert per_path.shape == (trials, paths_per_trial, len(inc))
     assert np.max(np.abs(per_path - oracle)) < 1e-12
     assert np.max(np.abs(summed - oracle.sum(axis=1))) < 1e-12
+    prefixes = sweep_response(paths, np.sin(los)[:, None], ap, drive_for(inc, n),
+                              sum_paths=True, each=np.copy)
+    assert prefixes.shape == (n, trials, len(inc))
+    assert prefixes[-1].tobytes() == summed.tobytes()
+    for m in range(1, n + 1):
+        first_m = (weight * brute_sum(x, m)).sum(axis=1)
+        assert np.max(np.abs(prefixes[m - 1] - first_m)) < 1e-12
+        if m >= 2:  # an ApConfig has at least two antennas
+            alone = sweep_response(paths, np.sin(los)[:, None],
+                                   replace(ap, antenna_count=m),
+                                   drive_for(inc, m), sum_paths=True)
+            assert prefixes[m - 1].tobytes() == alone.tobytes()
 
 
 def test_sum_paths_adds_steering_vectors_in_path_order():
     """The grid shortcut's field is the drive contraction of the steering
     vectors summed LOS first, then each reflected path in order, bit for
     bit: the grid CSV bytes depend on that rounding. Antenna i's factor is
-    the phasor exp(j*phi) times antenna i-1's factor."""
+    the phasor exp(j*phi) times antenna i-1's factor, and the contraction
+    adds antenna i's product with its drive row to the first i antennas'
+    sum, in antenna order, which each sees after every antenna."""
     rng = trial_rng(5, "path-order")
     trials, n = 256, 4
     ap = replace(AP, antenna_count=n)
@@ -124,11 +140,15 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     total = steering[:, 0]
     for k in range(1, 5):
         total = total + steering[:, k]
-    # contracted with the antennas on the last axis: the bits must not
-    # depend on the steering layout
-    want = np.einsum("...i,i...->...", total[:, None, :], drive)
+    # antenna by antenna, with the antennas on the last axis: the bits must
+    # not depend on the steering layout
+    want = [total[:, 0, None] * drive[0]]
+    for i in range(1, n):
+        want.append(want[-1] + total[:, i, None] * drive[i])
     got = sweep_response(paths, np.sin(los), ap, drive, sum_paths=True)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want[-1].tobytes()
+    each = sweep_response(paths, np.sin(los), ap, drive, sum_paths=True, each=np.copy)
+    assert each.tobytes() == np.stack(want).tobytes()
 
 
 @pytest.mark.parametrize("spacing", [0.25, 0.5])

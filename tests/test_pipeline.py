@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sweeploc import pipeline
 from sweeploc.channel import PathSet, draw_multipath, propagate
@@ -20,10 +21,14 @@ from sweeploc.pipeline import (
 from sweeploc.experiments import cached_table
 from sweeploc.receiver import (EnvelopeTrace, LookupTable, Receiver,
                                envelope_detect, estimate_angle, find_preamble,
-                               fix_2d, period_samples, sweep_window_samples)
-from sweeploc.scenario import GeometryError, Position, Trajectory, trial_rng
+                               fix_2d, period_samples, step_estimate_angles,
+                               sweep_window_samples)
+from sweeploc.scenario import (ApConfig, ChannelConfig, ConfigError,
+                               DetectorConfig, GeometryError, Position,
+                               Scenario, Trajectory, trial_rng, true_bearing)
 from sweeploc.scenarios import bench_scenario, farm_scenario
-from sweeploc.transmitter import build_sweep_schedule
+from sweeploc.transmitter import (build_sweep_schedule, drive_increments,
+                                  steering_values)
 
 
 def test_synthesize_rounds_buffer_length():
@@ -76,7 +81,10 @@ def test_localize_once_noiseless_near_truth():
 @pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
 def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
     """The per-step argmax shortcut must reproduce the full time-domain
-    pipeline exactly for static noiseless captures."""
+    pipeline exactly for static noiseless captures. One call at 5 antennas
+    gives every smaller array's estimate: its row n_ant-1 matches the
+    sample-domain receiver of an n_ant-antenna AP, and each row n-1 (n >= 2)
+    is bit for bit the last row of a separate n-antenna call."""
     scn = bench_scenario(seed=7)
     ap = dataclasses.replace(scn.aps[0], antenna_count=n_ant)
     fs = scn.detector.sample_rate_hz
@@ -85,7 +93,15 @@ def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
     rng = trial_rng(7, "parity", mode, n_ant, nlos)
     los = rng.uniform(-math.pi / 3, math.pi / 3, 100)
     paths = draw_multipath(channel, rng, los)
-    fast = fast_estimate_bearings(ap, mode, fs, paths, los)
+    every = fast_estimate_bearings(dataclasses.replace(ap, antenna_count=5),
+                                   mode, fs, paths, los)
+    assert every.shape == (5, len(los))
+    for n in range(2, 6):
+        alone = fast_estimate_bearings(dataclasses.replace(ap, antenna_count=n),
+                                       mode, fs, paths, los)
+        assert alone.shape == (n, len(los))
+        assert every[n - 1].tobytes() == alone[-1].tobytes()
+    fast = every[n_ant - 1]
 
     sched = build_sweep_schedule(ap, mode)
     mismatches = 0
@@ -99,6 +115,79 @@ def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
         if not math.isclose(est, fast[k], rel_tol=0, abs_tol=1e-12):
             mismatches += 1
     assert mismatches == 0
+
+
+@st.composite
+def los_scenarios(draw):
+    """Two facing APs 20 m apart over the ranges of a random probe of
+    Scenario: detector rates 2-16 kHz, sweep periods 25-100 ms, preambles
+    2-8 ms, 16-256 steps, 2-8 antennas, spacing 0.2-0.5 wavelengths and
+    either mode; LOS only, no noise. Rates, periods and preamble bits are
+    whole samples, so only the step-dwell rule can still refuse one."""
+    rate = 1000.0 * draw(st.integers(2, 16))
+    bit_samples = draw(st.integers(max(1, math.ceil(rate / 4000)),
+                                   math.floor(rate / 1000)))
+    period = draw(st.integers(math.ceil(0.025 * rate), math.floor(0.1 * rate)))
+    common = dict(antenna_count=draw(st.integers(2, 8)),
+                  spacing_wavelengths=draw(st.floats(0.2, 0.5)),
+                  sweep_period_s=period / rate,
+                  preamble_duration_s=8 * bit_samples / rate,
+                  sweep_step_rad=math.pi / draw(st.integers(16, 256)))
+    aps = (ApConfig(Position(0.0, 0.0), 0.0, preamble_id=1, **common),
+           ApConfig(Position(20.0, 0.0), math.pi, preamble_id=2, **common))
+    try:
+        scn = Scenario(aps=aps, channel=ChannelConfig(multipath_ratio=0.0),
+                       detector=DetectorConfig(sample_rate_hz=rate,
+                                               output_noise_volts=0.0),
+                       sweep_mode=draw(st.sampled_from(["alg1", "uniform-theta"])))
+    except ConfigError:
+        assume(False)
+    return scn, Position(draw(st.floats(5.0, 15.0)), draw(st.floats(-8.0, 8.0)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(los_scenarios())
+def test_los_scan_picks_the_nearest_sweep_step(case):
+    """For every accepted configuration, a LOS-only static noiseless capture
+    gives each AP's raw bearing as the estimate of the sweep step nearest
+    the true bearing, within half a step in the mode's sweep variable: the
+    increment, so the sine, for uniform-theta; the angle for alg1, up to
+    the sine's curvature over one step (the array compares steps by sine).
+    The raw bearing itself reads the sweep map at the step's first sample,
+    up to one sample past the step's commanded value. And, unless two steps
+    tie, fast_estimate_bearings' last row gives the same raw bearing."""
+    scn, where = case
+    env = envelope_detect(synthesize_rounds(
+        scn, draw_pathsets(scn, where, trial_rng(0, "los-only")), where, rounds=2),
+        scn.detector)
+    scan = Receiver(scn, LookupTable(*scn.aps)).scan(env)
+    assert scan.found.all()
+    rate = scn.detector.sample_rate_hz
+    for k, ap in enumerate(scn.aps):
+        truth = true_bearing(ap, where)
+        raw = scan.raw_rad[0, k]
+        fast = fast_estimate_bearings(ap, scn.sweep_mode, rate,
+                                      PathSet([[1.0]], [[truth]], [[0.0]]), [truth])
+        assert fast.shape == (ap.antenna_count, 1)
+        # two steps equally near the truth tie, and rounding, which the two
+        # paths do differently, picks one: both are checked below
+        phase = (2 * math.pi * ap.spacing_wavelengths * math.sin(truth)
+                 - drive_increments(ap, scn.sweep_mode))
+        response = np.sort(np.abs(np.exp(1j * np.outer(
+            phase, np.arange(ap.antenna_count))).sum(axis=1)))
+        if response[-1] - response[-2] > 1e-9 * response[-1]:
+            assert fast[-1, 0] == raw
+        (step,) = np.flatnonzero(step_estimate_angles(ap, scn.sweep_mode, rate) == raw)
+        commanded = steering_values(ap, scn.sweep_mode)[step]
+        n = ap.sweep_step_count
+        if scn.sweep_mode == "uniform-theta":
+            sine = commanded / (2 * math.pi * ap.spacing_wavelengths)
+            half = 1 / (2 * n * ap.spacing_wavelengths)
+            assert abs(sine - math.sin(truth)) <= half + 1e-12
+        else:
+            half = ap.sweep_step_rad / 2
+            curvature = 1 + half * math.tan(abs(truth) + 2 * half)
+            assert abs(commanded - truth) <= half * curvature + 1e-12
 
 
 def test_speed_affects_doppler_only_when_enabled():
