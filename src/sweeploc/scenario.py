@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Any
 
 import numpy as np
@@ -128,7 +128,8 @@ class ApConfig:
         if not self.sweep_step_rad > 0:
             raise ConfigError("sweep_step_rad must be positive")
         steps = math.pi / self.sweep_step_rad
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 2:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 \
+                or round(steps) < 2:
             raise ConfigError("sweep_step_rad must divide pi into >= 2 equal steps")
         if self.preamble_id not in (1, 2):
             raise ConfigError("preamble_id must be 1 or 2")
@@ -265,15 +266,16 @@ class Scenario:
                 raise ConfigError("field_extent_m must be positive")
         fs = self.detector.sample_rate_hz
         for ap in self.aps:
+            # First, so the counts below are finite and round() can take them.
+            n_period = ap.sweep_period_s * fs
+            if not math.isfinite(n_period) or abs(n_period - round(n_period)) > 1e-6:
+                raise ConfigError("sweep period must span an integer number of"
+                                  f" detector samples, not {n_period:g}")
             if ap.sweep_dwell_s * fs < 1.0 - 1e-9:
                 raise ConfigError("each sweep step must span >= 1 detector sample")
             spb = ap.preamble_bit_duration_s * fs
             if spb < 1.0 - 1e-9 or abs(spb - round(spb)) > 1e-6:
                 raise ConfigError("preamble bit must span an integer number of samples")
-            n_period = ap.sweep_period_s * fs
-            if abs(n_period - round(n_period)) > 1e-6:
-                raise ConfigError("sweep period must span an integer number of"
-                                  f" detector samples, not {n_period:g}")
 
     @property
     def round_s(self) -> float:
@@ -331,24 +333,34 @@ def _normals(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndar
 
 
 # --- YAML serialization ---------------------------------------------------
+#
+# Both directions walk dataclasses.fields, so a field is named once, in its
+# dataclass. Only position, the angles' _deg spellings and the nested aps,
+# channel and detector are read by hand.
 
-def _ap_to_mapping(ap: ApConfig) -> dict[str, Any]:
-    return {
-        "position": [ap.position.x, ap.position.y],
-        "boresight_rad": ap.boresight_rad,
-        "antenna_count": ap.antenna_count,
-        "spacing_wavelengths": ap.spacing_wavelengths,
-        "carrier_hz": ap.carrier_hz,
-        "tx_power_dbm": ap.tx_power_dbm,
-        "sweep_period_s": ap.sweep_period_s,
-        "preamble_duration_s": ap.preamble_duration_s,
-        "sweep_step_rad": ap.sweep_step_rad,
-        "preamble_id": ap.preamble_id,
-    }
+def _plain(value: Any) -> Any:
+    """value as YAML data: a config dataclass as the mapping of its fields,
+    a Position as [x, y], a tuple as a new list (so no YAML aliases)."""
+    if isinstance(value, Position):
+        return [value.x, value.y]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _integer(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _finite(value: Any, name: str) -> float:
-    """value as a float; non-numbers, NaN and infinities are errors."""
+    """value as a float; booleans, NaN and infinities are errors. A string
+    is read by float(), as YAML 1.1 leaves exponents like 1e-3 strings."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
@@ -364,134 +376,92 @@ def _boolean(value: Any, name: str) -> bool:
     return value
 
 
-def _as(kind):
-    return lambda value, name: kind(value)
+def _text(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _pair(value: Any, name: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{name} must be a pair [a, b], got {value!r}")
+    return _finite(value[0], name), _finite(value[1], name)
+
+
+def _pairs(value: Any, name: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of [a, b] pairs, got {value!r}")
+    return tuple(_pair(p, name) for p in value)
 
 
 def _optional(parse):
     return lambda value, name: None if value is None else parse(value, name)
 
 
-def _pair(value: Any, name: str) -> tuple[float, float]:
-    try:
-        a, b = value
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a pair [a, b]") from exc
-    return _finite(a, name), _finite(b, name)
-
-
-_AP_FIELDS = {
-    "antenna_count": _as(int),
-    "preamble_id": _as(int),
-    **dict.fromkeys(("spacing_wavelengths", "carrier_hz", "tx_power_dbm",
-                     "sweep_period_s", "preamble_duration_s"), _finite),
-}
-# Read by _ap_from_mapping itself; angles also accept a _deg spelling.
-_AP_SPECIAL = ("position", "boresight_rad", "boresight_deg",
-               "sweep_step_rad", "sweep_step_deg")
-_CHANNEL_FIELDS = {
-    "nlos_path_count": _as(int),
-    "multipath_ratio": _finite,
-    "noise_power_dbm": _optional(_finite),
-    "doppler_enabled": _boolean,
-    "nlos_redraw_distance_m": _finite,
-}
-_DETECTOR_FIELDS = {
-    "sensitivity_floor_dbm": _finite,
-    "sample_rate_hz": _finite,
-    "response_model": _as(str),
-    "response_table": _optional(lambda v, name: tuple(_pair(p, name) for p in v)),
-    "output_noise_volts": _optional(_finite),
-}
-_SCENARIO_FIELDS = {
-    "sweep_mode": _as(str),
-    "smoothing": _finite,
-    "seed": _as(int),
-    "field_extent_m": _optional(_pair),
+# One parser per field annotation (a string, by the __future__ import).
+_PARSERS = {
+    "int": _integer,
+    "float": _finite,
+    "bool": _boolean,
+    "str": _text,
+    "float | None": _optional(_finite),
+    "tuple[float, float] | None": _optional(_pair),
+    "tuple[tuple[float, float], ...] | None": _optional(_pairs),
 }
 
 
-def _parse(m: Any, fields: dict, where: str, special: tuple[str, ...] = ()
+def _parse(m: Any, cls: type, where: str, special: tuple[str, ...] = ()
            ) -> dict[str, Any]:
-    """Parse the keys of one mapping level; unknown keys are errors."""
+    """Keyword arguments of cls from one mapping level, except its special
+    fields, which the caller reads. Unknown keys and missing required
+    fields are errors; a null level is an empty one."""
     if m is None:
         m = {}
     if not isinstance(m, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = sorted(str(k) for k in m if k not in fields and k not in special)
+        raise ConfigError(f"{where} must be a mapping, got {m!r}")
+    known = fields(cls)
+    unknown = sorted(str(k) for k in m if k not in {f.name for f in known})
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
-    return {name: parse(m[name], f"{where}.{name}")
-            for name, parse in fields.items() if name in m}
+    for f in known:
+        if f.name not in m and f.default is MISSING \
+                and f.default_factory is MISSING:
+            raise ConfigError(f"missing {where}.{f.name}")
+    return {f.name: _PARSERS[f.type](m[f.name], f"{where}.{f.name}")
+            for f in known if f.name in m and f.name not in special}
 
 
-def _angle_from_mapping(m: dict[str, Any], stem: str, default: float | None = None) -> float:
-    # Accept either <stem>_rad or <stem>_deg on input; output always _rad.
-    if f"{stem}_rad" in m and f"{stem}_deg" in m:
-        raise ConfigError(f"give {stem}_rad or {stem}_deg, not both")
-    if f"{stem}_rad" in m:
-        return _finite(m[f"{stem}_rad"], f"ap.{stem}_rad")
-    if f"{stem}_deg" in m:
-        return math.radians(_finite(m[f"{stem}_deg"], f"ap.{stem}_deg"))
-    if default is None:
-        raise ConfigError(f"missing {stem}_rad (or {stem}_deg)")
-    return default
-
-
-def _ap_from_mapping(m: dict[str, Any]) -> ApConfig:
-    kwargs = _parse(m, _AP_FIELDS, "ap", _AP_SPECIAL)
-    if "position" not in m:
-        raise ConfigError("ap.position must be [x, y]")
-    x, y = _pair(m["position"], "ap.position")
-    return ApConfig(
-        position=Position(x, y),
-        boresight_rad=_angle_from_mapping(m, "boresight"),
-        sweep_step_rad=_angle_from_mapping(m, "sweep_step", math.pi / 128),
-        **kwargs)
-
-
-def scenario_to_mapping(scn: Scenario) -> dict[str, Any]:
-    return {
-        "sweep_mode": scn.sweep_mode,
-        "smoothing": scn.smoothing,
-        "seed": scn.seed,
-        "field_extent_m": list(scn.field_extent_m) if scn.field_extent_m else None,
-        "aps": [_ap_to_mapping(ap) for ap in scn.aps],
-        "channel": {
-            "nlos_path_count": scn.channel.nlos_path_count,
-            "multipath_ratio": scn.channel.multipath_ratio,
-            "noise_power_dbm": scn.channel.noise_power_dbm,
-            "doppler_enabled": scn.channel.doppler_enabled,
-            "nlos_redraw_distance_m": scn.channel.nlos_redraw_distance_m,
-        },
-        "detector": {
-            "sensitivity_floor_dbm": scn.detector.sensitivity_floor_dbm,
-            "sample_rate_hz": scn.detector.sample_rate_hz,
-            "response_model": scn.detector.response_model,
-            "response_table": ([list(p) for p in scn.detector.response_table]
-                               if scn.detector.response_table else None),
-            "output_noise_volts": scn.detector.output_noise_volts,
-        },
-    }
+def _ap_from_mapping(m: Any) -> ApConfig:
+    if isinstance(m, dict):
+        m = dict(m)  # angles may be given in degrees; rewrite them as _rad
+        for stem in ("boresight", "sweep_step"):
+            rad, deg = f"{stem}_rad", f"{stem}_deg"
+            if deg in m:
+                if rad in m:
+                    raise ConfigError(f"give ap.{rad} or ap.{deg}, not both")
+                m[rad] = math.radians(_finite(m.pop(deg), f"ap.{deg}"))
+    kwargs = _parse(m, ApConfig, "ap", ("position",))
+    return ApConfig(position=Position(*_pair(m["position"], "ap.position")),
+                    **kwargs)
 
 
 def scenario_from_mapping(m: dict[str, Any]) -> Scenario:
-    """Build a Scenario from its YAML mapping, refusing unknown keys,
-    non-boolean flags and non-finite numbers at every level."""
-    if not isinstance(m, dict) or "aps" not in m:
-        raise ConfigError("scenario mapping needs an 'aps' list")
-    top = _parse(m, _SCENARIO_FIELDS, "scenario", ("aps", "channel", "detector"))
+    """Build a Scenario from its YAML mapping, refusing unknown or missing
+    keys, values of the wrong type and non-finite numbers at every level."""
+    kwargs = _parse(m, Scenario, "scenario", ("aps", "channel", "detector"))
+    if not isinstance(m["aps"], (list, tuple)):
+        raise ConfigError(f"scenario.aps must be a list of APs, got {m['aps']!r}")
     return Scenario(
         aps=tuple(_ap_from_mapping(a) for a in m["aps"]),
-        channel=ChannelConfig(**_parse(m.get("channel"), _CHANNEL_FIELDS,
+        channel=ChannelConfig(**_parse(m.get("channel"), ChannelConfig,
                                        "channel")),
-        detector=DetectorConfig(**_parse(m.get("detector"), _DETECTOR_FIELDS,
+        detector=DetectorConfig(**_parse(m.get("detector"), DetectorConfig,
                                          "detector")),
-        **top)
+        **kwargs)
 
 
 def scenario_to_yaml(scn: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_mapping(scn), default_flow_style=False,
+    return yaml.safe_dump(_plain(scn), default_flow_style=False,
                           sort_keys=True)
 
 
@@ -508,10 +478,19 @@ def load_scenario_file(path: str) -> Scenario:
         return load_scenario(fh.read())
 
 
+# Keyed on repr, not on the Scenario: scenarios with boresight 0.0 and -0.0
+# compare and hash equal but serialize differently, and a list-valued field
+# makes a scenario unhashable.
+_DIGESTS: dict[str, str] = {}
+
+
 def scenario_digest(scn: Scenario) -> str:
-    """Stable sha256 of the canonical serialized scenario (first 16 hex)."""
-    return hashlib.sha256(scenario_to_yaml(scn).encode("utf-8")).hexdigest()[:16]
-
-
-def with_seed(scn: Scenario, seed: int) -> Scenario:
-    return replace(scn, seed=seed)
+    """Stable sha256 of the canonical serialized scenario (first 16 hex),
+    serialized once per distinct scenario."""
+    key = repr(scn)
+    if key not in _DIGESTS:
+        if len(_DIGESTS) >= 64:
+            del _DIGESTS[next(iter(_DIGESTS))]  # the oldest entry
+        text = scenario_to_yaml(scn)
+        _DIGESTS[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return _DIGESTS[key]

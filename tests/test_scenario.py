@@ -1,5 +1,6 @@
 """Configuration, geometry, and determinism plumbing."""
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sweeploc.scenario import (
     ApConfig,
@@ -15,6 +16,7 @@ from sweeploc.scenario import (
     ConfigError,
     DetectorConfig,
     Position,
+    SWEEP_MODES,
     Scenario,
     Trajectory,
     free_space_loss_db,
@@ -24,7 +26,6 @@ from sweeploc.scenario import (
     scenario_to_yaml,
     trial_rng,
     true_bearing,
-    with_seed,
     wrap_angle,
 )
 from sweeploc import cli, scenario
@@ -262,9 +263,155 @@ def test_yaml_accepts_degree_aliases():
 def test_scenario_digest_tracks_content():
     scn = bench_scenario(seed=1)
     assert scenario_digest(scn) == scenario_digest(bench_scenario(seed=1))
-    assert scenario_digest(scn) != scenario_digest(with_seed(scn, 2))
+    assert scenario_digest(scn) != scenario_digest(replace(scn, seed=2))
     assert scenario_digest(scn) != scenario_digest(range_scenario(seed=1))
     assert len(scenario_digest(scn)) == 16
+
+
+def test_scenario_digest_keeps_signed_zeros_apart():
+    """0.0 and -0.0 compare and hash equal but serialize differently, so a
+    digest cached by scenario equality would hand one the other's digest."""
+    plus = bench_scenario(seed=1)
+    minus = replace(plus, aps=(replace(plus.aps[0], boresight_rad=-0.0),
+                               plus.aps[1]))
+    assert plus == minus and hash(plus) == hash(minus)
+    for scn in (plus, minus, plus):
+        text = scenario_to_yaml(scn)
+        assert scenario_digest(scn) == \
+            hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    assert scenario_digest(plus) != scenario_digest(minus)
+    # a list-valued field makes a scenario unhashable; it still has a digest
+    listed = replace(farm_scenario(seed=1), field_extent_m=[120.0, 90.0])
+    assert scenario_digest(listed) == scenario_digest(farm_scenario(seed=1))
+
+
+@pytest.mark.parametrize("level, key, value", [
+    ("ap", "antenna_count", 4.7),
+    ("ap", "antenna_count", "4"),
+    ("ap", "preamble_id", 1.9),
+    ("ap", "preamble_id", True),
+    ("scenario", "seed", 1.5),
+    ("scenario", "seed", True),
+    ("channel", "nlos_path_count", "3"),
+    ("channel", "multipath_ratio", True),
+    ("detector", "sample_rate_hz", False),
+    ("detector", "response_model", 5),
+    ("scenario", "smoothing", False),
+])
+def test_yaml_scalars_have_their_field_type(level, key, value):
+    """An integer field takes a YAML integer only, and no field reads a
+    boolean as a number: none of these may load as a truncated int or 1.0."""
+    m = _bench_mapping()
+    target = {"scenario": m, "ap": m["aps"][0], "channel": m["channel"],
+              "detector": m["detector"]}[level]
+    target[key] = value
+    with pytest.raises(ConfigError, match=key):
+        scenario_from_mapping(m)
+
+
+_MALFORMED = [
+    pytest.param("aps: null", id="aps-null"),
+    pytest.param("aps: 5", id="aps-int"),
+    pytest.param("aps: {x: 1}", id="aps-mapping"),
+    pytest.param("aps: [5]", id="ap-int"),
+    pytest.param("detector: {response_model: table, response_table: 5}",
+                 id="response-table-int"),
+    pytest.param("detector: {response_table: [[1.0, 2.0], 3]}", id="table-point"),
+    pytest.param("antenna_count: null", id="antenna-count-null"),
+    pytest.param("antenna_count: four", id="antenna-count-word"),
+    pytest.param("position: [1.0, 2.0, 3.0]", id="position-triple"),
+    pytest.param("position: '12'", id="position-string"),
+    pytest.param("field_extent_m: 10.0", id="extent-scalar"),
+    pytest.param("channel: 5", id="channel-int"),
+    pytest.param("boresight_rad: null", id="boresight-null"),
+    pytest.param("", id="empty"),
+]
+
+
+def _malformed_yaml(edit: str) -> str:
+    """The bench scenario with one key replaced: AP keys go to the first AP,
+    the others to the top level."""
+    if not edit:
+        return ""
+    m = _bench_mapping()
+    change = yaml.safe_load(edit)
+    ap_keys = {"antenna_count", "position", "boresight_rad"}
+    (m["aps"][0] if set(change) <= ap_keys else m).update(change)
+    return yaml.safe_dump(m)
+
+
+@pytest.mark.parametrize("edit", _MALFORMED)
+def test_malformed_yaml_is_a_config_error(edit, tmp_path, capsys):
+    """A malformed file is a ConfigError, so `sweeploc run` prints `error:
+    ...` and exits 2; several of these raised TypeError or a bare ValueError,
+    and the command printed a traceback."""
+    text = _malformed_yaml(edit)
+    with pytest.raises(ConfigError):
+        load_scenario(text)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    code = cli.main(["run", "power_report", "--scenario", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios that pass every check: 1-3 APs on one sweep period of a
+    whole number of detector samples, with whole-sample preamble bits and
+    steps of at least one sample."""
+    fs = draw(st.sampled_from([1000.0, 2000.0, 4000.0, 8000.0]))
+    steps = draw(st.sampled_from([2, 16, 31, 64, 128]))
+    bit_samples = draw(st.integers(1, 4))
+    period_samples = steps + 8 * bit_samples + draw(st.integers(0, 200))
+    n_aps = draw(st.integers(1, 3))
+    ids = draw(st.permutations([1, 2])) + [draw(st.sampled_from([1, 2]))]
+    aps = tuple(ApConfig(
+        position=Position(draw(st.floats(-1e3, 1e3)),
+                          draw(st.floats(-1e3, 1e3))),
+        boresight_rad=draw(st.floats(-10.0, 10.0)),
+        antenna_count=draw(st.integers(2, 8)),
+        spacing_wavelengths=draw(st.floats(0.01, 0.5)),
+        carrier_hz=draw(st.floats(1e6, 1e10)),
+        tx_power_dbm=draw(st.floats(-30.0, 60.0)),
+        sweep_period_s=period_samples / fs,
+        preamble_duration_s=8 * bit_samples / fs,
+        sweep_step_rad=math.pi / steps,
+        preamble_id=ids[i]) for i in range(n_aps))
+    channel = ChannelConfig(
+        nlos_path_count=draw(st.integers(0, 16)),
+        multipath_ratio=draw(st.floats(0.0, 2.0)),
+        noise_power_dbm=draw(st.none() | st.floats(-150.0, 0.0)),
+        doppler_enabled=draw(st.booleans()),
+        nlos_redraw_distance_m=draw(st.floats(1e-3, 1e3)))
+    table = None
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        dbm = draw(st.lists(st.floats(-120.0, 20.0), min_size=n, max_size=n,
+                            unique=True))
+        volts = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+        table = tuple(zip(sorted(dbm), sorted(volts)))
+    detector = DetectorConfig(
+        sensitivity_floor_dbm=draw(st.floats(-120.0, 0.0)),
+        sample_rate_hz=fs,
+        response_model="square_law" if table is None else "table",
+        response_table=table,
+        output_noise_volts=draw(st.none() | st.floats(0.0, 1.0)))
+    extent = st.floats(1e-3, 1e4)
+    return Scenario(aps=aps, channel=channel, detector=detector,
+                    sweep_mode=draw(st.sampled_from(SWEEP_MODES)),
+                    smoothing=draw(st.floats(0.0, 1.0, exclude_max=True)),
+                    seed=draw(st.integers(0, 2 ** 64 - 1)),
+                    field_extent_m=draw(st.none() | st.tuples(extent, extent)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(valid_scenarios())
+def test_yaml_round_trip_of_any_valid_scenario(scn):
+    text = scenario_to_yaml(scn)
+    assert load_scenario(text) == scn
+    assert scenario_to_yaml(load_scenario(text)) == text
 
 
 def test_builtin_scenarios_are_valid():
@@ -375,3 +522,16 @@ def test_calculations_reject_nan(compute):
     a NaN (or an infinite cycle period) raises instead of returning NaN."""
     with pytest.raises(ConfigError):
         compute()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ApConfig(_ORIGIN, 0.0, sweep_step_rad=1e-320),
+                 id="sweep-steps-inf"),
+    pytest.param(lambda: Scenario(aps=(ApConfig(
+        _ORIGIN, 0.0, sweep_period_s=1.5e308, preamble_duration_s=1e308),)),
+        id="period-samples-inf"),
+])
+def test_sample_counts_that_overflow_are_config_errors(build):
+    """A count that overflows to infinity raised OverflowError from round()."""
+    with pytest.raises(ConfigError):
+        build()
