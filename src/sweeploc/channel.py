@@ -9,6 +9,7 @@ phases for the lifetime of one PathSet draw.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,6 +103,29 @@ def map_multipath(cfg: ChannelConfig, u: np.ndarray,
                    np.concatenate([np.zeros_like(los), phases], axis=-1))
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(role: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+    """This thread's buffer for one role in propagate's synthesis, kept
+    from call to call and reallocated only when the shape changes.
+    Allocated afresh, these temporaries went back to the OS after every
+    call and were faulted in again on the next, about a third of a track
+    trial's time. No scratch buffer leaves this module: what a function
+    here returns is its out argument or a fresh array."""
+    buf = getattr(_SCRATCH, role, None)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = np.empty(shape, dtype)
+        setattr(_SCRATCH, role, buf)
+    return buf
+
+
+def _weights(paths: PathSet, ks: slice) -> np.ndarray:
+    """Weights a*exp(j*psi) of paths[ks] (... x paths x 1)."""
+    return (paths.amplitudes[..., ks, None]
+            * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
+
+
 def _steering(paths: PathSet, ks: slice, sine: np.ndarray,
               ap: ApConfig) -> tuple[np.ndarray, np.ndarray]:
     """Steering vectors of paths[ks] as weights (... x paths x 1) times
@@ -110,8 +134,7 @@ def _steering(paths: PathSet, ks: slice, sine: np.ndarray,
     factor is the i-th power of exp(j*phi), by successive products: one
     complex exponential per path and row, not one per antenna."""
     phasor = np.exp(1j * (2.0 * math.pi * ap.spacing_wavelengths * sine))
-    weight = (paths.amplitudes[..., ks, None]
-              * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
+    weight = _weights(paths, ks)
     factors = np.empty((ap.antenna_count,) + (1,) * (weight.ndim - phasor.ndim)
                        + phasor.shape, dtype=complex)  # antennas before every axis
     factors[0], factors[1] = 1.0, phasor
@@ -120,10 +143,51 @@ def _steering(paths: PathSet, ks: slice, sine: np.ndarray,
     return weight, factors
 
 
+def _los_field(paths: PathSet, sine: np.ndarray, ap: ApConfig,
+               per_row: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The LOS path's field under each drive column of per_row: its weight
+    times sum_i phasor**i * per_row[i], phasor = exp(j*phi) from the LOS
+    sine. Antenna i's factor is one running product, never an antennas x
+    rows array; the products and sums are phased_sum's over _steering's
+    factors, in the same order, so the bits are theirs."""
+    shape = np.broadcast_shapes(sine.shape, per_row.shape[1:])
+    phase = np.multiply(2.0 * math.pi * ap.spacing_wavelengths, sine,
+                        out=_scratch("los_phase", sine.shape))
+    phasor = np.multiply(1j, phase, out=_scratch("los_phasor", sine.shape, complex))
+    np.exp(phasor, out=phasor)
+    factor = _scratch("los_factor", sine.shape, complex)
+    total = _scratch("los_total", shape, complex)
+    term = _scratch("los_term", shape, complex)
+    factor.fill(1.0)
+    total.fill(0.0)
+    for i, drive in enumerate(per_row):
+        if i == 1:
+            np.copyto(factor, phasor)
+        elif i > 1:
+            np.multiply(factor, phasor, out=factor)
+        total += np.multiply(factor, drive, out=term)
+    return np.multiply(total, _weights(paths, slice(0, 1))[..., 0, :], out=out)
+
+
+def _reflected(paths: PathSet, ap: ApConfig,
+               drive: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The reflected paths' fields per drive column (... x paths x
+    columns), and, for a draw per slot on a leading axis, the index into
+    them of each slot's draw: equal draws on successive slots (rounds
+    between redraws) are contracted once. The index is None otherwise."""
+    weight, factors = _steering(paths, slice(1, None),
+                                np.sin(paths.bearings_rad[..., 1:, None]), ap)
+    steer = weight * factors
+    if steer.ndim < 4:
+        return phased_sum(steer, drive), None
+    new = np.append(True, np.any(steer[:, 1:] != steer[:, :-1], axis=(0, 2, 3)))
+    return phased_sum(steer[:, new], drive), np.cumsum(new) - 1
+
+
 def sweep_response(paths: PathSet, los_sine: np.ndarray,
                    ap: ApConfig, drive: np.ndarray, sum_paths: bool = False,
-                   rows: np.ndarray | None = None, each: Callable | None = None):
-    """Complex field of the paths under each drive row.
+                   each: Callable | None = None):
+    """Complex field of the paths under each drive column.
 
     Path k's steering vector over antennas i is w_k * exp(j*i*phi_k), with
     phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*exp(j*psi_k).
@@ -133,31 +197,24 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
     Processing, ch. 2). The LOS path takes sin(b_0) = los_sine, never the
     stored nominal bearing: propagate works the sine out from geometry.
 
-    The output rows are the drive's columns, or the columns rows[s] for
-    output samples s; the LOS sine's last axis, where it varies, runs over
-    them. Leading axes of paths (trials, or one AP's slots in successive
-    rounds) broadcast against its leading axes. sum_paths adds the weighted
-    steering vectors first, in path order, into one field per output row
-    (contracted by phased_sum with each). Otherwise it returns the LOS
-    field per output row and the reflected paths' fields per drive column
-    (... x paths x columns); equal draws on successive slots of a leading
-    axis are contracted once.
+    Leading axes of paths (trials) broadcast against the LOS sine's.
+    sum_paths adds the weighted steering vectors first, in path order, into
+    one field per column (contracted by phased_sum with each). Otherwise it
+    returns the LOS field and the reflected paths' fields (... x paths x
+    columns), from the kernels propagate uses per sample.
     """
-    per_row = drive if rows is None else drive[:, rows]
-    los_weight, los = _steering(paths, slice(0, 1), np.expand_dims(los_sine, -2), ap)
-    weight, factors = _steering(paths, slice(1, None),
-                                np.sin(paths.bearings_rad[..., 1:, None]), ap)
     if sum_paths:
+        los_weight, los = _steering(paths, slice(0, 1),
+                                    np.expand_dims(los_sine, -2), ap)
+        weight, factors = _steering(paths, slice(1, None),
+                                    np.sin(paths.bearings_rad[..., 1:, None]), ap)
         total = (los_weight * los)[..., 0, :]
         for k in range(weight.shape[-2]):
             total = total + weight[..., k, :] * factors[..., k, :]
-        return phased_sum(total, per_row, each)
-    los = phased_sum(los[..., 0, :], per_row) * los_weight[..., 0, :]
-    steer = weight * factors
-    if steer.ndim == 4:  # a draw per slot, kept until a redraw: contract each once
-        new = np.append(True, np.any(steer[:, 1:] != steer[:, :-1], axis=(0, 2, 3)))
-        return los, phased_sum(steer[:, new], drive)[np.cumsum(new) - 1]
-    return los, phased_sum(steer, drive)
+        return phased_sum(total, drive, each)
+    fields, draw = _reflected(paths, ap, drive)
+    return (_los_field(paths, np.asarray(los_sine), ap, drive, None),
+            fields if draw is None else fields[draw])
 
 
 @dataclass(frozen=True)
@@ -166,7 +223,8 @@ class FieldTrace:
 
     samples[s] is the total field at t0_s + s/sample_rate_hz. A buffer of
     several slots (see propagate) keeps them back to back, although they
-    may be apart in time.
+    may be apart in time; written into a caller's out, it is that slots x
+    samples array.
     """
 
     samples: np.ndarray
@@ -177,19 +235,22 @@ class FieldTrace:
 def propagate(schedule: SweepSchedule, paths: PathSet,
               where: Position | Trajectory, sample_rate_hz: float,
               t0_s: float | np.ndarray = 0.0,
-              doppler: bool = False) -> FieldTrace:
+              doppler: bool = False, out: np.ndarray | None = None) -> FieldTrace:
     """Synthesize the received field for sweep periods of one AP.
 
     t0_s is one slot start time, or an (R,) array of them: R slots of this
     AP, one per TDMA round, from one call. paths is one draw for every
     slot, or one draw per slot on a leading axis of length R. The slots
-    come out back to back in samples (R x period samples, flat). Each
-    sample takes the drive of the schedule row active at its time within
-    its slot. The LOS sine (dy*cos(b) - dx*sin(b)) / dist and the link
-    amplitude 10**(P/20) * lambda / (4*pi*dist) follow the receiver in
-    closed form. The reflected paths are added per schedule row and
-    gathered once, or, with doppler set and a moving receiver, gathered
-    and rotated by apply_doppler. Raises GeometryError if the receiver
+    come out back to back in samples (R x period samples, flat), or in
+    out, a complex array of t0_s's shape plus the period's samples, which
+    is then the returned samples. Each sample takes the drive of the
+    schedule row active at its time within its slot. The LOS sine
+    (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
+    10**(P/20) * lambda / (4*pi*dist) follow the receiver in closed form.
+    The reflected paths are added per schedule row and gathered once, or,
+    with doppler set and a moving receiver, gathered and rotated by
+    apply_doppler. Every per-sample intermediate lives in this thread's
+    scratch buffers (_scratch). Raises GeometryError if the receiver
     reaches the AP in any slot.
     """
     ap = schedule.ap
@@ -197,48 +258,84 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     n = round(schedule.period_s * sample_rate_hz)
     t_local = np.arange(n) / sample_rate_hz
     starts = np.asarray(t0_s, dtype=float)
-    t_abs = starts[..., None] + t_local
+    shape = starts.shape + (n,)
+    t_abs = np.add(starts[..., None], t_local, out=_scratch("t_abs", shape))
 
     row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
 
     rel = np.interp(t_abs, [t for t, _ in waypoints], [complex(
         p.x - ap.position.x, p.y - ap.position.y) for _, p in waypoints])
     dx, dy = rel.real, rel.imag
-    dist = np.sqrt(dx * dx + dy * dy)
+    part = _scratch("geometry_part", shape)
+    dist = np.multiply(dx, dx, out=_scratch("dist", shape))
+    dist += np.multiply(dy, dy, out=part)
+    np.sqrt(dist, out=dist)
     if np.any(dist <= 0):
         raise GeometryError("receiver trajectory passes through the AP")
-    los_sine = (dy * math.cos(ap.boresight_rad) - dx * math.sin(ap.boresight_rad)) / dist
-    amp = 10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m / (4.0 * math.pi * dist)
+    los_sine = np.multiply(dy, math.cos(ap.boresight_rad),
+                           out=_scratch("los_sine", shape))
+    los_sine -= np.multiply(dx, math.sin(ap.boresight_rad), out=part)
+    los_sine /= dist
+    amp = np.multiply(4.0 * math.pi, dist, out=_scratch("amplitude", shape))
+    np.divide(10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m, amp, out=amp)
 
-    los, reflected = sweep_response(paths, los_sine, ap, schedule.drive, rows=row)
+    field_shape = np.broadcast_shapes(shape, paths.amplitudes.shape[:-1] + (1,))
+    los = _los_field(paths, los_sine, ap, schedule.drive[:, row],
+                     _scratch("los", field_shape, complex))
+    reflected, draw = _reflected(paths, ap, schedule.drive)
     if doppler and len(waypoints) > 1:
-        samples = apply_doppler(los, reflected, row,
-                                paths.bearings_rad, ap, where, starts, t_local, dist)
+        field = apply_doppler(los, reflected, draw, row, paths.bearings_rad, ap,
+                              where, starts, t_local, dist,
+                              _scratch("field", field_shape, complex))
     else:
-        samples = los + reflected.sum(axis=-2)[..., row]
-    return FieldTrace(samples=(samples * amp).reshape(-1),
+        field = np.add(los, _per_sample(reflected.sum(axis=-2), draw, row, _scratch(
+            "gathered", los.shape, complex)), out=los)
+    samples = np.multiply(field, amp, out=out)
+    return FieldTrace(samples=samples.reshape(-1) if out is None else out,
                       sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
 
 
-def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
-                  bearings_rad: np.ndarray, ap: ApConfig, traj: Trajectory,
-                  starts: np.ndarray, t_local: np.ndarray,
-                  dist: np.ndarray) -> np.ndarray:
+def _per_sample(fields: np.ndarray, draw: np.ndarray | None, row: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Fill out (slots x samples) with column row[s] of each slot's draw:
+    fields holds the draws' columns (draws x columns) and draw indexes each
+    slot's, or fields is one draw's columns for every slot."""
+    # mode="clip" (the indices are in range): "raise" copies via a new buffer
+    if draw is not None:
+        fields = np.take(fields, draw, axis=0, mode="clip", out=_scratch(
+            "slot_columns", draw.shape + fields.shape[-1:], complex))
+    return np.take(np.broadcast_to(fields, out.shape[:-1] + fields.shape[-1:]),
+                   row, axis=-1, mode="clip", out=out)
+
+
+def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | None,
+                  row: np.ndarray, bearings_rad: np.ndarray, ap: ApConfig,
+                  traj: Trajectory, starts: np.ndarray, t_local: np.ndarray,
+                  dist: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rotate each path by its length change since its slot's first
-    sample, so the phase restarts at every slot, and add the paths up.
+    sample, so the phase restarts at every slot, and add the paths up into
+    out (slots x samples), which is returned.
 
     los is the LOS field per sample, reflected the reflected paths' fields
-    per schedule row (... x paths x rows), row each sample's row, t_local
-    its time in its slot and dist its AP distance. The LOS length change is
-    exact. Path k, a plane wave from bearing u_k, turns its phase at
-    omega_k = (2*pi/lambda) * u_k . v (Clarke, BSTJ 1968) while the
-    receiver moves along traj's one segment at velocity v. The gathered
-    paths are rotated in place by a per-block and a within-block table of
-    exp(j*omega_k*t), about 2*sqrt(samples) complex exponentials per path
-    and slot. Motion toward a source shortens its path and advances it.
+    per schedule row (draws x paths x rows), draw each slot's draw among
+    them (None: reflected is one draw, paths x rows, for every slot), row
+    each sample's row, t_local its time in its slot and dist its AP
+    distance. The LOS length change is exact. Path k, a plane wave from
+    bearing u_k, turns its phase at omega_k = (2*pi/lambda) * u_k . v
+    (Clarke, BSTJ 1968) while the receiver moves along traj's one segment
+    at velocity v. Each path in turn is gathered per sample and rotated in
+    place by a per-block and a within-block table of exp(j*omega_k*t),
+    about 2*sqrt(samples) complex exponentials per path and slot, then
+    added to the paths before it: ((f_1 + f_2) + f_3), the order of a sum
+    over the paths axis. Motion toward a source shortens its path and
+    advances it.
     """
     wavenumber = 2.0 * math.pi / ap.wavelength_m  # phase advance per meter shorter
-    total = los * np.exp(-1j * wavenumber * (dist - dist[..., :1]))
+    shortened = np.subtract(dist, dist[..., :1],
+                            out=_scratch("doppler_shortened", dist.shape))
+    total = np.multiply(-1j * wavenumber, shortened,
+                        out=_scratch("doppler_los", dist.shape, complex))
+    np.multiply(los, np.exp(total, out=total), out=total)
     (t_start, p_start), (t_stop, p_stop) = traj.waypoints
     alpha = ap.boresight_rad + bearings_rad[..., 1:, None]  # toward the source
     omega = wavenumber * (np.cos(alpha) * (p_stop.x - p_start.x)
@@ -249,21 +346,32 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
     block = math.isqrt(n - 1) + 1  # samples per block; whole blocks pad the slot
     pad = np.minimum(np.arange(-(-n // block) * block), n - 1)
     t = t_local[pad]
-    every_slot = np.broadcast_shapes(reflected.shape, moves_from.shape)
-    fields = np.take(np.broadcast_to(reflected, every_slot), row[pad], axis=-1)
-    blocks = fields.reshape(fields.shape[:-1] + (len(pad) // block, block))
+    slots = los.shape[:-1]
     # tau = t - moves_from while moving, 0 before, moves_to - moves_from after
     moving = ((t >= moves_from) & (t <= moves_to)).reshape(
-        moves_from.shape[:-1] + blocks.shape[-2:])
+        moves_from.shape[:-1] + (len(pad) // block, block))[..., 0, :, :]
     moving = True if moving.all() else moving  # a mask only if the motion clips
-    np.multiply(blocks, np.exp(1j * omega * (t[::block] - moves_from))[..., None],
-                out=blocks, where=moving)
-    np.multiply(blocks, np.exp(1j * omega * t[:block])[..., None, :],
-                out=blocks, where=moving)
+    per_block = np.exp(1j * omega * (t[::block] - moves_from))[..., None]
+    within = np.exp(1j * omega * t[:block])[..., None, :]
     if moving is not True:
-        np.multiply(fields, np.exp(1j * omega * (moves_to - moves_from)),
-                    out=fields, where=t > moves_to)
-    return total + fields[..., :n].sum(axis=-2)
+        after = np.exp(1j * omega * (moves_to - moves_from))
+        stopped = (t > moves_to)[..., 0, :]
+    field = _scratch("doppler_path", slots + (len(pad),), complex)
+    blocks = field.reshape(slots + (len(pad) // block, block))
+    paths_sum = _scratch("doppler_paths", slots + (n,), complex)
+    if reflected.shape[-2] == 0:
+        paths_sum.fill(0.0)
+    for k in range(reflected.shape[-2]):
+        _per_sample(reflected[..., k, :], draw, row[pad], field)
+        np.multiply(blocks, per_block[..., k, :, :], out=blocks, where=moving)
+        np.multiply(blocks, within[..., k, :, :], out=blocks, where=moving)
+        if moving is not True:
+            np.multiply(field, after[..., k, :], out=field, where=stopped)
+        if k == 0:
+            np.copyto(paths_sum, field[..., :n])
+        else:
+            paths_sum += field[..., :n]
+    return np.add(total, paths_sum, out=out)
 
 
 def complex_noise(noise_power_dbm: float, n: int,

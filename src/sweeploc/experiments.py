@@ -30,7 +30,7 @@ from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
 from .receiver import (LookupTable, Receiver, estimate_angle, find_preamble,
                        period_samples)
 from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
-                       scenario_digest, trial_rng, true_bearing)
+                       _bearing, scenario_digest, trial_rng)
 from .transmitter import cached_schedule
 
 GRID_CHUNK = 1024
@@ -238,7 +238,7 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     # the slot sits between half a period of silence and a whole one
     lead, slot_n = round(period / 2.0 * fs), period_samples(ap, fs)
     n = lead + 2 * slot_n
-    pads = np.zeros(lead, complex), np.zeros(slot_n, complex)
+    capture = np.zeros(n, complex)  # each trial writes its slot in place
     detected, abs_err_sum = 0, 0.0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
@@ -248,9 +248,9 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
                        ap.position.y + distance * math.sin(heading))
         paths = draw_multipath(scn.channel, rng, bearing)
         noise = draw_noise(scn, n, rng)
-        slot = propagate(schedule, paths, pos, fs, t0_s=period / 2.0)
-        env = detect_with_noise(FieldTrace(np.concatenate(
-            [pads[0], slot.samples, pads[1]]), fs, 0.0), scn.detector, noise)
+        propagate(schedule, paths, pos, fs, t0_s=period / 2.0,
+                  out=capture[lead:lead + slot_n])
+        env = detect_with_noise(FieldTrace(capture, fs, 0.0), scn.detector, noise)
         start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
         if start is None:
             continue
@@ -375,10 +375,11 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
         # boolean indexing is row-major: the sums add round by round, AP 1
         # before AP 2, as the CSV bytes require
         found = scan.found
-        for which, stamp, raw, smoothed in zip(
-                np.nonzero(found)[1].tolist(), scan.timestamp_s[found].tolist(),
+        xs, ys = traj.positions_at(scan.timestamp_s[found])
+        for which, x, y, raw, smoothed in zip(
+                np.nonzero(found)[1].tolist(), xs.tolist(), ys.tolist(),
                 scan.raw_rad[found].tolist(), scan.smoothed_rad[found].tolist()):
-            truth = true_bearing(scn_t.aps[which], traj.position_at(stamp))
+            truth = _bearing(scn_t.aps[which], x, y)
             raw_sum += abs(math.degrees(raw - truth))
             smooth_sum += abs(math.degrees(smoothed - truth))
             tracked += 1

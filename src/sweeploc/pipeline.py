@@ -10,6 +10,7 @@ synthesis and adds it around envelope detection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, detector_noise, envelope_detect,
                        period_samples, step_estimate_angles)
 from .scenario import (ApConfig, DetectorConfig, Position, Scenario,
-                       Trajectory, true_bearing)
+                       Trajectory, _bearing, true_bearing)
 from .transmitter import cached_schedule
 
 
@@ -29,25 +30,25 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
                       t0_s: float = 0.0) -> FieldTrace:
     """Noiseless field of whole TDMA rounds: one slot per AP per round.
 
-    Each AP's slots of all rounds come from one propagate call, which are
-    then interleaved in TDMA order; the result equals synthesizing the
-    rounds one at a time. pathsets[k] is AP k's draw for every round, or
-    one draw per round on a leading axis of length rounds. t0_s is the
-    start of round 0; the rounds follow back to back. propagate applies
+    Each AP's slots of all rounds come from one propagate call, which
+    writes them into their places in TDMA order; the result equals
+    synthesizing the rounds one at a time. pathsets[k] is AP k's draw for
+    every round, or one draw per round on a leading axis of length rounds.
+    t0_s is the start of round 0; the rounds follow back to back. propagate applies
     Doppler (apply_doppler's per-slot phase ramps) when the scenario
     enables it and the receiver moves, from each slot's first sample.
     """
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
     round_starts = t0_s + np.arange(rounds) * scn.round_s
-    samples = [propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k],
-                         where, rate, t0_s=round_starts + k * period,
-                         doppler=scn.channel.doppler_enabled
-                         ).samples.reshape(rounds, -1)
-               for k, ap in enumerate(scn.aps)]
     # rounds x APs x samples per slot: the slots in TDMA order
-    return FieldTrace(samples=np.stack(samples, axis=1).reshape(-1),
-                      sample_rate_hz=rate, t0_s=t0_s)
+    capture = np.empty((rounds, len(scn.aps), period_samples(scn.aps[0], rate)),
+                       dtype=complex)
+    for k, ap in enumerate(scn.aps):
+        propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k], where, rate,
+                  t0_s=round_starts + k * period,
+                  doppler=scn.channel.doppler_enabled, out=capture[:, k])
+    return FieldTrace(samples=capture.reshape(-1), sample_rate_hz=rate, t0_s=t0_s)
 
 
 def draw_noise(scn: Scenario, n: int, rng: np.random.Generator
@@ -71,7 +72,9 @@ def detect_with_noise(field: FieldTrace, det: DetectorConfig,
     if channel is not None:
         field = replace(field, samples=field.samples + channel)
     env = envelope_detect(field, det)
-    return env if detector is None else replace(env, volts=env.volts + detector)
+    if detector is not None:  # in place: envelope_detect's volts are a fresh array
+        np.add(env.volts, detector, out=env.volts)
+    return env
 
 
 def _round_samples(scn: Scenario) -> int:
@@ -95,24 +98,31 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
     Each round draws from rng in the order a round-by-round simulation
     would: a new multipath draw for every AP once the receiver is
     nlos_redraw_distance_m from the last draw (and in round 0), then the
-    round's noise (draw_noise). A redraw draws only its uniforms
-    (path_uniforms); map_multipath maps each AP's, per round, into one
-    PathSet on a leading rounds axis. One synthesize_rounds call makes all
-    rounds, detected with the rounds' noise joined in round order.
+    round's noise (draw_noise). Without channel noise, the rounds up to the
+    next redraw draw only detector noise, back to back, so one draw_noise
+    call covers them all with the same numbers. A redraw draws only its
+    uniforms (path_uniforms); map_multipath maps each AP's, per round, into
+    one PathSet on a leading rounds axis. One synthesize_rounds call makes
+    all rounds, detected with the rounds' noise joined in round order.
     """
-    starts = [r * scn.round_s for r in range(rounds)]
     n = _round_samples(scn)
+    starts = np.arange(rounds) * scn.round_s
+    xs, ys = (v.tolist() for v in traj.positions_at(starts))
     redraw_m = scn.channel.nlos_redraw_distance_m
-    uniforms, origins, draw_of_round, noises = [], [], [], []
-    for t0 in starts:
-        pos = traj.position_at(t0)
-        if not origins or pos.distance_to(origins[-1]) >= redraw_m:
-            uniforms.append(path_uniforms(scn.channel, rng, (len(scn.aps),)))
-            origins.append(pos)
-        draw_of_round.append(len(origins) - 1)
-        noises.append(draw_noise(scn, n, rng))
+    firsts = [0]  # the first round of each draw
+    for r in range(1, rounds):
+        o = firsts[-1]
+        if math.hypot(xs[o] - xs[r], ys[o] - ys[r]) >= redraw_m:
+            firsts.append(r)
+    spans = np.diff(firsts + [rounds])  # rounds per draw
+    uniforms, noises = [], []
+    for span in spans.tolist():
+        uniforms.append(path_uniforms(scn.channel, rng, (len(scn.aps),)))
+        runs = [span] if scn.channel.noise_power_dbm is None else [1] * span
+        noises += [draw_noise(scn, m * n, rng) for m in runs]
+    draw_of_round = np.repeat(np.arange(len(firsts)), spans)
     u = np.stack(uniforms)[draw_of_round]
-    los = np.array([[true_bearing(ap, pos) for ap in scn.aps] for pos in origins])
+    los = np.array([[_bearing(ap, xs[r], ys[r]) for ap in scn.aps] for r in firsts])
     los = los[draw_of_round]
     per_ap = [map_multipath(scn.channel, u[:, k], los[:, k]) for k in range(len(scn.aps))]
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
@@ -120,8 +130,7 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
     env = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),
                             scn.detector, noise)
     return EnvelopeTrace(volts=env.volts.reshape(rounds, n),
-                         sample_rate_hz=env.sample_rate_hz,
-                         t0_s=np.array(starts))
+                         sample_rate_hz=env.sample_rate_hz, t0_s=starts)
 
 
 def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,

@@ -49,10 +49,11 @@ def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
     if trace.sample_rate_hz != det.sample_rate_hz:
         raise ConfigError(f"field rate {trace.sample_rate_hz} Hz must equal the"
                           f" detector rate {det.sample_rate_hz} Hz")
-    power_mw = np.abs(trace.samples) ** 2
+    power = np.abs(trace.samples)  # |s|^2 in mW, then dBm, in place
+    np.square(power, out=power)
     with np.errstate(divide="ignore"):
-        power_dbm = 10.0 * np.log10(power_mw)
-    return EnvelopeTrace(volts=det.response_volts(power_dbm),
+        np.log10(power, out=power)
+    return EnvelopeTrace(volts=det.response_volts(np.multiply(10.0, power, out=power)),
                          sample_rate_hz=det.sample_rate_hz, t0_s=trace.t0_s)
 
 

@@ -30,6 +30,15 @@ class GeometryError(ValueError):
     """A geometric query has no defined answer (coincident points, etc.)."""
 
 
+def _integer(value: Any, name: str) -> int:
+    """value if it is an integer, a numpy one too, and never a bool or a
+    float, even an integral one. The config dataclasses check their int
+    fields with it, and so does the YAML loader."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle in radians to the interval (-pi, pi]."""
     return -((-angle + math.pi) % (2.0 * math.pi)) + math.pi
@@ -91,6 +100,17 @@ class Trajectory:
         f = (t - t0) / (t1 - t0)
         return Position(p0.x + f * (p1.x - p0.x), p0.y + f * (p1.y - p0.y))
 
+    def positions_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y arrays of position_at at each of the times t, by its
+        arithmetic, so bit for bit, without a Position per time."""
+        t = np.asarray(t, dtype=float)
+        (t0, p0), (t1, p1) = self.waypoints[0], self.waypoints[-1]
+        if len(self.waypoints) == 1:
+            return np.full(t.shape, p0.x), np.full(t.shape, p0.y)
+        f = (t - t0) / (t1 - t0)
+        return tuple(np.where(t <= t0, a, np.where(t >= t1, b, a + f * (b - a)))
+                     for a, b in ((p0.x, p1.x), (p0.y, p1.y)))
+
 
 @dataclass(frozen=True)
 class ApConfig:
@@ -114,6 +134,8 @@ class ApConfig:
     preamble_id: int = 1
 
     def __post_init__(self) -> None:
+        _integer(self.antenna_count, "antenna_count")
+        _integer(self.preamble_id, "preamble_id")
         if not 2 <= self.antenna_count <= 8:
             raise ConfigError(f"antenna_count must be in [2, 8], got {self.antenna_count}")
         if not 0.0 < self.spacing_wavelengths <= 0.5:
@@ -164,6 +186,7 @@ class ChannelConfig:
     nlos_redraw_distance_m: float = 1.0
 
     def __post_init__(self) -> None:
+        _integer(self.nlos_path_count, "nlos_path_count")
         if not 0 <= self.nlos_path_count <= 16:
             raise ConfigError("nlos_path_count must be in [0, 16]")
         if not 0.0 <= self.multipath_ratio <= 2.0:
@@ -215,9 +238,10 @@ class DetectorConfig:
 
     def response_volts(self, power_dbm: np.ndarray | float) -> np.ndarray:
         """Map input power (dBm) to output volts, clipping below the floor."""
-        p = np.maximum(np.asarray(power_dbm, dtype=float), self.sensitivity_floor_dbm)
-        if self.response_model == "square_law":
-            return 10.0 ** (p / 10.0)
+        p = np.asarray(power_dbm, dtype=float)
+        p = np.maximum(p, self.sensitivity_floor_dbm, out=np.empty_like(p))
+        if self.response_model == "square_law":  # in place: p is a fresh array
+            return np.power(10.0, np.divide(p, 10.0, out=p), out=p)
         dbm = np.array([q for q, _ in self.response_table])
         volts = np.array([v for _, v in self.response_table])
         return np.interp(p, dbm, volts)
@@ -252,6 +276,7 @@ class Scenario:
             raise ConfigError(f"sweep_mode must be one of {SWEEP_MODES}")
         if not 0.0 <= self.smoothing < 1.0:
             raise ConfigError("smoothing must be in [0, 1)")
+        _integer(self.seed, "seed")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if len(self.aps) >= 2:
@@ -285,8 +310,15 @@ class Scenario:
 
 def true_bearing(ap: ApConfig, pos: Position) -> float:
     """Bearing of pos as seen from the AP, relative to boresight, in (-pi, pi]."""
-    dx = pos.x - ap.position.x
-    dy = pos.y - ap.position.y
+    return _bearing(ap, pos.x, pos.y)
+
+
+def _bearing(ap: ApConfig, x: float, y: float) -> float:
+    """true_bearing of the point (x, y), for callers that hold coordinates
+    rather than a Position. math.atan2, not np.arctan2: the two differ in
+    the last bit on some numpy builds."""
+    dx = x - ap.position.x
+    dy = y - ap.position.y
     if dx == 0.0 and dy == 0.0:
         raise GeometryError("bearing undefined: target coincides with the AP")
     return wrap_angle(math.atan2(dy, dx) - ap.boresight_rad)
@@ -347,12 +379,6 @@ def _plain(value: Any) -> Any:
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
-    return value
-
-
-def _integer(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
 
 

@@ -1,6 +1,8 @@
 """Array response, multipath draws, field synthesis, noise, motion."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -387,3 +389,73 @@ def test_apply_doppler_checks_geometry_in_every_slot():
     for doppler in (False, True):
         with pytest.raises(GeometryError):
             propagate(sched, ps, reaches, 4000.0, t0_s=starts, doppler=doppler)
+
+
+def _moving_cases():
+    """Two propagate calls of different shapes: three slots with a draw
+    each and Doppler, and one slot of another AP with one draw, static."""
+    rng = trial_rng(8, "reuse")
+    traj = Trajectory.line(Position(12.0, 3.0), heading_rad=0.7,
+                           speed_mps=9.1, duration_s=0.4)
+    three = (build_sweep_schedule(AP), draw_multipath(
+        ChannelConfig(multipath_ratio=0.6), rng, np.array([0.2, 0.2, 0.3])),
+        traj, 4000.0, np.array([0.0, 0.1, 0.2]), True)
+    other_ap = replace(AP, antenna_count=6, boresight_rad=0.4)
+    one = (build_sweep_schedule(other_ap, "uniform-theta"), draw_multipath(
+        ChannelConfig(nlos_path_count=5, multipath_ratio=0.9), rng, -0.3),
+        Position(-8.0, 20.0), 4000.0, 0.05, False)
+    return three, one
+
+
+def test_propagate_results_survive_later_calls():
+    """propagate keeps its intermediates in buffers that live from call to
+    call; what it returns is never one of them. A result (and an out
+    array) keeps its bytes through later calls with other inputs and
+    other shapes, and equals a fresh call's."""
+    three, one = _moving_cases()
+    first = propagate(*three[:4], t0_s=three[4], doppler=three[5])
+    kept = first.samples.tobytes()
+    capture = np.zeros((3, 2, 200), dtype=complex)  # slots x APs x samples
+    into = propagate(*three[:4], t0_s=three[4], doppler=three[5], out=capture[:, 1])
+    assert into.samples.base is capture
+    assert capture[:, 1].tobytes() == kept and not capture[:, 0].any()
+    second = propagate(*one[:4], t0_s=one[4], doppler=one[5])
+    assert second.samples.shape == (200,)
+    propagate(*three[:4], t0_s=three[4], doppler=False)
+    assert first.samples.tobytes() == kept
+    assert capture[:, 1].tobytes() == kept
+    again = propagate(*one[:4], t0_s=one[4], doppler=one[5])
+    assert again.samples.tobytes() == second.samples.tobytes()
+    assert not np.shares_memory(again.samples, second.samples)
+
+
+def test_propagate_in_threads_gives_the_serial_bytes():
+    """Each thread has its own buffers: four threads (more than this
+    suite's two cores) calling propagate at once, each alternating two
+    shapes, with the interpreter switching threads every microsecond, get
+    the bytes of serial calls every time."""
+    cases = _moving_cases()
+    serial = [propagate(*c[:4], t0_s=c[4], doppler=c[5]).samples.tobytes()
+              for c in cases]
+    start = threading.Barrier(4)
+    same = [[] for _ in range(4)]  # a thread that raises leaves its list short
+
+    def run(k):
+        start.wait()
+        for i in range(20):
+            c = (i + k) % 2
+            got = propagate(*cases[c][:4], t0_s=cases[c][4], doppler=cases[c][5])
+            same[k].append(got.samples.tobytes() == serial[c])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert same == [[True] * 20] * 4

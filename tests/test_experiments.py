@@ -190,3 +190,12 @@ def test_cli_errors(tmp_path):
                  "--out", out]) in (1, 2)
     # invalid trials -> config error
     assert main(["run", "farm_cdf", "--trials", "0", "--out", out]) == 2
+
+
+def test_speed_sweep_deterministic_across_workers():
+    """The track path keeps per-thread synthesis buffers; each worker
+    process has its own, and the CSV bytes do not depend on the count."""
+    texts = [render_csv(run_experiment(ExperimentSpec(
+        "speed_sweep", farm_scenario(seed=5), trials=2, workers=w)))
+        for w in (1, 2)]
+    assert texts[0] == texts[1]

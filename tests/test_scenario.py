@@ -179,6 +179,23 @@ def test_trajectory_is_one_segment():
         Trajectory(())
 
 
+def test_positions_at_equal_position_at_bitwise():
+    """The array positions (speed_sweep's truth, capture_track's round
+    origins) are position_at's, bit for bit: before the start, on the
+    segment, at both ends and after the stop, and standing still."""
+    rng = trial_rng(2, "positions")
+    # 12.3 + 1.0 * (-7.1 - 12.3) is not -7.1, nor 0.7 + (-2.9 - 0.7) -2.9:
+    # a clamped fraction instead of the end points would show
+    line = Trajectory(((0.3, Position(12.3, 0.7)), (4.1, Position(-7.1, -2.9))))
+    t = np.concatenate([[0.3, 4.1, -1.0, 9.0, 0.3 + 1e-15, 4.1 - 1e-15],
+                        rng.uniform(0.0, 4.5, 500)])
+    for traj in (line, Trajectory.stationary(Position(3.0, -0.0))):
+        xs, ys = traj.positions_at(t)
+        want = [traj.position_at(v) for v in t.tolist()]
+        assert xs.tobytes() == np.array([p.x for p in want]).tobytes()
+        assert ys.tobytes() == np.array([p.y for p in want]).tobytes()
+
+
 def test_trial_rng_reproducible_and_key_sensitive():
     a = trial_rng(7, "exp", 3).uniform(size=4)
     b = trial_rng(7, "exp", 3).uniform(size=4)
@@ -535,3 +552,36 @@ def test_sample_counts_that_overflow_are_config_errors(build):
     """A count that overflows to infinity raised OverflowError from round()."""
     with pytest.raises(ConfigError):
         build()
+
+
+_FARM = farm_scenario(seed=3)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: replace(_FARM.aps[0], antenna_count=4.5), id="antennas-4.5"),
+    pytest.param(lambda: replace(_FARM.aps[0], antenna_count=4.0), id="antennas-4.0"),
+    pytest.param(lambda: replace(_FARM.aps[0], antenna_count=True), id="antennas-true"),
+    pytest.param(lambda: replace(_FARM.aps[0], preamble_id=1.0), id="preamble-1.0"),
+    pytest.param(lambda: replace(_FARM.channel, nlos_path_count=2.0), id="paths-2.0"),
+    pytest.param(lambda: replace(_FARM.channel, nlos_path_count=False),
+                 id="paths-false"),
+    pytest.param(lambda: replace(_FARM, seed=1.5), id="seed-1.5"),
+    pytest.param(lambda: replace(_FARM, seed=True), id="seed-true"),
+    pytest.param(lambda: replace(_FARM, seed=np.float64(2.0)), id="seed-np-float"),
+])
+def test_config_int_fields_refuse_other_types(build):
+    """An int field of a config dataclass takes an integer only, however
+    the config is built: a float in range passed the range check and
+    failed with a TypeError deep in the pipeline, and a bool passed as 0
+    or 1."""
+    with pytest.raises(ConfigError, match="must be an integer"):
+        build()
+
+
+def test_config_int_fields_accept_numpy_integers():
+    ap = replace(_FARM.aps[0], antenna_count=np.int64(5), preamble_id=np.int32(1))
+    channel = replace(_FARM.channel, nlos_path_count=np.uint8(2))
+    scn = replace(_FARM, aps=(ap, _FARM.aps[1]), channel=channel,
+                  seed=np.uint64(2 ** 64 - 1))
+    assert (scn.aps[0].antenna_count, scn.channel.nlos_path_count) == (5, 2)
+    assert scn.seed == 2 ** 64 - 1
