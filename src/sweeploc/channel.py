@@ -185,9 +185,8 @@ def _reflected(paths: PathSet, ap: ApConfig,
 
 
 def sweep_response(paths: PathSet, los_sine: np.ndarray,
-                   ap: ApConfig, drive: np.ndarray, sum_paths: bool = False,
-                   each: Callable | None = None):
-    """Complex field of the paths under each drive column.
+                   ap: ApConfig, drive: np.ndarray, each: Callable | None = None):
+    """Complex field of the paths, summed, under each drive column.
 
     Path k's steering vector over antennas i is w_k * exp(j*i*phi_k), with
     phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*exp(j*psi_k).
@@ -195,26 +194,21 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
     on a sweep row, exp(-j*i*inc), that gives the array-manifold sum
     w_k * sum_i exp(j*i*(phi_k - inc)) (Van Trees, Optimum Array
     Processing, ch. 2). The LOS path takes sin(b_0) = los_sine, never the
-    stored nominal bearing: propagate works the sine out from geometry.
+    stored nominal bearing.
 
-    Leading axes of paths (trials) broadcast against the LOS sine's.
-    sum_paths adds the weighted steering vectors first, in path order, into
-    one field per column (contracted by phased_sum with each). Otherwise it
-    returns the LOS field and the reflected paths' fields (... x paths x
-    columns), from the kernels propagate uses per sample.
+    Leading axes of paths (trials) broadcast against the LOS sine's. The
+    weighted steering vectors are added first, in path order, into one
+    field per column, which phased_sum contracts with each. propagate
+    works per sample from the same steering arithmetic (_los_field,
+    _reflected).
     """
-    if sum_paths:
-        los_weight, los = _steering(paths, slice(0, 1),
-                                    np.expand_dims(los_sine, -2), ap)
-        weight, factors = _steering(paths, slice(1, None),
-                                    np.sin(paths.bearings_rad[..., 1:, None]), ap)
-        total = (los_weight * los)[..., 0, :]
-        for k in range(weight.shape[-2]):
-            total = total + weight[..., k, :] * factors[..., k, :]
-        return phased_sum(total, drive, each)
-    fields, draw = _reflected(paths, ap, drive)
-    return (_los_field(paths, np.asarray(los_sine), ap, drive, None),
-            fields if draw is None else fields[draw])
+    los_weight, los = _steering(paths, slice(0, 1), np.expand_dims(los_sine, -2), ap)
+    weight, factors = _steering(paths, slice(1, None),
+                                np.sin(paths.bearings_rad[..., 1:, None]), ap)
+    total = (los_weight * los)[..., 0, :]
+    for k in range(weight.shape[-2]):
+        total = total + weight[..., k, :] * factors[..., k, :]
+    return phased_sum(total, drive, each)
 
 
 @dataclass(frozen=True)

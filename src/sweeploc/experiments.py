@@ -30,7 +30,7 @@ from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
 from .receiver import (LookupTable, Receiver, estimate_angle, find_preamble,
                        period_samples)
 from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
-                       _bearing, scenario_digest, trial_rng)
+                       scenario_digest, trial_rng, true_bearing_xy)
 from .transmitter import cached_schedule
 
 GRID_CHUNK = 1024
@@ -379,7 +379,7 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
         for which, x, y, raw, smoothed in zip(
                 np.nonzero(found)[1].tolist(), xs.tolist(), ys.tolist(),
                 scan.raw_rad[found].tolist(), scan.smoothed_rad[found].tolist()):
-            truth = _bearing(scn_t.aps[which], x, y)
+            truth = true_bearing_xy(scn_t.aps[which], x, y)
             raw_sum += abs(math.degrees(raw - truth))
             smooth_sum += abs(math.degrees(smoothed - truth))
             tracked += 1

@@ -21,7 +21,7 @@ from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, detector_noise, envelope_detect,
                        period_samples, step_estimate_angles)
 from .scenario import (ApConfig, DetectorConfig, Position, Scenario,
-                       Trajectory, _bearing, true_bearing)
+                       Trajectory, true_bearing, true_bearing_xy)
 from .transmitter import cached_schedule
 
 
@@ -122,7 +122,8 @@ def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
         noises += [draw_noise(scn, m * n, rng) for m in runs]
     draw_of_round = np.repeat(np.arange(len(firsts)), spans)
     u = np.stack(uniforms)[draw_of_round]
-    los = np.array([[_bearing(ap, xs[r], ys[r]) for ap in scn.aps] for r in firsts])
+    los = np.array([[true_bearing_xy(ap, xs[r], ys[r]) for ap in scn.aps]
+                    for r in firsts])
     los = los[draw_of_round]
     per_ap = [map_multipath(scn.channel, u[:, k], los[:, k]) for k in range(len(scn.aps))]
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
@@ -148,7 +149,7 @@ def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
     """
     los = np.asarray(los_bearings, dtype=float)
     drive = cached_schedule(ap, mode).drive[:, -ap.sweep_step_count:]
-    winners = sweep_response(paths, np.sin(los)[:, None], ap, drive, sum_paths=True,
+    winners = sweep_response(paths, np.sin(los)[:, None], ap, drive,
                              each=lambda field: np.argmax(np.abs(field), axis=-1))
     return step_estimate_angles(ap, mode, sample_rate_hz)[winners]
 

@@ -92,17 +92,12 @@ class Trajectory:
         return cls(((0.0, start), (duration_s, end)))
 
     def position_at(self, t: float) -> Position:
-        (t0, p0), (t1, p1) = self.waypoints[0], self.waypoints[-1]
-        if t <= t0 or len(self.waypoints) == 1:
-            return p0
-        if t >= t1:
-            return p1
-        f = (t - t0) / (t1 - t0)
-        return Position(p0.x + f * (p1.x - p0.x), p0.y + f * (p1.y - p0.y))
+        return Position(*(float(v) for v in self.positions_at(t)))
 
     def positions_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y arrays of position_at at each of the times t, by its
-        arithmetic, so bit for bit, without a Position per time."""
+        """The x and y arrays of the position at each of the times t:
+        p0 + f*(p1 - p0) on the segment, f = (t - t0)/(t1 - t0), and the end
+        points outside it."""
         t = np.asarray(t, dtype=float)
         (t0, p0), (t1, p1) = self.waypoints[0], self.waypoints[-1]
         if len(self.waypoints) == 1:
@@ -310,10 +305,10 @@ class Scenario:
 
 def true_bearing(ap: ApConfig, pos: Position) -> float:
     """Bearing of pos as seen from the AP, relative to boresight, in (-pi, pi]."""
-    return _bearing(ap, pos.x, pos.y)
+    return true_bearing_xy(ap, pos.x, pos.y)
 
 
-def _bearing(ap: ApConfig, x: float, y: float) -> float:
+def true_bearing_xy(ap: ApConfig, x: float, y: float) -> float:
     """true_bearing of the point (x, y), for callers that hold coordinates
     rather than a Position. math.atan2, not np.arctan2: the two differ in
     the last bit on some numpy builds."""

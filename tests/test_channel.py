@@ -12,6 +12,8 @@ from sweeploc.channel import (
     PathSet,
     complex_noise,
     draw_multipath,
+    _los_field,
+    _reflected,
     propagate,
     sweep_response,
 )
@@ -48,7 +50,7 @@ def kernel_sum(x, n):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ap = replace(AP, antenna_count=n)
     return sweep_response(PathSet([1.0], [0.0], [0.0]), np.zeros(len(x)), ap,
-                          drive_for(-x, n))[0]
+                          drive_for(-x, n))
 
 
 def test_phased_sum_two_element_closed_form():
@@ -78,10 +80,10 @@ def test_phased_sum_peak_and_wraparound():
 def test_sweep_response_weights_paths_at_any_spacing(spacing):
     """Trials x paths at a spacing other than half a wavelength: each
     path's field is a*exp(j*psi) times the array sum at its own
-    2*pi*spacing*sin(b) - inc, the LOS path at the given bearing, and
-    sum_paths gives their sum. The running sum after antenna m is that
-    sum over the first m antennas, and, bit for bit, the sum_paths field
-    of an m-antenna array."""
+    2*pi*spacing*sin(b) - inc, the LOS path at the given bearing (the
+    per-path kernels propagate uses), and sweep_response gives their sum.
+    The running sum after antenna m is that sum over the first m antennas,
+    and, bit for bit, the sweep_response field of an m-antenna array."""
     rng = trial_rng(4, "kernel", spacing)
     n, trials, paths_per_trial = 5, 16, 4
     ap = replace(AP, antenna_count=n, spacing_wavelengths=spacing)
@@ -95,16 +97,15 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     x = 2 * math.pi * spacing * np.sin(bearings)[..., None] - inc
     weight = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad))[..., None]
     oracle = weight * brute_sum(x, n)
-    los_field, reflected = sweep_response(paths, np.sin(los)[:, None], ap,
-                                          drive_for(inc, n))
-    per_path = np.concatenate([los_field[:, None], reflected], axis=1)
-    summed = sweep_response(paths, np.sin(los)[:, None], ap, drive_for(inc, n),
-                            sum_paths=True)
+    los_field = _los_field(paths, np.sin(los)[:, None], ap, drive_for(inc, n), None)
+    fields, draw = _reflected(paths, ap, drive_for(inc, n))
+    per_path = np.concatenate([los_field[:, None], fields[draw]], axis=1)
+    summed = sweep_response(paths, np.sin(los)[:, None], ap, drive_for(inc, n))
     assert per_path.shape == (trials, paths_per_trial, len(inc))
     assert np.max(np.abs(per_path - oracle)) < 1e-12
     assert np.max(np.abs(summed - oracle.sum(axis=1))) < 1e-12
     prefixes = sweep_response(paths, np.sin(los)[:, None], ap, drive_for(inc, n),
-                              sum_paths=True, each=np.copy)
+                              each=np.copy)
     assert prefixes.shape == (n, trials, len(inc))
     assert prefixes[-1].tobytes() == summed.tobytes()
     for m in range(1, n + 1):
@@ -113,7 +114,7 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
         if m >= 2:  # an ApConfig has at least two antennas
             alone = sweep_response(paths, np.sin(los)[:, None],
                                    replace(ap, antenna_count=m),
-                                   drive_for(inc, m), sum_paths=True)
+                                   drive_for(inc, m))
             assert prefixes[m - 1].tobytes() == alone.tobytes()
 
 
@@ -147,9 +148,9 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     want = [total[:, 0, None] * drive[0]]
     for i in range(1, n):
         want.append(want[-1] + total[:, i, None] * drive[i])
-    got = sweep_response(paths, np.sin(los), ap, drive, sum_paths=True)
+    got = sweep_response(paths, np.sin(los), ap, drive)
     assert got.tobytes() == want[-1].tobytes()
-    each = sweep_response(paths, np.sin(los), ap, drive, sum_paths=True, each=np.copy)
+    each = sweep_response(paths, np.sin(los), ap, drive, each=np.copy)
     assert each.tobytes() == np.stack(want).tobytes()
 
 

@@ -181,19 +181,32 @@ def test_trajectory_is_one_segment():
 
 def test_positions_at_equal_position_at_bitwise():
     """The array positions (speed_sweep's truth, capture_track's round
-    origins) are position_at's, bit for bit: before the start, on the
-    segment, at both ends and after the stop, and standing still."""
+    origins) and position_at's are the segment arithmetic p0 + f*(p1 - p0)
+    worked out one time at a time in Python floats, bit for bit: before
+    the start, on the segment, at both ends and after the stop, and
+    standing still."""
     rng = trial_rng(2, "positions")
     # 12.3 + 1.0 * (-7.1 - 12.3) is not -7.1, nor 0.7 + (-2.9 - 0.7) -2.9:
     # a clamped fraction instead of the end points would show
     line = Trajectory(((0.3, Position(12.3, 0.7)), (4.1, Position(-7.1, -2.9))))
     t = np.concatenate([[0.3, 4.1, -1.0, 9.0, 0.3 + 1e-15, 4.1 - 1e-15],
                         rng.uniform(0.0, 4.5, 500)])
+    def segment(traj, v):
+        (t0, p0), (t1, p1) = traj.waypoints[0], traj.waypoints[-1]
+        if v <= t0 or len(traj.waypoints) == 1:
+            return p0.x, p0.y
+        if v >= t1:
+            return p1.x, p1.y
+        f = (v - t0) / (t1 - t0)
+        return p0.x + f * (p1.x - p0.x), p0.y + f * (p1.y - p0.y)
+
     for traj in (line, Trajectory.stationary(Position(3.0, -0.0))):
+        want = np.array([segment(traj, v) for v in t.tolist()])
         xs, ys = traj.positions_at(t)
-        want = [traj.position_at(v) for v in t.tolist()]
-        assert xs.tobytes() == np.array([p.x for p in want]).tobytes()
-        assert ys.tobytes() == np.array([p.y for p in want]).tobytes()
+        assert xs.tobytes() == want[:, 0].tobytes()
+        assert ys.tobytes() == want[:, 1].tobytes()
+        one_by_one = [traj.position_at(v) for v in t.tolist()]
+        assert np.array([(p.x, p.y) for p in one_by_one]).tobytes() == want.tobytes()
 
 
 def test_trial_rng_reproducible_and_key_sensitive():
