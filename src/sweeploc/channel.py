@@ -20,23 +20,6 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
 from .transmitter import SweepSchedule
 
 
-def phased_sum(x: np.ndarray, drive: np.ndarray, each: Callable | None = None):
-    """sum_i x[i] * drive[i] of antenna-major steering vectors x (N x ...
-    x rows) and an N x rows drive (x's last axis may broadcast at size 1),
-    added in antenna order in one buffer: after antenna n it holds an
-    n-antenna array's sum, bit for bit. each, if given, is called on it
-    after every antenna; its results come back stacked in place of the sum."""
-    shape = np.broadcast_shapes(x.shape[1:], drive.shape[1:])
-    # one allocation: as two, their pages went back to the OS on every call
-    total, term = np.zeros((2,) + shape, dtype=complex)
-    kept = []
-    for xi, di in zip(x, drive):
-        total += np.multiply(xi, di, out=term)
-        if each is not None:
-            kept.append(each(total))
-    return total if each is None else np.stack(kept)
-
-
 @dataclass(frozen=True, eq=False)
 class PathSet:
     """Propagation paths of one or more channel draws, as arrays.
@@ -107,17 +90,27 @@ _SCRATCH = threading.local()
 
 
 def _scratch(role: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
-    """This thread's buffer for one role in propagate's synthesis, kept
-    from call to call and reallocated only when the shape changes.
-    Allocated afresh, these temporaries went back to the OS after every
-    call and were faulted in again on the next, about a third of a track
-    trial's time. No scratch buffer leaves this module: what a function
-    here returns is its out argument or a fresh array."""
+    """This thread's buffer for one role, kept from call to call and
+    reallocated only when a call needs more room than any before. Allocated
+    afresh, temporaries went back to the OS after every call and were
+    faulted in again on the next, a third of a track trial's time. No
+    scratch buffer leaves this module: a function here returns its out
+    argument or a fresh array."""
+    count = math.prod(shape)
     buf = getattr(_SCRATCH, role, None)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = np.empty(shape, dtype)
+    if buf is None or buf.size < count or buf.dtype != dtype:
+        buf = np.empty(count, dtype)
         setattr(_SCRATCH, role, buf)
-    return buf
+    return buf[:count].reshape(shape)
+
+
+def _phasors(sine: np.ndarray, ap: ApConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(j*phi), phi = 2*pi*spacing*sine: antenna i's factor in the
+    steering vector of a path whose bearing has this sine is its i-th power."""
+    phase = np.multiply(2.0 * math.pi * ap.spacing_wavelengths, sine,
+                        out=_scratch("phase", np.shape(sine)))
+    phasor = np.multiply(1j, phase, out=out)
+    return np.exp(phasor, out=phasor)
 
 
 def _weights(paths: PathSet, ks: slice) -> np.ndarray:
@@ -126,62 +119,63 @@ def _weights(paths: PathSet, ks: slice) -> np.ndarray:
             * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
 
 
-def _steering(paths: PathSet, ks: slice, sine: np.ndarray,
-              ap: ApConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Steering vectors of paths[ks] as weights (... x paths x 1) times
-    antenna factors (antennas x ... x paths x rows), from the sine of each
-    path's bearing (broadcasting against ... x paths x rows). Antenna i's
-    factor is the i-th power of exp(j*phi), by successive products: one
-    complex exponential per path and row, not one per antenna."""
-    phasor = np.exp(1j * (2.0 * math.pi * ap.spacing_wavelengths * sine))
-    weight = _weights(paths, ks)
-    factors = np.empty((ap.antenna_count,) + (1,) * (weight.ndim - phasor.ndim)
-                       + phasor.shape, dtype=complex)  # antennas before every axis
-    factors[0], factors[1] = 1.0, phasor
-    for i in range(2, ap.antenna_count):
-        np.multiply(factors[i - 1], phasor, out=factors[i])
-    return weight, factors
-
-
-def _los_field(paths: PathSet, sine: np.ndarray, ap: ApConfig,
-               per_row: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """The LOS path's field under each drive column of per_row: its weight
-    times sum_i phasor**i * per_row[i], phasor = exp(j*phi) from the LOS
-    sine. Antenna i's factor is one running product, never an antennas x
-    rows array; the products and sums are phased_sum's over _steering's
-    factors, in the same order, so the bits are theirs."""
-    shape = np.broadcast_shapes(sine.shape, per_row.shape[1:])
-    phase = np.multiply(2.0 * math.pi * ap.spacing_wavelengths, sine,
-                        out=_scratch("los_phase", sine.shape))
-    phasor = np.multiply(1j, phase, out=_scratch("los_phasor", sine.shape, complex))
-    np.exp(phasor, out=phasor)
-    factor = _scratch("los_factor", sine.shape, complex)
-    total = _scratch("los_total", shape, complex)
-    term = _scratch("los_term", shape, complex)
-    factor.fill(1.0)
+def phased_sum(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
+               each: Callable | None = None, out: np.ndarray | None = None):
+    """sum_i drive[i] * sum_k weight[k] * x[k]**i: the field of paths with
+    phasors x (... x paths x columns, _phasors) and weights a*exp(j*psi)
+    (... x paths x 1) under each column of an antennas x columns drive.
+    Every other axis broadcasts. At antenna i the paths' steering vectors
+    are added in path order, then multiplied by drive row i and added in
+    antenna order into one buffer: after antenna n it holds an n-antenna
+    array's sum, bit for bit. Antenna i's factor x**i is a running product
+    in a scratch buffer: one complex exponential per path and column, not
+    one per antenna. The sum is written into out or a fresh array; each,
+    if given, is called on it after every antenna, and its results come
+    back stacked in place of the sum."""
+    path_shape = np.broadcast_shapes(x.shape, weight.shape)
+    summed_shape = path_shape[:-2] + path_shape[-1:]
+    shape = np.broadcast_shapes(summed_shape, drive.shape[1:])
+    # this antenna's factor and the last one's: numpy rounds an in-place
+    # complex product of one element without the fused multiply-add
+    factors = _scratch("antenna_factors", (2,) + x.shape, complex)
+    steering = _scratch("steering", path_shape, complex)
+    summed = _scratch("steering_sum", summed_shape, complex)
+    term = _scratch("antenna_term", shape, complex)
+    total = np.empty(shape, complex) if out is None else out
     total.fill(0.0)
-    for i, drive in enumerate(per_row):
-        if i == 1:
-            np.copyto(factor, phasor)
-        elif i > 1:
-            np.multiply(factor, phasor, out=factor)
-        total += np.multiply(factor, drive, out=term)
-    return np.multiply(total, _weights(paths, slice(0, 1))[..., 0, :], out=out)
+    kept = []
+    for i, di in enumerate(drive):
+        factor = factors[i % 2]
+        if i == 0:
+            factor.fill(1.0)
+        elif i == 1:
+            np.copyto(factor, x)
+        else:
+            np.multiply(factors[1 - i % 2], x, out=factor)
+        np.multiply(weight, factor, out=steering)
+        steer = steering[..., 0, :]
+        for k in range(1, path_shape[-2]):
+            steer = np.add(steer, steering[..., k, :], out=summed)
+        total += np.multiply(steer, di, out=term)
+        if each is not None:
+            kept.append(each(total))
+    return total if each is None else np.stack(kept)
 
 
 def _reflected(paths: PathSet, ap: ApConfig,
                drive: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The reflected paths' fields per drive column (... x paths x
-    columns), and, for a draw per slot on a leading axis, the index into
-    them of each slot's draw: equal draws on successive slots (rounds
-    between redraws) are contracted once. The index is None otherwise."""
-    weight, factors = _steering(paths, slice(1, None),
-                                np.sin(paths.bearings_rad[..., 1:, None]), ap)
-    steer = weight * factors
-    if steer.ndim < 4:
-        return phased_sum(steer, drive), None
-    new = np.append(True, np.any(steer[:, 1:] != steer[:, :-1], axis=(0, 2, 3)))
-    return phased_sum(steer[:, new], drive), np.cumsum(new) - 1
+    columns), each path's apart: phased_sum sums a size-1 paths axis. For
+    a draw per slot on a leading axis, also the index into them of each
+    slot's draw: equal draws on successive slots (rounds between redraws)
+    are contracted once. The index is None otherwise."""
+    x = _phasors(np.sin(paths.bearings_rad[..., 1:, None, None]), ap)
+    weight = _weights(paths, slice(1, None))[..., None]
+    if x.ndim < 4:
+        return phased_sum(x, weight, drive), None
+    new = np.append(True, np.any((x[1:] != x[:-1]) | (weight[1:] != weight[:-1]),
+                                 axis=(1, 2, 3)))
+    return phased_sum(x[new], weight[new], drive), np.cumsum(new) - 1
 
 
 def sweep_response(paths: PathSet, los_sine: np.ndarray,
@@ -196,19 +190,13 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
     Processing, ch. 2). The LOS path takes sin(b_0) = los_sine, never the
     stored nominal bearing.
 
-    Leading axes of paths (trials) broadcast against the LOS sine's. The
-    weighted steering vectors are added first, in path order, into one
-    field per column, which phased_sum contracts with each. propagate
-    works per sample from the same steering arithmetic (_los_field,
-    _reflected).
+    Leading axes of paths (trials) broadcast against the LOS sine's. All
+    paths go on phased_sum's paths axis, summed before the contraction.
     """
-    los_weight, los = _steering(paths, slice(0, 1), np.expand_dims(los_sine, -2), ap)
-    weight, factors = _steering(paths, slice(1, None),
-                                np.sin(paths.bearings_rad[..., 1:, None]), ap)
-    total = (los_weight * los)[..., 0, :]
-    for k in range(weight.shape[-2]):
-        total = total + weight[..., k, :] * factors[..., k, :]
-    return phased_sum(total, drive, each)
+    is_los = np.arange(paths.amplitudes.shape[-1])[:, None] == 0
+    sine = np.where(is_los, np.expand_dims(los_sine, -2),
+                    np.sin(paths.bearings_rad[..., None]))
+    return phased_sum(_phasors(sine, ap), _weights(paths, slice(None)), drive, each)
 
 
 @dataclass(frozen=True)
@@ -241,11 +229,11 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     schedule row active at its time within its slot. The LOS sine
     (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
     10**(P/20) * lambda / (4*pi*dist) follow the receiver in closed form.
-    The reflected paths are added per schedule row and gathered once, or,
-    with doppler set and a moving receiver, gathered and rotated by
-    apply_doppler. Every per-sample intermediate lives in this thread's
-    scratch buffers (_scratch). Raises GeometryError if the receiver
-    reaches the AP in any slot.
+    phased_sum gives the LOS field per sample and the reflected paths' per
+    schedule row, added and gathered once, or, with doppler set and a
+    moving receiver, gathered and rotated by apply_doppler. Every
+    per-sample intermediate lives in this thread's scratch buffers
+    (_scratch). Raises GeometryError if the receiver reaches the AP.
     """
     ap = schedule.ap
     waypoints = where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)
@@ -274,8 +262,9 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     np.divide(10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m, amp, out=amp)
 
     field_shape = np.broadcast_shapes(shape, paths.amplitudes.shape[:-1] + (1,))
-    los = _los_field(paths, los_sine, ap, schedule.drive[:, row],
-                     _scratch("los", field_shape, complex))
+    phasor = _phasors(los_sine, ap, _scratch("los_phasor", shape, complex))
+    los = phased_sum(phasor[..., None, :], _weights(paths, slice(0, 1)),
+                     schedule.drive[:, row], out=_scratch("los", field_shape, complex))
     reflected, draw = _reflected(paths, ap, schedule.drive)
     if doppler and len(waypoints) > 1:
         field = apply_doppler(los, reflected, draw, row, paths.bearings_rad, ap,

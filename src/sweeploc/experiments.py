@@ -296,10 +296,18 @@ def cached_table(ap1: ApConfig, ap2: ApConfig) -> LookupTable:
     return table
 
 
+def _check_field(scn: Scenario, margin_m: float, what: str) -> None:
+    """Refuse, before any trial, a scenario with fewer than two APs or a
+    field without room for a receiver margin_m inside every edge."""
+    if len(scn.aps) < 2:
+        raise ConfigError(f"{what} needs two APs, not {len(scn.aps)}")
+    if scn.field_extent_m is None or min(scn.field_extent_m) < 2.0 * margin_m:
+        raise ConfigError(f"{what} needs a field extent of at least "
+                          f"{2.0 * margin_m:g} m on each side")
+
+
 def _farm_chunk(task) -> tuple[list[tuple], int]:
     scn, lo, hi = task
-    if scn.field_extent_m is None:
-        raise ConfigError("farm experiment needs a field extent")
     width, height = scn.field_extent_m
     table = cached_table(scn.aps[0], scn.aps[1])
     rows: list[tuple] = []
@@ -322,6 +330,7 @@ def farm_cdf(spec: ExperimentSpec) -> ResultTable:
     """Full-pipeline 2D fix error over random field positions; rows come
     out sorted by error with an empirical CDF column."""
     scn = spec.scenario
+    _check_field(scn, FARM_MARGIN_M, "farm experiment")
     trials = spec.trials or 1000
     tasks = [(scn, lo, hi) for _, lo, hi in _chunks(trials, GRID_CHUNK)]
     results = _map_ordered(_farm_chunk, tasks, spec.workers)
@@ -354,8 +363,6 @@ SPEED_RATIO = 0.4
 
 def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
     scn, s_idx, lo, hi = task
-    if scn.field_extent_m is None:
-        raise ConfigError("speed experiment needs a field extent")
     width, height = scn.field_extent_m
     speed = SPEED_POINTS_MPS[s_idx]
     scn_t = replace(scn, channel=replace(scn.channel, doppler_enabled=True,
@@ -390,6 +397,7 @@ def speed_sweep(spec: ExperimentSpec) -> ResultTable:
     """Tracking error while the receiver moves, with Doppler and periodic
     path redraws, across platform speeds."""
     scn = spec.scenario
+    _check_field(scn, SPEED_MARGIN_M, "speed experiment")
     trials = spec.trials or 30
     tasks = [(scn, s_idx, lo, hi)
              for s_idx in range(len(SPEED_POINTS_MPS))

@@ -218,6 +218,8 @@ class DetectorConfig:
             raise ConfigError("sensitivity_floor_dbm must be finite")
         if self.response_model not in ("square_law", "table"):
             raise ConfigError("response_model must be 'square_law' or 'table'")
+        if self.response_model == "square_law" and self.response_table is not None:
+            raise ConfigError("response_table needs response_model 'table'")
         if self.response_model == "table":
             t = self.response_table
             if not t or len(t) < 2:
@@ -282,8 +284,8 @@ class Scenario:
                 raise ConfigError("all APs must share one sweep period for TDMA")
         if self.field_extent_m is not None:
             w, h = self.field_extent_m
-            if not (w > 0 and h > 0):
-                raise ConfigError("field_extent_m must be positive")
+            if not (0 < w < math.inf and 0 < h < math.inf):
+                raise ConfigError("field_extent_m must be finite and positive")
         fs = self.detector.sample_rate_hz
         for ap in self.aps:
             # First, so the counts below are finite and round() can take them.

@@ -12,8 +12,7 @@ from sweeploc.channel import (
     PathSet,
     complex_noise,
     draw_multipath,
-    _los_field,
-    _reflected,
+    phased_sum,
     propagate,
     sweep_response,
 )
@@ -26,7 +25,7 @@ from sweeploc.scenario import (
     Trajectory,
     trial_rng,
 )
-from sweeploc.pipeline import draw_noise
+from sweeploc.pipeline import draw_noise, fast_estimate_bearings
 from sweeploc.receiver import detector_noise
 from sweeploc.scenarios import bench_scenario
 from sweeploc.transmitter import build_sweep_schedule, drive_increments
@@ -80,8 +79,9 @@ def test_phased_sum_peak_and_wraparound():
 def test_sweep_response_weights_paths_at_any_spacing(spacing):
     """Trials x paths at a spacing other than half a wavelength: each
     path's field is a*exp(j*psi) times the array sum at its own
-    2*pi*spacing*sin(b) - inc, the LOS path at the given bearing (the
-    per-path kernels propagate uses), and sweep_response gives their sum.
+    2*pi*spacing*sin(b) - inc, the LOS path at the given bearing (phased_sum
+    with each path on its own axis, as propagate keeps the reflected
+    paths), and sweep_response gives their sum.
     The running sum after antenna m is that sum over the first m antennas,
     and, bit for bit, the sweep_response field of an m-antenna array."""
     rng = trial_rng(4, "kernel", spacing)
@@ -97,9 +97,9 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     x = 2 * math.pi * spacing * np.sin(bearings)[..., None] - inc
     weight = (paths.amplitudes * np.exp(1j * paths.excess_phases_rad))[..., None]
     oracle = weight * brute_sum(x, n)
-    los_field = _los_field(paths, np.sin(los)[:, None], ap, drive_for(inc, n), None)
-    fields, draw = _reflected(paths, ap, drive_for(inc, n))
-    per_path = np.concatenate([los_field[:, None], fields[draw]], axis=1)
+    phasor = np.exp(1j * (2 * math.pi * spacing * np.sin(bearings)))
+    per_path = phased_sum(phasor[..., None, None], weight[..., None],
+                          drive_for(inc, n))
     summed = sweep_response(paths, np.sin(los)[:, None], ap, drive_for(inc, n))
     assert per_path.shape == (trials, paths_per_trial, len(inc))
     assert np.max(np.abs(per_path - oracle)) < 1e-12
@@ -152,6 +152,22 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     assert got.tobytes() == want[-1].tobytes()
     each = sweep_response(paths, np.sin(los), ap, drive, each=np.copy)
     assert each.tobytes() == np.stack(want).tobytes()
+
+
+def test_phased_sum_bits_do_not_depend_on_the_batch():
+    """One path's field is the same bits alone as in a batch of trials, at
+    8 antennas. numpy rounds a one-element in-place complex product
+    without the fused multiply-add of its vector loops, so the running
+    product of a lone reflected path, or of a one-trial grid chunk without
+    reflections, must not be taken in place."""
+    rng = trial_rng(6, "batch-bits")
+    x = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (64, 1, 1)))
+    weight = rng.uniform(0.1, 1.0, (64, 1, 1)) * np.exp(
+        1j * rng.uniform(0.0, 2 * math.pi, (64, 1, 1)))
+    drive = drive_for(rng.uniform(0.0, 2 * math.pi, 16), 8)
+    batch = phased_sum(x, weight, drive)
+    for t in range(64):
+        assert phased_sum(x[t], weight[t], drive).tobytes() == batch[t].tobytes()
 
 
 @pytest.mark.parametrize("spacing", [0.25, 0.5])
@@ -408,11 +424,21 @@ def _moving_cases():
     return three, one
 
 
+def _grid_bearings():
+    """fast_estimate_bearings of 64 trials: its phased_sum call shares the
+    scratch buffers of propagate's at other shapes."""
+    rng = trial_rng(8, "grid")
+    los = rng.uniform(-1.0, 1.0, 64)
+    paths = draw_multipath(ChannelConfig(multipath_ratio=0.6), rng, los)
+    return fast_estimate_bearings(AP, "alg1", 4000.0, paths, los)
+
+
 def test_propagate_results_survive_later_calls():
-    """propagate keeps its intermediates in buffers that live from call to
-    call; what it returns is never one of them. A result (and an out
-    array) keeps its bytes through later calls with other inputs and
-    other shapes, and equals a fresh call's."""
+    """propagate and phased_sum keep their intermediates in buffers that
+    live from call to call; what they return is never one of them. A
+    result (and an out array, and a sweep_response field) keeps its bytes
+    through later calls with other inputs and other shapes, the grid
+    shortcut's included, and equals a fresh call's."""
     three, one = _moving_cases()
     first = propagate(*three[:4], t0_s=three[4], doppler=three[5])
     kept = first.samples.tobytes()
@@ -420,11 +446,21 @@ def test_propagate_results_survive_later_calls():
     into = propagate(*three[:4], t0_s=three[4], doppler=three[5], out=capture[:, 1])
     assert into.samples.base is capture
     assert capture[:, 1].tobytes() == kept and not capture[:, 0].any()
+    bearings = _grid_bearings()
+    rng = trial_rng(8, "field")
+    paths = draw_multipath(ChannelConfig(multipath_ratio=0.6), rng,
+                           rng.uniform(-1.0, 1.0, 16))
+    args = (paths, np.sin(paths.bearings_rad[:, :1]), AP, drive_for(np.arange(8.0), 4))
+    field = sweep_response(*args)
+    field_bytes = field.tobytes()
     second = propagate(*one[:4], t0_s=one[4], doppler=one[5])
+    assert _grid_bearings().tobytes() == bearings.tobytes()
+    assert not np.shares_memory(sweep_response(*args), field)
     assert second.samples.shape == (200,)
     propagate(*three[:4], t0_s=three[4], doppler=False)
     assert first.samples.tobytes() == kept
     assert capture[:, 1].tobytes() == kept
+    assert field.tobytes() == field_bytes
     again = propagate(*one[:4], t0_s=one[4], doppler=one[5])
     assert again.samples.tobytes() == second.samples.tobytes()
     assert not np.shares_memory(again.samples, second.samples)
@@ -433,11 +469,13 @@ def test_propagate_results_survive_later_calls():
 def test_propagate_in_threads_gives_the_serial_bytes():
     """Each thread has its own buffers: four threads (more than this
     suite's two cores) calling propagate at once, each alternating two
-    shapes, with the interpreter switching threads every microsecond, get
-    the bytes of serial calls every time."""
+    shapes with a grid shortcut call between, with the interpreter
+    switching threads every microsecond, get the bytes of serial calls
+    every time."""
     cases = _moving_cases()
     serial = [propagate(*c[:4], t0_s=c[4], doppler=c[5]).samples.tobytes()
               for c in cases]
+    grid = _grid_bearings().tobytes()
     start = threading.Barrier(4)
     same = [[] for _ in range(4)]  # a thread that raises leaves its list short
 
@@ -446,7 +484,8 @@ def test_propagate_in_threads_gives_the_serial_bytes():
         for i in range(20):
             c = (i + k) % 2
             got = propagate(*cases[c][:4], t0_s=cases[c][4], doppler=cases[c][5])
-            same[k].append(got.samples.tobytes() == serial[c])
+            same[k].append(got.samples.tobytes() == serial[c]
+                           and _grid_bearings().tobytes() == grid)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,5 +1,7 @@
 """Experiment harness: CSV plumbing, dispatch, determinism, CLI."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,31 @@ def test_cli_errors(tmp_path):
                  "--out", out]) in (1, 2)
     # invalid trials -> config error
     assert main(["run", "farm_cdf", "--trials", "0", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("experiment,edit", [
+    pytest.param("speed_sweep", {"field_extent_m": [40.0, 40.0]}, id="speed-narrow"),
+    pytest.param("farm_cdf", {"field_extent_m": [8.0, 90.0]}, id="farm-narrow"),
+    pytest.param("speed_sweep", {"aps": 1}, id="speed-one-ap"),
+    pytest.param("farm_cdf", {"aps": 1}, id="farm-one-ap"),
+])
+def test_cli_refuses_fields_the_trials_cannot_use(experiment, edit, tmp_path,
+                                                   capsys):
+    """A field narrower than twice the experiment's margin (30 m for the
+    speed sweep, 5 m for the farm) or a single AP is refused with `error:
+    ...` and exit code 2 before the first trial; both used to end in a
+    traceback from inside a trial."""
+    scn = farm_scenario(seed=1)
+    if edit.get("aps"):
+        scn = replace(scn, aps=scn.aps[:edit["aps"]])
+    else:
+        scn = replace(scn, field_extent_m=tuple(edit["field_extent_m"]))
+    path = tmp_path / "scn.yaml"
+    path.write_text(scenario_to_yaml(scn), encoding="utf-8")
+    code = main(["run", experiment, "--scenario", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_speed_sweep_deterministic_across_workers():

@@ -233,6 +233,21 @@ def _bench_mapping():
     return yaml.safe_load(scenario_to_yaml(bench_scenario(seed=1)))
 
 
+def test_square_law_refuses_a_response_table():
+    """Only the table model reads response_table; under the square law a
+    table would be ignored, so it is refused, in Python and in YAML."""
+    table = ((-50.0, 0.0), (0.0, 1.0))
+    with pytest.raises(ConfigError, match="response_table"):
+        DetectorConfig(response_table=table)
+    m = _bench_mapping()
+    assert m["detector"]["response_model"] == "square_law"
+    m["detector"]["response_table"] = [list(p) for p in table]
+    with pytest.raises(ConfigError, match="response_table"):
+        scenario_from_mapping(m)
+    assert DetectorConfig(response_model="table",
+                          response_table=table).response_table == table
+
+
 def test_yaml_rejects_quoted_boolean():
     m = _bench_mapping()
     m["channel"]["doppler_enabled"] = "false"
@@ -507,6 +522,9 @@ _ORIGIN = Position(0.0, 0.0)
                  id="detector-floor"),
     pytest.param(lambda: Scenario(aps=(ApConfig(_ORIGIN, 0.0),),
                                   field_extent_m=(math.nan, 10.0)), id="field-extent"),
+    pytest.param(lambda: Scenario(aps=(ApConfig(_ORIGIN, 0.0),),
+                                  field_extent_m=(math.inf, 90.0)),
+                 id="field-extent-inf"),
     pytest.param(lambda: LinkBudget(math.nan), id="link-distance"),
     pytest.param(lambda: LinkBudget(2.0, tx_power_dbm=math.nan), id="link-tx-power"),
     pytest.param(lambda: LinkBudget(2.0, reflection_loss_db=math.nan),
