@@ -24,8 +24,8 @@ from .transmitter import SweepSchedule
 class PathSet:
     """Propagation paths of one or more channel draws, as arrays.
 
-    The last axis is paths, index 0 the line-of-sight path; an optional
-    leading axis holds trials. Each path has a relative amplitude, an
+    The last axis is paths, index 0 the line-of-sight path; leading axes
+    hold trials and rounds. Each path has a relative amplitude, an
     arrival bearing relative to boresight and an excess phase. The stored
     LOS bearing is nominal (the bearing at draw time): propagate takes the
     LOS sine from geometry, while reflected-path bearings stay fixed.
@@ -42,7 +42,7 @@ class PathSet:
         amps = self.amplitudes
         if not amps.shape == self.bearings_rad.shape == self.excess_phases_rad.shape:
             raise ConfigError("path arrays must share one shape")
-        if amps.ndim not in (1, 2) or amps.shape[-1] == 0:
+        if not 1 <= amps.ndim <= 3 or amps.shape[-1] == 0:
             raise ConfigError("a path set needs at least the LOS path")
         if not (np.all(np.isfinite(amps)) and np.all(amps >= 0)):
             raise ConfigError("path amplitude must be finite and >= 0")
@@ -107,9 +107,11 @@ def _scratch(role: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarr
 def _phasors(sine: np.ndarray, ap: ApConfig, out: np.ndarray | None = None) -> np.ndarray:
     """exp(j*phi), phi = 2*pi*spacing*sine: antenna i's factor in the
     steering vector of a path whose bearing has this sine is its i-th power."""
-    phase = np.multiply(2.0 * math.pi * ap.spacing_wavelengths, sine,
-                        out=_scratch("phase", np.shape(sine)))
-    phasor = np.multiply(1j, phase, out=out)
+    phasor = np.empty(np.shape(sine), complex) if out is None else out
+    # j*phi written in place: the value of np.multiply(1j, phi), whose
+    # real part is a zero (signed like phi) that exp maps to the same bits
+    np.multiply(2.0 * math.pi * ap.spacing_wavelengths, sine, out=phasor.imag)
+    phasor.real = 0.0
     return np.exp(phasor, out=phasor)
 
 
@@ -119,11 +121,12 @@ def _weights(paths: PathSet, ks: slice) -> np.ndarray:
             * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
 
 
-def phased_sum(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
+def phased_sum(x: np.ndarray, weight: np.ndarray | None, drive: np.ndarray,
                each: Callable | None = None, out: np.ndarray | None = None):
     """sum_i drive[i] * sum_k weight[k] * x[k]**i: the field of paths with
     phasors x (... x paths x columns, _phasors) and weights a*exp(j*psi)
-    (... x paths x 1) under each column of an antennas x columns drive.
+    (... x paths x 1; None for unit weights) under each column of an
+    antennas x columns drive.
     Every other axis broadcasts. At antenna i the paths' steering vectors
     are added in path order, then multiplied by drive row i and added in
     antenna order into one buffer: after antenna n it holds an n-antenna
@@ -132,14 +135,14 @@ def phased_sum(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
     one per antenna. The sum is written into out or a fresh array; each,
     if given, is called on it after every antenna, and its results come
     back stacked in place of the sum."""
-    path_shape = np.broadcast_shapes(x.shape, weight.shape)
+    path_shape = np.broadcast_shapes(x.shape, np.shape(weight))  # np.shape(None): ()
     summed_shape = path_shape[:-2] + path_shape[-1:]
     shape = np.broadcast_shapes(summed_shape, drive.shape[1:])
     # this antenna's factor and the last one's: numpy rounds an in-place
     # complex product of one element without the fused multiply-add
     factors = _scratch("antenna_factors", (2,) + x.shape, complex)
-    steering = _scratch("steering", path_shape, complex)
-    summed = _scratch("steering_sum", summed_shape, complex)
+    weighted = None if weight is None else _scratch("steering", path_shape, complex)
+    summed = _scratch("steering_sum", summed_shape, complex) if path_shape[-2] > 1 else None
     term = _scratch("antenna_term", shape, complex)
     total = np.empty(shape, complex) if out is None else out
     total.fill(0.0)
@@ -152,7 +155,7 @@ def phased_sum(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
             np.copyto(factor, x)
         else:
             np.multiply(factors[1 - i % 2], x, out=factor)
-        np.multiply(weight, factor, out=steering)
+        steering = factor if weight is None else np.multiply(weight, factor, out=weighted)
         steer = steering[..., 0, :]
         for k in range(1, path_shape[-2]):
             steer = np.add(steer, steering[..., k, :], out=summed)
@@ -162,20 +165,30 @@ def phased_sum(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
     return total if each is None else np.stack(kept)
 
 
-def _reflected(paths: PathSet, ap: ApConfig,
-               drive: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The reflected paths' fields per drive column (... x paths x
-    columns), each path's apart: phased_sum sums a size-1 paths axis. For
-    a draw per slot on a leading axis, also the index into them of each
-    slot's draw: equal draws on successive slots (rounds between redraws)
-    are contracted once. The index is None otherwise."""
-    x = _phasors(np.sin(paths.bearings_rad[..., 1:, None, None]), ap)
-    weight = _weights(paths, slice(1, None))[..., None]
-    if x.ndim < 4:
+def _per_draw(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
+              core: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """phased_sum of each slot's draw (slots: the axes before the last
+    core), equal draws on successive slots contracted once, and each
+    slot's index into the draws; or one draw's field and None."""
+    shape = np.broadcast_shapes(x.shape, weight.shape)
+    slots = shape[:-core]
+    if not slots:
         return phased_sum(x, weight, drive), None
+    flat = (math.prod(slots),) + shape[-core:]  # explicit: paths may be empty
+    x, weight = (np.broadcast_to(a, shape).reshape(flat) for a in (x, weight))
     new = np.append(True, np.any((x[1:] != x[:-1]) | (weight[1:] != weight[:-1]),
-                                 axis=(1, 2, 3)))
-    return phased_sum(x[new], weight[new], drive), np.cumsum(new) - 1
+                                 axis=tuple(range(1, len(flat)))))
+    return phased_sum(x[new], weight[new], drive), (np.cumsum(new) - 1).reshape(slots)
+
+
+def _path_terms(paths: PathSet, los_sine: np.ndarray,
+                ap: ApConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Phasors and weights of all paths (... x paths x 1), the LOS path's
+    with sine los_sine, for phased_sum to sum before the contraction."""
+    is_los = np.arange(paths.amplitudes.shape[-1])[:, None] == 0
+    sine = np.where(is_los, np.expand_dims(los_sine, -2),
+                    np.sin(paths.bearings_rad[..., None]))
+    return _phasors(sine, ap), _weights(paths, slice(None))
 
 
 def sweep_response(paths: PathSet, los_sine: np.ndarray,
@@ -193,21 +206,15 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
     Leading axes of paths (trials) broadcast against the LOS sine's. All
     paths go on phased_sum's paths axis, summed before the contraction.
     """
-    is_los = np.arange(paths.amplitudes.shape[-1])[:, None] == 0
-    sine = np.where(is_los, np.expand_dims(los_sine, -2),
-                    np.sin(paths.bearings_rad[..., None]))
-    return phased_sum(_phasors(sine, ap), _weights(paths, slice(None)), drive, each)
+    return phased_sum(*_path_terms(paths, los_sine, ap), drive, each)
 
 
 @dataclass(frozen=True)
 class FieldTrace:
-    """Sampled complex field at the receiver: a plain sample buffer.
-
-    samples[s] is the total field at t0_s + s/sample_rate_hz. A buffer of
-    several slots (see propagate) keeps them back to back, although they
-    may be apart in time; written into a caller's out, it is that slots x
-    samples array.
-    """
+    """Sampled complex field at the receiver: samples[s] is the total
+    field at t0_s + s/sample_rate_hz. Several slots (see propagate) lie
+    back to back, although they may be apart in time, or, written into a
+    caller's out, in its slots x samples array."""
 
     samples: np.ndarray
     sample_rate_hz: float
@@ -215,67 +222,94 @@ class FieldTrace:
 
 
 def propagate(schedule: SweepSchedule, paths: PathSet,
-              where: Position | Trajectory, sample_rate_hz: float,
-              t0_s: float | np.ndarray = 0.0,
+              where: Position | Trajectory | list[Trajectory],
+              sample_rate_hz: float, t0_s: float | np.ndarray = 0.0,
               doppler: bool = False, out: np.ndarray | None = None) -> FieldTrace:
     """Synthesize the received field for sweep periods of one AP.
 
     t0_s is one slot start time, or an (R,) array of them: R slots of this
-    AP, one per TDMA round, from one call. paths is one draw for every
-    slot, or one draw per slot on a leading axis of length R. The slots
-    come out back to back in samples (R x period samples, flat), or in
-    out, a complex array of t0_s's shape plus the period's samples, which
-    is then the returned samples. Each sample takes the drive of the
-    schedule row active at its time within its slot. The LOS sine
+    AP, one per TDMA round. where is one receiver, or one trajectory per
+    row of a trials x R t0_s, all moving or all still. paths is one draw
+    for every slot, or one per slot on leading axes of t0_s's shape. The
+    slots come out back to back in samples (flat), or in out, a complex
+    array of t0_s's shape plus the period's samples. Each sample takes the
+    drive of the schedule row active at its time in its slot. The LOS sine
     (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
     10**(P/20) * lambda / (4*pi*dist) follow the receiver in closed form.
-    phased_sum gives the LOS field per sample and the reflected paths' per
-    schedule row, added and gathered once, or, with doppler set and a
-    moving receiver, gathered and rotated by apply_doppler. Every
-    per-sample intermediate lives in this thread's scratch buffers
-    (_scratch). Raises GeometryError if the receiver reaches the AP.
+    A still receiver's field is sweep_response's per schedule row, each
+    distinct draw's once, gathered per sample. A moving one's is
+    phased_sum's LOS field per sample plus the reflected paths' per row,
+    gathered, or, with doppler set, rotated by apply_doppler, in scratch
+    buffers (_scratch). Raises GeometryError if the receiver reaches the AP.
     """
     ap = schedule.ap
-    waypoints = where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)
     n = round(schedule.period_s * sample_rate_hz)
     t_local = np.arange(n) / sample_rate_hz
     starts = np.asarray(t0_s, dtype=float)
     shape = starts.shape + (n,)
-    t_abs = np.add(starts[..., None], t_local, out=_scratch("t_abs", shape))
-
     row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
+    batch = not isinstance(where, (Position, Trajectory))
+    waypoints = [traj.waypoints for traj in where] if batch else [
+        where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)]
+    moves = {len(w) > 1 for w in waypoints}
+    if len(moves) > 1 or batch and starts.shape[:1] != (len(waypoints),):
+        raise ConfigError("one t0_s row per trajectory, all moving or all still")
+    trial = (len(waypoints),) + (1,) * (starts.ndim - 1) if batch else ()  # per trial
+    field_shape = np.broadcast_shapes(shape, paths.amplitudes.shape[:-1] + (1,))
+    rel = [[complex(p.x - ap.position.x, p.y - ap.position.y) for _, p in w]
+           for w in waypoints]  # from the AP
+    link = 10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m
 
-    rel = np.interp(t_abs, [t for t, _ in waypoints], [complex(
-        p.x - ap.position.x, p.y - ap.position.y) for _, p in waypoints])
+    if True not in moves:
+        one = trial + (1,)  # one value per trial for all its samples
+        dist, los_sine = _geometry(np.reshape(rel, one), ap, *np.empty((2,) + one))
+        fields, draw = _per_draw(*_path_terms(paths, los_sine, ap), schedule.drive, 2)
+        field = _per_sample(fields, draw, row, _scratch("gathered", field_shape, complex))
+        amp = np.divide(link, np.multiply(4.0 * math.pi, dist, out=dist), out=dist)
+    else:
+        dist, los_sine = _scratch("dist", shape), _scratch("los_sine", shape)
+        for i, (w, fp) in enumerate(zip(waypoints, rel)):
+            at = (i,) if batch else ()
+            _geometry(np.interp(np.add(starts[at + (..., None)], t_local),
+                                [t for t, _ in w], fp), ap, dist[at], los_sine[at])
+        phasor = _phasors(los_sine, ap, _scratch("los_phasor", shape, complex))
+        amp = np.divide(link, np.multiply(4.0 * math.pi, dist, out=los_sine),
+                        out=los_sine)  # the sine's buffer, spent
+        weight = _weights(paths, slice(0, 1))  # 1 in every map_multipath draw
+        los = phased_sum(phasor[..., None, :], None if np.all(weight == 1) else weight,
+                         schedule.drive[:, row], out=_scratch("los", field_shape, complex))
+        reflected, draw = _per_draw(
+            _phasors(np.sin(paths.bearings_rad[..., 1:, None, None]), ap),
+            _weights(paths, slice(1, None))[..., None], schedule.drive, 3)
+        if doppler:  # per trial: start and stop times, x and y displacement
+            ends = [(*w[0], *w[-1]) for w in waypoints]
+            segment = np.reshape([(t0, t1, p1.x - p0.x, p1.y - p0.y)
+                                  for t0, p0, t1, p1 in ends], trial + (4,))
+            field = apply_doppler(los, reflected, draw, row, paths.bearings_rad, ap,
+                                  segment, starts, t_local, dist, out=los)
+        else:
+            field = np.add(los, _per_sample(reflected.sum(axis=-2), draw, row, _scratch(
+                "gathered", los.shape, complex)), out=los)
+    samples = np.multiply(field, amp, out=out)
+    return FieldTrace(samples=samples.reshape(-1) if out is None else out,
+                      sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
+
+
+def _geometry(rel: np.ndarray, ap: ApConfig, dist: np.ndarray,
+              los_sine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill dist and los_sine for receiver offsets rel = dx + j*dy from the
+    AP; raises GeometryError where the receiver is on the AP."""
     dx, dy = rel.real, rel.imag
-    part = _scratch("geometry_part", shape)
-    dist = np.multiply(dx, dx, out=_scratch("dist", shape))
+    part = _scratch("geometry_part", dist.shape)
+    np.multiply(dx, dx, out=dist)
     dist += np.multiply(dy, dy, out=part)
     np.sqrt(dist, out=dist)
     if np.any(dist <= 0):
         raise GeometryError("receiver trajectory passes through the AP")
-    los_sine = np.multiply(dy, math.cos(ap.boresight_rad),
-                           out=_scratch("los_sine", shape))
+    np.multiply(dy, math.cos(ap.boresight_rad), out=los_sine)
     los_sine -= np.multiply(dx, math.sin(ap.boresight_rad), out=part)
     los_sine /= dist
-    amp = np.multiply(4.0 * math.pi, dist, out=_scratch("amplitude", shape))
-    np.divide(10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m, amp, out=amp)
-
-    field_shape = np.broadcast_shapes(shape, paths.amplitudes.shape[:-1] + (1,))
-    phasor = _phasors(los_sine, ap, _scratch("los_phasor", shape, complex))
-    los = phased_sum(phasor[..., None, :], _weights(paths, slice(0, 1)),
-                     schedule.drive[:, row], out=_scratch("los", field_shape, complex))
-    reflected, draw = _reflected(paths, ap, schedule.drive)
-    if doppler and len(waypoints) > 1:
-        field = apply_doppler(los, reflected, draw, row, paths.bearings_rad, ap,
-                              where, starts, t_local, dist,
-                              _scratch("field", field_shape, complex))
-    else:
-        field = np.add(los, _per_sample(reflected.sum(axis=-2), draw, row, _scratch(
-            "gathered", los.shape, complex)), out=los)
-    samples = np.multiply(field, amp, out=out)
-    return FieldTrace(samples=samples.reshape(-1) if out is None else out,
-                      sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
+    return dist, los_sine
 
 
 def _per_sample(fields: np.ndarray, draw: np.ndarray | None, row: np.ndarray,
@@ -293,68 +327,68 @@ def _per_sample(fields: np.ndarray, draw: np.ndarray | None, row: np.ndarray,
 
 def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | None,
                   row: np.ndarray, bearings_rad: np.ndarray, ap: ApConfig,
-                  traj: Trajectory, starts: np.ndarray, t_local: np.ndarray,
-                  dist: np.ndarray, out: np.ndarray) -> np.ndarray:
+                  segment: np.ndarray, starts: np.ndarray,
+                  t_local: np.ndarray, dist: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
     """Rotate each path by its length change since its slot's first
     sample, so the phase restarts at every slot, and add the paths up into
-    out (slots x samples), which is returned.
+    out (slots x samples, may be los), which is returned.
 
     los is the LOS field per sample, reflected the reflected paths' fields
     per schedule row (draws x paths x rows), draw each slot's draw among
-    them (None: reflected is one draw, paths x rows, for every slot), row
-    each sample's row, t_local its time in its slot and dist its AP
-    distance. The LOS length change is exact. Path k, a plane wave from
-    bearing u_k, turns its phase at omega_k = (2*pi/lambda) * u_k . v
-    (Clarke, BSTJ 1968) while the receiver moves along traj's one segment
-    at velocity v. Each path in turn is gathered per sample and rotated in
-    place by a per-block and a within-block table of exp(j*omega_k*t),
-    about 2*sqrt(samples) complex exponentials per path and slot, then
-    added to the paths before it: ((f_1 + f_2) + f_3), the order of a sum
-    over the paths axis. Motion toward a source shortens its path and
-    advances it.
+    them (None: one draw, paths x rows, for every slot), row each sample's
+    row, t_local its time in its slot and dist its AP distance. segment
+    holds each trial's segment (start and stop times, x and y
+    displacement) on its last axis, broadcasting against starts. The LOS
+    length change is exact. Path k, a plane wave from bearing u_k, turns
+    its phase at omega_k = (2*pi/lambda) * u_k . v (Clarke, BSTJ 1968)
+    while the receiver moves at velocity v. Each path in turn is gathered
+    per sample and rotated in place by a per-block and a within-block table
+    of exp(j*omega_k*t), about 2*sqrt(samples) complex exponentials per
+    path and slot, then added to the paths before it, ((f_1 + f_2) + f_3)
+    as a sum over the paths axis would, and the LOS field last. Motion
+    toward a source shortens its path and advances it.
     """
     wavenumber = 2.0 * math.pi / ap.wavelength_m  # phase advance per meter shorter
+    # the geometry's part and the LOS phasors are free once propagate has them
     shortened = np.subtract(dist, dist[..., :1],
-                            out=_scratch("doppler_shortened", dist.shape))
+                            out=_scratch("geometry_part", dist.shape))
     total = np.multiply(-1j * wavenumber, shortened,
-                        out=_scratch("doppler_los", dist.shape, complex))
+                        out=_scratch("los_phasor", dist.shape, complex))
     np.multiply(los, np.exp(total, out=total), out=total)
-    (t_start, p_start), (t_stop, p_stop) = traj.waypoints
+    t_start, t_stop, move_x, move_y = np.moveaxis(segment, -1, 0)[..., None, None]
     alpha = ap.boresight_rad + bearings_rad[..., 1:, None]  # toward the source
-    omega = wavenumber * (np.cos(alpha) * (p_stop.x - p_start.x)
-                          + np.sin(alpha) * (p_stop.y - p_start.y)) / (t_stop - t_start)
-    moves_from = np.maximum(t_start - starts, 0.0)[..., None, None]  # slot time
-    moves_to = np.maximum(t_stop - starts, 0.0)[..., None, None]
+    omega = wavenumber * (np.cos(alpha) * move_x + np.sin(alpha) * move_y
+                          ) / (t_stop - t_start)
+    moves_from = np.maximum(t_start - starts[..., None, None], 0.0)  # slot time
+    moves_to = np.maximum(t_stop - starts[..., None, None], 0.0)
     n = len(t_local)
     block = math.isqrt(n - 1) + 1  # samples per block; whole blocks pad the slot
     pad = np.minimum(np.arange(-(-n // block) * block), n - 1)
     t = t_local[pad]
     slots = los.shape[:-1]
-    # tau = t - moves_from while moving, 0 before, moves_to - moves_from after
-    moving = ((t >= moves_from) & (t <= moves_to)).reshape(
-        moves_from.shape[:-1] + (len(pad) // block, block))[..., 0, :, :]
-    moving = True if moving.all() else moving  # a mask only if the motion clips
     per_block = np.exp(1j * omega * (t[::block] - moves_from))[..., None]
     within = np.exp(1j * omega * t[:block])[..., None, :]
-    if moving is not True:
+    # tau = t - moves_from while moving, 0 before, moves_to - moves_from
+    # after; a mask only if the motion clips in some slot
+    clips, moving = moves_from.max() > t[0] or moves_to.min() < t[-1], True
+    if clips:
+        moving = ((t >= moves_from) & (t <= moves_to)).reshape(
+            moves_from.shape[:-1] + (len(pad) // block, block))[..., 0, :, :]
         after = np.exp(1j * omega * (moves_to - moves_from))
         stopped = (t > moves_to)[..., 0, :]
     field = _scratch("doppler_path", slots + (len(pad),), complex)
     blocks = field.reshape(slots + (len(pad) // block, block))
-    paths_sum = _scratch("doppler_paths", slots + (n,), complex)
-    if reflected.shape[-2] == 0:
-        paths_sum.fill(0.0)
+    out.fill(0.0)  # 0 + f_1 is f_1
     for k in range(reflected.shape[-2]):
         _per_sample(reflected[..., k, :], draw, row[pad], field)
         np.multiply(blocks, per_block[..., k, :, :], out=blocks, where=moving)
         np.multiply(blocks, within[..., k, :, :], out=blocks, where=moving)
-        if moving is not True:
+        if clips:
             np.multiply(field, after[..., k, :], out=field, where=stopped)
-        if k == 0:
-            np.copyto(paths_sum, field[..., :n])
-        else:
-            paths_sum += field[..., :n]
-    return np.add(total, paths_sum, out=out)
+        out += field[..., :n]
+    out += total  # paths + LOS: the bits of LOS + paths
+    return out
 
 
 def complex_noise(noise_power_dbm: float, n: int,

@@ -359,6 +359,7 @@ SPEED_POINTS_MPS = (0.0, 1.0, 3.0, 5.0, 7.0, 9.1)
 SPEED_ROUNDS = 40
 SPEED_MARGIN_M = 30.0
 SPEED_RATIO = 0.4
+SPEED_BATCH = 4  # trials per capture_track and scan: each adds ~1 MB of buffers
 
 
 def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
@@ -367,29 +368,33 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
     speed = SPEED_POINTS_MPS[s_idx]
     scn_t = replace(scn, channel=replace(scn.channel, doppler_enabled=True,
                                          multipath_ratio=SPEED_RATIO))
-    table = cached_table(scn.aps[0], scn.aps[1])
+    rx = Receiver(scn_t, cached_table(scn.aps[0], scn.aps[1]))
     tracked, raw_sum, smooth_sum = 0, 0.0, 0.0
-    for t in range(lo, hi):
-        rng = trial_rng(scn.seed, "speed_sweep", s_idx, t)
-        start = Position(rng.uniform(SPEED_MARGIN_M, width - SPEED_MARGIN_M),
-                         rng.uniform(SPEED_MARGIN_M, height - SPEED_MARGIN_M))
-        center_dir = math.atan2(height / 2.0 - start.y, width / 2.0 - start.x)
-        heading = center_dir + rng.uniform(-math.pi / 6, math.pi / 6)
-        traj = (Trajectory.line(start, heading, speed, SPEED_ROUNDS * scn.round_s)
-                if speed > 0 else Trajectory.stationary(start))
-        scan = Receiver(scn_t, table).scan(capture_track(scn_t, traj, rng,
-                                                         SPEED_ROUNDS))
-        # boolean indexing is row-major: the sums add round by round, AP 1
-        # before AP 2, as the CSV bytes require
-        found = scan.found
-        xs, ys = traj.positions_at(scan.timestamp_s[found])
-        for which, x, y, raw, smoothed in zip(
-                np.nonzero(found)[1].tolist(), xs.tolist(), ys.tolist(),
-                scan.raw_rad[found].tolist(), scan.smoothed_rad[found].tolist()):
-            truth = true_bearing_xy(scn_t.aps[which], x, y)
-            raw_sum += abs(math.degrees(raw - truth))
-            smooth_sum += abs(math.degrees(smoothed - truth))
-            tracked += 1
+    for first in range(lo, hi, SPEED_BATCH):
+        rngs, trajs = [], []
+        for t in range(first, min(first + SPEED_BATCH, hi)):
+            rng = trial_rng(scn.seed, "speed_sweep", s_idx, t)
+            start = Position(rng.uniform(SPEED_MARGIN_M, width - SPEED_MARGIN_M),
+                             rng.uniform(SPEED_MARGIN_M, height - SPEED_MARGIN_M))
+            center_dir = math.atan2(height / 2.0 - start.y, width / 2.0 - start.x)
+            heading = center_dir + rng.uniform(-math.pi / 6, math.pi / 6)
+            rngs.append(rng)
+            trajs.append(Trajectory.line(start, heading, speed,
+                                         SPEED_ROUNDS * scn.round_s)
+                         if speed > 0 else Trajectory.stationary(start))
+        scan = rx.scan(capture_track(scn_t, trajs, rngs, SPEED_ROUNDS))
+        # boolean indexing is row-major: the sums add trial by trial, round
+        # by round, AP 1 before AP 2, as the CSV bytes require
+        for traj, found, stamp, raw, smoothed in zip(
+                trajs, scan.found, scan.timestamp_s, scan.raw_rad, scan.smoothed_rad):
+            xs, ys = traj.positions_at(stamp[found])
+            for which, x, y, r, s in zip(
+                    np.nonzero(found)[1].tolist(), xs.tolist(), ys.tolist(),
+                    raw[found].tolist(), smoothed[found].tolist()):
+                truth = true_bearing_xy(scn_t.aps[which], x, y)
+                raw_sum += abs(math.degrees(r - truth))
+                smooth_sum += abs(math.degrees(s - truth))
+                tracked += 1
     return [(s_idx, hi - lo, tracked, raw_sum, smooth_sum)]
 
 

@@ -2,10 +2,10 @@
 
 One TDMA round is every AP's sweep period back to back. A capture of two
 rounds guarantees the scan logic finds a full period from each AP whatever
-the buffer's phase relative to the schedule. However many rounds a capture
-or a moving trial spans, each AP's slots are synthesized in one propagate
-call with a leading rounds axis. Every capture draws its noise before
-synthesis and adds it around envelope detection.
+the buffer's phase relative to the schedule. Each AP's slots of all rounds
+of a capture, or of every trial of a capture_track batch, come from one
+propagate call (leading trials and rounds axes). Every capture draws its
+noise before synthesis and adds it around envelope detection.
 """
 
 from __future__ import annotations
@@ -26,28 +26,31 @@ from .transmitter import cached_schedule
 
 
 def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
-                      where: Position | Trajectory, rounds: int = 2,
-                      t0_s: float = 0.0) -> FieldTrace:
+                      where: Position | Trajectory | list[Trajectory],
+                      rounds: int = 2, t0_s: float = 0.0) -> FieldTrace:
     """Noiseless field of whole TDMA rounds: one slot per AP per round.
 
-    Each AP's slots of all rounds come from one propagate call, which
-    writes them into their places in TDMA order; the result equals
-    synthesizing the rounds one at a time. pathsets[k] is AP k's draw for
-    every round, or one draw per round on a leading axis of length rounds.
-    t0_s is the start of round 0; the rounds follow back to back. propagate applies
-    Doppler (apply_doppler's per-slot phase ramps) when the scenario
-    enables it and the receiver moves, from each slot's first sample.
+    Each AP's slots of all rounds (of every trial, for a list of
+    trajectories) come from one propagate call, which writes them into
+    their places in TDMA order; the result equals synthesizing the rounds
+    one at a time. pathsets[k] is AP k's draw for every round, or one draw
+    per round on leading (trials and) rounds axes. t0_s is the start of
+    round 0; the rounds follow back to back. propagate applies Doppler
+    (apply_doppler's per-slot phase ramps) when the scenario enables it and
+    the receiver moves, from each slot's first sample.
     """
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
-    round_starts = t0_s + np.arange(rounds) * scn.round_s
-    # rounds x APs x samples per slot: the slots in TDMA order
-    capture = np.empty((rounds, len(scn.aps), period_samples(scn.aps[0], rate)),
-                       dtype=complex)
+    trials = () if isinstance(where, (Position, Trajectory)) else (len(where),)
+    round_starts = np.broadcast_to(t0_s + np.arange(rounds) * scn.round_s,
+                                   trials + (rounds,))
+    # (trials x) rounds x APs x samples per slot: the slots in TDMA order
+    capture = np.empty(trials + (rounds, len(scn.aps),
+                                 period_samples(scn.aps[0], rate)), dtype=complex)
     for k, ap in enumerate(scn.aps):
         propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k], where, rate,
                   t0_s=round_starts + k * period,
-                  doppler=scn.channel.doppler_enabled, out=capture[:, k])
+                  doppler=scn.channel.doppler_enabled, out=capture[..., k, :])
     return FieldTrace(samples=capture.reshape(-1), sample_rate_hz=rate, t0_s=t0_s)
 
 
@@ -90,47 +93,51 @@ def draw_pathsets(scn: Scenario, where: Position | Trajectory,
             for ap in scn.aps]
 
 
-def capture_track(scn: Scenario, traj: Trajectory, rng: np.random.Generator,
-                  rounds: int) -> EnvelopeTrace:
-    """Envelope capture of a moving receiver: row r is round r, and t0_s
-    holds each row's start (r times the round length).
+def capture_track(scn: Scenario, trajs: list[Trajectory],
+                  rngs: list[np.random.Generator], rounds: int) -> EnvelopeTrace:
+    """Envelope captures of receivers that all move or all stand still:
+    volts[i, r] is trial i's round r, and t0_s holds each round's start.
 
-    Each round draws from rng in the order a round-by-round simulation
+    Each trial draws from its rng in the order a round-by-round simulation
     would: a new multipath draw for every AP once the receiver is
     nlos_redraw_distance_m from the last draw (and in round 0), then the
     round's noise (draw_noise). Without channel noise, the rounds up to the
     next redraw draw only detector noise, back to back, so one draw_noise
     call covers them all with the same numbers. A redraw draws only its
-    uniforms (path_uniforms); map_multipath maps each AP's, per round, into
-    one PathSet on a leading rounds axis. One synthesize_rounds call makes
-    all rounds, detected with the rounds' noise joined in round order.
+    uniforms (path_uniforms); map_multipath maps each AP's, per trial and
+    round, into one PathSet on leading trials and rounds axes. One
+    synthesize_rounds call makes every trial's rounds, detected with their
+    noise joined in trial and round order.
     """
     n = _round_samples(scn)
     starts = np.arange(rounds) * scn.round_s
-    xs, ys = (v.tolist() for v in traj.positions_at(starts))
     redraw_m = scn.channel.nlos_redraw_distance_m
-    firsts = [0]  # the first round of each draw
-    for r in range(1, rounds):
-        o = firsts[-1]
-        if math.hypot(xs[o] - xs[r], ys[o] - ys[r]) >= redraw_m:
-            firsts.append(r)
-    spans = np.diff(firsts + [rounds])  # rounds per draw
-    uniforms, noises = [], []
-    for span in spans.tolist():
-        uniforms.append(path_uniforms(scn.channel, rng, (len(scn.aps),)))
-        runs = [span] if scn.channel.noise_power_dbm is None else [1] * span
-        noises += [draw_noise(scn, m * n, rng) for m in runs]
-    draw_of_round = np.repeat(np.arange(len(firsts)), spans)
-    u = np.stack(uniforms)[draw_of_round]
-    los = np.array([[true_bearing_xy(ap, xs[r], ys[r]) for ap in scn.aps]
-                    for r in firsts])
-    los = los[draw_of_round]
-    per_ap = [map_multipath(scn.channel, u[:, k], los[:, k]) for k in range(len(scn.aps))]
+    uniforms, los, noises = [], [], []
+    for traj, rng in zip(trajs, rngs, strict=True):
+        xs, ys = (v.tolist() for v in traj.positions_at(starts))
+        firsts = [0]  # the first round of each draw
+        for r in range(1, rounds):
+            o = firsts[-1]
+            if math.hypot(xs[o] - xs[r], ys[o] - ys[r]) >= redraw_m:
+                firsts.append(r)
+        spans = np.diff(firsts + [rounds])  # rounds per draw
+        draws = []
+        for span in spans.tolist():
+            draws.append(path_uniforms(scn.channel, rng, (len(scn.aps),)))
+            runs = [span] if scn.channel.noise_power_dbm is None else [1] * span
+            noises += [draw_noise(scn, m * n, rng) for m in runs]
+        draw_of_round = np.repeat(np.arange(len(firsts)), spans)
+        uniforms.append(np.stack(draws)[draw_of_round])
+        los.append(np.array([[true_bearing_xy(ap, xs[r], ys[r]) for ap in scn.aps]
+                             for r in firsts])[draw_of_round])
+    u, los = np.stack(uniforms), np.stack(los)  # trials x rounds x APs (x ...)
+    per_ap = [map_multipath(scn.channel, u[:, :, k], los[..., k])
+              for k in range(len(scn.aps))]
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
                   for parts in zip(*noises))
-    env = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),
+    env = detect_with_noise(synthesize_rounds(scn, per_ap, trajs, rounds),
                             scn.detector, noise)
-    return EnvelopeTrace(volts=env.volts.reshape(rounds, n),
+    return EnvelopeTrace(volts=env.volts.reshape(len(trajs), rounds, n),
                          sample_rate_hz=env.sample_rate_hz, t0_s=starts)
 
 

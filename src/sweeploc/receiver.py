@@ -385,10 +385,10 @@ class LogStore:
 
 @dataclass(frozen=True)
 class Scan:
-    """Receiver.scan over rows of buffers. Per row and AP (rows x 2):
-    whether its preamble was found, and its raw and smoothed bearings and
-    peak time, NaN where it was not. Per row: the fix, NaN where there is
-    none."""
+    """Receiver.scan over rows of buffers (or trials x rows). Per row and
+    AP (rows x 2): whether its preamble was found, and its raw and smoothed
+    bearings and peak time, NaN where it was not. Per row: the fix, NaN
+    where there is none."""
 
     found: np.ndarray
     raw_rad: np.ndarray
@@ -430,13 +430,14 @@ class Receiver:
         return LocalizationResult(None if math.isnan(x) else Position(x, y))
 
     def scan(self, env: EnvelopeTrace) -> Scan:
-        """The rows of a rows x samples envelope (a 1-D envelope is one
-        row), in row order. Each AP's preamble search and sweep peak run
-        over all rows at once, AP 2's only where AP 1 was found. Each AP's
-        bearings are smoothed over the rows that found it, seeded at the
-        first, then all rows are fixed in one fix_2d call (NaN where either
-        bearing is missing)."""
+        """The rows of a rows x samples envelope (1-D: one row), or of
+        trials x rows x samples, in row order. Each AP's preamble search
+        and sweep peak run over all rows at once, AP 2's only where AP 1 was
+        found. Each AP's bearings are smoothed over a trial's rows that
+        found it, seeded at the first, then all rows are fixed in one
+        fix_2d call (NaN where either bearing is missing)."""
         volts, rate = np.atleast_2d(env.volts), env.sample_rate_hz
+        lead, volts = volts.shape[:-1], volts.reshape(-1, volts.shape[-1])
         (rows, n), n_period = volts.shape, period_samples(self.aps[0], rate)
         # AP 1 needs two full slots after it; AP 2 needs one.
         start1, _, found1 = search_preambles(
@@ -451,13 +452,15 @@ class Receiver:
             # rows that missed this AP get a placeholder peak, masked below
             peak = sweep_peaks(volts, start, ap, rate)
             raw[:, which] = sample_angles(ap, self.sweep_mode, rate)[peak - start]
-            stamp[:, which] = env.t0_s + peak / rate
+            stamp[:, which] = np.broadcast_to(env.t0_s, lead).reshape(-1) + peak / rate
         raw[~found] = stamp[~found] = np.nan
         smoothed = raw.copy()
-        for column, hits in zip(smoothed.T, found.T):
-            previous = None
-            for r in np.flatnonzero(hits).tolist():
-                previous = column[r] = smooth_angle(previous, float(column[r]),
-                                                    self.smoothing)
+        for track, hits in zip(*(a.reshape(-1, lead[-1], 2) for a in (smoothed, found))):
+            for column, column_hits in zip(track.T, hits.T):
+                previous = None
+                for r in np.flatnonzero(column_hits).tolist():
+                    previous = column[r] = smooth_angle(previous, float(column[r]),
+                                                        self.smoothing)
         x, y = fix_2d(smoothed[:, 0], smoothed[:, 1], self.table)
-        return Scan(found, raw, smoothed, stamp, x, y)
+        return Scan(*(a.reshape(lead + a.shape[1:])
+                      for a in (found, raw, smoothed, stamp, x, y)))

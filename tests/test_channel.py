@@ -396,6 +396,117 @@ def test_multi_slot_propagate_and_doppler_equal_slot_by_slot():
         assert got.tobytes() == slot.samples.tobytes()
 
 
+def _still_field(sched, paths, pos, starts):
+    """A still receiver's field the grid's way: sweep_response per schedule
+    row with the closed-form LOS sine, gathered per sample and scaled by
+    the link amplitude, all from scalar geometry."""
+    ap = sched.ap
+    dx, dy = pos.x - ap.position.x, pos.y - ap.position.y
+    dist = math.sqrt(dx * dx + dy * dy)
+    sine = (dy * math.cos(ap.boresight_rad) - dx * math.sin(ap.boresight_rad)) / dist
+    amp = 10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m / (4.0 * math.pi * dist)
+    rows = sweep_response(paths, np.array([sine]), ap, sched.drive)
+    t_local = np.arange(200) / 4000.0
+    row = np.searchsorted(sched.starts_s, t_local + 1e-12, side="right") - 1
+    field = np.broadcast_to(rows[..., row], np.shape(starts) + (200,))
+    return (field * amp).reshape(-1)
+
+
+@pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
+def test_still_receiver_field_is_sweep_response_per_row(mode):
+    """A still receiver (a Position or a one-waypoint Trajectory, Doppler
+    on or off) gets sweep_response's field per schedule row, gathered per
+    sample, bit for bit: one draw for every slot, one draw per slot, a LOS
+    path whose weight is not 1, and no reflections."""
+    ap = replace(AP, antenna_count=5, boresight_rad=0.3)
+    sched = build_sweep_schedule(ap, mode)
+    rng = trial_rng(13, "still", mode)
+    starts = np.array([0.0, 0.1, 0.2, 0.3])
+    per_slot = draw_multipath(ChannelConfig(multipath_ratio=0.6), rng,
+                              np.full(4, 0.4))
+    cases = [(PathSet([0.7, 0.3, 0.2], [0.4, -0.9, 1.3], [1.1, 0.5, 4.0]), 0.05),
+             (per_slot, starts), (PathSet([1.0], [0.4], [0.0]), starts)]
+    pos = Position(9.0, 14.0)
+    for paths, t0 in cases:
+        want = _still_field(sched, paths, pos, t0)
+        for where in (pos, Trajectory.stationary(pos)):
+            for doppler in (False, True):
+                got = propagate(sched, paths, where, 4000.0, t0_s=t0,
+                                doppler=doppler).samples
+                assert got.tobytes() == want.tobytes()
+
+
+def test_still_trajectory_agrees_with_a_zero_length_line():
+    """A zero-length line has two equal waypoints, so it takes the moving
+    path (LOS field per sample, Doppler rotations by zero); it agrees with
+    a stationary trajectory's per-row field to 1e-12 of the largest
+    sample."""
+    sched = build_sweep_schedule(replace(AP, antenna_count=6), "uniform-theta")
+    rng = trial_rng(14, "zero-length")
+    starts = np.array([0.0, 0.1, 0.2])
+    paths = draw_multipath(ChannelConfig(multipath_ratio=0.8), rng,
+                           np.full(3, -0.2))
+    pos = Position(11.0, -6.0)
+    line = Trajectory.line(pos, heading_rad=1.0, speed_mps=0.0, duration_s=1.0)
+    assert line.waypoints[0][1] == line.waypoints[1][1]
+    for doppler in (False, True):
+        still = propagate(sched, paths, Trajectory.stationary(pos), 4000.0,
+                          t0_s=starts, doppler=doppler).samples
+        moving = propagate(sched, paths, line, 4000.0, t0_s=starts,
+                           doppler=doppler).samples
+        assert np.max(np.abs(moving - still)) <= 1e-12 * np.max(np.abs(still))
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_propagate_trials_equal_one_call_per_trial(moving):
+    """Trajectories on a leading trials axis of t0_s and of the draws
+    equal one call per trial, bit for bit, Doppler on and off. Trials that
+    stand still and trials that move cannot share a call."""
+    sched = build_sweep_schedule(replace(AP, antenna_count=3))
+    rng = trial_rng(15, "trials", moving)
+    starts = np.array([[0.0, 0.1, 0.2], [0.5, 0.6, 0.7]])
+    paths = draw_multipath(ChannelConfig(multipath_ratio=0.5), rng,
+                           rng.uniform(-1.0, 1.0, (2, 3)))
+    points = (Position(10.0, 2.0), Position(-4.0, 9.0))
+    trajs = [Trajectory.line(p, heading_rad=h, speed_mps=9.1, duration_s=1.0)
+             if moving else Trajectory.stationary(p)
+             for p, h in zip(points, (0.3, 2.0))]
+    for doppler in (False, True):
+        batch = np.empty((2, 3, 200), complex)
+        propagate(sched, paths, trajs, 4000.0, t0_s=starts, doppler=doppler,
+                  out=batch)
+        for i, traj in enumerate(trajs):
+            one = PathSet(paths.amplitudes[i], paths.bearings_rad[i],
+                          paths.excess_phases_rad[i])
+            got = propagate(sched, one, traj, 4000.0, t0_s=starts[i],
+                            doppler=doppler).samples
+            assert got.tobytes() == batch[i].tobytes()
+    mixed = [trajs[0], Trajectory.line(points[1], 0.0, 1.0, 1.0) if not moving
+             else Trajectory.stationary(points[1])]
+    with pytest.raises(ConfigError):
+        propagate(sched, paths, mixed, 4000.0, t0_s=starts)
+    with pytest.raises(ConfigError):
+        propagate(sched, paths, trajs, 4000.0, t0_s=starts[0])
+
+
+def test_successive_draws_that_differ_only_in_weight_stay_apart():
+    """Equal draws on successive slots are contracted once; two draws with
+    the same bearings but other amplitudes and phases are not equal. A
+    multi-slot call equals one call per slot, bit for bit, for a still and
+    a moving receiver."""
+    sched = build_sweep_schedule(AP)
+    paths = PathSet([[1.0, 0.3], [1.0, 0.5]], [[0.2, 0.7], [0.2, 0.7]],
+                    [[0.0, 1.0], [0.0, 2.5]])
+    starts = np.array([0.0, 0.1])
+    for where in (Position(10.0, 2.0), Trajectory.line(Position(10.0, 2.0), 0.3, 9.1, 1.0)):
+        batched = propagate(sched, paths, where, 4000.0, t0_s=starts).samples
+        for r, t0 in enumerate(starts):
+            one = PathSet(paths.amplitudes[r], paths.bearings_rad[r],
+                          paths.excess_phases_rad[r])
+            slot = propagate(sched, one, where, 4000.0, t0_s=float(t0)).samples
+            assert slot.tobytes() == batched[r * 200:(r + 1) * 200].tobytes()
+
+
 def test_apply_doppler_checks_geometry_in_every_slot():
     sched = build_sweep_schedule(AP)
     ps = PathSet([1.0, 0.3], [0.0, 0.5], [0.0, 1.0])

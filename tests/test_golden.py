@@ -1,11 +1,11 @@
 """Golden CSV digests: every experiment's bytes at small trial counts.
 
 The digests pin the exact output of each experiment on its default
-builtin scenario at seed 1 (two experiments also at seeds 2 and 3), in
-both sweep modes where the experiment uses the sweep. A refactor that
-must keep behaviour (same arithmetic, same rng draw order) keeps every
-digest; a change that is meant to move results updates the table and says
-why in CHANGES.md.
+builtin scenario at seed 1 (two experiments also at seeds 2 and 3, and
+speed_sweep also across a batch of trials), in both sweep modes where the
+experiment uses the sweep. A refactor that must keep behaviour (same
+arithmetic, same rng draw order) keeps every digest; a change that is
+meant to move results updates the table and says why in CHANGES.md.
 
 The builtin scenarios have no channel noise, so NOISY pins the three
 experiments that draw channel noise inside their trial loop on a variant
@@ -26,7 +26,8 @@ from dataclasses import replace
 import pytest
 
 from sweeploc.cli import DEFAULT_SCENARIO
-from sweeploc.experiments import ExperimentSpec, render_csv, run_experiment
+from sweeploc.experiments import (SPEED_BATCH, ExperimentSpec, render_csv,
+                                  run_experiment)
 from sweeploc.scenarios import BUILTIN_SCENARIOS
 
 # Trial counts span two chunks where the experiment chunks its trials
@@ -111,6 +112,23 @@ NOISY = {
 }
 
 
+# speed_sweep captures and scans SPEED_BATCH trials at a time, so one
+# trial more than that is a full batch and a batch of one at every speed.
+# Recorded before the trials were batched, and equal after.
+SPEED_BATCH_TRIALS = 5
+
+SPEED_BATCHES = {
+    ("alg1", None):
+        "52c9b0b5a8b2c7582a9d36a3df504bbc3e3226b6e30ab607350452da37eb5597",
+    ("alg1", NOISE_POWER_DBM):
+        "2bc48dfd7ddfc33a7de802efaddcb3e9b7209995b9befa3b3c0399a71ca973e1",
+    ("uniform-theta", None):
+        "5b71679973fe8f512b16a8632ff672dba95d11742cfcb962a3c646fb8e1d2b1a",
+    ("uniform-theta", NOISE_POWER_DBM):
+        "bdfaba7e31f936c88ccd779f6ae6d8cbe5f78d0924861800fc74fc68569ea258",
+}
+
+
 # At seed 1 the first farm_cdf trial without a fix (a low-confidence
 # bearing pair) is trial 65 in both modes, and 80 trials skip two, so these
 # pin the no-fix path that the 6-trial digests never reach.
@@ -153,6 +171,14 @@ def test_csv_bytes_match_golden_with_channel_noise(experiment, mode):
     assert scn.channel.noise_power_dbm is None
     digest = csv_digest(experiment, mode, noise_power_dbm=NOISE_POWER_DBM)
     assert digest == NOISY[(experiment, mode)]
+
+
+@pytest.mark.parametrize("mode,noise_power_dbm", list(SPEED_BATCHES))
+def test_speed_sweep_bytes_across_a_batch(mode, noise_power_dbm):
+    assert SPEED_BATCH_TRIALS == SPEED_BATCH + 1
+    digest = csv_digest("speed_sweep", mode, noise_power_dbm=noise_power_dbm,
+                        trials=SPEED_BATCH_TRIALS)
+    assert digest == SPEED_BATCHES[(mode, noise_power_dbm)]
 
 
 @pytest.mark.parametrize("mode", sorted(FARM_SKIPS))

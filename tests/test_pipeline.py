@@ -250,9 +250,9 @@ def test_capture_track_rounds_start_where_the_round_starts(noise_dbm):
         scn.channel, noise_power_dbm=noise_dbm))
     traj = Trajectory.line(Position(40.0, 30.0), heading_rad=0.4,
                            speed_mps=5.0, duration_s=1.0)
-    env = capture_track(scn, traj, trial_rng(6, "track"), rounds=5)
+    env = capture_track(scn, [traj], [trial_rng(6, "track")], rounds=5)
     assert env.t0_s.tolist() == [r * 0.1 for r in range(5)]
-    assert env.volts.shape == (5, 400)
+    assert env.volts.shape == (1, 5, 400)
     rx = Receiver(scn, cached_table(*scn.aps[:2]))
     assert not np.isnan(rx.scan(env).x_m).any()
 
@@ -278,9 +278,9 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
         synthesized.append(pathsets)
         return synthesize_rounds(scn, pathsets, where, rounds)
     monkeypatch.setattr(pipeline, "synthesize_rounds", spy)
-    env = capture_track(scn, traj, batched_rng, rounds)
+    env = capture_track(scn, [traj], [batched_rng], rounds)
 
-    n = env.volts.shape[1]
+    n = env.volts.shape[-1]
     draws, noises, last = [], [], None
     for r in range(rounds):
         t0 = r * scn.round_s
@@ -294,7 +294,8 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
     per_ap = [PathSet(*(np.stack([getattr(d[k], f) for d in draws])
                         for f in fields)) for k in range(len(scn.aps))]
     for got, want in zip(synthesized[0], per_ap, strict=True):
-        for f in fields:
+        for f in fields:  # the batch of one on a leading trials axis
+            assert getattr(got, f).shape == (1,) + getattr(want, f).shape
             assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
                   for parts in zip(*noises))
@@ -313,9 +314,58 @@ def test_capture_track_rows_step_by_the_round():
     assert scn.round_s == 3 * 0.04
     traj = Trajectory.line(Position(40.0, 10.0), heading_rad=0.4,
                            speed_mps=5.0, duration_s=1.0)
-    env = capture_track(scn, traj, trial_rng(7, "track"), rounds=4)
+    env = capture_track(scn, [traj], [trial_rng(7, "track")], rounds=4)
     assert env.t0_s.tolist() == [r * scn.round_s for r in range(4)]
-    assert env.volts.shape == (4, 3 * 160)
+    assert env.volts.shape == (1, 4, 3 * 160)
+
+
+def _three_tracks(case, noise_dbm):
+    """Three trials of one kind on the farm: moving (one flies out of the
+    field, so its later rounds miss), standing still, or moving without
+    reflections; each with its own rng."""
+    scn = _moving_farm("alg1", True, seed=10)
+    scn = dataclasses.replace(scn, channel=dataclasses.replace(
+        scn.channel, noise_power_dbm=noise_dbm,
+        multipath_ratio=0.0 if case == "no reflections" else 0.4))
+    points = (Position(40.0, 30.0), Position(60.0, 30.0), Position(35.0, 60.0))
+    trajs = [Trajectory.stationary(p) if case == "still"
+             else Trajectory.line(p, heading, speed, 4.0)
+             for p, heading, speed in zip(points, (0.4, math.pi / 2, -2.0),
+                                          (9.1, 36.4, 3.0))]
+    return scn, trajs, [trial_rng(10, "tracks", case, k) for k in range(3)]
+
+
+@pytest.mark.parametrize("noise_dbm", [None, -50.0])
+@pytest.mark.parametrize("case", ["moving", "still", "no reflections"])
+def test_capture_track_batch_equals_one_trial_calls(case, noise_dbm):
+    """A batch of three trials equals three one-trial calls, bit for bit,
+    and leaves each trial's rng where its one-trial call does."""
+    scn, trajs, rngs = _three_tracks(case, noise_dbm)
+    batch = capture_track(scn, trajs, rngs, rounds=40)
+    assert batch.volts.shape == (3, 40, 400)
+    for k, (traj, rng) in enumerate(zip(trajs, _three_tracks(case, noise_dbm)[2])):
+        one = capture_track(scn, [traj], [rng], rounds=40)
+        assert one.volts.tobytes() == batch.volts[k].tobytes()
+        assert one.t0_s.tobytes() == batch.t0_s.tobytes()
+        assert rng.bit_generator.state == rngs[k].bit_generator.state
+
+
+def test_scan_of_trials_equals_one_scan_per_trial():
+    """Receiver.scan of trials x rounds equals a scan of each trial's
+    rounds, bit for bit: each trial's bearings are smoothed from its own
+    first found round, not carried over from the trial before it."""
+    scn, trajs, rngs = _three_tracks("moving", -50.0)
+    env = capture_track(scn, trajs, rngs, rounds=40)
+    rx = Receiver(scn, cached_table(*scn.aps[:2]))
+    scan = rx.scan(env)
+    assert scan.found.shape == (3, 40, 2) and scan.x_m.shape == (3, 40)
+    assert not scan.found[1].all() and scan.found[2, 0].all()  # misses in trial 1
+    for k in range(3):
+        one = rx.scan(dataclasses.replace(env, volts=env.volts[k]))
+        for got, want in zip(dataclasses.astuple(scan), dataclasses.astuple(one),
+                             strict=True):
+            assert got[k].tobytes() == want.tobytes()
+    assert scan.smoothed_rad[2, 0].tolist() == scan.raw_rad[2, 0].tolist()
 
 
 def _scan_both_ways(scn, traj, rng):
@@ -326,7 +376,8 @@ def _scan_both_ways(scn, traj, rng):
     rounds gives the smoothed bearings, and fix_2d of each round's pair the
     fixes, NaN where there is none. All compared exactly. A second scan
     call on the same receiver gives the same arrays, bit for bit."""
-    env = capture_track(scn, traj, rng, rounds=40)
+    env = capture_track(scn, [traj], [rng], rounds=40)
+    env = dataclasses.replace(env, volts=env.volts[0])  # one track's rows
     rx = Receiver(scn, cached_table(*scn.aps[:2]))
     scan = rx.scan(env)
     for got, want in zip(dataclasses.astuple(rx.scan(env)),
