@@ -14,7 +14,7 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, DetectorConfig,
                        GeometryError, Position, Scenario, Trajectory,
                        free_space_loss_db, load_scenario, load_scenario_file,
                        scenario_digest, scenario_to_yaml, trial_rng,
-                       true_bearing, true_bearing_xy, wrap_angle)
+                       true_bearing_xy, wrap_angle)
 from .transmitter import PREAMBLE_PATTERNS, SweepSchedule, build_sweep_schedule
 from .channel import (FieldTrace, PathSet, apply_doppler, draw_multipath,
                       propagate, sweep_response)

@@ -1,9 +1,10 @@
 """Downlink channel: multipath draws, field synthesis, Doppler, noise.
 
 Fields are complex baseband samples in sqrt-milliwatt units, so |s|^2 is
-instantaneous received power in mW. The line-of-sight path tracks the
-moving receiver; reflected paths keep fixed arrival bearings and excess
-phases for the lifetime of one PathSet draw.
+instantaneous received power in mW. The line-of-sight path, at unit
+weight, tracks the moving receiver; a PathSet draw holds only the
+reflected paths, whose arrival bearings and excess phases stay fixed for
+its lifetime.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .transmitter import SweepSchedule
 
 @dataclass(frozen=True, eq=False)
 class PathSet:
-    """Propagation paths of one or more channel draws, as arrays.
+    """Reflected paths of one or more channel draws, as arrays.
 
-    The last axis is paths, index 0 the line-of-sight path; leading axes
-    hold trials and rounds. Each path has a relative amplitude, an
-    arrival bearing relative to boresight and an excess phase. The stored
-    LOS bearing is nominal (the bearing at draw time): propagate takes the
-    LOS sine from geometry, while reflected-path bearings stay fixed.
+    The last axis is paths, and may be empty (a LOS-only channel); leading
+    axes hold trials and rounds. Each path has an amplitude relative to
+    the line-of-sight path's, an arrival bearing relative to boresight and
+    an excess phase. The LOS path is not stored: it has unit weight, and
+    propagate takes its sine from geometry.
     """
 
     amplitudes: np.ndarray
@@ -42,28 +43,25 @@ class PathSet:
         amps = self.amplitudes
         if not amps.shape == self.bearings_rad.shape == self.excess_phases_rad.shape:
             raise ConfigError("path arrays must share one shape")
-        if not 1 <= amps.ndim <= 3 or amps.shape[-1] == 0:
-            raise ConfigError("a path set needs at least the LOS path")
+        if not 1 <= amps.ndim <= 3:
+            raise ConfigError("path arrays need a paths axis and at most two more")
         if not (np.all(np.isfinite(amps)) and np.all(amps >= 0)):
             raise ConfigError("path amplitude must be finite and >= 0")
-        if np.any(amps[..., 0] <= 0):
-            raise ConfigError("LOS amplitude must be positive")
 
 
 def draw_multipath(cfg: ChannelConfig, rng: np.random.Generator,
-                   los_bearing_rad: float | np.ndarray = 0.0) -> PathSet:
-    """Draw PathSets: LOS at unit amplitude plus scaled reflections.
+                   shape: tuple[int, ...] = ()) -> PathSet:
+    """Draw PathSets of reflections, relative to the unit LOS path.
 
-    A scalar LOS bearing gives one draw, an (n,) array n draws on a
-    leading trials axis. Reflection amplitudes are U(0,1] draws normalized
-    so their sum equals multipath_ratio; bearings are i.i.d.
-    U(-pi/2, pi/2); excess phases U[0, 2*pi). Each trial draws its
-    amplitudes, then bearings, then phases, so n draws at once equal n
-    draws in turn. It maps (map_multipath) a draw of uniforms
-    (path_uniforms); capture_track calls the two steps apart.
+    shape () gives one draw, (n,) n draws on a leading trials axis.
+    Reflection amplitudes are U(0,1] draws normalized so their sum equals
+    multipath_ratio; bearings are i.i.d. U(-pi/2, pi/2); excess phases
+    U[0, 2*pi). Each trial draws its amplitudes, then bearings, then
+    phases, so n draws at once equal n draws in turn. It maps
+    (map_multipath) a draw of uniforms (path_uniforms); capture_track
+    calls the two steps apart.
     """
-    los = np.asarray(los_bearing_rad, dtype=float)
-    return map_multipath(cfg, path_uniforms(cfg, rng, los.shape), los)
+    return map_multipath(cfg, path_uniforms(cfg, rng, shape))
 
 
 def path_uniforms(cfg: ChannelConfig, rng: np.random.Generator,
@@ -72,18 +70,14 @@ def path_uniforms(cfg: ChannelConfig, rng: np.random.Generator,
     return rng.random(shape + (3, cfg.nlos_path_count if cfg.multipath_ratio else 0))
 
 
-def map_multipath(cfg: ChannelConfig, u: np.ndarray,
-                  los_bearing_rad: np.ndarray) -> PathSet:
-    """The PathSet of draws from their uniforms and LOS bearings."""
-    los = np.asarray(los_bearing_rad, dtype=float)[..., None]
+def map_multipath(cfg: ChannelConfig, u: np.ndarray) -> PathSet:
+    """The PathSet of draws from their uniforms."""
     raw = 1.0 - u[..., 0, :]  # U(0, 1], cannot be zero
     amps = raw / raw.sum(axis=-1, keepdims=True) * cfg.multipath_ratio
     lo, hi = -math.pi / 2, math.pi / 2
     bearings = lo + (hi - lo) * u[..., 1, :]
     phases = 2.0 * math.pi * u[..., 2, :]
-    return PathSet(np.concatenate([np.ones_like(los), amps], axis=-1),
-                   np.concatenate([los, bearings], axis=-1),
-                   np.concatenate([np.zeros_like(los), phases], axis=-1))
+    return PathSet(amps, bearings, phases)
 
 
 _SCRATCH = threading.local()
@@ -115,10 +109,10 @@ def _phasors(sine: np.ndarray, ap: ApConfig, out: np.ndarray | None = None) -> n
     return np.exp(phasor, out=phasor)
 
 
-def _weights(paths: PathSet, ks: slice) -> np.ndarray:
-    """Weights a*exp(j*psi) of paths[ks] (... x paths x 1)."""
-    return (paths.amplitudes[..., ks, None]
-            * np.exp(1j * paths.excess_phases_rad[..., ks, None]))
+def _weights(paths: PathSet) -> np.ndarray:
+    """Weights a*exp(j*psi) of the paths (... x paths x 1)."""
+    return (paths.amplitudes[..., None]
+            * np.exp(1j * paths.excess_phases_rad[..., None]))
 
 
 def phased_sum(x: np.ndarray, weight: np.ndarray | None, drive: np.ndarray,
@@ -183,12 +177,17 @@ def _per_draw(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
 
 def _path_terms(paths: PathSet, los_sine: np.ndarray,
                 ap: ApConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Phasors and weights of all paths (... x paths x 1), the LOS path's
-    with sine los_sine, for phased_sum to sum before the contraction."""
-    is_los = np.arange(paths.amplitudes.shape[-1])[:, None] == 0
-    sine = np.where(is_los, np.expand_dims(los_sine, -2),
-                    np.sin(paths.bearings_rad[..., None]))
-    return _phasors(sine, ap), _weights(paths, slice(None))
+    """Phasors and weights (... x paths x 1) of the LOS path, with sine
+    los_sine and weight 1+0j, then the reflected paths, for phased_sum to
+    sum before the contraction."""
+    los = np.expand_dims(los_sine, -2)
+    reflected = np.sin(paths.bearings_rad[..., None])
+    *lead, count, columns = np.broadcast_shapes(los.shape, reflected.shape)
+    sine = np.empty((*lead, 1 + count, columns))
+    sine[..., :1, :], sine[..., 1:, :] = los, reflected
+    weight = _weights(paths)
+    return _phasors(sine, ap), np.concatenate(
+        [np.ones(weight.shape[:-2] + (1, 1), complex), weight], axis=-2)
 
 
 def sweep_response(paths: PathSet, los_sine: np.ndarray,
@@ -200,8 +199,8 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
     phased_sum contracts it with the drive matrix (SweepSchedule.drive);
     on a sweep row, exp(-j*i*inc), that gives the array-manifold sum
     w_k * sum_i exp(j*i*(phi_k - inc)) (Van Trees, Optimum Array
-    Processing, ch. 2). The LOS path takes sin(b_0) = los_sine, never the
-    stored nominal bearing.
+    Processing, ch. 2). The LOS path, path 0, takes sin(b_0) = los_sine
+    and w_0 = 1; the reflected paths follow it in PathSet order.
 
     Leading axes of paths (trials) broadcast against the LOS sine's. All
     paths go on phased_sum's paths axis, summed before the contraction.
@@ -211,10 +210,10 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
 
 @dataclass(frozen=True)
 class FieldTrace:
-    """Sampled complex field at the receiver: samples[s] is the total
-    field at t0_s + s/sample_rate_hz. Several slots (see propagate) lie
-    back to back, although they may be apart in time, or, written into a
-    caller's out, in its slots x samples array."""
+    """Sampled complex field at the receiver: samples[..., s] is the total
+    field at s/sample_rate_hz into its slot, the first of which starts at
+    t0_s. Leading axes hold slots (see propagate), which may be apart in
+    time; a flat buffer is one stretch of samples from t0_s."""
 
     samples: np.ndarray
     sample_rate_hz: float
@@ -231,9 +230,9 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     AP, one per TDMA round. where is one receiver, or one trajectory per
     row of a trials x R t0_s, all moving or all still. paths is one draw
     for every slot, or one per slot on leading axes of t0_s's shape. The
-    slots come out back to back in samples (flat), or in out, a complex
-    array of t0_s's shape plus the period's samples. Each sample takes the
-    drive of the schedule row active at its time in its slot. The LOS sine
+    samples have t0_s's shape plus the period's samples, in a fresh array
+    or written into out. Each sample takes the drive of the schedule row
+    active at its time in its slot. The LOS path has unit weight; its sine
     (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
     10**(P/20) * lambda / (4*pi*dist) follow the receiver in closed form.
     A still receiver's field is sweep_response's per schedule row, each
@@ -275,12 +274,11 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
         phasor = _phasors(los_sine, ap, _scratch("los_phasor", shape, complex))
         amp = np.divide(link, np.multiply(4.0 * math.pi, dist, out=los_sine),
                         out=los_sine)  # the sine's buffer, spent
-        weight = _weights(paths, slice(0, 1))  # 1 in every map_multipath draw
-        los = phased_sum(phasor[..., None, :], None if np.all(weight == 1) else weight,
-                         schedule.drive[:, row], out=_scratch("los", field_shape, complex))
+        los = phased_sum(phasor[..., None, :], None, schedule.drive[:, row],
+                         out=_scratch("los", field_shape, complex))
         reflected, draw = _per_draw(
-            _phasors(np.sin(paths.bearings_rad[..., 1:, None, None]), ap),
-            _weights(paths, slice(1, None))[..., None], schedule.drive, 3)
+            _phasors(np.sin(paths.bearings_rad[..., None, None]), ap),
+            _weights(paths)[..., None], schedule.drive, 3)
         if doppler:  # per trial: start and stop times, x and y displacement
             ends = [(*w[0], *w[-1]) for w in waypoints]
             segment = np.reshape([(t0, t1, p1.x - p0.x, p1.y - p0.y)
@@ -290,8 +288,7 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
         else:
             field = np.add(los, _per_sample(reflected.sum(axis=-2), draw, row, _scratch(
                 "gathered", los.shape, complex)), out=los)
-    samples = np.multiply(field, amp, out=out)
-    return FieldTrace(samples=samples.reshape(-1) if out is None else out,
+    return FieldTrace(samples=np.multiply(field, amp, out=out),
                       sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
 
 
@@ -337,7 +334,8 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | Non
     los is the LOS field per sample, reflected the reflected paths' fields
     per schedule row (draws x paths x rows), draw each slot's draw among
     them (None: one draw, paths x rows, for every slot), row each sample's
-    row, t_local its time in its slot and dist its AP distance. segment
+    row, bearings_rad the reflected paths' bearings (PathSet.bearings_rad),
+    t_local each sample's time in its slot and dist its AP distance. segment
     holds each trial's segment (start and stop times, x and y
     displacement) on its last axis, broadcasting against starts. The LOS
     length change is exact. Path k, a plane wave from bearing u_k, turns
@@ -357,7 +355,7 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | Non
                         out=_scratch("los_phasor", dist.shape, complex))
     np.multiply(los, np.exp(total, out=total), out=total)
     t_start, t_stop, move_x, move_y = np.moveaxis(segment, -1, 0)[..., None, None]
-    alpha = ap.boresight_rad + bearings_rad[..., 1:, None]  # toward the source
+    alpha = ap.boresight_rad + bearings_rad[..., None]  # toward the source
     omega = wavenumber * (np.cos(alpha) * move_x + np.sin(alpha) * move_y
                           ) / (t_stop - t_start)
     moves_from = np.maximum(t_start - starts[..., None, None], 0.0)  # slot time

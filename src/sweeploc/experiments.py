@@ -179,7 +179,7 @@ def _grid_chunk_errors(scn: Scenario, antenna_counts: Sequence[int],
     rng = trial_rng(scn.seed, "multipath_grid", r_key, chunk_idx)
     limit = math.radians(GRID_BEARING_LIMIT_DEG)
     los = rng.uniform(-limit, limit, n)
-    paths = draw_multipath(channel, rng, los)
+    paths = draw_multipath(channel, rng, los.shape)
     estimates = fast_estimate_bearings(
         replace(scn.aps[0], antenna_count=max(antenna_counts)), scn.sweep_mode,
         scn.detector.sample_rate_hz, paths, los)
@@ -246,7 +246,7 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
         heading = ap.boresight_rad + bearing
         pos = Position(ap.position.x + distance * math.cos(heading),
                        ap.position.y + distance * math.sin(heading))
-        paths = draw_multipath(scn.channel, rng, bearing)
+        paths = draw_multipath(scn.channel, rng)
         noise = draw_noise(scn, n, rng)
         propagate(schedule, paths, pos, fs, t0_s=period / 2.0,
                   out=capture[lead:lead + slot_n])

@@ -20,8 +20,7 @@ from .channel import (FieldTrace, PathSet, complex_noise, draw_multipath,
 from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, detector_noise, envelope_detect,
                        period_samples, step_estimate_angles)
-from .scenario import (ApConfig, DetectorConfig, Position, Scenario,
-                       Trajectory, true_bearing, true_bearing_xy)
+from .scenario import ApConfig, DetectorConfig, Position, Scenario, Trajectory
 from .transmitter import cached_schedule
 
 
@@ -85,12 +84,9 @@ def _round_samples(scn: Scenario) -> int:
     return len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
 
 
-def draw_pathsets(scn: Scenario, where: Position | Trajectory,
-                  rng: np.random.Generator, t0_s: float = 0.0) -> list[PathSet]:
-    """One independent multipath draw per AP, seeded with the true bearing."""
-    pos = where if isinstance(where, Position) else where.position_at(t0_s)
-    return [draw_multipath(scn.channel, rng, true_bearing(ap, pos))
-            for ap in scn.aps]
+def draw_pathsets(scn: Scenario, rng: np.random.Generator) -> list[PathSet]:
+    """One independent draw of reflected paths per AP, in AP order."""
+    return [draw_multipath(scn.channel, rng) for _ in scn.aps]
 
 
 def capture_track(scn: Scenario, trajs: list[Trajectory],
@@ -112,7 +108,7 @@ def capture_track(scn: Scenario, trajs: list[Trajectory],
     n = _round_samples(scn)
     starts = np.arange(rounds) * scn.round_s
     redraw_m = scn.channel.nlos_redraw_distance_m
-    uniforms, los, noises = [], [], []
+    uniforms, noises = [], []
     for traj, rng in zip(trajs, rngs, strict=True):
         xs, ys = (v.tolist() for v in traj.positions_at(starts))
         firsts = [0]  # the first round of each draw
@@ -128,11 +124,8 @@ def capture_track(scn: Scenario, trajs: list[Trajectory],
             noises += [draw_noise(scn, m * n, rng) for m in runs]
         draw_of_round = np.repeat(np.arange(len(firsts)), spans)
         uniforms.append(np.stack(draws)[draw_of_round])
-        los.append(np.array([[true_bearing_xy(ap, xs[r], ys[r]) for ap in scn.aps]
-                             for r in firsts])[draw_of_round])
-    u, los = np.stack(uniforms), np.stack(los)  # trials x rounds x APs (x ...)
-    per_ap = [map_multipath(scn.channel, u[:, :, k], los[..., k])
-              for k in range(len(scn.aps))]
+    u = np.stack(uniforms)  # trials x rounds x APs x 3 x reflections
+    per_ap = [map_multipath(scn.channel, u[:, :, k]) for k in range(len(scn.aps))]
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
                   for parts in zip(*noises))
     env = detect_with_noise(synthesize_rounds(scn, per_ap, trajs, rounds),
@@ -166,7 +159,7 @@ def localize_once(scn: Scenario, where: Position | Trajectory,
                   table: LookupTable) -> LocalizationResult:
     """Draw a channel and the noise of a two-round capture, synthesize it,
     and run a fresh receiver over it."""
-    pathsets = draw_pathsets(scn, where, rng)
+    pathsets = draw_pathsets(scn, rng)
     noise = draw_noise(scn, 2 * _round_samples(scn), rng)
     env = detect_with_noise(synthesize_rounds(scn, pathsets, where, rounds=2),
                             scn.detector, noise)

@@ -91,9 +91,6 @@ class Trajectory:
                        start.y + speed_mps * duration_s * math.sin(heading_rad))
         return cls(((0.0, start), (duration_s, end)))
 
-    def position_at(self, t: float) -> Position:
-        return Position(*(float(v) for v in self.positions_at(t)))
-
     def positions_at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The x and y arrays of the position at each of the times t:
         p0 + f*(p1 - p0) on the segment, f = (t - t0)/(t1 - t0), and the end
@@ -305,14 +302,9 @@ class Scenario:
         return len(self.aps) * self.aps[0].sweep_period_s
 
 
-def true_bearing(ap: ApConfig, pos: Position) -> float:
-    """Bearing of pos as seen from the AP, relative to boresight, in (-pi, pi]."""
-    return true_bearing_xy(ap, pos.x, pos.y)
-
-
 def true_bearing_xy(ap: ApConfig, x: float, y: float) -> float:
-    """true_bearing of the point (x, y), for callers that hold coordinates
-    rather than a Position. math.atan2, not np.arctan2: the two differ in
+    """Bearing of the point (x, y) as seen from the AP, relative to
+    boresight, in (-pi, pi]. math.atan2, not np.arctan2: the two differ in
     the last bit on some numpy builds."""
     dx = x - ap.position.x
     dy = y - ap.position.y

@@ -25,7 +25,8 @@ def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
     each path's steering vector a*link*exp(j*psi)*exp(j*i*phi) with one
     complex exponential per antenna, contracted with the drive of the
     sample's schedule row, rotated by the path's Doppler phase (from the
-    slot's first sample) and added up."""
+    slot's first sample) and added up. The LOS path comes first, at unit
+    weight and the receiver's bearing, then the PathSet's reflections."""
     ap = schedule.ap
     waypoints = where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)
     n = round(schedule.period_s * sample_rate_hz)
@@ -40,12 +41,14 @@ def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
     link = 10.0 ** ((ap.tx_power_dbm - loss_db) / 20.0)
     los = np.arctan2(py - ap.position.y, px - ap.position.x) - ap.boresight_rad
     drive = schedule.drive[:, row]
+    terms = [(los, 1.0, 0.0)] + [
+        (paths.bearings_rad[..., k, None], paths.amplitudes[..., k, None],
+         paths.excess_phases_rad[..., k, None])
+        for k in range(paths.amplitudes.shape[-1])]
     total = 0.0
-    for k in range(paths.amplitudes.shape[-1]):
-        bearing = los if k == 0 else paths.bearings_rad[..., k, None]
+    for k, (bearing, amplitude, excess) in enumerate(terms):
         phi = 2.0 * math.pi * ap.spacing_wavelengths * np.sin(bearing)
-        weight = (paths.amplitudes[..., k, None] * link
-                  * np.exp(1j * paths.excess_phases_rad[..., k, None]))
+        weight = amplitude * link * np.exp(1j * excess)
         field = sum(weight * np.exp(1j * i * phi) * drive[i]
                     for i in range(ap.antenna_count))
         if doppler and len(waypoints) > 1:
@@ -57,7 +60,7 @@ def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
                           + np.sin(alpha) * (py - py[..., :1]))
             field = field * np.exp(-2j * math.pi * delta / ap.wavelength_m)
         total = total + field
-    return np.reshape(total, -1)
+    return total
 
 
 def intersect_bearings(ap1: ApConfig, bearing1_rad: float, ap2: ApConfig,

@@ -53,7 +53,7 @@ from sweeploc.scenario import (
     DetectorConfig,
     Position,
     trial_rng,
-    true_bearing,
+    true_bearing_xy,
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import build_sweep_schedule, drive_increments
@@ -104,8 +104,7 @@ def test_criterion_2_noiseless_estimates_within_quantization():
             for deg in range(-79, 80):
                 phi = math.radians(deg)
                 pos = Position(10.0 * math.cos(phi), 10.0 * math.sin(phi))
-                trace = propagate(sched, PathSet([1.0], [phi], [0.0]),
-                                  pos, fs)
+                trace = propagate(sched, PathSet([], [], []), pos, fs)
                 est = estimate_angle(envelope_detect(trace, det), 0, ap, mode)
                 err = abs(est - phi)
                 if mode == "alg1":
@@ -124,8 +123,10 @@ def test_criterion_2_noiseless_estimates_within_quantization():
 
 def test_criterion_3_sweep_magnitude_matches_array_factor():
     """Synthesized sweep samples equal the analytic array response: the
-    two-antenna closed form a*A*sqrt(2+2cos(x)) and the direct complex
-    sum for 2..5 antennas, to 1e-9 relative at every sample."""
+    two-antenna closed form g*A*sqrt(2+2cos(x)) and the direct complex
+    sum for 2..5 antennas, to 1e-9 relative at every sample. A reflection
+    of weight a*exp(j*psi) arrives from the LOS bearing, so the two paths
+    add to one of gain g = |1 + a*exp(j*psi)|."""
     det = DetectorConfig()
     fs = det.sample_rate_hz
     from sweeploc.scenario import free_space_loss_db
@@ -136,8 +137,8 @@ def test_criterion_3_sweep_magnitude_matches_array_factor():
         phi, d = math.radians(23.0), 12.0
         a_path, excess = 0.8, 0.4
         pos = Position(d * math.cos(phi), d * math.sin(phi))
-        trace = propagate(sched, PathSet([a_path], [phi], [excess]),
-                          pos, fs)
+        trace = propagate(sched, PathSet([a_path], [phi], [excess]), pos, fs)
+        gain = abs(1.0 + a_path * complex(math.cos(excess), math.sin(excess)))
 
         # the sweep steps are the schedule's last sweep_step_count rows
         starts = sched.starts_s
@@ -151,12 +152,12 @@ def test_criterion_3_sweep_magnitude_matches_array_factor():
         link = 10.0 ** ((ap.tx_power_dbm
                          - free_space_loss_db(d, ap.carrier_hz)) / 20.0)
         # independent oracle: raw complex sum, no shared helper
-        oracle = a_path * link * np.abs(
+        oracle = gain * link * np.abs(
             np.exp(1j * np.outer(x, np.arange(n_ant))).sum(axis=1))
         sim = np.abs(trace.samples[sweep])
         assert np.all(np.abs(sim - oracle) <= 1e-9 * oracle + 1e-15)
         if n_ant == 2:
-            closed = a_path * link * np.sqrt(np.maximum(0.0, 2 + 2 * np.cos(x)))
+            closed = gain * link * np.sqrt(np.maximum(0.0, 2 + 2 * np.cos(x)))
             assert np.all(np.abs(sim - closed) <= 1e-9 * closed + 1e-15)
 
 
@@ -196,8 +197,8 @@ def test_criterion_5_table_fix_matches_exact_intersection():
     while checked < 1000:
         p = Position(float(rng.uniform(5.0, 115.0)),
                      float(rng.uniform(5.0, 85.0)))
-        b1 = true_bearing(ap1, p)
-        b2 = true_bearing(ap2, p)
+        b1 = true_bearing_xy(ap1, p.x, p.y)
+        b2 = true_bearing_xy(ap2, p.x, p.y)
         exact = intersect_bearings(ap1, b1, ap2, b2)
         if exact is None:
             skipped += 1

@@ -25,7 +25,7 @@ from sweeploc.receiver import (EnvelopeTrace, LookupTable, Receiver,
                                sweep_window_samples)
 from sweeploc.scenario import (ApConfig, ChannelConfig, ConfigError,
                                DetectorConfig, GeometryError, Position,
-                               Scenario, Trajectory, trial_rng, true_bearing)
+                               Scenario, Trajectory, trial_rng, true_bearing_xy)
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import (build_sweep_schedule, drive_increments,
                                   steering_values)
@@ -35,7 +35,7 @@ def test_synthesize_rounds_buffer_length():
     scn = bench_scenario(seed=0)
     rng = trial_rng(0, "synth")
     where = Position(40.0, 10.0)
-    pathsets = draw_pathsets(scn, where, rng)
+    pathsets = draw_pathsets(scn, rng)
     trace = synthesize_rounds(scn, pathsets, where, rounds=2)
     # two rounds x two APs x 50 ms at 4 kHz
     assert len(trace.samples) == 2 * 2 * 200
@@ -56,8 +56,7 @@ def test_detect_with_noise_adds_channel_then_detector_noise():
     scn = dataclasses.replace(scn, channel=dataclasses.replace(
         scn.channel, noise_power_dbm=-45.0))
     where = Position(40.0, 10.0)
-    field = synthesize_rounds(scn, draw_pathsets(scn, where, trial_rng(2, "p")),
-                              where)
+    field = synthesize_rounds(scn, draw_pathsets(scn, trial_rng(2, "p")), where)
     noise = draw_noise(scn, len(field.samples), trial_rng(2, "n"))
     env = detect_with_noise(field, scn.detector, noise)
     noisy_field = dataclasses.replace(field, samples=field.samples + noise[0])
@@ -92,7 +91,7 @@ def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
                                   nlos_path_count=nlos)
     rng = trial_rng(7, "parity", mode, n_ant, nlos)
     los = rng.uniform(-math.pi / 3, math.pi / 3, 100)
-    paths = draw_multipath(channel, rng, los)
+    paths = draw_multipath(channel, rng, los.shape)
     every = fast_estimate_bearings(dataclasses.replace(ap, antenna_count=5),
                                    mode, fs, paths, los)
     assert every.shape == (5, len(los))
@@ -158,16 +157,16 @@ def test_los_scan_picks_the_nearest_sweep_step(case):
     tie, fast_estimate_bearings' last row gives the same raw bearing."""
     scn, where = case
     env = envelope_detect(synthesize_rounds(
-        scn, draw_pathsets(scn, where, trial_rng(0, "los-only")), where, rounds=2),
+        scn, draw_pathsets(scn, trial_rng(0, "los-only")), where, rounds=2),
         scn.detector)
     scan = Receiver(scn, LookupTable(*scn.aps)).scan(env)
     assert scan.found.all()
     rate = scn.detector.sample_rate_hz
     for k, ap in enumerate(scn.aps):
-        truth = true_bearing(ap, where)
+        truth = true_bearing_xy(ap, where.x, where.y)
         raw = scan.raw_rad[0, k]
         fast = fast_estimate_bearings(ap, scn.sweep_mode, rate,
-                                      PathSet([[1.0]], [[truth]], [[0.0]]), [truth])
+                                      PathSet([[]], [[]], [[]]), [truth])
         assert fast.shape == (ap.antenna_count, 1)
         # two steps equally near the truth tie, and rounding, which the two
         # paths do differently, picks one: both are checked below
@@ -195,7 +194,7 @@ def test_speed_affects_doppler_only_when_enabled():
     rng = trial_rng(9, "dop")
     traj = Trajectory.line(Position(40.0, 40.0), heading_rad=0.3,
                            speed_mps=5.0, duration_s=1.0)
-    pathsets = draw_pathsets(scn, traj, rng)
+    pathsets = draw_pathsets(scn, rng)
     still = synthesize_rounds(scn, pathsets, traj, rounds=1)
     moving_scn = dataclasses.replace(
         scn, channel=dataclasses.replace(scn.channel, doppler_enabled=True))
@@ -226,9 +225,9 @@ def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
     starts = [r * scn.round_s for r in range(rounds)]
     draws, last = [], None
     for t0 in starts:
-        pos = traj.position_at(t0)
+        pos = Position(*map(float, traj.positions_at(t0)))
         if last is None or pos.distance_to(last) >= scn.channel.nlos_redraw_distance_m:
-            pathsets, last = draw_pathsets(scn, traj, rng, t0_s=t0), pos
+            pathsets, last = draw_pathsets(scn, rng), pos
         draws.append(pathsets)
     assert len({id(d) for d in draws}) > 1  # paths are redrawn on the way
     per_ap = [PathSet(*(np.stack([getattr(d[k], f) for d in draws])
@@ -284,9 +283,9 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
     draws, noises, last = [], [], None
     for r in range(rounds):
         t0 = r * scn.round_s
-        pos = traj.position_at(t0)
+        pos = Position(*map(float, traj.positions_at(t0)))
         if last is None or pos.distance_to(last) >= scn.channel.nlos_redraw_distance_m:
-            pathsets, last = draw_pathsets(scn, traj, single_rng, t0_s=t0), pos
+            pathsets, last = draw_pathsets(scn, single_rng), pos
         draws.append(pathsets)
         noises.append(draw_noise(scn, n, single_rng))
     assert len({id(d) for d in draws}) > rounds // 3  # redrawn on the way
@@ -462,7 +461,7 @@ def test_batched_synthesis_checks_geometry_in_a_later_slot(doppler):
     # reaches AP 1 at 0.3 s and stays there: every slot of round 0 is clear
     traj = Trajectory(((0.0, Position(ap.position.x, 30.0)),
                        (0.3, ap.position)))
-    pathsets = draw_pathsets(scn, traj, trial_rng(2, "geometry"))
+    pathsets = draw_pathsets(scn, trial_rng(2, "geometry"))
     synthesize_rounds(scn, pathsets, traj, rounds=1)
     with pytest.raises(GeometryError):
         synthesize_rounds(scn, pathsets, traj, rounds=5)

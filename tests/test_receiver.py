@@ -39,7 +39,7 @@ from sweeploc.scenario import (
     Position,
     Scenario,
     trial_rng,
-    true_bearing,
+    true_bearing_xy,
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import PREAMBLE_PATTERNS, build_sweep_schedule
@@ -65,7 +65,7 @@ def los_trace(ap, phi, dist=10.0, mode="alg1", t0=0.0):
     pos = Position(ap.position.x + dist * math.cos(phi + ap.boresight_rad),
                    ap.position.y + dist * math.sin(phi + ap.boresight_rad))
     sched = build_sweep_schedule(ap, mode)
-    return propagate(sched, PathSet([1.0], [phi], [0.0]), pos, FS, t0_s=t0)
+    return propagate(sched, PathSet([], [], []), pos, FS, t0_s=t0)
 
 
 def test_window_and_period_sample_counts():
@@ -283,8 +283,8 @@ def test_centered_template_is_cached_read_only_and_exact():
 
 def test_intersect_bearings_exact_geometry():
     target = Position(30.0, 40.0)
-    b1 = true_bearing(AP1, target)
-    b2 = true_bearing(AP2, target)
+    b1 = true_bearing_xy(AP1, target.x, target.y)
+    b2 = true_bearing_xy(AP2, target.x, target.y)
     hit = intersect_bearings(AP1, b1, AP2, b2)
     assert hit is not None
     assert hit.x == pytest.approx(30.0, abs=1e-9)
@@ -296,8 +296,8 @@ def test_intersect_bearings_degenerate_cases():
     assert intersect_bearings(AP1, math.pi / 2, AP2, math.pi / 2) is None
     # crossing behind the arrays
     target = Position(30.0, -40.0)
-    b1 = true_bearing(AP1, Position(30.0, 40.0))
-    b2 = true_bearing(AP2, target)
+    b1 = true_bearing_xy(AP1, 30.0, 40.0)
+    b2 = true_bearing_xy(AP2, target.x, target.y)
     assert intersect_bearings(AP1, b1, AP2, b2) is None
 
 
@@ -306,8 +306,8 @@ def test_lookup_table_exact_at_cell_centers():
     assert table.resolution_deg == 1.0
     assert 0.0 < np.isfinite(table.xs).mean() < 1.0
     target = Position(30.5, 44.2)
-    b1 = true_bearing(AP1, target)
-    b2 = true_bearing(AP2, target)
+    b1 = true_bearing_xy(AP1, target.x, target.y)
+    b2 = true_bearing_xy(AP2, target.x, target.y)
     i = table.cell_index(b1)
     j = table.cell_index(b2)
     c1 = math.radians(-90.0 + (i + 0.5) * table.resolution_deg)
@@ -458,11 +458,9 @@ def test_receiver_two_slot_buffer_produces_fix():
     rx = Receiver(Scenario(aps=(AP1, AP2), smoothing=0.8), table)
     # keep both links inside detector range (the floor clips past ~60 m)
     target = Position(50.0, 10.0)
-    b1 = true_bearing(AP1, target)
-    b2 = true_bearing(AP2, target)
-    s1 = propagate(build_sweep_schedule(AP1), PathSet([1.0], [b1], [0.0]),
+    s1 = propagate(build_sweep_schedule(AP1), PathSet([], [], []),
                    target, FS, t0_s=0.0)
-    s2 = propagate(build_sweep_schedule(AP2), PathSet([1.0], [b2], [0.0]),
+    s2 = propagate(build_sweep_schedule(AP2), PathSet([], [], []),
                    target, FS, t0_s=0.05)
     env = envelope_detect(joined(s1, s2), DET)
     fix = rx.process_buffer(env).fix

@@ -25,7 +25,7 @@ from sweeploc.scenario import (
     scenario_from_mapping,
     scenario_to_yaml,
     trial_rng,
-    true_bearing,
+    true_bearing_xy,
     wrap_angle,
 )
 from sweeploc import cli, scenario
@@ -63,11 +63,11 @@ def test_free_space_loss_reference_points():
 
 def test_true_bearing_relative_to_boresight():
     ap = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
-    assert true_bearing(ap, Position(10.0, 0.0)) == pytest.approx(0.0)
-    assert true_bearing(ap, Position(10.0, 10.0)) == pytest.approx(math.pi / 4)
+    assert true_bearing_xy(ap, 10.0, 0.0) == pytest.approx(0.0)
+    assert true_bearing_xy(ap, 10.0, 10.0) == pytest.approx(math.pi / 4)
     north = ApConfig(position=Position(0.0, 0.0), boresight_rad=math.pi / 2)
-    assert true_bearing(north, Position(0.0, 5.0)) == pytest.approx(0.0)
-    assert true_bearing(north, Position(5.0, 5.0 * math.tan(math.pi / 3))) \
+    assert true_bearing_xy(north, 0.0, 5.0) == pytest.approx(0.0)
+    assert true_bearing_xy(north, 5.0, 5.0 * math.tan(math.pi / 3)) \
         == pytest.approx(-(math.pi / 2 - math.pi / 3))
 
 
@@ -151,22 +151,21 @@ def test_detector_response_and_floor():
 
 
 def test_trajectory_stationary_and_line():
+    def xy(traj, t):
+        return tuple(float(v) for v in traj.positions_at(t))
+
     still = Trajectory.stationary(Position(3.0, 4.0))
-    assert still.position_at(0.0) == Position(3.0, 4.0)
-    assert still.position_at(100.0) == Position(3.0, 4.0)
+    assert xy(still, 0.0) == (3.0, 4.0)
+    assert xy(still, 100.0) == (3.0, 4.0)
 
     line = Trajectory.line(Position(0.0, 0.0), heading_rad=0.0,
                            speed_mps=2.0, duration_s=10.0)
-
-    def xy(p):
-        return (p.x, p.y)
-
-    assert xy(line.position_at(5.0)) == pytest.approx((10.0, 0.0))
-    assert xy(line.position_at(10.0)) == pytest.approx((20.0, 0.0))
-    assert xy(line.position_at(25.0)) == pytest.approx((20.0, 0.0))  # clamped
+    assert xy(line, 5.0) == pytest.approx((10.0, 0.0))
+    assert xy(line, 10.0) == pytest.approx((20.0, 0.0))
+    assert xy(line, 25.0) == pytest.approx((20.0, 0.0))  # clamped
     # 2 m/s along the heading while it moves, standing still after
-    assert xy(line.position_at(6.0)) == pytest.approx((12.0, 0.0))
-    assert line.position_at(30.0) == line.position_at(25.0)
+    assert xy(line, 6.0) == pytest.approx((12.0, 0.0))
+    assert xy(line, 30.0) == xy(line, 25.0)
 
 
 def test_trajectory_is_one_segment():
@@ -179,12 +178,12 @@ def test_trajectory_is_one_segment():
         Trajectory(())
 
 
-def test_positions_at_equal_position_at_bitwise():
+def test_positions_at_equal_the_segment_arithmetic_bitwise():
     """The array positions (speed_sweep's truth, capture_track's round
-    origins) and position_at's are the segment arithmetic p0 + f*(p1 - p0)
-    worked out one time at a time in Python floats, bit for bit: before
-    the start, on the segment, at both ends and after the stop, and
-    standing still."""
+    origins), for many times at once and for one time at a time, are the
+    segment arithmetic p0 + f*(p1 - p0) worked out one time at a time in
+    Python floats, bit for bit: before the start, on the segment, at both
+    ends and after the stop, and standing still."""
     rng = trial_rng(2, "positions")
     # 12.3 + 1.0 * (-7.1 - 12.3) is not -7.1, nor 0.7 + (-2.9 - 0.7) -2.9:
     # a clamped fraction instead of the end points would show
@@ -205,8 +204,8 @@ def test_positions_at_equal_position_at_bitwise():
         xs, ys = traj.positions_at(t)
         assert xs.tobytes() == want[:, 0].tobytes()
         assert ys.tobytes() == want[:, 1].tobytes()
-        one_by_one = [traj.position_at(v) for v in t.tolist()]
-        assert np.array([(p.x, p.y) for p in one_by_one]).tobytes() == want.tobytes()
+        one_by_one = [traj.positions_at(v) for v in t.tolist()]
+        assert np.array(one_by_one).tobytes() == want.tobytes()
 
 
 def test_trial_rng_reproducible_and_key_sensitive():
