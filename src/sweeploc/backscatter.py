@@ -5,12 +5,13 @@ subcarrier rate during one-bits, so the interrogator sees OOK sidebands
 offset from its own carrier. Reception is modeled at the interrogator's
 complex envelope centered on the subcarrier offset (the strong 0 Hz
 carrier leakage is band-passed away), decimated to a few samples per bit.
+The rates and the link's levels are the platform's fixed values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,12 @@ SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
 UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
 MODULATOR_RATE_HZ = 8e6  # the tag's switch-drive sample rate
 SUBCARRIER_HZ = 2e6  # switch toggle rate, the interrogator's mixing offset
+CAPTURE_RATE_HZ = 16000.0  # the interrogator's envelope capture rate
+CAPTURE_SAMPLES_PER_BIT = round(CAPTURE_RATE_HZ / UPLINK_BITRATE_HZ)
+TX_POWER_DBM = 20.0  # the interrogator's carrier
+CARRIER_HZ = 915e6
+REFLECTION_LOSS_DB = 10.0  # the tag's modulated reflection
+NOISE_FLOOR_DBM = -90.0  # the interrogator's receiver
 
 
 @dataclass(frozen=True)
@@ -50,16 +57,29 @@ def frame_from_records(records: Sequence[SensorRecord]) -> Frame:
     return Frame(bits=tuple(int(b) for b in bits))
 
 
-def _whole_ratio(numerator: float, denominator: float, message: str) -> int:
-    ratio = round(numerator / denominator)
-    if ratio < 1 or abs(numerator / denominator - ratio) > 1e-6:
-        raise ConfigError(message)
-    return ratio
-
-
 def _capture_samples_per_bit(sample_rate_hz: float) -> int:
-    return _whole_ratio(sample_rate_hz, UPLINK_BITRATE_HZ, "capture rate must"
-                        " be a whole multiple of the uplink bitrate")
+    spb = round(sample_rate_hz / UPLINK_BITRATE_HZ)
+    if spb < 1 or abs(sample_rate_hz / UPLINK_BITRATE_HZ - spb) > 1e-6:
+        raise ConfigError("capture rate must be a whole multiple of the uplink"
+                          " bitrate")
+    return spb
+
+
+def _one_bit() -> tuple[np.ndarray, np.ndarray]:
+    """A one-bit's switch states at the modulator rate, closed for the first
+    half of each of its 2000 subcarrier cycles, and their mean over each
+    capture block once mixed down by the subcarrier offset. Shared by every
+    frame, so read-only."""
+    n = np.arange(round(MODULATOR_RATE_HZ / UPLINK_BITRATE_HZ))
+    half_cycle = round(MODULATOR_RATE_HZ / (2.0 * SUBCARRIER_HZ))
+    states = ((n // half_cycle) % 2 == 0).astype(np.uint8)
+    mixed = states * np.exp(-2j * math.pi * SUBCARRIER_HZ * n / MODULATOR_RATE_HZ)
+    capture = mixed.reshape(CAPTURE_SAMPLES_PER_BIT, -1).mean(axis=1)
+    states.flags.writeable = capture.flags.writeable = False
+    return states, capture
+
+
+ONE_BIT_STATES, ONE_BIT_CAPTURE = _one_bit()
 
 
 @dataclass(frozen=True)
@@ -68,30 +88,15 @@ class SwitchWaveform:
     at the subcarrier with 50% duty, zero-bits leave the switch open."""
 
     bits: np.ndarray
-    sample_rate_hz: float
-    subcarrier_hz: float
-    one_bit: np.ndarray = field(init=False, repr=False)  # states of a one-bit
-
-    def __post_init__(self) -> None:
-        spb = _whole_ratio(self.sample_rate_hz, UPLINK_BITRATE_HZ,
-                           "sample rate must be an integer multiple of the bitrate")
-        half = _whole_ratio(self.sample_rate_hz, 2.0 * self.subcarrier_hz,
-                            "sample rate must resolve the subcarrier half-period")
-        if spb % (2 * half):
-            raise ConfigError("each bit must span whole subcarrier cycles")
-        object.__setattr__(self, "one_bit",
-                           ((np.arange(spb) // half) % 2 == 0).astype(np.uint8))
 
     @property
     def states(self) -> np.ndarray:
-        return np.outer(self.bits, self.one_bit).reshape(-1)
+        return np.outer(self.bits, ONE_BIT_STATES).reshape(-1)
 
 
-def modulate_frame(frame: Frame, sample_rate_hz: float = MODULATOR_RATE_HZ,
-                   subcarrier_hz: float = SUBCARRIER_HZ) -> SwitchWaveform:
+def modulate_frame(frame: Frame) -> SwitchWaveform:
     """Expand frame bits to the switch drive at the modulator rate."""
-    return SwitchWaveform(np.asarray(frame.bits, dtype=np.uint8),
-                          sample_rate_hz, subcarrier_hz)
+    return SwitchWaveform(np.asarray(frame.bits, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -99,41 +104,16 @@ class LinkBudget:
     """Two-way interrogator-tag-interrogator budget at one distance."""
 
     distance_m: float
-    tx_power_dbm: float = 20.0
-    carrier_hz: float = 915e6
-    reflection_loss_db: float = 10.0
-    noise_floor_dbm: float = -90.0
 
     def __post_init__(self) -> None:
         if not 0 < self.distance_m < math.inf:
             raise ConfigError("distance must be finite and positive")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ConfigError("transmit power must be finite")
-        if not 0 < self.carrier_hz < math.inf:
-            raise ConfigError("carrier must be finite and positive")
-        if not 0 <= self.reflection_loss_db < math.inf:
-            raise ConfigError("reflection loss must be finite and >= 0")
-        if not math.isfinite(self.noise_floor_dbm):
-            raise ConfigError("noise floor must be finite")
 
     @property
     def path_gain_db(self) -> float:
         """Amplitude-level gain applied to the switch waveform (dB)."""
-        return (self.tx_power_dbm
-                - 2.0 * free_space_loss_db(self.distance_m, self.carrier_hz)
-                - self.reflection_loss_db)
-
-
-@dataclass(frozen=True)
-class DemodConfig:
-    """Interrogator-side capture and decision parameters."""
-
-    offset_hz: float = SUBCARRIER_HZ
-    sample_rate_hz: float = 16000.0
-
-    def __post_init__(self) -> None:
-        if not (self.offset_hz > 0 and self.sample_rate_hz > 0):
-            raise ConfigError("offset and sample rate must be positive")
+        return (TX_POWER_DBM - 2.0 * free_space_loss_db(self.distance_m, CARRIER_HZ)
+                - REFLECTION_LOSS_DB)
 
 
 @dataclass(frozen=True)
@@ -148,45 +128,22 @@ class RxCapture:
         return _capture_samples_per_bit(self.sample_rate_hz)
 
 
-def _decimated_envelope(wave: SwitchWaveform, demod: DemodConfig,
-                        amplitude: float) -> np.ndarray:
-    """The switch waveform at path amplitude, mixed down by the subcarrier
-    offset and block-averaged to the capture rate.
-
-    Every bit spans whole decimation blocks, so the envelope is
-    bits (x) (rotation * template): the one-bit template is mixed and
-    averaged once, and each bit's mixer phase is reduced to under one
-    cycle before the exp, which keeps long frames exact.
-    """
-    factor = _whole_ratio(wave.sample_rate_hz, demod.sample_rate_hz, "modulator"
-                          " rate must be an integer multiple of the capture rate")
-    spb = len(wave.one_bit)
-    if spb % factor:
-        raise ConfigError(f"a bit ({spb} modulator samples) must span whole capture"
-                          f" blocks of {factor}, not {spb / factor:g} blocks")
-    mixed = wave.one_bit * np.exp(-2j * math.pi * demod.offset_hz
-                                  * np.arange(spb) / wave.sample_rate_hz)
-    template = 2.0 * amplitude * mixed.reshape(-1, factor).mean(axis=1)
-    cycles_per_bit = demod.offset_hz * spb / wave.sample_rate_hz
-    phase = np.arange(len(wave.bits)) * (cycles_per_bit % 1.0) % 1.0
-    rotation = np.exp(-2j * math.pi * phase)
-    return (wave.bits[:, None] * rotation[:, None] * template).reshape(-1)
-
-
 def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
-                         demod: DemodConfig,
                          rng: np.random.Generator | None = None) -> RxCapture:
     """Mix the reflected switch waveform down to the subcarrier offset and
     decimate to the capture rate; add receiver noise when an rng is given.
 
+    Every bit spans whole capture blocks and whole subcarrier cycles, so
+    the envelope is bits (x) template: ONE_BIT_CAPTURE at path amplitude.
     Uses the analytic-signal convention (factor 2 on the mixer output), so
     a one-bit's fundamental lands at amplitude gain * (2/pi) in the
     infinite-rate limit.
     """
-    env = _decimated_envelope(wave, demod, 10.0 ** (link.path_gain_db / 20.0))
+    template = 2.0 * 10.0 ** (link.path_gain_db / 20.0) * ONE_BIT_CAPTURE
+    env = (wave.bits[:, None] * template).reshape(-1)
     if rng is not None:
-        env = env + complex_noise(link.noise_floor_dbm, len(env), rng)
-    return RxCapture(samples=env, sample_rate_hz=demod.sample_rate_hz)
+        env = env + complex_noise(NOISE_FLOOR_DBM, len(env), rng)
+    return RxCapture(samples=env, sample_rate_hz=CAPTURE_RATE_HZ)
 
 
 def bit_magnitudes(rx: RxCapture) -> np.ndarray:
@@ -246,46 +203,44 @@ def ap_demodulate(rx: RxCapture, sync_bits: int = 0) -> np.ndarray:
     return (mags > threshold).astype(np.uint8)
 
 
-def roundtrip_frame(frame: Frame, link: LinkBudget, demod: DemodConfig,
+def roundtrip_frame(frame: Frame, link: LinkBudget,
                     rng: np.random.Generator | None = None,
                     sync_bits: int = 0) -> np.ndarray:
     """Modulate, reflect through the link, capture, and demodulate."""
-    rx = transmit_backscatter(modulate_frame(frame), link, demod, rng)
+    rx = transmit_backscatter(modulate_frame(frame), link, rng)
     return ap_demodulate(rx, sync_bits=sync_bits)
 
 
 # --- BER simulation ---------------------------------------------------------
 
 def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
-                  rng: np.random.Generator, demod: DemodConfig) -> RxCapture:
-    """Capture-rate OOK envelope without the modulator-rate detour; at the
-    bitrate it is the boxcar filter's output, one sample per bit.
+                  rng: np.random.Generator, sample_rate_hz: float) -> RxCapture:
+    """OOK envelope at a capture rate without the modulator-rate detour; at
+    the bitrate it is the boxcar filter's output, one sample per bit.
 
-    Equivalent to transmit_backscatter for whole-cycle decimation blocks up
-    to the complex fundamental gain, which the caller folds into amplitude.
+    Equivalent to transmit_backscatter at CAPTURE_RATE_HZ up to the complex
+    fundamental gain, which the caller folds into amplitude.
     """
-    spb = _capture_samples_per_bit(demod.sample_rate_hz)
+    spb = _capture_samples_per_bit(sample_rate_hz)
     sigma = noise_sigma / math.sqrt(2.0)
     samples = np.empty(len(bits) * spb, dtype=complex)
     noise = _normals(rng, sigma, np.empty((len(bits), spb)))
     np.add(noise, (bits * amplitude)[:, None], out=samples.real.reshape(-1, spb))
     samples.imag = _normals(rng, sigma, noise).reshape(-1)
-    return RxCapture(samples=samples, sample_rate_hz=demod.sample_rate_hz)
+    return RxCapture(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
-def ber_point(snr_db: float, n_bits: int, rng: np.random.Generator,
-              demod: DemodConfig | None = None) -> tuple[float, int]:
+def ber_point(snr_db: float, n_bits: int,
+              rng: np.random.Generator) -> tuple[float, int]:
     """Monte Carlo BER at a per-sample SNR (signal power over total complex
-    noise power during a one-bit), drawn as each bit's boxcar output: one
-    complex Gaussian at sigma / sqrt(spb). Returns (ber, error_count)."""
+    noise power during a one-bit) of the capture, drawn as each bit's
+    boxcar output: one complex Gaussian at sigma / sqrt(spb). Returns
+    (ber, error_count)."""
     if n_bits < 1:
         raise ConfigError("need at least one bit")
-    demod = demod or DemodConfig()
-    spb = _capture_samples_per_bit(demod.sample_rate_hz)
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    sigma = 10.0 ** (-snr_db / 20.0) / math.sqrt(spb)
-    rx = synth_capture(bits, 1.0, sigma, rng,
-                       replace(demod, sample_rate_hz=UPLINK_BITRATE_HZ))
+    sigma = 10.0 ** (-snr_db / 20.0) / math.sqrt(CAPTURE_SAMPLES_PER_BIT)
+    rx = synth_capture(bits, 1.0, sigma, rng, UPLINK_BITRATE_HZ)
     errors = int(np.count_nonzero(ap_demodulate(rx) != bits))
     return errors / n_bits, errors
 
@@ -359,8 +314,7 @@ def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
     returns the address the insect heard (possibly garbage when under its
     floor)."""
     bits = list(SYNC_PATTERN) + [(address >> (7 - k)) & 1 for k in range(8)]
-    one_way_dbm = link.tx_power_dbm - free_space_loss_db(link.distance_m,
-                                                         link.carrier_hz)
+    one_way_dbm = TX_POWER_DBM - free_space_loss_db(link.distance_m, CARRIER_HZ)
     spb = _capture_samples_per_bit(det.sample_rate_hz)
     levels = np.where(np.repeat(bits, spb) > 0,
                       float(det.response_volts(one_way_dbm)), det.floor_volts)
@@ -379,7 +333,7 @@ def hive_mac_session(insects: Sequence[InsectNode],
     skipped after the retry budget. Replies carry the insect's full log
     behind a sync header.
     """
-    demod, detector = DemodConfig(), DetectorConfig()
+    detector = DetectorConfig()
     transcript = MacTranscript()
     query_s = (len(SYNC_PATTERN) + QUERY_ADDRESS_BITS) / UPLINK_BITRATE_HZ
     for insect in insects:
@@ -399,8 +353,7 @@ def hive_mac_session(insects: Sequence[InsectNode],
                 if insect.store.records else None
             bits = list(SYNC_PATTERN) + (list(payload.bits) if payload else [])
             frame = Frame(bits=tuple(bits))
-            decided = roundtrip_frame(frame, link, demod, rng,
-                                      sync_bits=len(SYNC_PATTERN))
+            decided = roundtrip_frame(frame, link, rng, sync_bits=len(SYNC_PATTERN))
             sent = len(frame.bits) - len(SYNC_PATTERN)
             errors = int(np.count_nonzero(
                 decided[len(SYNC_PATTERN):] != np.asarray(frame.bits[len(SYNC_PATTERN):])))

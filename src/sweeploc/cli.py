@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario YAML path or builtin name "
                           f"({', '.join(sorted(BUILTIN_SCENARIOS))})")
     run.add_argument("--trials", type=int, default=None,
-                     help="trial count (or bits for ber_vs_snr)")
+                     help="trial count (or bits for ber_vs_snr); refused by"
+                          " mac_session and power_report")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
     run.add_argument("--mode", choices=("alg1", "uniform-theta"), default=None,

@@ -18,15 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .backscatter import (DemodConfig, InsectNode, SensorRecord,
-                          _capture_samples_per_bit, ber_point,
-                          frame_from_records, hive_mac_session)
+from .backscatter import (CAPTURE_SAMPLES_PER_BIT, InsectNode, SensorRecord,
+                          ber_point, frame_from_records, hive_mac_session)
 from .channel import FieldTrace, draw_multipath, propagate
 from .pipeline import (capture_track, detect_with_noise, draw_noise,
                        fast_estimate_bearings, localize_once)
-from .power import (BatteryConfig, PowerProfile, RfHarvest, SolarHarvest,
-                    average_current_ma, average_power_uw, battery_life_h,
-                    logging_endurance_h, rf_charge_time_h)
+from .power import (average_current_ma, average_power_uw, battery_life_h,
+                    logging_endurance_h, rf_charge_time_h, solar_power_uw)
 from .receiver import (LookupTable, Receiver, estimate_angle, find_preamble,
                        period_samples)
 from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
@@ -35,6 +33,7 @@ from .transmitter import cached_schedule
 
 GRID_CHUNK = 1024
 BER_CHUNK = 25000
+UNSIZED_EXPERIMENTS = ("mac_session", "power_report")  # fixed hive and budget
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.trials is not None and self.experiment in UNSIZED_EXPERIMENTS:
+            raise ConfigError(f"{self.experiment} has no trial count to set")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:
@@ -452,7 +453,7 @@ def ber_vs_snr(spec: ExperimentSpec) -> ResultTable:
         half_ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 1e-12) / count)
         rows.append((snr, count, errors, ber, half_ci))
     meta = _base_meta(spec, bits)
-    meta["samples_per_bit"] = _capture_samples_per_bit(DemodConfig().sample_rate_hz)
+    meta["samples_per_bit"] = CAPTURE_SAMPLES_PER_BIT
     return ResultTable(
         columns=("snr_db", "bits", "errors", "ber", "ci95_half_width"),
         rows=rows, meta=meta)
@@ -511,23 +512,14 @@ POWER_PERIODS_S = (1.0, 2.0, 4.0, 5.0, 8.0, 10.0)
 
 def power_report(spec: ExperimentSpec) -> ResultTable:
     """Duty-cycle current/power/lifetime table plus harvest anchors."""
-    profile = PowerProfile()
-    battery = BatteryConfig()
-    rows = []
-    for period in POWER_PERIODS_S:
-        avg_ma = average_current_ma(profile, awake_s=0.1, period_s=period)
-        rows.append((period,
-                     avg_ma * 1000.0,
-                     average_power_uw(profile, awake_s=0.1, period_s=period),
-                     battery_life_h(profile, battery, awake_s=0.1,
-                                    period_s=period),
-                     logging_endurance_h(interval_s=period)))
-    rf = RfHarvest()
-    solar = SolarHarvest()
+    rows = [(period, average_current_ma(period) * 1000.0,
+             average_power_uw(period), battery_life_h(period),
+             logging_endurance_h(interval_s=period))
+            for period in POWER_PERIODS_S]
     meta = _base_meta(spec, len(rows))
-    meta["rf_charge_time_h"] = rf_charge_time_h(rf, battery)
-    meta["solar_1klux_uw"] = solar.power_uw(1000.0)
-    meta["solar_20klux_uw"] = solar.power_uw(20000.0)
+    meta["rf_charge_time_h"] = rf_charge_time_h()
+    meta["solar_1klux_uw"] = solar_power_uw(1000.0)
+    meta["solar_20klux_uw"] = solar_power_uw(20000.0)
     return ResultTable(
         columns=("period_s", "average_current_ua", "average_power_uw",
                  "battery_life_h", "log_endurance_h"),

@@ -26,22 +26,22 @@ from .transmitter import cached_schedule
 
 def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
                       where: Position | Trajectory | list[Trajectory],
-                      rounds: int = 2, t0_s: float = 0.0) -> FieldTrace:
+                      rounds: int = 2) -> FieldTrace:
     """Noiseless field of whole TDMA rounds: one slot per AP per round.
 
     Each AP's slots of all rounds (of every trial, for a list of
     trajectories) come from one propagate call, which writes them into
     their places in TDMA order; the result equals synthesizing the rounds
     one at a time. pathsets[k] is AP k's draw for every round, or one draw
-    per round on leading (trials and) rounds axes. t0_s is the start of
-    round 0; the rounds follow back to back. propagate applies Doppler
+    per round on leading (trials and) rounds axes. Round 0 starts at time
+    0; the rounds follow back to back. propagate applies Doppler
     (apply_doppler's per-slot phase ramps) when the scenario enables it and
     the receiver moves, from each slot's first sample.
     """
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
     trials = () if isinstance(where, (Position, Trajectory)) else (len(where),)
-    round_starts = np.broadcast_to(t0_s + np.arange(rounds) * scn.round_s,
+    round_starts = np.broadcast_to(np.arange(rounds) * scn.round_s,
                                    trials + (rounds,))
     # (trials x) rounds x APs x samples per slot: the slots in TDMA order
     capture = np.empty(trials + (rounds, len(scn.aps),
@@ -50,7 +50,7 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
         propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k], where, rate,
                   t0_s=round_starts + k * period,
                   doppler=scn.channel.doppler_enabled, out=capture[..., k, :])
-    return FieldTrace(samples=capture.reshape(-1), sample_rate_hz=rate, t0_s=t0_s)
+    return FieldTrace(samples=capture.reshape(-1), sample_rate_hz=rate, t0_s=0.0)
 
 
 def draw_noise(scn: Scenario, n: int, rng: np.random.Generator

@@ -258,8 +258,15 @@ def _unit_vectors(angles_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.array([math.sin(a) for a in angles_rad]))
 
 
+TABLE_RESOLUTION_DEG = 1.0  # angular size of a table cell
+TABLE_CELLS = round(180.0 / TABLE_RESOLUTION_DEG)  # cells across [-90, 90] degrees
+TABLE_CENTERS_RAD = np.deg2rad(-90.0 + (np.arange(TABLE_CELLS) + 0.5)
+                               * TABLE_RESOLUTION_DEG)
+TABLE_CENTERS_RAD.flags.writeable = False  # shared by every table
+
+
 class LookupTable:
-    """Bearing-pair to position table at fixed angular resolution.
+    """Bearing-pair to position table at TABLE_RESOLUTION_DEG.
 
     Cell (i, j) stores the exact ray intersection for the pair of cell
     center bearings; unusable pairs hold NaN. Lookup quantizes incoming
@@ -267,22 +274,13 @@ class LookupTable:
     carry instead of solving geometry online.
     """
 
-    def __init__(self, ap1: ApConfig, ap2: ApConfig,
-                 resolution_deg: float = 1.0) -> None:
-        if not 0.0 < resolution_deg <= 30.0:
-            raise ConfigError("resolution_deg must be in (0, 30]")
-        self.resolution_deg = resolution_deg
-        self.cell_count = round(180.0 / resolution_deg)
-        if abs(self.cell_count * resolution_deg - 180.0) > 1e-9:
-            raise ConfigError("resolution_deg must divide 180 evenly")
-        centers = -90.0 + (np.arange(self.cell_count) + 0.5) * resolution_deg
-        self.centers_rad = np.deg2rad(centers)
+    def __init__(self, ap1: ApConfig, ap2: ApConfig) -> None:
         # The exact intersection of the two bearing rays for every pair at
         # once: rows are AP 1 bearings, columns AP 2. A pair is unusable
         # when the rays are nearly parallel (|sin of the crossing angle|
         # below MIN_CROSSING_SINE) or cross behind either AP.
-        u1x, u1y = _unit_vectors(ap1.boresight_rad + self.centers_rad)
-        u2x, u2y = _unit_vectors(ap2.boresight_rad + self.centers_rad)
+        u1x, u1y = _unit_vectors(ap1.boresight_rad + TABLE_CENTERS_RAD)
+        u2x, u2y = _unit_vectors(ap2.boresight_rad + TABLE_CENTERS_RAD)
         u1x, u1y = u1x[:, None], u1y[:, None]
         den = u1x * u2y - u1y * u2x
         dx = ap2.position.x - ap1.position.x
@@ -299,9 +297,9 @@ class LookupTable:
         with +90 degrees folded into the top cell; -1 outside the table,
         NaN included."""
         deg = np.degrees(bearing_rad)
-        idx = np.floor((deg + 90.0) / self.resolution_deg)
-        idx = np.where((idx == self.cell_count) & (deg <= 90.0), idx - 1, idx)
-        return np.where((idx >= 0) & (idx < self.cell_count), idx, -1).astype(int)
+        idx = np.floor((deg + 90.0) / TABLE_RESOLUTION_DEG)
+        idx = np.where((idx == TABLE_CELLS) & (deg <= 90.0), idx - 1, idx)
+        return np.where((idx >= 0) & (idx < TABLE_CELLS), idx, -1).astype(int)
 
 
 def fix_2d(bearing1_rad, bearing2_rad,
@@ -328,6 +326,7 @@ SENSOR_KINDS: dict[str, tuple[int, int]] = {
 
 RECORD_SIZE_BYTES = 4
 LOG_CAPACITY_BYTES = 32768  # the tag's measurement flash
+LOG_RECORDS = LOG_CAPACITY_BYTES // RECORD_SIZE_BYTES  # records the flash holds
 
 
 @dataclass(frozen=True)
@@ -362,22 +361,13 @@ class SensorRecord:
 
 @dataclass
 class LogStore:
-    """Fixed-capacity measurement log, sized in bytes like the real flash."""
+    """The tag's measurement log: LOG_RECORDS records fill its flash."""
 
-    capacity_bytes: int = LOG_CAPACITY_BYTES
     records: list[SensorRecord] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if self.capacity_bytes < RECORD_SIZE_BYTES:
-            raise ConfigError("capacity must hold at least one record")
-
-    @property
-    def max_records(self) -> int:
-        return self.capacity_bytes // RECORD_SIZE_BYTES
-
     def append(self, record: SensorRecord) -> None:
-        if len(self.records) >= self.max_records:
-            raise StoreFullError(f"log full at {self.max_records} records")
+        if len(self.records) >= LOG_RECORDS:
+            raise StoreFullError(f"log full at {LOG_RECORDS} records")
         self.records.append(record)
 
 

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 
-from sweeploc.backscatter import (MODULATOR_RATE_HZ, SUBCARRIER_HZ,
-                                  DemodConfig, RxCapture, SwitchWaveform,
-                                  _decimated_envelope, ap_demodulate)
+from sweeploc.backscatter import (CAPTURE_RATE_HZ, MODULATOR_RATE_HZ,
+                                  ONE_BIT_CAPTURE, ONE_BIT_STATES,
+                                  SUBCARRIER_HZ, RxCapture, ap_demodulate)
 from sweeploc.experiments import _grid_chunk_errors
 from sweeploc.receiver import MIN_CROSSING_SINE
 from sweeploc.scenario import (ApConfig, ConfigError, Position, Scenario,
@@ -100,29 +100,28 @@ def demod_fundamental_gain(wave_rate_hz: float = MODULATOR_RATE_HZ,
 
 
 def ber_point_waveform_oracle(snr_db: float, n_bits: int,
-                              rng: np.random.Generator,
-                              demod: DemodConfig | None = None
-                              ) -> tuple[float, int]:
+                              rng: np.random.Generator) -> tuple[float, int]:
     """Brute-force BER reference through the full modulator-rate waveform.
 
-    Noise is injected at the modulator rate with its power scaled so the
+    The signal is transmit_backscatter's envelope, each bit the one-bit
+    switch states mixed down and block-averaged to the capture rate. Noise
+    is injected at the modulator rate with its power scaled so the
     decimated capture sees the same per-sample SNR as ber_point, and the
     path gain divides out the discrete fundamental gain so both models
     share one signal level.
     """
     if n_bits < 1:
         raise ConfigError("need at least one bit")
-    demod = demod or DemodConfig()
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
-    wave = SwitchWaveform(bits, MODULATOR_RATE_HZ, SUBCARRIER_HZ)
-    env = _decimated_envelope(wave, demod, 1.0 / abs(demod_fundamental_gain()))
-    factor = round(MODULATOR_RATE_HZ / demod.sample_rate_hz)
+    amplitude = 1.0 / abs(demod_fundamental_gain())
+    env = (bits[:, None] * (2.0 * amplitude * ONE_BIT_CAPTURE)).reshape(-1)
+    factor = round(MODULATOR_RATE_HZ / CAPTURE_RATE_HZ)
     # per-dimension sigma chosen so block-averaging by `factor` leaves the
     # capture with total complex noise power 10**(-snr/10)
     sigma_hi = 10.0 ** (-snr_db / 20.0) * math.sqrt(factor / 2.0)
     # Draw the modulator-rate noise in bit-aligned chunks and keep only its
     # block means, which add to the decimated envelope.
-    chunk_bits, spb = 500, len(wave.one_bit)
+    chunk_bits, spb = 500, len(ONE_BIT_STATES)
     chunk = np.empty(min(n_bits, chunk_bits) * spb)
     noise_parts = []
     for lo in range(0, n_bits, chunk_bits):
@@ -130,7 +129,7 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
         real = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
         imag = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
         noise_parts.append(real + 1j * imag)
-    rx = RxCapture(env + np.concatenate(noise_parts), demod.sample_rate_hz)
+    rx = RxCapture(env + np.concatenate(noise_parts), CAPTURE_RATE_HZ)
     decided = ap_demodulate(rx)
     errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sweeploc.backscatter import (
-    DemodConfig,
     Frame,
     InsectNode,
     LinkBudget,
@@ -29,17 +28,17 @@ from sweeploc.experiments import (
     run_experiment,
 )
 from sweeploc.power import (
-    BatteryConfig,
-    PowerProfile,
-    RfHarvest,
-    SolarHarvest,
+    RF_PATH_LOSS_DB,
+    RF_TX_POWER_DBM,
     average_current_ma,
     battery_life_h,
     rf_charge_time_h,
+    solar_power_uw,
 )
 from sweeploc.receiver import (
     LOG_CAPACITY_BYTES,
     RECORD_SIZE_BYTES,
+    TABLE_RESOLUTION_DEG,
     LogStore,
     LookupTable,
     SensorRecord,
@@ -188,7 +187,7 @@ def test_criterion_5_table_fix_matches_exact_intersection():
     scn = farm_scenario(seed=21)
     ap1, ap2 = scn.aps
     table = LookupTable(ap1, ap2)
-    res = math.radians(table.resolution_deg)
+    res = math.radians(TABLE_RESOLUTION_DEG)
     rng = trial_rng(21, "fix-points")
     checked = skipped = 0
     # points near the AP-to-AP segment see almost anti-parallel rays and
@@ -206,8 +205,8 @@ def test_criterion_5_table_fix_matches_exact_intersection():
         # whenever the closed form accepts the pair, the table must too
         x, y = fix_2d(b1, b2, table)
         assert np.isfinite(x) and np.isfinite(y)
-        lo1 = math.radians(-90.0 + table.cell_index(b1) * table.resolution_deg)
-        lo2 = math.radians(-90.0 + table.cell_index(b2) * table.resolution_deg)
+        lo1 = math.radians(-90.0 + table.cell_index(b1) * TABLE_RESOLUTION_DEG)
+        lo2 = math.radians(-90.0 + table.cell_index(b2) * TABLE_RESOLUTION_DEG)
         corners = [intersect_bearings(ap1, e1, ap2, e2)
                    for e1 in (lo1, lo1 + res) for e2 in (lo2, lo2 + res)]
         if any(c is None for c in corners):
@@ -241,7 +240,7 @@ def test_criterion_6_backscatter_identity_and_ber_band():
     rng = trial_rng(6, "identity-bits")
     bits = tuple(int(b) for b in rng.integers(0, 2, 10000))
     decided = roundtrip_frame(Frame(bits=bits), LinkBudget(distance_m=2.0),
-                              DemodConfig(), rng=None)
+                              rng=None)
     assert np.array_equal(decided, np.asarray(bits))
 
     n_fast, n_oracle = 200000, 8000
@@ -269,24 +268,23 @@ def test_criterion_6_backscatter_identity_and_ber_band():
 
 def test_criterion_7_power_and_memory_budget():
     """Duty-cycled current, battery life, log capacity, RF recharge time,
-    and the solar output anchors all hit their published values."""
-    ua = 1000.0 * average_current_ma(PowerProfile())
+    and the solar output anchors all hit their published values, at the
+    4 s wake period."""
+    ua = 1000.0 * average_current_ma(4.0)
     assert ua == pytest.approx(137.5, abs=1e-9)
     assert abs(ua - 138.0) <= 0.5
 
-    hours = battery_life_h(PowerProfile(), BatteryConfig())
+    hours = battery_life_h(4.0)
     assert hours == pytest.approx(1.0 / 0.1375, rel=1e-12)
     assert round(hours, 2) == 7.27
 
     assert 7200 * RECORD_SIZE_BYTES == 28800 <= LOG_CAPACITY_BYTES == 32768
 
-    charge = rf_charge_time_h(RfHarvest(tx_power_dbm=20.0, path_loss_db=15.0),
-                              BatteryConfig())
-    assert 5.5 <= charge <= 6.5
+    assert (RF_TX_POWER_DBM, RF_PATH_LOSS_DB) == (20.0, 15.0)
+    assert 5.5 <= rf_charge_time_h() <= 6.5
 
-    solar = SolarHarvest()
-    assert solar.power_uw(1000.0) == 1.0
-    assert solar.power_uw(20000.0) == 50.0
+    assert solar_power_uw(1000.0) == 1.0
+    assert solar_power_uw(20000.0) == 50.0
 
 
 def test_criterion_8_csv_determinism_across_workers():

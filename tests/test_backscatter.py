@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from sweeploc.backscatter import (
+    CAPTURE_RATE_HZ,
+    CARRIER_HZ,
     MAX_FRAME_BITS,
+    MODULATOR_RATE_HZ,
+    NOISE_FLOOR_DBM,
     SYNC_PATTERN,
+    TX_POWER_DBM,
     UPLINK_BITRATE_HZ,
-    DemodConfig,
     Frame,
     InsectNode,
     LinkBudget,
@@ -77,13 +81,6 @@ def test_rising_edges_per_one_bit():
     assert len(wave.states) == 8000  # 1 ms at the 8 MHz modulator rate
 
 
-def test_modulate_frame_validations():
-    with pytest.raises(ConfigError):
-        modulate_frame(Frame(bits=(1,)), sample_rate_hz=1500.0)
-    with pytest.raises(ConfigError):
-        modulate_frame(Frame(bits=(1,)), subcarrier_hz=3e6)  # ragged half period
-
-
 def test_demod_fundamental_gain_discrete_and_limit():
     # 4 samples per subcarrier cycle: |(2/4)(1 + e^{-j pi/2})| = sqrt(2)/2
     g4 = abs(demod_fundamental_gain(8e6, 2e6))
@@ -94,21 +91,21 @@ def test_demod_fundamental_gain_discrete_and_limit():
 
 
 def test_link_budget_two_way_path():
-    link = LinkBudget(distance_m=2.0, tx_power_dbm=20.0)
+    """20 dBm out, free space to the tag and back at 915 MHz, 10 dB lost
+    in the tag's reflection."""
+    link = LinkBudget(distance_m=2.0)
     fspl = free_space_loss_db(2.0, 915e6)
     assert link.path_gain_db == pytest.approx(20.0 - 2 * fspl - 10.0)
     # 2 m is comfortably above the AP noise floor; 30 m is far below it
-    assert link.path_gain_db > link.noise_floor_dbm + 15.0
-    far = LinkBudget(distance_m=30.0, tx_power_dbm=20.0)
-    assert far.path_gain_db < far.noise_floor_dbm
+    assert link.path_gain_db > NOISE_FLOOR_DBM + 15.0
+    assert LinkBudget(distance_m=30.0).path_gain_db < NOISE_FLOOR_DBM
 
 
 def test_clean_roundtrip_identity():
     rng = trial_rng(4, "frame-bits")
     bits = tuple(int(b) for b in rng.integers(0, 2, 512))
     frame = Frame(bits=bits)
-    decided = roundtrip_frame(frame, LinkBudget(distance_m=2.0),
-                              DemodConfig(), rng=None)
+    decided = roundtrip_frame(frame, LinkBudget(distance_m=2.0), rng=None)
     assert np.array_equal(decided, np.asarray(bits))
 
 
@@ -116,21 +113,21 @@ def test_noisy_roundtrip_at_close_range_is_clean():
     rng = trial_rng(5, "noisy-roundtrip")
     bits = tuple(int(b) for b in rng.integers(0, 2, 512))
     decided = roundtrip_frame(Frame(bits=bits), LinkBudget(distance_m=2.0),
-                              DemodConfig(), rng=rng)
+                              rng=rng)
     assert np.array_equal(decided, np.asarray(bits))
 
 
 def test_transmit_decimation_counts():
     wave = modulate_frame(Frame(bits=(1, 0, 1, 1)))
-    rx = transmit_backscatter(wave, LinkBudget(distance_m=2.0), DemodConfig())
+    rx = transmit_backscatter(wave, LinkBudget(distance_m=2.0))
     assert len(rx.samples) == 4 * 16  # 16 capture samples per bit
     assert rx.samples_per_bit == 16
 
 
-def mix_and_decimate_per_sample(wave, link, demod):
+def mix_and_decimate_per_sample(wave, link, offset_hz):
     """Brute-force reference: mix every modulator-rate sample down by the
     offset with its own exp and block-average to the capture rate."""
-    factor = round(wave.sample_rate_hz / demod.sample_rate_hz)
+    factor = round(MODULATOR_RATE_HZ / CAPTURE_RATE_HZ)
     gain = 10.0 ** (link.path_gain_db / 20.0)
     states = wave.states
     n = (len(states) // factor) * factor
@@ -138,48 +135,36 @@ def mix_and_decimate_per_sample(wave, link, demod):
     parts = []
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        t = np.arange(lo, hi) / wave.sample_rate_hz
-        mixed = 2.0 * gain * states[lo:hi] \
-            * np.exp(-2j * math.pi * demod.offset_hz * t)
+        t = np.arange(lo, hi) / MODULATOR_RATE_HZ
+        mixed = 2.0 * gain * states[lo:hi] * np.exp(-2j * math.pi * offset_hz * t)
         parts.append(mixed.reshape(-1, factor).mean(axis=1))
     return np.concatenate(parts)
 
 
 @pytest.mark.parametrize("n_bits, offset_hz", [
     (512, 2e6),
-    (512, 2_000_500.0),  # 2000.5 mixer cycles per bit: the rotation flips
     (1608, 2e6),  # a mac_session reply: sync plus 50 records
 ])
 def test_transmit_matches_per_sample_mixer(n_bits, offset_hz):
-    """The per-bit template and rotation give the envelope the per-sample
-    mixer gives. The reference's own phase rounding grows with frame time
-    (about 1e-9 relative at 1.6 s), which sets the 1e-12 bound at 2 m."""
+    """The one-bit template gives the envelope that mixing every sample
+    down by the subcarrier offset gives: each bit spans whole subcarrier
+    cycles, so every bit's mixer phase starts at 0. The reference's own
+    phase rounding grows with frame time (about 1e-9 relative at 1.6 s),
+    which sets the 1e-12 bound at 2 m."""
     rng = trial_rng(13, "mixer", n_bits)
     wave = modulate_frame(Frame(bits=tuple(int(b) for b in
                                            rng.integers(0, 2, n_bits))))
-    link, demod = LinkBudget(distance_m=2.0), DemodConfig(offset_hz=offset_hz)
-    got = transmit_backscatter(wave, link, demod).samples
-    want = mix_and_decimate_per_sample(wave, link, demod)
+    link = LinkBudget(distance_m=2.0)
+    got = transmit_backscatter(wave, link).samples
+    want = mix_and_decimate_per_sample(wave, link, offset_hz)
     assert got.shape == want.shape == (n_bits * 16,)
     assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_transmit_rejects_capture_rate_splitting_a_bit():
-    """At 12.5 kHz a decimation block is 640 modulator samples, so a bit
-    of 8000 spans 12.5 blocks and one block would straddle two bits."""
-    wave = modulate_frame(Frame(bits=(1, 0, 1, 1)))
-    with pytest.raises(ConfigError, match="whole capture blocks"):
-        transmit_backscatter(wave, LinkBudget(distance_m=2.0),
-                             DemodConfig(sample_rate_hz=12500.0))
-    with pytest.raises(ConfigError, match="whole capture blocks"):
-        ber_point_waveform_oracle(0.0, 10, trial_rng(14, "oracle-rate"),
-                                  DemodConfig(sample_rate_hz=12500.0))
 
 
 def test_bit_magnitudes_separate_levels():
     rng = trial_rng(6, "levels")
     bits = np.array([1, 0] * 64, dtype=np.uint8)
-    rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
+    rx = synth_capture(bits, 1.0, 0.05, rng, CAPTURE_RATE_HZ)
     mags = bit_magnitudes(rx)
     ones = mags[bits == 1]
     zeros = mags[bits == 0]
@@ -203,11 +188,10 @@ def test_aligned_bit_windows_equal_gathered_windows_bitwise(rate_hz, sigma):
     the gathered copy; trailing samples start no bit, a 15 kHz capture
     has odd 15-sample bits, and a 1 kHz capture (ber_point's one sample per
     bit) is read as its own means."""
-    demod = DemodConfig(sample_rate_hz=rate_hz)
     spb = round(rate_hz / 1000.0)
     rng = trial_rng(21, "aligned", int(rate_hz), sigma)
     rx = synth_capture(rng.integers(0, 2, 2000).astype(np.uint8), 1.0, sigma,
-                       rng, demod)
+                       rng, rate_hz)
     rx = RxCapture(np.concatenate([rx.samples, rx.samples[:spb - 1]]), rate_hz)
     got = bit_magnitudes(rx)
     assert got.shape == (2000,)
@@ -216,10 +200,9 @@ def test_aligned_bit_windows_equal_gathered_windows_bitwise(rate_hz, sigma):
 
 def test_aligned_bit_magnitudes_allocate_no_window_copy():
     """A 25 000-bit capture's windows are 6.4 MB as a gathered copy."""
-    demod = DemodConfig()
     rng = trial_rng(23, "alloc")
     rx = synth_capture(rng.integers(0, 2, 25_000).astype(np.uint8), 1.0, 0.5,
-                       rng, demod)
+                       rng, CAPTURE_RATE_HZ)
     tracemalloc.start()
     try:
         bit_magnitudes(rx)
@@ -249,10 +232,9 @@ def masked_two_means_threshold(mags):
 @pytest.mark.parametrize("seed", range(3))
 def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
     """Bimodal populations at high to low SNR, and noise alone."""
-    demod = DemodConfig()
     rng = trial_rng(17, "two-means", seed)
     rx = synth_capture(rng.integers(0, 2, 5000).astype(np.uint8), amplitude,
-                       sigma, rng, demod)
+                       sigma, rng, CAPTURE_RATE_HZ)
     mags = bit_magnitudes(rx)
     want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
     assert np.array_equal(ap_demodulate(rx), want)
@@ -265,7 +247,7 @@ def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
 ])
 def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
     rx = RxCapture(np.repeat(np.asarray(levels, dtype=complex), 16),
-                   DemodConfig().sample_rate_hz)
+                   CAPTURE_RATE_HZ)
     mags = bit_magnitudes(rx)
     want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
     assert np.array_equal(want, decided)
@@ -287,30 +269,26 @@ def test_capture_shorter_than_one_bit_is_a_config_error(rate_hz, n_samples,
 
 
 def test_ber_point_captures_at_the_demod_rate():
-    """At 8 kHz a bit's boxcar output is the mean of 8 capture samples, one
-    complex Gaussian with sigma / sqrt(8): ber_point draws it at one sample
-    per bit, bits then real parts then imaginary parts, and decides with
-    ap_demodulate. A rate that splits a bit is refused."""
-    got = ber_point(-4.0, 4000, trial_rng(18, "rate"),
-                    DemodConfig(sample_rate_hz=8000.0))
+    """At the 16 kHz capture rate a bit's boxcar output is the mean of 16
+    capture samples, one complex Gaussian with sigma / sqrt(16): ber_point
+    draws it at one sample per bit, bits then real parts then imaginary
+    parts, and decides with ap_demodulate."""
+    got = ber_point(-4.0, 4000, trial_rng(18, "rate"))
     rng = trial_rng(18, "rate")
     bits = rng.integers(0, 2, 4000).astype(np.uint8)
-    rx = synth_capture(bits, 1.0, 10.0 ** (4.0 / 20.0) / math.sqrt(8.0), rng,
-                       DemodConfig(sample_rate_hz=1000.0))
+    rx = synth_capture(bits, 1.0, 10.0 ** (4.0 / 20.0) / math.sqrt(16.0), rng,
+                       1000.0)
     assert rx.samples_per_bit == 1 and len(rx.samples) == 4000
     errors = int(np.count_nonzero(ap_demodulate(rx) != bits))
     assert got == (errors / 4000, errors)
     assert 0 < errors < 4000 * 0.5
-    with pytest.raises(ConfigError, match="whole multiple"):
-        ber_point(0.0, 10, trial_rng(18, "split"),
-                  DemodConfig(sample_rate_hz=12500.0))
 
 
 def test_sync_calibrated_demodulation_handles_skewed_payload():
     rng = trial_rng(7, "sync")
     payload = np.ones(64, dtype=np.uint8)  # all ones would break blind split
     bits = np.concatenate([np.asarray(SYNC_PATTERN, dtype=np.uint8), payload])
-    rx = synth_capture(bits, 1.0, 0.05, rng, DemodConfig())
+    rx = synth_capture(bits, 1.0, 0.05, rng, CAPTURE_RATE_HZ)
     decided = ap_demodulate(rx, sync_bits=len(SYNC_PATTERN))
     assert np.array_equal(decided[len(SYNC_PATTERN):], payload)
 
@@ -325,7 +303,7 @@ def test_downlink_query_decides_on_the_sync_calibrated_threshold():
     # the same capture, rebuilt: the query's levels plus the detector noise
     bits = np.repeat(list(SYNC_PATTERN) + [1] * 8,
                      round(det.sample_rate_hz / UPLINK_BITRATE_HZ))
-    dbm = link.tx_power_dbm - free_space_loss_db(link.distance_m, link.carrier_hz)
+    dbm = TX_POWER_DBM - free_space_loss_db(link.distance_m, CARRIER_HZ)
     levels = np.where(bits > 0, float(det.response_volts(dbm)), det.floor_volts)
     rx = RxCapture(levels + _normals(trial_rng(0, "downlink"), det.noise_sigma_volts,
                                      np.empty(len(levels))), det.sample_rate_hz)
@@ -341,12 +319,6 @@ def test_ber_point_rejects_a_non_finite_noise_level(snr_db):
     for ber in (ber_point, ber_point_waveform_oracle):
         with pytest.raises(ConfigError, match="sigma"):
             ber(snr_db, 100, trial_rng(24, "snr"))
-
-
-@pytest.mark.parametrize("floor_dbm", [math.nan, math.inf, -math.inf])
-def test_link_budget_rejects_a_non_finite_noise_floor(floor_dbm):
-    with pytest.raises(ConfigError, match="noise floor"):
-        LinkBudget(2.0, noise_floor_dbm=floor_dbm)
 
 
 def test_ber_point_high_snr_is_error_free():

@@ -194,6 +194,22 @@ def test_cli_errors(tmp_path):
     assert main(["run", "farm_cdf", "--trials", "0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("experiment", ["power_report", "mac_session"])
+def test_trials_are_refused_where_the_experiment_has_no_trial_count(
+        experiment, tmp_path, capsys):
+    """The power table has one row per wake period and the MAC session one
+    fixed hive. A trial count used to be taken and ignored: the CSV said
+    trials=6 or trials=4 whatever was asked."""
+    out = tmp_path / "x.csv"
+    assert main(["run", experiment, "--trials", "7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {experiment} has no trial count to set\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="no trial count"):
+        ExperimentSpec(experiment, bench_scenario(), trials=1)
+    assert main(["run", experiment, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("experiment,edit", [
     pytest.param("speed_sweep", {"field_extent_m": [40.0, 40.0]}, id="speed-narrow"),
     pytest.param("farm_cdf", {"field_extent_m": [8.0, 90.0]}, id="farm-narrow"),

@@ -216,7 +216,8 @@ def _moving_farm(mode, doppler, seed):
 @pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
 def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
     """40 rounds in one synthesize_rounds call, with one draw per round on
-    a leading axis, equal 40 one-round calls concatenated, bit for bit."""
+    a leading axis, equal, bit for bit, the rounds made one at a time: one
+    propagate call per AP slot at its own start time, in TDMA order."""
     scn = _moving_farm(mode, doppler, seed=5)
     rounds = 40
     traj = Trajectory.line(Position(40.0, 30.0), heading_rad=0.4,
@@ -234,12 +235,14 @@ def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
                         for f in ("amplitudes", "bearings_rad",
                                   "excess_phases_rad")))
               for k in range(len(scn.aps))]
-    batched = synthesize_rounds(scn, per_ap, traj, rounds=rounds, t0_s=0.0)
-    single = [synthesize_rounds(scn, d, traj, rounds=1, t0_s=t0)
-              for d, t0 in zip(draws, starts)]
-    assert batched.t0_s == single[0].t0_s
-    assert batched.samples.tobytes() == np.concatenate(
-        [tr.samples for tr in single]).tobytes()
+    batched = synthesize_rounds(scn, per_ap, traj, rounds=rounds)
+    period = scn.aps[0].sweep_period_s
+    single = [propagate(build_sweep_schedule(ap, mode), d[k], traj,
+                        scn.detector.sample_rate_hz, t0_s=t0 + k * period,
+                        doppler=doppler).samples
+              for d, t0 in zip(draws, starts) for k, ap in enumerate(scn.aps)]
+    assert batched.t0_s == 0.0
+    assert batched.samples.tobytes() == np.concatenate(single).tobytes()
 
 
 @pytest.mark.parametrize("noise_dbm", [None, -50.0])

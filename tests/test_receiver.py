@@ -11,7 +11,10 @@ from sweeploc.receiver import (
     MIN_CROSSING_SINE,
     EnvelopeTrace,
     PREAMBLE_CORRELATION_THRESHOLD,
+    LOG_RECORDS,
     SENSOR_KINDS,
+    TABLE_CELLS,
+    TABLE_RESOLUTION_DEG,
     LogStore,
     LookupTable,
     Receiver,
@@ -303,33 +306,35 @@ def test_intersect_bearings_degenerate_cases():
 
 def test_lookup_table_exact_at_cell_centers():
     table = LookupTable(AP1, AP2)
-    assert table.resolution_deg == 1.0
+    assert (TABLE_RESOLUTION_DEG, TABLE_CELLS) == (1.0, 180)
     assert 0.0 < np.isfinite(table.xs).mean() < 1.0
     target = Position(30.5, 44.2)
     b1 = true_bearing_xy(AP1, target.x, target.y)
     b2 = true_bearing_xy(AP2, target.x, target.y)
     i = table.cell_index(b1)
     j = table.cell_index(b2)
-    c1 = math.radians(-90.0 + (i + 0.5) * table.resolution_deg)
-    c2 = math.radians(-90.0 + (j + 0.5) * table.resolution_deg)
+    c1 = math.radians(-90.0 + (i + 0.5) * TABLE_RESOLUTION_DEG)
+    c2 = math.radians(-90.0 + (j + 0.5) * TABLE_RESOLUTION_DEG)
     exact = intersect_bearings(AP1, c1, AP2, c2)
     x, y = fix_2d(b1, b2, table)
     assert x == pytest.approx(exact.x, abs=1e-9)
     assert y == pytest.approx(exact.y, abs=1e-9)
 
 
-@pytest.mark.parametrize("resolution", [1.0, 0.5, 30.0])
+@pytest.mark.parametrize("resolution", [1.0])  # the table's cells
 @pytest.mark.parametrize("pair", ["farm", "bench"])
 def test_lookup_table_equals_intersect_bearings_loop(pair, resolution):
     """The array-valued table build gives, bit for bit, what one
-    intersect_bearings call per cell gives, with NaN in the same cells."""
+    intersect_bearings call per cell center gives, with NaN in the same
+    cells."""
     ap1, ap2 = {"farm": farm_scenario, "bench": bench_scenario}[pair](seed=0).aps[:2]
-    table = LookupTable(ap1, ap2, resolution_deg=resolution)
-    n = table.cell_count
+    table = LookupTable(ap1, ap2)
+    n = round(180.0 / resolution)
+    centers = np.deg2rad(-90.0 + (np.arange(n) + 0.5) * resolution)
     xs = np.full((n, n), np.nan)
     ys = np.full((n, n), np.nan)
-    for i, b1 in enumerate(table.centers_rad):
-        for j, b2 in enumerate(table.centers_rad):
+    for i, b1 in enumerate(centers):
+        for j, b2 in enumerate(centers):
             pt = intersect_bearings(ap1, float(b1), ap2, float(b2))
             if pt is not None:
                 xs[i, j], ys[i, j] = pt.x, pt.y
@@ -357,14 +362,15 @@ def test_cell_index_edges():
     assert table.cell_index(math.nan) == -1
 
 
-@pytest.mark.parametrize("resolution", [1.0, 0.5, 30.0])
+@pytest.mark.parametrize("resolution", [1.0])  # the table's cells
 def test_cell_index_of_rows_is_the_scalar_floor_rule(resolution):
     """Over an array, each cell is the scalar rule's: math.floor of
     (degrees + 90) / resolution, +90 degrees folded into the top cell, and
     -1 where the scalar rule finds no cell."""
-    table = LookupTable(AP1, AP2, resolution_deg=resolution)
+    table = LookupTable(AP1, AP2)
+    n = round(180.0 / resolution)
     rng = trial_rng(5, "cell-index")
-    edges = np.radians(-90.0 + np.arange(table.cell_count + 1) * resolution)
+    edges = np.radians(-90.0 + np.arange(n + 1) * resolution)
     bearings = np.concatenate([rng.uniform(-1.7, 1.7, 2000), edges,
                                np.nextafter(edges, 3.0),
                                np.nextafter(edges, -3.0)])
@@ -372,9 +378,9 @@ def test_cell_index_of_rows_is_the_scalar_floor_rule(resolution):
     def scalar(b):
         deg = math.degrees(b)
         idx = math.floor((deg + 90.0) / resolution)
-        if idx == table.cell_count and deg <= 90.0:
+        if idx == n and deg <= 90.0:
             idx -= 1
-        return idx if 0 <= idx < table.cell_count else -1
+        return idx if 0 <= idx < n else -1
     got = table.cell_index(bearings)
     assert got.tolist() == [scalar(b) for b in bearings.tolist()]
     assert table.cell_index(bearings[:2000].reshape(-1, 4)).tolist() == \
@@ -437,7 +443,7 @@ def test_sensor_record_rejects_bad_fields():
 
 def test_log_store_capacity_and_round_trip():
     store = LogStore()
-    assert store.max_records == 8192
+    assert LOG_RECORDS == 8192
     records = [SensorRecord("light", k, 10, 20) for k in range(100)]
     for rec in records:
         store.append(rec)
@@ -445,12 +451,13 @@ def test_log_store_capacity_and_round_trip():
 
 
 def test_log_store_overflow_raises():
-    store = LogStore(capacity_bytes=8)
+    store = LogStore()
     rec = SensorRecord("humidity", 1, 2, 3)
-    store.append(rec)
-    store.append(rec)
-    with pytest.raises(StoreFullError):
+    for _ in range(LOG_RECORDS):
         store.append(rec)
+    with pytest.raises(StoreFullError, match="8192 records"):
+        store.append(rec)
+    assert len(store.records) == LOG_RECORDS
 
 
 def test_receiver_two_slot_buffer_produces_fix():

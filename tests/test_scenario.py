@@ -29,10 +29,8 @@ from sweeploc.scenario import (
     wrap_angle,
 )
 from sweeploc import cli, scenario
-from sweeploc.backscatter import DemodConfig, InsectNode, LinkBudget
-from sweeploc.power import (BatteryConfig, PowerProfile, RfHarvest,
-                            SolarHarvest, average_current_ma, logging_endurance_h,
-                            rf_charge_time_h)
+from sweeploc.backscatter import InsectNode, LinkBudget
+from sweeploc.power import average_current_ma, logging_endurance_h, solar_power_uw
 from sweeploc.scenarios import (BUILTIN_SCENARIOS, bench_scenario,
                                 farm_scenario, range_scenario)
 
@@ -525,19 +523,8 @@ _ORIGIN = Position(0.0, 0.0)
                                   field_extent_m=(math.inf, 90.0)),
                  id="field-extent-inf"),
     pytest.param(lambda: LinkBudget(math.nan), id="link-distance"),
-    pytest.param(lambda: LinkBudget(2.0, tx_power_dbm=math.nan), id="link-tx-power"),
-    pytest.param(lambda: LinkBudget(2.0, reflection_loss_db=math.nan),
-                 id="link-reflection"),
     pytest.param(lambda: LinkBudget(math.inf), id="link-distance-inf"),
-    pytest.param(lambda: LinkBudget(2.0, carrier_hz=-1.0), id="link-carrier-negative"),
-    pytest.param(lambda: LinkBudget(2.0, carrier_hz=math.nan), id="link-carrier-nan"),
-    pytest.param(lambda: LinkBudget(2.0, carrier_hz=math.inf), id="link-carrier-inf"),
-    pytest.param(lambda: LinkBudget(2.0, reflection_loss_db=math.inf),
-                 id="link-reflection-inf"),
-    pytest.param(lambda: DemodConfig(sample_rate_hz=math.nan), id="demod-rate"),
     pytest.param(lambda: InsectNode(1, math.nan), id="insect-distance"),
-    pytest.param(lambda: PowerProfile(active_ma=math.nan), id="power-active"),
-    pytest.param(lambda: BatteryConfig(capacity_mah=math.nan), id="battery-capacity"),
 ])
 def test_configs_reject_nan(build):
     """NaN fails every comparison, so each check is written to fail on it."""
@@ -547,22 +534,11 @@ def test_configs_reject_nan(build):
 
 @pytest.mark.parametrize("compute", [
     pytest.param(lambda: free_space_loss_db(math.nan, 915e6), id="loss-distance"),
-    pytest.param(lambda: LinkBudget(2.0, carrier_hz=math.nan).path_gain_db,
-                 id="link-carrier"),
-    pytest.param(lambda: average_current_ma(PowerProfile(), awake_s=math.nan),
-                 id="current-awake"),
-    pytest.param(lambda: average_current_ma(PowerProfile(), period_s=math.inf),
-                 id="current-period"),
+    pytest.param(lambda: average_current_ma(math.inf), id="current-period"),
     pytest.param(lambda: logging_endurance_h(interval_s=math.nan),
                  id="endurance-interval"),
-    pytest.param(lambda: rf_charge_time_h(RfHarvest(tx_power_dbm=math.nan),
-                                          BatteryConfig()), id="rf-tx-power"),
-    pytest.param(lambda: rf_charge_time_h(RfHarvest(path_loss_db=math.nan),
-                                          BatteryConfig()), id="rf-path-loss"),
-    pytest.param(lambda: RfHarvest().efficiency(math.nan), id="rf-efficiency"),
-    pytest.param(lambda: RfHarvest().harvested_mw(math.nan), id="rf-harvested"),
-    pytest.param(lambda: SolarHarvest().power_uw(math.nan), id="solar-nan"),
-    pytest.param(lambda: SolarHarvest().power_uw(math.inf), id="solar-inf"),
+    pytest.param(lambda: solar_power_uw(math.nan), id="solar-nan"),
+    pytest.param(lambda: solar_power_uw(math.inf), id="solar-inf"),
 ])
 def test_calculations_reject_nan(compute):
     """Arguments outside the config dataclasses are checked the same way:
