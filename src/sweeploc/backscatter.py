@@ -20,8 +20,8 @@ from .channel import complex_noise
 from .receiver import LOG_CAPACITY_BYTES, LogStore, SensorRecord
 from .scenario import ConfigError, DetectorConfig, _normals, free_space_loss_db
 
-MAX_FRAME_BITS = 8 * LOG_CAPACITY_BYTES  # a full measurement log
 SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
+MAX_FRAME_BITS = len(SYNC_PATTERN) + 8 * LOG_CAPACITY_BYTES  # sync + a full log
 UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
 MODULATOR_RATE_HZ = 8e6  # the tag's switch-drive sample rate
 SUBCARRIER_HZ = 2e6  # switch toggle rate, the interrogator's mixing offset
@@ -324,16 +324,15 @@ def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
     return int("".join(str(b) for b in decided[len(SYNC_PATTERN):]), 2)
 
 
-def hive_mac_session(insects: Sequence[InsectNode],
+def hive_mac_session(insects: Sequence[InsectNode], det: DetectorConfig,
                      rng: np.random.Generator) -> MacTranscript:
     """Round-robin query/dump cycle over the hive's tagged insects.
 
     The reader addresses one insect at a time; an insect replies only when
-    it decodes its own address, so out-of-range insects time out and are
-    skipped after the retry budget. Replies carry the insect's full log
-    behind a sync header.
+    its envelope detector det decodes its own address, so out-of-range
+    insects time out and are skipped after the retry budget. Replies carry
+    the insect's full log behind a sync header.
     """
-    detector = DetectorConfig()
     transcript = MacTranscript()
     query_s = (len(SYNC_PATTERN) + QUERY_ADDRESS_BITS) / UPLINK_BITRATE_HZ
     for insect in insects:
@@ -341,7 +340,7 @@ def hive_mac_session(insects: Sequence[InsectNode],
         for attempt in range(1, MAC_RETRIES + 2):
             start_s = transcript.total_elapsed_s
             transcript.total_elapsed_s += query_s + MAC_GUARD_S
-            heard = _downlink_decode(insect.address, link, detector, rng)
+            heard = _downlink_decode(insect.address, link, det, rng)
             decoded_ok = heard == insect.address
             if not decoded_ok:
                 last = attempt == MAC_RETRIES + 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
                        Position, Trajectory, _normals)
-from .transmitter import SweepSchedule
+from .transmitter import SweepSchedule, sample_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +211,11 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
 @dataclass(frozen=True)
 class FieldTrace:
     """Sampled complex field at the receiver: samples[..., s] is the total
-    field at s/sample_rate_hz into its slot, the first of which starts at
-    t0_s. Leading axes hold slots (see propagate), which may be apart in
-    time; a flat buffer is one stretch of samples from t0_s."""
+    field at s/sample_rate_hz into its slot. Leading axes hold slots (see
+    propagate); a flat buffer is one stretch of samples."""
 
     samples: np.ndarray
     sample_rate_hz: float
-    t0_s: float
 
 
 def propagate(schedule: SweepSchedule, paths: PathSet,
@@ -228,11 +226,13 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
 
     t0_s is one slot start time, or an (R,) array of them: R slots of this
     AP, one per TDMA round. where is one receiver, or one trajectory per
-    row of a trials x R t0_s, all moving or all still. paths is one draw
-    for every slot, or one per slot on leading axes of t0_s's shape. The
-    samples have t0_s's shape plus the period's samples, in a fresh array
-    or written into out. Each sample takes the drive of the schedule row
-    active at its time in its slot. The LOS path has unit weight; its sine
+    row of a trials x R t0_s, all moving or all still. A moving receiver
+    must move from at or before each slot's first sample to at or after
+    its last; ConfigError otherwise. paths is one draw for every slot, or
+    one per slot on leading axes of t0_s's shape. The samples have t0_s's
+    shape plus the period's samples, in a fresh array or written into out.
+    Each sample takes the drive of its schedule row (sample_rows, the
+    sweep's sample clock). The LOS path has unit weight; its sine
     (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
     10**(P/20) * lambda / (4*pi*dist) follow the receiver in closed form.
     A still receiver's field is sweep_response's per schedule row, each
@@ -242,11 +242,10 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     buffers (_scratch). Raises GeometryError if the receiver reaches the AP.
     """
     ap = schedule.ap
-    n = round(schedule.period_s * sample_rate_hz)
-    t_local = np.arange(n) / sample_rate_hz
+    row = sample_rows(ap, sample_rate_hz)
+    t_local = np.arange(len(row)) / sample_rate_hz
     starts = np.asarray(t0_s, dtype=float)
-    shape = starts.shape + (n,)
-    row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
+    shape = starts.shape + row.shape
     batch = not isinstance(where, (Position, Trajectory))
     waypoints = [traj.waypoints for traj in where] if batch else [
         where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)]
@@ -269,8 +268,12 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
         dist, los_sine = _scratch("dist", shape), _scratch("los_sine", shape)
         for i, (w, fp) in enumerate(zip(waypoints, rel)):
             at = (i,) if batch else ()
-            _geometry(np.interp(np.add(starts[at + (..., None)], t_local),
-                                [t for t, _ in w], fp), ap, dist[at], los_sine[at])
+            times = np.add(starts[at + (..., None)], t_local)
+            if w[0][0] > times[..., 0].min() or w[-1][0] < times[..., -1].max():
+                raise ConfigError("a moving receiver's motion must span every"
+                                  " slot it is synthesized in")
+            _geometry(np.interp(times, [t for t, _ in w], fp), ap, dist[at],
+                      los_sine[at])
         phasor = _phasors(los_sine, ap, _scratch("los_phasor", shape, complex))
         amp = np.divide(link, np.multiply(4.0 * math.pi, dist, out=los_sine),
                         out=los_sine)  # the sine's buffer, spent
@@ -284,12 +287,12 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
             segment = np.reshape([(t0, t1, p1.x - p0.x, p1.y - p0.y)
                                   for t0, p0, t1, p1 in ends], trial + (4,))
             field = apply_doppler(los, reflected, draw, row, paths.bearings_rad, ap,
-                                  segment, starts, t_local, dist, out=los)
+                                  segment, t_local, dist, out=los)
         else:
             field = np.add(los, _per_sample(reflected.sum(axis=-2), draw, row, _scratch(
                 "gathered", los.shape, complex)), out=los)
     return FieldTrace(samples=np.multiply(field, amp, out=out),
-                      sample_rate_hz=sample_rate_hz, t0_s=float(starts.flat[0]))
+                      sample_rate_hz=sample_rate_hz)
 
 
 def _geometry(rel: np.ndarray, ap: ApConfig, dist: np.ndarray,
@@ -324,8 +327,7 @@ def _per_sample(fields: np.ndarray, draw: np.ndarray | None, row: np.ndarray,
 
 def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | None,
                   row: np.ndarray, bearings_rad: np.ndarray, ap: ApConfig,
-                  segment: np.ndarray, starts: np.ndarray,
-                  t_local: np.ndarray, dist: np.ndarray,
+                  segment: np.ndarray, t_local: np.ndarray, dist: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """Rotate each path by its length change since its slot's first
     sample, so the phase restarts at every slot, and add the paths up into
@@ -337,15 +339,16 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | Non
     row, bearings_rad the reflected paths' bearings (PathSet.bearings_rad),
     t_local each sample's time in its slot and dist its AP distance. segment
     holds each trial's segment (start and stop times, x and y
-    displacement) on its last axis, broadcasting against starts. The LOS
-    length change is exact. Path k, a plane wave from bearing u_k, turns
-    its phase at omega_k = (2*pi/lambda) * u_k . v (Clarke, BSTJ 1968)
-    while the receiver moves at velocity v. Each path in turn is gathered
-    per sample and rotated in place by a per-block and a within-block table
-    of exp(j*omega_k*t), about 2*sqrt(samples) complex exponentials per
-    path and slot, then added to the paths before it, ((f_1 + f_2) + f_3)
-    as a sum over the paths axis would, and the LOS field last. Motion
-    toward a source shortens its path and advances it.
+    displacement) on its last axis, broadcasting against the slots; the
+    motion spans every slot (propagate refuses any other). The LOS length
+    change is exact. Path k, a plane wave from bearing u_k, turns its phase
+    at omega_k = (2*pi/lambda) * u_k . v (Clarke, BSTJ 1968) while the
+    receiver moves at velocity v. Each path in turn is gathered per sample
+    and rotated in place by a per-block and a within-block table of
+    exp(j*omega_k*t), about 2*sqrt(samples) complex exponentials per path
+    and slot, then added to the paths before it, ((f_1 + f_2) + f_3) as a
+    sum over the paths axis would, and the LOS field last. Motion toward a
+    source shortens its path and advances it.
     """
     wavenumber = 2.0 * math.pi / ap.wavelength_m  # phase advance per meter shorter
     # the geometry's part and the LOS phasors are free once propagate has them
@@ -358,32 +361,20 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | Non
     alpha = ap.boresight_rad + bearings_rad[..., None]  # toward the source
     omega = wavenumber * (np.cos(alpha) * move_x + np.sin(alpha) * move_y
                           ) / (t_stop - t_start)
-    moves_from = np.maximum(t_start - starts[..., None, None], 0.0)  # slot time
-    moves_to = np.maximum(t_stop - starts[..., None, None], 0.0)
     n = len(t_local)
     block = math.isqrt(n - 1) + 1  # samples per block; whole blocks pad the slot
     pad = np.minimum(np.arange(-(-n // block) * block), n - 1)
     t = t_local[pad]
     slots = los.shape[:-1]
-    per_block = np.exp(1j * omega * (t[::block] - moves_from))[..., None]
+    per_block = np.exp(1j * omega * t[::block])[..., None]
     within = np.exp(1j * omega * t[:block])[..., None, :]
-    # tau = t - moves_from while moving, 0 before, moves_to - moves_from
-    # after; a mask only if the motion clips in some slot
-    clips, moving = moves_from.max() > t[0] or moves_to.min() < t[-1], True
-    if clips:
-        moving = ((t >= moves_from) & (t <= moves_to)).reshape(
-            moves_from.shape[:-1] + (len(pad) // block, block))[..., 0, :, :]
-        after = np.exp(1j * omega * (moves_to - moves_from))
-        stopped = (t > moves_to)[..., 0, :]
     field = _scratch("doppler_path", slots + (len(pad),), complex)
     blocks = field.reshape(slots + (len(pad) // block, block))
     out.fill(0.0)  # 0 + f_1 is f_1
     for k in range(reflected.shape[-2]):
         _per_sample(reflected[..., k, :], draw, row[pad], field)
-        np.multiply(blocks, per_block[..., k, :, :], out=blocks, where=moving)
-        np.multiply(blocks, within[..., k, :, :], out=blocks, where=moving)
-        if clips:
-            np.multiply(field, after[..., k, :], out=field, where=stopped)
+        np.multiply(blocks, per_block[..., k, :, :], out=blocks)
+        np.multiply(blocks, within[..., k, :, :], out=blocks)
         out += field[..., :n]
     out += total  # paths + LOS: the bits of LOS + paths
     return out

@@ -25,11 +25,10 @@ from .pipeline import (capture_track, detect_with_noise, draw_noise,
                        fast_estimate_bearings, localize_once)
 from .power import (average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h, solar_power_uw)
-from .receiver import (LookupTable, Receiver, estimate_angle, find_preamble,
-                       period_samples)
+from .receiver import LookupTable, Receiver, estimate_angle, find_preamble
 from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
                        scenario_digest, trial_rng, true_bearing_xy)
-from .transmitter import cached_schedule
+from .transmitter import cached_schedule, period_samples
 
 GRID_CHUNK = 1024
 BER_CHUNK = 25000
@@ -251,7 +250,7 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
         noise = draw_noise(scn, n, rng)
         propagate(schedule, paths, pos, fs, t0_s=period / 2.0,
                   out=capture[lead:lead + slot_n])
-        env = detect_with_noise(FieldTrace(capture, fs, 0.0), scn.detector, noise)
+        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, noise)
         start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
         if start is None:
             continue
@@ -489,7 +488,7 @@ def mac_session(spec: ExperimentSpec) -> ResultTable:
         for record in _demo_records(node.address):
             node.store.append(record)
         insects.append(node)
-    transcript = hive_mac_session(insects, rng)
+    transcript = hive_mac_session(insects, scn.detector, rng)
     one = frame_from_records(_demo_records(0x10)[:1]).payload_duration_s
     ten = frame_from_records(_demo_records(0x10)[:10]).payload_duration_s
     meta = _base_meta(spec, len(insects))

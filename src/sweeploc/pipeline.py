@@ -19,9 +19,9 @@ from .channel import (FieldTrace, PathSet, complex_noise, draw_multipath,
                       map_multipath, path_uniforms, propagate, sweep_response)
 from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, detector_noise, envelope_detect,
-                       period_samples, step_estimate_angles)
+                       step_estimate_angles)
 from .scenario import ApConfig, DetectorConfig, Position, Scenario, Trajectory
-from .transmitter import cached_schedule
+from .transmitter import cached_schedule, period_samples
 
 
 def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
@@ -34,9 +34,10 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
     their places in TDMA order; the result equals synthesizing the rounds
     one at a time. pathsets[k] is AP k's draw for every round, or one draw
     per round on leading (trials and) rounds axes. Round 0 starts at time
-    0; the rounds follow back to back. propagate applies Doppler
-    (apply_doppler's per-slot phase ramps) when the scenario enables it and
-    the receiver moves, from each slot's first sample.
+    0; the rounds follow back to back. A moving receiver must move through
+    every slot. propagate applies Doppler (apply_doppler's per-slot phase
+    ramps) when the scenario enables it and the receiver moves, from each
+    slot's first sample.
     """
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
@@ -50,7 +51,7 @@ def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
         propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k], where, rate,
                   t0_s=round_starts + k * period,
                   doppler=scn.channel.doppler_enabled, out=capture[..., k, :])
-    return FieldTrace(samples=capture.reshape(-1), sample_rate_hz=rate, t0_s=0.0)
+    return FieldTrace(samples=capture.reshape(-1), sample_rate_hz=rate)
 
 
 def draw_noise(scn: Scenario, n: int, rng: np.random.Generator

@@ -18,7 +18,7 @@ import numpy as np
 
 from .scenario import (ApConfig, ConfigError, DetectorConfig, Position,
                        Scenario, _normals)
-from .transmitter import PREAMBLE_PATTERNS
+from .transmitter import PREAMBLE_PATTERNS, period_samples, sample_rows
 
 PREAMBLE_CORRELATION_THRESHOLD = 0.75
 
@@ -30,11 +30,11 @@ class StoreFullError(RuntimeError):
 @dataclass(frozen=True)
 class EnvelopeTrace:
     """Sampled detector output in volts, or rows of buffers (rows x
-    samples) with one start time t0_s per row."""
+    samples) with one start time t0_s per row (default 0)."""
 
     volts: np.ndarray
     sample_rate_hz: float
-    t0_s: float | np.ndarray
+    t0_s: float | np.ndarray = 0.0
 
 
 def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
@@ -54,7 +54,7 @@ def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
     with np.errstate(divide="ignore"):
         np.log10(power, out=power)
     return EnvelopeTrace(volts=det.response_volts(np.multiply(10.0, power, out=power)),
-                         sample_rate_hz=det.sample_rate_hz, t0_s=trace.t0_s)
+                         sample_rate_hz=det.sample_rate_hz)
 
 
 def detector_noise(det: DetectorConfig, n: int,
@@ -68,21 +68,13 @@ def detector_noise(det: DetectorConfig, n: int,
 
 # --- sweep timing shared by the estimator and the fast ensemble path ------
 
-def _ceil_tol(x: float) -> int:
-    # ceil robust to float representation of exact products like 0.008*4000
-    return math.ceil(x - 1e-9)
-
-
 def sweep_window_samples(ap: ApConfig, sample_rate_hz: float) -> tuple[int, int]:
     """Half-open [first, stop) sample range of the sweep within one period,
-    relative to the period's first sample: the sweep runs to the period's
-    end."""
-    first = _ceil_tol(ap.preamble_duration_s * sample_rate_hz)
-    return first, period_samples(ap, sample_rate_hz)
-
-
-def period_samples(ap: ApConfig, sample_rate_hz: float) -> int:
-    return round(ap.sweep_period_s * sample_rate_hz)
+    relative to the period's first sample: from the first sample on a
+    sweep row (sample_rows) to the period's end."""
+    rows = sample_rows(ap, sample_rate_hz)
+    first = np.searchsorted(rows, len(PREAMBLE_PATTERNS[ap.preamble_id]))
+    return int(first), len(rows)
 
 
 def angle_from_sample(ap: ApConfig, mode: str, sample_index: int,
@@ -122,12 +114,13 @@ def step_estimate_angles(ap: ApConfig, mode: str,
     """Bearing the estimator reports if step m wins the peak search.
 
     The peak search returns the earliest sample of the winning step, so
-    this is angle_from_sample at each step's first covering sample. Kept
-    in one place so vectorized experiments and the sample-domain receiver
-    agree exactly. Built once per argument set, so the result is read-only.
+    this is angle_from_sample at each step's first sample on the clock
+    propagate synthesizes by (sample_rows): vectorized experiments and the
+    sample-domain receiver agree by construction. Read-only, as cached.
     """
-    first = [_ceil_tol((ap.preamble_duration_s + m * ap.sweep_dwell_s) * sample_rate_hz)
-             for m in range(ap.sweep_step_count)]
+    first = np.searchsorted(sample_rows(ap, sample_rate_hz),
+                            len(PREAMBLE_PATTERNS[ap.preamble_id])
+                            + np.arange(ap.sweep_step_count))
     out = sample_angles(ap, mode, sample_rate_hz)[first]
     out.flags.writeable = False
     return out

@@ -62,9 +62,9 @@ class Position:
 @dataclass(frozen=True)
 class Trajectory:
     """Motion along one straight segment: one waypoint (standing still) or
-    a start and a stop, each (time_s, Position). The position is clamped
-    before the first and after the last (zero velocity), so each reflected
-    path has one Doppler frequency while the receiver moves."""
+    a start and a stop, each (time_s, Position); positions_at clamps to the
+    ends outside them. propagate synthesizes motion only in slots it spans,
+    so each reflected path has one Doppler frequency in every sample."""
 
     waypoints: tuple[tuple[float, Position], ...]
 

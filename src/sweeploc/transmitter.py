@@ -31,23 +31,16 @@ PREAMBLE_PATTERNS: dict[int, tuple[int, ...]] = {
 
 @dataclass(frozen=True, eq=False)
 class SweepSchedule:
-    """One AP's sweep period as per-row arrays, in time order.
-
-    Rows are the preamble bits, then the last sweep_step_count rows the
-    sweep steps. starts_s is each row's start time. drive is the antenna x
-    row matrix of the array response: exp(-j*i*increment) on sweep rows,
-    with increment from drive_increments, so antenna i radiates at phase
-    i * increment; the preamble bit on antenna 0 alone on preamble rows.
+    """One AP's sweep period as the antenna x row drive matrix of the
+    array response. Rows, in time order (sample_rows), are the preamble
+    bits, then the last sweep_step_count rows the sweep steps: on these,
+    exp(-j*i*increment), with increment from drive_increments, so antenna
+    i radiates at phase i * increment; the preamble bit on antenna 0 alone
+    on preamble rows.
     """
 
     ap: ApConfig
-    mode: str
-    starts_s: np.ndarray
     drive: np.ndarray
-
-    @property
-    def period_s(self) -> float:
-        return self.ap.sweep_period_s
 
 
 def steering_values(ap: ApConfig, mode: str) -> np.ndarray:
@@ -77,24 +70,36 @@ def drive_increments(ap: ApConfig, mode: str) -> np.ndarray:
 def build_sweep_schedule(ap: ApConfig, mode: str = "alg1") -> SweepSchedule:
     """Lay out one period: 8 preamble bits then the full sweep."""
     pattern = np.array(PREAMBLE_PATTERNS[ap.preamble_id], dtype=float)
-    n_bits, n_steps = len(pattern), ap.sweep_step_count
+    n_bits = len(pattern)
     increments = np.concatenate([np.zeros(n_bits), drive_increments(ap, mode)])
     antennas = np.arange(ap.antenna_count)
     drive = np.exp(-1j * np.outer(antennas, increments))
     drive[:, :n_bits] = np.outer(antennas == 0, pattern)
-    return SweepSchedule(
-        ap=ap, mode=mode,
-        starts_s=np.concatenate([
-            np.arange(n_bits) * ap.preamble_bit_duration_s,
-            ap.preamble_duration_s + np.arange(n_steps) * ap.sweep_dwell_s]),
-        drive=drive)
+    return SweepSchedule(ap=ap, drive=drive)
 
 
 @functools.lru_cache(maxsize=64)
 def cached_schedule(ap: ApConfig, mode: str) -> SweepSchedule:
     """build_sweep_schedule, once per (ap, mode); shared, so read-only."""
     schedule = build_sweep_schedule(ap, mode)
-    for name in ("starts_s", "drive"):
-        getattr(schedule, name).flags.writeable = False
+    schedule.drive.flags.writeable = False
     return schedule
 
+
+def period_samples(ap: ApConfig, sample_rate_hz: float) -> int:
+    return round(ap.sweep_period_s * sample_rate_hz)
+
+
+@functools.lru_cache(maxsize=64)
+def sample_rows(ap: ApConfig, sample_rate_hz: float) -> np.ndarray:
+    """The sweep's sample clock: the schedule row on the air at each
+    detector sample of one period (the last to start by the sample, within
+    1e-12 s), in either sweep mode. Shared, so read-only."""
+    n_bits, n_steps = len(PREAMBLE_PATTERNS[ap.preamble_id]), ap.sweep_step_count
+    starts = np.concatenate([
+        np.arange(n_bits) * ap.preamble_bit_duration_s,
+        ap.preamble_duration_s + np.arange(n_steps) * ap.sweep_dwell_s])
+    t = np.arange(period_samples(ap, sample_rate_hz)) / sample_rate_hz
+    rows = np.searchsorted(starts, t + 1e-12, side="right") - 1
+    rows.flags.writeable = False
+    return rows

@@ -19,6 +19,14 @@ def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
     return _grid_chunk_errors(scn, (n_ant,), ratio, r_key, chunk_idx, n)[0]
 
 
+def row_starts(ap: ApConfig) -> np.ndarray:
+    """Start time of each schedule row within its period: the 8 preamble
+    bits, then the sweep steps, from the AP's durations."""
+    return np.concatenate([
+        np.arange(8) * ap.preamble_bit_duration_s,
+        ap.preamble_duration_s + np.arange(ap.sweep_step_count) * ap.sweep_dwell_s])
+
+
 def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
                           doppler=False) -> np.ndarray:
     """propagate's samples the direct way, as an oracle: at every sample,
@@ -29,10 +37,10 @@ def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
     weight and the receiver's bearing, then the PathSet's reflections."""
     ap = schedule.ap
     waypoints = where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)
-    n = round(schedule.period_s * sample_rate_hz)
+    n = round(ap.sweep_period_s * sample_rate_hz)
     t_local = np.arange(n) / sample_rate_hz
     t_abs = np.asarray(t0_s, dtype=float)[..., None] + t_local
-    row = np.searchsorted(schedule.starts_s, t_local + 1e-12, side="right") - 1
+    row = np.searchsorted(row_starts(ap), t_local + 1e-12, side="right") - 1
     times = [t for t, _ in waypoints]
     px = np.interp(t_abs, times, [p.x for _, p in waypoints])
     py = np.interp(t_abs, times, [p.y for _, p in waypoints])

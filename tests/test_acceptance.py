@@ -58,7 +58,7 @@ from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import build_sweep_schedule, drive_increments
 
 from helpers import (ber_point_waveform_oracle, grid_cell_errors,
-                     intersect_bearings)
+                     intersect_bearings, row_starts)
 
 
 def test_criterion_1_multipath_error_and_antenna_monotonicity():
@@ -140,7 +140,7 @@ def test_criterion_3_sweep_magnitude_matches_array_factor():
         gain = abs(1.0 + a_path * complex(math.cos(excess), math.sin(excess)))
 
         # the sweep steps are the schedule's last sweep_step_count rows
-        starts = sched.starts_s
+        starts = row_starts(ap)
         n_pre = len(starts) - ap.sweep_step_count
         t = np.arange(len(trace.samples)) / fs
         entry = np.clip(np.searchsorted(starts, t + 1e-12) - 1, 0,
@@ -323,7 +323,7 @@ def test_criterion_9_tdma_latency_and_mac_transcript():
     insects = [InsectNode(address=0x10 + k, distance_m=d,
                           store=loaded_store())
                for k, d in enumerate((2.0, 3.5, 5.0, 30.0))]
-    transcript = hive_mac_session(insects, trial_rng(9, "mac"))
+    transcript = hive_mac_session(insects, DetectorConfig(), trial_rng(9, "mac"))
     events = transcript.events
 
     replied = [e for e in events if e.replied]

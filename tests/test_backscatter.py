@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from sweeploc.backscatter import (
     transmit_backscatter,
 )
 from sweeploc.experiments import ExperimentSpec, run_experiment
-from sweeploc.receiver import SensorRecord
+from sweeploc.receiver import LOG_CAPACITY_BYTES, LOG_RECORDS, SensorRecord
 from sweeploc.scenario import (ConfigError, DetectorConfig, _normals,
                                free_space_loss_db, trial_rng)
 from sweeploc.scenarios import bench_scenario
@@ -64,6 +65,19 @@ def test_frame_record_round_trip():
 def test_frame_rejects_oversize():
     with pytest.raises(ConfigError):
         Frame(bits=(0,) * (MAX_FRAME_BITS + 1))
+
+
+def test_a_full_log_dumps_in_one_reply():
+    """An insect holding a full log replies with all of it, its 262 144
+    bits behind the sync header; a frame one bit longer is refused."""
+    node = InsectNode(address=0x31, distance_m=2.0)
+    for rec in make_records(LOG_RECORDS):
+        node.store.append(rec)
+    transcript = hive_mac_session([node], DetectorConfig(), trial_rng(13, "full"))
+    (event,) = transcript.events
+    assert event.replied and event.bits_sent == 8 * LOG_CAPACITY_BYTES == 262144
+    with pytest.raises(ConfigError):
+        Frame(bits=(0,) * (len(SYNC_PATTERN) + 8 * LOG_CAPACITY_BYTES + 1))
 
 
 def rising_edges(wave):
@@ -410,7 +424,7 @@ def test_mac_session_round_robin_and_skip():
         insects.append(node)
     # out of range: two-way loss at 30 m sits under the AP noise floor
     insects.append(InsectNode(address=0x2F, distance_m=30.0))
-    transcript = hive_mac_session(insects, trial_rng(11, "mac"))
+    transcript = hive_mac_session(insects, DetectorConfig(), trial_rng(11, "mac"))
     delivered = transcript.delivered_bits()
     assert set(delivered) == {0x20, 0x21, 0x22}
     assert all(v == 320 for v in delivered.values())
@@ -427,11 +441,27 @@ def test_mac_session_round_robin_and_skip():
         transcript.total_elapsed_s)
 
 
+def test_mac_session_hears_through_the_scenario_detector():
+    """mac_session decodes each query through its scenario's detector:
+    with the floor raised to -20 dBm, the insects at 3.5 m and 5 m (about
+    -22.5 and -25.7 dBm one way) hear nothing and are skipped, as is the
+    one at 30 m; the one at 2 m (about -17.7 dBm) still replies."""
+    scn = bench_scenario(seed=1)
+    scn = replace(scn, detector=replace(scn.detector, sensitivity_floor_dbm=-20.0))
+    for d, dbm in ((2.0, -17.7), (3.5, -22.5), (5.0, -25.7)):
+        assert TX_POWER_DBM - free_space_loss_db(d, CARRIER_HZ) == pytest.approx(
+            dbm, abs=0.1)
+    rows = run_experiment(ExperimentSpec("mac_session", scn)).rows
+    assert {row[0] for row in rows if row[3]} == {0x10}  # replied
+    assert {row[0] for row in rows if row[8]} == {0x11, 0x12, 0x13}  # skipped
+
+
 def test_mac_session_deterministic():
     def run():
         insects = [InsectNode(address=5, distance_m=3.0)]
         for rec in make_records(4):
             insects[0].store.append(rec)
-        return hive_mac_session(insects, trial_rng(12, "mac-det")).to_rows()
+        return hive_mac_session(insects, DetectorConfig(),
+                                trial_rng(12, "mac-det")).to_rows()
 
     assert run() == run()

@@ -30,7 +30,7 @@ from sweeploc.receiver import detector_noise
 from sweeploc.scenarios import bench_scenario
 from sweeploc.transmitter import build_sweep_schedule, drive_increments
 
-from helpers import per_antenna_propagate
+from helpers import per_antenna_propagate, row_starts
 
 AP = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
 
@@ -204,26 +204,47 @@ def test_propagate_matches_per_antenna_oracle(mode, n, spacing):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_propagate_doppler_ramps_clip_at_start_and_stop():
-    """The reflected paths' Doppler ramps follow the receiver's motion
-    within each slot: it starts moving inside a slot, stops inside one and
-    stands still in the next, or does both inside one slot. One draw per
-    slot, each with its own bearings; propagate equals the per-antenna
-    oracle within 1e-12 of the largest sample."""
+def test_propagate_refuses_motion_that_starts_or_stops_inside_a_slot():
+    """A moving receiver is synthesized only in slots its motion spans.
+    Motion that starts inside a slot, stops inside one and stands still in
+    the next, or does both inside one slot is refused with ConfigError,
+    Doppler on and off."""
     sched = build_sweep_schedule(AP)
     rng = trial_rng(12, "clipped")
     starts = np.array([0.0, 0.1, 0.2])
     paths = draw_multipath(ChannelConfig(multipath_ratio=0.6), rng, (3,))
-    assert len(np.unique(paths.bearings_rad[:, 0])) == 3
     p0, p1 = Position(12.0, 5.0), Position(10.6, 6.3)
     for waypoints in (((0.13, p0), (0.5, p1)), ((0.0, p0), (0.13, p1)),
                       ((0.02, p0), (0.03, p1))):
-        traj = Trajectory(waypoints)
+        for doppler in (False, True):
+            with pytest.raises(ConfigError, match="span every slot"):
+                propagate(sched, paths, Trajectory(waypoints), 4000.0,
+                          t0_s=starts, doppler=doppler)
+
+
+def test_propagate_takes_motion_from_a_first_to_a_last_sample():
+    """Motion from slot 0's first sample to slot 2's last spans every
+    slot: propagate equals the per-antenna oracle within 1e-12 of the
+    largest sample, Doppler on and off, one draw per slot. Starting or
+    stopping one representable instant inside those samples is refused."""
+    sched = build_sweep_schedule(AP)
+    starts = np.array([0.0, 0.1, 0.2])
+    paths = draw_multipath(ChannelConfig(multipath_ratio=0.6),
+                           trial_rng(12, "spanned"), (3,))
+    p0, p1 = Position(12.0, 5.0), Position(10.6, 6.3)
+    last = 0.2 + 199 / 4000.0  # as propagate adds a slot's start and time
+    for doppler in (False, True):
+        traj = Trajectory(((0.0, p0), (last, p1)))
         got = propagate(sched, paths, traj, 4000.0, t0_s=starts,
-                        doppler=True).samples
+                        doppler=doppler).samples
         want = per_antenna_propagate(sched, paths, traj, 4000.0, t0_s=starts,
-                                     doppler=True)
+                                     doppler=doppler)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for waypoints in (((0.0, p0), (math.nextafter(last, 0.0), p1)),
+                          ((math.nextafter(0.0, 1.0), p0), (last, p1))):
+            with pytest.raises(ConfigError, match="span every slot"):
+                propagate(sched, paths, Trajectory(waypoints), 4000.0,
+                          t0_s=starts, doppler=doppler)
 
 
 def test_draw_multipath_invariants():
@@ -300,10 +321,10 @@ def test_propagate_preamble_and_sweep_kinds():
     sched = build_sweep_schedule(AP)
     trace = propagate(sched, PathSet([], [], []), Position(10.0, 0.0), 4000.0)
     assert len(trace.samples) == 200
-    row = np.searchsorted(sched.starts_s, np.arange(200) / 4000.0 + 1e-12,
+    row = np.searchsorted(row_starts(AP), np.arange(200) / 4000.0 + 1e-12,
                           side="right") - 1
     # the sweep steps are the schedule's last sweep_step_count rows
-    n_pre = len(sched.starts_s) - AP.sweep_step_count
+    n_pre = sched.drive.shape[1] - AP.sweep_step_count
     assert np.all(row[:32] < n_pre)
     assert np.all(row[32:] >= n_pre)
     # one-bits radiate from one antenna, zero-bits are silent
@@ -403,7 +424,6 @@ def test_multi_slot_propagate_and_doppler_equal_slot_by_slot():
                            speed_mps=9.1, duration_s=1.0)
     batched = propagate(sched, paths, traj, 4000.0, t0_s=starts, doppler=True)
     assert batched.samples.shape == (3, 200)
-    assert batched.t0_s == 0.0
     for r, t0 in enumerate(starts):
         one = PathSet(paths.amplitudes[r], paths.bearings_rad[r],
                       paths.excess_phases_rad[r])
@@ -422,7 +442,7 @@ def _still_field(sched, paths, pos, starts):
     amp = 10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m / (4.0 * math.pi * dist)
     rows = sweep_response(paths, np.array([sine]), ap, sched.drive)
     t_local = np.arange(200) / 4000.0
-    row = np.searchsorted(sched.starts_s, t_local + 1e-12, side="right") - 1
+    row = np.searchsorted(row_starts(ap), t_local + 1e-12, side="right") - 1
     return np.broadcast_to(rows[..., row], np.shape(starts) + (200,)) * amp
 
 
@@ -521,8 +541,9 @@ def test_apply_doppler_checks_geometry_in_every_slot():
     sched = build_sweep_schedule(AP)
     ps = PathSet([0.3], [0.5], [1.0])
     starts = np.array([0.0, 0.1, 0.2])
-    # reaches the AP at 0.15 s and stays there: clear in slot 0 only
-    reaches = Trajectory(((0.0, Position(10.0, 0.0)), (0.15, AP.position)))
+    # reaches the AP at slot 2's last sample: clear in slot 0
+    reaches = Trajectory(((0.0, Position(10.0, 0.0)),
+                          (0.2 + 199 / 4000.0, AP.position)))
     propagate(sched, ps, reaches, 4000.0, t0_s=starts[:1], doppler=True)
     for doppler in (False, True):
         with pytest.raises(GeometryError):

@@ -21,14 +21,14 @@ from sweeploc.pipeline import (
 from sweeploc.experiments import cached_table
 from sweeploc.receiver import (EnvelopeTrace, LookupTable, Receiver,
                                envelope_detect, estimate_angle, find_preamble,
-                               fix_2d, period_samples, step_estimate_angles,
+                               fix_2d, step_estimate_angles,
                                sweep_window_samples)
 from sweeploc.scenario import (ApConfig, ChannelConfig, ConfigError,
                                DetectorConfig, GeometryError, Position,
                                Scenario, Trajectory, trial_rng, true_bearing_xy)
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import (build_sweep_schedule, drive_increments,
-                                  steering_values)
+                                  period_samples, steering_values)
 
 
 def test_synthesize_rounds_buffer_length():
@@ -241,7 +241,6 @@ def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
                         scn.detector.sample_rate_hz, t0_s=t0 + k * period,
                         doppler=doppler).samples
               for d, t0 in zip(draws, starts) for k, ap in enumerate(scn.aps)]
-    assert batched.t0_s == 0.0
     assert batched.samples.tobytes() == np.concatenate(single).tobytes()
 
 
@@ -460,10 +459,11 @@ def test_batched_receiver_equals_round_by_round_with_misses(track):
 @pytest.mark.parametrize("doppler", [False, True])
 def test_batched_synthesis_checks_geometry_in_a_later_slot(doppler):
     scn = _moving_farm("alg1", doppler, seed=2)
-    ap = scn.aps[0]
-    # reaches AP 1 at 0.3 s and stays there: every slot of round 0 is clear
-    traj = Trajectory(((0.0, Position(ap.position.x, 30.0)),
-                       (0.3, ap.position)))
+    ap, rate = scn.aps[1], scn.detector.sample_rate_hz
+    # reaches AP 2 at the last sample of five rounds, its slot in round 4:
+    # every slot of round 0 is clear
+    last = 4 * scn.round_s + ap.sweep_period_s + (period_samples(ap, rate) - 1) / rate
+    traj = Trajectory(((0.0, Position(30.0, ap.position.y)), (last, ap.position)))
     pathsets = draw_pathsets(scn, trial_rng(2, "geometry"))
     synthesize_rounds(scn, pathsets, traj, rounds=1)
     with pytest.raises(GeometryError):

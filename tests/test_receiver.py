@@ -1,6 +1,7 @@
 """Envelope detection, angle estimation, 2D fix, record packing, store."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from sweeploc.receiver import (
     estimate_angle,
     find_preamble,
     fix_2d,
-    period_samples,
     sample_angles,
     search_preambles,
     smooth_angle,
@@ -45,7 +45,8 @@ from sweeploc.scenario import (
     true_bearing_xy,
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
-from sweeploc.transmitter import PREAMBLE_PATTERNS, build_sweep_schedule
+from sweeploc.transmitter import (PREAMBLE_PATTERNS, build_sweep_schedule,
+                                  period_samples)
 
 from helpers import intersect_bearings
 
@@ -61,7 +62,7 @@ def joined(*slots):
     silence), starting at t = 0."""
     parts = [np.zeros(s, dtype=complex) if isinstance(s, int) else s.samples
              for s in slots]
-    return FieldTrace(np.concatenate(parts), FS, 0.0)
+    return FieldTrace(np.concatenate(parts), FS)
 
 
 def los_trace(ap, phi, dist=10.0, mode="alg1", t0=0.0):
@@ -93,7 +94,7 @@ def test_envelope_detect_takes_the_field_at_the_detector_rate():
         10 ** (one_bit_dbm / 10))
     for rate_hz in (2 * FS, FS / 2, math.nan):
         with pytest.raises(ConfigError, match="detector rate"):
-            envelope_detect(FieldTrace(trace.samples, rate_hz, 0.0), DET)
+            envelope_detect(FieldTrace(trace.samples, rate_hz), DET)
 
 
 def test_angle_from_sample_endpoints():
@@ -107,11 +108,14 @@ def test_angle_from_sample_endpoints():
 
 
 def test_step_estimate_angles_monotone():
+    # step m starts 32 + m * 168/128 samples into the period, exactly
+    first = [math.ceil(32 + m * Fraction(168, 128)) for m in range(128)]
     for mode in ("alg1", "uniform-theta"):
         angles = step_estimate_angles(AP1, mode, FS)
         assert len(angles) == 128
         assert angles[0] == pytest.approx(-math.pi / 2)
         assert np.all(np.diff(angles) >= 0)
+        assert angles.tolist() == sample_angles(AP1, mode, FS)[first].tolist()
         assert not angles.flags.writeable  # cached and shared
 
 

@@ -1,6 +1,8 @@
 """Sweep schedule layout."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sweeploc.transmitter import (
     build_sweep_schedule,
     cached_schedule,
     drive_increments,
+    sample_rows,
     steering_values,
     step_increments,
 )
@@ -27,17 +30,28 @@ def test_preamble_patterns_are_distinct_eight_bit():
 
 
 def test_schedule_tiles_the_period_exactly():
-    sched = build_sweep_schedule(AP)
-    assert sched.starts_s.shape == (8 + 128,)
-    assert sched.drive.shape == (AP.antenna_count, 8 + 128)
-    assert sched.starts_s[0] == 0.0
-    durations = np.diff(np.append(sched.starts_s, AP.sweep_period_s))
-    assert np.allclose(durations[:8], AP.preamble_bit_duration_s,
-                       rtol=0, atol=1e-12)
-    assert np.allclose(durations[8:], AP.sweep_dwell_s, rtol=0, atol=1e-12)
-    # the sweep rows are the last sweep_step_count; they start after the preamble
-    assert np.all(sched.starts_s[-AP.sweep_step_count:] >= AP.preamble_duration_s)
-    assert np.all(sched.starts_s[:8] < AP.preamble_duration_s)
+    """The 8 preamble bits, then the sweep steps, tile the period on the
+    sample clock: each row's first sample is the first at or after its
+    exact start time, reckoned in fractions from the configured decimal
+    durations, so a row that starts on a sample owns it. Rows follow one
+    another without a gap, whatever the sweep mode."""
+    assert build_sweep_schedule(AP).drive.shape == (AP.antenna_count, 8 + 128)
+    configs = [(AP, 4000), (replace(AP, sweep_period_s=0.025,
+                                    preamble_duration_s=0.002), 16000),
+               (replace(AP, sweep_period_s=0.1, preamble_duration_s=0.004,
+                        sweep_step_rad=math.pi / 16), 2000)]
+    for ap, rate in configs:
+        rows = sample_rows(ap, float(rate))
+        period = Fraction(str(ap.sweep_period_s)) * rate
+        preamble = Fraction(str(ap.preamble_duration_s)) * rate
+        n = ap.sweep_step_count
+        starts = ([preamble * k / 8 for k in range(8)]
+                  + [preamble + (period - preamble) * m / n for m in range(n)])
+        assert len(rows) == period
+        assert rows[0] == 0 and rows[-1] == 8 + n - 1
+        assert set(np.diff(rows).tolist()) <= {0, 1}
+        assert (np.searchsorted(rows, np.arange(8 + n)).tolist()
+                == [math.ceil(s) for s in starts])
 
 
 def test_preamble_entries_drive_single_antenna():
@@ -103,8 +117,11 @@ def test_cached_schedule_is_shared_and_read_only():
     assert cached_schedule(AP, "alg1") is sched
     assert cached_schedule(AP, "uniform-theta") is not sched
     fresh = build_sweep_schedule(AP, "alg1")
-    for name in ("starts_s", "drive"):
-        assert np.array_equal(getattr(sched, name), getattr(fresh, name))
-        with pytest.raises(ValueError):
-            getattr(sched, name)[0] = 0
+    assert np.array_equal(sched.drive, fresh.drive)
+    with pytest.raises(ValueError):
+        sched.drive[0] = 0
+    rows = sample_rows(AP, 4000.0)
+    assert sample_rows(AP, 4000.0) is rows
+    with pytest.raises(ValueError):
+        rows[0] = 1
 
