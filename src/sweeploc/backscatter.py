@@ -57,14 +57,6 @@ def frame_from_records(records: Sequence[SensorRecord]) -> Frame:
     return Frame(bits=tuple(int(b) for b in bits))
 
 
-def _capture_samples_per_bit(sample_rate_hz: float) -> int:
-    spb = round(sample_rate_hz / UPLINK_BITRATE_HZ)
-    if spb < 1 or abs(sample_rate_hz / UPLINK_BITRATE_HZ - spb) > 1e-6:
-        raise ConfigError("capture rate must be a whole multiple of the uplink"
-                          " bitrate")
-    return spb
-
-
 def _one_bit() -> tuple[np.ndarray, np.ndarray]:
     """A one-bit's switch states at the modulator rate, closed for the first
     half of each of its 2000 subcarrier cycles, and their mean over each
@@ -116,46 +108,32 @@ class LinkBudget:
                 - REFLECTION_LOSS_DB)
 
 
-@dataclass(frozen=True)
-class RxCapture:
-    """Complex envelope at the subcarrier offset, a few samples per bit."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    @property
-    def samples_per_bit(self) -> int:
-        return _capture_samples_per_bit(self.sample_rate_hz)
-
-
 def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
-                         rng: np.random.Generator | None = None) -> RxCapture:
+                         rng: np.random.Generator | None = None) -> np.ndarray:
     """Mix the reflected switch waveform down to the subcarrier offset and
     decimate to the capture rate; add receiver noise when an rng is given.
 
     Every bit spans whole capture blocks and whole subcarrier cycles, so
-    the envelope is bits (x) template: ONE_BIT_CAPTURE at path amplitude.
-    Uses the analytic-signal convention (factor 2 on the mixer output), so
-    a one-bit's fundamental lands at amplitude gain * (2/pi) in the
-    infinite-rate limit.
+    the capture is bits x CAPTURE_SAMPLES_PER_BIT, each row ONE_BIT_CAPTURE
+    at path amplitude or zero. Uses the analytic-signal convention (factor
+    2 on the mixer output), so a one-bit's fundamental lands at amplitude
+    gain * (2/pi) in the infinite-rate limit.
     """
     template = 2.0 * 10.0 ** (link.path_gain_db / 20.0) * ONE_BIT_CAPTURE
-    env = (wave.bits[:, None] * template).reshape(-1)
+    env = wave.bits[:, None] * template
     if rng is not None:
-        env = env + complex_noise(NOISE_FLOOR_DBM, len(env), rng)
-    return RxCapture(samples=env, sample_rate_hz=CAPTURE_RATE_HZ)
+        env = env + complex_noise(NOISE_FLOOR_DBM, env.size, rng).reshape(env.shape)
+    return env
 
 
-def bit_magnitudes(rx: RxCapture) -> np.ndarray:
-    """Magnitude of each whole bit's mean envelope: a boxcar filter one bit
-    long, read as a view of the capture. Trailing samples short of a bit
-    are not read; at one sample per bit the samples are the means."""
-    spb = rx.samples_per_bit
-    n_bits = len(rx.samples) // spb
-    if n_bits < 1:
-        raise ConfigError("capture is shorter than one bit")
-    bits = rx.samples[:n_bits * spb].reshape(n_bits, spb)
-    return np.abs(bits[:, 0] if spb == 1 else bits.sum(axis=1) / spb)
+def bit_magnitudes(capture: np.ndarray) -> np.ndarray:
+    """Magnitude of each bit's mean envelope, a boxcar filter one bit long,
+    from a bits x samples-per-bit capture; at one sample per bit the
+    samples are the means."""
+    if capture.size == 0:
+        raise ConfigError("capture is empty")
+    spb = capture.shape[1]
+    return np.abs(capture[:, 0] if spb == 1 else capture.sum(axis=1) / spb)
 
 
 def _bimodal_threshold(mags: np.ndarray) -> float:
@@ -182,7 +160,7 @@ def _bimodal_threshold(mags: np.ndarray) -> float:
     return t
 
 
-def ap_demodulate(rx: RxCapture, sync_bits: int = 0) -> np.ndarray:
+def ap_demodulate(capture: np.ndarray, sync_bits: int = 0) -> np.ndarray:
     """Decide bits by thresholding each bit's magnitude (bit_magnitudes).
 
     The threshold is the two-means split of the frame's magnitudes. When
@@ -190,7 +168,7 @@ def ap_demodulate(rx: RxCapture, sync_bits: int = 0) -> np.ndarray:
     calibrate the threshold from the sync levels instead, which also
     handles degenerate all-same payloads.
     """
-    mags = bit_magnitudes(rx)
+    mags = bit_magnitudes(capture)
     if sync_bits:
         if sync_bits > len(mags) or sync_bits > len(SYNC_PATTERN):
             raise ConfigError("sync_bits exceeds the frame or pattern length")
@@ -207,27 +185,23 @@ def roundtrip_frame(frame: Frame, link: LinkBudget,
                     rng: np.random.Generator | None = None,
                     sync_bits: int = 0) -> np.ndarray:
     """Modulate, reflect through the link, capture, and demodulate."""
-    rx = transmit_backscatter(modulate_frame(frame), link, rng)
-    return ap_demodulate(rx, sync_bits=sync_bits)
+    capture = transmit_backscatter(modulate_frame(frame), link, rng)
+    return ap_demodulate(capture, sync_bits=sync_bits)
 
 
 # --- BER simulation ---------------------------------------------------------
 
-def synth_capture(bits: np.ndarray, amplitude: float, noise_sigma: float,
-                  rng: np.random.Generator, sample_rate_hz: float) -> RxCapture:
-    """OOK envelope at a capture rate without the modulator-rate detour; at
-    the bitrate it is the boxcar filter's output, one sample per bit.
-
-    Equivalent to transmit_backscatter at CAPTURE_RATE_HZ up to the complex
-    fundamental gain, which the caller folds into amplitude.
-    """
-    spb = _capture_samples_per_bit(sample_rate_hz)
+def synth_capture(bits: np.ndarray, noise_sigma: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Each bit's boxcar output at unit one-bit level, bits x 1, without the
+    modulator-rate detour: the bit plus complex Gaussian noise of total
+    power noise_sigma**2, all real parts drawn first, then the imaginary."""
     sigma = noise_sigma / math.sqrt(2.0)
-    samples = np.empty(len(bits) * spb, dtype=complex)
-    noise = _normals(rng, sigma, np.empty((len(bits), spb)))
-    np.add(noise, (bits * amplitude)[:, None], out=samples.real.reshape(-1, spb))
-    samples.imag = _normals(rng, sigma, noise).reshape(-1)
-    return RxCapture(samples=samples, sample_rate_hz=sample_rate_hz)
+    capture = np.empty((len(bits), 1), dtype=complex)
+    noise = _normals(rng, sigma, np.empty((len(bits), 1)))
+    np.add(noise, bits[:, None], out=capture.real)
+    capture.imag = _normals(rng, sigma, noise)
+    return capture
 
 
 def ber_point(snr_db: float, n_bits: int,
@@ -240,8 +214,8 @@ def ber_point(snr_db: float, n_bits: int,
         raise ConfigError("need at least one bit")
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
     sigma = 10.0 ** (-snr_db / 20.0) / math.sqrt(CAPTURE_SAMPLES_PER_BIT)
-    rx = synth_capture(bits, 1.0, sigma, rng, UPLINK_BITRATE_HZ)
-    errors = int(np.count_nonzero(ap_demodulate(rx) != bits))
+    decided = ap_demodulate(synth_capture(bits, sigma, rng))
+    errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors
 
 
@@ -293,11 +267,13 @@ class MacTranscript:
         return out
 
     def fairness_index(self) -> float:
-        """Jain index over per-insect delivered payload bits."""
+        """Jain index over per-insect delivered payload bits; 0.0 when no
+        payload bit was delivered, whether no insect replied or every reply
+        carried only the sync header."""
         totals = list(self.delivered_bits().values())
-        if not totals:
-            return 0.0
         s = sum(totals)
+        if s == 0:
+            return 0.0
         return s * s / (len(totals) * sum(x * x for x in totals))
 
     def to_rows(self) -> list[tuple]:
@@ -313,14 +289,16 @@ def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
     detector, decided by ap_demodulate on the sync-calibrated threshold;
     returns the address the insect heard (possibly garbage when under its
     floor)."""
-    bits = list(SYNC_PATTERN) + [(address >> (7 - k)) & 1 for k in range(8)]
+    spb = round(det.sample_rate_hz / UPLINK_BITRATE_HZ)
+    if spb < 1 or abs(det.sample_rate_hz / UPLINK_BITRATE_HZ - spb) > 1e-6:
+        raise ConfigError("detector rate must be a whole multiple of the uplink"
+                          " bitrate")
+    bits = np.array(SYNC_PATTERN + tuple((address >> (7 - k)) & 1 for k in range(8)))
     one_way_dbm = TX_POWER_DBM - free_space_loss_db(link.distance_m, CARRIER_HZ)
-    spb = _capture_samples_per_bit(det.sample_rate_hz)
-    levels = np.where(np.repeat(bits, spb) > 0,
-                      float(det.response_volts(one_way_dbm)), det.floor_volts)
-    volts = levels + _normals(rng, det.noise_sigma_volts, np.empty(len(levels)))
-    decided = ap_demodulate(RxCapture(volts, det.sample_rate_hz),
-                            sync_bits=len(SYNC_PATTERN))
+    levels = np.where(bits[:, None] > 0, float(det.response_volts(one_way_dbm)),
+                      det.floor_volts)
+    volts = levels + _normals(rng, det.noise_sigma_volts, np.empty((len(bits), spb)))
+    decided = ap_demodulate(volts, sync_bits=len(SYNC_PATTERN))
     return int("".join(str(b) for b in decided[len(SYNC_PATTERN):]), 2)
 
 

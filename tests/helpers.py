@@ -5,8 +5,8 @@ import math
 import numpy as np
 
 from sweeploc.backscatter import (CAPTURE_RATE_HZ, MODULATOR_RATE_HZ,
-                                  ONE_BIT_CAPTURE, ONE_BIT_STATES,
-                                  SUBCARRIER_HZ, RxCapture, ap_demodulate)
+                                  SUBCARRIER_HZ, UPLINK_BITRATE_HZ,
+                                  ap_demodulate)
 from sweeploc.experiments import _grid_chunk_errors
 from sweeploc.receiver import MIN_CROSSING_SINE
 from sweeploc.scenario import (ApConfig, ConfigError, Position, Scenario,
@@ -111,33 +111,38 @@ def ber_point_waveform_oracle(snr_db: float, n_bits: int,
                               rng: np.random.Generator) -> tuple[float, int]:
     """Brute-force BER reference through the full modulator-rate waveform.
 
-    The signal is transmit_backscatter's envelope, each bit the one-bit
-    switch states mixed down and block-averaged to the capture rate. Noise
-    is injected at the modulator rate with its power scaled so the
-    decimated capture sees the same per-sample SNR as ber_point, and the
-    path gain divides out the discrete fundamental gain so both models
-    share one signal level.
+    The signal is a one-bit's switch states, built here by
+    demod_fundamental_gain's rule (closed for the first half of each
+    subcarrier cycle), mixed down per modulator sample and block-averaged
+    to the capture rate, then repeated for each one-bit. Noise is injected
+    at the modulator rate with its power scaled so the decimated capture
+    sees the same per-sample SNR as ber_point, and the path gain divides
+    out the discrete fundamental gain so both models share one signal
+    level.
     """
     if n_bits < 1:
         raise ConfigError("need at least one bit")
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
     amplitude = 1.0 / abs(demod_fundamental_gain())
-    env = (bits[:, None] * (2.0 * amplitude * ONE_BIT_CAPTURE)).reshape(-1)
     factor = round(MODULATOR_RATE_HZ / CAPTURE_RATE_HZ)
+    k = np.arange(round(MODULATOR_RATE_HZ / UPLINK_BITRATE_HZ))
+    states = ((k // round(MODULATOR_RATE_HZ / (2.0 * SUBCARRIER_HZ))) % 2 == 0)
+    mixed = states * np.exp(-2j * math.pi * SUBCARRIER_HZ * k / MODULATOR_RATE_HZ)
+    one_bit = 2.0 * amplitude * mixed.reshape(-1, factor).mean(axis=1)
     # per-dimension sigma chosen so block-averaging by `factor` leaves the
     # capture with total complex noise power 10**(-snr/10)
     sigma_hi = 10.0 ** (-snr_db / 20.0) * math.sqrt(factor / 2.0)
     # Draw the modulator-rate noise in bit-aligned chunks and keep only its
     # block means, which add to the decimated envelope.
-    chunk_bits, spb = 500, len(ONE_BIT_STATES)
-    chunk = np.empty(min(n_bits, chunk_bits) * spb)
+    chunk_bits = 500
+    chunk = np.empty(min(n_bits, chunk_bits) * len(k))
     noise_parts = []
     for lo in range(0, n_bits, chunk_bits):
-        buf = chunk[:len(bits[lo:lo + chunk_bits]) * spb]
+        buf = chunk[:len(bits[lo:lo + chunk_bits]) * len(k)]
         real = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
         imag = _normals(rng, sigma_hi, buf).reshape(-1, factor).mean(axis=1)
         noise_parts.append(real + 1j * imag)
-    rx = RxCapture(env + np.concatenate(noise_parts), CAPTURE_RATE_HZ)
-    decided = ap_demodulate(rx)
+    noise = np.concatenate(noise_parts).reshape(n_bits, len(one_bit))
+    decided = ap_demodulate(bits[:, None] * one_bit + noise)
     errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors

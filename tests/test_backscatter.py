@@ -19,7 +19,7 @@ from sweeploc.backscatter import (
     Frame,
     InsectNode,
     LinkBudget,
-    RxCapture,
+    MacTranscript,
     ap_demodulate,
     _downlink_decode,
     ber_point,
@@ -31,6 +31,7 @@ from sweeploc.backscatter import (
     synth_capture,
     transmit_backscatter,
 )
+from sweeploc.channel import complex_noise
 from sweeploc.experiments import ExperimentSpec, run_experiment
 from sweeploc.receiver import LOG_CAPACITY_BYTES, LOG_RECORDS, SensorRecord
 from sweeploc.scenario import (ConfigError, DetectorConfig, _normals,
@@ -134,8 +135,18 @@ def test_noisy_roundtrip_at_close_range_is_clean():
 def test_transmit_decimation_counts():
     wave = modulate_frame(Frame(bits=(1, 0, 1, 1)))
     rx = transmit_backscatter(wave, LinkBudget(distance_m=2.0))
-    assert len(rx.samples) == 4 * 16  # 16 capture samples per bit
-    assert rx.samples_per_bit == 16
+    assert rx.shape == (4, 16)  # one row per bit, 16 capture samples per bit
+
+
+def test_transmit_noise_fills_the_capture_bit_by_bit():
+    """The receiver noise is complex_noise's draws laid over the capture in
+    C order: the first 16 draws are the first bit's samples. All-zero bits
+    leave the noise alone."""
+    wave = modulate_frame(Frame(bits=(0,) * 5))
+    got = transmit_backscatter(wave, LinkBudget(distance_m=2.0),
+                               trial_rng(3, "order"))
+    want = complex_noise(NOISE_FLOOR_DBM, 5 * 16, trial_rng(3, "order"))
+    assert np.array_equal(got, want.reshape(5, 16))
 
 
 def mix_and_decimate_per_sample(wave, link, offset_hz):
@@ -169,21 +180,21 @@ def test_transmit_matches_per_sample_mixer(n_bits, offset_hz):
     wave = modulate_frame(Frame(bits=tuple(int(b) for b in
                                            rng.integers(0, 2, n_bits))))
     link = LinkBudget(distance_m=2.0)
-    got = transmit_backscatter(wave, link).samples
-    want = mix_and_decimate_per_sample(wave, link, offset_hz)
-    assert got.shape == want.shape == (n_bits * 16,)
+    got = transmit_backscatter(wave, link)
+    want = mix_and_decimate_per_sample(wave, link, offset_hz).reshape(n_bits, 16)
+    assert got.shape == want.shape == (n_bits, 16)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_bit_magnitudes_separate_levels():
     rng = trial_rng(6, "levels")
     bits = np.array([1, 0] * 64, dtype=np.uint8)
-    rx = synth_capture(bits, 1.0, 0.05, rng, CAPTURE_RATE_HZ)
-    mags = bit_magnitudes(rx)
+    capture = synth_capture(bits, 0.05, rng)
+    mags = bit_magnitudes(capture)
     ones = mags[bits == 1]
     zeros = mags[bits == 0]
     assert ones.min() > zeros.max()
-    decided = ap_demodulate(rx)
+    decided = ap_demodulate(capture)
     assert np.array_equal(decided, bits)
 
 
@@ -198,28 +209,29 @@ def gathered_bit_magnitudes(samples, spb):
 @pytest.mark.parametrize("rate_hz", [16000.0, 15000.0, 1000.0])
 @pytest.mark.parametrize("sigma", [0.1, 0.7, 2.5])
 def test_aligned_bit_windows_equal_gathered_windows_bitwise(rate_hz, sigma):
-    """Bits read as a view give the same windows, in the same sum order, as
-    the gathered copy; trailing samples start no bit, a 15 kHz capture
-    has odd 15-sample bits, and a 1 kHz capture (ber_point's one sample per
-    bit) is read as its own means."""
-    spb = round(rate_hz / 1000.0)
+    """A capture's rows give the same windows, in the same sum order, as
+    the gathered copy of its samples: at 16 kHz 16 samples per bit, at
+    15 kHz odd 15-sample bits, and at 1 kHz (ber_point's one sample per
+    bit) each bit's own mean."""
+    spb = round(rate_hz / UPLINK_BITRATE_HZ)
     rng = trial_rng(21, "aligned", int(rate_hz), sigma)
-    rx = synth_capture(rng.integers(0, 2, 2000).astype(np.uint8), 1.0, sigma,
-                       rng, rate_hz)
-    rx = RxCapture(np.concatenate([rx.samples, rx.samples[:spb - 1]]), rate_hz)
-    got = bit_magnitudes(rx)
+    capture = rng.integers(0, 2, (2000, 1)) + sigma * (
+        rng.standard_normal((2000, spb)) + 1j * rng.standard_normal((2000, spb)))
+    got = bit_magnitudes(capture)
     assert got.shape == (2000,)
-    assert got.tobytes() == gathered_bit_magnitudes(rx.samples, spb).tobytes()
+    assert got.tobytes() == gathered_bit_magnitudes(capture.reshape(-1),
+                                                    spb).tobytes()
 
 
 def test_aligned_bit_magnitudes_allocate_no_window_copy():
     """A 25 000-bit capture's windows are 6.4 MB as a gathered copy."""
     rng = trial_rng(23, "alloc")
-    rx = synth_capture(rng.integers(0, 2, 25_000).astype(np.uint8), 1.0, 0.5,
-                       rng, CAPTURE_RATE_HZ)
+    wave = modulate_frame(Frame(bits=tuple(int(b) for b in
+                                           rng.integers(0, 2, 25_000))))
+    capture = transmit_backscatter(wave, LinkBudget(distance_m=2.0), rng)
     tracemalloc.start()
     try:
-        bit_magnitudes(rx)
+        bit_magnitudes(capture)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,13 +257,14 @@ def masked_two_means_threshold(mags):
                                               (1.0, 2.5), (0.0, 1.0)])
 @pytest.mark.parametrize("seed", range(3))
 def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
-    """Bimodal populations at high to low SNR, and noise alone."""
+    """Bimodal populations at high to low SNR, and noise alone (amplitude
+    0: all-zero bits)."""
     rng = trial_rng(17, "two-means", seed)
-    rx = synth_capture(rng.integers(0, 2, 5000).astype(np.uint8), amplitude,
-                       sigma, rng, CAPTURE_RATE_HZ)
-    mags = bit_magnitudes(rx)
+    bits = (rng.integers(0, 2, 5000) * amplitude).astype(np.uint8)
+    capture = synth_capture(bits, sigma, rng)
+    mags = bit_magnitudes(capture)
     want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
-    assert np.array_equal(ap_demodulate(rx), want)
+    assert np.array_equal(ap_demodulate(capture), want)
 
 
 @pytest.mark.parametrize("levels, decided", [
@@ -260,26 +273,32 @@ def test_blind_decisions_equal_masked_two_means(amplitude, sigma, seed):
     ([0.0, 1.0, 2.0], [0, 0, 1]),  # a magnitude on the split counts as below
 ])
 def test_blind_decisions_on_degenerate_magnitudes(levels, decided):
-    rx = RxCapture(np.repeat(np.asarray(levels, dtype=complex), 16),
-                   CAPTURE_RATE_HZ)
-    mags = bit_magnitudes(rx)
+    capture = np.repeat(np.asarray(levels, dtype=complex)[:, None], 16, axis=1)
+    mags = bit_magnitudes(capture)
     want = (mags > masked_two_means_threshold(mags)).astype(np.uint8)
     assert np.array_equal(want, decided)
-    assert np.array_equal(ap_demodulate(rx), decided)
+    assert np.array_equal(ap_demodulate(capture), decided)
 
 
-@pytest.mark.parametrize("rate_hz, n_samples, message", [
-    (16000.0, 15, "shorter than one bit"),
-    (400.0, 15, "whole multiple"),  # a bit is 0.4 samples
-    (12500.0, 125, "whole multiple"),  # a bit is 12.5 samples
+def test_an_empty_capture_is_a_config_error():
+    """No bit, at 16 and at 1 samples per bit, and bits of no sample."""
+    for shape in ((0, 16), (0, 1), (4, 0)):
+        capture = np.ones(shape, dtype=complex)
+        with pytest.raises(ConfigError, match="empty"):
+            bit_magnitudes(capture)
+        with pytest.raises(ConfigError, match="empty"):
+            ap_demodulate(capture)
+
+
+@pytest.mark.parametrize("rate_hz", [
+    400.0,  # a bit is 0.4 samples
+    12500.0,  # a bit is 12.5 samples
 ])
-def test_capture_shorter_than_one_bit_is_a_config_error(rate_hz, n_samples,
-                                                        message):
-    rx = RxCapture(np.ones(n_samples, dtype=complex), rate_hz)
-    with pytest.raises(ConfigError, match=message):
-        bit_magnitudes(rx)
-    with pytest.raises(ConfigError, match=message):
-        ap_demodulate(rx)
+def test_downlink_rate_must_be_a_whole_multiple_of_the_bitrate(rate_hz):
+    det = DetectorConfig(sample_rate_hz=rate_hz)
+    with pytest.raises(ConfigError, match="whole multiple"):
+        _downlink_decode(0x10, LinkBudget(distance_m=2.0), det,
+                         trial_rng(0, "rate"))
 
 
 def test_ber_point_captures_at_the_demod_rate():
@@ -290,10 +309,9 @@ def test_ber_point_captures_at_the_demod_rate():
     got = ber_point(-4.0, 4000, trial_rng(18, "rate"))
     rng = trial_rng(18, "rate")
     bits = rng.integers(0, 2, 4000).astype(np.uint8)
-    rx = synth_capture(bits, 1.0, 10.0 ** (4.0 / 20.0) / math.sqrt(16.0), rng,
-                       1000.0)
-    assert rx.samples_per_bit == 1 and len(rx.samples) == 4000
-    errors = int(np.count_nonzero(ap_demodulate(rx) != bits))
+    capture = synth_capture(bits, 10.0 ** (4.0 / 20.0) / math.sqrt(16.0), rng)
+    assert capture.shape == (4000, 1)
+    errors = int(np.count_nonzero(ap_demodulate(capture) != bits))
     assert got == (errors / 4000, errors)
     assert 0 < errors < 4000 * 0.5
 
@@ -302,8 +320,8 @@ def test_sync_calibrated_demodulation_handles_skewed_payload():
     rng = trial_rng(7, "sync")
     payload = np.ones(64, dtype=np.uint8)  # all ones would break blind split
     bits = np.concatenate([np.asarray(SYNC_PATTERN, dtype=np.uint8), payload])
-    rx = synth_capture(bits, 1.0, 0.05, rng, CAPTURE_RATE_HZ)
-    decided = ap_demodulate(rx, sync_bits=len(SYNC_PATTERN))
+    decided = ap_demodulate(synth_capture(bits, 0.05, rng),
+                            sync_bits=len(SYNC_PATTERN))
     assert np.array_equal(decided[len(SYNC_PATTERN):], payload)
 
 
@@ -319,10 +337,11 @@ def test_downlink_query_decides_on_the_sync_calibrated_threshold():
                      round(det.sample_rate_hz / UPLINK_BITRATE_HZ))
     dbm = TX_POWER_DBM - free_space_loss_db(link.distance_m, CARRIER_HZ)
     levels = np.where(bits > 0, float(det.response_volts(dbm)), det.floor_volts)
-    rx = RxCapture(levels + _normals(trial_rng(0, "downlink"), det.noise_sigma_volts,
-                                     np.empty(len(levels))), det.sample_rate_hz)
-    synced = ap_demodulate(rx, sync_bits=len(SYNC_PATTERN))[len(SYNC_PATTERN):]
-    blind = ap_demodulate(rx)[len(SYNC_PATTERN):]
+    volts = levels + _normals(trial_rng(0, "downlink"), det.noise_sigma_volts,
+                              np.empty(len(levels)))
+    capture = volts.reshape(len(SYNC_PATTERN) + 8, -1)
+    synced = ap_demodulate(capture, sync_bits=len(SYNC_PATTERN))[len(SYNC_PATTERN):]
+    blind = ap_demodulate(capture)[len(SYNC_PATTERN):]
     assert heard == address
     assert synced.tolist() == [1] * 8
     assert blind.tolist() != [1] * 8
@@ -454,6 +473,17 @@ def test_mac_session_hears_through_the_scenario_detector():
     rows = run_experiment(ExperimentSpec("mac_session", scn)).rows
     assert {row[0] for row in rows if row[3]} == {0x10}  # replied
     assert {row[0] for row in rows if row[8]} == {0x11, 0x12, 0x13}  # skipped
+
+
+def test_fairness_is_zero_when_no_payload_bit_is_delivered():
+    """An insect with an empty log replies with the sync header alone, so
+    it is delivered 0 payload bits: the index reads 0.0, as when no insect
+    replied, instead of dividing 0 by 0."""
+    node = InsectNode(address=0x31, distance_m=2.0)
+    transcript = hive_mac_session([node], DetectorConfig(), trial_rng(1, "x"))
+    assert transcript.delivered_bits() == {0x31: 0}
+    assert transcript.fairness_index() == 0.0
+    assert MacTranscript().fairness_index() == 0.0
 
 
 def test_mac_session_deterministic():
