@@ -21,10 +21,9 @@ from .channel import (FieldTrace, PathSet, apply_doppler, draw_multipath,
 from .receiver import (EnvelopeTrace, LogStore, LookupTable, Receiver,
                        SensorRecord, StoreFullError, envelope_detect,
                        estimate_angle, find_preamble, fix_2d, smooth_angle)
-from .backscatter import (Frame, InsectNode, LinkBudget, SwitchWaveform,
-                          ap_demodulate, ber_point, frame_from_records,
-                          hive_mac_session, modulate_frame,
-                          transmit_backscatter)
+from .backscatter import (InsectNode, SwitchWaveform, ap_demodulate,
+                          ber_point, frame_from_records, hive_mac_session,
+                          modulate_frame, path_gain_db, transmit_backscatter)
 from .power import (average_current_ma, battery_life_h, logging_endurance_h,
                     rf_charge_time_h, solar_power_uw)
 from .pipeline import (detect_with_noise, draw_noise, fast_estimate_bearings,

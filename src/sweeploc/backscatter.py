@@ -17,11 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import complex_noise
-from .receiver import LOG_CAPACITY_BYTES, LogStore, SensorRecord
+from .receiver import LogStore, SensorRecord
 from .scenario import ConfigError, DetectorConfig, _normals, free_space_loss_db
 
 SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
-MAX_FRAME_BITS = len(SYNC_PATTERN) + 8 * LOG_CAPACITY_BYTES  # sync + a full log
 UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
 MODULATOR_RATE_HZ = 8e6  # the tag's switch-drive sample rate
 SUBCARRIER_HZ = 2e6  # switch toggle rate, the interrogator's mixing offset
@@ -33,28 +32,11 @@ REFLECTION_LOSS_DB = 10.0  # the tag's modulated reflection
 NOISE_FLOOR_DBM = -90.0  # the interrogator's receiver
 
 
-@dataclass(frozen=True)
-class Frame:
-    """An uplink payload: bits at the tag's (slow) backscatter bitrate."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.bits) <= MAX_FRAME_BITS:
-            raise ConfigError(f"frame must carry 1..{MAX_FRAME_BITS} bits")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ConfigError("frame bits must be 0 or 1")
-
-    @property
-    def payload_duration_s(self) -> float:
-        return len(self.bits) / UPLINK_BITRATE_HZ
-
-
-def frame_from_records(records: Sequence[SensorRecord]) -> Frame:
-    """Serialize packed records to an uplink frame, MSB first."""
+def frame_from_records(records: Sequence[SensorRecord]) -> np.ndarray:
+    """Serialize packed records to uplink bits (uint8), MSB first; an empty
+    log gives no bits."""
     payload = b"".join(r.pack() for r in records)
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    return Frame(bits=tuple(int(b) for b in bits))
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
 
 
 def _one_bit() -> tuple[np.ndarray, np.ndarray]:
@@ -86,29 +68,19 @@ class SwitchWaveform:
         return np.outer(self.bits, ONE_BIT_STATES).reshape(-1)
 
 
-def modulate_frame(frame: Frame) -> SwitchWaveform:
+def modulate_frame(bits: np.ndarray) -> SwitchWaveform:
     """Expand frame bits to the switch drive at the modulator rate."""
-    return SwitchWaveform(np.asarray(frame.bits, dtype=np.uint8))
+    return SwitchWaveform(bits)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Two-way interrogator-tag-interrogator budget at one distance."""
-
-    distance_m: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.distance_m < math.inf:
-            raise ConfigError("distance must be finite and positive")
-
-    @property
-    def path_gain_db(self) -> float:
-        """Amplitude-level gain applied to the switch waveform (dB)."""
-        return (TX_POWER_DBM - 2.0 * free_space_loss_db(self.distance_m, CARRIER_HZ)
-                - REFLECTION_LOSS_DB)
+def path_gain_db(distance_m: float) -> float:
+    """Two-way interrogator-tag-interrogator gain at one distance: the
+    amplitude-level gain applied to the switch waveform (dB)."""
+    return (TX_POWER_DBM - 2.0 * free_space_loss_db(distance_m, CARRIER_HZ)
+            - REFLECTION_LOSS_DB)
 
 
-def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
+def transmit_backscatter(wave: SwitchWaveform, distance_m: float,
                          rng: np.random.Generator | None = None) -> np.ndarray:
     """Mix the reflected switch waveform down to the subcarrier offset and
     decimate to the capture rate; add receiver noise when an rng is given.
@@ -119,7 +91,7 @@ def transmit_backscatter(wave: SwitchWaveform, link: LinkBudget,
     2 on the mixer output), so a one-bit's fundamental lands at amplitude
     gain * (2/pi) in the infinite-rate limit.
     """
-    template = 2.0 * 10.0 ** (link.path_gain_db / 20.0) * ONE_BIT_CAPTURE
+    template = 2.0 * 10.0 ** (path_gain_db(distance_m) / 20.0) * ONE_BIT_CAPTURE
     env = wave.bits[:, None] * template
     if rng is not None:
         env = env + complex_noise(NOISE_FLOOR_DBM, env.size, rng).reshape(env.shape)
@@ -181,14 +153,6 @@ def ap_demodulate(capture: np.ndarray, sync_bits: int = 0) -> np.ndarray:
     return (mags > threshold).astype(np.uint8)
 
 
-def roundtrip_frame(frame: Frame, link: LinkBudget,
-                    rng: np.random.Generator | None = None,
-                    sync_bits: int = 0) -> np.ndarray:
-    """Modulate, reflect through the link, capture, and demodulate."""
-    capture = transmit_backscatter(modulate_frame(frame), link, rng)
-    return ap_demodulate(capture, sync_bits=sync_bits)
-
-
 # --- BER simulation ---------------------------------------------------------
 
 def synth_capture(bits: np.ndarray, noise_sigma: float,
@@ -237,8 +201,8 @@ class InsectNode:
     def __post_init__(self) -> None:
         if not 0 <= self.address < (1 << QUERY_ADDRESS_BITS):
             raise ConfigError("address must fit 8 bits")
-        if not self.distance_m > 0:
-            raise ConfigError("distance must be positive")
+        if not 0 < self.distance_m < math.inf:
+            raise ConfigError("distance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -283,7 +247,7 @@ class MacTranscript:
                  int(e.skipped)) for e in self.events]
 
 
-def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
+def _downlink_decode(address: int, distance_m: float, det: DetectorConfig,
                      rng: np.random.Generator) -> int:
     """OOK query, at the uplink bitrate, through the insect's envelope
     detector, decided by ap_demodulate on the sync-calibrated threshold;
@@ -293,13 +257,13 @@ def _downlink_decode(address: int, link: LinkBudget, det: DetectorConfig,
     if spb < 1 or abs(det.sample_rate_hz / UPLINK_BITRATE_HZ - spb) > 1e-6:
         raise ConfigError("detector rate must be a whole multiple of the uplink"
                           " bitrate")
-    bits = np.array(SYNC_PATTERN + tuple((address >> (7 - k)) & 1 for k in range(8)))
-    one_way_dbm = TX_POWER_DBM - free_space_loss_db(link.distance_m, CARRIER_HZ)
+    bits = np.concatenate((SYNC_PATTERN, np.unpackbits(np.uint8([address]))))
+    one_way_dbm = TX_POWER_DBM - free_space_loss_db(distance_m, CARRIER_HZ)
     levels = np.where(bits[:, None] > 0, float(det.response_volts(one_way_dbm)),
                       det.floor_volts)
     volts = levels + _normals(rng, det.noise_sigma_volts, np.empty((len(bits), spb)))
     decided = ap_demodulate(volts, sync_bits=len(SYNC_PATTERN))
-    return int("".join(str(b) for b in decided[len(SYNC_PATTERN):]), 2)
+    return int(np.packbits(decided[len(SYNC_PATTERN):])[0])
 
 
 def hive_mac_session(insects: Sequence[InsectNode], det: DetectorConfig,
@@ -313,30 +277,26 @@ def hive_mac_session(insects: Sequence[InsectNode], det: DetectorConfig,
     """
     transcript = MacTranscript()
     query_s = (len(SYNC_PATTERN) + QUERY_ADDRESS_BITS) / UPLINK_BITRATE_HZ
+    sync = np.asarray(SYNC_PATTERN, dtype=np.uint8)
     for insect in insects:
-        link = LinkBudget(distance_m=insect.distance_m)
         for attempt in range(1, MAC_RETRIES + 2):
             start_s = transcript.total_elapsed_s
             transcript.total_elapsed_s += query_s + MAC_GUARD_S
-            heard = _downlink_decode(insect.address, link, det, rng)
-            decoded_ok = heard == insect.address
-            if not decoded_ok:
+            heard = _downlink_decode(insect.address, insect.distance_m, det, rng)
+            if heard != insect.address:
                 last = attempt == MAC_RETRIES + 1
                 transcript.events.append(MacEvent(
                     insect.address, attempt, False, False, 0, 0,
                     start_s, transcript.total_elapsed_s, skipped=last))
                 continue
-            payload = frame_from_records(insect.store.records) \
-                if insect.store.records else None
-            bits = list(SYNC_PATTERN) + (list(payload.bits) if payload else [])
-            frame = Frame(bits=tuple(bits))
-            decided = roundtrip_frame(frame, link, rng, sync_bits=len(SYNC_PATTERN))
-            sent = len(frame.bits) - len(SYNC_PATTERN)
-            errors = int(np.count_nonzero(
-                decided[len(SYNC_PATTERN):] != np.asarray(frame.bits[len(SYNC_PATTERN):])))
-            transcript.total_elapsed_s += frame.payload_duration_s + MAC_GUARD_S
+            payload = frame_from_records(insect.store.records)
+            frame = np.concatenate((sync, payload))
+            capture = transmit_backscatter(modulate_frame(frame), insect.distance_m, rng)
+            decided = ap_demodulate(capture, sync_bits=len(sync))
+            errors = int(np.count_nonzero(decided[len(sync):] != payload))
+            transcript.total_elapsed_s += len(frame) / UPLINK_BITRATE_HZ + MAC_GUARD_S
             transcript.events.append(MacEvent(
-                insect.address, attempt, True, True, sent, errors,
+                insect.address, attempt, True, True, len(payload), errors,
                 start_s, transcript.total_elapsed_s, skipped=False))
             break
     return transcript

@@ -18,14 +18,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .backscatter import (CAPTURE_SAMPLES_PER_BIT, InsectNode, SensorRecord,
-                          ber_point, frame_from_records, hive_mac_session)
+from .backscatter import (CAPTURE_SAMPLES_PER_BIT, UPLINK_BITRATE_HZ,
+                          InsectNode, ber_point, frame_from_records,
+                          hive_mac_session)
 from .channel import FieldTrace, draw_multipath, propagate
 from .pipeline import (capture_track, detect_with_noise, draw_noise,
                        fast_estimate_bearings, localize_once)
 from .power import (average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h, solar_power_uw)
-from .receiver import LookupTable, Receiver, estimate_angle, find_preamble
+from .receiver import (SENSOR_KINDS, LookupTable, Receiver, SensorRecord,
+                       estimate_angle, find_preamble)
 from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
                        scenario_digest, trial_rng, true_bearing_xy)
 from .transmitter import cached_schedule, period_samples
@@ -465,12 +467,11 @@ MAC_RECORDS_PER_INSECT = 50
 
 
 def _demo_records(address: int) -> list[SensorRecord]:
-    kinds = ("humidity", "temperature", "light")
+    kinds = list(SENSOR_KINDS)
     records = []
     for k in range(MAC_RECORDS_PER_INSECT):
-        kind = kinds[k % 3]
-        width = {"humidity": 11, "temperature": 11, "light": 12}[kind]
-        value = (address * 37 + k * 101) % (1 << width)
+        kind = kinds[k % len(kinds)]
+        value = (address * 37 + k * 101) % (1 << SENSOR_KINDS[kind][1])
         records.append(SensorRecord(kind=kind, value=value,
                                     angle1_code=(address + k) % 256,
                                     angle2_code=(address * 3 + k) % 256))
@@ -489,8 +490,8 @@ def mac_session(spec: ExperimentSpec) -> ResultTable:
             node.store.append(record)
         insects.append(node)
     transcript = hive_mac_session(insects, scn.detector, rng)
-    one = frame_from_records(_demo_records(0x10)[:1]).payload_duration_s
-    ten = frame_from_records(_demo_records(0x10)[:10]).payload_duration_s
+    one = len(frame_from_records(_demo_records(0x10)[:1])) / UPLINK_BITRATE_HZ
+    ten = len(frame_from_records(_demo_records(0x10)[:10])) / UPLINK_BITRATE_HZ
     meta = _base_meta(spec, len(insects))
     meta["fairness_index"] = transcript.fairness_index()
     meta["total_elapsed_s"] = transcript.total_elapsed_s

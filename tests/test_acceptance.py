@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from sweeploc.backscatter import (
-    Frame,
+    UPLINK_BITRATE_HZ,
     InsectNode,
-    LinkBudget,
+    ap_demodulate,
     ber_point,
     frame_from_records,
     hive_mac_session,
-    roundtrip_frame,
+    modulate_frame,
+    transmit_backscatter,
 )
 from sweeploc.channel import PathSet, propagate
 from sweeploc.experiments import (
@@ -238,10 +239,9 @@ def test_criterion_6_backscatter_identity_and_ber_band():
     a brute-force waveform simulation within the pooled 95% band at every
     SNR point; payload airtime scales as 1 ms per bit."""
     rng = trial_rng(6, "identity-bits")
-    bits = tuple(int(b) for b in rng.integers(0, 2, 10000))
-    decided = roundtrip_frame(Frame(bits=bits), LinkBudget(distance_m=2.0),
-                              rng=None)
-    assert np.array_equal(decided, np.asarray(bits))
+    bits = rng.integers(0, 2, 10000).astype(np.uint8)
+    decided = ap_demodulate(transmit_backscatter(modulate_frame(bits), 2.0))
+    assert np.array_equal(decided, bits)
 
     n_fast, n_oracle = 200000, 8000
     for snr in BER_SNR_POINTS_DB:
@@ -255,9 +255,9 @@ def test_criterion_6_backscatter_identity_and_ber_band():
             f"snr={snr}: fast={bf:.5f} oracle={bo:.5f} margin={margin:.5f}"
 
     records = [SensorRecord("light", k, k, k) for k in range(10)]
-    assert frame_from_records(records[:1]).payload_duration_s == \
+    assert len(frame_from_records(records[:1])) / UPLINK_BITRATE_HZ == \
         pytest.approx(0.032)
-    assert frame_from_records(records).payload_duration_s == \
+    assert len(frame_from_records(records)) / UPLINK_BITRATE_HZ == \
         pytest.approx(0.320)
     # the experiment output must carry the airtime discrepancy note
     mac = run_experiment(ExperimentSpec("mac_session", bench_scenario(seed=3)))

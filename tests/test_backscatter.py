@@ -10,15 +10,12 @@ import pytest
 from sweeploc.backscatter import (
     CAPTURE_RATE_HZ,
     CARRIER_HZ,
-    MAX_FRAME_BITS,
     MODULATOR_RATE_HZ,
     NOISE_FLOOR_DBM,
     SYNC_PATTERN,
     TX_POWER_DBM,
     UPLINK_BITRATE_HZ,
-    Frame,
     InsectNode,
-    LinkBudget,
     MacTranscript,
     ap_demodulate,
     _downlink_decode,
@@ -27,7 +24,7 @@ from sweeploc.backscatter import (
     frame_from_records,
     hive_mac_session,
     modulate_frame,
-    roundtrip_frame,
+    path_gain_db,
     synth_capture,
     transmit_backscatter,
 )
@@ -46,39 +43,40 @@ def make_records(n):
             for k in range(n)]
 
 
+def random_bits(rng, n):
+    return rng.integers(0, 2, n).astype(np.uint8)
+
+
 def test_payload_duration_one_and_ten_records():
+    """A 4-byte record is 32 bits, 32 ms at 1 kbps."""
     one = frame_from_records(make_records(1))
     ten = frame_from_records(make_records(10))
-    assert len(one.bits) == 32
-    assert len(ten.bits) == 320
-    assert one.payload_duration_s == pytest.approx(0.032)
-    assert ten.payload_duration_s == pytest.approx(0.320)
+    assert one.dtype == ten.dtype == np.uint8
+    assert (len(one), len(ten)) == (32, 320)
+    assert len(ten) / UPLINK_BITRATE_HZ == pytest.approx(0.320)
 
 
 def test_frame_record_round_trip():
     """A frame carries the packed records back to back, MSB first."""
     records = make_records(25)
-    frame = frame_from_records(records)
-    packed = np.packbits(np.asarray(frame.bits, dtype=np.uint8)).tobytes()
+    packed = np.packbits(frame_from_records(records)).tobytes()
     assert packed == b"".join(r.pack() for r in records)
 
 
-def test_frame_rejects_oversize():
-    with pytest.raises(ConfigError):
-        Frame(bits=(0,) * (MAX_FRAME_BITS + 1))
+def test_an_empty_log_is_an_empty_frame():
+    frame = frame_from_records([])
+    assert frame.dtype == np.uint8 and frame.shape == (0,)
 
 
 def test_a_full_log_dumps_in_one_reply():
     """An insect holding a full log replies with all of it, its 262 144
-    bits behind the sync header; a frame one bit longer is refused."""
+    bits behind the sync header."""
     node = InsectNode(address=0x31, distance_m=2.0)
     for rec in make_records(LOG_RECORDS):
         node.store.append(rec)
     transcript = hive_mac_session([node], DetectorConfig(), trial_rng(13, "full"))
     (event,) = transcript.events
     assert event.replied and event.bits_sent == 8 * LOG_CAPACITY_BYTES == 262144
-    with pytest.raises(ConfigError):
-        Frame(bits=(0,) * (len(SYNC_PATTERN) + 8 * LOG_CAPACITY_BYTES + 1))
 
 
 def rising_edges(wave):
@@ -89,10 +87,10 @@ def rising_edges(wave):
 
 def test_rising_edges_per_one_bit():
     # a one-bit toggles the switch at 2 MHz for 1 ms: 2000 rising edges
-    wave = modulate_frame(Frame(bits=(1,)))
+    wave = modulate_frame(np.array([1], dtype=np.uint8))
     assert rising_edges(wave) == 2000
-    assert rising_edges(modulate_frame(Frame(bits=(0,)))) == 0
-    assert rising_edges(modulate_frame(Frame(bits=(1, 0, 1)))) == 4000
+    assert rising_edges(modulate_frame(np.array([0], dtype=np.uint8))) == 0
+    assert rising_edges(modulate_frame(np.array([1, 0, 1], dtype=np.uint8))) == 4000
     assert len(wave.states) == 8000  # 1 ms at the 8 MHz modulator rate
 
 
@@ -108,33 +106,29 @@ def test_demod_fundamental_gain_discrete_and_limit():
 def test_link_budget_two_way_path():
     """20 dBm out, free space to the tag and back at 915 MHz, 10 dB lost
     in the tag's reflection."""
-    link = LinkBudget(distance_m=2.0)
     fspl = free_space_loss_db(2.0, 915e6)
-    assert link.path_gain_db == pytest.approx(20.0 - 2 * fspl - 10.0)
+    assert path_gain_db(2.0) == pytest.approx(20.0 - 2 * fspl - 10.0)
     # 2 m is comfortably above the AP noise floor; 30 m is far below it
-    assert link.path_gain_db > NOISE_FLOOR_DBM + 15.0
-    assert LinkBudget(distance_m=30.0).path_gain_db < NOISE_FLOOR_DBM
+    assert path_gain_db(2.0) > NOISE_FLOOR_DBM + 15.0
+    assert path_gain_db(30.0) < NOISE_FLOOR_DBM
 
 
 def test_clean_roundtrip_identity():
-    rng = trial_rng(4, "frame-bits")
-    bits = tuple(int(b) for b in rng.integers(0, 2, 512))
-    frame = Frame(bits=bits)
-    decided = roundtrip_frame(frame, LinkBudget(distance_m=2.0), rng=None)
-    assert np.array_equal(decided, np.asarray(bits))
+    bits = random_bits(trial_rng(4, "frame-bits"), 512)
+    decided = ap_demodulate(transmit_backscatter(modulate_frame(bits), 2.0))
+    assert np.array_equal(decided, bits)
 
 
 def test_noisy_roundtrip_at_close_range_is_clean():
     rng = trial_rng(5, "noisy-roundtrip")
-    bits = tuple(int(b) for b in rng.integers(0, 2, 512))
-    decided = roundtrip_frame(Frame(bits=bits), LinkBudget(distance_m=2.0),
-                              rng=rng)
-    assert np.array_equal(decided, np.asarray(bits))
+    bits = random_bits(rng, 512)
+    decided = ap_demodulate(transmit_backscatter(modulate_frame(bits), 2.0, rng))
+    assert np.array_equal(decided, bits)
 
 
 def test_transmit_decimation_counts():
-    wave = modulate_frame(Frame(bits=(1, 0, 1, 1)))
-    rx = transmit_backscatter(wave, LinkBudget(distance_m=2.0))
+    wave = modulate_frame(np.array([1, 0, 1, 1], dtype=np.uint8))
+    rx = transmit_backscatter(wave, 2.0)
     assert rx.shape == (4, 16)  # one row per bit, 16 capture samples per bit
 
 
@@ -142,18 +136,17 @@ def test_transmit_noise_fills_the_capture_bit_by_bit():
     """The receiver noise is complex_noise's draws laid over the capture in
     C order: the first 16 draws are the first bit's samples. All-zero bits
     leave the noise alone."""
-    wave = modulate_frame(Frame(bits=(0,) * 5))
-    got = transmit_backscatter(wave, LinkBudget(distance_m=2.0),
-                               trial_rng(3, "order"))
+    wave = modulate_frame(np.zeros(5, dtype=np.uint8))
+    got = transmit_backscatter(wave, 2.0, trial_rng(3, "order"))
     want = complex_noise(NOISE_FLOOR_DBM, 5 * 16, trial_rng(3, "order"))
     assert np.array_equal(got, want.reshape(5, 16))
 
 
-def mix_and_decimate_per_sample(wave, link, offset_hz):
+def mix_and_decimate_per_sample(wave, distance_m, offset_hz):
     """Brute-force reference: mix every modulator-rate sample down by the
     offset with its own exp and block-average to the capture rate."""
     factor = round(MODULATOR_RATE_HZ / CAPTURE_RATE_HZ)
-    gain = 10.0 ** (link.path_gain_db / 20.0)
+    gain = 10.0 ** (path_gain_db(distance_m) / 20.0)
     states = wave.states
     n = (len(states) // factor) * factor
     chunk = max(factor, (4_000_000 // factor) * factor)
@@ -177,11 +170,9 @@ def test_transmit_matches_per_sample_mixer(n_bits, offset_hz):
     phase rounding grows with frame time (about 1e-9 relative at 1.6 s),
     which sets the 1e-12 bound at 2 m."""
     rng = trial_rng(13, "mixer", n_bits)
-    wave = modulate_frame(Frame(bits=tuple(int(b) for b in
-                                           rng.integers(0, 2, n_bits))))
-    link = LinkBudget(distance_m=2.0)
-    got = transmit_backscatter(wave, link)
-    want = mix_and_decimate_per_sample(wave, link, offset_hz).reshape(n_bits, 16)
+    wave = modulate_frame(random_bits(rng, n_bits))
+    got = transmit_backscatter(wave, 2.0)
+    want = mix_and_decimate_per_sample(wave, 2.0, offset_hz).reshape(n_bits, 16)
     assert got.shape == want.shape == (n_bits, 16)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -226,9 +217,7 @@ def test_aligned_bit_windows_equal_gathered_windows_bitwise(rate_hz, sigma):
 def test_aligned_bit_magnitudes_allocate_no_window_copy():
     """A 25 000-bit capture's windows are 6.4 MB as a gathered copy."""
     rng = trial_rng(23, "alloc")
-    wave = modulate_frame(Frame(bits=tuple(int(b) for b in
-                                           rng.integers(0, 2, 25_000))))
-    capture = transmit_backscatter(wave, LinkBudget(distance_m=2.0), rng)
+    capture = transmit_backscatter(modulate_frame(random_bits(rng, 25_000)), 2.0, rng)
     tracemalloc.start()
     try:
         bit_magnitudes(capture)
@@ -297,8 +286,7 @@ def test_an_empty_capture_is_a_config_error():
 def test_downlink_rate_must_be_a_whole_multiple_of_the_bitrate(rate_hz):
     det = DetectorConfig(sample_rate_hz=rate_hz)
     with pytest.raises(ConfigError, match="whole multiple"):
-        _downlink_decode(0x10, LinkBudget(distance_m=2.0), det,
-                         trial_rng(0, "rate"))
+        _downlink_decode(0x10, 2.0, det, trial_rng(0, "rate"))
 
 
 def test_ber_point_captures_at_the_demod_rate():
@@ -330,12 +318,12 @@ def test_downlink_query_decides_on_the_sync_calibrated_threshold():
     sync pattern calibrates, not on the blind two-means split. This query
     (an all-ones address near the insect's floor) is one the two decide
     differently, and only the sync-calibrated decision hears the address."""
-    det, link, address = DetectorConfig(), LinkBudget(distance_m=24.0), 0xFF
-    heard = _downlink_decode(address, link, det, trial_rng(0, "downlink"))
+    det, distance_m, address = DetectorConfig(), 24.0, 0xFF
+    heard = _downlink_decode(address, distance_m, det, trial_rng(0, "downlink"))
     # the same capture, rebuilt: the query's levels plus the detector noise
     bits = np.repeat(list(SYNC_PATTERN) + [1] * 8,
                      round(det.sample_rate_hz / UPLINK_BITRATE_HZ))
-    dbm = TX_POWER_DBM - free_space_loss_db(link.distance_m, CARRIER_HZ)
+    dbm = TX_POWER_DBM - free_space_loss_db(distance_m, CARRIER_HZ)
     levels = np.where(bits > 0, float(det.response_volts(dbm)), det.floor_volts)
     volts = levels + _normals(trial_rng(0, "downlink"), det.noise_sigma_volts,
                               np.empty(len(levels)))
@@ -458,6 +446,29 @@ def test_mac_session_round_robin_and_skip():
         assert cur.end_s > cur.start_s
     assert transcript.events[-1].end_s == pytest.approx(
         transcript.total_elapsed_s)
+
+
+def test_the_hive_counts_errors_over_the_payload_only():
+    """A noisy reply at 14 m, rebuilt from the same rng: the query's
+    detector noise is drawn first, then the reply's capture noise. The
+    event counts the payload bits behind the sync header, and the errors
+    among them only; here the sync header itself is decided with errors."""
+    det, records = DetectorConfig(), make_records(40)
+    node = InsectNode(address=0x22, distance_m=14.0)
+    for rec in records:
+        node.store.append(rec)
+    (event,) = hive_mac_session([node], det, trial_rng(2, "payload")).events
+    rng = trial_rng(2, "payload")
+    assert _downlink_decode(0x22, 14.0, det, rng) == 0x22
+    payload = frame_from_records(records)
+    frame = np.concatenate((np.asarray(SYNC_PATTERN, dtype=np.uint8), payload))
+    decided = ap_demodulate(transmit_backscatter(modulate_frame(frame), 14.0, rng),
+                            sync_bits=len(SYNC_PATTERN))
+    assert np.count_nonzero(decided[:len(SYNC_PATTERN)] != SYNC_PATTERN) > 0
+    assert event.bits_sent == len(payload) == 1280
+    assert event.bit_errors == np.count_nonzero(decided[len(SYNC_PATTERN):] != payload)
+    assert event.end_s - event.start_s == pytest.approx(
+        0.016 + 0.005 + len(frame) / UPLINK_BITRATE_HZ + 0.005)
 
 
 def test_mac_session_hears_through_the_scenario_detector():

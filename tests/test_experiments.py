@@ -1,5 +1,6 @@
 """Experiment harness: CSV plumbing, dispatch, determinism, CLI."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,9 @@ from sweeploc.experiments import (
     run_experiment,
 )
 from sweeploc.receiver import LookupTable
-from sweeploc.scenario import ConfigError, scenario_to_yaml
-from sweeploc.scenarios import BUILTIN_SCENARIOS, bench_scenario, farm_scenario
+from sweeploc.scenario import ConfigError, free_space_loss_db, scenario_to_yaml
+from sweeploc.scenarios import (BUILTIN_SCENARIOS, bench_scenario, farm_scenario,
+                                range_scenario)
 
 
 def _table():
@@ -233,6 +235,31 @@ def test_cli_refuses_fields_the_trials_cannot_use(experiment, edit, tmp_path,
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_range_sweep_half_detection_lies_in_its_link_budget_band():
+    """The range scenario's floor-limited range d0, where tx_power_dbm -
+    FSPL(d0) meets the detector floor, is 65.5 m at 915 MHz. The
+    reflections' amplitudes sum to multipath_ratio (0.2) of the LOS one, so
+    the field amplitude stays within 0.8-1.2 of it, and free-space
+    amplitude falls as 1/d: the field meets the floor between 0.8 d0 and
+    1.2 d0 (52.4-78.6 m). The detection rate, linearly interpolated, crosses
+    50% inside that band (at about 59 m at seed 1)."""
+    scn = range_scenario(seed=1)
+    ap, ratio = scn.aps[0], scn.channel.multipath_ratio
+    margin_db = ap.tx_power_dbm - scn.detector.sensitivity_floor_dbm
+    d0 = ap.wavelength_m / (4.0 * math.pi) * 10.0 ** (margin_db / 20.0)
+    assert free_space_loss_db(d0, ap.carrier_hz) == pytest.approx(margin_db)
+    assert d0 == pytest.approx(65.5, abs=0.05)
+    rows = run_experiment(ExperimentSpec("range_sweep", scn, trials=200)).rows
+    distances = [row[0] for row in rows]
+    rates = [row[3] for row in rows]
+    below = [i for i, rate in enumerate(rates) if rate < 0.5]
+    assert below and below[0] > 0, f"no 50% crossing in {rates}"
+    k = below[0]
+    crossing = distances[k - 1] + (rates[k - 1] - 0.5) / (
+        rates[k - 1] - rates[k]) * (distances[k] - distances[k - 1])
+    assert (1.0 - ratio) * d0 <= crossing <= (1.0 + ratio) * d0
 
 
 def test_speed_sweep_deterministic_across_workers():

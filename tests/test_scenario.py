@@ -29,7 +29,7 @@ from sweeploc.scenario import (
     wrap_angle,
 )
 from sweeploc import cli, scenario
-from sweeploc.backscatter import InsectNode, LinkBudget
+from sweeploc.backscatter import InsectNode
 from sweeploc.power import average_current_ma, logging_endurance_h, solar_power_uw
 from sweeploc.scenarios import (BUILTIN_SCENARIOS, bench_scenario,
                                 farm_scenario, range_scenario)
@@ -522,9 +522,8 @@ _ORIGIN = Position(0.0, 0.0)
     pytest.param(lambda: Scenario(aps=(ApConfig(_ORIGIN, 0.0),),
                                   field_extent_m=(math.inf, 90.0)),
                  id="field-extent-inf"),
-    pytest.param(lambda: LinkBudget(math.nan), id="link-distance"),
-    pytest.param(lambda: LinkBudget(math.inf), id="link-distance-inf"),
     pytest.param(lambda: InsectNode(1, math.nan), id="insect-distance"),
+    pytest.param(lambda: InsectNode(1, math.inf), id="insect-distance-inf"),
 ])
 def test_configs_reject_nan(build):
     """NaN fails every comparison, so each check is written to fail on it."""
