@@ -224,16 +224,17 @@ class MacTranscript:
     total_elapsed_s: float = 0.0
 
     def delivered_bits(self) -> dict[int, int]:
+        """Payload bits per insect, from the replies with no bit error."""
         out: dict[int, int] = {}
         for e in self.events:
-            if e.replied and not e.skipped:
+            if e.replied and not e.skipped and e.bit_errors == 0:
                 out[e.insect_address] = out.get(e.insect_address, 0) + e.bits_sent
         return out
 
     def fairness_index(self) -> float:
         """Jain index over per-insect delivered payload bits; 0.0 when no
-        payload bit was delivered, whether no insect replied or every reply
-        carried only the sync header."""
+        payload bit was delivered: no insect replied, no reply arrived
+        intact, or every intact reply carried only the sync header."""
         totals = list(self.delivered_bits().values())
         s = sum(totals)
         if s == 0:

@@ -159,37 +159,6 @@ def phased_sum(x: np.ndarray, weight: np.ndarray | None, drive: np.ndarray,
     return total if each is None else np.stack(kept)
 
 
-def _per_draw(x: np.ndarray, weight: np.ndarray, drive: np.ndarray,
-              core: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """phased_sum of each slot's draw (slots: the axes before the last
-    core), equal draws on successive slots contracted once, and each
-    slot's index into the draws; or one draw's field and None."""
-    shape = np.broadcast_shapes(x.shape, weight.shape)
-    slots = shape[:-core]
-    if not slots:
-        return phased_sum(x, weight, drive), None
-    flat = (math.prod(slots),) + shape[-core:]  # explicit: paths may be empty
-    x, weight = (np.broadcast_to(a, shape).reshape(flat) for a in (x, weight))
-    new = np.append(True, np.any((x[1:] != x[:-1]) | (weight[1:] != weight[:-1]),
-                                 axis=tuple(range(1, len(flat)))))
-    return phased_sum(x[new], weight[new], drive), (np.cumsum(new) - 1).reshape(slots)
-
-
-def _path_terms(paths: PathSet, los_sine: np.ndarray,
-                ap: ApConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Phasors and weights (... x paths x 1) of the LOS path, with sine
-    los_sine and weight 1+0j, then the reflected paths, for phased_sum to
-    sum before the contraction."""
-    los = np.expand_dims(los_sine, -2)
-    reflected = np.sin(paths.bearings_rad[..., None])
-    *lead, count, columns = np.broadcast_shapes(los.shape, reflected.shape)
-    sine = np.empty((*lead, 1 + count, columns))
-    sine[..., :1, :], sine[..., 1:, :] = los, reflected
-    weight = _weights(paths)
-    return _phasors(sine, ap), np.concatenate(
-        [np.ones(weight.shape[:-2] + (1, 1), complex), weight], axis=-2)
-
-
 def sweep_response(paths: PathSet, los_sine: np.ndarray,
                    ap: ApConfig, drive: np.ndarray, each: Callable | None = None):
     """Complex field of the paths, summed, under each drive column.
@@ -205,7 +174,15 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
     Leading axes of paths (trials) broadcast against the LOS sine's. All
     paths go on phased_sum's paths axis, summed before the contraction.
     """
-    return phased_sum(*_path_terms(paths, los_sine, ap), drive, each)
+    los = np.expand_dims(los_sine, -2)
+    reflected = np.sin(paths.bearings_rad[..., None])
+    *lead, count, columns = np.broadcast_shapes(los.shape, reflected.shape)
+    sine = np.empty((*lead, 1 + count, columns))
+    sine[..., :1, :], sine[..., 1:, :] = los, reflected
+    weight = _weights(paths)
+    weight = np.concatenate([np.ones(weight.shape[:-2] + (1, 1), complex), weight],
+                            axis=-2)
+    return phased_sum(_phasors(sine, ap), weight, drive, each)
 
 
 @dataclass(frozen=True)
@@ -235,9 +212,9 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     sweep's sample clock). The LOS path has unit weight; its sine
     (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
     10**(P/20) * lambda / (4*pi*dist) follow the receiver in closed form.
-    A still receiver's field is sweep_response's per schedule row, each
-    distinct draw's once, gathered per sample. A moving one's is
-    phased_sum's LOS field per sample plus the reflected paths' per row,
+    Each slot's field comes from its own paths. A still receiver's is
+    sweep_response's per schedule row, gathered per sample. A moving one's
+    is phased_sum's LOS field per sample plus the reflected paths' per row,
     gathered, or, with doppler set, rotated by apply_doppler, in scratch
     buffers (_scratch). Raises GeometryError if the receiver reaches the AP.
     """
@@ -261,8 +238,8 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     if True not in moves:
         one = trial + (1,)  # one value per trial for all its samples
         dist, los_sine = _geometry(np.reshape(rel, one), ap, *np.empty((2,) + one))
-        fields, draw = _per_draw(*_path_terms(paths, los_sine, ap), schedule.drive, 2)
-        field = _per_sample(fields, draw, row, _scratch("gathered", field_shape, complex))
+        fields = sweep_response(paths, los_sine, ap, schedule.drive)
+        field = _per_sample(fields, row, _scratch("gathered", field_shape, complex))
         amp = np.divide(link, np.multiply(4.0 * math.pi, dist, out=dist), out=dist)
     else:
         dist, los_sine = _scratch("dist", shape), _scratch("los_sine", shape)
@@ -279,17 +256,17 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
                         out=los_sine)  # the sine's buffer, spent
         los = phased_sum(phasor[..., None, :], None, schedule.drive[:, row],
                          out=_scratch("los", field_shape, complex))
-        reflected, draw = _per_draw(
+        reflected = phased_sum(
             _phasors(np.sin(paths.bearings_rad[..., None, None]), ap),
-            _weights(paths)[..., None], schedule.drive, 3)
+            _weights(paths)[..., None], schedule.drive)
         if doppler:  # per trial: start and stop times, x and y displacement
             ends = [(*w[0], *w[-1]) for w in waypoints]
             segment = np.reshape([(t0, t1, p1.x - p0.x, p1.y - p0.y)
                                   for t0, p0, t1, p1 in ends], trial + (4,))
-            field = apply_doppler(los, reflected, draw, row, paths.bearings_rad, ap,
+            field = apply_doppler(los, reflected, row, paths.bearings_rad, ap,
                                   segment, t_local, dist, out=los)
         else:
-            field = np.add(los, _per_sample(reflected.sum(axis=-2), draw, row, _scratch(
+            field = np.add(los, _per_sample(reflected.sum(axis=-2), row, _scratch(
                 "gathered", los.shape, complex)), out=los)
     return FieldTrace(samples=np.multiply(field, amp, out=out),
                       sample_rate_hz=sample_rate_hz)
@@ -312,32 +289,26 @@ def _geometry(rel: np.ndarray, ap: ApConfig, dist: np.ndarray,
     return dist, los_sine
 
 
-def _per_sample(fields: np.ndarray, draw: np.ndarray | None, row: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """Fill out (slots x samples) with column row[s] of each slot's draw:
-    fields holds the draws' columns (draws x columns) and draw indexes each
-    slot's, or fields is one draw's columns for every slot."""
+def _per_sample(fields: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (slots x samples) with column row[s] of each slot's fields
+    (slots x columns, or one slot's columns for every slot)."""
     # mode="clip" (the indices are in range): "raise" copies via a new buffer
-    if draw is not None:
-        fields = np.take(fields, draw, axis=0, mode="clip", out=_scratch(
-            "slot_columns", draw.shape + fields.shape[-1:], complex))
     return np.take(np.broadcast_to(fields, out.shape[:-1] + fields.shape[-1:]),
                    row, axis=-1, mode="clip", out=out)
 
 
-def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | None,
-                  row: np.ndarray, bearings_rad: np.ndarray, ap: ApConfig,
-                  segment: np.ndarray, t_local: np.ndarray, dist: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
+def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
+                  bearings_rad: np.ndarray, ap: ApConfig, segment: np.ndarray,
+                  t_local: np.ndarray, dist: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rotate each path by its length change since its slot's first
     sample, so the phase restarts at every slot, and add the paths up into
     out (slots x samples, may be los), which is returned.
 
-    los is the LOS field per sample, reflected the reflected paths' fields
-    per schedule row (draws x paths x rows), draw each slot's draw among
-    them (None: one draw, paths x rows, for every slot), row each sample's
-    row, bearings_rad the reflected paths' bearings (PathSet.bearings_rad),
-    t_local each sample's time in its slot and dist its AP distance. segment
+    los is the LOS field per sample, reflected each slot's reflected paths'
+    fields per schedule row (slots x paths x rows; paths x rows is one
+    draw's for every slot), row each sample's row, bearings_rad the
+    reflected paths' bearings (PathSet.bearings_rad), t_local each
+    sample's time in its slot and dist its AP distance. segment
     holds each trial's segment (start and stop times, x and y
     displacement) on its last axis, broadcasting against the slots; the
     motion spans every slot (propagate refuses any other). The LOS length
@@ -372,7 +343,7 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, draw: np.ndarray | Non
     blocks = field.reshape(slots + (len(pad) // block, block))
     out.fill(0.0)  # 0 + f_1 is f_1
     for k in range(reflected.shape[-2]):
-        _per_sample(reflected[..., k, :], draw, row[pad], field)
+        _per_sample(reflected[..., k, :], row[pad], field)
         np.multiply(blocks, per_block[..., k, :, :], out=blocks)
         np.multiply(blocks, within[..., k, :, :], out=blocks)
         out += field[..., :n]

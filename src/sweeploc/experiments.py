@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -136,6 +135,7 @@ def _base_meta(spec: ExperimentSpec, trials) -> dict[str, object]:
 def _map_ordered(fn: Callable, tasks: Sequence, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only when a run asks for workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

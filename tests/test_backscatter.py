@@ -497,6 +497,24 @@ def test_fairness_is_zero_when_no_payload_bit_is_delivered():
     assert MacTranscript().fairness_index() == 0.0
 
 
+def test_only_replies_that_arrived_intact_are_delivered():
+    """Insects at 2 m and at 14 m both reply, but the 14 m reply is decided
+    with 274 of its 640 payload bits wrong: it is heard, and it delivers
+    nothing, so only the 2 m insect's 320 bits count and the index is 1."""
+    insects = []
+    for address, distance_m, count in ((0x40, 2.0, 10), (0x41, 14.0, 20)):
+        node = InsectNode(address=address, distance_m=distance_m)
+        for rec in make_records(count):
+            node.store.append(rec)
+        insects.append(node)
+    transcript = hive_mac_session(insects, DetectorConfig(), trial_rng(3, "found327"))
+    near, far = transcript.events
+    assert near.replied and far.replied
+    assert (near.bit_errors, far.bits_sent, far.bit_errors) == (0, 640, 274)
+    assert transcript.delivered_bits() == {0x40: 320}
+    assert transcript.fairness_index() == 1.0
+
+
 def test_mac_session_deterministic():
     def run():
         insects = [InsectNode(address=5, distance_m=3.0)]

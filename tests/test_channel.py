@@ -10,6 +10,7 @@ import pytest
 
 from sweeploc.channel import (
     PathSet,
+    apply_doppler,
     complex_noise,
     draw_multipath,
     phased_sum,
@@ -28,7 +29,7 @@ from sweeploc.scenario import (
 from sweeploc.pipeline import draw_noise, fast_estimate_bearings
 from sweeploc.receiver import detector_noise
 from sweeploc.scenarios import bench_scenario
-from sweeploc.transmitter import build_sweep_schedule, drive_increments
+from sweeploc.transmitter import build_sweep_schedule, drive_increments, sample_rows
 
 from helpers import per_antenna_propagate, row_starts
 
@@ -413,6 +414,31 @@ def test_apply_doppler_radial_motion_rotates_los_phase():
     assert np.allclose(moved.samples[on], expect[on], rtol=1e-9, atol=0)
 
 
+def test_apply_doppler_adds_the_paths_in_order_then_the_los_path():
+    """apply_doppler's sum is ((f_1 + f_2) + f_3) + LOS, bit for bit, where
+    f_k is path k rotated alone (no LOS field) and LOS the LOS field
+    rotated with no paths: the order a sum over the paths axis takes, with
+    the LOS path last. Adding the LOS field first rounds differently."""
+    row = sample_rows(AP, 4000.0)
+    t_local = np.arange(len(row)) / 4000.0
+    rng = trial_rng(16, "doppler-order")
+    los = rng.normal(size=len(row)) + 1j * rng.normal(size=len(row))
+    shape = (3, row.max() + 1)  # paths x schedule rows
+    reflected = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    bearings = np.array([0.4, -0.9, 1.3])
+    segment = np.array([0.0, 1.0, 5.0, 2.0])  # 0 to 1 s, moving (5, 2) m
+    dist = 10.0 + np.hypot(5.0, 2.0) * t_local
+
+    def rotated(los_field, k):
+        return apply_doppler(los_field, reflected[k], row, bearings[k], AP, segment,
+                             t_local, dist, out=np.empty(len(row), complex))
+
+    paths = [rotated(np.zeros(len(row), complex), slice(k, k + 1)) for k in range(3)]
+    want = ((paths[0] + paths[1]) + paths[2]) + rotated(los, slice(0, 0))
+    got = rotated(los, slice(0, 3))
+    assert np.array_equal(got, want)
+
+
 def test_multi_slot_propagate_and_doppler_equal_slot_by_slot():
     """One call over several slots (a rounds axis on the start times and on
     the draws) equals one call per slot, bit for bit, Doppler included."""
@@ -521,8 +547,8 @@ def test_propagate_trials_equal_one_call_per_trial(moving):
 
 
 def test_successive_draws_that_differ_only_in_weight_stay_apart():
-    """Equal draws on successive slots are contracted once; two draws with
-    the same bearings but other amplitudes and phases are not equal. A
+    """Each slot's field comes from its own draw: two successive draws with
+    the same bearings but other amplitudes and phases give two fields. A
     multi-slot call equals one call per slot, bit for bit, for a still and
     a moving receiver."""
     sched = build_sweep_schedule(AP)

@@ -1,11 +1,16 @@
 """Experiment harness: CSV plumbing, dispatch, determinism, CLI."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sweeploc
 from sweeploc.cli import DEFAULT_SCENARIO, main
 from sweeploc.experiments import (
     EXPERIMENTS,
@@ -185,6 +190,21 @@ def test_cli_seed_and_trials(tmp_path):
     table = read_csv(out)
     assert table.meta["seed"] == 9
     assert table.meta["trials"] == 32
+
+
+def test_a_one_worker_run_loads_no_process_pool(tmp_path):
+    """The process pool's module is imported only when a run asks for
+    workers: after importing the CLI and a one-worker run it is not
+    loaded. A fresh interpreter, as the test session may have loaded it."""
+    out = str(tmp_path / "g.csv")
+    code = ("import sys; from sweeploc.cli import main; "
+            f"main(['run', 'multipath_grid', '--trials', '8', '--out', {out!r}]); "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(sweeploc.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split()[-1] == "False"
+    assert read_csv(out).meta["trials"] == 8
 
 
 def test_cli_errors(tmp_path):
