@@ -15,7 +15,7 @@ from .scenario import (ApConfig, ChannelConfig, ConfigError, DetectorConfig,
                        free_space_loss_db, load_scenario, load_scenario_file,
                        scenario_digest, scenario_to_yaml, trial_rng,
                        true_bearing_xy, wrap_angle)
-from .transmitter import PREAMBLE_PATTERNS, SweepSchedule, build_sweep_schedule
+from .transmitter import PREAMBLE_PATTERNS, build_sweep_schedule
 from .channel import (FieldTrace, PathSet, apply_doppler, draw_multipath,
                       propagate, sweep_response)
 from .receiver import (EnvelopeTrace, LogStore, LookupTable, Receiver,

@@ -132,22 +132,21 @@ def _bimodal_threshold(mags: np.ndarray) -> float:
     return t
 
 
-def ap_demodulate(capture: np.ndarray, sync_bits: int = 0) -> np.ndarray:
+def ap_demodulate(capture: np.ndarray, synced: bool = False) -> np.ndarray:
     """Decide bits by thresholding each bit's magnitude (bit_magnitudes).
 
     The threshold is the two-means split of the frame's magnitudes. When
-    the frame starts with the known sync pattern, pass sync_bits to
-    calibrate the threshold from the sync levels instead, which also
-    handles degenerate all-same payloads.
+    the frame opens with the whole SYNC_PATTERN, set synced to calibrate
+    the threshold from the sync levels instead, which also handles
+    degenerate all-same payloads.
     """
     mags = bit_magnitudes(capture)
-    if sync_bits:
-        if sync_bits > len(mags) or sync_bits > len(SYNC_PATTERN):
-            raise ConfigError("sync_bits exceeds the frame or pattern length")
-        sync = np.asarray(SYNC_PATTERN[:sync_bits])
-        ones = mags[:sync_bits][sync == 1]
-        zeros = mags[:sync_bits][sync == 0]
-        threshold = 0.5 * (ones.mean() + zeros.mean())
+    if synced:
+        if len(mags) < len(SYNC_PATTERN):
+            raise ConfigError("frame is shorter than its sync header")
+        header = mags[:len(SYNC_PATTERN)]
+        sync = np.asarray(SYNC_PATTERN)
+        threshold = 0.5 * (header[sync == 1].mean() + header[sync == 0].mean())
     else:
         threshold = _bimodal_threshold(mags)
     return (mags > threshold).astype(np.uint8)
@@ -263,7 +262,7 @@ def _downlink_decode(address: int, distance_m: float, det: DetectorConfig,
     levels = np.where(bits[:, None] > 0, float(det.response_volts(one_way_dbm)),
                       det.floor_volts)
     volts = levels + _normals(rng, det.noise_sigma_volts, np.empty((len(bits), spb)))
-    decided = ap_demodulate(volts, sync_bits=len(SYNC_PATTERN))
+    decided = ap_demodulate(volts, synced=True)
     return int(np.packbits(decided[len(SYNC_PATTERN):])[0])
 
 
@@ -293,7 +292,7 @@ def hive_mac_session(insects: Sequence[InsectNode], det: DetectorConfig,
             payload = frame_from_records(insect.store.records)
             frame = np.concatenate((sync, payload))
             capture = transmit_backscatter(modulate_frame(frame), insect.distance_m, rng)
-            decided = ap_demodulate(capture, sync_bits=len(sync))
+            decided = ap_demodulate(capture, synced=True)
             errors = int(np.count_nonzero(decided[len(sync):] != payload))
             transcript.total_elapsed_s += len(frame) / UPLINK_BITRATE_HZ + MAC_GUARD_S
             transcript.events.append(MacEvent(

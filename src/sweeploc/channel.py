@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
-                       Position, Trajectory, _normals)
-from .transmitter import SweepSchedule, sample_rows
+                       Trajectory, _normals)
+from .transmitter import cached_schedule, sample_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +165,7 @@ def sweep_response(paths: PathSet, los_sine: np.ndarray,
 
     Path k's steering vector over antennas i is w_k * exp(j*i*phi_k), with
     phi_k = 2*pi*spacing*sin(b_k) and weight w_k = a_k*exp(j*psi_k).
-    phased_sum contracts it with the drive matrix (SweepSchedule.drive);
+    phased_sum contracts it with the drive matrix (build_sweep_schedule);
     on a sweep row, exp(-j*i*inc), that gives the array-manifold sum
     w_k * sum_i exp(j*i*(phi_k - inc)) (Van Trees, Optimum Array
     Processing, ch. 2). The LOS path, path 0, takes sin(b_0) = los_sine
@@ -195,41 +195,40 @@ class FieldTrace:
     sample_rate_hz: float
 
 
-def propagate(schedule: SweepSchedule, paths: PathSet,
-              where: Position | Trajectory | list[Trajectory],
-              sample_rate_hz: float, t0_s: float | np.ndarray = 0.0,
-              doppler: bool = False, out: np.ndarray | None = None) -> FieldTrace:
-    """Synthesize the received field for sweep periods of one AP.
+def propagate(ap: ApConfig, mode: str, paths: PathSet, trajs: Sequence[Trajectory],
+              sample_rate_hz: float, t0_s: np.ndarray, doppler: bool = False,
+              out: np.ndarray | None = None) -> FieldTrace:
+    """Synthesize the received field for sweep periods of one AP, driven
+    by its (ap, mode) schedule (cached_schedule).
 
-    t0_s is one slot start time, or an (R,) array of them: R slots of this
-    AP, one per TDMA round. where is one receiver, or one trajectory per
-    row of a trials x R t0_s, all moving or all still. A moving receiver
-    must move from at or before each slot's first sample to at or after
-    its last; ConfigError otherwise. paths is one draw for every slot, or
-    one per slot on leading axes of t0_s's shape. The samples have t0_s's
-    shape plus the period's samples, in a fresh array or written into out.
+    t0_s holds slot start times, one row per trajectory of trajs (trials
+    x R: R slots of this AP, one per TDMA round); the trajectories all
+    move or all stand still. A moving receiver must move from at or before
+    each slot's first sample to at or after its last; ConfigError
+    otherwise. paths is one draw for every slot, or one per slot on
+    leading axes of t0_s's shape. The samples have t0_s's shape plus the
+    period's samples, in a fresh array or written into out.
     Each sample takes the drive of its schedule row (sample_rows, the
     sweep's sample clock). The LOS path has unit weight; its sine
     (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
     10**(P/20) * lambda / (4*pi*dist) follow the receiver in closed form.
     Each slot's field comes from its own paths. A still receiver's is
     sweep_response's per schedule row, gathered per sample. A moving one's
-    is phased_sum's LOS field per sample plus the reflected paths' per row,
-    gathered, or, with doppler set, rotated by apply_doppler, in scratch
-    buffers (_scratch). Raises GeometryError if the receiver reaches the AP.
+    is phased_sum's LOS field per sample and the reflected paths' per row,
+    which apply_doppler gathers, rotates (by nothing when doppler is off)
+    and adds up, in scratch buffers (_scratch). Raises GeometryError if the
+    receiver reaches the AP.
     """
-    ap = schedule.ap
+    drive = cached_schedule(ap, mode)
     row = sample_rows(ap, sample_rate_hz)
     t_local = np.arange(len(row)) / sample_rate_hz
     starts = np.asarray(t0_s, dtype=float)
     shape = starts.shape + row.shape
-    batch = not isinstance(where, (Position, Trajectory))
-    waypoints = [traj.waypoints for traj in where] if batch else [
-        where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)]
+    waypoints = [traj.waypoints for traj in trajs]
     moves = {len(w) > 1 for w in waypoints}
-    if len(moves) > 1 or batch and starts.shape[:1] != (len(waypoints),):
+    if len(moves) > 1 or starts.shape[:1] != (len(waypoints),):
         raise ConfigError("one t0_s row per trajectory, all moving or all still")
-    trial = (len(waypoints),) + (1,) * (starts.ndim - 1) if batch else ()  # per trial
+    trial = (len(waypoints),) + (1,) * (starts.ndim - 1)  # per trial
     field_shape = np.broadcast_shapes(shape, paths.amplitudes.shape[:-1] + (1,))
     rel = [[complex(p.x - ap.position.x, p.y - ap.position.y) for _, p in w]
            for w in waypoints]  # from the AP
@@ -238,36 +237,31 @@ def propagate(schedule: SweepSchedule, paths: PathSet,
     if True not in moves:
         one = trial + (1,)  # one value per trial for all its samples
         dist, los_sine = _geometry(np.reshape(rel, one), ap, *np.empty((2,) + one))
-        fields = sweep_response(paths, los_sine, ap, schedule.drive)
+        fields = sweep_response(paths, los_sine, ap, drive)
         field = _per_sample(fields, row, _scratch("gathered", field_shape, complex))
         amp = np.divide(link, np.multiply(4.0 * math.pi, dist, out=dist), out=dist)
     else:
         dist, los_sine = _scratch("dist", shape), _scratch("los_sine", shape)
         for i, (w, fp) in enumerate(zip(waypoints, rel)):
-            at = (i,) if batch else ()
-            times = np.add(starts[at + (..., None)], t_local)
+            times = np.add(starts[i, ..., None], t_local)
             if w[0][0] > times[..., 0].min() or w[-1][0] < times[..., -1].max():
                 raise ConfigError("a moving receiver's motion must span every"
                                   " slot it is synthesized in")
-            _geometry(np.interp(times, [t for t, _ in w], fp), ap, dist[at],
-                      los_sine[at])
+            _geometry(np.interp(times, [t for t, _ in w], fp), ap, dist[i], los_sine[i])
         phasor = _phasors(los_sine, ap, _scratch("los_phasor", shape, complex))
         amp = np.divide(link, np.multiply(4.0 * math.pi, dist, out=los_sine),
                         out=los_sine)  # the sine's buffer, spent
-        los = phased_sum(phasor[..., None, :], None, schedule.drive[:, row],
+        los = phased_sum(phasor[..., None, :], None, drive[:, row],
                          out=_scratch("los", field_shape, complex))
         reflected = phased_sum(
             _phasors(np.sin(paths.bearings_rad[..., None, None]), ap),
-            _weights(paths)[..., None], schedule.drive)
-        if doppler:  # per trial: start and stop times, x and y displacement
-            ends = [(*w[0], *w[-1]) for w in waypoints]
-            segment = np.reshape([(t0, t1, p1.x - p0.x, p1.y - p0.y)
-                                  for t0, p0, t1, p1 in ends], trial + (4,))
-            field = apply_doppler(los, reflected, row, paths.bearings_rad, ap,
-                                  segment, t_local, dist, out=los)
-        else:
-            field = np.add(los, _per_sample(reflected.sum(axis=-2), row, _scratch(
-                "gathered", los.shape, complex)), out=los)
+            _weights(paths)[..., None], drive)
+        # per trial: start and stop times, x and y displacement
+        segment = np.reshape([(t0, t1, p1.x - p0.x, p1.y - p0.y)
+                              for (t0, p0), *_, (t1, p1) in waypoints], trial + (4,))
+        wavenumber = 2.0 * math.pi / ap.wavelength_m if doppler else 0.0
+        field = apply_doppler(los, reflected, row, paths.bearings_rad, ap, segment,
+                              t_local, dist, wavenumber, out=los)
     return FieldTrace(samples=np.multiply(field, amp, out=out),
                       sample_rate_hz=sample_rate_hz)
 
@@ -299,7 +293,8 @@ def _per_sample(fields: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndar
 
 def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
                   bearings_rad: np.ndarray, ap: ApConfig, segment: np.ndarray,
-                  t_local: np.ndarray, dist: np.ndarray, out: np.ndarray) -> np.ndarray:
+                  t_local: np.ndarray, dist: np.ndarray, wavenumber: float,
+                  out: np.ndarray) -> np.ndarray:
     """Rotate each path by its length change since its slot's first
     sample, so the phase restarts at every slot, and add the paths up into
     out (slots x samples, may be los), which is returned.
@@ -311,17 +306,17 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
     sample's time in its slot and dist its AP distance. segment
     holds each trial's segment (start and stop times, x and y
     displacement) on its last axis, broadcasting against the slots; the
-    motion spans every slot (propagate refuses any other). The LOS length
-    change is exact. Path k, a plane wave from bearing u_k, turns its phase
-    at omega_k = (2*pi/lambda) * u_k . v (Clarke, BSTJ 1968) while the
-    receiver moves at velocity v. Each path in turn is gathered per sample
-    and rotated in place by a per-block and a within-block table of
-    exp(j*omega_k*t), about 2*sqrt(samples) complex exponentials per path
-    and slot, then added to the paths before it, ((f_1 + f_2) + f_3) as a
-    sum over the paths axis would, and the LOS field last. Motion toward a
-    source shortens its path and advances it.
+    motion spans every slot (propagate refuses any other). wavenumber is
+    the phase advance per meter shorter: 2*pi/lambda, or 0, which turns no
+    path (exp(0) is 1). The LOS length change is exact. Path k, a plane
+    wave from bearing u_k, turns its phase at omega_k = wavenumber * u_k . v
+    (Clarke, BSTJ 1968) while the receiver moves at velocity v. Each path
+    in turn is gathered per sample and rotated in place by a per-block and
+    a within-block table of exp(j*omega_k*t), about 2*sqrt(samples) complex
+    exponentials per path and slot, then added to the paths before it,
+    ((f_1 + f_2) + f_3) as a sum over the paths axis would, and the LOS
+    field last. Motion toward a source shortens its path and advances it.
     """
-    wavenumber = 2.0 * math.pi / ap.wavelength_m  # phase advance per meter shorter
     # the geometry's part and the LOS phasors are free once propagate has them
     shortened = np.subtract(dist, dist[..., :1],
                             out=_scratch("geometry_part", dist.shape))

@@ -29,7 +29,7 @@ from .receiver import (SENSOR_KINDS, LookupTable, Receiver, SensorRecord,
                        estimate_angle, find_preamble)
 from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
                        scenario_digest, trial_rng, true_bearing_xy)
-from .transmitter import cached_schedule, period_samples
+from .transmitter import period_samples
 
 GRID_CHUNK = 1024
 BER_CHUNK = 25000
@@ -232,7 +232,6 @@ RANGE_BEARING_LIMIT_DEG = 30.0
 def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     scn, d_idx, lo, hi = task
     ap = scn.aps[0]
-    schedule = cached_schedule(ap, scn.sweep_mode)
     fs = scn.detector.sample_rate_hz
     period = ap.sweep_period_s
     distance = RANGE_DISTANCES_M[d_idx]
@@ -241,6 +240,7 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     lead, slot_n = round(period / 2.0 * fs), period_samples(ap, fs)
     n = lead + 2 * slot_n
     capture = np.zeros(n, complex)  # each trial writes its slot in place
+    slot = capture[None, lead:lead + slot_n]
     detected, abs_err_sum = 0, 0.0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
@@ -250,8 +250,8 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
                        ap.position.y + distance * math.sin(heading))
         paths = draw_multipath(scn.channel, rng)
         noise = draw_noise(scn, n, rng)
-        propagate(schedule, paths, pos, fs, t0_s=period / 2.0,
-                  out=capture[lead:lead + slot_n])
+        propagate(ap, scn.sweep_mode, paths, [Trajectory.stationary(pos)], fs,
+                  np.array([period / 2.0]), out=slot)
         env = detect_with_noise(FieldTrace(capture, fs), scn.detector, noise)
         start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
         if start is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -25,32 +26,30 @@ from .transmitter import cached_schedule, period_samples
 
 
 def synthesize_rounds(scn: Scenario, pathsets: list[PathSet],
-                      where: Position | Trajectory | list[Trajectory],
-                      rounds: int = 2) -> FieldTrace:
-    """Noiseless field of whole TDMA rounds: one slot per AP per round.
+                      trajs: Sequence[Trajectory], rounds: int = 2) -> FieldTrace:
+    """Noiseless field of whole TDMA rounds of one trajectory per trial:
+    one slot per AP per round.
 
-    Each AP's slots of all rounds (of every trial, for a list of
-    trajectories) come from one propagate call, which writes them into
-    their places in TDMA order; the result equals synthesizing the rounds
-    one at a time. pathsets[k] is AP k's draw for every round, or one draw
-    per round on leading (trials and) rounds axes. Round 0 starts at time
-    0; the rounds follow back to back. A moving receiver must move through
-    every slot. propagate applies Doppler (apply_doppler's per-slot phase
-    ramps) when the scenario enables it and the receiver moves, from each
-    slot's first sample.
+    Each AP's slots of all rounds of every trial come from one propagate
+    call, which writes them into their places in TDMA order; the result
+    equals synthesizing the rounds one at a time. pathsets[k] is AP k's
+    draw for every round, or one draw per round on leading trials and
+    rounds axes. Round 0 starts at time 0; the rounds follow back to back.
+    A moving receiver must move through every slot. propagate applies
+    Doppler (apply_doppler's per-slot phase ramps) when the scenario
+    enables it and the receiver moves, from each slot's first sample.
     """
     rate = scn.detector.sample_rate_hz
     period = scn.aps[0].sweep_period_s
-    trials = () if isinstance(where, (Position, Trajectory)) else (len(where),)
     round_starts = np.broadcast_to(np.arange(rounds) * scn.round_s,
-                                   trials + (rounds,))
-    # (trials x) rounds x APs x samples per slot: the slots in TDMA order
-    capture = np.empty(trials + (rounds, len(scn.aps),
-                                 period_samples(scn.aps[0], rate)), dtype=complex)
+                                   (len(trajs), rounds))
+    # trials x rounds x APs x samples per slot: the slots in TDMA order
+    capture = np.empty((len(trajs), rounds, len(scn.aps),
+                        period_samples(scn.aps[0], rate)), dtype=complex)
     for k, ap in enumerate(scn.aps):
-        propagate(cached_schedule(ap, scn.sweep_mode), pathsets[k], where, rate,
-                  t0_s=round_starts + k * period,
-                  doppler=scn.channel.doppler_enabled, out=capture[..., k, :])
+        propagate(ap, scn.sweep_mode, pathsets[k], trajs, rate,
+                  round_starts + k * period, doppler=scn.channel.doppler_enabled,
+                  out=capture[..., k, :])
     return FieldTrace(samples=capture.reshape(-1), sample_rate_hz=rate)
 
 
@@ -149,19 +148,18 @@ def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
     the same step, so the same bearing, as the full synthesis pipeline.
     """
     los = np.asarray(los_bearings, dtype=float)
-    drive = cached_schedule(ap, mode).drive[:, -ap.sweep_step_count:]
+    drive = cached_schedule(ap, mode)[:, -ap.sweep_step_count:]
     winners = sweep_response(paths, np.sin(los)[:, None], ap, drive,
                              each=lambda field: np.argmax(np.abs(field), axis=-1))
     return step_estimate_angles(ap, mode, sample_rate_hz)[winners]
 
 
-def localize_once(scn: Scenario, where: Position | Trajectory,
-                  rng: np.random.Generator,
+def localize_once(scn: Scenario, pos: Position, rng: np.random.Generator,
                   table: LookupTable) -> LocalizationResult:
-    """Draw a channel and the noise of a two-round capture, synthesize it,
-    and run a fresh receiver over it."""
+    """Draw a channel and the noise of a two-round capture of a receiver
+    standing at pos, synthesize it, and run a fresh receiver over it."""
     pathsets = draw_pathsets(scn, rng)
     noise = draw_noise(scn, 2 * _round_samples(scn), rng)
-    env = detect_with_noise(synthesize_rounds(scn, pathsets, where, rounds=2),
-                            scn.detector, noise)
-    return Receiver(scn, table).process_buffer(env)
+    field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(pos)])
+    return Receiver(scn, table).process_buffer(
+        detect_with_noise(field, scn.detector, noise))

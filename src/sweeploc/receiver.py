@@ -194,13 +194,12 @@ def correlate_pattern(volts: np.ndarray, pattern: Iterable[int],
 
 
 def search_preambles(volts: np.ndarray, ap: ApConfig, sample_rate_hz: float,
-                     start: np.ndarray, stop: np.ndarray,
-                     threshold: float = PREAMBLE_CORRELATION_THRESHOLD
+                     start: np.ndarray, stop: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """find_preamble over rows of buffers (rows x samples) at once, row r
     searching the template start offsets [start[r], stop[r]). Returns each
     row's earliest best offset, its correlation, and whether it reached
-    the threshold (never for an empty window)."""
+    PREAMBLE_CORRELATION_THRESHOLD (never for an empty window)."""
     spb_f = ap.preamble_bit_duration_s * sample_rate_hz
     spb = round(spb_f)
     if spb < 1 or abs(spb_f - spb) > 1e-6:
@@ -219,13 +218,12 @@ def search_preambles(volts: np.ndarray, ap: ApConfig, sample_rate_hz: float,
                     correlate_pattern(segment, pattern, spb), -np.inf)
     best = np.argmax(corr, axis=1)
     peak = corr[rows, best]
-    return start + best, peak, (stop > start) & ~(peak < threshold)
+    found = (stop > start) & ~(peak < PREAMBLE_CORRELATION_THRESHOLD)
+    return start + best, peak, found
 
 
 def find_preamble(env: EnvelopeTrace, ap: ApConfig, start: int = 0,
-                  stop: int | None = None,
-                  threshold: float = PREAMBLE_CORRELATION_THRESHOLD
-                  ) -> int | None:
+                  stop: int | None = None) -> int | None:
     """Start sample of the best correlation offset for this AP's preamble
     in [start, stop), by search_preambles on one row.
 
@@ -234,7 +232,7 @@ def find_preamble(env: EnvelopeTrace, ap: ApConfig, start: int = 0,
     """
     best, _, found = search_preambles(
         env.volts[None], ap, env.sample_rate_hz, np.array([start]),
-        np.array([len(env.volts) if stop is None else stop]), threshold)
+        np.array([len(env.volts) if stop is None else stop]))
     return int(best[0]) if found[0] else None
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,20 +26,6 @@ PREAMBLE_PATTERNS: dict[int, tuple[int, ...]] = {
     1: (1, 0, 1, 0, 1, 0, 1, 0),
     2: (1, 1, 0, 0, 1, 1, 0, 0),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class SweepSchedule:
-    """One AP's sweep period as the antenna x row drive matrix of the
-    array response. Rows, in time order (sample_rows), are the preamble
-    bits, then the last sweep_step_count rows the sweep steps: on these,
-    exp(-j*i*increment), with increment from drive_increments, so antenna
-    i radiates at phase i * increment; the preamble bit on antenna 0 alone
-    on preamble rows.
-    """
-
-    ap: ApConfig
-    drive: np.ndarray
 
 
 def steering_values(ap: ApConfig, mode: str) -> np.ndarray:
@@ -67,23 +52,27 @@ def drive_increments(ap: ApConfig, mode: str) -> np.ndarray:
     return np.mod(step_increments(ap, mode), 2.0 * math.pi)
 
 
-def build_sweep_schedule(ap: ApConfig, mode: str = "alg1") -> SweepSchedule:
-    """Lay out one period: 8 preamble bits then the full sweep."""
+def build_sweep_schedule(ap: ApConfig, mode: str = "alg1") -> np.ndarray:
+    """One period as the antenna x row drive matrix of the array response.
+    Rows, in time order (sample_rows), are the 8 preamble bits, on antenna
+    0 alone, then the last sweep_step_count rows the sweep steps: on these,
+    exp(-j*i*increment), with increment from drive_increments, so antenna
+    i radiates at phase i * increment."""
     pattern = np.array(PREAMBLE_PATTERNS[ap.preamble_id], dtype=float)
     n_bits = len(pattern)
     increments = np.concatenate([np.zeros(n_bits), drive_increments(ap, mode)])
     antennas = np.arange(ap.antenna_count)
     drive = np.exp(-1j * np.outer(antennas, increments))
     drive[:, :n_bits] = np.outer(antennas == 0, pattern)
-    return SweepSchedule(ap=ap, drive=drive)
+    return drive
 
 
 @functools.lru_cache(maxsize=64)
-def cached_schedule(ap: ApConfig, mode: str) -> SweepSchedule:
+def cached_schedule(ap: ApConfig, mode: str) -> np.ndarray:
     """build_sweep_schedule, once per (ap, mode); shared, so read-only."""
-    schedule = build_sweep_schedule(ap, mode)
-    schedule.drive.flags.writeable = False
-    return schedule
+    drive = build_sweep_schedule(ap, mode)
+    drive.flags.writeable = False
+    return drive
 
 
 def period_samples(ap: ApConfig, sample_rate_hz: float) -> int:

@@ -10,7 +10,8 @@ from sweeploc.backscatter import (CAPTURE_RATE_HZ, MODULATOR_RATE_HZ,
 from sweeploc.experiments import _grid_chunk_errors
 from sweeploc.receiver import MIN_CROSSING_SINE
 from sweeploc.scenario import (ApConfig, ConfigError, Position, Scenario,
-                               Trajectory, _normals)
+                               _normals)
+from sweeploc.transmitter import build_sweep_schedule
 
 
 def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
@@ -27,16 +28,17 @@ def row_starts(ap: ApConfig) -> np.ndarray:
         ap.preamble_duration_s + np.arange(ap.sweep_step_count) * ap.sweep_dwell_s])
 
 
-def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
+def per_antenna_propagate(ap, mode, paths, traj, sample_rate_hz, t0_s,
                           doppler=False) -> np.ndarray:
-    """propagate's samples the direct way, as an oracle: at every sample,
-    each path's steering vector a*link*exp(j*psi)*exp(j*i*phi) with one
-    complex exponential per antenna, contracted with the drive of the
-    sample's schedule row, rotated by the path's Doppler phase (from the
-    slot's first sample) and added up. The LOS path comes first, at unit
-    weight and the receiver's bearing, then the PathSet's reflections."""
-    ap = schedule.ap
-    waypoints = where.waypoints if isinstance(where, Trajectory) else ((0.0, where),)
+    """propagate's samples for one trajectory the direct way, as an
+    oracle: at every sample, each path's steering vector
+    a*link*exp(j*psi)*exp(j*i*phi) with one complex exponential per
+    antenna, contracted with the drive of the sample's schedule row (built
+    here, not taken from propagate's cache), rotated by the path's Doppler
+    phase (from the slot's first sample) and added up. The LOS path comes
+    first, at unit weight and the receiver's bearing, then the PathSet's
+    reflections. The samples have t0_s's shape plus the period's."""
+    waypoints = traj.waypoints
     n = round(ap.sweep_period_s * sample_rate_hz)
     t_local = np.arange(n) / sample_rate_hz
     t_abs = np.asarray(t0_s, dtype=float)[..., None] + t_local
@@ -48,7 +50,7 @@ def per_antenna_propagate(schedule, paths, where, sample_rate_hz, t0_s=0.0,
     loss_db = 20.0 * np.log10(4.0 * math.pi * dist / ap.wavelength_m)  # free space
     link = 10.0 ** ((ap.tx_power_dbm - loss_db) / 20.0)
     los = np.arctan2(py - ap.position.y, px - ap.position.x) - ap.boresight_rad
-    drive = schedule.drive[:, row]
+    drive = build_sweep_schedule(ap, mode)[:, row]
     terms = [(los, 1.0, 0.0)] + [
         (paths.bearings_rad[..., k, None], paths.amplitudes[..., k, None],
          paths.excess_phases_rad[..., k, None])

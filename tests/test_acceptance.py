@@ -21,7 +21,7 @@ from sweeploc.backscatter import (
     modulate_frame,
     transmit_backscatter,
 )
-from sweeploc.channel import PathSet, propagate
+from sweeploc.channel import FieldTrace, PathSet, propagate
 from sweeploc.experiments import (
     BER_SNR_POINTS_DB,
     ExperimentSpec,
@@ -52,11 +52,12 @@ from sweeploc.scenario import (
     ApConfig,
     DetectorConfig,
     Position,
+    Trajectory,
     trial_rng,
     true_bearing_xy,
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
-from sweeploc.transmitter import build_sweep_schedule, drive_increments
+from sweeploc.transmitter import drive_increments
 
 from helpers import (ber_point_waveform_oracle, grid_cell_errors,
                      intersect_bearings, row_starts)
@@ -100,12 +101,13 @@ def test_criterion_2_noiseless_estimates_within_quantization():
     for mode in ("alg1", "uniform-theta"):
         for n_ant in (2, 3, 4, 5):
             ap = replace(base, antenna_count=n_ant)
-            sched = build_sweep_schedule(ap, mode)
             for deg in range(-79, 80):
                 phi = math.radians(deg)
                 pos = Position(10.0 * math.cos(phi), 10.0 * math.sin(phi))
-                trace = propagate(sched, PathSet([], [], []), pos, fs)
-                est = estimate_angle(envelope_detect(trace, det), 0, ap, mode)
+                trace = propagate(ap, mode, PathSet([], [], []),
+                                  [Trajectory.stationary(pos)], fs, np.zeros(1))
+                env = envelope_detect(FieldTrace(trace.samples[0], fs), det)
+                est = estimate_angle(env, 0, ap, mode)
                 err = abs(est - phi)
                 if mode == "alg1":
                     # half a steering step plus the sample-grid quantum
@@ -133,17 +135,17 @@ def test_criterion_3_sweep_magnitude_matches_array_factor():
     for n_ant in (2, 3, 4, 5):
         ap = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0,
                       antenna_count=n_ant)
-        sched = build_sweep_schedule(ap, "alg1")
         phi, d = math.radians(23.0), 12.0
         a_path, excess = 0.8, 0.4
         pos = Position(d * math.cos(phi), d * math.sin(phi))
-        trace = propagate(sched, PathSet([a_path], [phi], [excess]), pos, fs)
+        samples = propagate(ap, "alg1", PathSet([a_path], [phi], [excess]),
+                            [Trajectory.stationary(pos)], fs, np.zeros(1)).samples[0]
         gain = abs(1.0 + a_path * complex(math.cos(excess), math.sin(excess)))
 
         # the sweep steps are the schedule's last sweep_step_count rows
         starts = row_starts(ap)
         n_pre = len(starts) - ap.sweep_step_count
-        t = np.arange(len(trace.samples)) / fs
+        t = np.arange(len(samples)) / fs
         entry = np.clip(np.searchsorted(starts, t + 1e-12) - 1, 0,
                         len(starts) - 1)
         sweep = entry >= n_pre
@@ -154,7 +156,7 @@ def test_criterion_3_sweep_magnitude_matches_array_factor():
         # independent oracle: raw complex sum, no shared helper
         oracle = gain * link * np.abs(
             np.exp(1j * np.outer(x, np.arange(n_ant))).sum(axis=1))
-        sim = np.abs(trace.samples[sweep])
+        sim = np.abs(samples[sweep])
         assert np.all(np.abs(sim - oracle) <= 1e-9 * oracle + 1e-15)
         if n_ant == 2:
             closed = gain * link * np.sqrt(np.maximum(0.0, 2 + 2 * np.cos(x)))

@@ -308,9 +308,20 @@ def test_sync_calibrated_demodulation_handles_skewed_payload():
     rng = trial_rng(7, "sync")
     payload = np.ones(64, dtype=np.uint8)  # all ones would break blind split
     bits = np.concatenate([np.asarray(SYNC_PATTERN, dtype=np.uint8), payload])
-    decided = ap_demodulate(synth_capture(bits, 0.05, rng),
-                            sync_bits=len(SYNC_PATTERN))
+    decided = ap_demodulate(synth_capture(bits, 0.05, rng), synced=True)
     assert np.array_equal(decided[len(SYNC_PATTERN):], payload)
+
+
+def test_sync_calibration_reads_the_whole_header():
+    """A synced frame calibrates from the whole SYNC_PATTERN, which holds
+    both levels: a clean 2 m frame behind it decodes. A frame shorter than
+    the header is refused."""
+    payload = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1], dtype=np.uint8)
+    frame = np.concatenate((np.asarray(SYNC_PATTERN, dtype=np.uint8), payload))
+    capture = transmit_backscatter(modulate_frame(frame), 2.0)
+    assert np.array_equal(ap_demodulate(capture, synced=True), frame)
+    with pytest.raises(ConfigError, match="shorter than its sync header"):
+        ap_demodulate(capture[:len(SYNC_PATTERN) - 1], synced=True)
 
 
 def test_downlink_query_decides_on_the_sync_calibrated_threshold():
@@ -328,7 +339,7 @@ def test_downlink_query_decides_on_the_sync_calibrated_threshold():
     volts = levels + _normals(trial_rng(0, "downlink"), det.noise_sigma_volts,
                               np.empty(len(levels)))
     capture = volts.reshape(len(SYNC_PATTERN) + 8, -1)
-    synced = ap_demodulate(capture, sync_bits=len(SYNC_PATTERN))[len(SYNC_PATTERN):]
+    synced = ap_demodulate(capture, synced=True)[len(SYNC_PATTERN):]
     blind = ap_demodulate(capture)[len(SYNC_PATTERN):]
     assert heard == address
     assert synced.tolist() == [1] * 8
@@ -463,7 +474,7 @@ def test_the_hive_counts_errors_over_the_payload_only():
     payload = frame_from_records(records)
     frame = np.concatenate((np.asarray(SYNC_PATTERN, dtype=np.uint8), payload))
     decided = ap_demodulate(transmit_backscatter(modulate_frame(frame), 14.0, rng),
-                            sync_bits=len(SYNC_PATTERN))
+                            synced=True)
     assert np.count_nonzero(decided[:len(SYNC_PATTERN)] != SYNC_PATTERN) > 0
     assert event.bits_sent == len(payload) == 1280
     assert event.bit_errors == np.count_nonzero(decided[len(SYNC_PATTERN):] != payload)

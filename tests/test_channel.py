@@ -183,7 +183,6 @@ def test_propagate_matches_per_antenna_oracle(mode, n, spacing):
     one draw for every slot and one draw per slot, and a lone reflection
     stronger than the LOS path, with an excess phase."""
     ap = replace(AP, antenna_count=n, spacing_wavelengths=spacing)
-    sched = build_sweep_schedule(ap, mode)
     rng = trial_rng(11, "oracle", mode, n, spacing)
     starts = np.array([0.0, 0.1, 0.35])
     hand_built = PathSet([0.7, 0.3, 0.2, 0.1], [0.2, -0.9, 0.4, 1.3],
@@ -193,14 +192,14 @@ def test_propagate_matches_per_antenna_oracle(mode, n, spacing):
              (draw_multipath(ChannelConfig(multipath_ratio=0.6), rng, (3,)), starts)]
     moving = Trajectory.line(Position(12.0, 5.0), heading_rad=2.0,
                              speed_mps=9.1, duration_s=1.0)
-    for where in (Position(12.0, 5.0), Trajectory.stationary(Position(6.0, -8.0)),
-                  moving):
+    for traj in (Trajectory.stationary(Position(12.0, 5.0)),
+                 Trajectory.stationary(Position(6.0, -8.0)), moving):
         for paths, t0 in cases:
             for doppler in (False, True):
-                got = propagate(sched, paths, where, 4000.0, t0_s=t0,
-                                doppler=doppler).samples
-                want = per_antenna_propagate(sched, paths, where, 4000.0,
-                                             t0_s=t0, doppler=doppler)
+                got = propagate(ap, mode, paths, [traj], 4000.0, np.array([t0]),
+                                doppler=doppler).samples[0]
+                want = per_antenna_propagate(ap, mode, paths, traj, 4000.0, t0,
+                                             doppler=doppler)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -210,17 +209,16 @@ def test_propagate_refuses_motion_that_starts_or_stops_inside_a_slot():
     Motion that starts inside a slot, stops inside one and stands still in
     the next, or does both inside one slot is refused with ConfigError,
     Doppler on and off."""
-    sched = build_sweep_schedule(AP)
     rng = trial_rng(12, "clipped")
-    starts = np.array([0.0, 0.1, 0.2])
+    starts = np.array([[0.0, 0.1, 0.2]])
     paths = draw_multipath(ChannelConfig(multipath_ratio=0.6), rng, (3,))
     p0, p1 = Position(12.0, 5.0), Position(10.6, 6.3)
     for waypoints in (((0.13, p0), (0.5, p1)), ((0.0, p0), (0.13, p1)),
                       ((0.02, p0), (0.03, p1))):
         for doppler in (False, True):
             with pytest.raises(ConfigError, match="span every slot"):
-                propagate(sched, paths, Trajectory(waypoints), 4000.0,
-                          t0_s=starts, doppler=doppler)
+                propagate(AP, "alg1", paths, [Trajectory(waypoints)], 4000.0,
+                          starts, doppler=doppler)
 
 
 def test_propagate_takes_motion_from_a_first_to_a_last_sample():
@@ -228,7 +226,6 @@ def test_propagate_takes_motion_from_a_first_to_a_last_sample():
     slot: propagate equals the per-antenna oracle within 1e-12 of the
     largest sample, Doppler on and off, one draw per slot. Starting or
     stopping one representable instant inside those samples is refused."""
-    sched = build_sweep_schedule(AP)
     starts = np.array([0.0, 0.1, 0.2])
     paths = draw_multipath(ChannelConfig(multipath_ratio=0.6),
                            trial_rng(12, "spanned"), (3,))
@@ -236,16 +233,16 @@ def test_propagate_takes_motion_from_a_first_to_a_last_sample():
     last = 0.2 + 199 / 4000.0  # as propagate adds a slot's start and time
     for doppler in (False, True):
         traj = Trajectory(((0.0, p0), (last, p1)))
-        got = propagate(sched, paths, traj, 4000.0, t0_s=starts,
-                        doppler=doppler).samples
-        want = per_antenna_propagate(sched, paths, traj, 4000.0, t0_s=starts,
+        got = propagate(AP, "alg1", paths, [traj], 4000.0, starts[None],
+                        doppler=doppler).samples[0]
+        want = per_antenna_propagate(AP, "alg1", paths, traj, 4000.0, starts,
                                      doppler=doppler)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         for waypoints in (((0.0, p0), (math.nextafter(last, 0.0), p1)),
                           ((math.nextafter(0.0, 1.0), p0), (last, p1))):
             with pytest.raises(ConfigError, match="span every slot"):
-                propagate(sched, paths, Trajectory(waypoints), 4000.0,
-                          t0_s=starts, doppler=doppler)
+                propagate(AP, "alg1", paths, [Trajectory(waypoints)], 4000.0,
+                          starts[None], doppler=doppler)
 
 
 def test_draw_multipath_invariants():
@@ -303,51 +300,54 @@ def test_empty_path_set_is_the_los_only_channel(shape):
     """A PathSet without paths is valid: the channel is the LOS path
     alone. Its field equals the per-antenna oracle's LOS path, for still
     and moving receivers, Doppler on and off, one slot and several."""
-    sched = build_sweep_schedule(replace(AP, antenna_count=5), "uniform-theta")
+    ap = replace(AP, antenna_count=5)
     empty = PathSet(*np.zeros((3,) + shape))
     starts = 0.05 + 0.1 * np.arange(math.prod(shape[:-1])).reshape(shape[:-1])
     pos = Position(9.0, -14.0)
     moving = Trajectory.line(pos, heading_rad=2.0, speed_mps=9.1, duration_s=1.0)
-    for where in (pos, Trajectory.stationary(pos), moving):
+    for traj in (Trajectory.stationary(pos), moving):
         for doppler in (False, True):
-            got = propagate(sched, empty, where, 4000.0, t0_s=starts,
-                            doppler=doppler).samples
-            want = per_antenna_propagate(sched, empty, where, 4000.0,
-                                         t0_s=starts, doppler=doppler)
+            got = propagate(ap, "uniform-theta", empty, [traj], 4000.0,
+                            np.array([starts]), doppler=doppler).samples[0]
+            want = per_antenna_propagate(ap, "uniform-theta", empty, traj, 4000.0,
+                                         starts, doppler=doppler)
             assert got.shape == np.shape(starts) + (200,)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _los_samples(ap, mode, pos):
+    """propagate's samples of one slot of a LOS-only channel at pos."""
+    return propagate(ap, mode, PathSet([], [], []), [Trajectory.stationary(pos)],
+                     4000.0, np.zeros(1)).samples[0]
+
+
 def test_propagate_preamble_and_sweep_kinds():
-    sched = build_sweep_schedule(AP)
-    trace = propagate(sched, PathSet([], [], []), Position(10.0, 0.0), 4000.0)
-    assert len(trace.samples) == 200
+    samples = _los_samples(AP, "alg1", Position(10.0, 0.0))
+    assert len(samples) == 200
     row = np.searchsorted(row_starts(AP), np.arange(200) / 4000.0 + 1e-12,
                           side="right") - 1
     # the sweep steps are the schedule's last sweep_step_count rows
-    n_pre = sched.drive.shape[1] - AP.sweep_step_count
+    n_pre = build_sweep_schedule(AP).shape[1] - AP.sweep_step_count
     assert np.all(row[:32] < n_pre)
     assert np.all(row[32:] >= n_pre)
     # one-bits radiate from one antenna, zero-bits are silent
     bit_pattern = np.repeat([1, 0, 1, 0, 1, 0, 1, 0], 4).astype(bool)
     amp = 10 ** ((AP.tx_power_dbm
                   - 20 * math.log10(4 * math.pi * 10.0 * 915e6 / 299792458.0)) / 20)
-    mags = np.abs(trace.samples[:32])
+    mags = np.abs(samples[:32])
     assert mags[bit_pattern] == pytest.approx(amp)
     assert np.all(mags[~bit_pattern] == 0.0)
     # at boresight every sweep sample is the array factor of its step
     incs = drive_increments(AP, "alg1")[row[32:] - n_pre]
     factor = np.abs(np.exp(-1j * np.outer(np.arange(AP.antenna_count),
                                           incs)).sum(axis=0))
-    assert np.abs(trace.samples[32:]) == pytest.approx(amp * factor)
+    assert np.abs(samples[32:]) == pytest.approx(amp * factor)
 
 
 def test_propagate_sweep_peaks_near_true_bearing():
-    sched = build_sweep_schedule(AP)
     phi = math.radians(25.0)
     pos = Position(10.0 * math.cos(phi), 10.0 * math.sin(phi))
-    trace = propagate(sched, PathSet([], [], []), pos, 4000.0)
-    sweep = np.abs(trace.samples[32:])
+    sweep = np.abs(_los_samples(AP, "alg1", pos)[32:])
     peak_sample = 32 + int(np.argmax(sweep))
     t = peak_sample / 4000.0
     frac = (t - AP.preamble_duration_s) / (AP.sweep_period_s - AP.preamble_duration_s)
@@ -356,9 +356,8 @@ def test_propagate_sweep_peaks_near_true_bearing():
 
 
 def test_propagate_rejects_receiver_on_the_ap():
-    sched = build_sweep_schedule(AP)
     with pytest.raises(GeometryError):
-        propagate(sched, PathSet([], [], []), Position(0.0, 0.0), 4000.0)
+        _los_samples(AP, "alg1", Position(0.0, 0.0))
 
 
 @pytest.mark.parametrize("dbm, n", [(-30.0, 1), (-30.0, 7), (12.0, 400_000)])
@@ -391,34 +390,35 @@ def test_add_noise_power_statistics():
 
 
 def test_apply_doppler_stationary_is_identity():
-    sched = build_sweep_schedule(AP)
     ps = PathSet([0.3], [0.4], [1.0])
-    trace = propagate(sched, ps, Position(10.0, 0.0), 4000.0)
-    still = propagate(sched, ps, Trajectory.stationary(Position(10.0, 0.0)),
-                      4000.0, doppler=True)
-    assert np.allclose(still.samples, trace.samples, rtol=0, atol=1e-15)
+    still = [Trajectory.stationary(Position(10.0, 0.0))]
+    off, on = (propagate(AP, "alg1", ps, still, 4000.0, np.zeros(1),
+                         doppler=doppler).samples for doppler in (False, True))
+    assert np.allclose(on, off, rtol=0, atol=1e-15)
 
 
 def test_apply_doppler_radial_motion_rotates_los_phase():
-    sched = build_sweep_schedule(AP)
     ps = PathSet([], [], [])
     traj = Trajectory.line(Position(10.0, 0.0), heading_rad=0.0,
                            speed_mps=5.0, duration_s=1.0)
-    off = propagate(sched, ps, traj, 4000.0)
-    moved = propagate(sched, ps, traj, 4000.0, doppler=True)
+    off, moved = (propagate(AP, "alg1", ps, [traj], 4000.0, np.zeros(1),
+                            doppler=doppler).samples[0] for doppler in (False, True))
     lam = AP.wavelength_m
     t = np.arange(200) / 4000.0
-    expect = off.samples * np.exp(-2j * math.pi * (5.0 * t) / lam)
+    expect = off * np.exp(-2j * math.pi * (5.0 * t) / lam)
     # compare only where the transmitter radiates
-    on = np.abs(off.samples) > 0
-    assert np.allclose(moved.samples[on], expect[on], rtol=1e-9, atol=0)
+    on = np.abs(off) > 0
+    assert np.allclose(moved[on], expect[on], rtol=1e-9, atol=0)
 
 
 def test_apply_doppler_adds_the_paths_in_order_then_the_los_path():
     """apply_doppler's sum is ((f_1 + f_2) + f_3) + LOS, bit for bit, where
     f_k is path k rotated alone (no LOS field) and LOS the LOS field
     rotated with no paths: the order a sum over the paths axis takes, with
-    the LOS path last. Adding the LOS field first rounds differently."""
+    the LOS path last. Adding the LOS field first rounds differently. At
+    wavenumber 0 (Doppler off) no path turns: the sum is
+    LOS + ((f_1 + f_2) + f_3) of the unturned fields, each gathered per
+    sample."""
     row = sample_rows(AP, 4000.0)
     t_local = np.arange(len(row)) / 4000.0
     rng = trial_rng(16, "doppler-order")
@@ -429,44 +429,44 @@ def test_apply_doppler_adds_the_paths_in_order_then_the_los_path():
     segment = np.array([0.0, 1.0, 5.0, 2.0])  # 0 to 1 s, moving (5, 2) m
     dist = 10.0 + np.hypot(5.0, 2.0) * t_local
 
-    def rotated(los_field, k):
+    def rotated(los_field, k, wavenumber=2.0 * math.pi / AP.wavelength_m):
         return apply_doppler(los_field, reflected[k], row, bearings[k], AP, segment,
-                             t_local, dist, out=np.empty(len(row), complex))
+                             t_local, dist, wavenumber, out=np.empty(len(row), complex))
 
     paths = [rotated(np.zeros(len(row), complex), slice(k, k + 1)) for k in range(3)]
     want = ((paths[0] + paths[1]) + paths[2]) + rotated(los, slice(0, 0))
     got = rotated(los, slice(0, 3))
     assert np.array_equal(got, want)
+    f = reflected[:, row]  # unturned, per sample
+    assert np.array_equal(rotated(los, slice(0, 3), 0.0), los + ((f[0] + f[1]) + f[2]))
 
 
 def test_multi_slot_propagate_and_doppler_equal_slot_by_slot():
     """One call over several slots (a rounds axis on the start times and on
     the draws) equals one call per slot, bit for bit, Doppler included."""
-    sched = build_sweep_schedule(AP)
-    starts = np.array([0.0, 0.1, 0.2])
+    starts = np.array([[0.0, 0.1, 0.2]])
     rng = trial_rng(4, "slots")
     paths = draw_multipath(ChannelConfig(multipath_ratio=0.5), rng, (3,))
     traj = Trajectory.line(Position(10.0, 2.0), heading_rad=0.3,
                            speed_mps=9.1, duration_s=1.0)
-    batched = propagate(sched, paths, traj, 4000.0, t0_s=starts, doppler=True)
-    assert batched.samples.shape == (3, 200)
-    for r, t0 in enumerate(starts):
+    batched = propagate(AP, "alg1", paths, [traj], 4000.0, starts, doppler=True)
+    assert batched.samples.shape == (1, 3, 200)
+    for r, t0 in enumerate(starts[0]):
         one = PathSet(paths.amplitudes[r], paths.bearings_rad[r],
                       paths.excess_phases_rad[r])
-        slot = propagate(sched, one, traj, 4000.0, t0_s=float(t0), doppler=True)
-        assert batched.samples[r].tobytes() == slot.samples.tobytes()
+        slot = propagate(AP, "alg1", one, [traj], 4000.0, np.array([t0]), doppler=True)
+        assert batched.samples[0, r].tobytes() == slot.samples[0].tobytes()
 
 
-def _still_field(sched, paths, pos, starts):
+def _still_field(ap, mode, paths, pos, starts):
     """A still receiver's field the grid's way: sweep_response per schedule
     row with the closed-form LOS sine, gathered per sample and scaled by
     the link amplitude, all from scalar geometry."""
-    ap = sched.ap
     dx, dy = pos.x - ap.position.x, pos.y - ap.position.y
     dist = math.sqrt(dx * dx + dy * dy)
     sine = (dy * math.cos(ap.boresight_rad) - dx * math.sin(ap.boresight_rad)) / dist
     amp = 10.0 ** (ap.tx_power_dbm / 20.0) * ap.wavelength_m / (4.0 * math.pi * dist)
-    rows = sweep_response(paths, np.array([sine]), ap, sched.drive)
+    rows = sweep_response(paths, np.array([sine]), ap, build_sweep_schedule(ap, mode))
     t_local = np.arange(200) / 4000.0
     row = np.searchsorted(row_starts(ap), t_local + 1e-12, side="right") - 1
     return np.broadcast_to(rows[..., row], np.shape(starts) + (200,)) * amp
@@ -474,12 +474,11 @@ def _still_field(sched, paths, pos, starts):
 
 @pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
 def test_still_receiver_field_is_sweep_response_per_row(mode):
-    """A still receiver (a Position or a one-waypoint Trajectory, Doppler
-    on or off) gets sweep_response's field per schedule row, gathered per
-    sample, bit for bit: one draw for every slot, one draw per slot, and
-    no reflections."""
+    """A still receiver (a one-waypoint Trajectory, Doppler on or off)
+    gets sweep_response's field per schedule row, gathered per sample, bit
+    for bit: one draw for every slot, one draw per slot, and no
+    reflections."""
     ap = replace(AP, antenna_count=5, boresight_rad=0.3)
-    sched = build_sweep_schedule(ap, mode)
     rng = trial_rng(13, "still", mode)
     starts = np.array([0.0, 0.1, 0.2, 0.3])
     per_slot = draw_multipath(ChannelConfig(multipath_ratio=0.6), rng, (4,))
@@ -487,12 +486,11 @@ def test_still_receiver_field_is_sweep_response_per_row(mode):
              (per_slot, starts), (PathSet([], [], []), starts)]
     pos = Position(9.0, 14.0)
     for paths, t0 in cases:
-        want = _still_field(sched, paths, pos, t0)
-        for where in (pos, Trajectory.stationary(pos)):
-            for doppler in (False, True):
-                got = propagate(sched, paths, where, 4000.0, t0_s=t0,
-                                doppler=doppler).samples
-                assert got.tobytes() == want.tobytes()
+        want = _still_field(ap, mode, paths, pos, t0)
+        for doppler in (False, True):
+            got = propagate(ap, mode, paths, [Trajectory.stationary(pos)], 4000.0,
+                            np.array([t0]), doppler=doppler).samples[0]
+            assert got.tobytes() == want.tobytes()
 
 
 def test_still_trajectory_agrees_with_a_zero_length_line():
@@ -500,18 +498,17 @@ def test_still_trajectory_agrees_with_a_zero_length_line():
     path (LOS field per sample, Doppler rotations by zero); it agrees with
     a stationary trajectory's per-row field to 1e-12 of the largest
     sample."""
-    sched = build_sweep_schedule(replace(AP, antenna_count=6), "uniform-theta")
+    ap = replace(AP, antenna_count=6)
     rng = trial_rng(14, "zero-length")
-    starts = np.array([0.0, 0.1, 0.2])
+    starts = np.array([[0.0, 0.1, 0.2]])
     paths = draw_multipath(ChannelConfig(multipath_ratio=0.8), rng, (3,))
     pos = Position(11.0, -6.0)
     line = Trajectory.line(pos, heading_rad=1.0, speed_mps=0.0, duration_s=1.0)
     assert line.waypoints[0][1] == line.waypoints[1][1]
     for doppler in (False, True):
-        still = propagate(sched, paths, Trajectory.stationary(pos), 4000.0,
-                          t0_s=starts, doppler=doppler).samples
-        moving = propagate(sched, paths, line, 4000.0, t0_s=starts,
-                           doppler=doppler).samples
+        still, moving = (propagate(ap, "uniform-theta", paths, [traj], 4000.0, starts,
+                                   doppler=doppler).samples
+                         for traj in (Trajectory.stationary(pos), line))
         assert np.max(np.abs(moving - still)) <= 1e-12 * np.max(np.abs(still))
 
 
@@ -520,7 +517,7 @@ def test_propagate_trials_equal_one_call_per_trial(moving):
     """Trajectories on a leading trials axis of t0_s and of the draws
     equal one call per trial, bit for bit, Doppler on and off. Trials that
     stand still and trials that move cannot share a call."""
-    sched = build_sweep_schedule(replace(AP, antenna_count=3))
+    ap = replace(AP, antenna_count=3)
     rng = trial_rng(15, "trials", moving)
     starts = np.array([[0.0, 0.1, 0.2], [0.5, 0.6, 0.7]])
     paths = draw_multipath(ChannelConfig(multipath_ratio=0.5), rng, (2, 3))
@@ -530,20 +527,20 @@ def test_propagate_trials_equal_one_call_per_trial(moving):
              for p, h in zip(points, (0.3, 2.0))]
     for doppler in (False, True):
         batch = np.empty((2, 3, 200), complex)
-        propagate(sched, paths, trajs, 4000.0, t0_s=starts, doppler=doppler,
+        propagate(ap, "alg1", paths, trajs, 4000.0, starts, doppler=doppler,
                   out=batch)
         for i, traj in enumerate(trajs):
             one = PathSet(paths.amplitudes[i], paths.bearings_rad[i],
                           paths.excess_phases_rad[i])
-            got = propagate(sched, one, traj, 4000.0, t0_s=starts[i],
+            got = propagate(ap, "alg1", one, [traj], 4000.0, starts[i:i + 1],
                             doppler=doppler).samples
             assert got.tobytes() == batch[i].tobytes()
     mixed = [trajs[0], Trajectory.line(points[1], 0.0, 1.0, 1.0) if not moving
              else Trajectory.stationary(points[1])]
     with pytest.raises(ConfigError):
-        propagate(sched, paths, mixed, 4000.0, t0_s=starts)
+        propagate(ap, "alg1", paths, mixed, 4000.0, starts)
     with pytest.raises(ConfigError):
-        propagate(sched, paths, trajs, 4000.0, t0_s=starts[0])
+        propagate(ap, "alg1", paths, trajs, 4000.0, starts[0])
 
 
 def test_successive_draws_that_differ_only_in_weight_stay_apart():
@@ -551,29 +548,28 @@ def test_successive_draws_that_differ_only_in_weight_stay_apart():
     the same bearings but other amplitudes and phases give two fields. A
     multi-slot call equals one call per slot, bit for bit, for a still and
     a moving receiver."""
-    sched = build_sweep_schedule(AP)
     paths = PathSet([[0.3], [0.5]], [[0.7], [0.7]], [[1.0], [2.5]])
-    starts = np.array([0.0, 0.1])
-    for where in (Position(10.0, 2.0), Trajectory.line(Position(10.0, 2.0), 0.3, 9.1, 1.0)):
-        batched = propagate(sched, paths, where, 4000.0, t0_s=starts).samples
-        for r, t0 in enumerate(starts):
+    starts = np.array([[0.0, 0.1]])
+    for traj in (Trajectory.stationary(Position(10.0, 2.0)),
+                 Trajectory.line(Position(10.0, 2.0), 0.3, 9.1, 1.0)):
+        batched = propagate(AP, "alg1", paths, [traj], 4000.0, starts).samples
+        for r, t0 in enumerate(starts[0]):
             one = PathSet(paths.amplitudes[r], paths.bearings_rad[r],
                           paths.excess_phases_rad[r])
-            slot = propagate(sched, one, where, 4000.0, t0_s=float(t0)).samples
-            assert slot.tobytes() == batched[r].tobytes()
+            slot = propagate(AP, "alg1", one, [traj], 4000.0, np.array([t0])).samples
+            assert slot.tobytes() == batched[0, r].tobytes()
 
 
 def test_apply_doppler_checks_geometry_in_every_slot():
-    sched = build_sweep_schedule(AP)
     ps = PathSet([0.3], [0.5], [1.0])
-    starts = np.array([0.0, 0.1, 0.2])
+    starts = np.array([[0.0, 0.1, 0.2]])
     # reaches the AP at slot 2's last sample: clear in slot 0
-    reaches = Trajectory(((0.0, Position(10.0, 0.0)),
-                          (0.2 + 199 / 4000.0, AP.position)))
-    propagate(sched, ps, reaches, 4000.0, t0_s=starts[:1], doppler=True)
+    reaches = [Trajectory(((0.0, Position(10.0, 0.0)),
+                           (0.2 + 199 / 4000.0, AP.position)))]
+    propagate(AP, "alg1", ps, reaches, 4000.0, starts[:, :1], doppler=True)
     for doppler in (False, True):
         with pytest.raises(GeometryError):
-            propagate(sched, ps, reaches, 4000.0, t0_s=starts, doppler=doppler)
+            propagate(AP, "alg1", ps, reaches, 4000.0, starts, doppler=doppler)
 
 
 def _moving_cases():
@@ -582,13 +578,12 @@ def _moving_cases():
     rng = trial_rng(8, "reuse")
     traj = Trajectory.line(Position(12.0, 3.0), heading_rad=0.7,
                            speed_mps=9.1, duration_s=0.4)
-    three = (build_sweep_schedule(AP), draw_multipath(
-        ChannelConfig(multipath_ratio=0.6), rng, (3,)),
-        traj, 4000.0, np.array([0.0, 0.1, 0.2]), True)
+    three = (AP, "alg1", draw_multipath(ChannelConfig(multipath_ratio=0.6), rng, (3,)),
+             [traj], 4000.0, np.array([[0.0, 0.1, 0.2]]), True)
     other_ap = replace(AP, antenna_count=6, boresight_rad=0.4)
-    one = (build_sweep_schedule(other_ap, "uniform-theta"), draw_multipath(
+    one = (other_ap, "uniform-theta", draw_multipath(
         ChannelConfig(nlos_path_count=5, multipath_ratio=0.9), rng),
-        Position(-8.0, 20.0), 4000.0, 0.05, False)
+        [Trajectory.stationary(Position(-8.0, 20.0))], 4000.0, np.array([0.05]), False)
     return three, one
 
 
@@ -608,12 +603,12 @@ def test_propagate_results_survive_later_calls():
     through later calls with other inputs and other shapes, the grid
     shortcut's included, and equals a fresh call's."""
     three, one = _moving_cases()
-    first = propagate(*three[:4], t0_s=three[4], doppler=three[5])
+    first = propagate(*three[:6], doppler=three[6])
     kept = first.samples.tobytes()
-    capture = np.zeros((3, 2, 200), dtype=complex)  # slots x APs x samples
-    into = propagate(*three[:4], t0_s=three[4], doppler=three[5], out=capture[:, 1])
+    capture = np.zeros((1, 3, 2, 200), dtype=complex)  # trials x slots x APs x samples
+    into = propagate(*three[:6], doppler=three[6], out=capture[..., 1, :])
     assert into.samples.base is capture
-    assert capture[:, 1].tobytes() == kept and not capture[:, 0].any()
+    assert capture[..., 1, :].tobytes() == kept and not capture[..., 0, :].any()
     bearings = _grid_bearings()
     rng = trial_rng(8, "field")
     los = rng.uniform(-1.0, 1.0, (16, 1))
@@ -621,15 +616,15 @@ def test_propagate_results_survive_later_calls():
     args = (paths, np.sin(los), AP, drive_for(np.arange(8.0), 4))
     field = sweep_response(*args)
     field_bytes = field.tobytes()
-    second = propagate(*one[:4], t0_s=one[4], doppler=one[5])
+    second = propagate(*one[:6], doppler=one[6])
     assert _grid_bearings().tobytes() == bearings.tobytes()
     assert not np.shares_memory(sweep_response(*args), field)
-    assert second.samples.shape == (200,)
-    propagate(*three[:4], t0_s=three[4], doppler=False)
+    assert second.samples.shape == (1, 200)
+    propagate(*three[:6], doppler=False)
     assert first.samples.tobytes() == kept
-    assert capture[:, 1].tobytes() == kept
+    assert capture[..., 1, :].tobytes() == kept
     assert field.tobytes() == field_bytes
-    again = propagate(*one[:4], t0_s=one[4], doppler=one[5])
+    again = propagate(*one[:6], doppler=one[6])
     assert again.samples.tobytes() == second.samples.tobytes()
     assert not np.shares_memory(again.samples, second.samples)
 
@@ -641,7 +636,7 @@ def test_propagate_in_threads_gives_the_serial_bytes():
     switching threads every microsecond, get the bytes of serial calls
     every time."""
     cases = _moving_cases()
-    serial = [propagate(*c[:4], t0_s=c[4], doppler=c[5]).samples.tobytes()
+    serial = [propagate(*c[:6], doppler=c[6]).samples.tobytes()
               for c in cases]
     grid = _grid_bearings().tobytes()
     start = threading.Barrier(4)
@@ -651,7 +646,7 @@ def test_propagate_in_threads_gives_the_serial_bytes():
         start.wait()
         for i in range(20):
             c = (i + k) % 2
-            got = propagate(*cases[c][:4], t0_s=cases[c][4], doppler=cases[c][5])
+            got = propagate(*cases[c][:6], doppler=cases[c][6])
             same[k].append(got.samples.tobytes() == serial[c]
                            and _grid_bearings().tobytes() == grid)
 

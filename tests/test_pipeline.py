@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sweeploc import pipeline
-from sweeploc.channel import PathSet, draw_multipath, propagate
+from sweeploc.channel import FieldTrace, PathSet, draw_multipath, propagate
 from sweeploc.pipeline import (
     capture_track,
     detect_with_noise,
@@ -27,14 +27,14 @@ from sweeploc.scenario import (ApConfig, ChannelConfig, ConfigError,
                                DetectorConfig, GeometryError, Position,
                                Scenario, Trajectory, trial_rng, true_bearing_xy)
 from sweeploc.scenarios import bench_scenario, farm_scenario
-from sweeploc.transmitter import (build_sweep_schedule, drive_increments,
+from sweeploc.transmitter import (drive_increments,
                                   period_samples, steering_values)
 
 
 def test_synthesize_rounds_buffer_length():
     scn = bench_scenario(seed=0)
     rng = trial_rng(0, "synth")
-    where = Position(40.0, 10.0)
+    where = [Trajectory.stationary(Position(40.0, 10.0))]
     pathsets = draw_pathsets(scn, rng)
     trace = synthesize_rounds(scn, pathsets, where, rounds=2)
     # two rounds x two APs x 50 ms at 4 kHz
@@ -55,7 +55,7 @@ def test_detect_with_noise_adds_channel_then_detector_noise():
     scn = bench_scenario(seed=2)
     scn = dataclasses.replace(scn, channel=dataclasses.replace(
         scn.channel, noise_power_dbm=-45.0))
-    where = Position(40.0, 10.0)
+    where = [Trajectory.stationary(Position(40.0, 10.0))]
     field = synthesize_rounds(scn, draw_pathsets(scn, trial_rng(2, "p")), where)
     noise = draw_noise(scn, len(field.samples), trial_rng(2, "n"))
     env = detect_with_noise(field, scn.detector, noise)
@@ -102,14 +102,14 @@ def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
         assert every[n - 1].tobytes() == alone[-1].tobytes()
     fast = every[n_ant - 1]
 
-    sched = build_sweep_schedule(ap, mode)
     mismatches = 0
     for k, bearing in enumerate(los):
         pos = Position(ap.position.x + 10.0 * math.cos(bearing),
                        ap.position.y + 10.0 * math.sin(bearing))
         ps = PathSet(paths.amplitudes[k], paths.bearings_rad[k],
                      paths.excess_phases_rad[k])
-        env = envelope_detect(propagate(sched, ps, pos, fs), scn.detector)
+        field = propagate(ap, mode, ps, [Trajectory.stationary(pos)], fs, np.zeros(1))
+        env = envelope_detect(FieldTrace(field.samples[0], fs), scn.detector)
         est = estimate_angle(env, 0, ap, mode)
         if not math.isclose(est, fast[k], rel_tol=0, abs_tol=1e-12):
             mismatches += 1
@@ -157,8 +157,8 @@ def test_los_scan_picks_the_nearest_sweep_step(case):
     tie, fast_estimate_bearings' last row gives the same raw bearing."""
     scn, where = case
     env = envelope_detect(synthesize_rounds(
-        scn, draw_pathsets(scn, trial_rng(0, "los-only")), where, rounds=2),
-        scn.detector)
+        scn, draw_pathsets(scn, trial_rng(0, "los-only")),
+        [Trajectory.stationary(where)], rounds=2), scn.detector)
     scan = Receiver(scn, LookupTable(*scn.aps)).scan(env)
     assert scan.found.all()
     rate = scn.detector.sample_rate_hz
@@ -195,10 +195,10 @@ def test_speed_affects_doppler_only_when_enabled():
     traj = Trajectory.line(Position(40.0, 40.0), heading_rad=0.3,
                            speed_mps=5.0, duration_s=1.0)
     pathsets = draw_pathsets(scn, rng)
-    still = synthesize_rounds(scn, pathsets, traj, rounds=1)
+    still = synthesize_rounds(scn, pathsets, [traj], rounds=1)
     moving_scn = dataclasses.replace(
         scn, channel=dataclasses.replace(scn.channel, doppler_enabled=True))
-    moving = synthesize_rounds(moving_scn, pathsets, traj, rounds=1)
+    moving = synthesize_rounds(moving_scn, pathsets, [traj], rounds=1)
     assert not np.allclose(still.samples, moving.samples)
     # magnitudes shift only subtly; the phase carries the motion
     assert np.allclose(np.abs(still.samples), np.abs(moving.samples),
@@ -235,11 +235,10 @@ def test_batched_rounds_equal_round_by_round_synthesis(mode, doppler):
                         for f in ("amplitudes", "bearings_rad",
                                   "excess_phases_rad")))
               for k in range(len(scn.aps))]
-    batched = synthesize_rounds(scn, per_ap, traj, rounds=rounds)
+    batched = synthesize_rounds(scn, per_ap, [traj], rounds=rounds)
     period = scn.aps[0].sweep_period_s
-    single = [propagate(build_sweep_schedule(ap, mode), d[k], traj,
-                        scn.detector.sample_rate_hz, t0_s=t0 + k * period,
-                        doppler=doppler).samples
+    single = [propagate(ap, mode, d[k], [traj], scn.detector.sample_rate_hz,
+                        np.array([t0 + k * period]), doppler=doppler).samples
               for d, t0 in zip(draws, starts) for k, ap in enumerate(scn.aps)]
     assert batched.samples.tobytes() == np.concatenate(single).tobytes()
 
@@ -275,9 +274,9 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
     batched_rng, single_rng = trial_rng(4, "order", key), trial_rng(4, "order", key)
     synthesized = []
 
-    def spy(scn, pathsets, where, rounds):
+    def spy(scn, pathsets, trajs, rounds):
         synthesized.append(pathsets)
-        return synthesize_rounds(scn, pathsets, where, rounds)
+        return synthesize_rounds(scn, pathsets, trajs, rounds)
     monkeypatch.setattr(pipeline, "synthesize_rounds", spy)
     env = capture_track(scn, [traj], [batched_rng], rounds)
 
@@ -300,7 +299,7 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
             assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
                   for parts in zip(*noises))
-    want = detect_with_noise(synthesize_rounds(scn, per_ap, traj, rounds),
+    want = detect_with_noise(synthesize_rounds(scn, per_ap, [traj], rounds),
                              scn.detector, noise)
     assert env.volts.tobytes() == want.volts.tobytes()
     assert batched_rng.bit_generator.state == single_rng.bit_generator.state
@@ -463,8 +462,8 @@ def test_batched_synthesis_checks_geometry_in_a_later_slot(doppler):
     # reaches AP 2 at the last sample of five rounds, its slot in round 4:
     # every slot of round 0 is clear
     last = 4 * scn.round_s + ap.sweep_period_s + (period_samples(ap, rate) - 1) / rate
-    traj = Trajectory(((0.0, Position(30.0, ap.position.y)), (last, ap.position)))
+    trajs = [Trajectory(((0.0, Position(30.0, ap.position.y)), (last, ap.position)))]
     pathsets = draw_pathsets(scn, trial_rng(2, "geometry"))
-    synthesize_rounds(scn, pathsets, traj, rounds=1)
+    synthesize_rounds(scn, pathsets, trajs, rounds=1)
     with pytest.raises(GeometryError):
-        synthesize_rounds(scn, pathsets, traj, rounds=5)
+        synthesize_rounds(scn, pathsets, trajs, rounds=5)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sweeploc import receiver
 from sweeploc.channel import FieldTrace, PathSet, propagate
 from sweeploc.receiver import (
     MIN_CROSSING_SINE,
@@ -41,12 +42,12 @@ from sweeploc.scenario import (
     DetectorConfig,
     Position,
     Scenario,
+    Trajectory,
     trial_rng,
     true_bearing_xy,
 )
 from sweeploc.scenarios import bench_scenario, farm_scenario
-from sweeploc.transmitter import (PREAMBLE_PATTERNS, build_sweep_schedule,
-                                  period_samples)
+from sweeploc.transmitter import PREAMBLE_PATTERNS, period_samples
 
 from helpers import intersect_bearings
 
@@ -66,10 +67,17 @@ def joined(*slots):
 
 
 def los_trace(ap, phi, dist=10.0, mode="alg1", t0=0.0):
+    """One slot of a LOS-only field at bearing phi, dist from the AP."""
     pos = Position(ap.position.x + dist * math.cos(phi + ap.boresight_rad),
                    ap.position.y + dist * math.sin(phi + ap.boresight_rad))
-    sched = build_sweep_schedule(ap, mode)
-    return propagate(sched, PathSet([], [], []), pos, FS, t0_s=t0)
+    return still_slot(ap, mode, pos, t0)
+
+
+def still_slot(ap, mode, pos, t0):
+    """One slot of a LOS-only field at pos, starting at t0."""
+    trace = propagate(ap, mode, PathSet([], [], []), [Trajectory.stationary(pos)],
+                      FS, np.array([t0]))
+    return FieldTrace(trace.samples[0], FS)
 
 
 def test_window_and_period_sample_counts():
@@ -183,7 +191,9 @@ def test_find_preamble_locates_slot_start():
     env = envelope_detect(joined(round(t_lead * FS), slot), DET)
     start = find_preamble(env, AP1)
     assert start == round(t_lead * FS)
-    assert find_preamble(env, AP1, threshold=0.999) == start
+    best, peak, _ = search_preambles(env.volts[None], AP1, FS, np.array([0]),
+                                     np.array([len(env.volts)]))
+    assert best[0] == start and peak[0] >= 0.999
     # the start bound is honored (the pattern self-correlates at later
     # bit-aligned offsets, so a weaker echo may still appear)
     later = find_preamble(env, AP1, start=start + 1)
@@ -204,7 +214,7 @@ def test_find_preamble_below_floor_returns_none():
 
 @pytest.mark.parametrize("start,stop", [(0, None), (0, 40), (37, 120),
                                         (150, 400), (163, 165), (90, 90)])
-def test_find_preamble_equals_whole_buffer_search(start, stop):
+def test_find_preamble_equals_whole_buffer_search(start, stop, monkeypatch):
     """Correlating only the searched window gives the same offset and the
     same correlation, bit for bit, as correlating the whole buffer."""
     pattern = PREAMBLE_PATTERNS[AP1.preamble_id]
@@ -214,16 +224,20 @@ def test_find_preamble_equals_whole_buffer_search(start, stop):
     env = EnvelopeTrace(volts, FS, 0.0)
     corr = correlate_pattern(volts, pattern, 4)
     end = len(corr) if stop is None else min(stop, len(corr))
-    got = find_preamble(env, AP1, start, stop, threshold=-1.0)
+    got, peak, found = search_preambles(
+        volts[None], AP1, FS, np.array([start]),
+        np.array([len(volts) if stop is None else stop]))
     if start >= end:
-        assert got is None
+        assert not found[0] and find_preamble(env, AP1, start, stop) is None
         return
     best = start + int(np.argmax(corr[start:end]))
-    assert got == best
+    assert got[0] == best and peak[0].tobytes() == corr[best].tobytes()
     # found at a threshold of its own correlation, not just above it
-    assert find_preamble(env, AP1, start, stop, threshold=corr[best]) == best
-    assert find_preamble(env, AP1, start, stop,
-                         threshold=np.nextafter(corr[best], 2.0)) is None
+    monkeypatch.setattr(receiver, "PREAMBLE_CORRELATION_THRESHOLD", corr[best])
+    assert find_preamble(env, AP1, start, stop) == best
+    monkeypatch.setattr(receiver, "PREAMBLE_CORRELATION_THRESHOLD",
+                        np.nextafter(corr[best], 2.0))
+    assert find_preamble(env, AP1, start, stop) is None
 
 
 def test_find_preamble_equals_whole_buffer_search_in_rows():
@@ -237,22 +251,20 @@ def test_find_preamble_equals_whole_buffer_search_in_rows():
     for r in range(len(windows)):
         volts[r, 60 + 10 * r:92 + 10 * r] += np.repeat(pattern, 4)
     start, stop = (np.array(w) for w in zip(*windows))
-    best, corr, found = search_preambles(volts, AP1, FS, start, stop,
-                                         threshold=-1.0)
-    assert found.tolist() == [lo < min(hi, 169) for lo, hi in windows]
+    best, corr, found = search_preambles(volts, AP1, FS, start, stop)
+    searched = np.array([lo < min(hi, 169) for lo, hi in windows])
     for r, (lo, hi) in enumerate(windows):
         whole = correlate_pattern(volts[r], pattern, 4)
         env = EnvelopeTrace(volts[r], FS, 0.0)
-        one = find_preamble(env, AP1, lo, hi, threshold=-1.0)
-        if not found[r]:
+        one = find_preamble(env, AP1, lo, hi)
+        if not searched[r]:
             assert one is None
             continue
         want = lo + int(np.argmax(whole[lo:min(hi, len(whole))]))
-        assert best[r] == one == want
+        assert best[r] == want and one == (want if found[r] else None)
         assert corr[r] == whole[want]
     # a row's window reaching the threshold is a detection, the rest not
-    _, _, strict = search_preambles(volts, AP1, FS, start, stop)
-    assert strict.tolist() == (found & (corr >= 0.75)).tolist()
+    assert found.tolist() == (searched & (corr >= 0.75)).tolist()
 
 
 def test_sweep_peaks_rows_with_their_own_periods():
@@ -469,11 +481,8 @@ def test_receiver_two_slot_buffer_produces_fix():
     rx = Receiver(Scenario(aps=(AP1, AP2), smoothing=0.8), table)
     # keep both links inside detector range (the floor clips past ~60 m)
     target = Position(50.0, 10.0)
-    s1 = propagate(build_sweep_schedule(AP1), PathSet([], [], []),
-                   target, FS, t0_s=0.0)
-    s2 = propagate(build_sweep_schedule(AP2), PathSet([], [], []),
-                   target, FS, t0_s=0.05)
-    env = envelope_detect(joined(s1, s2), DET)
+    env = envelope_detect(joined(still_slot(AP1, "alg1", target, 0.0),
+                                 still_slot(AP2, "alg1", target, 0.05)), DET)
     fix = rx.process_buffer(env).fix
     assert math.hypot(fix.x - 50.0, fix.y - 10.0) < 3.0
     # one row: each smoothed track is seeded with its raw angle

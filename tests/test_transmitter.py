@@ -35,7 +35,7 @@ def test_schedule_tiles_the_period_exactly():
     exact start time, reckoned in fractions from the configured decimal
     durations, so a row that starts on a sample owns it. Rows follow one
     another without a gap, whatever the sweep mode."""
-    assert build_sweep_schedule(AP).drive.shape == (AP.antenna_count, 8 + 128)
+    assert build_sweep_schedule(AP).shape == (AP.antenna_count, 8 + 128)
     configs = [(AP, 4000), (replace(AP, sweep_period_s=0.025,
                                     preamble_duration_s=0.002), 16000),
                (replace(AP, sweep_period_s=0.1, preamble_duration_s=0.004,
@@ -57,10 +57,10 @@ def test_schedule_tiles_the_period_exactly():
 def test_preamble_entries_drive_single_antenna():
     # Preamble rows carry their bit on antenna 0 alone; sweep rows drive
     # the whole array, antenna 0 at unit drive.
-    sched = build_sweep_schedule(AP)
-    assert np.array_equal(sched.drive[0, :8], PREAMBLE_PATTERNS[AP.preamble_id])
-    assert np.all(sched.drive[1:, :8] == 0)
-    assert np.all(sched.drive[0, 8:] == 1.0)
+    drive = build_sweep_schedule(AP)
+    assert np.array_equal(drive[0, :8], PREAMBLE_PATTERNS[AP.preamble_id])
+    assert np.all(drive[1:, :8] == 0)
+    assert np.all(drive[0, 8:] == 1.0)
 
 
 def test_steering_values_per_mode():
@@ -103,23 +103,22 @@ def test_step_phase_offsets_shape_and_wrap():
 
 def test_sweep_entry_phases_match_offsets():
     for mode in ("alg1", "uniform-theta"):
-        sched = build_sweep_schedule(AP, mode)
+        built = build_sweep_schedule(AP, mode)
         got = drive_increments(AP, mode)
         assert np.all((got >= 0.0) & (got < 2 * math.pi))
         assert np.allclose(np.exp(1j * got),
                            np.exp(1j * step_increments(AP, mode)))
         drive = np.exp(-1j * np.outer(np.arange(AP.antenna_count), got))
-        assert np.array_equal(sched.drive[:, -AP.sweep_step_count:], drive)
+        assert np.array_equal(built[:, -AP.sweep_step_count:], drive)
 
 
 def test_cached_schedule_is_shared_and_read_only():
-    sched = cached_schedule(AP, "alg1")
-    assert cached_schedule(AP, "alg1") is sched
-    assert cached_schedule(AP, "uniform-theta") is not sched
-    fresh = build_sweep_schedule(AP, "alg1")
-    assert np.array_equal(sched.drive, fresh.drive)
+    drive = cached_schedule(AP, "alg1")
+    assert cached_schedule(AP, "alg1") is drive
+    assert cached_schedule(AP, "uniform-theta") is not drive
+    assert np.array_equal(drive, build_sweep_schedule(AP, "alg1"))
     with pytest.raises(ValueError):
-        sched.drive[0] = 0
+        drive[0] = 0
     rows = sample_rows(AP, 4000.0)
     assert sample_rows(AP, 4000.0) is rows
     with pytest.raises(ValueError):
