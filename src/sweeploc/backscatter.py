@@ -18,7 +18,8 @@ import numpy as np
 
 from .channel import complex_noise
 from .receiver import LogStore, SensorRecord
-from .scenario import ConfigError, DetectorConfig, _normals, free_space_loss_db
+from .scenario import (ConfigError, DetectorConfig, _normals, _scratch,
+                       free_space_loss_db)
 
 SYNC_PATTERN: tuple[int, ...] = (1, 0, 1, 0, 1, 0, 1, 0)
 UPLINK_BITRATE_HZ = 1000.0  # the paper's 1 kbps backscatter uplink
@@ -94,18 +95,19 @@ def transmit_backscatter(wave: SwitchWaveform, distance_m: float,
     template = 2.0 * 10.0 ** (path_gain_db(distance_m) / 20.0) * ONE_BIT_CAPTURE
     env = wave.bits[:, None] * template
     if rng is not None:
-        env = env + complex_noise(NOISE_FLOOR_DBM, env.size, rng).reshape(env.shape)
+        env += complex_noise(NOISE_FLOOR_DBM, env.size, rng).reshape(env.shape)
     return env
 
 
-def bit_magnitudes(capture: np.ndarray) -> np.ndarray:
+def bit_magnitudes(capture: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Magnitude of each bit's mean envelope, a boxcar filter one bit long,
     from a bits x samples-per-bit capture; at one sample per bit the
-    samples are the means."""
+    samples are the means. Written into out (one float per bit) if given,
+    else a fresh array."""
     if capture.size == 0:
         raise ConfigError("capture is empty")
     spb = capture.shape[1]
-    return np.abs(capture[:, 0] if spb == 1 else capture.sum(axis=1) / spb)
+    return np.abs(capture[:, 0] if spb == 1 else capture.sum(axis=1) / spb, out=out)
 
 
 def _bimodal_threshold(mags: np.ndarray) -> float:
@@ -117,9 +119,12 @@ def _bimodal_threshold(mags: np.ndarray) -> float:
     capture length because the noise maximum is unbounded in n, making BER
     depend on batch size.
     """
-    ordered = np.sort(mags)
-    prefix = np.concatenate(([0.0], np.cumsum(ordered)))
-    n = len(ordered)
+    n = len(mags)
+    ordered, prefix = _scratch("sorted_mags", (n,)), _scratch("mag_prefix", (n + 1,))
+    np.copyto(ordered, mags)
+    ordered.sort()  # np.sort's own steps: a copy, sorted in place
+    prefix[0] = 0.0
+    np.cumsum(ordered, out=prefix[1:])
     t = 0.5 * (float(ordered[0]) + float(ordered[-1]))
     for _ in range(64):
         k = int(np.searchsorted(ordered, t, side="right"))  # count <= t
@@ -154,14 +159,15 @@ def ap_demodulate(capture: np.ndarray, synced: bool = False) -> np.ndarray:
 
 # --- BER simulation ---------------------------------------------------------
 
-def synth_capture(bits: np.ndarray, noise_sigma: float,
-                  rng: np.random.Generator) -> np.ndarray:
+def synth_capture(bits: np.ndarray, noise_sigma: float, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Each bit's boxcar output at unit one-bit level, bits x 1, without the
     modulator-rate detour: the bit plus complex Gaussian noise of total
-    power noise_sigma**2, all real parts drawn first, then the imaginary."""
+    power noise_sigma**2, all real parts drawn first, then the imaginary.
+    Written into out (bits x 1 complex) if given, else a fresh array."""
     sigma = noise_sigma / math.sqrt(2.0)
-    capture = np.empty((len(bits), 1), dtype=complex)
-    noise = _normals(rng, sigma, np.empty((len(bits), 1)))
+    capture = np.empty((len(bits), 1), dtype=complex) if out is None else out
+    noise = _normals(rng, sigma, _scratch("per_bit", (len(bits), 1)))
     np.add(noise, bits[:, None], out=capture.real)
     capture.imag = _normals(rng, sigma, noise)
     return capture
@@ -171,14 +177,16 @@ def ber_point(snr_db: float, n_bits: int,
               rng: np.random.Generator) -> tuple[float, int]:
     """Monte Carlo BER at a per-sample SNR (signal power over total complex
     noise power during a one-bit) of the capture, drawn as each bit's
-    boxcar output: one complex Gaussian at sigma / sqrt(spb). Returns
-    (ber, error_count)."""
+    boxcar output: one complex Gaussian at sigma / sqrt(spb), decided as
+    ap_demodulate's blind branch decides. Returns (ber, error_count)."""
     if n_bits < 1:
         raise ConfigError("need at least one bit")
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
     sigma = 10.0 ** (-snr_db / 20.0) / math.sqrt(CAPTURE_SAMPLES_PER_BIT)
-    decided = ap_demodulate(synth_capture(bits, sigma, rng))
-    errors = int(np.count_nonzero(decided != bits))
+    capture = synth_capture(bits, sigma, rng, _scratch("ber_capture", (n_bits, 1), complex))
+    # the capture's noise is spent, so its buffer takes the magnitudes
+    mags = bit_magnitudes(capture, _scratch("per_bit", (n_bits,)))
+    errors = int(np.count_nonzero((mags > _bimodal_threshold(mags)) != bits))
     return errors / n_bits, errors
 
 

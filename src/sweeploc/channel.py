@@ -10,14 +10,13 @@ its lifetime.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .scenario import (ApConfig, ChannelConfig, ConfigError, GeometryError,
-                       Trajectory, _normals)
+                       Trajectory, _normals, _scratch)
 from .transmitter import cached_schedule, sample_rows
 
 
@@ -78,24 +77,6 @@ def map_multipath(cfg: ChannelConfig, u: np.ndarray) -> PathSet:
     bearings = lo + (hi - lo) * u[..., 1, :]
     phases = 2.0 * math.pi * u[..., 2, :]
     return PathSet(amps, bearings, phases)
-
-
-_SCRATCH = threading.local()
-
-
-def _scratch(role: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
-    """This thread's buffer for one role, kept from call to call and
-    reallocated only when a call needs more room than any before. Allocated
-    afresh, temporaries went back to the OS after every call and were
-    faulted in again on the next, a third of a track trial's time. No
-    scratch buffer leaves this module: a function here returns its out
-    argument or a fresh array."""
-    count = math.prod(shape)
-    buf = getattr(_SCRATCH, role, None)
-    if buf is None or buf.size < count or buf.dtype != dtype:
-        buf = np.empty(count, dtype)
-        setattr(_SCRATCH, role, buf)
-    return buf[:count].reshape(shape)
 
 
 def _phasors(sine: np.ndarray, ap: ApConfig, out: np.ndarray | None = None) -> np.ndarray:

@@ -18,6 +18,7 @@ from sweeploc.backscatter import (
     InsectNode,
     MacTranscript,
     ap_demodulate,
+    _bimodal_threshold,
     _downlink_decode,
     ber_point,
     bit_magnitudes,
@@ -29,7 +30,7 @@ from sweeploc.backscatter import (
     transmit_backscatter,
 )
 from sweeploc.channel import complex_noise
-from sweeploc.experiments import ExperimentSpec, run_experiment
+from sweeploc.experiments import BER_SNR_POINTS_DB, ExperimentSpec, run_experiment
 from sweeploc.receiver import LOG_CAPACITY_BYTES, LOG_RECORDS, SensorRecord
 from sweeploc.scenario import (ConfigError, DetectorConfig, _normals,
                                free_space_loss_db, trial_rng)
@@ -293,7 +294,7 @@ def test_ber_point_captures_at_the_demod_rate():
     """At the 16 kHz capture rate a bit's boxcar output is the mean of 16
     capture samples, one complex Gaussian with sigma / sqrt(16): ber_point
     draws it at one sample per bit, bits then real parts then imaginary
-    parts, and decides with ap_demodulate."""
+    parts, and decides as ap_demodulate does."""
     got = ber_point(-4.0, 4000, trial_rng(18, "rate"))
     rng = trial_rng(18, "rate")
     bits = rng.integers(0, 2, 4000).astype(np.uint8)
@@ -302,6 +303,89 @@ def test_ber_point_captures_at_the_demod_rate():
     errors = int(np.count_nonzero(ap_demodulate(capture) != bits))
     assert got == (errors / 4000, errors)
     assert 0 < errors < 4000 * 0.5
+
+
+def test_ber_point_reuses_its_per_bit_buffers():
+    """After one warm call, a 25 000-bit ber_point allocates only the
+    integer draw of its bits and their uint8 copy (225 KB): the capture,
+    its noise, the magnitudes, their sorted copy and prefix sums are this
+    thread's scratch buffers. Drawn afresh they were 1.2 MB, handed back
+    to the OS and faulted in again on every BER chunk."""
+    ber_point(0.0, 25_000, trial_rng(31, "warm"))
+    rng = trial_rng(31, "scratch")
+    tracemalloc.start()
+    try:
+        ber_point(0.0, 25_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300_000
+
+
+def fresh_two_means_threshold(mags):
+    """Reference: _bimodal_threshold's iteration on np.sort's copy and a
+    concatenated prefix sum, both fresh arrays."""
+    ordered = np.sort(mags)
+    prefix = np.concatenate(([0.0], np.cumsum(ordered)))
+    n = len(ordered)
+    t = 0.5 * (float(ordered[0]) + float(ordered[-1]))
+    for _ in range(64):
+        k = int(np.searchsorted(ordered, t, side="right"))
+        if k == 0 or k == n:
+            break
+        t_new = 0.5 * ((prefix[n] - prefix[k]) / (n - k) + prefix[k] / k)
+        if abs(t_new - t) <= 1e-12 * max(abs(t), 1.0):
+            break
+        t = t_new
+    return t
+
+
+@pytest.mark.parametrize("p_idx", range(len(BER_SNR_POINTS_DB)))
+def test_two_means_threshold_in_scratch_keeps_its_bits(p_idx):
+    """The sort in place of a scratch copy and the cumsum into a scratch
+    prefix give the fresh arrays' threshold to the last bit, on ber_point's
+    magnitudes at every SNR point of ber_vs_snr."""
+    rng = trial_rng(32, "threshold", p_idx)
+    bits = random_bits(rng, 25_000)
+    sigma = 10.0 ** (-BER_SNR_POINTS_DB[p_idx] / 20.0) / math.sqrt(16.0)
+    mags = bit_magnitudes(synth_capture(bits, sigma, rng))
+    assert _bimodal_threshold(mags).hex() == fresh_two_means_threshold(mags).hex()
+
+
+def test_ber_point_after_a_longer_call_reads_no_stale_bits():
+    """A buffer kept from a 25 000-bit call is sliced to a later 5 000-bit
+    call's length: the short call gives the same result before and after
+    the long one, and the result of fresh arrays through the public
+    synth_capture and ap_demodulate."""
+    got = ber_point(-2.0, 5_000, trial_rng(33, "short"))
+    ber_point(-2.0, 25_000, trial_rng(33, "long"))
+    assert ber_point(-2.0, 5_000, trial_rng(33, "short")) == got
+    rng = trial_rng(33, "short")
+    bits = rng.integers(0, 2, 5_000).astype(np.uint8)
+    capture = synth_capture(bits, 10.0 ** (2.0 / 20.0) / math.sqrt(16.0), rng)
+    errors = int(np.count_nonzero(ap_demodulate(capture) != bits))
+    assert got == (errors / 5_000, errors)
+    assert errors > 0
+
+
+def test_public_uplink_functions_return_fresh_arrays():
+    """synth_capture, bit_magnitudes, ap_demodulate and
+    transmit_backscatter keep no scratch buffer in what they return: a
+    second call's result shares no memory with the first's, which keeps
+    its values."""
+    rng = trial_rng(34, "fresh")
+    bits = random_bits(rng, 1_000)
+    first = synth_capture(bits, 0.5, rng)
+    kept = first.copy()
+    second = synth_capture(bits, 0.5, rng)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+    mags = bit_magnitudes(first), bit_magnitudes(second)
+    assert not np.shares_memory(*mags)
+    assert not np.shares_memory(ap_demodulate(first), ap_demodulate(second))
+    wave = modulate_frame(bits)
+    assert not np.shares_memory(transmit_backscatter(wave, 2.0, rng),
+                                transmit_backscatter(wave, 2.0, rng))
 
 
 def test_sync_calibrated_demodulation_handles_skewed_payload():

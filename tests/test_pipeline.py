@@ -1,7 +1,10 @@
 """End-to-end synthesis helpers and the vectorized estimation shortcut."""
 
+import contextlib
 import dataclasses
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,3 +470,15 @@ def test_batched_synthesis_checks_geometry_in_a_later_slot(doppler):
     synthesize_rounds(scn, pathsets, trajs, rounds=1)
     with pytest.raises(GeometryError):
         synthesize_rounds(scn, pathsets, trajs, rounds=5)
+
+
+def test_readme_quick_fix_example_finds_a_fix():
+    """The README's python example runs as written, and the fix it prints
+    is a Position, not None."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(block, namespace)
+    assert namespace["result"].fix is not None
+    assert printed.getvalue().startswith("Position(")
