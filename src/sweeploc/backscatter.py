@@ -118,6 +118,7 @@ def _bimodal_threshold(mags: np.ndarray) -> float:
     bits the capture holds. A min/max midpoint would creep upward with
     capture length because the noise maximum is unbounded in n, making BER
     depend on batch size.
+    The magnitudes are taken as float64, sorted in a scratch copy.
     """
     n = len(mags)
     ordered, prefix = _scratch("sorted_mags", (n,)), _scratch("mag_prefix", (n + 1,))
@@ -143,9 +144,10 @@ def ap_demodulate(capture: np.ndarray, synced: bool = False) -> np.ndarray:
     The threshold is the two-means split of the frame's magnitudes. When
     the frame opens with the whole SYNC_PATTERN, set synced to calibrate
     the threshold from the sync levels instead, which also handles
-    degenerate all-same payloads.
+    degenerate all-same payloads. The magnitudes are float64, held in this
+    thread's per-bit buffer.
     """
-    mags = bit_magnitudes(capture)
+    mags = bit_magnitudes(capture, _scratch("per_bit", (len(capture),)))
     if synced:
         if len(mags) < len(SYNC_PATTERN):
             raise ConfigError("frame is shorter than its sync header")
@@ -177,16 +179,15 @@ def ber_point(snr_db: float, n_bits: int,
               rng: np.random.Generator) -> tuple[float, int]:
     """Monte Carlo BER at a per-sample SNR (signal power over total complex
     noise power during a one-bit) of the capture, drawn as each bit's
-    boxcar output: one complex Gaussian at sigma / sqrt(spb), decided as
-    ap_demodulate's blind branch decides. Returns (ber, error_count)."""
+    boxcar output: one complex Gaussian at sigma / sqrt(spb). Returns
+    (ber, error_count)."""
     if n_bits < 1:
         raise ConfigError("need at least one bit")
     bits = rng.integers(0, 2, n_bits).astype(np.uint8)
     sigma = 10.0 ** (-snr_db / 20.0) / math.sqrt(CAPTURE_SAMPLES_PER_BIT)
     capture = synth_capture(bits, sigma, rng, _scratch("ber_capture", (n_bits, 1), complex))
-    # the capture's noise is spent, so its buffer takes the magnitudes
-    mags = bit_magnitudes(capture, _scratch("per_bit", (n_bits,)))
-    errors = int(np.count_nonzero((mags > _bimodal_threshold(mags)) != bits))
+    decided = ap_demodulate(capture)  # the noise is spent: its buffer takes the magnitudes
+    errors = int(np.count_nonzero(decided != bits))
     return errors / n_bits, errors
 
 

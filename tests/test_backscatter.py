@@ -307,10 +307,11 @@ def test_ber_point_captures_at_the_demod_rate():
 
 def test_ber_point_reuses_its_per_bit_buffers():
     """After one warm call, a 25 000-bit ber_point allocates only the
-    integer draw of its bits and their uint8 copy (225 KB): the capture,
-    its noise, the magnitudes, their sorted copy and prefix sums are this
-    thread's scratch buffers. Drawn afresh they were 1.2 MB, handed back
-    to the OS and faulted in again on every BER chunk."""
+    integer draw of its bits and their uint8 copy (225 KB) and its
+    decisions: the capture, its noise, the magnitudes, their sorted copy
+    and prefix sums are this thread's scratch buffers. Drawn afresh they
+    were 1.2 MB, handed back to the OS and faulted in again on every BER
+    chunk."""
     ber_point(0.0, 25_000, trial_rng(31, "warm"))
     rng = trial_rng(31, "scratch")
     tracemalloc.start()
@@ -350,6 +351,14 @@ def test_two_means_threshold_in_scratch_keeps_its_bits(p_idx):
     sigma = 10.0 ** (-BER_SNR_POINTS_DB[p_idx] / 20.0) / math.sqrt(16.0)
     mags = bit_magnitudes(synth_capture(bits, sigma, rng))
     assert _bimodal_threshold(mags).hex() == fresh_two_means_threshold(mags).hex()
+
+
+def test_blind_decisions_take_float64_magnitudes():
+    """ap_demodulate takes its magnitudes as float64 whatever the capture's
+    dtype: a float32 capture is decided as its float64 copy is."""
+    rng = trial_rng(35, "float32")
+    capture = synth_capture(random_bits(rng, 2_000), 0.5, rng).real.astype(np.float32)
+    assert np.array_equal(ap_demodulate(capture), ap_demodulate(capture.astype(float)))
 
 
 def test_ber_point_after_a_longer_call_reads_no_stale_bits():
