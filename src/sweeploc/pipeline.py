@@ -21,7 +21,8 @@ from .channel import (FieldTrace, PathSet, complex_noise, draw_multipath,
 from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
                        Receiver, detector_noise, envelope_detect,
                        step_estimate_angles)
-from .scenario import ApConfig, DetectorConfig, Position, Scenario, Trajectory
+from .scenario import (ApConfig, ConfigError, DetectorConfig, Position, Scenario,
+                       Trajectory)
 from .transmitter import cached_schedule, period_samples
 
 
@@ -94,37 +95,30 @@ def capture_track(scn: Scenario, trajs: list[Trajectory],
     """Envelope captures of receivers that all move or all stand still:
     volts[i, r] is trial i's round r, and t0_s holds each round's start.
 
-    Each trial draws from its rng in the order a round-by-round simulation
-    would: a new multipath draw for every AP once the receiver is
-    nlos_redraw_distance_m from the last draw (and in round 0), then the
-    round's noise (draw_noise). Without channel noise, the rounds up to the
-    next redraw draw only detector noise, back to back, so one draw_noise
-    call covers them all with the same numbers. A redraw draws only its
-    uniforms (path_uniforms); map_multipath maps each AP's, per trial and
+    Each trial draws from its rng round by round: in round 0, and once the
+    receiver is nlos_redraw_distance_m from the last draw, a new multipath
+    draw's uniforms for every AP (path_uniforms); then the round's noise
+    (draw_noise). map_multipath maps each AP's uniforms, per trial and
     round, into one PathSet on leading trials and rounds axes. One
     synthesize_rounds call makes every trial's rounds, detected with their
-    noise joined in trial and round order.
+    noise joined in trial and round order. ConfigError, before any draw,
+    for fewer than one round, no trial, or not one rng per trial.
     """
+    if rounds < 1 or not trajs or len(trajs) != len(rngs):
+        raise ConfigError(f"need rounds >= 1 (got {rounds}) and one rng for each of at"
+                          f" least one trajectory (got {len(rngs)} for {len(trajs)})")
     n = _round_samples(scn)
     starts = np.arange(rounds) * scn.round_s
     redraw_m = scn.channel.nlos_redraw_distance_m
     uniforms, noises = [], []
-    for traj, rng in zip(trajs, rngs, strict=True):
+    for traj, rng in zip(trajs, rngs):
         xs, ys = (v.tolist() for v in traj.positions_at(starts))
-        firsts = [0]  # the first round of each draw
-        for r in range(1, rounds):
-            o = firsts[-1]
-            if math.hypot(xs[o] - xs[r], ys[o] - ys[r]) >= redraw_m:
-                firsts.append(r)
-        spans = np.diff(firsts + [rounds])  # rounds per draw
-        draws = []
-        for span in spans.tolist():
-            draws.append(path_uniforms(scn.channel, rng, (len(scn.aps),)))
-            runs = [span] if scn.channel.noise_power_dbm is None else [1] * span
-            noises += [draw_noise(scn, m * n, rng) for m in runs]
-        draw_of_round = np.repeat(np.arange(len(firsts)), spans)
-        uniforms.append(np.stack(draws)[draw_of_round])
-    u = np.stack(uniforms)  # trials x rounds x APs x 3 x reflections
+        for r in range(rounds):  # last: the round of the last draw
+            if r == 0 or math.hypot(xs[last] - xs[r], ys[last] - ys[r]) >= redraw_m:
+                last, draw = r, path_uniforms(scn.channel, rng, (len(scn.aps),))
+            uniforms.append(draw)
+            noises.append(draw_noise(scn, n, rng))
+    u = np.reshape(uniforms, (len(trajs), rounds) + draw.shape)  # ... x APs x 3 x reflections
     per_ap = [map_multipath(scn.channel, u[:, :, k]) for k in range(len(scn.aps))]
     noise = tuple(None if parts[0] is None else np.concatenate(parts)
                   for parts in zip(*noises))

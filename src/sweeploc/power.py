@@ -53,9 +53,9 @@ def rf_charge_time_h() -> float:
 def solar_power_uw(lux: float) -> float:
     """Photovoltaic output: the anchors exactly, a straight line in log-log
     through them elsewhere, zero in the dark."""
-    if not math.isfinite(lux):
-        raise ConfigError("illuminance must be finite")
-    if lux <= 0.0:
+    if not 0.0 <= lux < math.inf:
+        raise ConfigError(f"illuminance must be finite and >= 0, got {lux}")
+    if lux == 0.0:
         return 0.0
     for anchor_lux, anchor_uw in SOLAR_ANCHORS_LUX_UW:
         if lux == anchor_lux:  # anchors reproduce exactly, no log round trip
@@ -68,6 +68,6 @@ def solar_power_uw(lux: float) -> float:
 
 def logging_endurance_h(interval_s: float = 5.0) -> float:
     """How long the full measurement log lasts at a fixed cadence."""
-    if not interval_s > 0:
-        raise ConfigError("interval must be positive")
+    if not 0.0 < interval_s < math.inf:
+        raise ConfigError(f"interval must be finite and positive, got {interval_s}")
     return LOG_RECORDS * interval_s / 3600.0

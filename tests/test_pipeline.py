@@ -322,6 +322,20 @@ def test_capture_track_rows_step_by_the_round():
     assert env.volts.shape == (1, 4, 3 * 160)
 
 
+@pytest.mark.parametrize("rounds,count,rng_count", [
+    (0, 1, 1), (-1, 1, 1), (40, 0, 0), (40, 2, 1), (40, 1, 2)])
+def test_capture_track_refuses_before_any_draw(rounds, count, rng_count):
+    """No rounds, no trials, or not one rng per trajectory: ConfigError,
+    with every rng left where it was."""
+    scn = _moving_farm("alg1", True, seed=4)
+    trajs = [Trajectory.stationary(Position(40.0, 30.0))] * count
+    rngs = [trial_rng(4, "refused", k) for k in range(rng_count)]
+    with pytest.raises(ConfigError):
+        capture_track(scn, trajs, rngs, rounds)
+    for k, rng in enumerate(rngs):
+        assert rng.bit_generator.state == trial_rng(4, "refused", k).bit_generator.state
+
+
 def _three_tracks(case, noise_dbm):
     """Three trials of one kind on the farm: moving (one flies out of the
     field, so its later rounds miss), standing still, or moving without

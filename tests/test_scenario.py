@@ -538,10 +538,15 @@ def test_configs_reject_nan(build):
                  id="endurance-interval"),
     pytest.param(lambda: solar_power_uw(math.nan), id="solar-nan"),
     pytest.param(lambda: solar_power_uw(math.inf), id="solar-inf"),
+    pytest.param(lambda: solar_power_uw(-5.0), id="solar-negative"),
+    pytest.param(lambda: logging_endurance_h(interval_s=math.inf),
+                 id="endurance-inf"),
 ])
 def test_calculations_reject_nan(compute):
     """Arguments outside the config dataclasses are checked the same way:
-    a NaN (or an infinite cycle period) raises instead of returning NaN."""
+    a NaN (or an infinite cycle period or logging interval, or negative
+    illuminance, which is not darkness) raises instead of returning NaN,
+    inf or 0."""
     with pytest.raises(ConfigError):
         compute()
 
