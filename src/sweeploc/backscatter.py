@@ -84,7 +84,7 @@ def path_gain_db(distance_m: float) -> float:
 def transmit_backscatter(wave: SwitchWaveform, distance_m: float,
                          rng: np.random.Generator | None = None) -> np.ndarray:
     """Mix the reflected switch waveform down to the subcarrier offset and
-    decimate to the capture rate; add receiver noise when an rng is given.
+    decimate to the capture rate; add receiver noise (drawn in scratch) if given an rng.
 
     Every bit spans whole capture blocks and whole subcarrier cycles, so
     the capture is bits x CAPTURE_SAMPLES_PER_BIT, each row ONE_BIT_CAPTURE
@@ -95,7 +95,8 @@ def transmit_backscatter(wave: SwitchWaveform, distance_m: float,
     template = 2.0 * 10.0 ** (path_gain_db(distance_m) / 20.0) * ONE_BIT_CAPTURE
     env = wave.bits[:, None] * template
     if rng is not None:
-        env += complex_noise(NOISE_FLOOR_DBM, env.size, rng).reshape(env.shape)
+        noise = _scratch("reply_noise", (env.size,), complex)
+        env += complex_noise(NOISE_FLOOR_DBM, env.size, rng, noise).reshape(env.shape)
     return env
 
 
@@ -300,8 +301,9 @@ def hive_mac_session(insects: Sequence[InsectNode], det: DetectorConfig,
                 continue
             payload = frame_from_records(insect.store.records)
             frame = np.concatenate((sync, payload))
-            capture = transmit_backscatter(modulate_frame(frame), insect.distance_m, rng)
-            decided = ap_demodulate(capture, synced=True)
+            # unnamed, a reply's capture is freed before the next one is made
+            decided = ap_demodulate(transmit_backscatter(
+                modulate_frame(frame), insect.distance_m, rng), synced=True)
             errors = int(np.count_nonzero(decided[len(sync):] != payload))
             transcript.total_elapsed_s += len(frame) / UPLINK_BITRATE_HZ + MAC_GUARD_S
             transcript.events.append(MacEvent(

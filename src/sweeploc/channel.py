@@ -327,12 +327,14 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
     return out
 
 
-def complex_noise(noise_power_dbm: float, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
+def complex_noise(noise_power_dbm: float, n: int, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """n samples of circular complex Gaussian noise of the given total
-    power: all n real parts are drawn first, then all n imaginary parts."""
+    power: all n real parts drawn first, then all n imaginary parts, each
+    through a scratch buffer; into out (n complex) if given, else fresh."""
     sigma = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
-    noise, part = np.empty(n, dtype=complex), np.empty(n)
+    noise = np.empty(n, dtype=complex) if out is None else out
+    part = _scratch("noise_part", (n,))
     noise.real = _normals(rng, sigma, part)
     noise.imag = _normals(rng, sigma, part)
     return noise

@@ -20,9 +20,9 @@ from . import __version__
 from .backscatter import (CAPTURE_SAMPLES_PER_BIT, UPLINK_BITRATE_HZ,
                           InsectNode, ber_point, frame_from_records,
                           hive_mac_session)
-from .channel import FieldTrace, draw_multipath, propagate
-from .pipeline import (capture_track, detect_with_noise, draw_noise,
-                       fast_estimate_bearings, localize_once)
+from .channel import FieldTrace, PathSet, draw_multipath, propagate
+from .pipeline import (capture_track, detect_with_noise, draw_noise, draw_pathsets,
+                       fast_estimate_bearings, synthesize_rounds)
 from .power import (average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h, solar_power_uw)
 from .receiver import (SENSOR_KINDS, LookupTable, Receiver, SensorRecord,
@@ -252,7 +252,7 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
         noise = draw_noise(scn, n, rng)
         propagate(ap, scn.sweep_mode, paths, [Trajectory.stationary(pos)], fs,
                   np.array([period / 2.0]), out=slot)
-        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, noise)
+        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, [noise])
         start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
         if start is None:
             continue
@@ -309,23 +309,36 @@ def _check_field(scn: Scenario, margin_m: float, what: str) -> None:
 
 
 def _farm_chunk(task) -> tuple[list[tuple], int]:
+    """Trials lo..hi-1, each drawn from its own rng (position, ratio, paths,
+    two rounds' noise), synthesized and detected in batches of SPEED_BATCH *
+    SPEED_ROUNDS // 2 and scanned one by one. Returns rows, no-fix count."""
     scn, lo, hi = task
     width, height = scn.field_extent_m
-    table = cached_table(scn.aps[0], scn.aps[1])
+    rx = Receiver(scn, cached_table(scn.aps[0], scn.aps[1]))
+    n = 2 * len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
+    batch = SPEED_BATCH * SPEED_ROUNDS // 2
     rows: list[tuple] = []
-    skipped = 0
-    for t in range(lo, hi):
-        rng = trial_rng(scn.seed, "farm_cdf", t)
-        pos = Position(rng.uniform(FARM_MARGIN_M, width - FARM_MARGIN_M),
-                       rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
-        ratio = rng.uniform(0.0, FARM_RATIO_MAX)
-        scn_t = replace(scn, channel=replace(scn.channel, multipath_ratio=ratio))
-        fix = localize_once(scn_t, pos, rng, table).fix
-        if fix is None:
-            skipped += 1
-            continue
-        rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))
-    return rows, skipped
+    for first in range(lo, hi, batch):
+        trials, draws, noises = [], [], []
+        for t in range(first, min(first + batch, hi)):
+            rng = trial_rng(scn.seed, "farm_cdf", t)
+            pos = Position(rng.uniform(FARM_MARGIN_M, width - FARM_MARGIN_M),
+                           rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
+            ratio = rng.uniform(0.0, FARM_RATIO_MAX)
+            scn_t = replace(scn, channel=replace(scn.channel, multipath_ratio=ratio))
+            trials.append((pos, ratio))
+            draws.append([(p.amplitudes, p.bearings_rad, p.excess_phases_rad)
+                          for p in draw_pathsets(scn_t, rng)])
+            noises.append(draw_noise(scn, n, rng))
+        # each AP's draws on trials x 1 x reflections axes: one for both rounds
+        per_ap = [PathSet(*(np.stack(a)[:, None] for a in zip(*ap))) for ap in zip(*draws)]
+        field = synthesize_rounds(scn, per_ap, [Trajectory.stationary(p) for p, _ in trials])
+        env = detect_with_noise(field, scn.detector, noises)
+        for (pos, ratio), volts in zip(trials, env.volts.reshape(len(trials), n)):
+            fix = rx.process_buffer(replace(env, volts=volts)).fix
+            if fix is not None:
+                rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))
+    return rows, hi - lo - len(rows)
 
 
 def farm_cdf(spec: ExperimentSpec) -> ResultTable:

@@ -18,11 +18,9 @@ import numpy as np
 
 from .channel import (FieldTrace, PathSet, complex_noise, draw_multipath,
                       map_multipath, path_uniforms, propagate, sweep_response)
-from .receiver import (EnvelopeTrace, LocalizationResult, LookupTable,
-                       Receiver, detector_noise, envelope_detect,
+from .receiver import (EnvelopeTrace, detector_noise, envelope_detect,
                        step_estimate_angles)
-from .scenario import (ApConfig, ConfigError, DetectorConfig, Position, Scenario,
-                       Trajectory)
+from .scenario import ApConfig, ConfigError, DetectorConfig, Scenario, Trajectory
 from .transmitter import cached_schedule, period_samples
 
 
@@ -68,21 +66,18 @@ def draw_noise(scn: Scenario, n: int, rng: np.random.Generator
 
 
 def detect_with_noise(field: FieldTrace, det: DetectorConfig,
-                      noise: tuple) -> EnvelopeTrace:
-    """envelope_detect with draw_noise's noise: channel noise added to the
-    field before detection, detector noise to the volts after it."""
-    channel, detector = noise
+                      noises: Sequence[tuple]) -> EnvelopeTrace:
+    """envelope_detect with draw_noise's noise, one draw per stretch of the
+    field, joined in order: channel noise added to the field before
+    detection, detector noise to the volts after it."""
+    channel, detector = (None if parts[0] is None else np.concatenate(parts)
+                         for parts in zip(*noises))
     if channel is not None:
         field = replace(field, samples=field.samples + channel)
     env = envelope_detect(field, det)
     if detector is not None:  # in place: envelope_detect's volts are a fresh array
         np.add(env.volts, detector, out=env.volts)
     return env
-
-
-def _round_samples(scn: Scenario) -> int:
-    """Samples in one TDMA round: one sweep period per AP."""
-    return len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
 
 
 def draw_pathsets(scn: Scenario, rng: np.random.Generator) -> list[PathSet]:
@@ -107,7 +102,7 @@ def capture_track(scn: Scenario, trajs: list[Trajectory],
     if rounds < 1 or not trajs or len(trajs) != len(rngs):
         raise ConfigError(f"need rounds >= 1 (got {rounds}) and one rng for each of at"
                           f" least one trajectory (got {len(rngs)} for {len(trajs)})")
-    n = _round_samples(scn)
+    n = len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)  # a round
     starts = np.arange(rounds) * scn.round_s
     redraw_m = scn.channel.nlos_redraw_distance_m
     uniforms, noises = [], []
@@ -120,10 +115,8 @@ def capture_track(scn: Scenario, trajs: list[Trajectory],
             noises.append(draw_noise(scn, n, rng))
     u = np.reshape(uniforms, (len(trajs), rounds) + draw.shape)  # ... x APs x 3 x reflections
     per_ap = [map_multipath(scn.channel, u[:, :, k]) for k in range(len(scn.aps))]
-    noise = tuple(None if parts[0] is None else np.concatenate(parts)
-                  for parts in zip(*noises))
     env = detect_with_noise(synthesize_rounds(scn, per_ap, trajs, rounds),
-                            scn.detector, noise)
+                            scn.detector, noises)
     return EnvelopeTrace(volts=env.volts.reshape(len(trajs), rounds, n),
                          sample_rate_hz=env.sample_rate_hz, t0_s=starts)
 
@@ -147,13 +140,3 @@ def fast_estimate_bearings(ap: ApConfig, mode: str, sample_rate_hz: float,
                              each=lambda field: np.argmax(np.abs(field), axis=-1))
     return step_estimate_angles(ap, mode, sample_rate_hz)[winners]
 
-
-def localize_once(scn: Scenario, pos: Position, rng: np.random.Generator,
-                  table: LookupTable) -> LocalizationResult:
-    """Draw a channel and the noise of a two-round capture of a receiver
-    standing at pos, synthesize it, and run a fresh receiver over it."""
-    pathsets = draw_pathsets(scn, rng)
-    noise = draw_noise(scn, 2 * _round_samples(scn), rng)
-    field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(pos)])
-    return Receiver(scn, table).process_buffer(
-        detect_with_noise(field, scn.detector, noise))

@@ -1,23 +1,62 @@
 """Helpers shared by the test modules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from sweeploc.backscatter import (CAPTURE_RATE_HZ, MODULATOR_RATE_HZ,
                                   SUBCARRIER_HZ, UPLINK_BITRATE_HZ,
                                   ap_demodulate)
-from sweeploc.experiments import _grid_chunk_errors
-from sweeploc.receiver import MIN_CROSSING_SINE
+from sweeploc.experiments import (FARM_MARGIN_M, FARM_RATIO_MAX,
+                                  _grid_chunk_errors, cached_table)
+from sweeploc.pipeline import (detect_with_noise, draw_noise, draw_pathsets,
+                               synthesize_rounds)
+from sweeploc.receiver import MIN_CROSSING_SINE, EnvelopeTrace, Receiver
 from sweeploc.scenario import (ApConfig, ConfigError, Position, Scenario,
-                               _normals)
-from sweeploc.transmitter import build_sweep_schedule
+                               Trajectory, _normals, trial_rng)
+from sweeploc.transmitter import build_sweep_schedule, period_samples
 
 
 def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
                      chunk_idx: int, n: int) -> np.ndarray:
     """Signed bearing errors (degrees) for one grid cell chunk."""
     return _grid_chunk_errors(scn, (n_ant,), ratio, r_key, chunk_idx, n)[0]
+
+
+def still_capture(scn: Scenario, pos: Position,
+                  rng: np.random.Generator) -> EnvelopeTrace:
+    """Two rounds of a receiver standing at pos, made alone: a channel draw
+    per AP (draw_pathsets), then the capture's noise (draw_noise), then its
+    synthesis and detection."""
+    pathsets = draw_pathsets(scn, rng)
+    n = 2 * len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
+    noise = draw_noise(scn, n, rng)
+    field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(pos)])
+    return detect_with_noise(field, scn.detector, [noise])
+
+
+def farm_chunk_reference(scn: Scenario, lo: int,
+                         hi: int) -> tuple[list[tuple], int]:
+    """experiments._farm_chunk one trial at a time, as a reference: each
+    trial draws its position and ratio, its still_capture, and a fresh
+    receiver's process_buffer fixes it. Returns the rows and the count of
+    trials without a fix."""
+    width, height = scn.field_extent_m
+    table = cached_table(scn.aps[0], scn.aps[1])
+    rows, skipped = [], 0
+    for t in range(lo, hi):
+        rng = trial_rng(scn.seed, "farm_cdf", t)
+        pos = Position(rng.uniform(FARM_MARGIN_M, width - FARM_MARGIN_M),
+                       rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
+        ratio = rng.uniform(0.0, FARM_RATIO_MAX)
+        scn_t = replace(scn, channel=replace(scn.channel, multipath_ratio=ratio))
+        fix = Receiver(scn_t, table).process_buffer(still_capture(scn_t, pos, rng)).fix
+        if fix is None:
+            skipped += 1
+            continue
+        rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))
+    return rows, skipped
 
 
 def row_starts(ap: ApConfig) -> np.ndarray:

@@ -590,6 +590,23 @@ def test_mac_session_hears_through_the_scenario_detector():
     assert {row[0] for row in rows if row[8]} == {0x11, 0x12, 0x13}  # skipped
 
 
+def test_mac_session_holds_one_reply_capture_at_a_time():
+    """After one warm call, a mac_session call's traced peak stays under
+    800 KB: one 1608-bit reply's 411 KB capture at a time, its noise drawn
+    in this thread's scratch. Holding the last reply's capture while the
+    next one is made, with the noise drawn afresh, peaked at 1.48 MB, and
+    the heap's growth was faulted in again on every call."""
+    spec = ExperimentSpec("mac_session", bench_scenario(seed=1))
+    run_experiment(spec)
+    tracemalloc.start()
+    try:
+        run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800_000
+
+
 def test_fairness_is_zero_when_no_payload_bit_is_delivered():
     """An insect with an empty log replies with the sync header alone, so
     it is delivered 0 payload bits: the index reads 0.0, as when no insect

@@ -14,8 +14,11 @@ import sweeploc
 from sweeploc.cli import DEFAULT_SCENARIO, main
 from sweeploc.experiments import (
     EXPERIMENTS,
+    SPEED_BATCH,
+    SPEED_ROUNDS,
     ExperimentSpec,
     ResultTable,
+    _farm_chunk,
     cached_table,
     emit_csv,
     read_csv,
@@ -26,6 +29,8 @@ from sweeploc.receiver import LookupTable
 from sweeploc.scenario import ConfigError, free_space_loss_db, scenario_to_yaml
 from sweeploc.scenarios import (BUILTIN_SCENARIOS, bench_scenario, farm_scenario,
                                 range_scenario)
+
+from helpers import farm_chunk_reference
 
 
 def _table():
@@ -122,6 +127,21 @@ def test_farm_cdf_shape():
     assert cdf[-1] == pytest.approx(1.0)
     assert "median_error_m" in table.meta
     assert table.meta["margin_m"] == 5.0
+
+
+@pytest.mark.parametrize("noise_power_dbm", [None, -60.0])
+@pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
+def test_farm_chunk_equals_the_per_trial_reference(mode, noise_power_dbm):
+    """81 trials are one whole batch of SPEED_BATCH * SPEED_ROUNDS // 2
+    synthesized together and one trial past it: the rows and the skip count
+    are exactly those of capturing and scanning each trial alone."""
+    farm = farm_scenario(seed=1)
+    scn = replace(farm, sweep_mode=mode, channel=replace(
+        farm.channel, noise_power_dbm=noise_power_dbm))
+    assert SPEED_BATCH * SPEED_ROUNDS // 2 + 1 == 81
+    rows, skipped = _farm_chunk((scn, 0, 81))
+    assert (rows, skipped) == farm_chunk_reference(scn, 0, 81)
+    assert len(rows) > 70 and skipped > 0
 
 
 def test_cached_table_is_shared_and_read_only():

@@ -18,7 +18,6 @@ from sweeploc.pipeline import (
     draw_noise,
     draw_pathsets,
     fast_estimate_bearings,
-    localize_once,
     synthesize_rounds,
 )
 from sweeploc.experiments import cached_table
@@ -61,20 +60,28 @@ def test_detect_with_noise_adds_channel_then_detector_noise():
     where = [Trajectory.stationary(Position(40.0, 10.0))]
     field = synthesize_rounds(scn, draw_pathsets(scn, trial_rng(2, "p")), where)
     noise = draw_noise(scn, len(field.samples), trial_rng(2, "n"))
-    env = detect_with_noise(field, scn.detector, noise)
+    env = detect_with_noise(field, scn.detector, [noise])
     noisy_field = dataclasses.replace(field, samples=field.samples + noise[0])
     expect = envelope_detect(noisy_field, scn.detector)
     assert env.volts.tobytes() == (expect.volts + noise[1]).tobytes()
-    quiet = detect_with_noise(field, scn.detector, (None, None))
+    # draws of the field's stretches, joined in order
+    halves = [tuple(part[:300] for part in noise), tuple(part[300:] for part in noise)]
+    assert detect_with_noise(field, scn.detector, halves).volts.tobytes() == env.volts.tobytes()
+    quiet = detect_with_noise(field, scn.detector, [(None, None)] * 2)
     assert quiet.volts.tobytes() == envelope_detect(field, scn.detector).volts.tobytes()
 
 
-def test_localize_once_noiseless_near_truth():
+def test_still_capture_noiseless_fix_near_truth():
+    """A channel draw per AP, a two-round capture's noise, its synthesis and
+    detection, then one receiver's process_buffer: a fix within 3 m."""
     scn = _noiseless(bench_scenario(seed=3))
     table = LookupTable(scn.aps[0], scn.aps[1])
-    where = Position(45.0, 25.0)
     rng = trial_rng(3, "fix")
-    fix = localize_once(scn, where, rng, table).fix
+    pathsets = draw_pathsets(scn, rng)
+    noise = draw_noise(scn, 2 * 2 * 200, rng)  # two rounds of two 200-sample slots
+    field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(Position(45.0, 25.0))])
+    env = detect_with_noise(field, scn.detector, [noise])
+    fix = Receiver(scn, table).process_buffer(env).fix
     assert math.hypot(fix.x - 45.0, fix.y - 25.0) < 3.0
 
 
@@ -300,10 +307,8 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
         for f in fields:  # the batch of one on a leading trials axis
             assert getattr(got, f).shape == (1,) + getattr(want, f).shape
             assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
-    noise = tuple(None if parts[0] is None else np.concatenate(parts)
-                  for parts in zip(*noises))
     want = detect_with_noise(synthesize_rounds(scn, per_ap, [traj], rounds),
-                             scn.detector, noise)
+                             scn.detector, noises)
     assert env.volts.tobytes() == want.volts.tobytes()
     assert batched_rng.bit_generator.state == single_rng.bit_generator.state
 
@@ -488,11 +493,12 @@ def test_batched_synthesis_checks_geometry_in_a_later_slot(doppler):
 
 def test_readme_quick_fix_example_finds_a_fix():
     """The README's python example runs as written, and the fix it prints
-    is a Position, not None."""
+    is the Position (47.67, 9.70)."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         exec(block, namespace)
-    assert namespace["result"].fix is not None
+    fix = namespace["result"].fix
+    assert (round(fix.x, 2), round(fix.y, 2)) == (47.67, 9.70)
     assert printed.getvalue().startswith("Position(")
