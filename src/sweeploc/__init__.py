@@ -27,6 +27,6 @@ from .backscatter import (InsectNode, SwitchWaveform, ap_demodulate,
 from .power import (average_current_ma, battery_life_h, logging_endurance_h,
                     rf_charge_time_h, solar_power_uw)
 from .pipeline import (detect_with_noise, draw_noise, fast_estimate_bearings,
-                       synthesize_rounds)
+                       noise_pair, synthesize_rounds)
 from .experiments import (EXPERIMENTS, ExperimentSpec, ResultTable, emit_csv,
                           read_csv, run_experiment)

@@ -95,8 +95,7 @@ def transmit_backscatter(wave: SwitchWaveform, distance_m: float,
     template = 2.0 * 10.0 ** (path_gain_db(distance_m) / 20.0) * ONE_BIT_CAPTURE
     env = wave.bits[:, None] * template
     if rng is not None:
-        noise = _scratch("reply_noise", (env.size,), complex)
-        env += complex_noise(NOISE_FLOOR_DBM, env.size, rng, noise).reshape(env.shape)
+        env += complex_noise(NOISE_FLOOR_DBM, rng, _scratch("reply_noise", env.shape, complex))
     return env
 
 

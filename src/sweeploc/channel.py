@@ -108,8 +108,9 @@ def phased_sum(x: np.ndarray, weight: np.ndarray | None, drive: np.ndarray,
     array's sum, bit for bit. Antenna i's factor x**i is a running product
     in a scratch buffer: one complex exponential per path and column, not
     one per antenna. The sum is written into out or a fresh array; each,
-    if given, is called on it after every antenna, and its results come
-    back stacked in place of the sum."""
+    if given, is called on it after every antenna from the second on (no
+    array has one antenna), and its results come back stacked in place of
+    the sum."""
     path_shape = np.broadcast_shapes(x.shape, np.shape(weight))  # np.shape(None): ()
     summed_shape = path_shape[:-2] + path_shape[-1:]
     shape = np.broadcast_shapes(summed_shape, drive.shape[1:])
@@ -135,7 +136,7 @@ def phased_sum(x: np.ndarray, weight: np.ndarray | None, drive: np.ndarray,
         for k in range(1, path_shape[-2]):
             steer = np.add(steer, steering[..., k, :], out=summed)
         total += np.multiply(steer, di, out=term)
-        if each is not None:
+        if each is not None and i > 0:
             kept.append(each(total))
     return total if each is None else np.stack(kept)
 
@@ -327,14 +328,13 @@ def apply_doppler(los: np.ndarray, reflected: np.ndarray, row: np.ndarray,
     return out
 
 
-def complex_noise(noise_power_dbm: float, n: int, rng: np.random.Generator,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """n samples of circular complex Gaussian noise of the given total
-    power: all n real parts drawn first, then all n imaginary parts, each
-    through a scratch buffer; into out (n complex) if given, else fresh."""
+def complex_noise(noise_power_dbm: float, rng: np.random.Generator,
+                  out: np.ndarray) -> np.ndarray:
+    """Fill out (contiguous, complex) with circular complex Gaussian noise of
+    the given total power and return it: every real part drawn first, in C
+    order, then every imaginary part, each through a scratch buffer."""
     sigma = math.sqrt(10.0 ** (noise_power_dbm / 10.0) / 2.0)
-    noise = np.empty(n, dtype=complex) if out is None else out
-    part = _scratch("noise_part", (n,))
-    noise.real = _normals(rng, sigma, part)
-    noise.imag = _normals(rng, sigma, part)
-    return noise
+    part = _scratch("noise_part", out.shape)
+    out.real = _normals(rng, sigma, part)
+    out.imag = _normals(rng, sigma, part)
+    return out

@@ -22,7 +22,7 @@ from .backscatter import (CAPTURE_SAMPLES_PER_BIT, UPLINK_BITRATE_HZ,
                           hive_mac_session)
 from .channel import FieldTrace, PathSet, draw_multipath, propagate
 from .pipeline import (capture_track, detect_with_noise, draw_noise, draw_pathsets,
-                       fast_estimate_bearings, synthesize_rounds)
+                       fast_estimate_bearings, noise_pair, synthesize_rounds)
 from .power import (average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h, solar_power_uw)
 from .receiver import (SENSOR_KINDS, LookupTable, Receiver, SensorRecord,
@@ -167,10 +167,9 @@ GRID_RATIOS = tuple(round(0.1 * k, 1) for k in range(11))
 GRID_BEARING_LIMIT_DEG = 60.0
 
 
-def _grid_chunk_errors(scn: Scenario, antenna_counts: Sequence[int],
-                       ratio: float, r_key, chunk_idx: int,
+def _grid_chunk_errors(scn: Scenario, ratio: float, r_key, chunk_idx: int,
                        n: int) -> list[np.ndarray]:
-    """Signed bearing errors (degrees) of one chunk, per antenna count.
+    """Signed bearing errors (degrees) of one chunk, per GRID_ANTENNA_COUNTS.
 
     The rng stream is keyed by the ratio and chunk only, never the antenna
     count, so all antenna counts share one channel draw (common random
@@ -183,15 +182,14 @@ def _grid_chunk_errors(scn: Scenario, antenna_counts: Sequence[int],
     los = rng.uniform(-limit, limit, n)
     paths = draw_multipath(channel, rng, los.shape)
     estimates = fast_estimate_bearings(
-        replace(scn.aps[0], antenna_count=max(antenna_counts)), scn.sweep_mode,
+        replace(scn.aps[0], antenna_count=max(GRID_ANTENNA_COUNTS)), scn.sweep_mode,
         scn.detector.sample_rate_hz, paths, los)
-    return [np.degrees(estimates[n_ant - 1] - los) for n_ant in antenna_counts]
+    return [np.degrees(estimates[n_ant - 2] - los) for n_ant in GRID_ANTENNA_COUNTS]
 
 
 def _grid_ratio_chunk(task) -> list[tuple[tuple[int, int], float, float, int]]:
     scn, r_idx, chunk_idx, lo, hi = task
-    errors = _grid_chunk_errors(scn, GRID_ANTENNA_COUNTS, GRID_RATIOS[r_idx],
-                                r_idx, chunk_idx, hi - lo)
+    errors = _grid_chunk_errors(scn, GRID_RATIOS[r_idx], r_idx, chunk_idx, hi - lo)
     return [((n_ant, r_idx), float(np.abs(err).sum()), float(err.sum()), hi - lo)
             for n_ant, err in zip(GRID_ANTENNA_COUNTS, errors)]
 
@@ -241,6 +239,7 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     n = lead + 2 * slot_n
     capture = np.zeros(n, complex)  # each trial writes its slot in place
     slot = capture[None, lead:lead + slot_n]
+    noise = noise_pair(scn, (n,))  # and draws its noise in place
     detected, abs_err_sum = 0, 0.0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
@@ -249,10 +248,10 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
         pos = Position(ap.position.x + distance * math.cos(heading),
                        ap.position.y + distance * math.sin(heading))
         paths = draw_multipath(scn.channel, rng)
-        noise = draw_noise(scn, n, rng)
+        draw_noise(scn, noise, ..., rng)
         propagate(ap, scn.sweep_mode, paths, [Trajectory.stationary(pos)], fs,
                   np.array([period / 2.0]), out=slot)
-        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, [noise])
+        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, noise)
         start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
         if start is None:
             continue
@@ -310,8 +309,9 @@ def _check_field(scn: Scenario, margin_m: float, what: str) -> None:
 
 def _farm_chunk(task) -> tuple[list[tuple], int]:
     """Trials lo..hi-1, each drawn from its own rng (position, ratio, paths,
-    two rounds' noise), synthesized and detected in batches of SPEED_BATCH *
-    SPEED_ROUNDS // 2 and scanned one by one. Returns rows, no-fix count."""
+    two rounds' noise into its row of the batch's noise_pair), synthesized
+    and detected in batches of SPEED_BATCH * SPEED_ROUNDS // 2, scanned one
+    by one. Returns rows, no-fix count."""
     scn, lo, hi = task
     width, height = scn.field_extent_m
     rx = Receiver(scn, cached_table(scn.aps[0], scn.aps[1]))
@@ -319,8 +319,8 @@ def _farm_chunk(task) -> tuple[list[tuple], int]:
     batch = SPEED_BATCH * SPEED_ROUNDS // 2
     rows: list[tuple] = []
     for first in range(lo, hi, batch):
-        trials, draws, noises = [], [], []
-        for t in range(first, min(first + batch, hi)):
+        trials, draws, noise = [], [], noise_pair(scn, (min(batch, hi - first), n))
+        for j, t in enumerate(range(first, min(first + batch, hi))):
             rng = trial_rng(scn.seed, "farm_cdf", t)
             pos = Position(rng.uniform(FARM_MARGIN_M, width - FARM_MARGIN_M),
                            rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
@@ -329,11 +329,11 @@ def _farm_chunk(task) -> tuple[list[tuple], int]:
             trials.append((pos, ratio))
             draws.append([(p.amplitudes, p.bearings_rad, p.excess_phases_rad)
                           for p in draw_pathsets(scn_t, rng)])
-            noises.append(draw_noise(scn, n, rng))
+            draw_noise(scn, noise, j, rng)
         # each AP's draws on trials x 1 x reflections axes: one for both rounds
         per_ap = [PathSet(*(np.stack(a)[:, None] for a in zip(*ap))) for ap in zip(*draws)]
         field = synthesize_rounds(scn, per_ap, [Trajectory.stationary(p) for p, _ in trials])
-        env = detect_with_noise(field, scn.detector, noises)
+        env = detect_with_noise(field, scn.detector, noise)
         for (pos, ratio), volts in zip(trials, env.volts.reshape(len(trials), n)):
             fix = rx.process_buffer(replace(env, volts=volts)).fix
             if fix is not None:

@@ -16,8 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .scenario import (ApConfig, ConfigError, DetectorConfig, Position,
-                       Scenario, _normals)
+from .scenario import ApConfig, ConfigError, DetectorConfig, Position, Scenario
 from .transmitter import PREAMBLE_PATTERNS, period_samples, sample_rows
 
 PREAMBLE_CORRELATION_THRESHOLD = 0.75
@@ -43,8 +42,8 @@ def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
 
     Instantaneous input power |s|^2 (mW) maps through the monotone response
     to volts, clipping below the sensitivity floor. The output is
-    noiseless; detector_noise draws the Gaussian output noise for a caller
-    to add.
+    noiseless; pipeline.draw_noise draws the Gaussian output noise for a
+    caller to add.
     """
     if trace.sample_rate_hz != det.sample_rate_hz:
         raise ConfigError(f"field rate {trace.sample_rate_hz} Hz must equal the"
@@ -55,15 +54,6 @@ def envelope_detect(trace, det: DetectorConfig) -> EnvelopeTrace:
         np.log10(power, out=power)
     return EnvelopeTrace(volts=det.response_volts(np.multiply(10.0, power, out=power)),
                          sample_rate_hz=det.sample_rate_hz)
-
-
-def detector_noise(det: DetectorConfig, n: int,
-                   rng: np.random.Generator) -> np.ndarray | None:
-    """n samples of the detector's Gaussian output noise, or None (drawing
-    nothing) for a noiseless detector."""
-    if det.noise_sigma_volts <= 0:
-        return None
-    return _normals(rng, det.noise_sigma_volts, np.empty(n))
 
 
 # --- sweep timing shared by the estimator and the fast ensemble path ------

@@ -9,10 +9,12 @@ from sweeploc.backscatter import (CAPTURE_RATE_HZ, MODULATOR_RATE_HZ,
                                   SUBCARRIER_HZ, UPLINK_BITRATE_HZ,
                                   ap_demodulate)
 from sweeploc.experiments import (FARM_MARGIN_M, FARM_RATIO_MAX,
-                                  _grid_chunk_errors, cached_table)
+                                  GRID_ANTENNA_COUNTS, _grid_chunk_errors,
+                                  cached_table)
 from sweeploc.pipeline import (detect_with_noise, draw_noise, draw_pathsets,
-                               synthesize_rounds)
-from sweeploc.receiver import MIN_CROSSING_SINE, EnvelopeTrace, Receiver
+                               noise_pair, synthesize_rounds)
+from sweeploc.receiver import (MIN_CROSSING_SINE, EnvelopeTrace, Receiver,
+                               envelope_detect)
 from sweeploc.scenario import (ApConfig, ConfigError, Position, Scenario,
                                Trajectory, _normals, trial_rng)
 from sweeploc.transmitter import build_sweep_schedule, period_samples
@@ -20,8 +22,10 @@ from sweeploc.transmitter import build_sweep_schedule, period_samples
 
 def grid_cell_errors(scn: Scenario, n_ant: int, ratio: float, r_key,
                      chunk_idx: int, n: int) -> np.ndarray:
-    """Signed bearing errors (degrees) for one grid cell chunk."""
-    return _grid_chunk_errors(scn, (n_ant,), ratio, r_key, chunk_idx, n)[0]
+    """Signed bearing errors (degrees) for one grid cell chunk: its antenna
+    count's row of the chunk's errors."""
+    errors = _grid_chunk_errors(scn, ratio, r_key, chunk_idx, n)
+    return errors[GRID_ANTENNA_COUNTS.index(n_ant)]
 
 
 def still_capture(scn: Scenario, pos: Position,
@@ -31,9 +35,37 @@ def still_capture(scn: Scenario, pos: Position,
     synthesis and detection."""
     pathsets = draw_pathsets(scn, rng)
     n = 2 * len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
-    noise = draw_noise(scn, n, rng)
+    noise = noise_pair(scn, (n,))
+    draw_noise(scn, noise, ..., rng)
     field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(pos)])
-    return detect_with_noise(field, scn.detector, [noise])
+    return detect_with_noise(field, scn.detector, noise)
+
+
+def stretch_noise(scn: Scenario, n: int, rng: np.random.Generator) -> tuple:
+    """One n-sample stretch of a capture's noise in fresh arrays, as a
+    reference for pipeline.draw_noise: the channel noise's real parts, then
+    its imaginary parts, then the detector's output noise, each drawn by
+    Generator.normal; None for a kind the scenario turns off."""
+    channel = detector = None
+    if scn.channel.noise_power_dbm is not None:
+        sigma = math.sqrt(10.0 ** (scn.channel.noise_power_dbm / 10.0) / 2.0)
+        channel = rng.normal(0.0, sigma, n) + 1j * rng.normal(0.0, sigma, n)
+    if scn.detector.noise_sigma_volts > 0:
+        detector = rng.normal(0.0, scn.detector.noise_sigma_volts, n)
+    return channel, detector
+
+
+def detect_joined(field, det, noises) -> np.ndarray:
+    """The volts of envelope_detect with stretch_noise's draws of a
+    capture's stretches joined in order, as a reference for
+    pipeline.detect_with_noise: channel noise added to the field before
+    detection, detector noise to the volts after it."""
+    channel, detector = (None if parts[0] is None else np.concatenate(parts)
+                         for parts in zip(*noises))
+    if channel is not None:
+        field = replace(field, samples=field.samples + channel)
+    volts = envelope_detect(field, det).volts
+    return volts if detector is None else volts + detector
 
 
 def farm_chunk_reference(scn: Scenario, lo: int,

@@ -139,7 +139,7 @@ def test_transmit_noise_fills_the_capture_bit_by_bit():
     leave the noise alone."""
     wave = modulate_frame(np.zeros(5, dtype=np.uint8))
     got = transmit_backscatter(wave, 2.0, trial_rng(3, "order"))
-    want = complex_noise(NOISE_FLOOR_DBM, 5 * 16, trial_rng(3, "order"))
+    want = complex_noise(NOISE_FLOOR_DBM, trial_rng(3, "order"), np.empty(5 * 16, complex))
     assert np.array_equal(got, want.reshape(5, 16))
 
 

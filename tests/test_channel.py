@@ -26,12 +26,11 @@ from sweeploc.scenario import (
     Trajectory,
     trial_rng,
 )
-from sweeploc.pipeline import draw_noise, fast_estimate_bearings
-from sweeploc.receiver import detector_noise
+from sweeploc.pipeline import draw_noise, fast_estimate_bearings, noise_pair
 from sweeploc.scenarios import bench_scenario
 from sweeploc.transmitter import build_sweep_schedule, drive_increments, sample_rows
 
-from helpers import per_antenna_propagate, row_starts
+from helpers import per_antenna_propagate, row_starts, stretch_noise
 
 AP = ApConfig(position=Position(0.0, 0.0), boresight_rad=0.0)
 
@@ -83,8 +82,9 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     2*pi*spacing*sin(b) - inc, the LOS path at the given bearing with unit
     weight (phased_sum with each path on its own axis, as propagate keeps
     the reflected paths), and sweep_response gives their sum.
-    The running sum after antenna m is that sum over the first m antennas,
-    and, bit for bit, the sweep_response field of an m-antenna array."""
+    The running sum after antenna m >= 2 is that sum over the first m
+    antennas, and, bit for bit, the sweep_response field of an m-antenna
+    array."""
     rng = trial_rng(4, "kernel", spacing)
     n, trials, reflections = 5, 16, 3
     ap = replace(AP, antenna_count=n, spacing_wavelengths=spacing)
@@ -107,16 +107,14 @@ def test_sweep_response_weights_paths_at_any_spacing(spacing):
     assert np.max(np.abs(summed - oracle.sum(axis=1))) < 1e-12
     prefixes = sweep_response(paths, np.sin(los)[:, None], ap, drive_for(inc, n),
                               each=np.copy)
-    assert prefixes.shape == (n, trials, len(inc))
+    assert prefixes.shape == (n - 1, trials, len(inc))
     assert prefixes[-1].tobytes() == summed.tobytes()
-    for m in range(1, n + 1):
+    for m in range(2, n + 1):  # an ApConfig has at least two antennas
         first_m = (weight * brute_sum(x, m)).sum(axis=1)
-        assert np.max(np.abs(prefixes[m - 1] - first_m)) < 1e-12
-        if m >= 2:  # an ApConfig has at least two antennas
-            alone = sweep_response(paths, np.sin(los)[:, None],
-                                   replace(ap, antenna_count=m),
-                                   drive_for(inc, m))
-            assert prefixes[m - 1].tobytes() == alone.tobytes()
+        assert np.max(np.abs(prefixes[m - 2] - first_m)) < 1e-12
+        alone = sweep_response(paths, np.sin(los)[:, None],
+                               replace(ap, antenna_count=m), drive_for(inc, m))
+        assert prefixes[m - 2].tobytes() == alone.tobytes()
 
 
 def test_sum_paths_adds_steering_vectors_in_path_order():
@@ -126,7 +124,7 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     Antenna i's factor is the phasor exp(j*phi) times antenna i-1's
     factor, and the contraction adds antenna i's product with its drive
     row to the first i antennas' sum, in antenna order, which each sees
-    after every antenna."""
+    after every antenna from the second on."""
     rng = trial_rng(5, "path-order")
     trials, n = 256, 4
     ap = replace(AP, antenna_count=n)
@@ -154,7 +152,7 @@ def test_sum_paths_adds_steering_vectors_in_path_order():
     got = sweep_response(paths, np.sin(los), ap, drive)
     assert got.tobytes() == want[-1].tobytes()
     each = sweep_response(paths, np.sin(los), ap, drive, each=np.copy)
-    assert each.tobytes() == np.stack(want).tobytes()
+    assert each.tobytes() == np.stack(want[1:]).tobytes()
 
 
 def test_phased_sum_bits_do_not_depend_on_the_batch():
@@ -367,25 +365,34 @@ def test_complex_noise_equals_two_normal_draws_bitwise(dbm, n):
     sigma = math.sqrt(10.0 ** (dbm / 10.0) / 2.0)
     want_rng, got_rng = trial_rng(20, "complex", n), trial_rng(20, "complex", n)
     want = want_rng.normal(0.0, sigma, n) + 1j * want_rng.normal(0.0, sigma, n)
-    assert complex_noise(dbm, n, got_rng).tobytes() == want.tobytes()
+    assert complex_noise(dbm, got_rng, np.empty(n, complex)).tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_add_noise_power_statistics():
     """The capture noise helper: channel noise of the configured power,
-    drawn before the detector noise; with both off it draws nothing."""
+    drawn before the detector noise, into its stretch of the capture's
+    noise pair and nowhere else; with both off the pair is (None, None)
+    and draws nothing."""
     scn = bench_scenario(seed=3)
     noisy = replace(scn, channel=replace(scn.channel, noise_power_dbm=-30.0))
-    field, det = draw_noise(noisy, 100_000, trial_rng(3, "noise"))
+    noise = noise_pair(noisy, (3, 100_000))
+    for part in noise:
+        part.fill(7.0)
+    draw_noise(noisy, noise, 1, trial_rng(3, "noise"))
+    field, det = (part[1] for part in noise)
     measured_mw = np.mean(np.abs(field) ** 2)
     assert measured_mw == pytest.approx(1e-3, rel=0.02)
-    rng = trial_rng(3, "noise")
-    assert field.tobytes() == complex_noise(-30.0, 100_000, rng).tobytes()
-    assert det.tobytes() == detector_noise(scn.detector, 100_000, rng).tobytes()
+    want = stretch_noise(noisy, 100_000, trial_rng(3, "noise"))
+    assert field.tobytes() == want[0].tobytes()
+    assert det.tobytes() == want[1].tobytes()
+    for part in noise:
+        assert (part[[0, 2]] == 7.0).all()
     quiet = replace(scn, detector=replace(scn.detector, output_noise_volts=0.0))
     rng = trial_rng(3)
     state = rng.bit_generator.state
-    assert draw_noise(quiet, 100, rng) == (None, None)
+    assert noise_pair(quiet, (100,)) == (None, None)
+    draw_noise(quiet, (None, None), ..., rng)
     assert rng.bit_generator.state == state
 
 

@@ -11,7 +11,8 @@ cases, by the sha256 of their output bytes:
   receiver and one at 9.1 m/s, 2 trials x 6 rounds;
 - Receiver.scan's arrays of those volts, and what the row functions it
   calls (search_preambles, sweep_peaks, fix_2d) return on them;
-- propagate's samples in both sweep modes, at 2 and 5 antennas, still and
+- propagate's samples in both sweep modes, at 2, 4 and 5 antennas with
+  one draw for both slots and at 4 with one draw per slot, still and
   moving, with Doppler off and on;
 - ber_point's decisions and two-means threshold (ap_demodulate,
   _bimodal_threshold) at every BER_SNR_POINTS_DB point, one BER_CHUNK
@@ -104,6 +105,14 @@ GOLDEN = {
         "bdc4458f4ebb69c59a7bd4ff92405b0533ba9c339f08fef0c464219d2b8fcb93",
     "propagate alg1, 2 antennas, 9.1 m/s, doppler True":
         "ea15cd5ccf102446a7f9942a012c6858649e54d5a2065d6b30966336141cd2dd",
+    "propagate alg1, 4 antennas, 0.0 m/s, doppler False":
+        "c066061206709974c8d743046e15f74e3b3ff2578ad0d11a49937351627706f7",
+    "propagate alg1, 4 antennas, 0.0 m/s, doppler True":
+        "c066061206709974c8d743046e15f74e3b3ff2578ad0d11a49937351627706f7",
+    "propagate alg1, 4 antennas, 9.1 m/s, doppler False":
+        "f4dd75acdb733cadd927c5fb8ab24de76e000b2b9a929c2a578b30e5eff2e417",
+    "propagate alg1, 4 antennas, 9.1 m/s, doppler True":
+        "6d81d7cd5e1d3bbede4815bc6550e3d1d41bfe3b688bb667dcfcff670d36eb51",
     "propagate alg1, 5 antennas, 0.0 m/s, doppler False":
         "a9a0353b24161e2848a71ce7b7a2ba0a8f78c20c4e563f09262e452266aec723",
     "propagate alg1, 5 antennas, 0.0 m/s, doppler True":
@@ -112,6 +121,14 @@ GOLDEN = {
         "f3a6fc22f5a769a587dce5fffd8b959f308f394fe7814e50506a1892ec9b69cf",
     "propagate alg1, 5 antennas, 9.1 m/s, doppler True":
         "891c7fa2dfada1e5e77493d559ccaee29bb749d74f4bc8ac1ebefe4eb5727b1f",
+    "propagate alg1, 4 antennas, one draw per slot, 0.0 m/s, doppler False":
+        "af1d3437b1ba7356ef6e40b115ae54a34d33178403e02f568c6c4ba47c143026",
+    "propagate alg1, 4 antennas, one draw per slot, 0.0 m/s, doppler True":
+        "af1d3437b1ba7356ef6e40b115ae54a34d33178403e02f568c6c4ba47c143026",
+    "propagate alg1, 4 antennas, one draw per slot, 9.1 m/s, doppler False":
+        "6d504289a431d34e1619ecbe904241ba89416a075d4c4bbbe64a947530ac7a92",
+    "propagate alg1, 4 antennas, one draw per slot, 9.1 m/s, doppler True":
+        "5109230011e084ffa9f63e8ad6ccf8f452b0f6ddc8d394bb97400533a238444a",
     "propagate uniform-theta, 2 antennas, 0.0 m/s, doppler False":
         "62b2517f3495e2654fafa8312301d2a1147d40c980a19adf0cc54bf4441b3859",
     "propagate uniform-theta, 2 antennas, 0.0 m/s, doppler True":
@@ -120,6 +137,14 @@ GOLDEN = {
         "6396865f217a1e5c86f26b8e68dc58fe67e27015eed0a50306ebde28e5fb3b8f",
     "propagate uniform-theta, 2 antennas, 9.1 m/s, doppler True":
         "2ee3e04f2d4bbb1c8dfed748e3bd69787c5a2c1a59248d2f1c7c74590415e90e",
+    "propagate uniform-theta, 4 antennas, 0.0 m/s, doppler False":
+        "571b51a834ab3046b34ffce928b68b0ac21d07dd4fe0140e2b8fa0835ca52b11",
+    "propagate uniform-theta, 4 antennas, 0.0 m/s, doppler True":
+        "571b51a834ab3046b34ffce928b68b0ac21d07dd4fe0140e2b8fa0835ca52b11",
+    "propagate uniform-theta, 4 antennas, 9.1 m/s, doppler False":
+        "3406a36a3422f42e77c6a39390fa6760052387c3662d083f6b48ac295e3383ff",
+    "propagate uniform-theta, 4 antennas, 9.1 m/s, doppler True":
+        "d7dbc468d4fd3f1c79eea8162a8786b8929b397b9a94d511a797ff94441a12a3",
     "propagate uniform-theta, 5 antennas, 0.0 m/s, doppler False":
         "9f5ada3093cfb1dce5d69b46fcd68b4c4cb003f365648d4c6c95447d71fc3670",
     "propagate uniform-theta, 5 antennas, 0.0 m/s, doppler True":
@@ -128,6 +153,14 @@ GOLDEN = {
         "cb83db3b2a1ccf709a5315c7b05df0de29edffafd2166207387c367ef9d710c3",
     "propagate uniform-theta, 5 antennas, 9.1 m/s, doppler True":
         "e7b4f2fb526e8294632a03b89110781fd38bc48fa1b958950d563eb3e4c0848e",
+    "propagate uniform-theta, 4 antennas, one draw per slot, 0.0 m/s, doppler False":
+        "9397332a76ff389549195b410e26726a7e60f05ac6f64ad81f00c1dba513f7af",
+    "propagate uniform-theta, 4 antennas, one draw per slot, 0.0 m/s, doppler True":
+        "9397332a76ff389549195b410e26726a7e60f05ac6f64ad81f00c1dba513f7af",
+    "propagate uniform-theta, 4 antennas, one draw per slot, 9.1 m/s, doppler False":
+        "f38ceccbee918df6fe5b1fbc1e2ea369e28c7941f387447061d0270bb7f9d3aa",
+    "propagate uniform-theta, 4 antennas, one draw per slot, 9.1 m/s, doppler True":
+        "cf29783b8c03b051a20a22fed50b09bc4213fe4804de1c353fcb4ef62b2f9a1e",
     "ber_point decisions and threshold, -12.0 dB":
         "b3cd4655ecec2a2af63724b426a382afaf4b4f42ecb51f7d1e22da73d654ea6c",
     "ber_point decisions and threshold, -10.0 dB":
@@ -210,16 +243,20 @@ def layer_digests() -> dict[str, str]:
     period = farm.aps[0].sweep_period_s
     t0 = np.array([[0.0, farm.round_s]])  # two slots of one trajectory
     for mode in ("alg1", "uniform-theta"):
-        for antennas in (2, 5):
+        # one draw for both slots at 2, 4 and 5 antennas; one per slot at 4
+        for antennas, per_slot in ((2, False), (4, False), (5, False), (4, True)):
             ap = replace(farm.aps[0], antenna_count=antennas)
-            paths = draw_multipath(channel, trial_rng(1, "layer", mode, antennas))
+            key, shape = ((mode, antennas, "per slot"), t0.shape) if per_slot else (
+                (mode, antennas), ())
+            paths = draw_multipath(channel, trial_rng(1, "layer", *key), shape)
+            what = f"{antennas} antennas" + (", one draw per slot" if per_slot else "")
             for speed in SPEEDS_MPS:
                 traj = (Trajectory.line(starts[0], 0.4, speed, farm.round_s + period)
                         if speed else Trajectory.stationary(starts[0]))
                 for doppler in (False, True):
                     field = propagate(ap, mode, paths, [traj],
                                       farm.detector.sample_rate_hz, t0, doppler)
-                    digests[f"propagate {mode}, {antennas} antennas, {speed} m/s,"
+                    digests[f"propagate {mode}, {what}, {speed} m/s,"
                             f" doppler {doppler}"] = _digest(field.samples)
     for snr in BER_SNR_POINTS_DB:
         with _returns(backscatter, "ap_demodulate", "_bimodal_threshold") as seen:

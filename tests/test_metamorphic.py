@@ -11,9 +11,13 @@ and compares Receiver.scan over a still receiver's two-round capture
   found flags, bearings and peak times equal and moves the fix by it;
 - power offset: with the square-law detector, raising every transmit
   power and the sensitivity floor by the same dB leaves every scan array
-  equal.
+  equal;
+- rotation: turning the receiver about AP k, together with AP k's
+  boresight, by one angle leaves AP k's raw bearing equal (not its peak
+  time: AP 2's search starts where AP 1's preamble was found, and the
+  turn moves the receiver relative to AP 1).
 
-Both run without noise. With it, the two rounds' preamble correlations
+All run without noise. With it, the two rounds' preamble correlations
 both sit within rounding of 1, and the last bit of the field picks the
 round. A relation between two scans that find nothing holds vacuously, so
 the receiver is put in front of AP 1 and AP 2, within 1 rad of each
@@ -22,7 +26,8 @@ boresight, where each one's line-of-sight power is 3-30 dB over the floor
 everything else is as drawn). Draws whose scan still misses either AP
 (multipath fades, a flat response table) are excluded by assume() and
 counted by event(): run with --hypothesis-show-statistics to see how
-many.
+many. A rotation moves the bearing by rounding, so it also excludes, and
+counts, draws whose bearing sits within a margin of a step boundary.
 """
 
 import math
@@ -31,13 +36,15 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import assume, event, given, settings, strategies as st
 
+from sweeploc.pipeline import draw_pathsets, fast_estimate_bearings
 from sweeploc.receiver import LookupTable, Receiver
-from sweeploc.scenario import Position, trial_rng
+from sweeploc.scenario import Position, trial_rng, true_bearing_xy
 
 from helpers import still_capture
 from test_scenario import valid_scenarios
 
 EXAMPLES = settings(max_examples=50, deadline=None, derandomize=True)
+STEP_MARGIN_RAD = 1e-9  # far above the rounding a rotation adds to a bearing
 
 
 @st.composite
@@ -114,3 +121,40 @@ def test_power_offset_leaves_the_scan_unchanged(scene, db):
     got = _scan(louder, pos)
     for name in ("found", "raw_rad", "smoothed_rad", "timestamp_s", "x_m", "y_m"):
         assert getattr(got, name).tobytes() == getattr(base, name).tobytes(), name
+
+
+def _clear_of_step_boundaries(scn, pos, k):
+    """Whether AP k's winning sweep step (fast_estimate_bearings, the
+    receiver's own step map, on AP k's paths of _scan's capture) stays the
+    same with the LOS bearing moved by a margin either way: STEP_MARGIN_RAD,
+    plus 1e-12 of the scene's scale over the receiver's distance, since the
+    turned receiver's offset from the AP rounds at the coordinates' scale."""
+    ap = scn.aps[k]
+    paths = draw_pathsets(scn, trial_rng(scn.seed, "mr"))[k]
+    scale = max(abs(v) for v in (ap.position.x, ap.position.y, pos.x, pos.y))
+    margin = STEP_MARGIN_RAD + 1e-12 * scale / ap.position.distance_to(pos)
+    truth = true_bearing_xy(ap, pos.x, pos.y)
+    est = fast_estimate_bearings(ap, scn.sweep_mode, scn.detector.sample_rate_hz,
+                                 paths, truth + np.array([-margin, margin]))
+    clear = bool(est[-1, 0] == est[-1, 1])
+    event("clear of a step boundary" if clear else "excluded: near a step boundary")
+    return clear
+
+
+@settings(EXAMPLES, max_examples=30)
+@given(scenes(), st.sampled_from([0, 1]), st.floats(-math.pi, math.pi))
+def test_rotation_about_an_ap_keeps_its_bearing(scene, k, turn):
+    scn, pos = scene
+    base = _scan(scn, pos)
+    _both_found(base)
+    assume(_clear_of_step_boundaries(scn, pos, k))
+    ap = scn.aps[k]
+    c, s = math.cos(turn), math.sin(turn)
+    dx, dy = pos.x - ap.position.x, pos.y - ap.position.y
+    turned = Position(ap.position.x + c * dx - s * dy, ap.position.y + s * dx + c * dy)
+    aps = scn.aps[:k] + (replace(ap, boresight_rad=ap.boresight_rad + turn),) + scn.aps[k + 1:]
+    got = _scan(replace(scn, aps=aps), turned)
+    found = bool(got.found.all())  # the other AP sees the receiver elsewhere
+    event("turned: both APs found" if found else "excluded: an AP lost after the turn")
+    assume(found)
+    assert got.raw_rad[..., k].tobytes() == base.raw_rad[..., k].tobytes()

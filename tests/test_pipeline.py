@@ -18,6 +18,7 @@ from sweeploc.pipeline import (
     draw_noise,
     draw_pathsets,
     fast_estimate_bearings,
+    noise_pair,
     synthesize_rounds,
 )
 from sweeploc.experiments import cached_table
@@ -31,6 +32,8 @@ from sweeploc.scenario import (ApConfig, ChannelConfig, ConfigError,
 from sweeploc.scenarios import bench_scenario, farm_scenario
 from sweeploc.transmitter import (drive_increments,
                                   period_samples, steering_values)
+
+from helpers import detect_joined, stretch_noise
 
 
 def test_synthesize_rounds_buffer_length():
@@ -59,15 +62,22 @@ def test_detect_with_noise_adds_channel_then_detector_noise():
         scn.channel, noise_power_dbm=-45.0))
     where = [Trajectory.stationary(Position(40.0, 10.0))]
     field = synthesize_rounds(scn, draw_pathsets(scn, trial_rng(2, "p")), where)
-    noise = draw_noise(scn, len(field.samples), trial_rng(2, "n"))
-    env = detect_with_noise(field, scn.detector, [noise])
+    noise = noise_pair(scn, field.samples.shape)
+    draw_noise(scn, noise, ..., trial_rng(2, "n"))
+    env = detect_with_noise(field, scn.detector, noise)
     noisy_field = dataclasses.replace(field, samples=field.samples + noise[0])
     expect = envelope_detect(noisy_field, scn.detector)
     assert env.volts.tobytes() == (expect.volts + noise[1]).tobytes()
-    # draws of the field's stretches, joined in order
-    halves = [tuple(part[:300] for part in noise), tuple(part[300:] for part in noise)]
-    assert detect_with_noise(field, scn.detector, halves).volts.tobytes() == env.volts.tobytes()
-    quiet = detect_with_noise(field, scn.detector, [(None, None)] * 2)
+    # a pair shaped stretches x samples adds in the field's sample order
+    rounds = noise_pair(scn, (2, len(field.samples) // 2))
+    for r in range(2):
+        draw_noise(scn, rounds, r, trial_rng(2, "n", r))
+    flat = tuple(part.reshape(-1) for part in rounds)
+    noisy_field = dataclasses.replace(field, samples=field.samples + flat[0])
+    expect = envelope_detect(noisy_field, scn.detector).volts + flat[1]
+    got = detect_with_noise(field, scn.detector, rounds)
+    assert got.volts.tobytes() == expect.tobytes()
+    quiet = detect_with_noise(field, scn.detector, (None, None))
     assert quiet.volts.tobytes() == envelope_detect(field, scn.detector).volts.tobytes()
 
 
@@ -78,9 +88,10 @@ def test_still_capture_noiseless_fix_near_truth():
     table = LookupTable(scn.aps[0], scn.aps[1])
     rng = trial_rng(3, "fix")
     pathsets = draw_pathsets(scn, rng)
-    noise = draw_noise(scn, 2 * 2 * 200, rng)  # two rounds of two 200-sample slots
+    noise = noise_pair(scn, (2 * 2 * 200,))  # two rounds of two 200-sample slots
+    draw_noise(scn, noise, ..., rng)
     field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(Position(45.0, 25.0))])
-    env = detect_with_noise(field, scn.detector, [noise])
+    env = detect_with_noise(field, scn.detector, noise)
     fix = Receiver(scn, table).process_buffer(env).fix
     assert math.hypot(fix.x - 45.0, fix.y - 25.0) < 3.0
 
@@ -91,8 +102,8 @@ def test_still_capture_noiseless_fix_near_truth():
 def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
     """The per-step argmax shortcut must reproduce the full time-domain
     pipeline exactly for static noiseless captures. One call at 5 antennas
-    gives every smaller array's estimate: its row n_ant-1 matches the
-    sample-domain receiver of an n_ant-antenna AP, and each row n-1 (n >= 2)
+    gives every smaller array's estimate: its row n_ant-2 matches the
+    sample-domain receiver of an n_ant-antenna AP, and each row n-2 (n >= 2)
     is bit for bit the last row of a separate n-antenna call."""
     scn = bench_scenario(seed=7)
     ap = dataclasses.replace(scn.aps[0], antenna_count=n_ant)
@@ -104,13 +115,13 @@ def test_fast_estimates_match_sample_domain_receiver(mode, n_ant, nlos):
     paths = draw_multipath(channel, rng, los.shape)
     every = fast_estimate_bearings(dataclasses.replace(ap, antenna_count=5),
                                    mode, fs, paths, los)
-    assert every.shape == (5, len(los))
+    assert every.shape == (4, len(los))
     for n in range(2, 6):
         alone = fast_estimate_bearings(dataclasses.replace(ap, antenna_count=n),
                                        mode, fs, paths, los)
-        assert alone.shape == (n, len(los))
-        assert every[n - 1].tobytes() == alone[-1].tobytes()
-    fast = every[n_ant - 1]
+        assert alone.shape == (n - 1, len(los))
+        assert every[n - 2].tobytes() == alone[-1].tobytes()
+    fast = every[n_ant - 2]
 
     mismatches = 0
     for k, bearing in enumerate(los):
@@ -177,7 +188,7 @@ def test_los_scan_picks_the_nearest_sweep_step(case):
         raw = scan.raw_rad[0, k]
         fast = fast_estimate_bearings(ap, scn.sweep_mode, rate,
                                       PathSet([[]], [[]], [[]]), [truth])
-        assert fast.shape == (ap.antenna_count, 1)
+        assert fast.shape == (ap.antenna_count - 1, 1)
         # two steps equally near the truth tie, and rounding, which the two
         # paths do differently, picks one: both are checked below
         phase = (2 * math.pi * ap.spacing_wavelengths * math.sin(truth)
@@ -273,7 +284,9 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
     """capture_track takes only each redraw's uniforms from rng and maps
     them all at once. Its paths equal per-redraw draw_multipath calls
     (draw_pathsets), its capture equals one built round by round from
-    those and draw_noise, bit for bit, and it leaves rng where they do."""
+    those and each round's noise drawn into fresh arrays and joined
+    (helpers.stretch_noise, detect_joined), bit for bit, and it leaves rng
+    where they do."""
     scn = _moving_farm("alg1", True, seed=4)
     scn = dataclasses.replace(scn, channel=dataclasses.replace(
         scn.channel, noise_power_dbm=noise_dbm))
@@ -298,7 +311,7 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
         if last is None or pos.distance_to(last) >= scn.channel.nlos_redraw_distance_m:
             pathsets, last = draw_pathsets(scn, single_rng), pos
         draws.append(pathsets)
-        noises.append(draw_noise(scn, n, single_rng))
+        noises.append(stretch_noise(scn, n, single_rng))
     assert len({id(d) for d in draws}) > rounds // 3  # redrawn on the way
     fields = ("amplitudes", "bearings_rad", "excess_phases_rad")
     per_ap = [PathSet(*(np.stack([getattr(d[k], f) for d in draws])
@@ -307,9 +320,9 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
         for f in fields:  # the batch of one on a leading trials axis
             assert getattr(got, f).shape == (1,) + getattr(want, f).shape
             assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
-    want = detect_with_noise(synthesize_rounds(scn, per_ap, [traj], rounds),
-                             scn.detector, noises)
-    assert env.volts.tobytes() == want.volts.tobytes()
+    want = detect_joined(synthesize_rounds(scn, per_ap, [traj], rounds),
+                         scn.detector, noises)
+    assert env.volts.tobytes() == want.tobytes()
     assert batched_rng.bit_generator.state == single_rng.bit_generator.state
 
 
