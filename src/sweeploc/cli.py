@@ -7,19 +7,9 @@ import sys
 from dataclasses import replace
 
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
-from .scenario import (ConfigError, Scenario, load_scenario_file,
+from .scenario import (SWEEP_MODES, ConfigError, Scenario, load_scenario_file,
                        scenario_to_yaml)
 from .scenarios import BUILTIN_SCENARIOS
-
-DEFAULT_SCENARIO = {
-    "multipath_grid": "bench",
-    "range_sweep": "range",
-    "farm_cdf": "farm",
-    "speed_sweep": "farm",
-    "ber_vs_snr": "bench",
-    "mac_session": "bench",
-    "power_report": "bench",
-}
 
 
 def _resolve_scenario(name_or_path: str, seed: int | None) -> Scenario:
@@ -49,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                           " mac_session and power_report")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
-    run.add_argument("--mode", choices=("alg1", "uniform-theta"), default=None,
+    run.add_argument("--mode", choices=SWEEP_MODES, default=None,
                      help="override the sweep mode")
     run.add_argument("--workers", type=int, default=1,
                      help="parallel worker processes (results identical "
@@ -68,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scenario":
             sys.stdout.write(scenario_to_yaml(BUILTIN_SCENARIOS[args.name]()))
             return 0
-        scenario_name = args.scenario or DEFAULT_SCENARIO[args.experiment]
+        scenario_name = args.scenario or EXPERIMENTS[args.experiment].scenario
         scn = _resolve_scenario(scenario_name, args.seed)
         if args.mode is not None:
             scn = replace(scn, sweep_mode=args.mode)

@@ -9,10 +9,9 @@ count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,15 +24,14 @@ from .pipeline import (capture_track, detect_with_noise, draw_noise, draw_pathse
                        fast_estimate_bearings, noise_pair, synthesize_rounds)
 from .power import (average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h, solar_power_uw)
-from .receiver import (SENSOR_KINDS, LookupTable, Receiver, SensorRecord,
-                       estimate_angle, find_preamble)
-from .scenario import (ApConfig, ConfigError, Position, Scenario, Trajectory,
+from .receiver import (SENSOR_KINDS, Receiver, SensorRecord, estimate_angle,
+                       find_preamble)
+from .scenario import (ConfigError, Position, Scenario, Trajectory,
                        scenario_digest, trial_rng, true_bearing_xy)
 from .transmitter import period_samples
 
 GRID_CHUNK = 1024
 BER_CHUNK = 25000
-UNSIZED_EXPERIMENTS = ("mac_session", "power_report")  # fixed hive and budget
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,10 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials is not None and self.experiment in UNSIZED_EXPERIMENTS:
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"choose from {sorted(EXPERIMENTS)}")
+        if self.trials is not None and EXPERIMENTS[self.experiment].trials is None:
             raise ConfigError(f"{self.experiment} has no trial count to set")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -202,17 +203,16 @@ def multipath_grid(spec: ExperimentSpec) -> ResultTable:
     measures. All antenna counts see the same channel draws per trial.
     """
     scn = spec.scenario
-    trials = spec.trials or 10000
     tasks = [(scn, r_idx, chunk_idx, lo, hi)
              for r_idx in range(len(GRID_RATIOS))
-             for chunk_idx, lo, hi in _chunks(trials, GRID_CHUNK)]
+             for chunk_idx, lo, hi in _chunks(spec.trials, GRID_CHUNK)]
     sums = _sum_by_key(_grid_ratio_chunk, tasks, spec.workers)
     rows = []
     for n_ant in GRID_ANTENNA_COUNTS:
         for r_idx, ratio in enumerate(GRID_RATIOS):
             abs_sum, signed_sum, count = sums[(n_ant, r_idx)]
             rows.append((n_ant, ratio, count, abs_sum / count, signed_sum / count))
-    meta = _base_meta(spec, trials)
+    meta = _base_meta(spec, spec.trials)
     meta["bearing_limit_deg"] = GRID_BEARING_LIMIT_DEG
     meta["nlos_path_count"] = scn.channel.nlos_path_count
     return ResultTable(
@@ -265,17 +265,16 @@ def range_sweep(spec: ExperimentSpec) -> ResultTable:
     """Detection rate and bearing error as the receiver walks away from
     one AP, until the preamble drops below the detector floor."""
     scn = spec.scenario
-    trials = spec.trials or 200
     tasks = [(scn, d_idx, lo, hi)
              for d_idx in range(len(RANGE_DISTANCES_M))
-             for _, lo, hi in _chunks(trials, GRID_CHUNK)]
+             for _, lo, hi in _chunks(spec.trials, GRID_CHUNK)]
     acc = _sum_by_key(_range_chunk, tasks, spec.workers)
     rows = []
     for d_idx, distance in enumerate(RANGE_DISTANCES_M):
         count, detected, abs_err = acc[d_idx]
         mean_err = abs_err / detected if detected else float("nan")
         rows.append((distance, count, detected, detected / count, mean_err))
-    meta = _base_meta(spec, trials)
+    meta = _base_meta(spec, spec.trials)
     meta["bearing_limit_deg"] = RANGE_BEARING_LIMIT_DEG
     return ResultTable(
         columns=("distance_m", "trials", "detected", "detect_rate",
@@ -287,14 +286,6 @@ def range_sweep(spec: ExperimentSpec) -> ResultTable:
 
 FARM_MARGIN_M = 5.0
 FARM_RATIO_MAX = 0.6
-
-@functools.lru_cache(maxsize=64)
-def cached_table(ap1: ApConfig, ap2: ApConfig) -> LookupTable:
-    """LookupTable(ap1, ap2), once per AP pair; shared, so read-only."""
-    table = LookupTable(ap1, ap2)
-    for grid in (table.xs, table.ys):
-        grid.flags.writeable = False
-    return table
 
 
 def _check_field(scn: Scenario, margin_m: float, what: str) -> None:
@@ -309,35 +300,33 @@ def _check_field(scn: Scenario, margin_m: float, what: str) -> None:
 
 def _farm_chunk(task) -> tuple[list[tuple], int]:
     """Trials lo..hi-1, each drawn from its own rng (position, ratio, paths,
-    two rounds' noise into its row of the batch's noise_pair), synthesized
-    and detected in batches of SPEED_BATCH * SPEED_ROUNDS // 2, scanned one
-    by one. Returns rows, no-fix count."""
+    two rounds' noise into its row of the chunk's noise_pair), synthesized
+    and detected in one batch, scanned one by one. Returns rows, no-fix
+    count."""
     scn, lo, hi = task
     width, height = scn.field_extent_m
-    rx = Receiver(scn, cached_table(scn.aps[0], scn.aps[1]))
+    rx = Receiver(scn)
     n = 2 * len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
-    batch = SPEED_BATCH * SPEED_ROUNDS // 2
-    rows: list[tuple] = []
-    for first in range(lo, hi, batch):
-        trials, draws, noise = [], [], noise_pair(scn, (min(batch, hi - first), n))
-        for j, t in enumerate(range(first, min(first + batch, hi))):
-            rng = trial_rng(scn.seed, "farm_cdf", t)
-            pos = Position(rng.uniform(FARM_MARGIN_M, width - FARM_MARGIN_M),
-                           rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
-            ratio = rng.uniform(0.0, FARM_RATIO_MAX)
-            scn_t = replace(scn, channel=replace(scn.channel, multipath_ratio=ratio))
-            trials.append((pos, ratio))
-            draws.append([(p.amplitudes, p.bearings_rad, p.excess_phases_rad)
-                          for p in draw_pathsets(scn_t, rng)])
-            draw_noise(scn, noise, j, rng)
-        # each AP's draws on trials x 1 x reflections axes: one for both rounds
-        per_ap = [PathSet(*(np.stack(a)[:, None] for a in zip(*ap))) for ap in zip(*draws)]
-        field = synthesize_rounds(scn, per_ap, [Trajectory.stationary(p) for p, _ in trials])
-        env = detect_with_noise(field, scn.detector, noise)
-        for (pos, ratio), volts in zip(trials, env.volts.reshape(len(trials), n)):
-            fix = rx.process_buffer(replace(env, volts=volts)).fix
-            if fix is not None:
-                rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))
+    trials, draws, noise = [], [], noise_pair(scn, (hi - lo, n))
+    for j, t in enumerate(range(lo, hi)):
+        rng = trial_rng(scn.seed, "farm_cdf", t)
+        pos = Position(rng.uniform(FARM_MARGIN_M, width - FARM_MARGIN_M),
+                       rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
+        ratio = rng.uniform(0.0, FARM_RATIO_MAX)
+        scn_t = replace(scn, channel=replace(scn.channel, multipath_ratio=ratio))
+        trials.append((pos, ratio))
+        draws.append([(p.amplitudes, p.bearings_rad, p.excess_phases_rad)
+                      for p in draw_pathsets(scn_t, rng)])
+        draw_noise(scn, noise, j, rng)
+    # each AP's draws on trials x 1 x reflections axes: one for both rounds
+    per_ap = [PathSet(*(np.stack(a)[:, None] for a in zip(*ap))) for ap in zip(*draws)]
+    field = synthesize_rounds(scn, per_ap, [Trajectory.stationary(p) for p, _ in trials])
+    env = detect_with_noise(field, scn.detector, noise)
+    rows = []
+    for (pos, ratio), volts in zip(trials, env.volts.reshape(hi - lo, n)):
+        fix = rx.process_buffer(replace(env, volts=volts)).fix
+        if fix is not None:
+            rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))
     return rows, hi - lo - len(rows)
 
 
@@ -346,8 +335,8 @@ def farm_cdf(spec: ExperimentSpec) -> ResultTable:
     out sorted by error with an empirical CDF column."""
     scn = spec.scenario
     _check_field(scn, FARM_MARGIN_M, "farm experiment")
-    trials = spec.trials or 1000
-    tasks = [(scn, lo, hi) for _, lo, hi in _chunks(trials, GRID_CHUNK)]
+    tasks = [(scn, lo, hi)  # one synthesis batch each, as many rounds as a speed batch
+             for _, lo, hi in _chunks(spec.trials, SPEED_BATCH * SPEED_ROUNDS // 2)]
     results = _map_ordered(_farm_chunk, tasks, spec.workers)
     rows: list[tuple] = []
     skipped = 0
@@ -358,7 +347,7 @@ def farm_cdf(spec: ExperimentSpec) -> ResultTable:
     n = len(rows)
     rows = [row + ((k + 1) / n,) for k, row in enumerate(rows)]
     errors = [row[3] for row in rows]
-    meta = _base_meta(spec, trials)
+    meta = _base_meta(spec, spec.trials)
     meta["skipped"] = skipped
     meta["median_error_m"] = float(np.median(errors)) if errors else float("nan")
     meta["ratio_max"] = FARM_RATIO_MAX
@@ -383,7 +372,7 @@ def _speed_chunk(task) -> list[tuple[int, int, int, float, float]]:
     speed = SPEED_POINTS_MPS[s_idx]
     scn_t = replace(scn, channel=replace(scn.channel, doppler_enabled=True,
                                          multipath_ratio=SPEED_RATIO))
-    rx = Receiver(scn_t, cached_table(scn.aps[0], scn.aps[1]))
+    rx = Receiver(scn_t)
     tracked, raw_sum, smooth_sum = 0, 0.0, 0.0
     for first in range(lo, hi, SPEED_BATCH):
         rngs, trajs = [], []
@@ -418,10 +407,9 @@ def speed_sweep(spec: ExperimentSpec) -> ResultTable:
     path redraws, across platform speeds."""
     scn = spec.scenario
     _check_field(scn, SPEED_MARGIN_M, "speed experiment")
-    trials = spec.trials or 30
     tasks = [(scn, s_idx, lo, hi)
              for s_idx in range(len(SPEED_POINTS_MPS))
-             for _, lo, hi in _chunks(trials, GRID_CHUNK)]
+             for _, lo, hi in _chunks(spec.trials, GRID_CHUNK)]
     acc = _sum_by_key(_speed_chunk, tasks, spec.workers)
     rows = []
     for s_idx, speed in enumerate(SPEED_POINTS_MPS):
@@ -431,7 +419,7 @@ def speed_sweep(spec: ExperimentSpec) -> ResultTable:
                          smooth_sum / tracked))
         else:
             rows.append((speed, count, 0, float("nan"), float("nan")))
-    meta = _base_meta(spec, trials)
+    meta = _base_meta(spec, spec.trials)
     meta["rounds_per_trial"] = SPEED_ROUNDS
     meta["multipath_ratio"] = SPEED_RATIO
     return ResultTable(
@@ -455,10 +443,9 @@ def _ber_chunk(task) -> list[tuple[int, int, int]]:
 def ber_vs_snr(spec: ExperimentSpec) -> ResultTable:
     """Uplink bit error rate against per-sample SNR at the capture."""
     scn = spec.scenario
-    bits = spec.trials or 100000
     tasks = [(scn, p_idx, chunk_idx, hi - lo)
              for p_idx in range(len(BER_SNR_POINTS_DB))
-             for chunk_idx, lo, hi in _chunks(bits, BER_CHUNK)]
+             for chunk_idx, lo, hi in _chunks(spec.trials, BER_CHUNK)]
     acc = _sum_by_key(_ber_chunk, tasks, spec.workers)
     rows = []
     for p_idx, snr in enumerate(BER_SNR_POINTS_DB):
@@ -466,7 +453,7 @@ def ber_vs_snr(spec: ExperimentSpec) -> ResultTable:
         ber = errors / count
         half_ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 1e-12) / count)
         rows.append((snr, count, errors, ber, half_ci))
-    meta = _base_meta(spec, bits)
+    meta = _base_meta(spec, spec.trials)
     meta["samples_per_bit"] = CAPTURE_SAMPLES_PER_BIT
     return ResultTable(
         columns=("snr_db", "bits", "errors", "ber", "ci95_half_width"),
@@ -539,22 +526,32 @@ def power_report(spec: ExperimentSpec) -> ResultTable:
         rows=rows, meta=meta)
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentSpec], ResultTable]] = {
-    "multipath_grid": multipath_grid,
-    "range_sweep": range_sweep,
-    "farm_cdf": farm_cdf,
-    "speed_sweep": speed_sweep,
-    "ber_vs_snr": ber_vs_snr,
-    "mac_session": mac_session,
-    "power_report": power_report,
+class Experiment(NamedTuple):
+    """An experiment's run function, the builtin scenario it runs on by
+    default, and its default trial count (bits for ber_vs_snr), or None
+    where it takes none (mac_session's fixed hive, power_report's table)."""
+
+    run: Callable[[ExperimentSpec], ResultTable]
+    scenario: str
+    trials: int | None
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "multipath_grid": Experiment(multipath_grid, "bench", 10000),
+    "range_sweep": Experiment(range_sweep, "range", 200),
+    "farm_cdf": Experiment(farm_cdf, "farm", 1000),
+    "speed_sweep": Experiment(speed_sweep, "farm", 30),
+    "ber_vs_snr": Experiment(ber_vs_snr, "bench", 100000),
+    "mac_session": Experiment(mac_session, "bench", None),
+    "power_report": Experiment(power_report, "bench", None),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    if spec.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {spec.experiment!r}; "
-                          f"choose from {sorted(EXPERIMENTS)}")
-    table = EXPERIMENTS[spec.experiment](spec)
+    experiment = EXPERIMENTS[spec.experiment]
+    if spec.trials is None:
+        spec = replace(spec, trials=experiment.trials)
+    table = experiment.run(spec)
     if spec.out_path:
         emit_csv(table, spec.out_path)
     return table

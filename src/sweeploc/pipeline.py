@@ -77,11 +77,12 @@ def draw_noise(scn: Scenario, noise: tuple, at, rng: np.random.Generator) -> Non
 def detect_with_noise(field: FieldTrace, det: DetectorConfig,
                       noise: tuple) -> EnvelopeTrace:
     """envelope_detect with the capture's noise_pair, in the field's sample
-    order: channel noise added to the field before detection, detector
-    noise to the volts after it."""
+    order: channel noise added to the field before detection (into the noise
+    array, in place; the field is left as it was), detector noise to the volts."""
     channel, detector = noise
     if channel is not None:
-        field = replace(field, samples=field.samples + channel.reshape(field.samples.shape))
+        noisy = channel.reshape(field.samples.shape)  # a view of the noise array
+        field = replace(field, samples=np.add(field.samples, noisy, out=noisy))
     env = envelope_detect(field, det)
     if detector is not None:  # in place: envelope_detect's volts are a fresh array
         np.add(env.volts, detector.reshape(env.volts.shape), out=env.volts)

@@ -283,6 +283,15 @@ class LookupTable:
         return np.where((idx >= 0) & (idx < TABLE_CELLS), idx, -1).astype(int)
 
 
+@functools.lru_cache(maxsize=64)
+def cached_table(ap1: ApConfig, ap2: ApConfig) -> LookupTable:
+    """LookupTable(ap1, ap2), once per AP pair; shared, so read-only."""
+    table = LookupTable(ap1, ap2)
+    for grid in (table.xs, table.ys):
+        grid.flags.writeable = False
+    return table
+
+
 def fix_2d(bearing1_rad, bearing2_rad,
            table: LookupTable) -> tuple[np.ndarray, np.ndarray]:
     """Quantize bearing pairs (scalars or arrays) into the table and return
@@ -381,18 +390,18 @@ class Receiver:
     the bearings and fixes each pair.
 
     Holds only its configuration, read from an already validated Scenario
-    (its first two APs, sweep mode and smoothing), and its lookup table, so
-    a scan depends on its envelope alone. Buffers must contain at least two
-    full sweep periods after the first AP's preamble for a fix to come out.
+    (its first two APs, sweep mode and smoothing), and their cached_table,
+    so a scan depends on its envelope alone. Buffers must contain at least
+    two full sweep periods after the first AP's preamble for a fix to come out.
     """
 
-    def __init__(self, scn: Scenario, table: LookupTable) -> None:
+    def __init__(self, scn: Scenario) -> None:
         if len(scn.aps) < 2:
             raise ConfigError("a 2D receiver needs two APs")
         self.aps = scn.aps[:2]
         self.sweep_mode = scn.sweep_mode
         self.smoothing = scn.smoothing
-        self.table = table
+        self.table = cached_table(*self.aps)
 
     def process_buffer(self, env: EnvelopeTrace) -> LocalizationResult:
         """Scan one buffer: scan with a batch of one."""

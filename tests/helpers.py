@@ -9,8 +9,7 @@ from sweeploc.backscatter import (CAPTURE_RATE_HZ, MODULATOR_RATE_HZ,
                                   SUBCARRIER_HZ, UPLINK_BITRATE_HZ,
                                   ap_demodulate)
 from sweeploc.experiments import (FARM_MARGIN_M, FARM_RATIO_MAX,
-                                  GRID_ANTENNA_COUNTS, _grid_chunk_errors,
-                                  cached_table)
+                                  GRID_ANTENNA_COUNTS, _grid_chunk_errors)
 from sweeploc.pipeline import (detect_with_noise, draw_noise, draw_pathsets,
                                noise_pair, synthesize_rounds)
 from sweeploc.receiver import (MIN_CROSSING_SINE, EnvelopeTrace, Receiver,
@@ -75,7 +74,6 @@ def farm_chunk_reference(scn: Scenario, lo: int,
     receiver's process_buffer fixes it. Returns the rows and the count of
     trials without a fix."""
     width, height = scn.field_extent_m
-    table = cached_table(scn.aps[0], scn.aps[1])
     rows, skipped = [], 0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "farm_cdf", t)
@@ -83,7 +81,7 @@ def farm_chunk_reference(scn: Scenario, lo: int,
                        rng.uniform(FARM_MARGIN_M, height - FARM_MARGIN_M))
         ratio = rng.uniform(0.0, FARM_RATIO_MAX)
         scn_t = replace(scn, channel=replace(scn.channel, multipath_ratio=ratio))
-        fix = Receiver(scn_t, table).process_buffer(still_capture(scn_t, pos, rng)).fix
+        fix = Receiver(scn_t).process_buffer(still_capture(scn_t, pos, rng)).fix
         if fix is None:
             skipped += 1
             continue

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sweeploc
-from sweeploc.cli import DEFAULT_SCENARIO, main
+from sweeploc.cli import main
 from sweeploc.experiments import (
     EXPERIMENTS,
     SPEED_BATCH,
@@ -19,14 +19,13 @@ from sweeploc.experiments import (
     ExperimentSpec,
     ResultTable,
     _farm_chunk,
-    cached_table,
     emit_csv,
     read_csv,
     render_csv,
     run_experiment,
 )
-from sweeploc.receiver import LookupTable
-from sweeploc.scenario import ConfigError, free_space_loss_db, scenario_to_yaml
+from sweeploc.scenario import (ConfigError, free_space_loss_db, scenario_digest,
+                               scenario_to_yaml)
 from sweeploc.scenarios import (BUILTIN_SCENARIOS, bench_scenario, farm_scenario,
                                 range_scenario)
 
@@ -84,9 +83,20 @@ def test_spec_validation():
         run_experiment(ExperimentSpec("no_such_experiment", scn))
 
 
-def test_registry_names_match_cli_defaults():
-    assert set(DEFAULT_SCENARIO) == set(EXPERIMENTS)
-    assert set(DEFAULT_SCENARIO.values()) <= set(BUILTIN_SCENARIOS)
+def test_every_default_scenario_is_builtin():
+    assert {e.scenario for e in EXPERIMENTS.values()} <= set(BUILTIN_SCENARIOS)
+
+
+def test_a_sized_run_without_a_trial_count_writes_the_default(tmp_path):
+    """run_experiment applies the table's default trial count (100000 bits
+    for ber_vs_snr) where the run sets none, and the CSV says so."""
+    out = tmp_path / "ber.csv"
+    assert main(["run", "ber_vs_snr", "--out", str(out)]) == 0
+    assert EXPERIMENTS["ber_vs_snr"].trials == 100000
+    assert "# trials=100000\n" in out.read_text()
+    table = read_csv(str(out))
+    assert table.meta["scenario_sha256"] == scenario_digest(bench_scenario())
+    assert all(bits == 100000 for bits in table.column("bits"))
 
 
 def test_grid_deterministic_across_workers_and_seeds():
@@ -132,29 +142,18 @@ def test_farm_cdf_shape():
 @pytest.mark.parametrize("noise_power_dbm", [None, -60.0])
 @pytest.mark.parametrize("mode", ["alg1", "uniform-theta"])
 def test_farm_chunk_equals_the_per_trial_reference(mode, noise_power_dbm):
-    """81 trials are one whole batch of SPEED_BATCH * SPEED_ROUNDS // 2
-    synthesized together and one trial past it: the rows and the skip count
-    are exactly those of capturing and scanning each trial alone."""
+    """farm_cdf's first two tasks at 81 trials, one whole chunk of
+    SPEED_BATCH * SPEED_ROUNDS // 2 trials synthesized together and a chunk
+    of one: their rows and skip counts, joined, are exactly those of
+    capturing and scanning each trial alone."""
     farm = farm_scenario(seed=1)
     scn = replace(farm, sweep_mode=mode, channel=replace(
         farm.channel, noise_power_dbm=noise_power_dbm))
-    assert SPEED_BATCH * SPEED_ROUNDS // 2 + 1 == 81
-    rows, skipped = _farm_chunk((scn, 0, 81))
-    assert (rows, skipped) == farm_chunk_reference(scn, 0, 81)
+    assert SPEED_BATCH * SPEED_ROUNDS // 2 == 80
+    (rows, skipped), (last, last_skipped) = (_farm_chunk((scn, 0, 80)),
+                                              _farm_chunk((scn, 80, 81)))
+    assert (rows + last, skipped + last_skipped) == farm_chunk_reference(scn, 0, 81)
     assert len(rows) > 70 and skipped > 0
-
-
-def test_cached_table_is_shared_and_read_only():
-    farm = farm_scenario(seed=5)
-    table = cached_table(farm.aps[0], farm.aps[1])
-    # the table depends on the APs alone, not on the rest of the scenario
-    assert cached_table(*farm_scenario(seed=6).aps[:2]) is table
-    assert cached_table(farm.aps[1], farm.aps[0]) is not table
-    fresh = LookupTable(farm.aps[0], farm.aps[1])
-    for name in ("xs", "ys"):
-        assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
-        with pytest.raises(ValueError):
-            getattr(table, name)[0, 0] = 0.0
 
 
 def test_ber_experiment_columns():

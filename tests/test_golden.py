@@ -25,13 +25,14 @@ from dataclasses import replace
 
 import pytest
 
-from sweeploc.cli import DEFAULT_SCENARIO
-from sweeploc.experiments import (SPEED_BATCH, ExperimentSpec, render_csv,
-                                  run_experiment)
+from sweeploc.experiments import (EXPERIMENTS, SPEED_BATCH, SPEED_ROUNDS,
+                                  ExperimentSpec, render_csv, run_experiment)
 from sweeploc.scenarios import BUILTIN_SCENARIOS
 
-# Trial counts span two chunks where the experiment chunks its trials
-# (GRID_CHUNK = 1024, BER_CHUNK = 25000), so the reducer sums across chunks.
+# Trial counts span two chunks where the experiment chunks its trials by
+# GRID_CHUNK = 1024 or BER_CHUNK = 25000, so the reducer sums across chunks.
+# farm_cdf's chunk is one 80-trial synthesis batch, which FARM_TASKS_TRIALS
+# spans.
 TRIALS = {
     "multipath_grid": 1100,
     "range_sweep": 4,
@@ -141,15 +142,28 @@ FARM_SKIPS = {
 }
 
 
+# farm_cdf dispatches one synthesis batch of SPEED_BATCH * SPEED_ROUNDS // 2
+# = 80 trials per task, so 161 trials are two whole tasks and a task of one
+# trial. Recorded while farm_cdf still took up to 1024 trials per task, and
+# equal after, with one worker or two.
+FARM_TASKS_TRIALS = 161
+
+FARM_TASKS = {
+    "alg1": "ff68f6c9a464311cc0dc70d6a99454764e86765e72fb4800f57487bbea2b8fb0",
+    "uniform-theta":
+        "df46a0b21866306425183d9b79d538e481937ca19e4309aee788a8d59f939260",
+}
+
+
 def csv_digest(experiment: str, mode: str,
                noise_power_dbm: float | None = None,
-               trials: int | None = None, seed: int = 1) -> str:
-    scn = BUILTIN_SCENARIOS[DEFAULT_SCENARIO[experiment]](seed=seed)
+               trials: int | None = None, seed: int = 1, workers: int = 1) -> str:
+    scn = BUILTIN_SCENARIOS[EXPERIMENTS[experiment].scenario](seed=seed)
     if noise_power_dbm is not None:
         scn = replace(scn, channel=replace(scn.channel,
                                            noise_power_dbm=noise_power_dbm))
     spec = ExperimentSpec(experiment, replace(scn, sweep_mode=mode),
-                          trials=trials or TRIALS[experiment])
+                          trials=trials or TRIALS[experiment], workers=workers)
     text = render_csv(run_experiment(spec))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -167,7 +181,7 @@ def test_csv_bytes_match_golden_at_more_seeds(experiment, mode, seed):
 @pytest.mark.parametrize("experiment,mode", sorted(NOISY))
 def test_csv_bytes_match_golden_with_channel_noise(experiment, mode):
     # the plain digest of this experiment draws no channel noise
-    scn = BUILTIN_SCENARIOS[DEFAULT_SCENARIO[experiment]](seed=1)
+    scn = BUILTIN_SCENARIOS[EXPERIMENTS[experiment].scenario](seed=1)
     assert scn.channel.noise_power_dbm is None
     digest = csv_digest(experiment, mode, noise_power_dbm=NOISE_POWER_DBM)
     assert digest == NOISY[(experiment, mode)]
@@ -187,6 +201,13 @@ def test_farm_cdf_bytes_through_skipped_trials(mode):
     assert digest == FARM_SKIPS[mode]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", sorted(FARM_TASKS))
+def test_farm_cdf_bytes_across_tasks(mode, workers):
+    assert FARM_TASKS_TRIALS == 2 * (SPEED_BATCH * SPEED_ROUNDS // 2) + 1
+    digest = csv_digest("farm_cdf", mode, trials=FARM_TASKS_TRIALS, workers=workers)
+    assert digest == FARM_TASKS[mode]
+
+
 def test_golden_covers_every_experiment():
-    from sweeploc.experiments import EXPERIMENTS
     assert {e for e, _ in GOLDEN} == set(EXPERIMENTS)

@@ -44,7 +44,7 @@ import sweeploc
 from sweeploc import backscatter, receiver
 from sweeploc.backscatter import ber_point, modulate_frame, transmit_backscatter
 from sweeploc.channel import draw_multipath, propagate
-from sweeploc.experiments import BER_CHUNK, BER_SNR_POINTS_DB, cached_table
+from sweeploc.experiments import BER_CHUNK, BER_SNR_POINTS_DB
 from sweeploc.pipeline import capture_track
 from sweeploc.receiver import Receiver
 from sweeploc.scenario import Position, Trajectory, trial_rng
@@ -223,7 +223,7 @@ def layer_digests() -> dict[str, str]:
     """Every case's digest, at this interpreter's SIMD level."""
     farm = farm_scenario(seed=1)
     channel = replace(farm.channel, doppler_enabled=True, multipath_ratio=0.4)
-    rx = Receiver(farm, cached_table(*farm.aps))
+    rx = Receiver(farm)
     starts = (Position(40.0, 30.0), Position(70.0, 55.0))
     digests = {}
     for noise in NOISE_DBM:

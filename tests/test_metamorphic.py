@@ -37,7 +37,7 @@ import numpy as np
 from hypothesis import assume, event, given, settings, strategies as st
 
 from sweeploc.pipeline import draw_pathsets, fast_estimate_bearings
-from sweeploc.receiver import LookupTable, Receiver
+from sweeploc.receiver import Receiver
 from sweeploc.scenario import Position, trial_rng, true_bearing_xy
 
 from helpers import still_capture
@@ -77,8 +77,7 @@ def scenes(draw):
 
 
 def _scan(scn, pos):
-    table = LookupTable(scn.aps[0], scn.aps[1])
-    return Receiver(scn, table).scan(still_capture(scn, pos, trial_rng(scn.seed, "mr")))
+    return Receiver(scn).scan(still_capture(scn, pos, trial_rng(scn.seed, "mr")))
 
 
 def _both_found(scan):

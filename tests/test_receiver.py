@@ -477,8 +477,7 @@ def test_log_store_overflow_raises():
 
 
 def test_receiver_two_slot_buffer_produces_fix():
-    table = LookupTable(AP1, AP2)
-    rx = Receiver(Scenario(aps=(AP1, AP2), smoothing=0.8), table)
+    rx = Receiver(Scenario(aps=(AP1, AP2), smoothing=0.8))
     # keep both links inside detector range (the floor clips past ~60 m)
     target = Position(50.0, 10.0)
     env = envelope_detect(joined(still_slot(AP1, "alg1", target, 0.0),
@@ -494,12 +493,29 @@ def test_receiver_two_slot_buffer_produces_fix():
 
 def test_receiver_takes_its_settings_from_the_scenario():
     scn = Scenario(aps=(AP1, AP2), sweep_mode="uniform-theta", smoothing=0.3)
-    table = LookupTable(AP1, AP2)
-    rx = Receiver(scn, table)
+    rx = Receiver(scn)
     assert (rx.aps, rx.sweep_mode, rx.smoothing) == ((AP1, AP2), "uniform-theta", 0.3)
-    assert rx.table is table
+    # the APs' shared table, the same for every receiver of that AP pair
+    assert rx.table is receiver.cached_table(AP1, AP2)
+    assert Receiver(Scenario(aps=(AP1, AP2), smoothing=0.8)).table is rx.table
+    # one AP is refused before any table is looked up
+    looked_up = receiver.cached_table.cache_info()
     with pytest.raises(ConfigError, match="two APs"):
-        Receiver(Scenario(aps=(AP1,)), table)
+        Receiver(Scenario(aps=(AP1,)))
+    assert receiver.cached_table.cache_info() == looked_up
+
+
+def test_cached_table_is_shared_and_read_only():
+    farm = farm_scenario(seed=5)
+    table = receiver.cached_table(farm.aps[0], farm.aps[1])
+    # the table depends on the APs alone, not on the rest of the scenario
+    assert receiver.cached_table(*farm_scenario(seed=6).aps[:2]) is table
+    assert receiver.cached_table(farm.aps[1], farm.aps[0]) is not table
+    fresh = LookupTable(farm.aps[0], farm.aps[1])
+    for name in ("xs", "ys"):
+        assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
+        with pytest.raises(ValueError):
+            getattr(table, name)[0, 0] = 0.0
 
 
 def test_min_crossing_sine_guards_parallel_rays():
