@@ -19,14 +19,14 @@ from . import __version__
 from .backscatter import (CAPTURE_SAMPLES_PER_BIT, UPLINK_BITRATE_HZ,
                           InsectNode, ber_point, frame_from_records,
                           hive_mac_session)
-from .channel import FieldTrace, PathSet, draw_multipath, propagate
+from .channel import PathSet, draw_multipath, map_multipath, path_uniforms
 from .pipeline import (capture_track, detect_with_noise, draw_noise, draw_pathsets,
                        fast_estimate_bearings, noise_pair, synthesize_rounds)
 from .power import (average_current_ma, average_power_uw, battery_life_h,
                     logging_endurance_h, rf_charge_time_h, solar_power_uw)
 from .receiver import (SENSOR_KINDS, Receiver, SensorRecord, estimate_angle,
                        find_preamble)
-from .scenario import (ConfigError, Position, Scenario, Trajectory,
+from .scenario import (ConfigError, Position, Scenario, Trajectory, _integer,
                        scenario_digest, trial_rng, true_bearing_xy)
 from .transmitter import period_samples
 
@@ -50,9 +50,9 @@ class ExperimentSpec:
                               f"choose from {sorted(EXPERIMENTS)}")
         if self.trials is not None and EXPERIMENTS[self.experiment].trials is None:
             raise ConfigError(f"{self.experiment} has no trial count to set")
-        if self.trials is not None and self.trials < 1:
+        if self.trials is not None and _integer(self.trials, "trials") < 1:
             raise ConfigError("trials must be >= 1")
-        if self.workers < 1:
+        if _integer(self.workers, "workers") < 1:
             raise ConfigError("workers must be >= 1")
 
 
@@ -228,36 +228,38 @@ RANGE_BEARING_LIMIT_DEG = 30.0
 
 
 def _range_chunk(task) -> list[tuple[int, int, int, float]]:
+    """Trials lo..hi-1 at one distance, each drawn from its own rng (bearing,
+    path uniforms, noise into its row of the chunk's noise_pair),
+    synthesized with AP 1 alone (another AP would take a slot) and detected
+    in one batch, each slot between half a period of silence and a whole
+    one; each row is searched and read alone."""
     scn, d_idx, lo, hi = task
-    ap = scn.aps[0]
-    fs = scn.detector.sample_rate_hz
-    period = ap.sweep_period_s
-    distance = RANGE_DISTANCES_M[d_idx]
+    ap, fs = scn.aps[0], scn.detector.sample_rate_hz
     limit = math.radians(RANGE_BEARING_LIMIT_DEG)
-    # the slot sits between half a period of silence and a whole one
-    lead, slot_n = round(period / 2.0 * fs), period_samples(ap, fs)
-    n = lead + 2 * slot_n
-    capture = np.zeros(n, complex)  # each trial writes its slot in place
-    slot = capture[None, lead:lead + slot_n]
-    noise = noise_pair(scn, (n,))  # and draws its noise in place
-    detected, abs_err_sum = 0, 0.0
-    for t in range(lo, hi):
+    lead, slot_n = round(ap.sweep_period_s / 2.0 * fs), period_samples(ap, fs)
+    capture = np.zeros((hi - lo, lead + 2 * slot_n), complex)
+    bearings, trajs, uniforms, noise = [], [], [], noise_pair(scn, capture.shape)
+    for j, t in enumerate(range(lo, hi)):
         rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
-        bearing = rng.uniform(-limit, limit)
-        heading = ap.boresight_rad + bearing
-        pos = Position(ap.position.x + distance * math.cos(heading),
-                       ap.position.y + distance * math.sin(heading))
-        paths = draw_multipath(scn.channel, rng)
-        draw_noise(scn, noise, ..., rng)
-        propagate(ap, scn.sweep_mode, paths, [Trajectory.stationary(pos)], fs,
-                  np.array([period / 2.0]), out=slot)
-        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, noise)
-        start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
-        if start is None:
-            continue
-        detected += 1
-        raw = estimate_angle(env, start, ap, scn.sweep_mode)
-        abs_err_sum += abs(math.degrees(raw - bearing))
+        bearings.append(rng.uniform(-limit, limit))
+        heading = ap.boresight_rad + bearings[-1]
+        trajs.append(Trajectory.stationary(Position(
+            ap.position.x + RANGE_DISTANCES_M[d_idx] * math.cos(heading),
+            ap.position.y + RANGE_DISTANCES_M[d_idx] * math.sin(heading))))
+        uniforms.append(path_uniforms(scn.channel, rng, (1,)))  # trials x 1 round
+        draw_noise(scn, noise, j, rng)
+    field = synthesize_rounds(replace(scn, aps=(ap,)),
+                              [map_multipath(scn.channel, np.stack(uniforms))], trajs, 1)
+    capture[:, lead:lead + slot_n] = field.samples.reshape(hi - lo, slot_n)
+    env = detect_with_noise(replace(field, samples=capture.reshape(-1)), scn.detector, noise)
+    detected, abs_err_sum = 0, 0.0
+    for bearing, volts in zip(bearings, env.volts.reshape(capture.shape)):
+        row = replace(env, volts=volts)
+        start = find_preamble(row, ap, 0, lead + 1)  # two periods must follow
+        if start is not None:
+            detected += 1
+            raw = estimate_angle(row, start, ap, scn.sweep_mode)
+            abs_err_sum += abs(math.degrees(raw - bearing))
     return [(d_idx, hi - lo, detected, abs_err_sum)]
 
 

@@ -274,12 +274,10 @@ class Scenario:
         _integer(self.seed, "seed")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        if len(self.aps) >= 2:
-            if self.aps[0].preamble_id == self.aps[1].preamble_id:
-                raise ConfigError("the first two APs must use distinct preamble ids")
-            periods = {ap.sweep_period_s for ap in self.aps}
-            if len(periods) != 1:
-                raise ConfigError("all APs must share one sweep period for TDMA")
+        if len({ap.preamble_id for ap in self.aps}) != len(self.aps):
+            raise ConfigError("no two APs may use one preamble id")
+        if len({ap.sweep_period_s for ap in self.aps}) != 1:
+            raise ConfigError("all APs must share one sweep period for TDMA")
         if self.field_extent_m is not None:
             w, h = self.field_extent_m
             if not (0 < w < math.inf and 0 < h < math.inf):

@@ -8,12 +8,14 @@ import numpy as np
 from sweeploc.backscatter import (CAPTURE_RATE_HZ, MODULATOR_RATE_HZ,
                                   SUBCARRIER_HZ, UPLINK_BITRATE_HZ,
                                   ap_demodulate)
+from sweeploc.channel import FieldTrace, draw_multipath, propagate
 from sweeploc.experiments import (FARM_MARGIN_M, FARM_RATIO_MAX,
-                                  GRID_ANTENNA_COUNTS, _grid_chunk_errors)
+                                  GRID_ANTENNA_COUNTS, RANGE_BEARING_LIMIT_DEG,
+                                  RANGE_DISTANCES_M, _grid_chunk_errors)
 from sweeploc.pipeline import (detect_with_noise, draw_noise, draw_pathsets,
                                noise_pair, synthesize_rounds)
 from sweeploc.receiver import (MIN_CROSSING_SINE, EnvelopeTrace, Receiver,
-                               envelope_detect)
+                               envelope_detect, estimate_angle, find_preamble)
 from sweeploc.scenario import (ApConfig, ConfigError, Position, Scenario,
                                Trajectory, _normals, trial_rng)
 from sweeploc.transmitter import build_sweep_schedule, period_samples
@@ -87,6 +89,44 @@ def farm_chunk_reference(scn: Scenario, lo: int,
             continue
         rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))
     return rows, skipped
+
+
+def range_chunk_reference(scn: Scenario, d_idx: int, lo: int,
+                          hi: int) -> list[tuple[int, int, int, float]]:
+    """experiments._range_chunk one trial at a time, as a reference: each
+    trial draws its bearing, its channel (draw_multipath) and its noise,
+    then propagate writes its slot into one reused capture, half a period
+    of silence before it and a whole period after, which is detected,
+    searched and read alone."""
+    ap = scn.aps[0]
+    fs = scn.detector.sample_rate_hz
+    period = ap.sweep_period_s
+    distance = RANGE_DISTANCES_M[d_idx]
+    limit = math.radians(RANGE_BEARING_LIMIT_DEG)
+    lead, slot_n = round(period / 2.0 * fs), period_samples(ap, fs)
+    n = lead + 2 * slot_n
+    capture = np.zeros(n, complex)  # each trial writes its slot in place
+    slot = capture[None, lead:lead + slot_n]
+    noise = noise_pair(scn, (n,))  # and draws its noise in place
+    detected, abs_err_sum = 0, 0.0
+    for t in range(lo, hi):
+        rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
+        bearing = rng.uniform(-limit, limit)
+        heading = ap.boresight_rad + bearing
+        pos = Position(ap.position.x + distance * math.cos(heading),
+                       ap.position.y + distance * math.sin(heading))
+        paths = draw_multipath(scn.channel, rng)
+        draw_noise(scn, noise, ..., rng)
+        propagate(ap, scn.sweep_mode, paths, [Trajectory.stationary(pos)], fs,
+                  np.array([period / 2.0]), out=slot)
+        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, noise)
+        start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
+        if start is None:
+            continue
+        detected += 1
+        raw = estimate_angle(env, start, ap, scn.sweep_mode)
+        abs_err_sum += abs(math.degrees(raw - bearing))
+    return [(d_idx, hi - lo, detected, abs_err_sum)]
 
 
 def row_starts(ap: ApConfig) -> np.ndarray:

@@ -14,22 +14,24 @@ import sweeploc
 from sweeploc.cli import main
 from sweeploc.experiments import (
     EXPERIMENTS,
+    RANGE_DISTANCES_M,
     SPEED_BATCH,
     SPEED_ROUNDS,
     ExperimentSpec,
     ResultTable,
     _farm_chunk,
+    _range_chunk,
     emit_csv,
     read_csv,
     render_csv,
     run_experiment,
 )
-from sweeploc.scenario import (ConfigError, free_space_loss_db, scenario_digest,
-                               scenario_to_yaml)
+from sweeploc.scenario import (SWEEP_MODES, ConfigError, free_space_loss_db,
+                               scenario_digest, scenario_to_yaml)
 from sweeploc.scenarios import (BUILTIN_SCENARIOS, bench_scenario, farm_scenario,
                                 range_scenario)
 
-from helpers import farm_chunk_reference
+from helpers import farm_chunk_reference, range_chunk_reference
 
 
 def _table():
@@ -79,6 +81,11 @@ def test_spec_validation():
         ExperimentSpec("multipath_grid", scn, trials=0)
     with pytest.raises(ConfigError):
         ExperimentSpec("multipath_grid", scn, workers=0)
+    # a bool ran and wrote "# trials=True"; the floats failed later with a
+    # bare TypeError
+    for trials, workers in [(True, 1), (2.5, 1), (4.0, 1), (4, 1.5), (4, True)]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentSpec("range_sweep", scn, trials=trials, workers=workers)
     with pytest.raises(ConfigError):
         run_experiment(ExperimentSpec("no_such_experiment", scn))
 
@@ -154,6 +161,27 @@ def test_farm_chunk_equals_the_per_trial_reference(mode, noise_power_dbm):
                                               _farm_chunk((scn, 80, 81)))
     assert (rows + last, skipped + last_skipped) == farm_chunk_reference(scn, 0, 81)
     assert len(rows) > 70 and skipped > 0
+
+
+@pytest.mark.parametrize("name, mode, noise_power_dbm, distance", [
+    pytest.param("range", mode, noise, distance, id=f"range-{mode}-{noise}dBm-{distance:g}m")
+    for mode in SWEEP_MODES for noise in (None, -60.0) for distance in (10.0, 60.0)
+] + [pytest.param("bench", "alg1", -60.0, 60.0, id="bench-two-aps")])
+def test_range_chunk_equals_the_per_trial_reference(name, mode, noise_power_dbm,
+                                                    distance):
+    """A range_sweep task of 100 trials (5..104), synthesized and detected
+    in one batch, gives exactly the detection count and error sum of
+    capturing each trial alone: at 10 m and near the 50% detection edge
+    (60 m), with channel noise off and on (over the silent padding too).
+    bench has two APs, and its AP 2 must not take a slot in the batch."""
+    base = BUILTIN_SCENARIOS[name](seed=1)
+    scn = replace(base, sweep_mode=mode, channel=replace(
+        base.channel, noise_power_dbm=noise_power_dbm))
+    d_idx = RANGE_DISTANCES_M.index(distance)
+    got = _range_chunk((scn, d_idx, 5, 105))
+    assert got == range_chunk_reference(scn, d_idx, 5, 105)
+    if distance == 60.0:
+        assert 0 < got[0][2] < 100
 
 
 def test_ber_experiment_columns():

@@ -49,8 +49,8 @@ STEP_MARGIN_RAD = 1e-9  # far above the rounding a rotation adds to a bearing
 
 @st.composite
 def scenes(draw):
-    """A valid scenario of two or more APs, without noise, and a receiver
-    in front of AP 1 and AP 2 (see the module docstring)."""
+    """A valid scenario with two APs, without noise, and a receiver in
+    front of AP 1 and AP 2 (see the module docstring)."""
     scn = draw(valid_scenarios())
     aps = scn.aps
     if len(aps) == 1:  # AP 1's twin on the other preamble, moved below
@@ -71,7 +71,7 @@ def scenes(draw):
     pos = Position(ap1.position.x + dx, ap1.position.y + dy)
     dx, dy = offset(ap2)
     ap2 = replace(ap2, position=Position(pos.x - dx, pos.y - dy))
-    return replace(scn, aps=(ap1, ap2) + aps[2:],
+    return replace(scn, aps=(ap1, ap2),
                    channel=replace(scn.channel, noise_power_dbm=None),
                    detector=replace(scn.detector, output_noise_volts=0.0)), pos
 

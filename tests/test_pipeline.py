@@ -58,8 +58,8 @@ def _noiseless(scn):
 
 def test_detect_with_noise_adds_channel_then_detector_noise():
     """The field is added into the channel noise array, in place, so each
-    reference is built before its call; the field is left as it was, as
-    _range_chunk, which writes each trial's slot into one capture, needs."""
+    reference is built before its call; the field is left as it was, so
+    the later calls here detect the same field with other noise."""
     scn = bench_scenario(seed=2)
     scn = dataclasses.replace(scn, channel=dataclasses.replace(
         scn.channel, noise_power_dbm=-45.0))
@@ -355,17 +355,18 @@ def test_capture_track_maps_redraws_as_draw_multipath_does(noise_dbm,
 
 
 def test_capture_track_rows_step_by_the_round():
-    """Three APs with 40 ms periods: a round is 120 ms of 3 x 160 samples."""
-    scn = bench_scenario(seed=7)
-    ap = dataclasses.replace(scn.aps[0], sweep_period_s=0.04)
-    scn = dataclasses.replace(scn, aps=(ap, dataclasses.replace(
-        scn.aps[1], sweep_period_s=0.04), ap))
-    assert scn.round_s == 3 * 0.04
+    """APs with 40 ms periods: a round is one 160-sample slot per AP, 40 ms
+    with one AP and 80 ms with two."""
+    bench = bench_scenario(seed=7)
+    aps = tuple(dataclasses.replace(ap, sweep_period_s=0.04) for ap in bench.aps)
     traj = Trajectory.line(Position(40.0, 10.0), heading_rad=0.4,
                            speed_mps=5.0, duration_s=1.0)
-    env = capture_track(scn, [traj], [trial_rng(7, "track")], rounds=4)
-    assert env.t0_s.tolist() == [r * scn.round_s for r in range(4)]
-    assert env.volts.shape == (1, 4, 3 * 160)
+    for count in (1, 2):
+        scn = dataclasses.replace(bench, aps=aps[:count])
+        assert scn.round_s == count * 0.04
+        env = capture_track(scn, [traj], [trial_rng(7, "track")], rounds=4)
+        assert env.t0_s.tolist() == [r * scn.round_s for r in range(4)]
+        assert env.volts.shape == (1, 4, count * 160)
 
 
 @pytest.mark.parametrize("rounds,count,rng_count", [

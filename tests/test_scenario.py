@@ -100,6 +100,12 @@ def test_scenario_cross_validation():
     Scenario(aps=(ap1, ap2))  # fine
     with pytest.raises(ConfigError):
         Scenario(aps=(ap1, ap1))  # same preamble id twice
+    # a third AP on id 1 was taken, and halved the farm fix rate: AP 1's
+    # preamble search could lock onto it
+    ap3 = ApConfig(position=Position(50.0, 90.0), boresight_rad=-math.pi / 2,
+                   preamble_id=1)
+    with pytest.raises(ConfigError, match="one preamble id"):
+        Scenario(aps=(ap1, ap2, ap3))
     with pytest.raises(ConfigError, match="share one sweep period"):
         Scenario(aps=(ap1, replace(ap2, sweep_period_s=0.06)))
     with pytest.raises(ConfigError):
@@ -400,15 +406,15 @@ def test_malformed_yaml_is_a_config_error(edit, tmp_path, capsys):
 
 @st.composite
 def valid_scenarios(draw):
-    """Scenarios that pass every check: 1-3 APs on one sweep period of a
-    whole number of detector samples, with whole-sample preamble bits and
-    steps of at least one sample."""
+    """Scenarios that pass every check: one or two APs, each on its own
+    preamble id, on one sweep period of a whole number of detector samples,
+    with whole-sample preamble bits and steps of at least one sample."""
     fs = draw(st.sampled_from([1000.0, 2000.0, 4000.0, 8000.0]))
     steps = draw(st.sampled_from([2, 16, 31, 64, 128]))
     bit_samples = draw(st.integers(1, 4))
     period_samples = steps + 8 * bit_samples + draw(st.integers(0, 200))
-    n_aps = draw(st.integers(1, 3))
-    ids = draw(st.permutations([1, 2])) + [draw(st.sampled_from([1, 2]))]
+    n_aps = draw(st.integers(1, 2))
+    ids = draw(st.permutations([1, 2]))
     aps = tuple(ApConfig(
         position=Position(draw(st.floats(-1e3, 1e3)),
                           draw(st.floats(-1e3, 1e3))),
