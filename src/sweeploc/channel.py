@@ -189,7 +189,7 @@ def propagate(ap: ApConfig, mode: str, paths: PathSet, trajs: Sequence[Trajector
     each slot's first sample to at or after its last; ConfigError
     otherwise. paths is one draw for every slot, or one per slot on
     leading axes of t0_s's shape. The samples have t0_s's shape plus the
-    period's samples, in a fresh array or written into out.
+    period's samples, added into out or into a fresh array of zeros.
     Each sample takes the drive of its schedule row (sample_rows, the
     sweep's sample clock). The LOS path has unit weight; its sine
     (dy*cos(b) - dx*sin(b)) / dist and the link amplitude
@@ -244,8 +244,9 @@ def propagate(ap: ApConfig, mode: str, paths: PathSet, trajs: Sequence[Trajector
         wavenumber = 2.0 * math.pi / ap.wavelength_m if doppler else 0.0
         field = apply_doppler(los, reflected, row, paths.bearings_rad, ap, segment,
                               t_local, dist, wavenumber, out=los)
-    return FieldTrace(samples=np.multiply(field, amp, out=out),
-                      sample_rate_hz=sample_rate_hz)
+    out = np.zeros(field_shape, complex) if out is None else out
+    out += np.multiply(field, amp, out=field)  # field: a scratch buffer
+    return FieldTrace(samples=out, sample_rate_hz=sample_rate_hz)
 
 
 def _geometry(rel: np.ndarray, ap: ApConfig, dist: np.ndarray,

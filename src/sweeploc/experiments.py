@@ -19,7 +19,7 @@ from . import __version__
 from .backscatter import (CAPTURE_SAMPLES_PER_BIT, UPLINK_BITRATE_HZ,
                           InsectNode, ber_point, frame_from_records,
                           hive_mac_session)
-from .channel import PathSet, draw_multipath, map_multipath, path_uniforms
+from .channel import FieldTrace, PathSet, draw_multipath, map_multipath, path_uniforms
 from .pipeline import (capture_track, detect_with_noise, draw_noise, draw_pathsets,
                        fast_estimate_bearings, noise_pair, synthesize_rounds)
 from .power import (average_current_ma, average_power_uw, battery_life_h,
@@ -229,16 +229,16 @@ RANGE_BEARING_LIMIT_DEG = 30.0
 
 def _range_chunk(task) -> list[tuple[int, int, int, float]]:
     """Trials lo..hi-1 at one distance, each drawn from its own rng (bearing,
-    path uniforms, noise into its row of the chunk's noise_pair),
-    synthesized with AP 1 alone (another AP would take a slot) and detected
-    in one batch, each slot between half a period of silence and a whole
-    one; each row is searched and read alone."""
+    path uniforms, noise into its row of the chunk's noise_pair), with AP
+    1 alone (another AP would take a slot) synthesized into each row's slot
+    window, between half a period of silence and a whole one, and detected
+    in one batch; each row is searched and read alone."""
     scn, d_idx, lo, hi = task
     ap, fs = scn.aps[0], scn.detector.sample_rate_hz
     limit = math.radians(RANGE_BEARING_LIMIT_DEG)
     lead, slot_n = round(ap.sweep_period_s / 2.0 * fs), period_samples(ap, fs)
-    capture = np.zeros((hi - lo, lead + 2 * slot_n), complex)
-    bearings, trajs, uniforms, noise = [], [], [], noise_pair(scn, capture.shape)
+    bearings, trajs, uniforms = [], [], []
+    capture, detector = noise = noise_pair(scn, (hi - lo, lead + 2 * slot_n))
     for j, t in enumerate(range(lo, hi)):
         rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
         bearings.append(rng.uniform(-limit, limit))
@@ -248,12 +248,12 @@ def _range_chunk(task) -> list[tuple[int, int, int, float]]:
             ap.position.y + RANGE_DISTANCES_M[d_idx] * math.sin(heading))))
         uniforms.append(path_uniforms(scn.channel, rng, (1,)))  # trials x 1 round
         draw_noise(scn, noise, j, rng)
-    field = synthesize_rounds(replace(scn, aps=(ap,)),
-                              [map_multipath(scn.channel, np.stack(uniforms))], trajs, 1)
-    capture[:, lead:lead + slot_n] = field.samples.reshape(hi - lo, slot_n)
-    env = detect_with_noise(replace(field, samples=capture.reshape(-1)), scn.detector, noise)
+    paths = map_multipath(scn.channel, np.stack(uniforms))
+    synthesize_rounds(replace(scn, aps=(ap,)), [paths], trajs, 1,
+                      capture[:, None, None, lead:lead + slot_n])  # the slot windows
+    env = detect_with_noise(FieldTrace(capture, fs), scn.detector, detector)
     detected, abs_err_sum = 0, 0.0
-    for bearing, volts in zip(bearings, env.volts.reshape(capture.shape)):
+    for bearing, volts in zip(bearings, env.volts):
         row = replace(env, volts=volts)
         start = find_preamble(row, ap, 0, lead + 1)  # two periods must follow
         if start is not None:
@@ -303,8 +303,8 @@ def _check_field(scn: Scenario, margin_m: float, what: str) -> None:
 def _farm_chunk(task) -> tuple[list[tuple], int]:
     """Trials lo..hi-1, each drawn from its own rng (position, ratio, paths,
     two rounds' noise into its row of the chunk's noise_pair), synthesized
-    and detected in one batch, scanned one by one. Returns rows, no-fix
-    count."""
+    into that capture and detected in one batch, scanned one by one.
+    Returns rows, no-fix count."""
     scn, lo, hi = task
     width, height = scn.field_extent_m
     rx = Receiver(scn)
@@ -322,10 +322,11 @@ def _farm_chunk(task) -> tuple[list[tuple], int]:
         draw_noise(scn, noise, j, rng)
     # each AP's draws on trials x 1 x reflections axes: one for both rounds
     per_ap = [PathSet(*(np.stack(a)[:, None] for a in zip(*ap))) for ap in zip(*draws)]
-    field = synthesize_rounds(scn, per_ap, [Trajectory.stationary(p) for p, _ in trials])
-    env = detect_with_noise(field, scn.detector, noise)
+    field = synthesize_rounds(scn, per_ap, [Trajectory.stationary(p) for p, _ in trials],
+                              out=noise[0])
+    env = detect_with_noise(field, scn.detector, noise[1])
     rows = []
-    for (pos, ratio), volts in zip(trials, env.volts.reshape(hi - lo, n)):
+    for (pos, ratio), volts in zip(trials, env.volts):
         fix = rx.process_buffer(replace(env, volts=volts)).fix
         if fix is not None:
             rows.append((pos.x, pos.y, ratio, fix.distance_to(pos)))

@@ -33,13 +33,13 @@ def still_capture(scn: Scenario, pos: Position,
                   rng: np.random.Generator) -> EnvelopeTrace:
     """Two rounds of a receiver standing at pos, made alone: a channel draw
     per AP (draw_pathsets), then the capture's noise (draw_noise), then its
-    synthesis and detection."""
+    synthesis into that capture and detection."""
     pathsets = draw_pathsets(scn, rng)
     n = 2 * len(scn.aps) * period_samples(scn.aps[0], scn.detector.sample_rate_hz)
-    noise = noise_pair(scn, (n,))
+    capture, detector = noise = noise_pair(scn, (n,))
     draw_noise(scn, noise, ..., rng)
-    field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(pos)])
-    return detect_with_noise(field, scn.detector, noise)
+    field = synthesize_rounds(scn, pathsets, [Trajectory.stationary(pos)], out=capture)
+    return detect_with_noise(field, scn.detector, detector)
 
 
 def stretch_noise(scn: Scenario, n: int, rng: np.random.Generator) -> tuple:
@@ -58,8 +58,9 @@ def stretch_noise(scn: Scenario, n: int, rng: np.random.Generator) -> tuple:
 
 def detect_joined(field, det, noises) -> np.ndarray:
     """The volts of envelope_detect with stretch_noise's draws of a
-    capture's stretches joined in order, as a reference for
-    pipeline.detect_with_noise: channel noise added to the field before
+    capture's stretches joined in order, as a reference for a capture
+    that the pipeline synthesizes into its channel noise and detects with
+    detect_with_noise: channel noise added to the noiseless field before
     detection, detector noise to the volts after it."""
     channel, detector = (None if parts[0] is None else np.concatenate(parts)
                          for parts in zip(*noises))
@@ -94,20 +95,16 @@ def farm_chunk_reference(scn: Scenario, lo: int,
 def range_chunk_reference(scn: Scenario, d_idx: int, lo: int,
                           hi: int) -> list[tuple[int, int, int, float]]:
     """experiments._range_chunk one trial at a time, as a reference: each
-    trial draws its bearing, its channel (draw_multipath) and its noise,
-    then propagate writes its slot into one reused capture, half a period
-    of silence before it and a whole period after, which is detected,
-    searched and read alone."""
+    trial draws its bearing, its channel (draw_multipath) and its noise
+    into a capture of its own (noise_pair), then propagate adds its slot
+    into that capture, half a period of silence before it and a whole
+    period after, which is detected, searched and read alone."""
     ap = scn.aps[0]
     fs = scn.detector.sample_rate_hz
     period = ap.sweep_period_s
     distance = RANGE_DISTANCES_M[d_idx]
     limit = math.radians(RANGE_BEARING_LIMIT_DEG)
     lead, slot_n = round(period / 2.0 * fs), period_samples(ap, fs)
-    n = lead + 2 * slot_n
-    capture = np.zeros(n, complex)  # each trial writes its slot in place
-    slot = capture[None, lead:lead + slot_n]
-    noise = noise_pair(scn, (n,))  # and draws its noise in place
     detected, abs_err_sum = 0, 0.0
     for t in range(lo, hi):
         rng = trial_rng(scn.seed, "range_sweep", d_idx, t)
@@ -116,10 +113,11 @@ def range_chunk_reference(scn: Scenario, d_idx: int, lo: int,
         pos = Position(ap.position.x + distance * math.cos(heading),
                        ap.position.y + distance * math.sin(heading))
         paths = draw_multipath(scn.channel, rng)
+        capture, detector = noise = noise_pair(scn, (lead + 2 * slot_n,))
         draw_noise(scn, noise, ..., rng)
         propagate(ap, scn.sweep_mode, paths, [Trajectory.stationary(pos)], fs,
-                  np.array([period / 2.0]), out=slot)
-        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, noise)
+                  np.array([period / 2.0]), out=capture[None, lead:lead + slot_n])
+        env = detect_with_noise(FieldTrace(capture, fs), scn.detector, detector)
         start = find_preamble(env, ap, 0, lead + 1)  # two periods must follow
         if start is None:
             continue

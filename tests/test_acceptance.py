@@ -6,6 +6,7 @@ run the real pipelines (no mocks) and take a couple of minutes total.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -239,17 +240,23 @@ def test_criterion_6_backscatter_identity_and_ber_band():
     """Modulate -> clean channel -> demodulate returns the exact payload
     for a 10^4-bit frame; the decimated-capture BER simulator agrees with
     a brute-force waveform simulation within the pooled 95% band at every
-    SNR point; payload airtime scales as 1 ms per bit."""
+    SNR point; payload airtime scales as 1 ms per bit. The points run on
+    two threads: each draws from its own trial_rng, and ber_point's scratch
+    buffers are per thread; they are checked in SNR order."""
     rng = trial_rng(6, "identity-bits")
     bits = rng.integers(0, 2, 10000).astype(np.uint8)
     decided = ap_demodulate(transmit_backscatter(modulate_frame(bits), 2.0))
     assert np.array_equal(decided, bits)
 
     n_fast, n_oracle = 200000, 8000
-    for snr in BER_SNR_POINTS_DB:
-        bf, ef = ber_point(snr, n_fast, trial_rng(1, "fast", int(snr)))
-        bo, eo = ber_point_waveform_oracle(snr, n_oracle,
-                                           trial_rng(1, "oracle", int(snr)))
+
+    def point(snr):
+        return (ber_point(snr, n_fast, trial_rng(1, "fast", int(snr))),
+                ber_point_waveform_oracle(snr, n_oracle, trial_rng(1, "oracle", int(snr))))
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        points = list(pool.map(point, BER_SNR_POINTS_DB))
+    for snr, ((bf, ef), (bo, eo)) in zip(BER_SNR_POINTS_DB, points, strict=True):
         pooled = (ef + eo) / (n_fast + n_oracle)
         margin = 1.96 * math.sqrt(max(pooled * (1 - pooled), 1e-12)
                                   * (1 / n_fast + 1 / n_oracle))

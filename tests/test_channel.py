@@ -371,9 +371,9 @@ def test_complex_noise_equals_two_normal_draws_bitwise(dbm, n):
 
 def test_add_noise_power_statistics():
     """The capture noise helper: channel noise of the configured power,
-    drawn before the detector noise, into its stretch of the capture's
-    noise pair and nowhere else; with both off the pair is (None, None)
-    and draws nothing."""
+    drawn into its stretch of the capture before the detector noise into
+    its stretch of the detector's array, and nowhere else; with both off
+    the capture is zeros, the detector's array None, and nothing is drawn."""
     scn = bench_scenario(seed=3)
     noisy = replace(scn, channel=replace(scn.channel, noise_power_dbm=-30.0))
     noise = noise_pair(noisy, (3, 100_000))
@@ -391,9 +391,10 @@ def test_add_noise_power_statistics():
     quiet = replace(scn, detector=replace(scn.detector, output_noise_volts=0.0))
     rng = trial_rng(3)
     state = rng.bit_generator.state
-    assert noise_pair(quiet, (100,)) == (None, None)
-    draw_noise(quiet, (None, None), ..., rng)
-    assert rng.bit_generator.state == state
+    capture, detector = noise = noise_pair(quiet, (100,))
+    assert capture.dtype == complex and capture.shape == (100,) and detector is None
+    draw_noise(quiet, noise, ..., rng)
+    assert rng.bit_generator.state == state and not capture.any()
 
 
 def test_apply_doppler_stationary_is_identity():
@@ -533,7 +534,7 @@ def test_propagate_trials_equal_one_call_per_trial(moving):
              if moving else Trajectory.stationary(p)
              for p, h in zip(points, (0.3, 2.0))]
     for doppler in (False, True):
-        batch = np.empty((2, 3, 200), complex)
+        batch = np.zeros((2, 3, 200), complex)
         propagate(ap, "alg1", paths, trajs, 4000.0, starts, doppler=doppler,
                   out=batch)
         for i, traj in enumerate(trajs):
@@ -634,6 +635,18 @@ def test_propagate_results_survive_later_calls():
     again = propagate(*one[:6], doppler=one[6])
     assert again.samples.tobytes() == second.samples.tobytes()
     assert not np.shares_memory(again.samples, second.samples)
+
+
+def test_propagate_adds_its_field_into_out():
+    """propagate adds its samples into out, moving and still: out then
+    holds what it held plus a fresh call's samples, bit for bit (a + b is
+    b + a), and a fresh call's samples are zeros plus the field."""
+    for k, case in enumerate(_moving_cases()):
+        fresh = propagate(*case[:6], doppler=case[6]).samples
+        held = complex_noise(-40.0, trial_rng(8, "held", k), np.empty(fresh.shape, complex))
+        out = held.copy()
+        assert propagate(*case[:6], doppler=case[6], out=out).samples is out
+        assert out.tobytes() == (fresh + held).tobytes()
 
 
 def test_propagate_in_threads_gives_the_serial_bytes():

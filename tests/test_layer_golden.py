@@ -14,6 +14,9 @@ cases, by the sha256 of their output bytes:
 - propagate's samples in both sweep modes, at 2, 4 and 5 antennas with
   one draw for both slots and at 4 with one draw per slot, still and
   moving, with Doppler off and on;
+- the volts detected in one farm_cdf task (_farm_chunk, 4 trials on farm)
+  and one range_sweep task (_range_chunk, 6 trials on range at 10 m and
+  60 m), in both sweep modes, channel noise off and at -60 dBm;
 - ber_point's decisions and two-means threshold (ap_demodulate,
   _bimodal_threshold) at every BER_SNR_POINTS_DB point, one BER_CHUNK
   each, and one noisy transmit_backscatter capture of a 1608-bit reply.
@@ -41,14 +44,15 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
 import sweeploc
-from sweeploc import backscatter, receiver
+from sweeploc import backscatter, experiments, receiver
 from sweeploc.backscatter import ber_point, modulate_frame, transmit_backscatter
 from sweeploc.channel import draw_multipath, propagate
-from sweeploc.experiments import BER_CHUNK, BER_SNR_POINTS_DB
+from sweeploc.experiments import (BER_CHUNK, BER_SNR_POINTS_DB, RANGE_DISTANCES_M,
+                                  _farm_chunk, _range_chunk)
 from sweeploc.pipeline import capture_track
 from sweeploc.receiver import Receiver
 from sweeploc.scenario import Position, Trajectory, trial_rng
-from sweeploc.scenarios import farm_scenario
+from sweeploc.scenarios import farm_scenario, range_scenario
 
 LEVELS = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")  # above X86_V2
 ROUNDS = 6
@@ -161,6 +165,30 @@ GOLDEN = {
         "f38ceccbee918df6fe5b1fbc1e2ea369e28c7941f387447061d0270bb7f9d3aa",
     "propagate uniform-theta, 4 antennas, one draw per slot, 9.1 m/s, doppler True":
         "cf29783b8c03b051a20a22fed50b09bc4213fe4804de1c353fcb4ef62b2f9a1e",
+    "_farm_chunk volts, alg1, noise None dBm":
+        "ff0a56e27260f68a99218940532e23ccd3d6b9430a4e52398301a0c3e91fcd61",
+    "_range_chunk volts, 10.0 m, alg1, noise None dBm":
+        "6709d304602d08f48b3630a095b99ff0b253cf73e60955ebb2d935c3997cc458",
+    "_range_chunk volts, 60.0 m, alg1, noise None dBm":
+        "e680729e9d4be0921fa80f297f45c1b24f3eba01706121c84e355b35e7a9114f",
+    "_farm_chunk volts, alg1, noise -60.0 dBm":
+        "0abdd3d1e66d96a6bceeb4127c70325f43404c2d2170d1fa89a0bc975d0f5fe1",
+    "_range_chunk volts, 10.0 m, alg1, noise -60.0 dBm":
+        "31f4039199d903bd014651740fe2de7b253e88fa5d94c242e3648bb044b30be8",
+    "_range_chunk volts, 60.0 m, alg1, noise -60.0 dBm":
+        "75f65ed28bf3b8a15b1fe22e2c5514d71eb0b8d3c5252e9fd6e6504b99f931e8",
+    "_farm_chunk volts, uniform-theta, noise None dBm":
+        "f986dc83b5baf5d3728fd54d1fac2daa8202b0b1c71cf51725f35deac305c02e",
+    "_range_chunk volts, 10.0 m, uniform-theta, noise None dBm":
+        "26c4ab441839fa7c2cd20f65ba04979a4445826d7beefd4cb93696ac306b810b",
+    "_range_chunk volts, 60.0 m, uniform-theta, noise None dBm":
+        "0942c01c26a70089bf2b9b1a011977637dc01715c26748e52e938982b698668d",
+    "_farm_chunk volts, uniform-theta, noise -60.0 dBm":
+        "76b5b0f973103584c76c5864013e651e1c3b5870ecb880441b023d839ffe8b3f",
+    "_range_chunk volts, 10.0 m, uniform-theta, noise -60.0 dBm":
+        "e50cc98cb398dee00421486e62c45d801b3fd68ba373bfa8b3ea472209d78076",
+    "_range_chunk volts, 60.0 m, uniform-theta, noise -60.0 dBm":
+        "c8d8adb255bcdd69416c9d5ed957c16eb90d83161aa169f10bcc74b85ae71533",
     "ber_point decisions and threshold, -12.0 dB":
         "b3cd4655ecec2a2af63724b426a382afaf4b4f42ecb51f7d1e22da73d654ea6c",
     "ber_point decisions and threshold, -10.0 dB":
@@ -198,16 +226,15 @@ def _digest(*arrays) -> str:
 
 @contextlib.contextmanager
 def _returns(module, *names):
-    """While the block runs, record the arrays each named function of
-    module returns, in call order: one list per name."""
+    """While the block runs, record what each named function of module
+    returns, in call order (a tuple's items one by one): one list per name."""
     seen = {name: [] for name in names}
     real = {name: getattr(module, name) for name in names}
 
     def spy(name):
         def call(*args, **kwargs):
             result = real[name](*args, **kwargs)
-            seen[name].extend(np.atleast_1d(r) for r in
-                              (result if isinstance(result, tuple) else (result,)))
+            seen[name].extend(result if isinstance(result, tuple) else (result,))
             return result
         return call
     try:
@@ -258,6 +285,22 @@ def layer_digests() -> dict[str, str]:
                                       farm.detector.sample_rate_hz, t0, doppler)
                     digests[f"propagate {mode}, {what}, {speed} m/s,"
                             f" doppler {doppler}"] = _digest(field.samples)
+    for mode in ("alg1", "uniform-theta"):
+        for noise in NOISE_DBM:
+            farm_t, range_t = (
+                replace(scn, sweep_mode=mode,
+                        channel=replace(scn.channel, noise_power_dbm=noise))
+                for scn in (farm, range_scenario(seed=1)))
+            case = f"{mode}, noise {noise} dBm"
+            with _returns(experiments, "detect_with_noise") as seen:
+                _farm_chunk((farm_t, 0, 4))
+                for d_idx in (0, 5):
+                    _range_chunk((range_t, d_idx, 0, 6))
+            farm_volts, *range_volts = (env.volts for env in seen["detect_with_noise"])
+            digests[f"_farm_chunk volts, {case}"] = _digest(farm_volts)
+            for d_idx, volts in zip((0, 5), range_volts):
+                digests[f"_range_chunk volts, {RANGE_DISTANCES_M[d_idx]} m,"
+                        f" {case}"] = _digest(volts)
     for snr in BER_SNR_POINTS_DB:
         with _returns(backscatter, "ap_demodulate", "_bimodal_threshold") as seen:
             ber_point(snr, BER_CHUNK, trial_rng(1, "layer", "ber", snr))

@@ -15,7 +15,11 @@ and compares Receiver.scan over a still receiver's two-round capture
 - rotation: turning the receiver about AP k, together with AP k's
   boresight, by one angle leaves AP k's raw bearing equal (not its peak
   time: AP 2's search starts where AP 1's preamble was found, and the
-  turn moves the receiver relative to AP 1).
+  turn moves the receiver relative to AP 1);
+- time shift: the same receiver's capture started one whole TDMA round
+  later (rounds 1 and 2 of a three-round synthesis, stamped round_s)
+  leaves every scan array equal but the timestamps, which are exactly
+  round_s later.
 
 All run without noise. With it, the two rounds' preamble correlations
 both sit within rounding of 1, and the last bit of the field picks the
@@ -36,9 +40,9 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import assume, event, given, settings, strategies as st
 
-from sweeploc.pipeline import draw_pathsets, fast_estimate_bearings
-from sweeploc.receiver import Receiver
-from sweeploc.scenario import Position, trial_rng, true_bearing_xy
+from sweeploc.pipeline import draw_pathsets, fast_estimate_bearings, synthesize_rounds
+from sweeploc.receiver import Receiver, envelope_detect
+from sweeploc.scenario import Position, Trajectory, trial_rng, true_bearing_xy
 
 from helpers import still_capture
 from test_scenario import valid_scenarios
@@ -157,3 +161,20 @@ def test_rotation_about_an_ap_keeps_its_bearing(scene, k, turn):
     event("turned: both APs found" if found else "excluded: an AP lost after the turn")
     assume(found)
     assert got.raw_rad[..., k].tobytes() == base.raw_rad[..., k].tobytes()
+
+
+@EXAMPLES
+@given(scenes())
+def test_a_round_later_shifts_only_the_timestamps(scene):
+    scn, pos = scene
+    base = _scan(scn, pos)
+    _both_found(base)
+    # _scan's capture draws only its paths: the scene has no noise
+    pathsets = draw_pathsets(scn, trial_rng(scn.seed, "mr"))
+    env = envelope_detect(synthesize_rounds(scn, pathsets, [Trajectory.stationary(pos)], 3),
+                          scn.detector)
+    later = env.volts[len(env.volts) // 3:]  # rounds 1 and 2
+    got = Receiver(scn).scan(replace(env, volts=later, t0_s=scn.round_s))
+    for name in ("found", "raw_rad", "smoothed_rad", "x_m", "y_m"):
+        assert getattr(got, name).tobytes() == getattr(base, name).tobytes(), name
+    assert got.timestamp_s.tobytes() == (base.timestamp_s + scn.round_s).tobytes()
